@@ -43,11 +43,11 @@ def check_dataset(ds: Dataset, tolerances: ToleranceModel | None = None) -> Repo
     return Report.from_residuals(ds.grid, structure_rep, flat_rep)
 
 
-def _print_checks(report: Report, stream=sys.stdout):
+def _print_checks(report: Report):
     for rec in report.checks:
         verdict = "PASS" if rec.passed else "FAIL"
         print(f"{verdict} {rec.name:35s} max={rec.max_abs:.6e} "
-              f"thr={rec.threshold:.1e} at node {list(rec.argmax_node)}", file=stream)
+              f"thr={rec.threshold:.1e} at node {list(rec.argmax_node)}")
 
 
 def _parse_tuple(text: str, count: int, cast):

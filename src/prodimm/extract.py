@@ -5,12 +5,12 @@ a deterministic orthonormal normal frame, the second form, the four blocks
 of the product structure, and the normal connection.  The same data feed the
 checker (necessity direction) and the reconstructor (roundtrip oracle).
 
-Normal-frame gauge: at the base node the frame is completed from canonical
-basis vectors in index order; away from the base each node inherits the
-previous node's normals along the standard sweep (project onto the new
-normal space, re-orthonormalize).  A per-node canonical completion would
-flip sign wherever a candidate degenerates mid-chart, so inheritance is what
-keeps the frame field smooth while staying fully reproducible.
+Normal-frame gauge: canonical completion in index order at the base node;
+every other node inherits the base normals along the standard sweep, through
+the product of the projectors onto the normal spaces on the way, then one
+Minkowski Gram-Schmidt over all nodes (by QR uniqueness the same frame as
+re-orthonormalizing after every step).  A per-node canonical completion would
+flip sign where a candidate degenerates mid-chart; inheritance stays smooth.
 
 Shipped fixtures:
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
-                     grad_field, hessian_field, sweep_steps)
+                     grad_field, hessian_field, sweep_compose, sweep_steps)
 from .lorentz import minkowski_dot
 from .structure import (ProductStructureField, ResidualReport, ToleranceModel, check_all)
 
@@ -187,7 +187,9 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid,
     """Orthonormal normal frame, canonical at the base node, swept smoothly.
 
     Output shape (*dims, p, N); every vector is tangent to the product and
-    orthogonal to the immersed chart directions.
+    orthogonal to the immersed chart directions.  DegeneracyError names the
+    first node, in sweep order, where the projections leave a carried normal
+    with squared norm at most ``_SEED_TOL`` after Gram-Schmidt.
     """
     points = immersion_points(imm, grid)
     tangents = immersion_tangents(imm, grid, points, use_analytic)
@@ -195,42 +197,47 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid,
 
     size = imm.ambient_dim
     base = (0,) * grid.ndim
-    base_basis = [b[base] for b in basis]
-    base_norms = [float(n[base]) for n in norms]
+    # projector onto each node's normal space: v - sum_w w <w, v> / <w, w>
+    cols = np.stack(basis, axis=-1)                       # (..., N, n+2)
+    eta_cols = cols / np.stack(norms, axis=-1)[..., None, :]
+    eta_cols[..., -1, :] *= -1.0
+    proj = np.eye(size) - cols @ np.swapaxes(eta_cols, -1, -2)
+
     seed: list[np.ndarray] = []
-    for a in range(size):
-        if len(seed) == imm.p:
-            break
-        cand = np.eye(size)[a]
-        v = cand
-        for w, n2 in zip(base_basis + seed, base_norms + [1.0] * len(seed)):
-            v = v - (minkowski_dot(v, w) / n2) * w
+    for v in proj[base].T:                                # projected canonical vectors
+        for w in seed:
+            v = v - minkowski_dot(v, w) * w
         n2 = float(minkowski_dot(v, v))
-        if n2 > _SEED_TOL:
+        if n2 > _SEED_TOL and len(seed) < imm.p:
             seed.append(v / np.sqrt(n2))
     if len(seed) != imm.p:
         raise DegeneracyError(
             f"canonical completion found only {len(seed)} of {imm.p} normals at the base")
 
-    normals = np.zeros(grid.dims + (imm.p, size))
-    normals[base] = np.stack(seed)
-    for src, dst, _axis, _delta in sweep_steps(grid, base):
-        carried = []
-        dst_basis = [b[dst] for b in basis]
-        dst_norms = [n[dst] for n in norms]
-        for a in range(imm.p):
-            v = _project_out(normals[src][..., a, :], dst_basis, dst_norms)
-            for w in carried:
-                v = v - minkowski_dot(v, w)[..., None] * w
-            n2 = minkowski_dot(v, v)
-            if n2.min() <= _SEED_TOL:
-                flat = int(np.asarray(n2).argmin())
-                raise DegeneracyError(
-                    f"normal frame degenerates while sweeping axis {_axis}",
-                    index=flat)
-            carried.append(v / np.sqrt(n2)[..., None])
-        normals[dst] = np.stack(carried, axis=-2)
-    return normals
+    carried = np.zeros(grid.dims + (size, imm.p))
+    carried[base] = np.stack(seed, axis=-1)
+    sweep_compose(grid, carried, base, lambda _src, dst, _axis, _delta: proj[dst])
+
+    normals: list[np.ndarray] = []
+    for a in range(imm.p):
+        v = carried[..., :, a]
+        for w in normals:
+            v = v - minkowski_dot(v, w)[..., None] * w
+        n2 = minkowski_dot(v, v)
+        if n2.min() <= _SEED_TOL:
+            node = _first_swept(grid, base, n2 <= _SEED_TOL)
+            raise DegeneracyError(f"normal frame degenerates at node {node}", index=node)
+        normals.append(v / np.sqrt(n2)[..., None])
+    return np.stack(normals, axis=-2)
+
+
+def _first_swept(grid: ChartGrid, base: tuple, mask: np.ndarray) -> tuple:
+    """First node in sweep order where ``mask`` holds (never the base node)."""
+    nodes = np.moveaxis(np.indices(grid.dims), 0, -1)
+    for _src, dst, _axis, _delta in sweep_steps(grid, base):
+        hit = nodes[dst][mask[dst]]
+        if hit.size:
+            return tuple(int(i) for i in hit[0])
 
 
 def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, normals: np.ndarray,

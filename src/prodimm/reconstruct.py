@@ -4,10 +4,10 @@ Pipeline (all deterministic):
 
 1. split the extended structure at the base node into its two eigenspaces
    and complete the canonical initial frame (identity-seed completion);
-2. transport the frame across the grid with a classical 4th-order one-step
-   scheme per edge, connection matrices interpolated linearly along the edge;
-   sweep order is lexicographic (axis 0 spine through the base node, then
-   axis-1 lines, then axis-2 lines); the transposed sweep is a cross-check;
+2. transport the frame along the lexicographic sweep (axis-0 spine through
+   the base node, then axis-1, then axis-2 lines): batched RK4 flow matrices
+   per run of edges (connection linear along each edge), one matmul per edge;
+   the transposed sweep is a cross-check;
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
    the sign of the timelike coordinate;
 4. verify isometry, normal orthogonality, the second form and the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ReconstructionError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, grad_field,
-                     hessian_field, sweep_steps)
+                     hessian_field, sweep_compose)
 from .flatbundle import (FlatBundleConnection, FlatBundleGauge, build_connection,
                          build_psi_tilde, eigen_split, flatness_residual,
                          metric_compatibility_residual, psi_tilde_parallel_residual)
@@ -42,10 +42,13 @@ class ParallelFrameField:
     values: np.ndarray  # (*dims, N, N)
     base_node: tuple
 
-    def orthonormality_defect(self, gauge: FlatBundleGauge) -> float:
+    def gram_defect(self, gauge: FlatBundleGauge) -> np.ndarray:
+        """Nodewise S^T G S - signature of the frame columns."""
         s = self.values
-        gram = np.einsum("...ca,...cd,...db->...ab", s, gauge.gram, s)
-        return float(np.abs(gram - gauge.signature).max())
+        return np.einsum("...ca,...cd,...db->...ab", s, gauge.gram, s) - gauge.signature
+
+    def orthonormality_defect(self, gauge: FlatBundleGauge) -> float:
+        return float(np.abs(self.gram_defect(gauge)).max())
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,6 @@ def edge_flow(om_start, om_end, delta: float) -> np.ndarray:
     return ident + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def transport_edge(om_start, om_end, frame, delta: float) -> np.ndarray:
-    """Parallel-transport frame columns across one edge."""
-    return edge_flow(om_start, om_end, delta) @ frame
-
-
 def reorthonormalize_frame(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the frame columns in the local metric, timelike last."""
     size = frames.shape[-1]
@@ -140,15 +138,18 @@ def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
     if reorthonormalize and gauge is None:
         raise StructureError("re-orthonormalization needs the gauge Gram matrices")
 
+    def flows(src, dst, axis, delta):
+        om = conn.values[..., axis, :, :]
+        return edge_flow(om[src], om[dst], delta)
+
+    def restore(moved, dst):
+        return reorthonormalize_frame(moved, gauge.gram[dst])
+
     size = initial_frame.shape[-1]
     frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
-    for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
-        om = conn.values[..., axis, :, :]
-        moved = transport_edge(om[src], om[dst], frames[src], delta)
-        if reorthonormalize:
-            moved = reorthonormalize_frame(moved, gauge.gram[dst])
-        frames[dst] = moved
+    sweep_compose(grid, frames, base, flows, axis_order,
+                  after=restore if reorthonormalize else None)
     return ParallelFrameField(grid=grid, values=frames, base_node=base)
 
 
@@ -174,6 +175,14 @@ def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
     return np.concatenate([b1, b2], axis=1)
 
 
+def product_defect(phi: np.ndarray, k: int) -> np.ndarray:
+    """Nodewise distance of the points from S^k x H^m (timelike coordinate last)."""
+    x, y = phi[..., : k + 1], phi[..., k + 1:]
+    r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
+    y_norm = np.einsum("...i,...i->...", y[..., :-1], y[..., :-1]) - y[..., -1] ** 2
+    return np.maximum(r_sphere, np.abs(y_norm + 1.0))
+
+
 def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int,
                        tol: float = 1e-8) -> ImmersionField:
     """Read the rebuilt map off the frame: components of xi1~ + xi2~.
@@ -190,14 +199,9 @@ def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int
     phi = np.einsum("...ji,j->...i", s, w)
     phi[..., -1] *= -1.0
 
-    x = phi[..., : k + 1]
-    y = phi[..., k + 1:]
-    r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
-    y_norm = np.einsum("...i,...i->...", y[..., :-1], y[..., :-1]) - y[..., -1] ** 2
-    r_hyper = np.abs(y_norm + 1.0)
-    defect = np.maximum(r_sphere, r_hyper)
+    defect = product_defect(phi, k)
     worst = float(defect.max())
-    if (y[..., -1] <= 0).any() or worst > 10.0 * tol:
+    if (phi[..., -1] <= 0).any() or worst > 10.0 * tol:
         node = tuple(int(i) for i in np.unravel_index(int(defect.argmax()), frame.grid.dims))
         raise ReconstructionError(
             f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)
@@ -399,27 +403,19 @@ def reconstruct_immersion(g: MetricField, bundle: BundleData, sigma: SecondFormF
 
     t0 = time.perf_counter()
     report = verify_reconstruction(imm, frame, gauge, g, bundle, sigma, psi, tolerances)
-    ortho = frame.orthonormality_defect(gauge)
-    ortho_thr = tolerances.threshold("frame_orthonormality", grid)
-    prod_thr = tolerances.threshold("reconstruction_on_product", grid)
-    extra = [CheckRecord(name="frame_orthonormality", max_abs=ortho, mean_abs=ortho,
-                         argmax_node=base, threshold=ortho_thr,
-                         passed=bool(ortho <= ortho_thr)),
-             CheckRecord(name="reconstruction_on_product",
-                         max_abs=imm.on_product_defect, mean_abs=imm.on_product_defect,
-                         argmax_node=base, threshold=prod_thr,
-                         passed=bool(imm.on_product_defect <= prod_thr))]
+    extra = [make_record(name, residual, grid, tolerances.threshold(name, grid))
+             for name, residual in (("frame_orthonormality", frame.gram_defect(gauge)),
+                                    ("reconstruction_on_product",
+                                     product_defect(imm.values, k)))]
     report = ResidualReport.merge(report, ResidualReport(tuple(extra)),
                                   path_independence_residual(conn, tolerances))
     if cross_check and nd >= 2:
         alt = sweep_parallel_frame(conn, frame0, base_node=base,
                                    axis_order=tuple(reversed(range(nd))),
                                    gauge=gauge, reorthonormalize=reorthonormalize)
-        dev = float(np.abs(alt.values - frame.values).max())
-        thr = tolerances.threshold("sweep_cross_check", grid)
-        report = ResidualReport.merge(report, ResidualReport((CheckRecord(
-            name="sweep_cross_check", max_abs=dev, mean_abs=dev, argmax_node=base,
-            threshold=thr, passed=bool(dev <= thr)),)))
+        report = ResidualReport.merge(report, ResidualReport((make_record(
+            "sweep_cross_check", alt.values - frame.values, grid,
+            tolerances.threshold("sweep_cross_check", grid)),)))
     timings["verify"] = time.perf_counter() - t0
 
     return ReconstructionResult(immersion=imm, frame=frame, gauge=gauge, connection=conn,

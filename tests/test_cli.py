@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -46,6 +48,15 @@ def test_check_passes_on_fixture(f1_dataset_path, tmp_path):
     assert report.passed
     assert {"gauss", "codazzi", "ricci", "bundle_flatness"} <= \
         {r.name for r in report.checks}
+
+
+def test_check_table_follows_redirected_stdout(f1_dataset_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(f1_dataset_path)]) == 0
+    lines = out.getvalue().splitlines()
+    assert any(line.startswith("PASS gauss ") for line in lines)
+    assert all(line.split()[0] == "PASS" for line in lines if " thr=" in line)
 
 
 def test_check_flags_negated_u(f1_dataset_path, tmp_path):

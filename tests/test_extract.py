@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodimm.errors import ConstraintError, DimensionError, MetricError
+from prodimm.errors import ConstraintError, DegeneracyError, DimensionError, MetricError
 from prodimm.extract import (AnalyticImmersion, extract_all, fixture, induced_metric,
                              induced_normal_frame, induced_second_form, induced_structure,
                              verify_necessity)
@@ -9,6 +9,7 @@ from prodimm.fields import ChartGrid
 from prodimm.lorentz import minkowski_dot
 
 from conftest import FixtureBundle, refine
+from sweep_oracles import per_edge_normal_frame
 
 
 def test_unknown_fixture():
@@ -166,3 +167,25 @@ def test_induced_pieces_standalone(f2):
     assert np.array_equal(sigma.values, f2.data.sigma.values)
     assert np.array_equal(psi.f.values, f2.data.psi.f.values)
     assert bundle.rank == 2
+
+
+def test_normal_frame_matches_per_edge_oracle(f1, f2, f3, f1_fd, f2_fd, f3_fd):
+    for fb in (f1, f2, f3, f1_fd, f2_fd, f3_fd):
+        ref = per_edge_normal_frame(fb.immersion, fb.grid, fb.data.analytic_derivatives)
+        assert np.abs(fb.data.normals - ref).max() <= 1e-13, fb.immersion.name
+
+
+def test_normal_frame_degeneracy_names_the_node():
+    """A kinked curve in S^2 x H^1: tangent e_1 on nodes 0-2, e_2 from node 3.
+
+    The base normal frame (e_2, e_4) loses e_2 at node 3, where it turns tangent.
+    """
+    grid = ChartGrid(dims=(8,), spacing=(0.1,), origin=(0.0,))
+    pole = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
+    kinked = AnalyticImmersion(
+        name="kinked", k=2, m=1, n=1, p=2,
+        point=lambda c: np.broadcast_to(pole, c.shape[:-1] + (5,)),
+        derivative=lambda c: np.where(c[..., None] < 0.25, np.eye(5)[0], np.eye(5)[1]))
+    with pytest.raises(DegeneracyError, match=r"node \(3,\)") as err:
+        induced_normal_frame(kinked, grid)
+    assert err.value.index == (3,)

@@ -8,17 +8,20 @@ from prodimm.fields import ChartGrid
 from prodimm.flatbundle import FlatBundleConnection, FlatBundleGauge, build_connection
 from prodimm.reconstruct import (align_congruence, assemble_immersion, edge_flow,
                                  immersion_psi_field, initial_frame_from_split,
-                                 path_independence_residual, random_block_rotation,
-                                 reconstruct_immersion, reorthonormalize_frame,
-                                 sweep_parallel_frame, transport_edge, ImmersionField)
+                                 path_independence_residual, product_defect,
+                                 random_block_rotation, reconstruct_immersion,
+                                 reorthonormalize_frame, sweep_parallel_frame,
+                                 ImmersionField)
 from prodimm.structure import ToleranceModel
+
+from sweep_oracles import per_edge_parallel_frame
 
 
 def test_edge_flow_zero_connection():
     z = np.zeros((4, 4))
     assert np.array_equal(edge_flow(z, z, 0.1), np.eye(4))
     frame = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(transport_edge(z, z, frame, 0.1), frame)
+    assert np.array_equal(edge_flow(z, z, 0.1) @ frame, frame)
 
 
 def test_edge_flow_matches_matrix_exponential():
@@ -37,7 +40,7 @@ def test_edge_transport_orthonormality_drift(f1):
     h = f1.grid.spacing[0]
     eta = gauge.signature
     frame = np.eye(gauge.size)
-    moved = transport_edge(conn.values[0, 0], conn.values[1, 0], frame, h)
+    moved = edge_flow(conn.values[0, 0], conn.values[1, 0], h) @ frame
     drift = np.abs(moved.T @ gauge.gram[1] @ moved - eta).max()
     assert drift <= 10 * h**4
 
@@ -87,6 +90,35 @@ def test_sweep_three_axes_against_closed_form():
     assert rec.max_abs <= 5 * grid.h_max**2
 
 
+def _transport_cases(f2_fd, f3):
+    """(connection, initial frame, gauge, base, axis orders) to compare with the oracle.
+
+    F2 on the FD route, F3 from a corner and an interior base, and the 3-D
+    manufactured connection (no gauge: it is not Lorentz-orthogonal).
+    """
+    for fb, bases in ((f2_fd, [(0,)]), (f3, [(0, 0), (21, 40)])):
+        data = fb.data
+        conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
+        gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
+        frame0 = fb.recon.frame.values[fb.recon.immersion.base_node]
+        orders = [None] if fb.grid.ndim == 1 else [(0, 1), (1, 0)]
+        for base in bases:
+            yield conn, frame0, gauge, base, orders
+    grid = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
+    conn, frames = _flat_test_connection(grid)
+    yield conn, frames[2, 3, 1], None, (2, 3, 1), [None, (2, 0, 1)]
+
+
+def test_sweep_bitwise_equals_per_edge_oracle(f2_fd, f3):
+    for conn, frame0, gauge, base, orders in _transport_cases(f2_fd, f3):
+        for order in orders:
+            for reorth in (False, True) if gauge is not None else (False,):
+                out = sweep_parallel_frame(conn, frame0, base_node=base, axis_order=order,
+                                           gauge=gauge, reorthonormalize=reorth)
+                ref = per_edge_parallel_frame(conn, frame0, base, order, gauge, reorth)
+                assert np.array_equal(out.values, ref), (conn.grid.dims, base, order, reorth)
+
+
 def test_sweep_matches_dense_ode_oracle():
     errs = []
     for h, n_nodes in ((0.16, 8), (0.08, 15)):
@@ -116,6 +148,25 @@ def test_transposed_sweep_agrees(f3):
     rec = res.report["sweep_cross_check"]
     assert rec.passed
     assert rec.max_abs <= 1e-10   # constant connection: only roundoff differs
+
+
+def test_frame_records_locate_their_worst_node(f3):
+    res = f3.recon
+    base = res.immersion.base_node
+    s = res.frame.values
+    gram = np.einsum("...ca,...cd,...db->...ab", s, res.gauge.gram, s)
+    alt = sweep_parallel_frame(res.connection, s[base], base_node=base, axis_order=(1, 0))
+    nodewise = {
+        "frame_orthonormality": np.abs(gram - res.gauge.signature).max(axis=(-1, -2)),
+        "reconstruction_on_product": product_defect(res.immersion.values, res.k),
+        "sweep_cross_check": np.abs(alt.values - s).max(axis=(-1, -2)),
+    }
+    for name, field in nodewise.items():
+        rec = res.report[name]
+        assert rec.argmax_node != base, name
+        assert rec.max_abs == field.max() == field[rec.argmax_node], name
+        assert rec.mean_abs < rec.max_abs, name
+    assert res.report["reconstruction_on_product"].max_abs == res.immersion.on_product_defect
 
 
 def test_assemble_base_point_pattern(f2):
