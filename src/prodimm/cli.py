@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .dataio import Dataset, Report, load_dataset, save_dataset, save_report
+from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_report
 from .errors import ProdimmError, SchemaError
 from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
@@ -212,9 +212,9 @@ def cmd_align(args) -> int:
     if values_a.shape != values_b.shape or coords_a.shape != coords_b.shape:
         raise SchemaError("meshes have different sizes")
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
-    if tuple(ra["base_node"]) != tuple(rb["base_node"]):
+    if tuple(_take(ra, "base_node")) != tuple(_take(rb, "base_node")):
         raise SchemaError("align inputs must share the base node")
-    size = int(ra["ambient_dim"])
+    size = int(_take(ra, "ambient_dim"))
     grid = rep_a.grid
     base = tuple(int(i) for i in ra["base_node"])
     imm_a = ImmersionField(grid=grid, k=k_a, values=values_a.reshape(grid.dims + (size,)),
@@ -222,9 +222,9 @@ def cmd_align(args) -> int:
     imm_b = ImmersionField(grid=grid, k=k_b, values=values_b.reshape(grid.dims + (size,)),
                            base_node=base, on_product_defect=0.0)
     psi_a = np.zeros(grid.dims + (size, size))
-    psi_a[base] = np.asarray(ra["psi_base"], dtype=float).reshape(size, size)
+    psi_a[base] = np.asarray(_take(ra, "psi_base"), dtype=float).reshape(size, size)
     psi_b = np.zeros(grid.dims + (size, size))
-    psi_b[base] = np.asarray(rb["psi_base"], dtype=float).reshape(size, size)
+    psi_b[base] = np.asarray(_take(rb, "psi_base"), dtype=float).reshape(size, size)
     alignment = align_congruence(imm_a, psi_a, imm_b, psi_b, node=base)
     print("isometry:")
     for row in alignment.isometry:

@@ -30,10 +30,12 @@ import numpy as np
 from .errors import SchemaError
 from .extract import ExtractionResult
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
+from .lorentz import minkowski_dot
 from .structure import CheckRecord, ProductStructureField, ResidualReport, ToleranceModel
 
 DATASET_SCHEMA = "prodimm-dataset/1"
 REPORT_SCHEMA = "prodimm-report/1"
+_GRID_KEYS = ("dims", "spacing", "origin")   # ChartGrid fields, in order
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,13 @@ class Dataset:
                    tolerances=tol, meta=info)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, write):
+    """Run ``write(handle)`` on a temp file next to ``path``, then rename it over."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", newline="") as handle:
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,8 +106,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "schema": DATASET_SCHEMA,
         "n": ds.grid.ndim,
         "p": ds.p,
-        "grid": {"dims": list(ds.grid.dims), "spacing": list(ds.grid.spacing),
-                 "origin": list(ds.grid.origin)},
+        "grid": {key: list(getattr(ds.grid, key)) for key in _GRID_KEYS},
         "tolerances": ds.tolerances.to_dict(),
         "meta": ds.meta,
         "fields": {
@@ -120,7 +122,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def save_dataset(ds: Dataset, path: str):
-    _atomic_write(path, _render_with_inline_arrays(dataset_to_dict(ds)) + "\n")
+    text = _render_with_inline_arrays(dataset_to_dict(ds)) + "\n"
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
 def _take(doc: dict, key: str):
@@ -144,9 +147,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
                           f"{doc.get('schema') if isinstance(doc, dict) else type(doc)}")
     gspec = _take(doc, "grid")
     try:
-        grid = ChartGrid(dims=tuple(_take(gspec, "dims")),
-                         spacing=tuple(_take(gspec, "spacing")),
-                         origin=tuple(_take(gspec, "origin")))
+        grid = ChartGrid(*(tuple(_take(gspec, key)) for key in _GRID_KEYS))
         n = grid.ndim
         p = int(_take(doc, "p"))
         if int(_take(doc, "n")) != n:
@@ -218,9 +219,7 @@ def report_to_dict(report: Report) -> dict:
     doc = {"schema": REPORT_SCHEMA, "pass": report.passed,
            "checks": [r.to_dict() for r in report.checks]}
     if report.grid is not None:
-        doc["grid"] = {"dims": list(report.grid.dims),
-                       "spacing": list(report.grid.spacing),
-                       "origin": list(report.grid.origin)}
+        doc["grid"] = {key: list(getattr(report.grid, key)) for key in _GRID_KEYS}
     if report.reconstruction is not None:
         doc["reconstruction"] = report.reconstruction
     if report.alignment is not None:
@@ -231,22 +230,27 @@ def report_to_dict(report: Report) -> dict:
 
 
 def save_report(report: Report, path: str):
-    _atomic_write(path, _render_with_inline_arrays(report_to_dict(report)) + "\n")
+    text = _render_with_inline_arrays(report_to_dict(report)) + "\n"
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
 def report_from_dict(doc: dict) -> Report:
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
-    grid = None
-    if "grid" in doc:
-        gspec = doc["grid"]
-        grid = ChartGrid(dims=tuple(gspec["dims"]), spacing=tuple(gspec["spacing"]),
-                         origin=tuple(gspec["origin"]))
-    checks = tuple(
-        CheckRecord(name=str(c["name"]), max_abs=float(c["max"]),
-                    mean_abs=float(c["mean"]), argmax_node=tuple(c["argmax_node"]),
-                    threshold=float(c["threshold"]), passed=bool(c["pass"]))
-        for c in doc.get("checks", []))
+    try:
+        grid = None
+        if "grid" in doc:
+            grid = ChartGrid(*(tuple(_take(doc["grid"], key)) for key in _GRID_KEYS))
+        checks = tuple(
+            CheckRecord(name=str(_take(c, "name")), max_abs=float(_take(c, "max")),
+                        mean_abs=float(_take(c, "mean")),
+                        argmax_node=tuple(_take(c, "argmax_node")),
+                        threshold=float(_take(c, "threshold")), passed=bool(_take(c, "pass")))
+            for c in doc.get("checks", []))
+    except SchemaError:
+        raise
+    except Exception as exc:  # invariant violations become schema errors on load
+        raise SchemaError(f"report violates a load-time invariant: {exc}") from exc
     return Report(grid=grid, checks=checks, reconstruction=doc.get("reconstruction"),
                   alignment=doc.get("alignment"), timings=doc.get("timings"))
 
@@ -283,24 +287,17 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
         x = pts[..., : k + 1]
         y = pts[..., k + 1:]
         x /= np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-        norm = y[..., -1] ** 2 - np.einsum("...i,...i->...", y[..., :-1], y[..., :-1])
-        y /= np.sqrt(norm)[..., None]
+        y /= np.sqrt(-minkowski_dot(y, y))[..., None]
     coords = grid.coords().reshape(-1, grid.ndim)
     flat = pts.reshape(-1, pts.shape[-1])
     rows = np.concatenate([coords, flat], axis=1)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(immersion_csv_header(grid.ndim, k, pts.shape[-1]))
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def write(handle):
+        writer = csv.writer(handle)
+        writer.writerow(immersion_csv_header(grid.ndim, k, pts.shape[-1]))
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    _atomic_write(path, write)
 
 
 def load_immersion_csv(path: str):

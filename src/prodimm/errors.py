@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Every error that carries a grid location exposes it as ``.node`` (a tuple of
-node indices) so callers can report the offending sample.
+node indices) so callers can report the offending sample; ``DegeneracyError``
+exposes it as ``.index``, which for a single frame is the offending row.
 """
 
 

@@ -5,12 +5,18 @@ a deterministic orthonormal normal frame, the second form, the four blocks
 of the product structure, and the normal connection.  The same data feed the
 checker (necessity direction) and the reconstructor (roundtrip oracle).
 
-Normal-frame gauge: canonical completion in index order at the base node;
-every other node inherits the base normals along the standard sweep, through
-the product of the projectors onto the normal spaces on the way, then one
-Minkowski Gram-Schmidt over all nodes (by QR uniqueness the same frame as
-re-orthonormalizing after every step).  A per-node canonical completion would
-flip sign where a candidate degenerates mid-chart; inheritance stays smooth.
+Points and tangents are sampled once per extraction; every ``induced_*``
+function takes them as arrays.
+
+Normal-frame gauge: at every node the projector onto the normal space removes
+xi1, xi2 and the Gram-Schmidt-orthonormalized tangents.  At the base node the
+normals are the canonical completion: the projected coordinate vectors, taken
+in index order while they stay independent.  Every other node inherits the
+base normals along the standard sweep through the product of the projectors
+on the way, and one Minkowski Gram-Schmidt over all nodes normalizes them (by
+QR uniqueness the same frame as re-orthonormalizing after every step, up to
+rounding).  A per-node canonical completion would flip sign where a candidate
+degenerates mid-chart; inheritance stays smooth.
 
 Shipped fixtures:
 
@@ -34,8 +40,9 @@ import numpy as np
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
                      grad_field, hessian_field, sweep_compose, sweep_steps)
-from .lorentz import minkowski_dot
-from .structure import (ProductStructureField, ResidualReport, ToleranceModel, check_all)
+from .lorentz import (complete_basis, gram_schmidt, minkowski_dot, product_defect,
+                      product_normals, psi_flip)
+from .structure import ProductStructureField, ToleranceModel
 
 _SEED_TOL = 1e-10
 
@@ -86,39 +93,34 @@ class ExtractionResult:
 
     def ambient_frame_field(self) -> np.ndarray:
         """Columns (tangents, normals, xi1, xi2): the frame map for alignment."""
-        pts = self.points
-        k = self.immersion.k
-        xi1 = np.concatenate([pts[..., : k + 1], np.zeros_like(pts[..., k + 1:])], axis=-1)
-        xi2 = np.concatenate([np.zeros_like(pts[..., : k + 1]), pts[..., k + 1:]], axis=-1)
-        cols = np.concatenate([
+        xi1, xi2 = product_normals(self.points, self.k)
+        return np.concatenate([
             np.moveaxis(self.tangents, -2, -1),
             np.moveaxis(self.normals, -2, -1),
             xi1[..., None], xi2[..., None],
         ], axis=-1)
-        return cols
-
-
-def _ambient_psi(vectors: np.ndarray, k: int) -> np.ndarray:
-    out = np.array(vectors, dtype=float)
-    out[..., k + 1:] *= -1.0
-    return out
 
 
 def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,
                      tol: float = 1e-8) -> np.ndarray:
-    """Evaluate the immersion on every node and check the product constraints."""
+    """Evaluate the immersion on every node and check the product constraints.
+
+    The round-off of <y, y> grows like |y|^2, so a node passes when its
+    product defect is at most ``tol * max(1, |y|^2)``; the error names the
+    first node in C order that is off the product or on the lower sheet.
+    """
     if grid.ndim != imm.n:
         raise DimensionError(f"{imm.n}-dim immersion on a {grid.ndim}-dim grid")
     pts = np.asarray(imm.point(grid.coords()), dtype=float)
     if pts.shape != grid.dims + (imm.ambient_dim,):
         raise DimensionError(f"point evaluator returned shape {pts.shape}")
-    x, y = pts[..., : imm.k + 1], pts[..., imm.k + 1:]
-    r1 = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
-    r2 = np.abs(minkowski_dot(y, y) + 1.0)
-    worst = np.maximum(r1, r2)
-    if worst.max() > tol or (y[..., -1] <= 0).any():
-        node = tuple(int(i) for i in np.unravel_index(int(worst.argmax()), grid.dims))
-        raise ConstraintError(f"immersion leaves the product by {worst.max():.3e} "
+    y = pts[..., imm.k + 1:]
+    defect = product_defect(pts, imm.k)
+    scale = np.maximum(1.0, np.einsum("...i,...i->...", y, y))
+    bad = ~(defect <= tol * scale) | (y[..., -1] <= 0)
+    if bad.any():
+        node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), grid.dims))
+        raise ConstraintError(f"immersion leaves the product by {defect[node]:.3e} "
                               f"at node {node}")
     return pts
 
@@ -133,57 +135,14 @@ def immersion_tangents(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarr
     return grad_field(grid, points)
 
 
-def _second_derivatives(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
-                        tangents: np.ndarray, use_analytic: bool = True) -> np.ndarray:
-    if use_analytic and imm.second_derivative is not None:
-        dd = np.asarray(imm.second_derivative(grid.coords()), dtype=float)
-        if dd.shape != grid.dims + (imm.n, imm.n, imm.ambient_dim):
-            raise DimensionError(f"second-derivative evaluator returned shape {dd.shape}")
-        return dd
-    if use_analytic and imm.derivative is not None:
-        return grad_field(grid, tangents)
-    return hessian_field(grid, points)
-
-
-def induced_metric(imm: AnalyticImmersion, grid: ChartGrid,
-                   use_analytic: bool = True) -> MetricField:
+def induced_metric(grid: ChartGrid, tangents: np.ndarray) -> MetricField:
     """First fundamental form from pairwise tangent products."""
-    points = immersion_points(imm, grid)
-    tang = immersion_tangents(imm, grid, points, use_analytic)
-    gv = minkowski_dot(tang[..., :, None, :], tang[..., None, :, :])
-    gv = 0.5 * (gv + np.swapaxes(gv, -1, -2))
-    return MetricField(grid, gv)
+    gv = minkowski_dot(tangents[..., :, None, :], tangents[..., None, :, :])
+    return MetricField(grid, 0.5 * (gv + np.swapaxes(gv, -1, -2)))
 
 
-def _project_out(v, basis, norms):
-    for w, n2 in zip(basis, norms):
-        v = v - (minkowski_dot(v, w) / n2)[..., None] * w
-    return v
-
-
-def _orthonormal_tangent_basis(grid, points, tangents, k):
-    """Batched Gram-Schmidt of the tangent vectors (all spacelike)."""
-    xi1 = np.concatenate([points[..., : k + 1], np.zeros_like(points[..., k + 1:])], axis=-1)
-    xi2 = np.concatenate([np.zeros_like(points[..., : k + 1]), points[..., k + 1:]], axis=-1)
-    basis = [xi1, xi2]
-    norms = [np.ones(grid.dims), -np.ones(grid.dims)]
-    out = []
-    for mu in range(tangents.shape[-2]):
-        v = _project_out(tangents[..., mu, :], basis, norms)
-        n2 = minkowski_dot(v, v)
-        if n2.min() <= _SEED_TOL:
-            node = tuple(int(i) for i in np.unravel_index(int(n2.argmin()), grid.dims))
-            raise DegeneracyError(f"tangent vectors rank-deficient at node {node}",
-                                  index=node)
-        v = v / np.sqrt(n2)[..., None]
-        basis.append(v)
-        norms.append(np.ones(grid.dims))
-        out.append(v)
-    return basis, norms, out
-
-
-def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid,
-                         use_analytic: bool = True) -> np.ndarray:
+def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
+                         tangents: np.ndarray) -> np.ndarray:
     """Orthonormal normal frame, canonical at the base node, swept smoothly.
 
     Output shape (*dims, p, N); every vector is tangent to the product and
@@ -191,44 +150,35 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid,
     first node, in sweep order, where the projections leave a carried normal
     with squared norm at most ``_SEED_TOL`` after Gram-Schmidt.
     """
-    points = immersion_points(imm, grid)
-    tangents = immersion_tangents(imm, grid, points, use_analytic)
-    basis, norms, _ = _orthonormal_tangent_basis(grid, points, tangents, imm.k)
-
-    size = imm.ambient_dim
-    base = (0,) * grid.ndim
+    xi1, xi2 = product_normals(points, imm.k)
+    tang, n2 = gram_schmidt(tangents, basis=(xi1, xi2))
+    bad = ~(n2 > _SEED_TOL).all(axis=-1)
+    if bad.any():
+        node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), grid.dims))
+        raise DegeneracyError(f"tangent vectors rank-deficient at node {node}", index=node)
     # projector onto each node's normal space: v - sum_w w <w, v> / <w, w>
-    cols = np.stack(basis, axis=-1)                       # (..., N, n+2)
-    eta_cols = cols / np.stack(norms, axis=-1)[..., None, :]
+    cols = np.stack([xi1, xi2, *np.moveaxis(tang, -2, 0)], axis=-1)   # (..., N, n+2)
+    eta_cols = cols.copy()
     eta_cols[..., -1, :] *= -1.0
-    proj = np.eye(size) - cols @ np.swapaxes(eta_cols, -1, -2)
+    eta_cols[..., 1] *= -1.0                          # <xi2, xi2> = -1
+    proj = np.eye(imm.ambient_dim) - cols @ np.swapaxes(eta_cols, -1, -2)
 
-    seed: list[np.ndarray] = []
-    for v in proj[base].T:                                # projected canonical vectors
-        for w in seed:
-            v = v - minkowski_dot(v, w) * w
-        n2 = float(minkowski_dot(v, v))
-        if n2 > _SEED_TOL and len(seed) < imm.p:
-            seed.append(v / np.sqrt(n2))
+    base = (0,) * grid.ndim
+    seed = complete_basis(proj[base].T, imm.p, tol=_SEED_TOL)
     if len(seed) != imm.p:
         raise DegeneracyError(
             f"canonical completion found only {len(seed)} of {imm.p} normals at the base")
 
-    carried = np.zeros(grid.dims + (size, imm.p))
+    carried = np.zeros(grid.dims + (imm.ambient_dim, imm.p))
     carried[base] = np.stack(seed, axis=-1)
     sweep_compose(grid, carried, base, lambda _src, dst, _axis, _delta: proj[dst])
 
-    normals: list[np.ndarray] = []
-    for a in range(imm.p):
-        v = carried[..., :, a]
-        for w in normals:
-            v = v - minkowski_dot(v, w)[..., None] * w
-        n2 = minkowski_dot(v, v)
-        if n2.min() <= _SEED_TOL:
-            node = _first_swept(grid, base, n2 <= _SEED_TOL)
-            raise DegeneracyError(f"normal frame degenerates at node {node}", index=node)
-        normals.append(v / np.sqrt(n2)[..., None])
-    return np.stack(normals, axis=-2)
+    normals, n2 = gram_schmidt(np.swapaxes(carried, -1, -2))
+    bad = ~(n2 > _SEED_TOL).all(axis=-1)
+    if bad.any():
+        node = _first_swept(grid, base, bad)
+        raise DegeneracyError(f"normal frame degenerates at node {node}", index=node)
+    return normals
 
 
 def _first_swept(grid: ChartGrid, base: tuple, mask: np.ndarray) -> tuple:
@@ -240,32 +190,34 @@ def _first_swept(grid: ChartGrid, base: tuple, mask: np.ndarray) -> tuple:
             return tuple(int(i) for i in hit[0])
 
 
-def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, normals: np.ndarray,
+def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
+                        tangents: np.ndarray, normals: np.ndarray,
                         use_analytic: bool = True) -> SecondFormField:
     """Normal components of the flat second derivatives (symmetrized)."""
-    points = immersion_points(imm, grid)
-    tangents = immersion_tangents(imm, grid, points, use_analytic)
-    dd = _second_derivatives(imm, grid, points, tangents, use_analytic)
+    if use_analytic and imm.second_derivative is not None:
+        dd = np.asarray(imm.second_derivative(grid.coords()), dtype=float)
+        if dd.shape != grid.dims + (imm.n, imm.n, imm.ambient_dim):
+            raise DimensionError(f"second-derivative evaluator returned shape {dd.shape}")
+    elif use_analytic and imm.derivative is not None:
+        dd = grad_field(grid, tangents)
+    else:
+        dd = hessian_field(grid, points)
     sg = minkowski_dot(dd[..., :, :, None, :], normals[..., None, None, :, :])
     sg = 0.5 * (sg + np.swapaxes(sg, -3, -2))
     return SecondFormField(grid, sg)
 
 
-def induced_structure(imm: AnalyticImmersion, grid: ChartGrid, normals: np.ndarray,
-                      use_analytic: bool = True):
+def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.ndarray,
+                      normals: np.ndarray):
     """Split the ambient product structure along tangents and normals.
 
     Returns the structure blocks together with the normal connection in the
     swept gauge (skew-symmetrized; exact skewness is restored explicitly).
     """
-    points = immersion_points(imm, grid)
-    tangents = immersion_tangents(imm, grid, points, use_analytic)
-    k = imm.k
-    gv = minkowski_dot(tangents[..., :, None, :], tangents[..., None, :, :])
-    ginv = np.linalg.inv(0.5 * (gv + np.swapaxes(gv, -1, -2)))
-
-    psi_t = _ambient_psi(tangents, k)                 # (..., mu, N)
-    psi_n = _ambient_psi(normals, k)                  # (..., b, N)
+    grid = metric.grid
+    ginv = metric.inverse()
+    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
+    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
     b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
     f_vals = np.einsum("...ij,...mj->...im", ginv, b_t)
     u_vals = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
@@ -290,27 +242,17 @@ def induced_structure(imm: AnalyticImmersion, grid: ChartGrid, normals: np.ndarr
 
 def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
                 use_analytic: bool = True) -> ExtractionResult:
-    """Run the full extraction pipeline once, reusing shared intermediates."""
+    """Run the full extraction pipeline once, sampling points and tangents once."""
     points = immersion_points(imm, grid)
     tangents = immersion_tangents(imm, grid, points, use_analytic)
-    metric = induced_metric(imm, grid, use_analytic)
-    normals = induced_normal_frame(imm, grid, use_analytic)
-    sigma = induced_second_form(imm, grid, normals, use_analytic)
-    psi, bundle = induced_structure(imm, grid, normals, use_analytic)
+    metric = induced_metric(grid, tangents)
+    normals = induced_normal_frame(imm, grid, points, tangents)
+    sigma = induced_second_form(imm, grid, points, tangents, normals, use_analytic)
+    psi, bundle = induced_structure(imm, metric, tangents, normals)
     analytic = bool(use_analytic and imm.derivative is not None)
     return ExtractionResult(grid=grid, immersion=imm, points=points, tangents=tangents,
                             normals=normals, metric=metric, bundle=bundle, sigma=sigma,
                             psi=psi, analytic_derivatives=analytic)
-
-
-def verify_necessity(imm: AnalyticImmersion, grid: ChartGrid,
-                     use_analytic: bool = True,
-                     tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Run every compatibility check on the extracted data."""
-    data = extract_all(imm, grid, use_analytic)
-    if tolerances is None:
-        tolerances = default_tolerances(data)
-    return check_all(data.metric, data.bundle, data.sigma, data.psi, tolerances)
 
 
 def default_tolerances(data: ExtractionResult) -> ToleranceModel:

@@ -322,18 +322,19 @@ def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> Tensor
     return TensorField(grid, ("tu", "td", "td", "td"), riem)
 
 
-def bundle_curvature(bundle: BundleData) -> TensorField:
-    """Curvature F_mn = d_m omega_n - d_n omega_m + [omega_m, omega_n].
+def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
+    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :]."""
+    dom = grad_field(grid, om)  # (..., m, n, a, b) = d_m om_n
+    return (dom - np.einsum("...mnab->...nmab", dom)
+            + np.einsum("...mac,...ncb->...mnab", om, om)
+            - np.einsum("...nac,...mcb->...mnab", om, om))
 
-    Output slots (td, td, bu, bd): values[..., m, n, a, b].
-    """
+
+def bundle_curvature(bundle: BundleData) -> TensorField:
+    """Curvature of the bundle connection, slots (td, td, bu, bd): values[..., m, n, a, b]."""
     grid = bundle.omega.grid
-    om = bundle.omega.values
-    dom = grad_field(grid, om)  # (..., m, n, a, b) = d_m omega_n
-    f = (dom - np.einsum("...mnab->...nmab", dom)
-         + np.einsum("...mac,...ncb->...mnab", om, om)
-         - np.einsum("...nac,...mcb->...mnab", om, om))
-    return TensorField(grid, ("td", "td", "bu", "bd"), f)
+    return TensorField(grid, ("td", "td", "bu", "bd"),
+                       connection_curvature(grid, bundle.omega.values))
 
 
 def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
@@ -341,15 +342,6 @@ def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
     same_grid(sigma, g)
     ginv = g.inverse()
     return np.einsum("...ik,...kja->...aij", ginv, sigma.values)
-
-
-def shape_operator(sigma: SecondFormField, g: MetricField, node: tuple, xi) -> np.ndarray:
-    """Shape operator A_xi at one node for a bundle vector xi (n x n matrix)."""
-    xi = np.asarray(xi, dtype=float)
-    ops = shape_operator_field(sigma, g)[tuple(node)]
-    if xi.shape != (ops.shape[0],):
-        raise DimensionError(f"bundle vector of length {xi.shape} against rank {ops.shape[0]}")
-    return np.einsum("a,aij->ij", xi, ops)
 
 
 def sum_bundle_covariant_derivative(field: TensorField, chris: TensorField,

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExclusionError, StructureError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, grad_field,
-                     christoffel, same_grid, shape_operator_field)
-from .structure import (CheckRecord, ProductStructureField, ResidualReport,
-                        ToleranceModel, make_record)
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
+                     connection_curvature, grad_field, same_grid, shape_operator_field)
+from .lorentz import complete_basis, eta
+from .structure import ProductStructureField, ResidualReport, ToleranceModel, make_record
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class FlatBundleGauge:
 
     @property
     def signature(self) -> np.ndarray:
-        s = np.eye(self.size)
-        s[-1, -1] = -1.0
-        return s
+        return eta(self.size)
 
     @classmethod
     def from_metric(cls, g: MetricField, p: int) -> "FlatBundleGauge":
@@ -119,16 +117,6 @@ def metric_compatibility_residual(conn: FlatBundleConnection, gauge: FlatBundleG
                                        tolerances.threshold(name, grid)),))
 
 
-def curvature_matrices(conn: FlatBundleConnection) -> np.ndarray:
-    """F[..., m, n, :, :] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n]."""
-    grid = conn.grid
-    om = conn.values
-    dom = grad_field(grid, om)                      # (..., m, n, A, B)
-    return (dom - np.einsum("...mnab->...nmab", dom)
-            + np.einsum("...mac,...ncb->...mnab", om, om)
-            - np.einsum("...nac,...mcb->...mnab", om, om))
-
-
 def flatness_residual(conn: FlatBundleConnection,
                       tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Curvature of the big-bundle connection; vacuous pass on 1-dim charts."""
@@ -137,10 +125,8 @@ def flatness_residual(conn: FlatBundleConnection,
     name = "bundle_flatness"
     threshold = tolerances.threshold(name, grid)
     if grid.ndim == 1:
-        rec = CheckRecord(name=name, max_abs=0.0, mean_abs=0.0,
-                          argmax_node=(0,) * grid.ndim, threshold=threshold, passed=True)
-        return ResidualReport((rec,))
-    curv = curvature_matrices(conn)
+        return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
+    curv = connection_curvature(grid, conn.values)
     pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
              for n in range(m + 1, grid.ndim)]
     resid = np.stack(pairs, axis=-1)
@@ -173,37 +159,6 @@ def psi_tilde_parallel_residual(conn: FlatBundleConnection, psi_tilde: PsiTildeF
                                        tolerances.threshold(name, grid)),))
 
 
-def _collect_eigenbasis(projector, gram, seeds, fixed_last, sign, count, tol=1e-8):
-    """G-orthonormal basis of one eigenspace: ``count`` vectors completed from
-    canonical seeds in index order, then ``fixed_last`` appended.
-
-    ``sign`` is the G-norm of ``fixed_last`` (+1 spacelike, -1 timelike); the
-    complement of ``fixed_last`` inside the eigenspace is positive definite.
-    """
-    basis = [fixed_last]
-    collected = []
-    for a in seeds:
-        if len(collected) == count:
-            break
-        v = projector @ a
-        v = v - (v @ gram @ fixed_last) / sign * fixed_last
-        for w in collected:
-            v = v - (v @ gram @ w) * w
-        norm2 = v @ gram @ v
-        if norm2 > tol:
-            v = v / np.sqrt(norm2)
-            # one re-orthogonalization pass for stability
-            v = v - (v @ gram @ fixed_last) / sign * fixed_last
-            for w in collected:
-                v = v - (v @ gram @ w) * w
-            v = v / np.sqrt(v @ gram @ v)
-            collected.append(v)
-    if len(collected) != count:
-        raise StructureError(
-            f"could not complete an eigenbasis: found {len(collected)} of {count}")
-    return np.stack(collected + basis, axis=1)
-
-
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int,
                 snap: float = 0.1):
     """Split the big bundle at one node into the two structure eigenspaces.
@@ -229,19 +184,15 @@ def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: in
             f"eigenvalue split gives k = {k}; the plus/minus identity structure "
             "is outside the reconstructible class")
 
-    xi1 = np.zeros(size)
-    xi1[n + p] = 1.0
-    xi2 = np.zeros(size)
-    xi2[n + p + 1] = 1.0
-    proj_plus = 0.5 * (np.eye(size) + pt)
-    proj_minus = 0.5 * (np.eye(size) - pt)
-    seeds = [np.eye(size)[:, a] for a in range(size)]
-    b1 = _collect_eigenbasis(proj_plus, gram_node, seeds, xi1, 1.0, k)
-    b2 = _collect_eigenbasis(proj_minus, gram_node, seeds, xi2, -1.0, n + p - k)
-    return k, b1, b2
-
-
-def eigen_multiplicity_sweep(psi_tilde: PsiTildeField, n: int, p: int) -> np.ndarray:
-    """Diagnostic: the recovered k at every node, from the structure trace."""
-    tr = np.trace(psi_tilde.values, axis1=-2, axis2=-1)
-    return np.rint((tr + n + p) / 2.0).astype(int)
+    blocks = []
+    # the eigenspace projectors applied to the canonical vectors, completed in
+    # index order after xi1~ (+1) or the timelike xi2~ (-1), which closes the block
+    for sign, count, fixed in ((1.0, k, np.eye(size)[n + p]),
+                               (-1.0, n + p - k, np.eye(size)[n + p + 1])):
+        found = complete_basis(0.5 * (np.eye(size) + sign * pt).T, count, gram_node,
+                               (fixed,), tol=1e-8)
+        if len(found) != count:
+            raise StructureError(
+                f"could not complete an eigenbasis: found {len(found)} of {count}")
+        blocks.append(np.stack(found + [fixed], axis=1))
+    return k, blocks[0], blocks[1]

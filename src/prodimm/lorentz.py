@@ -1,4 +1,4 @@
-"""Minkowski linear algebra and the ambient geometry of S^k x H^m.
+"""Minkowski linear algebra and the ambient kernels of S^k x H^m.
 
 Conventions used everywhere in this package:
 
@@ -10,6 +10,14 @@ Conventions used everywhere in this package:
 * ``psi`` below always denotes the product structure: +1 on the sphere block,
   -1 on the hyperbolic block, extended to the two unit normals xi1, xi2 of
   the product by psi(xi1) = xi1, psi(xi2) = -xi2.
+
+Every ambient formula of the package is written once, here, broadcasting over
+node axes: the pairing ``minkowski_dot`` and its Gram matrix ``eta``;
+``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
+xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
+``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
+``complete_basis``, canonical completion at one node.  ``minkowski_gram_schmidt``
+and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
 """
 
 from __future__ import annotations
@@ -18,9 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError, DegeneracyError, DimensionError, InsufficientDataError
-
-DEFAULT_TANGENCY_TOL = 1e-8
+from .errors import DegeneracyError, DimensionError
 
 
 def minkowski_dot(x, y):
@@ -44,39 +50,78 @@ def eta(n: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    """A point of S^k x H^m, stored as the two blocks of its ambient vector."""
+def psi_flip(v, k: int) -> np.ndarray:
+    """Product structure on ambient vectors (..., N): flips the hyperbolic block.
 
-    sphere_part: np.ndarray
-    hyper_part: np.ndarray
-    tol: float = DEFAULT_TANGENCY_TOL
+    Acts on any ambient vector (tangent or not); an involution and an exact
+    isometry of the Minkowski form.
+    """
+    out = np.array(v, dtype=float)
+    out[..., k + 1:] *= -1.0
+    return out
 
-    def __post_init__(self):
-        object.__setattr__(self, "sphere_part", np.asarray(self.sphere_part, dtype=float))
-        object.__setattr__(self, "hyper_part", np.asarray(self.hyper_part, dtype=float))
-        x, y = self.sphere_part, self.hyper_part
-        if x.ndim != 1 or y.ndim != 1 or x.size < 2 or y.size < 2:
-            raise DimensionError("product point needs blocks of length >= 2")
-        if abs(x @ x - 1.0) > self.tol:
-            raise ConstraintError(f"sphere block off the unit sphere by {abs(x @ x - 1.0):.3e}")
-        ynorm = minkowski_dot(y, y)
-        if abs(ynorm + 1.0) > self.tol:
-            raise ConstraintError(f"hyperbolic block off the hyperboloid by {abs(ynorm + 1.0):.3e}")
-        if y[-1] <= 0:
-            raise ConstraintError("hyperbolic block on the lower sheet")
 
-    @property
-    def k(self) -> int:
-        return self.sphere_part.size - 1
+def product_normals(points, k: int):
+    """Unit normals xi1 = (x, 0), xi2 = (0, y) of the product at points (..., N)."""
+    xi1 = np.array(points, dtype=float)
+    xi2 = xi1.copy()
+    xi1[..., k + 1:] = 0.0
+    xi2[..., : k + 1] = 0.0
+    return xi1, xi2
 
-    @property
-    def m(self) -> int:
-        return self.hyper_part.size - 1
 
-    @property
-    def ambient(self) -> np.ndarray:
-        return np.concatenate([self.sphere_part, self.hyper_part])
+def product_defect(points, k: int) -> np.ndarray:
+    """Nodewise max(| |x|^2 - 1 |, |<y, y> + 1|) of points (..., N) on S^k x H^m."""
+    x, y = points[..., : k + 1], points[..., k + 1:]
+    r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
+    return np.maximum(r_sphere, np.abs(minkowski_dot(y, y) + 1.0))
+
+
+def _pair(a, b, gram):
+    if gram is None:
+        return minkowski_dot(a, b)
+    return (a[..., None, :] @ gram @ b[..., :, None])[..., 0, 0]
+
+
+def gram_schmidt(rows, gram=None, basis=()):
+    """Orthonormalize ``rows`` (..., r, N) in order, after the vectors of ``basis``.
+
+    Pairing: eta (``gram`` None) or G, (N, N) or (..., N, N).  ``basis`` holds
+    mutually orthogonal (..., N) vectors, projected out but not returned.
+    Gram-Schmidt with each sweep of projections applied twice; each row is
+    normalized by sqrt(|<v, v>|).  Returns the rows and their squared norms (..., r) after
+    projection.  A null or dependent row turns itself and the rows after it
+    to inf or NaN, so callers test ``~(n2 > tol)``, which is true for NaN.
+    """
+    rows = np.asarray(rows, dtype=float)
+    done = [(w, _pair(w, w, gram)) for w in basis]
+    out, norms = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(rows.shape[-2]):
+            v = rows[..., a, :]
+            for _ in range(2):
+                for w, w2 in done:
+                    v = v - (_pair(v, w, gram) / w2)[..., None] * w
+            n2 = _pair(v, v, gram)
+            v = v / np.sqrt(np.abs(n2))[..., None]
+            done.append((v, np.sign(n2)))
+            out.append(v)
+            norms.append(n2)
+    return np.stack(out, axis=-2), np.stack(norms, axis=-1)
+
+
+def complete_basis(candidates, count: int, gram=None, basis=(), tol: float = 1e-10):
+    """Canonical completion at one node: the first ``count`` candidates (rows)
+    that keep a squared norm above ``tol`` after projecting out ``basis`` and
+    the vectors already taken, orthonormalized.  May return fewer rows."""
+    found: list[np.ndarray] = []
+    for c in candidates:
+        if len(found) == count:
+            break
+        row, n2 = gram_schmidt(np.asarray(c)[None], gram, list(basis) + found)
+        if n2[0] > tol:
+            found.append(row[0])
+    return found
 
 
 @dataclass(frozen=True)
@@ -99,123 +144,22 @@ class AmbientFrame:
         return float(np.abs(self.columns.T @ e @ self.columns - e).max())
 
 
-def ambient_psi(point: ProductPoint, v) -> np.ndarray:
-    """Product structure on the trivial bundle: flips the hyperbolic block.
-
-    Acts on any ambient vector (tangent or not); involution and an exact
-    isometry of the Minkowski form.
-    """
-    v = np.asarray(v, dtype=float)
-    n = point.k + point.m + 2
-    if v.shape[-1] != n:
-        raise DimensionError(f"expected ambient vectors of length {n}, got {v.shape[-1]}")
-    out = v.copy()
-    out[..., point.k + 1:] *= -1.0
-    return out
-
-
-def normal_fields(point: ProductPoint):
-    """Unit normals xi1 = (x, 0), xi2 = (0, y) of the product in R^N_1."""
-    zeros_s = np.zeros(point.k + 1)
-    zeros_h = np.zeros(point.m + 1)
-    xi1 = np.concatenate([point.sphere_part, zeros_h])
-    xi2 = np.concatenate([zeros_s, point.hyper_part])
-    return xi1, xi2
-
-
-def _check_tangent(point: ProductPoint, v, tol):
-    xi1, xi2 = normal_fields(point)
-    scale = max(float(np.sqrt(abs(minkowski_dot(v, v)))), 1.0)
-    for name, xi in (("xi1", xi1), ("xi2", xi2)):
-        if abs(minkowski_dot(v, xi)) > tol * scale:
-            raise ConstraintError(f"vector not tangent to the product: <v,{name}> = "
-                                  f"{minkowski_dot(v, xi):.3e}")
-
-
-def ambient_curvature(point: ProductPoint, x, y, z, tol: float = DEFAULT_TANGENCY_TOL):
-    """Curvature operator of S^k x H^m applied to tangent vectors.
-
-    R(X,Y)Z = 1/2 (<psi Y, Z> X + <Y, Z> psi X - <psi X, Z> Y - <X, Z> psi Y).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    for v in (x, y, z):
-        _check_tangent(point, v, tol)
-    px = ambient_psi(point, x)
-    py = ambient_psi(point, y)
-    return 0.5 * (minkowski_dot(py, z) * x + minkowski_dot(y, z) * px
-                  - minkowski_dot(px, z) * y - minkowski_dot(x, z) * py)
-
-
-def _curve_points(points, k):
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 3:
-        raise InsufficientDataError("need at least 3 curve samples")
-    return [ProductPoint(p[: k + 1], p[k + 1:]) for p in points]
-
-
-def ambient_connection_relation_residual(points, dt: float, k: int, tangent_field=None,
-                                         tol: float = DEFAULT_TANGENCY_TOL) -> float:
-    """Max residual of the flat-vs-induced connection relations along a curve.
-
-    ``points``: (T, N) samples on S^k x H^m; ``tangent_field``: optional (T, N)
-    field tangent to the product along the curve.  Always checks the position
-    normals: d(xi_i)/dt must equal the sphere/hyperbolic part of the velocity;
-    with ``tangent_field`` given, additionally checks that the normal component
-    of its flat derivative is carried by xi1, xi2 with the product-structure
-    coefficients.  All derivatives are second-order finite differences.
-    """
-    pts = _curve_points(points, k)
-    points = np.asarray(points, dtype=float)
-    vel = np.gradient(points, dt, axis=0, edge_order=2)
-
-    xi1 = np.stack([np.concatenate([p.sphere_part, np.zeros(p.m + 1)]) for p in pts])
-    xi2 = np.stack([np.concatenate([np.zeros(p.k + 1), p.hyper_part]) for p in pts])
-    psi_vel = np.stack([ambient_psi(p, v) for p, v in zip(pts, vel)])
-
-    d_xi1 = np.gradient(xi1, dt, axis=0, edge_order=2)
-    d_xi2 = np.gradient(xi2, dt, axis=0, edge_order=2)
-    res = max(
-        float(np.abs(d_xi1 - 0.5 * (vel + psi_vel)).max()),
-        float(np.abs(d_xi2 - 0.5 * (vel - psi_vel)).max()),
-    )
-
-    if tangent_field is not None:
-        field_arr = np.asarray(tangent_field, dtype=float)
-        for p, v in zip(pts, field_arr):
-            _check_tangent(p, v, tol)
-        d_field = np.gradient(field_arr, dt, axis=0, edge_order=2)
-        c1 = minkowski_dot(d_field, xi1)[..., None] * xi1
-        c2 = minkowski_dot(d_field, xi2)[..., None] * xi2
-        induced = d_field - c1 + c2  # tangential projection of the flat derivative
-        want_1 = -0.5 * minkowski_dot(vel + psi_vel, field_arr)
-        want_2 = 0.5 * minkowski_dot(vel - psi_vel, field_arr)
-        rec = induced + want_1[..., None] * xi1 + want_2[..., None] * xi2
-        res = max(res, float(np.abs(d_field - rec).max()))
-    return res
-
-
 def minkowski_gram_schmidt(vectors, tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize rows w.r.t. the Minkowski form, preserving order.
 
-    Classical Gram-Schmidt applied twice for stability; each pivot is
-    normalized by sqrt(|<v,v>|).  Raises on a null or dependent pivot.
-    Returns the orthonormalized vectors as rows.
+    ``gram_schmidt`` with a check: raises ``DegeneracyError`` (``.index`` the
+    row) on the first row whose squared norm after projection is at most
+    ``tol`` times max(|v|, 1)^2.  Returns the orthonormalized vectors as rows.
     """
-    vecs = [np.array(v, dtype=float) for v in vectors]
-    out: list[np.ndarray] = []
-    for idx, v in enumerate(vecs):
-        scale = max(float(np.linalg.norm(v)), 1.0)
-        for _ in range(2):
-            for w in out:
-                v = v - (minkowski_dot(v, w) / minkowski_dot(w, w)) * w
-        norm2 = minkowski_dot(v, v)
-        if abs(norm2) <= tol * scale**2:
-            raise DegeneracyError(
-                f"vector {idx} is null or dependent after projection", index=idx)
-        out.append(v / np.sqrt(abs(norm2)))
-    return np.stack(out)
+    vecs = np.asarray(vectors, dtype=float)
+    rows, n2 = gram_schmidt(vecs)
+    scale = np.maximum(np.linalg.norm(vecs, axis=-1), 1.0)
+    bad = ~(np.abs(n2) > tol * scale**2)
+    if bad.any():
+        idx = int(bad.argmax())
+        raise DegeneracyError(f"vector {idx} is null or dependent after projection",
+                              index=idx)
+    return rows
 
 
 def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> AmbientFrame:

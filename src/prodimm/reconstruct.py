@@ -28,8 +28,9 @@ from .errors import ReconstructionError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, grad_field,
                      hessian_field, sweep_compose)
 from .flatbundle import (FlatBundleConnection, FlatBundleGauge, build_connection,
-                         build_psi_tilde, eigen_split, flatness_residual,
-                         metric_compatibility_residual, psi_tilde_parallel_residual)
+                         build_psi_tilde, eigen_split)
+from .lorentz import (eta, gram_schmidt, minkowski_dot, product_defect, product_normals,
+                      psi_flip)
 from .structure import (CheckRecord, ProductStructureField, ResidualReport,
                         ToleranceModel, make_record)
 
@@ -108,18 +109,8 @@ def edge_flow(om_start, om_end, delta: float) -> np.ndarray:
 
 def reorthonormalize_frame(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the frame columns in the local metric, timelike last."""
-    size = frames.shape[-1]
-    out = np.array(frames, dtype=float)
-    for j in range(size):
-        v = out[..., :, j]
-        for i in range(j):
-            w = out[..., :, i]
-            sign = 1.0 if i < size - 1 else -1.0
-            coeff = np.einsum("...a,...ab,...b->...", v, gram, w) / sign
-            v = v - coeff[..., None] * w
-        norm2 = np.einsum("...a,...ab,...b->...", v, gram, v)
-        out[..., :, j] = v / np.sqrt(np.abs(norm2))[..., None]
-    return out
+    columns, _ = gram_schmidt(np.swapaxes(frames, -1, -2), gram)
+    return np.swapaxes(columns, -1, -2)
 
 
 def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
@@ -175,14 +166,6 @@ def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
     return np.concatenate([b1, b2], axis=1)
 
 
-def product_defect(phi: np.ndarray, k: int) -> np.ndarray:
-    """Nodewise distance of the points from S^k x H^m (timelike coordinate last)."""
-    x, y = phi[..., : k + 1], phi[..., k + 1:]
-    r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
-    y_norm = np.einsum("...i,...i->...", y[..., :-1], y[..., :-1]) - y[..., -1] ** 2
-    return np.maximum(r_sphere, np.abs(y_norm + 1.0))
-
-
 def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int,
                        tol: float = 1e-8) -> ImmersionField:
     """Read the rebuilt map off the frame: components of xi1~ + xi2~.
@@ -217,17 +200,6 @@ def immersion_psi_field(frame: ParallelFrameField, gauge: FlatBundleGauge) -> np
     return out
 
 
-def _ambient_psi_matrixwise(vectors: np.ndarray, k: int) -> np.ndarray:
-    out = vectors.copy()
-    out[..., k + 1:] *= -1.0
-    return out
-
-
-def _minkowski_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    prod = a * b
-    return prod[..., :-1].sum(axis=-1) - prod[..., -1]
-
-
 def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField,
                           gauge: FlatBundleGauge, g: MetricField, bundle: BundleData,
                           sigma: SecondFormField, psi: ProductStructureField,
@@ -243,17 +215,16 @@ def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField,
     psi_map = immersion_psi_field(frame, gauge)
     normals = np.einsum("...ib->...bi", psi_map[..., :, n:n + p])   # (..., b, N)
 
-    induced = _minkowski_pair(dphi[..., :, None, :], dphi[..., None, :, :])
+    induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
     res_isometry = induced - g.values
 
-    res_orth = _minkowski_pair(dphi[..., :, None, :], normals[..., None, :, :])
+    res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
 
-    xi1 = np.concatenate([phi[..., : k + 1], np.zeros_like(phi[..., k + 1:])], axis=-1)
-    xi2 = np.concatenate([np.zeros_like(phi[..., : k + 1]), phi[..., k + 1:]], axis=-1)
-    psi_dphi = _ambient_psi_matrixwise(dphi, k)
+    xi1, xi2 = product_normals(phi, k)
+    psi_dphi = psi_flip(dphi, k)
     d2phi = hessian_field(grid, phi)                   # (..., m, n, N)
-    plus = _minkowski_pair((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
-    minus = _minkowski_pair((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
+    plus = minkowski_dot((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
+    minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
     w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
          - 0.5 * minus[..., None] * xi2[..., None, None, :])
     ginv = g.inverse()
@@ -266,7 +237,7 @@ def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField,
     res_psi_t = (psi_dphi
                  - np.einsum("...km,...kN->...mN", psi.f.values, dphi)
                  - np.einsum("...am,...aN->...mN", psi.u.values, normals))
-    psi_normals = _ambient_psi_matrixwise(normals, k)
+    psi_normals = psi_flip(normals, k)
     res_psi_n = (psi_normals
                  - np.einsum("...kb,...kN->...bN", psi.big_u.values, dphi)
                  - np.einsum("...ab,...aN->...bN", psi.lam.values, normals))
@@ -299,9 +270,7 @@ def path_independence_residual(conn: FlatBundleConnection,
     name = "path_independence"
     threshold = tolerances.threshold(name, grid)
     if nd == 1:
-        rec = CheckRecord(name=name, max_abs=0.0, mean_abs=0.0,
-                          argmax_node=(0,), threshold=threshold, passed=True)
-        return ResidualReport((rec,))
+        return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
     worst = 0.0
     mean_acc, count = 0.0, 0
     worst_node = (0,) * nd
@@ -351,12 +320,9 @@ def align_congruence(imm_a: ImmersionField, psi_field_a: np.ndarray,
     node = tuple(node) if node is not None else imm_b.base_node
     t = psi_field_b[node] @ np.linalg.inv(psi_field_a[node])
 
-    size = t.shape[0]
-    signature = np.eye(size)
-    signature[-1, -1] = -1.0
+    signature = eta(t.shape[0])
     eta_defect = float(np.abs(t.T @ signature @ t - signature).max())
-    psi_bar = np.eye(size)
-    psi_bar[imm_a.k + 1:, imm_a.k + 1:] *= -1.0
+    psi_bar = psi_flip(np.eye(t.shape[0]), imm_a.k)
     comm_defect = float(np.abs(t @ psi_bar - psi_bar @ t).max())
     moved = np.einsum("ij,...j->...i", t, imm_a.values)
     dist = np.linalg.norm(moved - imm_b.values, axis=-1)

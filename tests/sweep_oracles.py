@@ -8,18 +8,26 @@ replace.  Transport must match them bitwise, the normal frame to rounding.
 import numpy as np
 
 from prodimm.errors import DegeneracyError
-from prodimm.extract import (_SEED_TOL, _orthonormal_tangent_basis, _project_out,
-                             immersion_points, immersion_tangents)
+from prodimm.extract import _SEED_TOL, immersion_points, immersion_tangents
 from prodimm.fields import sweep_steps
-from prodimm.lorentz import minkowski_dot
+from prodimm.lorentz import gram_schmidt, minkowski_dot, product_normals
 from prodimm.reconstruct import edge_flow, reorthonormalize_frame
+
+
+def _project_out(v, basis, norms):
+    for w, n2 in zip(basis, norms):
+        v = v - (minkowski_dot(v, w) / n2)[..., None] * w
+    return v
 
 
 def per_edge_normal_frame(imm, grid, use_analytic=True):
     """Canonical completion at the base, then project and re-orthonormalize per edge."""
     points = immersion_points(imm, grid)
     tangents = immersion_tangents(imm, grid, points, use_analytic)
-    basis, norms, _ = _orthonormal_tangent_basis(grid, points, tangents, imm.k)
+    xi1, xi2 = product_normals(points, imm.k)
+    tang, _ = gram_schmidt(tangents, basis=(xi1, xi2))
+    basis = [xi1, xi2, *np.moveaxis(tang, -2, 0)]
+    norms = [np.ones(grid.dims), -np.ones(grid.dims)] + [np.ones(grid.dims)] * tang.shape[-2]
 
     size = imm.ambient_dim
     base = (0,) * grid.ndim

@@ -171,3 +171,23 @@ def test_repair_export_renormalizes(f1_dataset_path, tmp_path):
     _, values, k = load_immersion_csv(str(mesh))
     x = values[:, : k + 1]
     assert np.abs((x**2).sum(axis=1) - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims"])
+def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, breakage):
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
+    if breakage == "check_max":
+        del doc["checks"][0]["max"]
+    elif breakage == "base_node":
+        del doc["reconstruction"]["base_node"]
+    elif breakage == "grid_spacing":
+        del doc["grid"]["spacing"]
+    else:
+        doc["grid"]["dims"] = [2]
+    bad = tmp_path / "bad.report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["align", str(mesh), str(mesh), "--report-a", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

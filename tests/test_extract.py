@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError, MetricError
-from prodimm.extract import (AnalyticImmersion, extract_all, fixture, induced_metric,
-                             induced_normal_frame, induced_second_form, induced_structure,
-                             verify_necessity)
+from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all, fixture,
+                             immersion_points, immersion_tangents, induced_metric,
+                             induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid
 from prodimm.lorentz import minkowski_dot
+from prodimm.structure import check_all
 
 from conftest import FixtureBundle, refine
 from sweep_oracles import per_edge_normal_frame
@@ -34,7 +35,29 @@ def test_off_product_evaluator_rejected():
                                  0 * c[..., 0], 1 + 0 * c[..., 0]], axis=-1))
     grid = ChartGrid(dims=(5,), spacing=(0.1,), origin=(0.0,))
     with pytest.raises(ConstraintError):
-        induced_metric(bad, grid)
+        immersion_points(bad, grid)
+
+
+def test_points_far_out_on_the_hyperboloid_accepted():
+    """<y, y> rounds off like |y|^2; F1 reaches |y|^2 ~ 7e10 at t = 16."""
+    imm, grid = fixture("F1", grid=ChartGrid((3199,), (5e-3,), (0.0,)))
+    assert np.array_equal(immersion_points(imm, grid), imm.point(grid.coords()))
+
+    def last_node_scaled(block):
+        def point(coords):
+            out = imm.point(coords)
+            out[-1, block] *= 1.0 + 1e-6
+            return out
+        return AnalyticImmersion(name="F1", k=1, m=1, n=1, p=1, point=point)
+
+    # scaling the spatial entry of y puts it 2e-6 sinh^2 ~ 6e4 off the hyperboloid
+    with pytest.raises(ConstraintError, match=r"node \(3198,\)"):
+        immersion_points(last_node_scaled(slice(2, 3)), grid)
+    # scaling all of y moves <y, y> by 2e-6 only, below the round-off of the
+    # exact points out there (|y|^2 * 2e-16 ~ 1e-5); on the default chart it shows
+    short = ChartGrid((200,), (5e-3,), (0.0,))
+    with pytest.raises(ConstraintError, match=r"node \(199,\)"):
+        immersion_points(last_node_scaled(slice(2, 4)), short)
 
 
 def test_induced_metric_unit_speed(f1, f2):
@@ -58,7 +81,7 @@ def test_constant_map_is_rejected():
                                  axis=-1))
     grid = ChartGrid(dims=(8,), spacing=(0.1,), origin=(0.0,))
     with pytest.raises(MetricError):
-        induced_metric(const, grid)
+        extract_all(const, grid)
 
 
 def test_normal_frame_orthonormal_and_orthogonal(f2, f3):
@@ -134,14 +157,20 @@ def test_normal_connection_trivial_on_fixtures(f1, f2):
     assert np.abs(f2.data.bundle.omega.values).max() <= 1e-12
 
 
+def _necessity(imm, grid, use_analytic=True):
+    data = extract_all(imm, grid, use_analytic)
+    return check_all(data.metric, data.bundle, data.sigma, data.psi,
+                     default_tolerances(data))
+
+
 def test_verify_necessity_all_fixtures(f1, f2, f3):
     for fb in (f1, f2, f3):
-        report = verify_necessity(fb.immersion, fb.grid)
+        report = _necessity(fb.immersion, fb.grid)
         assert report.passed
 
 
 def test_verify_necessity_fd_route(f3_fd):
-    report = verify_necessity(f3_fd.immersion, f3_fd.grid, use_analytic=False)
+    report = _necessity(f3_fd.immersion, f3_fd.grid, use_analytic=False)
     assert report.passed
 
 
@@ -160,9 +189,14 @@ def test_extraction_error_convergence(f2, f3):
 
 
 def test_induced_pieces_standalone(f2):
-    normals = induced_normal_frame(f2.immersion, f2.grid)
-    sigma = induced_second_form(f2.immersion, f2.grid, normals)
-    psi, bundle = induced_structure(f2.immersion, f2.grid, normals)
+    imm, grid = f2.immersion, f2.grid
+    points = immersion_points(imm, grid)
+    tangents = immersion_tangents(imm, grid, points)
+    metric = induced_metric(grid, tangents)
+    normals = induced_normal_frame(imm, grid, points, tangents)
+    sigma = induced_second_form(imm, grid, points, tangents, normals)
+    psi, bundle = induced_structure(imm, metric, tangents, normals)
+    assert np.array_equal(metric.values, f2.data.metric.values)
     assert np.array_equal(normals, f2.data.normals)
     assert np.array_equal(sigma.values, f2.data.sigma.values)
     assert np.array_equal(psi.f.values, f2.data.psi.f.values)
@@ -186,6 +220,8 @@ def test_normal_frame_degeneracy_names_the_node():
         name="kinked", k=2, m=1, n=1, p=2,
         point=lambda c: np.broadcast_to(pole, c.shape[:-1] + (5,)),
         derivative=lambda c: np.where(c[..., None] < 0.25, np.eye(5)[0], np.eye(5)[1]))
+    points = immersion_points(kinked, grid)
+    tangents = immersion_tangents(kinked, grid, points)
     with pytest.raises(DegeneracyError, match=r"node \(3,\)") as err:
-        induced_normal_frame(kinked, grid)
+        induced_normal_frame(kinked, grid, points, tangents)
     assert err.value.index == (3,)

@@ -6,9 +6,11 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError,
                             InsufficientDataError)
-from prodimm.lorentz import (AmbientFrame, ProductPoint, ambient_connection_relation_residual,
-                             ambient_curvature, ambient_psi, eta, lorentz_orthonormalize,
-                             minkowski_dot, minkowski_gram_schmidt, normal_fields)
+from prodimm.lorentz import (AmbientFrame, eta, gram_schmidt, lorentz_orthonormalize,
+                             minkowski_dot, minkowski_gram_schmidt)
+
+from ambient_oracles import (ProductPoint, ambient_connection_relation_residual,
+                             ambient_curvature, ambient_psi, normal_fields)
 
 finite = st.floats(-10, 10, allow_nan=False)
 vec4 = hnp.arrays(np.float64, 4, elements=finite)
@@ -209,3 +211,18 @@ def test_lorentz_orthonormalize_near_eta_frames(noise):
 def test_eta():
     assert np.array_equal(eta(3), np.diag([1.0, 1.0, -1.0]))
     assert isinstance(AmbientFrame(np.eye(3)).gram_defect(), float)
+
+
+def test_gram_schmidt_batched_flags_the_dependent_node():
+    rng = np.random.default_rng(3)
+    nodes, n = 6, 4
+    a = np.eye(n) + 0.1 * rng.normal(size=(nodes, n, n))
+    gram = np.swapaxes(a, -1, -2) @ eta(n) @ a          # a Lorentzian G at every node
+    rows = np.eye(n) + 0.1 * rng.normal(size=(nodes, n, n))
+    rows[3, 2] = rows[3, 0] - 2.0 * rows[3, 1]
+    out, n2 = gram_schmidt(rows, gram)
+    flagged = (~(np.abs(n2) > 1e-10)).any(axis=-1)
+    assert flagged.tolist() == [False, False, False, True, False, False]
+    ok = out[~flagged]
+    pairs = ok @ gram[~flagged] @ np.swapaxes(ok, -1, -2)
+    assert np.abs(pairs - eta(n)).max() <= 1e-12

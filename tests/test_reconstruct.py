@@ -8,10 +8,11 @@ from prodimm.fields import ChartGrid
 from prodimm.flatbundle import FlatBundleConnection, FlatBundleGauge, build_connection
 from prodimm.reconstruct import (align_congruence, assemble_immersion, edge_flow,
                                  immersion_psi_field, initial_frame_from_split,
-                                 path_independence_residual, product_defect,
+                                 path_independence_residual,
                                  random_block_rotation, reconstruct_immersion,
                                  reorthonormalize_frame, sweep_parallel_frame,
                                  ImmersionField)
+from prodimm.lorentz import product_defect
 from prodimm.structure import ToleranceModel
 
 from sweep_oracles import per_edge_parallel_frame
