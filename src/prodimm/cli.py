@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -20,27 +21,36 @@ from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_rep
 from .errors import ProdimmError, SchemaError
 from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
-from .flatbundle import (FlatBundleGauge, build_connection, build_psi_tilde,
-                         flatness_residual, metric_compatibility_residual,
+from .flatbundle import (Geometry, flatness_residual, metric_compatibility_residual,
                          psi_tilde_parallel_residual)
 from .reconstruct import (ImmersionField, align_congruence, immersion_psi_field,
                           random_block_rotation, reconstruct_immersion)
 from .structure import ResidualReport, ToleranceModel, check_all
 
 
-def check_dataset(ds: Dataset, tolerances: ToleranceModel | None = None) -> Report:
-    """Every structure check plus the flat-bundle diagnostics."""
+def check_dataset(ds: Dataset, tolerances: ToleranceModel | None = None,
+                  geom: Geometry | None = None) -> Report:
+    """Every structure check plus the flat-bundle diagnostics, with their timings.
+
+    ``geom`` is the dataset's geometry when the caller goes on to rebuild from
+    it; the checks fill it, so the rebuild derives nothing twice.
+    """
     tol = tolerances if tolerances is not None else ds.tolerances
-    structure_rep = check_all(ds.metric, ds.bundle, ds.sigma, ds.psi, tol)
-    conn = build_connection(ds.metric, ds.bundle, ds.sigma, ds.psi)
-    gauge = FlatBundleGauge.from_metric(ds.metric, ds.p)
-    psi_tilde = build_psi_tilde(ds.psi)
+    geom = geom if geom is not None else Geometry.of(ds)
+    t0 = time.perf_counter()
+    structure_rep = check_all(geom, tol)
+    t1 = time.perf_counter()
+    geom.connection   # built here, so the diagnostics' time below is their own
+    t2 = time.perf_counter()
     flat_rep = ResidualReport.merge(
-        metric_compatibility_residual(conn, gauge, tol),
-        flatness_residual(conn, tol),
-        psi_tilde_parallel_residual(conn, psi_tilde, tol),
+        metric_compatibility_residual(geom, tol),
+        flatness_residual(geom, tol),
+        psi_tilde_parallel_residual(geom, tol),
     )
-    return Report.from_residuals(ds.grid, structure_rep, flat_rep)
+    t3 = time.perf_counter()
+    return Report.from_residuals(ds.grid, structure_rep, flat_rep,
+                                 timings={"structure": t1 - t0, "connection": t2 - t1,
+                                          "flat_bundle": t3 - t2})
 
 
 def _print_checks(report: Report):
@@ -144,12 +154,13 @@ def _reconstruction_block(result) -> dict:
 def cmd_reconstruct(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
-    pre = check_dataset(ds, tol)
+    geom = Geometry.of(ds)
+    pre = check_dataset(ds, tol, geom)
     _print_checks(pre)
     if not pre.passed and not args.force:
         print("input data fails its compatibility checks; use --force to proceed")
         return 1
-    result = reconstruct_immersion(ds.metric, ds.bundle, ds.sigma, ds.psi, tolerances=tol,
+    result = reconstruct_immersion(geom, tolerances=tol,
                                    seed_frame=args.seed_frame,
                                    reorthonormalize=args.reorthonormalize,
                                    assemble_tol=np.inf if args.force else None)
@@ -171,9 +182,9 @@ def cmd_roundtrip(args) -> int:
     data = extract_all(imm, grid, use_analytic=not args.fd)
     ds = Dataset.from_extraction(data)
     tol = _tolerances_from_args(args, ds.tolerances)
-    checks = check_dataset(ds, tol)
-    result = reconstruct_immersion(ds.metric, ds.bundle, ds.sigma, ds.psi, tolerances=tol,
-                                   seed_frame=args.seed_frame)
+    geom = Geometry.of(ds)
+    checks = check_dataset(ds, tol, geom)
+    result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame)
     analytic = ImmersionField(grid=grid, k=imm.k, values=data.points,
                               base_node=result.immersion.base_node, on_product_defect=0.0)
     alignment = align_congruence(result.immersion,

@@ -15,6 +15,15 @@ Index layout conventions (fixed for the whole package):
 
 All derivatives are second-order: central stencils in the interior,
 one-sided at the boundary (``np.gradient`` with ``edge_order=2``).
+
+Matmul layout: every batched small-matrix product is written as ``@`` on the
+last two axes, with the node axes (and a direction axis, where there is one)
+leading and broadcast.  Operands are brought to (..., rows, inner) and
+(..., inner, cols) by ``swapaxes``/``moveaxis`` views first; a pairing of two
+direction axes m, n is formed as ``x[..., :, None, :, :] @ y[..., None, :, :, :]``,
+which yields (..., m, n, rows, cols), and ``antisymmetrize`` subtracts its
+m <-> n swap.  ``einsum`` is left for permutations and contractions that
+are not a matrix product.
 """
 
 from __future__ import annotations
@@ -277,19 +286,25 @@ def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=nd)
 
 
-def christoffel(g: MetricField) -> TensorField:
-    """Levi-Civita connection coefficients Gamma^l_mn from the metric."""
+def christoffel(g: MetricField, ginv: np.ndarray | None = None) -> TensorField:
+    """Levi-Civita connection coefficients Gamma^l_mn from the metric.
+
+    ``ginv`` is the nodewise inverse of ``g`` when the caller already holds it.
+    """
     grid = g.grid
     dg = grad_field(grid, g.values)  # (..., m, i, j) = d_m g_ij
-    ginv = g.inverse()
-    # Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn)
-    gamma = 0.5 * (np.einsum("...lr,...mrn->...lmn", ginv, dg)
-                   + np.einsum("...lr,...nrm->...lmn", ginv, dg)
-                   - np.einsum("...lr,...rmn->...lmn", ginv, dg))
-    return TensorField(grid, ("tu", "td", "td"), gamma)
+    if ginv is None:
+        ginv = g.inverse()
+    # Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn), as g^-1 @ (r, mn)
+    dg_r = np.swapaxes(dg, -3, -2)                    # (..., r, m, n) = d_m g_rn
+    braces = dg_r + np.swapaxes(dg_r, -1, -2) - dg
+    n = grid.ndim
+    gamma = 0.5 * (ginv @ braces.reshape(grid.dims + (n, n * n)))
+    return TensorField(grid, ("tu", "td", "td"), gamma.reshape(grid.dims + (n, n, n)))
 
 
-def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> TensorField:
+def curvature_tensor(g: MetricField, chris: TensorField | None = None,
+                     ginv: np.ndarray | None = None) -> TensorField:
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
@@ -299,35 +314,33 @@ def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> Tensor
     would drop an order there).
     """
     grid = g.grid
+    if ginv is None:
+        ginv = g.inverse()
     if chris is None:
-        chris = christoffel(g)
-    ga = chris.values
-    ginv = g.inverse()
+        chris = christoffel(g, ginv)
     dg = grad_field(grid, g.values)            # (..., m, i, j)
     ddg = hessian_field(grid, g.values)        # (..., m, n, i, j)
-    dginv = -np.einsum("...la,...mab,...br->...mlr", ginv, dg, ginv)
-    # d_m Gamma^l_ns from the product rule on (1/2) g^lr (dg terms)
-    braces = (np.einsum("...nrs->...nrs", dg)
-              + np.einsum("...srn->...nrs", dg)
-              - np.einsum("...rns->...nrs", dg))
-    dbraces = (np.einsum("...mnrs->...mnrs", ddg)
-               + np.einsum("...msrn->...mnrs", ddg)
-               - np.einsum("...mrns->...mnrs", ddg))
-    dga = 0.5 * (np.einsum("...mlr,...nrs->...mlns", dginv, braces)
-                 + np.einsum("...lr,...mnrs->...mlns", ginv, dbraces))
-    riem = (np.einsum("...mlns->...lsmn", dga)
-            - np.einsum("...nlms->...lsmn", dga)
-            + np.einsum("...lmr,...rns->...lsmn", ga, ga)
-            - np.einsum("...lnr,...rms->...lsmn", ga, ga))
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])     # (..., m, l, r)
+    # d_m Gamma^l_ns from the product rule on (1/2) g^lr (dg terms), laid out (m, n, l, s)
+    braces = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)        # (..., n, r, s)
+    dbraces = ddg + np.swapaxes(ddg, -3, -1) - np.swapaxes(ddg, -3, -2)    # (..., m, n, r, s)
+    dga = 0.5 * (dginv[..., :, None, :, :] @ braces[..., None, :, :, :]
+                 + ginv[..., None, None, :, :] @ dbraces)
+    ga = np.swapaxes(chris.values, -3, -2)     # (..., m, l, r) = Gamma^l_mr
+    # R^l_smn = d_m Gamma^l_ns + Gamma^l_mr Gamma^r_ns - (m <-> n)
+    half = dga + ga[..., :, None, :, :] @ ga[..., None, :, :, :]           # (..., m, n, l, s)
+    riem = np.moveaxis(antisymmetrize(half), (-2, -1), (-4, -3))
     return TensorField(grid, ("tu", "td", "td", "td"), riem)
+
+
+def antisymmetrize(x: np.ndarray) -> np.ndarray:
+    """x[..., m, n, :, :] - x[..., n, m, :, :] over the direction axes -4 and -3."""
+    return x - np.swapaxes(x, -4, -3)
 
 
 def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
     """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :]."""
-    dom = grad_field(grid, om)  # (..., m, n, a, b) = d_m om_n
-    return (dom - np.einsum("...mnab->...nmab", dom)
-            + np.einsum("...mac,...ncb->...mnab", om, om)
-            - np.einsum("...nac,...mcb->...mnab", om, om))
+    return antisymmetrize(grad_field(grid, om) + om[..., :, None, :, :] @ om[..., None, :, :, :])
 
 
 def bundle_curvature(bundle: BundleData) -> TensorField:
@@ -337,11 +350,13 @@ def bundle_curvature(bundle: BundleData) -> TensorField:
                        connection_curvature(grid, bundle.omega.values))
 
 
-def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
+def shape_operator_field(sigma: SecondFormField, g: MetricField,
+                         ginv: np.ndarray | None = None) -> np.ndarray:
     """All shape operators at once: out[..., a, i, j] = (A_{e_a})^i_j."""
     same_grid(sigma, g)
-    ginv = g.inverse()
-    return np.einsum("...ik,...kja->...aij", ginv, sigma.values)
+    if ginv is None:
+        ginv = g.inverse()
+    return ginv[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
 
 
 def sum_bundle_covariant_derivative(field: TensorField, chris: TensorField,
@@ -354,22 +369,23 @@ def sum_bundle_covariant_derivative(field: TensorField, chris: TensorField,
     """
     grid = field.grid
     same_grid(field, chris)
+    nd = grid.ndim
     vals = field.values
     out = grad_field(grid, vals)
-    nslots = len(field.index_spec)
-    letters = "abcdefg"[:nslots]
-    ga = chris.values
+    ga = np.swapaxes(chris.values, -3, -2)   # (..., m, l, s) = Gamma^l_ms
     om = bundle.omega.values if bundle is not None else None
     for j, kind in enumerate(field.index_spec):
-        s = letters[j]
-        mod = letters[:j] + "z" + letters[j + 1:]
+        # the correction acting on slot j along d_m, as a matrix (..., m, new, old)
         if kind == "tu":
-            corr = np.einsum(f"...zm{s},...{letters}->...m{mod}", ga, vals)
+            mat = ga
         elif kind == "td":
-            corr = -np.einsum(f"...{s}mz,...{letters}->...m{mod}", ga, vals)
+            mat = -np.swapaxes(ga, -1, -2)
         elif kind == "bu":
-            corr = np.einsum(f"...mz{s},...{letters}->...m{mod}", om, vals)
+            mat = om
         else:  # bd
-            corr = -np.einsum(f"...m{s}z,...{letters}->...m{mod}", om, vals)
-        out = out + corr
+            mat = -np.swapaxes(om, -1, -2)
+        moved = np.moveaxis(vals, nd + j, nd)            # slot j first: (*dims, old, rest)
+        rest = moved.shape[nd + 1:]
+        corr = mat @ moved.reshape(grid.dims + (1, moved.shape[nd], -1))
+        out = out + np.moveaxis(corr.reshape(grid.dims + (nd, -1) + rest), nd + 1, nd + 1 + j)
     return TensorField(grid, ("td",) + field.index_spec, out)

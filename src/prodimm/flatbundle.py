@@ -10,17 +10,25 @@ derivative of a section with components v is d_m v + Omega_m v.  Curvature is
 F_mn = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n]; a sign error in either
 convention silently breaks the rebuild, so both are asserted by the trivial
 constant-structure tests.
+
+``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
+from it that more than one consumer reads: g^-1, the Christoffel symbols, the
+shape operators, g(f., .), the gauge, the big connection and psi~.  Each is
+computed on first use and kept; the structure checks, the flat-bundle
+diagnostics and the rebuild all read one instance per dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ExclusionError, StructureError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
-                     connection_curvature, grad_field, same_grid, shape_operator_field)
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
+                     christoffel, connection_curvature, grad_field, same_grid,
+                     shape_operator_field)
 from .lorentz import complete_basis, eta
 from .structure import ProductStructureField, ResidualReport, ToleranceModel, make_record
 
@@ -67,66 +75,117 @@ class PsiTildeField:
     values: np.ndarray  # (*dims, N, N)
 
 
-def build_connection(g: MetricField, bundle: BundleData, sigma: SecondFormField,
-                     psi: ProductStructureField) -> FlatBundleConnection:
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """One dataset and its derived geometry, each piece computed once on first use."""
+
+    metric: MetricField
+    bundle: BundleData
+    sigma: SecondFormField
+    psi: ProductStructureField
+
+    def __post_init__(self):
+        same_grid(self.metric, self.bundle.omega, self.sigma, self.psi.f)
+
+    @classmethod
+    def of(cls, data) -> "Geometry":
+        """From anything carrying metric, bundle, sigma and psi: a dataset or an extraction."""
+        return cls(data.metric, data.bundle, data.sigma, data.psi)
+
+    @property
+    def grid(self) -> ChartGrid:
+        return self.metric.grid
+
+    @property
+    def p(self) -> int:
+        return self.bundle.rank
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return self.metric.inverse()
+
+    @cached_property
+    def chris(self) -> TensorField:
+        return christoffel(self.metric, self.ginv)
+
+    @cached_property
+    def shape_ops(self) -> np.ndarray:
+        """(..., a, i, j) = (A_{e_a})^i_j."""
+        return shape_operator_field(self.sigma, self.metric, self.ginv)
+
+    @cached_property
+    def f_lowered(self) -> np.ndarray:
+        """(..., i, j) = g(f d_i, d_j)."""
+        return np.swapaxes(self.psi.f.values, -1, -2) @ self.metric.values
+
+    @cached_property
+    def gauge(self) -> FlatBundleGauge:
+        return FlatBundleGauge.from_metric(self.metric, self.p)
+
+    @cached_property
+    def connection(self) -> FlatBundleConnection:
+        return build_connection(self)
+
+    @cached_property
+    def psi_tilde(self) -> PsiTildeField:
+        return build_psi_tilde(self.psi)
+
+
+def build_connection(geom: Geometry) -> FlatBundleConnection:
     """Assemble the big-bundle connection matrices; exact, no differencing
     beyond the Christoffel symbols already used for the tangent block."""
-    same_grid(g, bundle.omega, sigma, psi.f)
-    grid = g.grid
-    n, p = grid.ndim, bundle.rank
+    grid = geom.grid
+    n, p = grid.ndim, geom.p
     size = n + p + 2
     i1, i2 = n + p, n + p + 1
-
-    chris = christoffel(g).values
-    shape_ops = shape_operator_field(sigma, g)      # (..., a, i, m)
-    f, u = psi.f.values, psi.u.values
-    gv = g.values
-    gf = np.einsum("...kj,...km->...mj", gv, f)     # g(f d_m, d_j)
+    f, u = geom.psi.f.values, geom.psi.u.values
+    gv, gf = geom.metric.values, geom.f_lowered
+    f_t, u_t = np.swapaxes(f, -1, -2), np.swapaxes(u, -1, -2)
     ident = np.eye(n)
 
     om = np.zeros(grid.dims + (n, size, size))
     # tangent columns
-    om[..., :n, :n] = np.einsum("...kmj->...mkj", chris)
-    om[..., n:n + p, :n] = np.einsum("...mja->...maj", sigma.values)
+    om[..., :n, :n] = np.swapaxes(geom.chris.values, -3, -2)
+    om[..., n:n + p, :n] = np.swapaxes(geom.sigma.values, -1, -2)
     om[..., i1, :n] = -0.5 * (gv + gf)
     om[..., i2, :n] = 0.5 * (gv - gf)
     # bundle columns
-    om[..., :n, n:n + p] = -np.einsum("...bkm->...mkb", shape_ops)
-    om[..., n:n + p, n:n + p] = bundle.omega.values
-    om[..., i1, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
-    om[..., i2, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
+    om[..., :n, n:n + p] = -np.swapaxes(geom.shape_ops, -3, -1)
+    om[..., n:n + p, n:n + p] = geom.bundle.omega.values
+    om[..., i1, n:n + p] = -0.5 * u_t
+    om[..., i2, n:n + p] = -0.5 * u_t
     # the two trivial-factor columns
-    om[..., :n, i1] = 0.5 * (ident + np.einsum("...km->...mk", f))
-    om[..., n:n + p, i1] = 0.5 * np.einsum("...am->...ma", u)
-    om[..., :n, i2] = 0.5 * (ident - np.einsum("...km->...mk", f))
-    om[..., n:n + p, i2] = -0.5 * np.einsum("...am->...ma", u)
+    om[..., :n, i1] = 0.5 * (ident + f_t)
+    om[..., n:n + p, i1] = 0.5 * u_t
+    om[..., :n, i2] = 0.5 * (ident - f_t)
+    om[..., n:n + p, i2] = -0.5 * u_t
     return FlatBundleConnection(grid=grid, values=om)
 
 
-def metric_compatibility_residual(conn: FlatBundleConnection, gauge: FlatBundleGauge,
+def metric_compatibility_residual(geom: Geometry,
                                   tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions."""
     tolerances = tolerances or ToleranceModel()
-    grid = conn.grid
-    dgram = grad_field(grid, gauge.gram)            # (..., m, A, B)
-    om = conn.values
-    resid = (dgram - np.einsum("...mca,...cb->...mab", om, gauge.gram)
-             - np.einsum("...ac,...mcb->...mab", gauge.gram, om))
+    grid = geom.grid
+    gram = geom.gauge.gram
+    om = geom.connection.values
+    resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
+             - gram[..., None, :, :] @ om)
     name = "bundle_metric_compatibility"
     return ResidualReport((make_record(name, resid, grid,
                                        tolerances.threshold(name, grid)),))
 
 
-def flatness_residual(conn: FlatBundleConnection,
+def flatness_residual(geom: Geometry,
                       tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Curvature of the big-bundle connection; vacuous pass on 1-dim charts."""
     tolerances = tolerances or ToleranceModel()
-    grid = conn.grid
+    grid = geom.grid
     name = "bundle_flatness"
     threshold = tolerances.threshold(name, grid)
     if grid.ndim == 1:
         return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
-    curv = connection_curvature(grid, conn.values)
+    curv = connection_curvature(grid, geom.connection.values)
     pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
              for n in range(m + 1, grid.ndim)]
     resid = np.stack(pairs, axis=-1)
@@ -145,15 +204,14 @@ def build_psi_tilde(psi: ProductStructureField) -> PsiTildeField:
     return PsiTildeField(grid=grid, values=vals)
 
 
-def psi_tilde_parallel_residual(conn: FlatBundleConnection, psi_tilde: PsiTildeField,
+def psi_tilde_parallel_residual(geom: Geometry,
                                 tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Residual of d_m psi~ + [Omega_m, psi~] = 0."""
     tolerances = tolerances or ToleranceModel()
-    grid = conn.grid
-    pt = psi_tilde.values
-    dpt = grad_field(grid, pt)
-    resid = (dpt + np.einsum("...mac,...cb->...mab", conn.values, pt)
-             - np.einsum("...ac,...mcb->...mab", pt, conn.values))
+    grid = geom.grid
+    pt = geom.psi_tilde.values[..., None, :, :]
+    om = geom.connection.values
+    resid = grad_field(grid, geom.psi_tilde.values) + om @ pt - pt @ om
     name = "psi_tilde_parallel"
     return ResidualReport((make_record(name, resid, grid,
                                        tolerances.threshold(name, grid)),))

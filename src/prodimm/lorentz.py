@@ -12,7 +12,8 @@ Conventions used everywhere in this package:
   the product by psi(xi1) = xi1, psi(xi2) = -xi2.
 
 Every ambient formula of the package is written once, here, broadcasting over
-node axes: the pairing ``minkowski_dot`` and its Gram matrix ``eta``;
+node axes: the pairing ``minkowski_dot``, its Gram matrix ``eta`` and the
+index lowering ``lower`` (eta applied along one axis);
 ``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
 xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
 ``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
@@ -48,6 +49,17 @@ def eta(n: int) -> np.ndarray:
     g = np.eye(n)
     g[-1, -1] = -1.0
     return g
+
+
+def lower(v, axis: int = -1) -> np.ndarray:
+    """eta v along ``axis``: a copy of ``v`` with its timelike entries negated there.
+
+    ``x @ lower(y)`` is ``minkowski_dot(x, y)``; on (..., N, cols) arrays with
+    ``axis=-2`` it lowers every column at once.
+    """
+    out = np.array(v, dtype=float)
+    np.moveaxis(out, axis, -1)[..., -1] *= -1.0
+    return out
 
 
 def psi_flip(v, k: int) -> np.ndarray:

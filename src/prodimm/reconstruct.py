@@ -25,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, StructureError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, grad_field,
-                     hessian_field, sweep_compose)
-from .flatbundle import (FlatBundleConnection, FlatBundleGauge, build_connection,
-                         build_psi_tilde, eigen_split)
-from .lorentz import (eta, gram_schmidt, minkowski_dot, product_defect, product_normals,
+from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
+from .flatbundle import FlatBundleConnection, FlatBundleGauge, Geometry, eigen_split
+from .lorentz import (eta, gram_schmidt, lower, minkowski_dot, product_defect, product_normals,
                       psi_flip)
-from .structure import (CheckRecord, ProductStructureField, ResidualReport,
-                        ToleranceModel, make_record)
+from .structure import CheckRecord, ResidualReport, ToleranceModel, make_record
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class ParallelFrameField:
     def gram_defect(self, gauge: FlatBundleGauge) -> np.ndarray:
         """Nodewise S^T G S - signature of the frame columns."""
         s = self.values
-        return np.einsum("...ca,...cd,...db->...ab", s, gauge.gram, s) - gauge.signature
+        return np.swapaxes(s, -1, -2) @ gauge.gram @ s - gauge.signature
 
     def orthonormality_defect(self, gauge: FlatBundleGauge) -> float:
         return float(np.abs(self.gram_defect(gauge)).max())
@@ -166,7 +163,7 @@ def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
     return np.concatenate([b1, b2], axis=1)
 
 
-def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int,
+def assemble_immersion(frame: ParallelFrameField, k: int,
                        tol: float = 1e-8) -> ImmersionField:
     """Read the rebuilt map off the frame: components of xi1~ + xi2~.
 
@@ -174,17 +171,12 @@ def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int
     sign (timelike).  Points are checked against the product constraints and
     the worst defect is reported; beyond 10x tolerance the rebuild fails.
     """
-    s = frame.values
-    size = gauge.size
-    w = np.zeros(size)
-    w[size - 2] = 1.0   # Gram column of xi1~ + xi2~ in the fixed gauge
-    w[size - 1] = -1.0
-    phi = np.einsum("...ji,j->...i", s, w)
-    phi[..., -1] *= -1.0
+    # Gram column of xi1~ + xi2~ in the fixed gauge: the last two rows, second negated
+    phi = lower(frame.values[..., -2, :] - frame.values[..., -1, :])
 
     defect = product_defect(phi, k)
     worst = float(defect.max())
-    if (phi[..., -1] <= 0).any() or worst > 10.0 * tol:
+    if (phi[..., -1] <= 0).any() or not worst <= 10.0 * tol:   # a NaN point fails too
         node = tuple(int(i) for i in np.unravel_index(int(defect.argmax()), frame.grid.dims))
         raise ReconstructionError(
             f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)
@@ -194,29 +186,25 @@ def assemble_immersion(frame: ParallelFrameField, gauge: FlatBundleGauge, k: int
 
 def immersion_psi_field(frame: ParallelFrameField, gauge: FlatBundleGauge) -> np.ndarray:
     """Nodewise matrix of the frame isomorphism gauge -> ambient coordinates."""
-    s = frame.values
-    out = np.einsum("...ji,...jb->...ib", s, gauge.gram)
-    out[..., -1, :] *= -1.0
-    return out
+    return lower(np.swapaxes(frame.values, -1, -2) @ gauge.gram, axis=-2)
 
 
-def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField,
-                          gauge: FlatBundleGauge, g: MetricField, bundle: BundleData,
-                          sigma: SecondFormField, psi: ProductStructureField,
+def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField, geom: Geometry,
                           tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Check every conclusion of the rebuild by finite differences of the map."""
     tolerances = tolerances or ToleranceModel()
     grid = imm.grid
-    n, p, k = gauge.n, gauge.p, imm.k
+    n, p, k = grid.ndim, geom.p, imm.k
+    psi = geom.psi
     phi = imm.values
     dphi = grad_field(grid, phi)                       # (..., m, N)
 
     # normal columns of the frame isomorphism (exact, no differencing)
-    psi_map = immersion_psi_field(frame, gauge)
-    normals = np.einsum("...ib->...bi", psi_map[..., :, n:n + p])   # (..., b, N)
+    psi_map = immersion_psi_field(frame, geom.gauge)
+    normals = np.swapaxes(psi_map[..., :, n:n + p], -1, -2)      # (..., b, N)
 
     induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
-    res_isometry = induced - g.values
+    res_isometry = induced - geom.metric.values
 
     res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
 
@@ -227,20 +215,19 @@ def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField,
     minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
     w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
          - 0.5 * minus[..., None] * xi2[..., None, None, :])
-    ginv = g.inverse()
-    w_tan = np.einsum("...rs,...mnN,...rN->...mns", ginv, w,
-                      dphi * np.concatenate([np.ones(phi.shape[-1] - 1), [-1.0]]))
-    h_fd = w - np.einsum("...mns,...sN->...mnN", w_tan, dphi)
-    h_model = np.einsum("...mna,...aN->...mnN", sigma.values, normals)
+    # tangential part: g^rs <w_mn, d_r phi>, the pairing as a product with eta d_r phi
+    dphi_low = np.swapaxes(lower(dphi), -1, -2)        # (..., N, r)
+    w_tan = w @ dphi_low[..., None, :, :] @ geom.ginv[..., None, :, :]   # (..., m, n, s)
+    h_fd = w - w_tan @ dphi[..., None, :, :]
+    h_model = geom.sigma.values @ normals[..., None, :, :]
     res_second = h_fd - h_model
 
-    res_psi_t = (psi_dphi
-                 - np.einsum("...km,...kN->...mN", psi.f.values, dphi)
-                 - np.einsum("...am,...aN->...mN", psi.u.values, normals))
-    psi_normals = psi_flip(normals, k)
-    res_psi_n = (psi_normals
-                 - np.einsum("...kb,...kN->...bN", psi.big_u.values, dphi)
-                 - np.einsum("...ab,...aN->...bN", psi.lam.values, normals))
+    def transposed(blk):
+        return np.swapaxes(blk.values, -1, -2)
+
+    res_psi_t = psi_dphi - transposed(psi.f) @ dphi - transposed(psi.u) @ normals
+    res_psi_n = (psi_flip(normals, k) - transposed(psi.big_u) @ dphi
+                 - transposed(psi.lam) @ normals)
 
     records = [
         make_record("reconstruction_isometry", res_isometry, grid,
@@ -330,8 +317,7 @@ def align_congruence(imm_a: ImmersionField, psi_field_a: np.ndarray,
                            eta_defect=eta_defect, commutation_defect=comm_defect)
 
 
-def reconstruct_immersion(g: MetricField, bundle: BundleData, sigma: SecondFormField,
-                          psi: ProductStructureField,
+def reconstruct_immersion(geom: Geometry,
                           tolerances: ToleranceModel | None = None,
                           base_node: tuple | None = None,
                           initial_rotation: np.ndarray | None = None,
@@ -339,21 +325,24 @@ def reconstruct_immersion(g: MetricField, bundle: BundleData, sigma: SecondFormF
                           reorthonormalize: bool = False,
                           cross_check: bool = True,
                           assemble_tol: float | None = None) -> ReconstructionResult:
-    """Full rebuild pipeline: split, transport, assemble, verify."""
+    """Full rebuild pipeline: split, transport, assemble, verify.
+
+    Reads the gauge, psi~ and the big connection from ``geom``, so a geometry
+    the checks already filled is not derived again.
+    """
     tolerances = tolerances or ToleranceModel()
-    grid = g.grid
+    grid = geom.grid
     nd = grid.ndim
     base = tuple(base_node) if base_node is not None else (0,) * nd
     timings: dict = {}
 
     t0 = time.perf_counter()
-    gauge = FlatBundleGauge.from_metric(g, bundle.rank)
-    psi_tilde = build_psi_tilde(psi)
-    k, b1, b2 = eigen_split(psi_tilde.values[base], gauge.gram[base], nd, bundle.rank)
+    gauge = geom.gauge
+    k, b1, b2 = eigen_split(geom.psi_tilde.values[base], gauge.gram[base], nd, geom.p)
     if initial_rotation is None and seed_frame is not None:
         initial_rotation = random_block_rotation(k + 1, seed_frame)
     frame0 = initial_frame_from_split(b1, b2, rotation=initial_rotation)
-    conn = build_connection(g, bundle, sigma, psi)
+    conn = geom.connection
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -364,11 +353,11 @@ def reconstruct_immersion(g: MetricField, bundle: BundleData, sigma: SecondFormF
     t0 = time.perf_counter()
     if assemble_tol is None:
         assemble_tol = max(tolerances.factor * grid.h_max**2, tolerances.floor)
-    imm = assemble_immersion(frame, gauge, k, tol=assemble_tol)
+    imm = assemble_immersion(frame, k, tol=assemble_tol)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = verify_reconstruction(imm, frame, gauge, g, bundle, sigma, psi, tolerances)
+    report = verify_reconstruction(imm, frame, geom, tolerances)
     extra = [make_record(name, residual, grid, tolerances.threshold(name, grid))
              for name, residual in (("frame_orthonormality", frame.gram_defect(gauge)),
                                     ("reconstruction_on_product",

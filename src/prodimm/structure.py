@@ -13,19 +13,24 @@ The checked identities, in the index conventions of :mod:`prodimm.fields`
 
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
+Every checker reads the data and its derived geometry from one
+:class:`prodimm.flatbundle.Geometry`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
-                     bundle_curvature, christoffel, curvature_tensor, same_grid,
-                     shape_operator_field, sum_bundle_covariant_derivative)
+from .fields import (ChartGrid, TensorField, antisymmetrize, bundle_curvature,
+                     curvature_tensor, same_grid, sum_bundle_covariant_derivative)
+
+if TYPE_CHECKING:
+    from .flatbundle import Geometry
 
 ALGEBRAIC_CHECKS = frozenset({
     "psi_f_symmetric", "psi_lambda_symmetric", "psi_u_U_adjoint",
@@ -108,11 +113,12 @@ class ResidualReport:
 def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
                 threshold: float) -> CheckRecord:
     """Reduce a (*dims, *free) residual array to a report record."""
-    nodewise = np.abs(residual).reshape(grid.dims + (-1,)).max(axis=-1)
+    magnitude = np.abs(residual)
+    nodewise = magnitude.reshape(grid.dims + (-1,)).max(axis=-1)
     argmax = tuple(int(i) for i in np.unravel_index(int(nodewise.argmax()), grid.dims))
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
-                       mean_abs=float(np.abs(residual).mean()),
+                       mean_abs=float(magnitude.mean()),
                        argmax_node=argmax, threshold=float(threshold),
                        passed=bool(max_abs <= threshold))
 
@@ -167,157 +173,108 @@ def identity_structure_nodes(psi: ProductStructureField, tol: float = 1e-8) -> i
     return count
 
 
-def check_psi_algebra(psi: ProductStructureField, g: MetricField,
+def _records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
+    return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
+                                for name, resid in named))
+
+
+def check_psi_algebra(geom: Geometry,
                       tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Symmetry, adjointness and involution residuals (exact linear algebra)."""
     tolerances = tolerances or ToleranceModel()
-    same_grid(psi.f, g)
-    grid = psi.grid
-    n, p = psi.n, psi.p
-    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
-    gv = g.values
-
-    gf = np.einsum("...kj,...ki->...ij", gv, f)          # g(f d_i, d_j)
-    res_f = gf - np.swapaxes(gf, -1, -2)
-    res_lam = lam - np.swapaxes(lam, -1, -2)
-    res_adj = u - np.einsum("...ij,...ja->...ai", gv, big_u)
-    res_inv_t = np.concatenate([
-        (np.einsum("...ik,...kj->...ij", f, f)
-         + np.einsum("...ia,...aj->...ij", big_u, u) - np.eye(n)).reshape(grid.dims + (-1,)),
-        (np.einsum("...ik,...ka->...ia", f, big_u)
-         + np.einsum("...ia,...ab->...ib", big_u, lam)).reshape(grid.dims + (-1,)),
-    ], axis=-1)
-    res_inv_b = np.concatenate([
-        (np.einsum("...ak,...kj->...aj", u, f)
-         + np.einsum("...ab,...bj->...aj", lam, u)).reshape(grid.dims + (-1,)),
-        (np.einsum("...ak,...kb->...ab", u, big_u)
-         + np.einsum("...ac,...cb->...ab", lam, lam) - np.eye(p)).reshape(grid.dims + (-1,)),
-    ], axis=-1)
+    psi = geom.psi
+    n = psi.n
+    gf = geom.f_lowered                                  # g(f d_i, d_j)
+    lam = psi.lam.values
+    block = psi.block_matrix()
+    square = block @ block - np.eye(block.shape[-1])
 
     n_id = identity_structure_nodes(psi)
     if n_id:
         warnings.warn(f"structure within 1e-8 of plus/minus identity at {n_id} node(s); "
                       "such data is outside the reconstructible class", StructureWarning)
 
-    records = tuple(
-        make_record(name, resid, grid, tolerances.threshold(name, grid))
-        for name, resid in (
-            ("psi_f_symmetric", res_f),
-            ("psi_lambda_symmetric", res_lam),
-            ("psi_u_U_adjoint", res_adj),
-            ("psi_involution_tangent", res_inv_t),
-            ("psi_involution_bundle", res_inv_b),
-        ))
-    return ResidualReport(records)
+    return _records(
+        geom.grid, tolerances,
+        ("psi_f_symmetric", gf - np.swapaxes(gf, -1, -2)),
+        ("psi_lambda_symmetric", lam - np.swapaxes(lam, -1, -2)),
+        ("psi_u_U_adjoint",
+         psi.u.values - np.swapaxes(geom.metric.values @ psi.big_u.values, -1, -2)),
+        ("psi_involution_tangent", square[..., :n, :]),
+        ("psi_involution_bundle", square[..., n:, :]))
 
 
-def check_psi_parallel(psi: ProductStructureField, g: MetricField, bundle: BundleData,
-                       sigma: SecondFormField,
+def check_psi_parallel(geom: Geometry,
                        tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Residuals of the four parallel-structure identities."""
     tolerances = tolerances or ToleranceModel()
-    same_grid(psi.f, g, bundle.omega, sigma)
-    grid = psi.grid
-    chris = christoffel(g)
-    shape_ops = shape_operator_field(sigma, g)          # (..., a, i, m)
-    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
-    sg = sigma.values
+    psi, chris, bundle = geom.psi, geom.chris, geom.bundle
+    # (..., m, i, a) = A[a, i, m] and (..., m, a, j) = sigma[m, j, a]
+    shape_t = np.swapaxes(geom.shape_ops, -3, -1)
+    sigma_t = np.swapaxes(geom.sigma.values, -1, -2)
+    f, u, big_u, lam = (blk.values[..., None, :, :]
+                        for blk in (psi.f, psi.u, psi.big_u, psi.lam))
 
-    d_f = sum_bundle_covariant_derivative(psi.f, chris, bundle).values
-    d_u = sum_bundle_covariant_derivative(psi.u, chris, bundle).values
-    d_big_u = sum_bundle_covariant_derivative(psi.big_u, chris, bundle).values
-    d_lam = sum_bundle_covariant_derivative(psi.lam, chris, bundle).values
-
-    res_f = (d_f - np.einsum("...aj,...aim->...mij", u, shape_ops)
-             - np.einsum("...ia,...mja->...mij", big_u, sg))
-    res_u = (d_u - np.einsum("...ab,...mjb->...maj", lam, sg)
-             + np.einsum("...mka,...kj->...maj", sg, f))
-    res_big_u = (d_big_u - np.einsum("...cb,...cim->...mib", lam, shape_ops)
-                 + np.einsum("...ik,...bkm->...mib", f, shape_ops))
-    res_lam = (d_lam + np.einsum("...mka,...kb->...mab", sg, big_u)
-               + np.einsum("...ak,...bkm->...mab", u, shape_ops))
-
-    records = tuple(
-        make_record(name, resid, grid, tolerances.threshold(name, grid))
-        for name, resid in (
-            ("psi_parallel_f", res_f),
-            ("psi_parallel_u", res_u),
-            ("psi_parallel_U", res_big_u),
-            ("psi_parallel_lambda", res_lam),
-        ))
-    return ResidualReport(records)
+    d_f, d_u, d_big_u, d_lam = (sum_bundle_covariant_derivative(blk, chris, bundle).values
+                                for blk in (psi.f, psi.u, psi.big_u, psi.lam))
+    return _records(
+        geom.grid, tolerances,
+        ("psi_parallel_f", d_f - shape_t @ u - big_u @ sigma_t),
+        ("psi_parallel_u", d_u - lam @ sigma_t + sigma_t @ f),
+        ("psi_parallel_U", d_big_u - shape_t @ lam + f @ shape_t),
+        ("psi_parallel_lambda", d_lam + sigma_t @ big_u + u @ shape_t))
 
 
-def check_gauss(g: MetricField, sigma: SecondFormField, psi: ProductStructureField,
+def check_gauss(geom: Geometry,
                 tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Curvature against shape-operator terms plus the structure source."""
     tolerances = tolerances or ToleranceModel()
-    same_grid(g, sigma, psi.f)
-    grid = g.grid
-    n = grid.ndim
-    riem = curvature_tensor(g).values                   # (..., i, r, m, n)
-    shape_ops = shape_operator_field(sigma, g)          # (..., a, i, m)
-    f = psi.f.values
-    gv = g.values
-    gf = np.einsum("...kr,...kn->...nr", gv, f)         # g(f d_n, d_r)
-    ident = np.eye(n)
-
-    rhs = (np.einsum("...nra,...aim->...irmn", sigma.values, shape_ops)
-           - np.einsum("...mra,...ain->...irmn", sigma.values, shape_ops)
-           + 0.5 * (np.einsum("...nr,...im->...irmn", gv, f)
-                    - np.einsum("...mr,...in->...irmn", gv, f)
-                    + np.einsum("...nr,im->...irmn", gf, ident)
-                    - np.einsum("...mr,in->...irmn", gf, ident)))
-    resid = riem - rhs
-    name = "gauss"
-    return ResidualReport((make_record(name, resid, grid,
-                                       tolerances.threshold(name, grid)),))
+    n = geom.grid.ndim
+    riem = curvature_tensor(geom.metric, geom.chris, geom.ginv).values   # (..., i, r, m, n)
+    shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., m, i, a) = A[a, i, m]
+    sigma_t = np.swapaxes(geom.sigma.values, -1, -2)     # (..., n, a, r) = sigma[n, r, a]
+    f_t = np.swapaxes(geom.psi.f.values, -1, -2)         # (..., m, i) = f[i, m]
+    gv, gf = geom.metric.values, geom.f_lowered          # (..., n, r)
+    # R[i, r, m, n] = A_(sigma(d_n, d_r)) d_m + (1/2)(g(d_n, d_r) f d_m + g(f d_n, d_r) d_m)
+    #                 - (m <-> n), laid out (m, n, i, r)
+    half = (shape_t[..., :, None, :, :] @ sigma_t[..., None, :, :, :]
+            + 0.5 * (f_t[..., :, None, :, None] * gv[..., None, :, None, :]
+                     + np.eye(n)[:, None, :, None] * gf[..., None, :, None, :]))
+    rhs = np.moveaxis(antisymmetrize(half), (-2, -1), (-4, -3))
+    return _records(geom.grid, tolerances, ("gauss", riem - rhs))
 
 
-def check_codazzi(g: MetricField, bundle: BundleData, sigma: SecondFormField,
-                  psi: ProductStructureField,
+def check_codazzi(geom: Geometry,
                   tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Antisymmetrized derivative of the second form against the u source."""
     tolerances = tolerances or ToleranceModel()
-    same_grid(g, bundle.omega, sigma, psi.u)
-    grid = g.grid
-    chris = christoffel(g)
-    d_sigma = sum_bundle_covariant_derivative(sigma, chris, bundle).values  # (...,m,i,j,a)
-    u = psi.u.values
-    gv = g.values
-    resid = (2.0 * (d_sigma - np.einsum("...mnra->...nmra", d_sigma))
-             - np.einsum("...nr,...am->...mnra", gv, u)
-             + np.einsum("...mr,...an->...mnra", gv, u))
-    name = "codazzi"
-    return ResidualReport((make_record(name, resid, grid,
-                                       tolerances.threshold(name, grid)),))
+    d_sigma = sum_bundle_covariant_derivative(geom.sigma, geom.chris,
+                                              geom.bundle).values   # (..., m, n, r, a)
+    u_t = np.swapaxes(geom.psi.u.values, -1, -2)        # (..., m, a) = u[a, m]
+    # 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) - (m <-> n)
+    half = 2.0 * d_sigma - geom.metric.values[..., None, :, :, None] * u_t[..., :, None, None, :]
+    return _records(geom.grid, tolerances, ("codazzi", antisymmetrize(half)))
 
 
-def check_ricci(g: MetricField, bundle: BundleData, sigma: SecondFormField,
+def check_ricci(geom: Geometry,
                 tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Bundle curvature against the shape-operator commutator."""
     tolerances = tolerances or ToleranceModel()
-    same_grid(g, bundle.omega, sigma)
-    grid = g.grid
-    curv = bundle_curvature(bundle).values              # (..., m, n, a, b)
-    shape_ops = shape_operator_field(sigma, g)          # (..., b, k, n)
-    rhs = (np.einsum("...kma,...bkn->...mnab", sigma.values, shape_ops)
-           - np.einsum("...kna,...bkm->...mnab", sigma.values, shape_ops))
-    resid = curv - rhs
-    name = "ricci"
-    return ResidualReport((make_record(name, resid, grid,
-                                       tolerances.threshold(name, grid)),))
+    curv = bundle_curvature(geom.bundle).values          # (..., m, n, a, b)
+    sigma_m = np.moveaxis(geom.sigma.values, -3, -1)     # (..., m, a, k) = sigma[k, m, a]
+    shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., n, k, b) = A[b, k, n]
+    half = sigma_m[..., :, None, :, :] @ shape_t[..., None, :, :, :]
+    return _records(geom.grid, tolerances, ("ricci", curv - antisymmetrize(half)))
 
 
-def check_all(g: MetricField, bundle: BundleData, sigma: SecondFormField,
-              psi: ProductStructureField,
+def check_all(geom: Geometry,
               tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Every structure-module check, merged into one report."""
     tolerances = tolerances or ToleranceModel()
     return ResidualReport.merge(
-        check_psi_algebra(psi, g, tolerances),
-        check_psi_parallel(psi, g, bundle, sigma, tolerances),
-        check_gauss(g, sigma, psi, tolerances),
-        check_codazzi(g, bundle, sigma, psi, tolerances),
-        check_ricci(g, bundle, sigma, tolerances),
+        check_psi_algebra(geom, tolerances),
+        check_psi_parallel(geom, tolerances),
+        check_gauss(geom, tolerances),
+        check_codazzi(geom, tolerances),
+        check_ricci(geom, tolerances),
     )

@@ -1,9 +1,12 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from prodimm.dataio import Dataset
 from prodimm.extract import AnalyticImmersion, default_tolerances, extract_all, fixture
 from prodimm.fields import ChartGrid
+from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
 
 
@@ -43,7 +46,7 @@ def flat_torus_f4(r1: float = 0.6, r2: float = 0.8):
 
 
 class FixtureBundle:
-    """One fixture extracted once per session, plus its rebuild."""
+    """One fixture extracted once per session, plus its geometry and its rebuild."""
 
     def __init__(self, name, grid=None, use_analytic=True, **params):
         if name == "F4":
@@ -53,18 +56,24 @@ class FixtureBundle:
             self.immersion, self.grid = fixture(name, grid=grid, **params)
         self.data = extract_all(self.immersion, self.grid, use_analytic=use_analytic)
         self.tolerances = default_tolerances(self.data)
-        self._recon = None
 
-    @property
+    @cached_property
+    def geom(self):
+        return Geometry.of(self.data)
+
+    @cached_property
     def recon(self):
-        if self._recon is None:
-            self._recon = reconstruct_immersion(
-                self.data.metric, self.data.bundle, self.data.sigma, self.data.psi,
-                tolerances=self.tolerances)
-        return self._recon
+        return reconstruct_immersion(self.geom, tolerances=self.tolerances)
 
     def dataset(self):
         return Dataset.from_extraction(self.data)
+
+
+def with_derived(geom: Geometry, **derived) -> Geometry:
+    """A fresh geometry of the same data whose named derived quantities are given."""
+    out = Geometry.of(geom)
+    vars(out).update(derived)   # a cached property reads the instance dict first
+    return out
 
 
 def refine(grid: ChartGrid) -> ChartGrid:

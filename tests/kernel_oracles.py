@@ -1,0 +1,242 @@
+"""Einsum forms of the batched kernels, kept as references for the matmul kernels.
+
+Each function spells a kernel of ``prodimm`` index by index, the way the
+package wrote it before its batched small-matrix products became ``@``; the
+tests compare the two on fixture data and on random data without the
+symmetries of real data, so a transposed operand cannot hide.  The oracles
+call each other, never the kernels they check; ``fields.grad_field`` and
+``fields.hessian_field`` (stencils, no products) are shared.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from prodimm.fields import grad_field, hessian_field
+from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
+from prodimm.structure import ResidualReport, make_record
+
+
+def christoffel(g) -> np.ndarray:
+    dg = grad_field(g.grid, g.values)
+    ginv = np.linalg.inv(g.values)
+    return 0.5 * (np.einsum("...lr,...mrn->...lmn", ginv, dg)
+                  + np.einsum("...lr,...nrm->...lmn", ginv, dg)
+                  - np.einsum("...lr,...rmn->...lmn", ginv, dg))
+
+
+def curvature_tensor(g) -> np.ndarray:
+    ga = christoffel(g)
+    ginv = np.linalg.inv(g.values)
+    dg = grad_field(g.grid, g.values)
+    ddg = hessian_field(g.grid, g.values)
+    dginv = -np.einsum("...la,...mab,...br->...mlr", ginv, dg, ginv)
+    braces = (np.einsum("...nrs->...nrs", dg) + np.einsum("...srn->...nrs", dg)
+              - np.einsum("...rns->...nrs", dg))
+    dbraces = (np.einsum("...mnrs->...mnrs", ddg) + np.einsum("...msrn->...mnrs", ddg)
+               - np.einsum("...mrns->...mnrs", ddg))
+    dga = 0.5 * (np.einsum("...mlr,...nrs->...mlns", dginv, braces)
+                 + np.einsum("...lr,...mnrs->...mlns", ginv, dbraces))
+    return (np.einsum("...mlns->...lsmn", dga) - np.einsum("...nlms->...lsmn", dga)
+            + np.einsum("...lmr,...rns->...lsmn", ga, ga)
+            - np.einsum("...lnr,...rms->...lsmn", ga, ga))
+
+
+def connection_curvature(grid, om) -> np.ndarray:
+    dom = grad_field(grid, om)
+    return (dom - np.einsum("...mnab->...nmab", dom)
+            + np.einsum("...mac,...ncb->...mnab", om, om)
+            - np.einsum("...nac,...mcb->...mnab", om, om))
+
+
+def shape_operator_field(sigma, g) -> np.ndarray:
+    return np.einsum("...ik,...kja->...aij", np.linalg.inv(g.values), sigma.values)
+
+
+def covariant_derivative(field, ga, om) -> np.ndarray:
+    """Sum-bundle covariant derivative; ``ga`` the Christoffel array, ``om`` the bundle's."""
+    vals = field.values
+    out = grad_field(field.grid, vals)
+    letters = "abcdefg"[:len(field.index_spec)]
+    for j, kind in enumerate(field.index_spec):
+        s = letters[j]
+        mod = letters[:j] + "z" + letters[j + 1:]
+        if kind == "tu":
+            corr = np.einsum(f"...zm{s},...{letters}->...m{mod}", ga, vals)
+        elif kind == "td":
+            corr = -np.einsum(f"...{s}mz,...{letters}->...m{mod}", ga, vals)
+        elif kind == "bu":
+            corr = np.einsum(f"...mz{s},...{letters}->...m{mod}", om, vals)
+        else:
+            corr = -np.einsum(f"...m{s}z,...{letters}->...m{mod}", om, vals)
+        out = out + corr
+    return out
+
+
+def _report(grid, tolerances, *named):
+    return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
+                                for name, resid in named))
+
+
+def check_psi_algebra(g, psi, tolerances) -> ResidualReport:
+    grid = g.grid
+    n, p = psi.n, psi.p
+    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
+    gv = g.values
+    gf = np.einsum("...kj,...ki->...ij", gv, f)
+    flat = grid.dims + (-1,)
+    res_inv_t = np.concatenate([
+        (np.einsum("...ik,...kj->...ij", f, f)
+         + np.einsum("...ia,...aj->...ij", big_u, u) - np.eye(n)).reshape(flat),
+        (np.einsum("...ik,...ka->...ia", f, big_u)
+         + np.einsum("...ia,...ab->...ib", big_u, lam)).reshape(flat)], axis=-1)
+    res_inv_b = np.concatenate([
+        (np.einsum("...ak,...kj->...aj", u, f)
+         + np.einsum("...ab,...bj->...aj", lam, u)).reshape(flat),
+        (np.einsum("...ak,...kb->...ab", u, big_u)
+         + np.einsum("...ac,...cb->...ab", lam, lam) - np.eye(p)).reshape(flat)], axis=-1)
+    return _report(grid, tolerances,
+                   ("psi_f_symmetric", gf - np.swapaxes(gf, -1, -2)),
+                   ("psi_lambda_symmetric", lam - np.swapaxes(lam, -1, -2)),
+                   ("psi_u_U_adjoint", u - np.einsum("...ij,...ja->...ai", gv, big_u)),
+                   ("psi_involution_tangent", res_inv_t),
+                   ("psi_involution_bundle", res_inv_b))
+
+
+def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> ResidualReport:
+    ga = christoffel(g)
+    om = bundle.omega.values
+    shape_ops = shape_operator_field(sigma, g)
+    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
+    sg = sigma.values
+    d_f, d_u, d_big_u, d_lam = (covariant_derivative(blk, ga, om)
+                                for blk in (psi.f, psi.u, psi.big_u, psi.lam))
+    return _report(
+        g.grid, tolerances,
+        ("psi_parallel_f", d_f - np.einsum("...aj,...aim->...mij", u, shape_ops)
+         - np.einsum("...ia,...mja->...mij", big_u, sg)),
+        ("psi_parallel_u", d_u - np.einsum("...ab,...mjb->...maj", lam, sg)
+         + np.einsum("...mka,...kj->...maj", sg, f)),
+        ("psi_parallel_U", d_big_u - np.einsum("...cb,...cim->...mib", lam, shape_ops)
+         + np.einsum("...ik,...bkm->...mib", f, shape_ops)),
+        ("psi_parallel_lambda", d_lam + np.einsum("...mka,...kb->...mab", sg, big_u)
+         + np.einsum("...ak,...bkm->...mab", u, shape_ops)))
+
+
+def check_gauss(g, sigma, psi, tolerances) -> ResidualReport:
+    n = g.grid.ndim
+    shape_ops = shape_operator_field(sigma, g)
+    f, gv = psi.f.values, g.values
+    gf = np.einsum("...kr,...kn->...nr", gv, f)
+    ident = np.eye(n)
+    rhs = (np.einsum("...nra,...aim->...irmn", sigma.values, shape_ops)
+           - np.einsum("...mra,...ain->...irmn", sigma.values, shape_ops)
+           + 0.5 * (np.einsum("...nr,...im->...irmn", gv, f)
+                    - np.einsum("...mr,...in->...irmn", gv, f)
+                    + np.einsum("...nr,im->...irmn", gf, ident)
+                    - np.einsum("...mr,in->...irmn", gf, ident)))
+    return _report(g.grid, tolerances, ("gauss", curvature_tensor(g) - rhs))
+
+
+def check_codazzi(g, bundle, sigma, psi, tolerances) -> ResidualReport:
+    d_sigma = covariant_derivative(sigma, christoffel(g), bundle.omega.values)
+    u, gv = psi.u.values, g.values
+    resid = (2.0 * (d_sigma - np.einsum("...mnra->...nmra", d_sigma))
+             - np.einsum("...nr,...am->...mnra", gv, u)
+             + np.einsum("...mr,...an->...mnra", gv, u))
+    return _report(g.grid, tolerances, ("codazzi", resid))
+
+
+def check_ricci(g, bundle, sigma, tolerances) -> ResidualReport:
+    curv = connection_curvature(g.grid, bundle.omega.values)
+    shape_ops = shape_operator_field(sigma, g)
+    rhs = (np.einsum("...kma,...bkn->...mnab", sigma.values, shape_ops)
+           - np.einsum("...kna,...bkm->...mnab", sigma.values, shape_ops))
+    return _report(g.grid, tolerances, ("ricci", curv - rhs))
+
+
+def build_connection(g, bundle, sigma, psi) -> np.ndarray:
+    n, p = g.grid.ndim, bundle.rank
+    size = n + p + 2
+    i1, i2 = n + p, n + p + 1
+    chris = christoffel(g)
+    shape_ops = shape_operator_field(sigma, g)
+    f, u, gv = psi.f.values, psi.u.values, g.values
+    gf = np.einsum("...kj,...km->...mj", gv, f)
+    ident = np.eye(n)
+    om = np.zeros(g.grid.dims + (n, size, size))
+    om[..., :n, :n] = np.einsum("...kmj->...mkj", chris)
+    om[..., n:n + p, :n] = np.einsum("...mja->...maj", sigma.values)
+    om[..., i1, :n] = -0.5 * (gv + gf)
+    om[..., i2, :n] = 0.5 * (gv - gf)
+    om[..., :n, n:n + p] = -np.einsum("...bkm->...mkb", shape_ops)
+    om[..., n:n + p, n:n + p] = bundle.omega.values
+    om[..., i1, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
+    om[..., i2, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
+    om[..., :n, i1] = 0.5 * (ident + np.einsum("...km->...mk", f))
+    om[..., n:n + p, i1] = 0.5 * np.einsum("...am->...ma", u)
+    om[..., :n, i2] = 0.5 * (ident - np.einsum("...km->...mk", f))
+    om[..., n:n + p, i2] = -0.5 * np.einsum("...am->...ma", u)
+    return om
+
+
+def metric_compatibility(grid, om, gram) -> np.ndarray:
+    return (grad_field(grid, gram) - np.einsum("...mca,...cb->...mab", om, gram)
+            - np.einsum("...ac,...mcb->...mab", gram, om))
+
+
+def psi_tilde_parallel(grid, om, pt) -> np.ndarray:
+    return (grad_field(grid, pt) + np.einsum("...mac,...cb->...mab", om, pt)
+            - np.einsum("...ac,...mcb->...mab", pt, om))
+
+
+def gram_defect(s, gram, signature) -> np.ndarray:
+    return np.einsum("...ca,...cd,...db->...ab", s, gram, s) - signature
+
+
+def frame_points(s) -> np.ndarray:
+    """The rebuilt points read off frame columns: components of xi1~ + xi2~, timelike flipped."""
+    w = np.zeros(s.shape[-1])
+    w[-2], w[-1] = 1.0, -1.0
+    phi = np.einsum("...ji,j->...i", s, w)
+    phi[..., -1] *= -1.0
+    return phi
+
+
+def immersion_psi_field(s, gram) -> np.ndarray:
+    out = np.einsum("...ji,...jb->...ib", s, gram)
+    out[..., -1, :] *= -1.0
+    return out
+
+
+def verify_reconstruction(imm, frame, gauge, g, sigma, psi, tolerances) -> ResidualReport:
+    grid = imm.grid
+    n, p, k = gauge.n, gauge.p, imm.k
+    phi = imm.values
+    dphi = grad_field(grid, phi)
+    psi_map = immersion_psi_field(frame.values, gauge.gram)
+    normals = np.einsum("...ib->...bi", psi_map[..., :, n:n + p])
+    induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
+    res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
+    xi1, xi2 = product_normals(phi, k)
+    psi_dphi = psi_flip(dphi, k)
+    d2phi = hessian_field(grid, phi)
+    plus = minkowski_dot((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
+    minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
+    w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
+         - 0.5 * minus[..., None] * xi2[..., None, None, :])
+    w_tan = np.einsum("...rs,...mnN,...rN->...mns", np.linalg.inv(g.values), w,
+                      dphi * np.concatenate([np.ones(phi.shape[-1] - 1), [-1.0]]))
+    h_fd = w - np.einsum("...mns,...sN->...mnN", w_tan, dphi)
+    h_model = np.einsum("...mna,...aN->...mnN", sigma.values, normals)
+    res_psi_t = (psi_dphi - np.einsum("...km,...kN->...mN", psi.f.values, dphi)
+                 - np.einsum("...am,...aN->...mN", psi.u.values, normals))
+    res_psi_n = (psi_flip(normals, k)
+                 - np.einsum("...kb,...kN->...bN", psi.big_u.values, dphi)
+                 - np.einsum("...ab,...aN->...bN", psi.lam.values, normals))
+    return _report(grid, tolerances,
+                   ("reconstruction_isometry", induced - g.values),
+                   ("reconstruction_normal_orthogonality", res_orth),
+                   ("reconstruction_second_form", h_fd - h_model),
+                   ("reconstruction_psi_compat_tangent", res_psi_t),
+                   ("reconstruction_psi_compat_normal", res_psi_n))

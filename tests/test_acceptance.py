@@ -26,7 +26,7 @@ from prodimm.cli import check_dataset, main
 from prodimm.dataio import Dataset, save_dataset
 from prodimm.extract import extract_all, default_tolerances
 from prodimm.fields import BundleData, SecondFormField, TensorField, shape_operator_field
-from prodimm.flatbundle import FlatBundleGauge, build_connection, flatness_residual
+from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.lorentz import lorentz_orthonormalize
 from prodimm.reconstruct import (ImmersionField, align_congruence, edge_flow,
                                  immersion_psi_field, path_independence_residual,
@@ -56,8 +56,7 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
             fd = extract_all(fb.immersion, grid, use_analytic=False)
             exact = extract_all(fb.immersion, grid, use_analytic=True)
             for data in (fd, exact):
-                rep = check_all(data.metric, data.bundle, data.sigma, data.psi,
-                                default_tolerances(data))
+                rep = check_all(Geometry.of(data), default_tolerances(data))
                 worst = max(r.max_abs for r in rep.records)
                 ok = rep.passed and worst <= thr
                 all_ok &= _verdict(f"1 necessity {name} h={grid.h_max:.4g} "
@@ -85,9 +84,7 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
 # -- criterion 2 ------------------------------------------------------------
 
 def test_criterion_2_flatness_clean(f3):
-    data = f3.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    rec = flatness_residual(conn, f3.tolerances).records[0]
+    rec = flatness_residual(f3.geom, f3.tolerances).records[0]
     thr = 10 * f3.grid.h_max**2
     ok = rec.passed and rec.max_abs <= thr
     assert _verdict("2 flatness F3 64x64", ok, f"max={rec.max_abs:.2e} thr={thr:.1e}")
@@ -97,8 +94,8 @@ def test_criterion_2_flatness_detects_scaled_sigma(f4, tmp_path):
     data = f4.data
 
     def flatness_and_exit(sigma, label):
-        conn = build_connection(data.metric, data.bundle, sigma, data.psi)
-        rec = flatness_residual(conn, f4.tolerances).records[0]
+        rec = flatness_residual(Geometry(data.metric, data.bundle, sigma, data.psi),
+                                f4.tolerances).records[0]
         ds = Dataset(grid=f4.grid, p=2, metric=data.metric, bundle=data.bundle,
                      sigma=sigma, psi=data.psi, tolerances=f4.tolerances, meta={})
         path = tmp_path / f"f4_{label}.json"
@@ -178,15 +175,14 @@ def test_criterion_5_rebuild_verification(f1, f2, f3):
 # -- criterion 6 ------------------------------------------------------------
 
 def test_criterion_6_uniqueness_up_to_isometry(f2):
-    data = f2.data
     res = f2.recon
     k = res.k
     angle = 0.4
     rot = np.eye(k + 1)
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1], rot[1, 0] = -np.sin(angle), np.sin(angle)
-    res_rot = reconstruct_immersion(data.metric, data.bundle, data.sigma, data.psi,
-                                    tolerances=f2.tolerances, initial_rotation=rot)
+    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances,
+                                    initial_rotation=rot)
     out = align_congruence(res_rot.immersion,
                            immersion_psi_field(res_rot.frame, res_rot.gauge),
                            res.immersion, immersion_psi_field(res.frame, res.gauge))
@@ -205,11 +201,11 @@ def test_criterion_6_uniqueness_up_to_isometry(f2):
 
 def _trio_and_path(fb, metric, bundle, sigma, psi):
     tol = fb.tolerances
-    g_ = check_gauss(metric, sigma, psi, tol).records[0].max_abs
-    c_ = check_codazzi(metric, bundle, sigma, psi, tol).records[0].max_abs
-    r_ = check_ricci(metric, bundle, sigma, tol).records[0].max_abs
-    conn = build_connection(metric, bundle, sigma, psi)
-    p_ = path_independence_residual(conn, tol).records[0].max_abs
+    geom = Geometry(metric, bundle, sigma, psi)
+    g_ = check_gauss(geom, tol).records[0].max_abs
+    c_ = check_codazzi(geom, tol).records[0].max_abs
+    r_ = check_ricci(geom, tol).records[0].max_abs
+    p_ = path_independence_residual(geom.connection, tol).records[0].max_abs
     return np.array([g_, c_, r_]), p_
 
 

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from prodimm import fields, flatbundle
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
@@ -48,6 +50,8 @@ def test_check_passes_on_fixture(f1_dataset_path, tmp_path):
     assert report.passed
     assert {"gauss", "codazzi", "ricci", "bundle_flatness"} <= \
         {r.name for r in report.checks}
+    assert set(report.timings) == {"structure", "connection", "flat_bundle"}
+    assert all(seconds >= 0.0 for seconds in report.timings.values())
 
 
 def test_check_table_follows_redirected_stdout(f1_dataset_path):
@@ -89,6 +93,7 @@ def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
     assert coords.shape == (200, 1) and values.shape == (200, 4)
     report = load_report(str(mesh) + ".report.json")
     assert report.reconstruction["k"] == 1
+    assert set(report.timings) == {"setup", "transport", "assemble", "verify"}
     assert report.reconstruction["on_product_defect"] < 1e-6
     x = values[:, :2]
     assert np.abs((x**2).sum(axis=1) - 1.0).max() < 1e-6
@@ -109,6 +114,34 @@ def test_reconstruct_refuses_then_forces(f1_dataset_path, tmp_path):
     assert mesh.exists()   # rebuild proceeded, report carries the failures
     report = load_report(str(mesh) + ".report.json")
     assert not report.passed
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` made through any prodimm module that holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("prodimm"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_command_derives_the_geometry_once(f1_dataset_path, tmp_path, monkeypatch):
+    chris = _count_calls(monkeypatch, fields, "christoffel")
+    conn = _count_calls(monkeypatch, flatbundle, "build_connection")
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(tmp_path / "f1.csv")]) == 0
+    assert (len(chris), len(conn)) == (1, 1)
+    chris.clear()
+    conn.clear()
+    assert main(["roundtrip", "--fixture", "F3", "--grid", "17x17"]) == 0
+    assert (len(chris), len(conn)) == (1, 1)
 
 
 def test_roundtrip_f1_and_f2(tmp_path):
@@ -144,7 +177,11 @@ def test_report_determinism(f1_dataset_path, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["check", str(f1_dataset_path), "--report", str(r1)]) == 0
     assert main(["check", str(f1_dataset_path), "--report", str(r2)]) == 0
-    assert r1.read_text() == r2.read_text()
+    # everything but the wall-clock timings is reproduced exactly
+    docs = [json.loads(path.read_text()) for path in (r1, r2)]
+    timings = [doc.pop("timings") for doc in docs]
+    assert timings[0].keys() == timings[1].keys()
+    assert docs[0] == docs[1]
 
 
 def test_tolerance_override_flag(f1_dataset_path):

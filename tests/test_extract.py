@@ -7,6 +7,7 @@ from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all,
                              induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid
 from prodimm.lorentz import minkowski_dot
+from prodimm.flatbundle import Geometry
 from prodimm.structure import check_all
 
 from conftest import FixtureBundle, refine
@@ -159,8 +160,7 @@ def test_normal_connection_trivial_on_fixtures(f1, f2):
 
 def _necessity(imm, grid, use_analytic=True):
     data = extract_all(imm, grid, use_analytic)
-    return check_all(data.metric, data.bundle, data.sigma, data.psi,
-                     default_tolerances(data))
+    return check_all(Geometry.of(data), default_tolerances(data))
 
 
 def test_verify_necessity_all_fixtures(f1, f2, f3):

@@ -2,27 +2,25 @@ import numpy as np
 import pytest
 
 from prodimm.errors import ExclusionError, StructureError
-from prodimm.fields import ChartGrid
-from prodimm.flatbundle import (FlatBundleConnection, FlatBundleGauge, build_connection,
-                                build_psi_tilde, eigen_split,
+from prodimm.fields import ChartGrid, SecondFormField
+from prodimm.flatbundle import (FlatBundleConnection, FlatBundleGauge, Geometry, PsiTildeField,
+                                build_connection, build_psi_tilde, eigen_split,
                                 flatness_residual, metric_compatibility_residual,
                                 psi_tilde_parallel_residual)
 from prodimm.structure import ToleranceModel
 
+from conftest import with_derived
 from test_structure import constant_structure
 
 
 @pytest.fixture()
 def trivial():
     grid = ChartGrid(dims=(16,), spacing=(0.05,), origin=(0.0,))
-    g, bundle, sigma, psi = constant_structure(grid)
-    conn = build_connection(g, bundle, sigma, psi)
-    gauge = FlatBundleGauge.from_metric(g, 1)
-    return grid, g, bundle, sigma, psi, conn, gauge
+    return Geometry(*constant_structure(grid))
 
 
 def test_connection_matches_hand_assembly(trivial):
-    _, _, _, _, psi, conn, _ = trivial
+    conn = trivial.connection
     f, u = -0.28, 0.96
     expected = np.array([
         [0.0, 0.0, (1 + f) / 2, (1 - f) / 2],
@@ -35,7 +33,7 @@ def test_connection_matches_hand_assembly(trivial):
 
 def test_connection_xi1_row_formula(f2):
     data = f2.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
+    conn = build_connection(f2.geom)
     gv = data.metric.values
     gf = np.einsum("...kj,...km->...mj", gv, data.psi.f.values)
     i1 = 1 + 2  # n + p
@@ -44,60 +42,48 @@ def test_connection_xi1_row_formula(f2):
 
 
 def test_connection_rebuild_is_bit_identical(f3):
-    data = f3.data
-    a = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    b = build_connection(data.metric, data.bundle, data.sigma, data.psi)
+    a = build_connection(Geometry.of(f3.data))
+    b = build_connection(Geometry.of(f3.data))
     assert np.array_equal(a.values, b.values)
 
 
 def test_metric_compatibility_trivial_exact(trivial):
-    _, _, _, _, _, conn, gauge = trivial
-    rec = metric_compatibility_residual(conn, gauge).records[0]
+    rec = metric_compatibility_residual(trivial).records[0]
     assert rec.max_abs <= 1e-12
 
 
 def test_metric_compatibility_fixtures(f1, f2, f3):
     for fb in (f1, f2, f3):
-        data = fb.data
-        conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-        gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
-        rec = metric_compatibility_residual(conn, gauge, fb.tolerances).records[0]
+        rec = metric_compatibility_residual(fb.geom, fb.tolerances).records[0]
         assert rec.max_abs <= 10 * fb.grid.h_max**2
 
 
 def test_metric_compatibility_detects_dropped_term(f1):
-    data = f1.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
     n, p = 1, 1
-    values = conn.values.copy()
+    values = f1.geom.connection.values.copy()
     values[..., n + p, n:n + p] = 0.0   # drop the bundle coupling into xi1~
     values[..., n + p + 1, n:n + p] = 0.0
-    rec = metric_compatibility_residual(FlatBundleConnection(f1.grid, values),
-                                        gauge, f1.tolerances).records[0]
+    rec = metric_compatibility_residual(
+        with_derived(f1.geom, connection=FlatBundleConnection(f1.grid, values)),
+        f1.tolerances).records[0]
     assert not rec.passed
     assert rec.max_abs >= 0.4  # the dropped coupling has size |u| ~ 0.96
 
 
 def test_flatness_vacuous_on_curves(f1):
-    data = f1.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    rec = flatness_residual(conn, f1.tolerances).records[0]
+    rec = flatness_residual(f1.geom, f1.tolerances).records[0]
     assert rec.passed and rec.max_abs == 0.0
 
 
 def test_flatness_surface_and_detection(f3):
     data = f3.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    rec = flatness_residual(conn, f3.tolerances).records[0]
+    rec = flatness_residual(f3.geom, f3.tolerances).records[0]
     assert rec.passed
     assert rec.max_abs <= 10 * f3.grid.h_max**2
-    from prodimm.fields import SecondFormField
     sg = data.sigma.values.copy()
     sg[..., 1, 1, 0] += 1e-2   # the Gauss-coupled slot
-    conn_bad = build_connection(data.metric, data.bundle,
-                                SecondFormField(f3.grid, sg), data.psi)
-    rec_bad = flatness_residual(conn_bad, f3.tolerances).records[0]
+    bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg), data.psi)
+    rec_bad = flatness_residual(bad, f3.tolerances).records[0]
     assert not rec_bad.passed
     assert rec_bad.max_abs >= 5e-3
 
@@ -115,25 +101,17 @@ def test_psi_tilde_blocks(f2):
 
 
 def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
-    _, _, _, _, psi, conn, _ = trivial
-    rec = psi_tilde_parallel_residual(conn, build_psi_tilde(psi)).records[0]
+    rec = psi_tilde_parallel_residual(trivial).records[0]
     assert rec.max_abs <= 1e-12
     for fb in (f1, f2, f3):
-        data = fb.data
-        c = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-        rec = psi_tilde_parallel_residual(c, build_psi_tilde(data.psi),
-                                          fb.tolerances).records[0]
+        rec = psi_tilde_parallel_residual(fb.geom, fb.tolerances).records[0]
         assert rec.max_abs <= 10 * fb.grid.h_max**2
 
 
 def test_psi_tilde_parallel_detects_lambda_shift(f2):
-    data = f2.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    pt = build_psi_tilde(data.psi)
-    vals = pt.values.copy()
+    vals = f2.geom.psi_tilde.values.copy()
     vals[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
-    from prodimm.flatbundle import PsiTildeField
-    rec = psi_tilde_parallel_residual(conn, PsiTildeField(f2.grid, vals),
+    rec = psi_tilde_parallel_residual(with_derived(f2.geom, psi_tilde=PsiTildeField(f2.grid, vals)),
                                       f2.tolerances).records[0]
     assert not rec.passed
 

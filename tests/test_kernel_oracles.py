@@ -1,0 +1,161 @@
+"""The matmul kernels against their einsum oracles in ``kernel_oracles.py``.
+
+Every kernel is compared on F3 and on random data with none of the symmetries
+of real data (non-symmetric f and lambda, independent u and U, a non-skew big
+connection, a non-symmetric psi~ and gauge), on a 2-dim chart with p = 3 and a
+3-dim chart with p = 2, so a transposed operand or a swapped index cannot hide.
+"""
+
+import numpy as np
+import pytest
+
+import kernel_oracles as oracle
+from conftest import with_derived
+from prodimm import fields, flatbundle, structure
+from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
+from prodimm.flatbundle import FlatBundleConnection, FlatBundleGauge, Geometry, PsiTildeField
+from prodimm.reconstruct import (ImmersionField, ParallelFrameField, assemble_immersion,
+                                 immersion_psi_field, verify_reconstruction)
+from prodimm.structure import ProductStructureField, ToleranceModel, make_record
+
+REL = 1e-13
+
+
+def assert_close(new, ref, label):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape, label
+    scale = max(float(np.abs(ref).max()), 1.0)
+    assert np.abs(new - ref).max() <= REL * scale, label
+
+
+def assert_reports_close(new, ref):
+    assert new.names() == ref.names()
+    for a, b in zip(new.records, ref.records):
+        for x, y in ((a.max_abs, b.max_abs), (a.mean_abs, b.mean_abs)):
+            assert abs(x - y) <= REL * max(abs(y), 1.0), (a.name, x, y)
+
+
+def random_geometry(seed: int, dims: tuple, p: int) -> Geometry:
+    """Seeded data of the right slot kinds, with no symmetry the kinds do not impose."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    grid = ChartGrid(dims=dims, spacing=tuple(0.1 + 0.05 * a for a in range(n)),
+                     origin=(0.0,) * n)
+    a = rng.normal(size=dims + (n, n))
+    metric = MetricField(grid, a @ np.swapaxes(a, -1, -2) + 2.0 * np.eye(n))
+    s = rng.normal(size=dims + (n, n, p))
+    sigma = SecondFormField(grid, s + np.swapaxes(s, -3, -2))
+    om = rng.normal(size=dims + (n, p, p))
+    bundle = BundleData(rank=p, omega=TensorField(grid, ("td", "bu", "bd"),
+                                                  om - np.swapaxes(om, -1, -2)))
+    psi = ProductStructureField(
+        f=TensorField(grid, ("tu", "td"), rng.normal(size=dims + (n, n))),
+        u=TensorField(grid, ("bu", "td"), rng.normal(size=dims + (p, n))),
+        big_u=TensorField(grid, ("tu", "bd"), rng.normal(size=dims + (n, p))),
+        lam=TensorField(grid, ("bu", "bd"), rng.normal(size=dims + (p, p))))
+    return Geometry(metric, bundle, sigma, psi)
+
+
+def with_random_bundle(geom: Geometry, seed: int) -> Geometry:
+    """A copy whose gauge, big connection and psi~ are random, non-symmetric matrices."""
+    rng = np.random.default_rng(seed)
+    grid, n, p = geom.grid, geom.grid.ndim, geom.p
+    size = n + p + 2
+    return with_derived(
+        geom,
+        gauge=FlatBundleGauge(grid, n, p, rng.normal(size=grid.dims + (size, size))),
+        connection=FlatBundleConnection(grid, rng.normal(size=grid.dims + (n, size, size))),
+        psi_tilde=PsiTildeField(grid, rng.normal(size=grid.dims + (size, size))))
+
+
+CASES = ("f3", "random2", "random3")
+
+
+@pytest.fixture(params=CASES)
+def geom(request, f3):
+    if request.param == "f3":
+        return Geometry.of(f3.data)
+    if request.param == "random2":
+        return random_geometry(11, (7, 8), p=3)
+    return random_geometry(12, (5, 6, 7), p=2)
+
+
+def test_field_kernels_match_oracles(geom):
+    g, sigma, bundle = geom.metric, geom.sigma, geom.bundle
+    assert_close(fields.christoffel(g).values, oracle.christoffel(g), "christoffel")
+    assert_close(fields.curvature_tensor(g).values, oracle.curvature_tensor(g), "riemann")
+    assert_close(fields.shape_operator_field(sigma, g), oracle.shape_operator_field(sigma, g),
+                 "shape operators")
+    big = with_random_bundle(geom, 5).connection.values
+    assert_close(fields.connection_curvature(geom.grid, big),
+                 oracle.connection_curvature(geom.grid, big), "connection curvature")
+    chris = fields.christoffel(g)
+    for blk in (geom.psi.f, geom.psi.u, geom.psi.big_u, geom.psi.lam, sigma):
+        assert_close(fields.sum_bundle_covariant_derivative(blk, chris, bundle).values,
+                     oracle.covariant_derivative(blk, chris.values, bundle.omega.values),
+                     f"covariant derivative {blk.index_spec}")
+
+
+def test_structure_checks_match_oracles(geom):
+    tol = ToleranceModel()
+    g, bundle, sigma, psi = geom.metric, geom.bundle, geom.sigma, geom.psi
+    assert_reports_close(structure.check_psi_algebra(geom, tol),
+                         oracle.check_psi_algebra(g, psi, tol))
+    assert_reports_close(structure.check_psi_parallel(geom, tol),
+                         oracle.check_psi_parallel(g, bundle, sigma, psi, tol))
+    assert_reports_close(structure.check_gauss(geom, tol),
+                         oracle.check_gauss(g, sigma, psi, tol))
+    assert_reports_close(structure.check_codazzi(geom, tol),
+                         oracle.check_codazzi(g, bundle, sigma, psi, tol))
+    assert_reports_close(structure.check_ricci(geom, tol),
+                         oracle.check_ricci(g, bundle, sigma, tol))
+
+
+def test_flat_bundle_kernels_match_oracles(geom):
+    tol = ToleranceModel()
+    grid = geom.grid
+    assert_close(flatbundle.build_connection(geom).values,
+                 oracle.build_connection(geom.metric, geom.bundle, geom.sigma, geom.psi),
+                 "big connection")
+    for case in (geom, with_random_bundle(geom, 6)):
+        om, gram = case.connection.values, case.gauge.gram
+        want = make_record("bundle_metric_compatibility",
+                           oracle.metric_compatibility(grid, om, gram), grid,
+                           tol.threshold("bundle_metric_compatibility", grid))
+        assert_reports_close(flatbundle.metric_compatibility_residual(case, tol),
+                             structure.ResidualReport((want,)))
+        want = make_record("psi_tilde_parallel",
+                           oracle.psi_tilde_parallel(grid, om, case.psi_tilde.values), grid,
+                           tol.threshold("psi_tilde_parallel", grid))
+        assert_reports_close(flatbundle.psi_tilde_parallel_residual(case, tol),
+                             structure.ResidualReport((want,)))
+
+
+def _random_rebuild(geom: Geometry, seed: int):
+    rng = np.random.default_rng(seed)
+    grid = geom.grid
+    size = grid.ndim + geom.p + 2
+    frame = ParallelFrameField(grid, rng.normal(size=grid.dims + (size, size)),
+                               (0,) * grid.ndim)
+    imm = ImmersionField(grid, k=1, values=rng.normal(size=grid.dims + (size,)),
+                         base_node=frame.base_node, on_product_defect=0.0)
+    return imm, frame
+
+
+def test_rebuild_kernels_match_oracles(geom, f3):
+    tol = ToleranceModel()
+    if geom.grid == f3.grid:
+        imm, frame, case = f3.recon.immersion, f3.recon.frame, f3.geom
+        assert_close(assemble_immersion(frame, imm.k).values, oracle.frame_points(frame.values),
+                     "rebuilt points")
+    else:
+        imm, frame = _random_rebuild(geom, 7)
+        case = with_random_bundle(geom, 8)
+    gauge = case.gauge
+    assert_close(frame.gram_defect(gauge),
+                 oracle.gram_defect(frame.values, gauge.gram, gauge.signature), "gram defect")
+    assert_close(immersion_psi_field(frame, gauge),
+                 oracle.immersion_psi_field(frame.values, gauge.gram), "frame isomorphism")
+    assert_reports_close(verify_reconstruction(imm, frame, case, tol),
+                         oracle.verify_reconstruction(imm, frame, gauge, case.metric,
+                                                      case.sigma, case.psi, tol))

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError,
                             InsufficientDataError)
-from prodimm.lorentz import (AmbientFrame, eta, gram_schmidt, lorentz_orthonormalize,
+from prodimm.lorentz import (AmbientFrame, eta, gram_schmidt, lorentz_orthonormalize, lower,
                              minkowski_dot, minkowski_gram_schmidt)
 
 from ambient_oracles import (ProductPoint, ambient_connection_relation_residual,
@@ -29,6 +29,21 @@ def test_minkowski_dot_dimension_errors():
         minkowski_dot([1, 0, 0], [1, 0])
     with pytest.raises(DimensionError):
         minkowski_dot([1.0], [1.0])
+
+
+def test_lower_is_eta_along_one_axis():
+    rng = np.random.default_rng(3)
+    vecs = rng.normal(size=(5, 3, 4))
+    before = vecs.copy()
+    low = lower(vecs)
+    assert np.array_equal(vecs, before)             # a copy; the input is untouched
+    assert np.array_equal(low, vecs @ eta(4))
+    assert np.allclose(vecs @ np.swapaxes(low, -1, -2),
+                       minkowski_dot(vecs[:, :, None, :], vecs[:, None, :, :]),
+                       rtol=0, atol=1e-14)
+    cols = np.swapaxes(vecs, -1, -2)                # (5, 4, 3): vectors as columns
+    assert np.array_equal(lower(cols, axis=-2), eta(4) @ cols)
+    assert np.array_equal(lower(lower(vecs)), vecs)
 
 
 @given(x=vec4, y=vec4, z=vec4, a=finite)

@@ -4,8 +4,8 @@ import scipy.integrate
 import scipy.linalg
 
 from prodimm.errors import ReconstructionError, StructureError
-from prodimm.fields import ChartGrid
-from prodimm.flatbundle import FlatBundleConnection, FlatBundleGauge, build_connection
+from prodimm.fields import ChartGrid, SecondFormField
+from prodimm.flatbundle import FlatBundleConnection, Geometry
 from prodimm.reconstruct import (align_congruence, assemble_immersion, edge_flow,
                                  immersion_psi_field, initial_frame_from_split,
                                  path_independence_residual,
@@ -35,9 +35,7 @@ def test_edge_flow_matches_matrix_exponential():
 
 
 def test_edge_transport_orthonormality_drift(f1):
-    data = f1.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
+    conn, gauge = f1.geom.connection, f1.geom.gauge
     h = f1.grid.spacing[0]
     eta = gauge.signature
     frame = np.eye(gauge.size)
@@ -98,9 +96,7 @@ def _transport_cases(f2_fd, f3):
     manufactured connection (no gauge: it is not Lorentz-orthogonal).
     """
     for fb, bases in ((f2_fd, [(0,)]), (f3, [(0, 0), (21, 40)])):
-        data = fb.data
-        conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-        gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
+        conn, gauge = fb.geom.connection, fb.geom.gauge
         frame0 = fb.recon.frame.values[fb.recon.immersion.base_node]
         orders = [None] if fb.grid.ndim == 1 else [(0, 1), (1, 0)]
         for base in bases:
@@ -155,10 +151,9 @@ def test_frame_records_locate_their_worst_node(f3):
     res = f3.recon
     base = res.immersion.base_node
     s = res.frame.values
-    gram = np.einsum("...ca,...cd,...db->...ab", s, res.gauge.gram, s)
     alt = sweep_parallel_frame(res.connection, s[base], base_node=base, axis_order=(1, 0))
     nodewise = {
-        "frame_orthonormality": np.abs(gram - res.gauge.signature).max(axis=(-1, -2)),
+        "frame_orthonormality": np.abs(res.frame.gram_defect(res.gauge)).max(axis=(-1, -2)),
         "reconstruction_on_product": product_defect(res.immersion.values, res.k),
         "sweep_cross_check": np.abs(alt.values - s).max(axis=(-1, -2)),
     }
@@ -188,7 +183,19 @@ def test_assemble_rejects_off_product(f2):
     broken = type(frame)(grid=frame.grid, values=1.01 * frame.values,
                          base_node=frame.base_node)
     with pytest.raises(ReconstructionError):
-        assemble_immersion(broken, res.gauge, res.k, tol=1e-8)
+        assemble_immersion(broken, res.k, tol=1e-8)
+
+
+def test_assemble_names_a_nan_node(f1):
+    res = f1.recon
+    values = res.frame.values.copy()
+    values[57] = np.nan
+    broken = type(res.frame)(grid=res.frame.grid, values=values,
+                             base_node=res.frame.base_node)
+    for tol in (1e-8, np.inf):
+        with pytest.raises(ReconstructionError, match="nan") as err:
+            assemble_immersion(broken, res.k, tol=tol)
+        assert err.value.node == (57,)
 
 
 def test_verify_reconstruction_residuals(f1, f2, f3):
@@ -207,12 +214,10 @@ def test_align_same_run_identity(f2):
 
 
 def test_align_recovers_block_rotation(f2):
-    data = f2.data
     res = f2.recon
     k = res.k
     rot = random_block_rotation(k + 1, seed=11)
-    res_rot = reconstruct_immersion(data.metric, data.bundle, data.sigma, data.psi,
-                                    tolerances=f2.tolerances, initial_rotation=rot)
+    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, initial_rotation=rot)
     out = align_congruence(res_rot.immersion,
                            immersion_psi_field(res_rot.frame, res_rot.gauge),
                            res.immersion,
@@ -239,11 +244,9 @@ def test_align_requires_matching_k(f2):
 
 
 def test_base_point_covariance(f2):
-    data = f2.data
     res0 = f2.recon
     mid = (f2.grid.dims[0] // 2,)
-    res_mid = reconstruct_immersion(data.metric, data.bundle, data.sigma, data.psi,
-                                    tolerances=f2.tolerances, base_node=mid)
+    res_mid = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, base_node=mid)
     assert res_mid.k == res0.k
     out = align_congruence(res_mid.immersion,
                            immersion_psi_field(res_mid.frame, res_mid.gauge),
@@ -254,9 +257,7 @@ def test_base_point_covariance(f2):
 
 
 def test_reorthonormalize_restores_frames(f1):
-    data = f1.data
-    res = reconstruct_immersion(data.metric, data.bundle, data.sigma, data.psi,
-                                tolerances=f1.tolerances, reorthonormalize=True)
+    res = reconstruct_immersion(f1.geom, tolerances=f1.tolerances, reorthonormalize=True)
     assert res.frame.orthonormality_defect(res.gauge) <= \
         f1.recon.frame.orthonormality_defect(res.gauge) + 1e-14
 
@@ -271,14 +272,12 @@ def test_reorthonormalize_frame_kernel():
 
 def test_path_independence_detects_incompatibility(f3):
     data = f3.data
-    conn = build_connection(data.metric, data.bundle, data.sigma, data.psi)
-    clean = path_independence_residual(conn, f3.tolerances).records[0].max_abs
-    from prodimm.fields import SecondFormField
+    clean = path_independence_residual(f3.geom.connection, f3.tolerances).records[0].max_abs
     eps = 1e-2
     sg = data.sigma.values.copy()
     sg[..., 1, 1, 0] += eps
-    conn_bad = build_connection(data.metric, data.bundle,
-                                SecondFormField(f3.grid, sg), data.psi)
+    conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
+                        data.psi).connection
     broken = path_independence_residual(conn_bad, f3.tolerances).records[0].max_abs
     assert broken - clean >= eps / 10
 

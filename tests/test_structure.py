@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prodimm.errors import GridMismatchError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
+from prodimm.flatbundle import Geometry
 from prodimm.structure import (ProductStructureField, StructureWarning, ToleranceModel,
                                check_all, check_codazzi, check_gauss, check_psi_algebra,
                                check_psi_parallel, check_ricci, identity_structure_nodes)
@@ -30,7 +33,7 @@ def flat_line():
 
 def test_constant_structure_passes_everything(flat_line):
     g, bundle, sigma, psi = constant_structure(flat_line)
-    report = check_all(g, bundle, sigma, psi, ToleranceModel())
+    report = check_all(Geometry(g, bundle, sigma, psi), ToleranceModel())
     assert report.passed
     for name in ("psi_parallel_f", "psi_parallel_u", "psi_parallel_U",
                  "psi_parallel_lambda"):
@@ -48,12 +51,12 @@ def test_identity_structure_warns(flat_line):
     )
     assert identity_structure_nodes(psi) == flat_line.n_nodes
     with pytest.warns(StructureWarning):
-        report = check_psi_algebra(psi, g)
+        report = check_psi_algebra(Geometry(g, bundle, sigma, psi))
     assert report["psi_involution_tangent"].passed  # diagnostic only, not a failure
 
 
 def test_psi_algebra_on_fixture_is_exact(f2):
-    report = check_psi_algebra(f2.data.psi, f2.data.metric)
+    report = check_psi_algebra(f2.geom)
     for rec in report.records:
         assert rec.max_abs <= 1e-10, rec.name
 
@@ -63,7 +66,7 @@ def test_psi_algebra_detects_scaled_f(f2):
     scaled = ProductStructureField(
         f=TensorField(f2.grid, ("tu", "td"), 1.01 * psi.f.values),
         u=psi.u, big_u=psi.big_u, lam=psi.lam)
-    report = check_psi_algebra(scaled, f2.data.metric)
+    report = check_psi_algebra(replace(f2.geom, psi=scaled))
     rec = report["psi_involution_tangent"]
     assert not rec.passed
     assert rec.max_abs == pytest.approx(0.0201, rel=1e-6)
@@ -71,12 +74,11 @@ def test_psi_algebra_detects_scaled_f(f2):
 
 def test_psi_algebra_grid_mismatch(f1, f2):
     with pytest.raises(GridMismatchError):
-        check_psi_algebra(f1.data.psi, f2.data.metric)
+        check_psi_algebra(replace(f2.geom, psi=f1.data.psi))
 
 
 def test_psi_parallel_totally_geodesic_fixture(f1):
-    report = check_psi_parallel(f1.data.psi, f1.data.metric, f1.data.bundle,
-                                f1.data.sigma, f1.tolerances)
+    report = check_psi_parallel(f1.geom, f1.tolerances)
     assert report.passed
     thr = 10 * f1.grid.h_max**2
     for rec in report.records:
@@ -91,21 +93,19 @@ def test_psi_parallel_detects_varying_u(f2):
     psi = ProductStructureField(f=f2.data.psi.f,
                                 u=TensorField(f2.grid, ("bu", "td"), uv),
                                 big_u=f2.data.psi.big_u, lam=f2.data.psi.lam)
-    report = check_psi_parallel(psi, f2.data.metric, f2.data.bundle, f2.data.sigma,
-                                f2.tolerances)
+    report = check_psi_parallel(replace(f2.geom, psi=psi), f2.tolerances)
     rec = report["psi_parallel_u"]
     assert not rec.passed
     assert rec.max_abs >= eps / 2
 
 
 def test_gauss_vacuous_on_curves(f1):
-    rec = check_gauss(f1.data.metric, f1.data.sigma, f1.data.psi).records[0]
+    rec = check_gauss(f1.geom).records[0]
     assert rec.max_abs == 0.0
 
 
 def test_gauss_passes_on_surface(f3):
-    rec = check_gauss(f3.data.metric, f3.data.sigma, f3.data.psi,
-                      f3.tolerances).records[0]
+    rec = check_gauss(f3.geom, f3.tolerances).records[0]
     assert rec.passed
 
 
@@ -113,7 +113,7 @@ def test_gauss_detects_coupled_sigma_slot(f3):
     eps = 1e-2
     sg = f3.data.sigma.values.copy()
     sg[..., 1, 1, 0] += eps
-    rec = check_gauss(f3.data.metric, SecondFormField(f3.grid, sg), f3.data.psi,
+    rec = check_gauss(replace(f3.geom, sigma=SecondFormField(f3.grid, sg)),
                       f3.tolerances).records[0]
     assert not rec.passed
     cot = 1.0 / np.tan(f3.immersion.params["theta0"])
@@ -122,8 +122,7 @@ def test_gauss_detects_coupled_sigma_slot(f3):
 
 def test_codazzi_passes_and_detects_u_shift(f3):
     tol = f3.tolerances
-    base = check_codazzi(f3.data.metric, f3.data.bundle, f3.data.sigma, f3.data.psi,
-                         tol).records[0]
+    base = check_codazzi(f3.geom, tol).records[0]
     assert base.passed
     eps = 1e-2
     uv = f3.data.psi.u.values.copy()
@@ -131,17 +130,15 @@ def test_codazzi_passes_and_detects_u_shift(f3):
     psi = ProductStructureField(f=f3.data.psi.f,
                                 u=TensorField(f3.grid, ("bu", "td"), uv),
                                 big_u=f3.data.psi.big_u, lam=f3.data.psi.lam)
-    rec = check_codazzi(f3.data.metric, f3.data.bundle, f3.data.sigma, psi,
-                        tol).records[0]
+    rec = check_codazzi(replace(f3.geom, psi=psi), tol).records[0]
     assert not rec.passed
     assert rec.max_abs == pytest.approx(eps, rel=1e-6)
 
 
 def test_ricci_trivial_and_detects_omega(f2, f3):
-    rec = check_ricci(f2.data.metric, f2.data.bundle, f2.data.sigma).records[0]
+    rec = check_ricci(f2.geom).records[0]
     assert rec.max_abs <= 1e-12  # one chart direction: both sides vanish
-    rec = check_ricci(f3.data.metric, f3.data.bundle, f3.data.sigma,
-                      f3.tolerances).records[0]
+    rec = check_ricci(f3.geom, f3.tolerances).records[0]
     assert rec.passed
     eps = 1e-2
     om = f3.data.bundle.omega.values.copy()
@@ -150,7 +147,7 @@ def test_ricci_trivial_and_detects_omega(f2, f3):
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     om[..., 0, :, :] += (eps * np.sin(2 * np.pi * t2 / width))[..., None, None] * j
     bundle = BundleData(rank=2, omega=TensorField(f3.grid, ("td", "bu", "bd"), om))
-    rec = check_ricci(f3.data.metric, bundle, f3.data.sigma, f3.tolerances).records[0]
+    rec = check_ricci(replace(f3.geom, bundle=bundle), f3.tolerances).records[0]
     assert not rec.passed
     assert rec.max_abs >= eps
 
@@ -178,9 +175,9 @@ def _regauge(data, angle):
 
 def test_checks_invariant_under_regauge(f3):
     tol = f3.tolerances
-    base = check_all(f3.data.metric, f3.data.bundle, f3.data.sigma, f3.data.psi, tol)
+    base = check_all(f3.geom, tol)
     bundle, sigma, psi = _regauge(f3.data, angle=0.7)
-    gauged = check_all(f3.data.metric, bundle, sigma, psi, tol)
+    gauged = check_all(Geometry(f3.data.metric, bundle, sigma, psi), tol)
     for rec_a, rec_b in zip(base.records, gauged.records):
         assert rec_a.name == rec_b.name
         assert abs(rec_a.max_abs - rec_b.max_abs) < 1e-10
@@ -188,12 +185,12 @@ def test_checks_invariant_under_regauge(f3):
 
 def test_targeted_residual_monotone_in_noise(f3, rng):
     tol = f3.tolerances
-    base = check_gauss(f3.data.metric, f3.data.sigma, f3.data.psi, tol).records[0]
+    base = check_gauss(f3.geom, tol).records[0]
     noise = rng.normal(size=f3.data.sigma.values.shape)
     noise = 0.5 * (noise + np.swapaxes(noise, -3, -2))
     for eps in (10 * f3.grid.h_max**2, 100 * f3.grid.h_max**2):
         sg = SecondFormField(f3.grid, f3.data.sigma.values + eps * noise)
-        rec = check_gauss(f3.data.metric, sg, f3.data.psi, tol).records[0]
+        rec = check_gauss(replace(f3.geom, sigma=sg), tol).records[0]
         assert rec.max_abs >= base.max_abs
 
 
