@@ -28,27 +28,23 @@ from .reconstruct import (ImmersionField, align_congruence, immersion_psi_field,
 from .structure import ResidualReport, ToleranceModel, check_all
 
 
-def check_dataset(ds: Dataset, tolerances: ToleranceModel | None = None,
-                  geom: Geometry | None = None) -> Report:
+def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Every structure check plus the flat-bundle diagnostics, with their timings.
 
-    ``geom`` is the dataset's geometry when the caller goes on to rebuild from
-    it; the checks fill it, so the rebuild derives nothing twice.
+    The checks fill ``geom``, so a rebuild from it derives nothing twice.
     """
-    tol = tolerances if tolerances is not None else ds.tolerances
-    geom = geom if geom is not None else Geometry.of(ds)
     t0 = time.perf_counter()
-    structure_rep = check_all(geom, tol)
+    structure_rep = check_all(geom, tolerances)
     t1 = time.perf_counter()
     geom.connection   # built here, so the diagnostics' time below is their own
     t2 = time.perf_counter()
     flat_rep = ResidualReport.merge(
-        metric_compatibility_residual(geom, tol),
-        flatness_residual(geom, tol),
-        psi_tilde_parallel_residual(geom, tol),
+        metric_compatibility_residual(geom, tolerances),
+        flatness_residual(geom, tolerances),
+        psi_tilde_parallel_residual(geom, tolerances),
     )
     t3 = time.perf_counter()
-    return Report.from_residuals(ds.grid, structure_rep, flat_rep,
+    return Report.from_residuals(geom.grid, structure_rep, flat_rep,
                                  timings={"structure": t1 - t0, "connection": t2 - t1,
                                           "flat_bundle": t3 - t2})
 
@@ -133,7 +129,7 @@ def cmd_extract(args) -> int:
 def cmd_check(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
-    report = check_dataset(ds, tol)
+    report = check_dataset(Geometry.of(ds), tol)
     _print_checks(report)
     if args.report:
         save_report(report, args.report)
@@ -155,7 +151,7 @@ def cmd_reconstruct(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
     geom = Geometry.of(ds)
-    pre = check_dataset(ds, tol, geom)
+    pre = check_dataset(geom, tol)
     _print_checks(pre)
     if not pre.passed and not args.force:
         print("input data fails its compatibility checks; use --force to proceed")
@@ -183,7 +179,7 @@ def cmd_roundtrip(args) -> int:
     ds = Dataset.from_extraction(data)
     tol = _tolerances_from_args(args, ds.tolerances)
     geom = Geometry.of(ds)
-    checks = check_dataset(ds, tol, geom)
+    checks = check_dataset(geom, tol)
     result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame)
     analytic = ImmersionField(grid=grid, k=imm.k, values=data.points,
                               base_node=result.immersion.base_node, on_product_defect=0.0)

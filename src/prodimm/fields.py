@@ -286,15 +286,11 @@ def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=nd)
 
 
-def christoffel(g: MetricField, ginv: np.ndarray | None = None) -> TensorField:
-    """Levi-Civita connection coefficients Gamma^l_mn from the metric.
-
-    ``ginv`` is the nodewise inverse of ``g`` when the caller already holds it.
-    """
+def christoffel(g: MetricField) -> TensorField:
+    """Levi-Civita connection coefficients Gamma^l_mn from the metric."""
     grid = g.grid
     dg = grad_field(grid, g.values)  # (..., m, i, j) = d_m g_ij
-    if ginv is None:
-        ginv = g.inverse()
+    ginv = g.inverse()
     # Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn), as g^-1 @ (r, mn)
     dg_r = np.swapaxes(dg, -3, -2)                    # (..., r, m, n) = d_m g_rn
     braces = dg_r + np.swapaxes(dg_r, -1, -2) - dg
@@ -303,8 +299,7 @@ def christoffel(g: MetricField, ginv: np.ndarray | None = None) -> TensorField:
     return TensorField(grid, ("tu", "td", "td"), gamma.reshape(grid.dims + (n, n, n)))
 
 
-def curvature_tensor(g: MetricField, chris: TensorField | None = None,
-                     ginv: np.ndarray | None = None) -> TensorField:
+def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> TensorField:
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
@@ -314,10 +309,9 @@ def curvature_tensor(g: MetricField, chris: TensorField | None = None,
     would drop an order there).
     """
     grid = g.grid
-    if ginv is None:
-        ginv = g.inverse()
     if chris is None:
-        chris = christoffel(g, ginv)
+        chris = christoffel(g)
+    ginv = g.inverse()
     dg = grad_field(grid, g.values)            # (..., m, i, j)
     ddg = hessian_field(grid, g.values)        # (..., m, n, i, j)
     dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])     # (..., m, l, r)
@@ -350,13 +344,10 @@ def bundle_curvature(bundle: BundleData) -> TensorField:
                        connection_curvature(grid, bundle.omega.values))
 
 
-def shape_operator_field(sigma: SecondFormField, g: MetricField,
-                         ginv: np.ndarray | None = None) -> np.ndarray:
+def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
     """All shape operators at once: out[..., a, i, j] = (A_{e_a})^i_j."""
     same_grid(sigma, g)
-    if ginv is None:
-        ginv = g.inverse()
-    return ginv[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
+    return g.inverse()[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
 
 
 def sum_bundle_covariant_derivative(field: TensorField, chris: TensorField,

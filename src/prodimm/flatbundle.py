@@ -12,8 +12,8 @@ convention silently breaks the rebuild, so both are asserted by the trivial
 constant-structure tests.
 
 ``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
-from it that more than one consumer reads: g^-1, the Christoffel symbols, the
-shape operators, g(f., .), the gauge, the big connection and psi~.  Each is
+from it that more than one consumer reads: the Christoffel symbols, the shape
+operators, g(f., .), the gauge, the big connection and psi~.  Each is
 computed on first use and kept; the structure checks, the flat-bundle
 diagnostics and the rebuild all read one instance per dataset.
 """
@@ -101,17 +101,13 @@ class Geometry:
         return self.bundle.rank
 
     @cached_property
-    def ginv(self) -> np.ndarray:
-        return self.metric.inverse()
-
-    @cached_property
     def chris(self) -> TensorField:
-        return christoffel(self.metric, self.ginv)
+        return christoffel(self.metric)
 
     @cached_property
     def shape_ops(self) -> np.ndarray:
         """(..., a, i, j) = (A_{e_a})^i_j."""
-        return shape_operator_field(self.sigma, self.metric, self.ginv)
+        return shape_operator_field(self.sigma, self.metric)
 
     @cached_property
     def f_lowered(self) -> np.ndarray:

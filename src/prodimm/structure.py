@@ -230,7 +230,7 @@ def check_gauss(geom: Geometry,
     """Curvature against shape-operator terms plus the structure source."""
     tolerances = tolerances or ToleranceModel()
     n = geom.grid.ndim
-    riem = curvature_tensor(geom.metric, geom.chris, geom.ginv).values   # (..., i, r, m, n)
+    riem = curvature_tensor(geom.metric, geom.chris).values   # (..., i, r, m, n)
     shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., m, i, a) = A[a, i, m]
     sigma_t = np.swapaxes(geom.sigma.values, -1, -2)     # (..., n, a, r) = sigma[n, r, a]
     f_t = np.swapaxes(geom.psi.f.values, -1, -2)         # (..., m, i) = f[i, m]

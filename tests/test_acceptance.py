@@ -121,7 +121,7 @@ def test_criterion_2_flatness_detects_scaled_sigma(f4, tmp_path):
 def test_criterion_3_parallel_and_metric_compatibility(f1, f2, f3):
     all_ok = True
     for fb in (f1, f2, f3):
-        rep = check_dataset(fb.dataset())
+        rep = check_dataset(fb.geom, fb.tolerances)
         thr = 10 * fb.grid.h_max**2
         for name in ("psi_tilde_parallel", "bundle_metric_compatibility"):
             rec = rep[name]
