@@ -147,6 +147,13 @@ def _reconstruction_block(result) -> dict:
     }
 
 
+def _alignment_block(alignment) -> dict:
+    return {"max_distance": alignment.max_distance,
+            "eta_defect": alignment.eta_defect,
+            "commutation_defect": alignment.commutation_defect,
+            "isometry": alignment.isometry.ravel().tolist()}
+
+
 def cmd_reconstruct(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
@@ -193,11 +200,7 @@ def cmd_roundtrip(args) -> int:
     report = Report.from_residuals(
         grid, ResidualReport(checks.checks), result.report,
         reconstruction=_reconstruction_block(result),
-        alignment={"max_distance": alignment.max_distance,
-                   "distance_tol": distance_tol,
-                   "eta_defect": alignment.eta_defect,
-                   "commutation_defect": alignment.commutation_defect,
-                   "isometry": alignment.isometry.ravel().tolist()},
+        alignment=_alignment_block(alignment) | {"distance_tol": distance_tol},
         timings=result.timings)
     _print_checks(report)
     verdict = "PASS" if (k_ok and aligned_ok) else "FAIL"
@@ -240,11 +243,7 @@ def cmd_align(args) -> int:
     print(f"eta defect          {alignment.eta_defect:.3e}")
     print(f"commutation defect  {alignment.commutation_defect:.3e}")
     if args.out:
-        save_report(Report(grid=grid, checks=(),
-                           alignment={"max_distance": alignment.max_distance,
-                                      "eta_defect": alignment.eta_defect,
-                                      "commutation_defect": alignment.commutation_defect,
-                                      "isometry": alignment.isometry.ravel().tolist()}),
+        save_report(Report(grid=grid, checks=(), alignment=_alignment_block(alignment)),
                     args.out)
     if args.distance_tol is not None and alignment.max_distance > args.distance_tol:
         return 1

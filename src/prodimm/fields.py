@@ -13,8 +13,10 @@ Index layout conventions (fixed for the whole package):
   skew-symmetric;
 * second form sigma[..., i, j, a], symmetric in (i, j).
 
-All derivatives are second-order: central stencils in the interior,
-one-sided at the boundary (``np.gradient`` with ``edge_order=2``).
+All derivatives are second-order central differences.  Each axis end gets
+one ghost node by quartic extrapolation, so the boundary nodes use the same
+stencils as the interior and the truncation error stays smooth up to the
+edge: a difference of a difference is still second order there.
 
 Matmul layout: every batched small-matrix product is written as ``@`` on the
 last two axes, with the node axes (and a direction axis, where there is one)
@@ -239,51 +241,43 @@ def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, step_ops,
     return values
 
 
+def _ghost_padded(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` with axis ``axis`` first and one quartic-extrapolated ghost node per end."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    lo = 5.0 * v[0] - 10.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]
+    hi = 5.0 * v[-1] - 10.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]
+    return np.concatenate([lo[None], v, hi[None]])
+
+
 def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     """Partial derivatives along every axis; new direction slot prepended.
 
     Input (*dims, *slots) -> output (*dims, ndim, *slots).
     """
-    parts = [np.gradient(values, grid.spacing[a], axis=a, edge_order=2)
-             for a in range(grid.ndim)]
+    parts = []
+    for a in range(grid.ndim):
+        v = _ghost_padded(values, a)
+        parts.append(np.moveaxis((v[2:] - v[:-2]) / (2.0 * grid.spacing[a]), 0, a))
     return np.stack(parts, axis=grid.ndim)
 
 
 def second_derivative_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Pure second derivative along one axis, O(h^2) including boundaries.
-
-    Central three-point stencil inside, four-point one-sided at the edges
-    (a gradient-of-gradient composition would drop to O(h) there).
-    """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    h2 = h * h
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return np.moveaxis(out, 0, axis)
+    """Pure second derivative along one axis: the central three-point stencil."""
+    v = _ghost_padded(values, axis)
+    return np.moveaxis((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h), 0, axis)
 
 
 def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     """All second partials: (*dims, *slots) -> (*dims, ndim, ndim, *slots).
 
-    Mixed entries compose first-derivative stencils on distinct axes (second
-    order everywhere); diagonal entries use the dedicated stencil.  The two
-    mixed orders agree in the interior and differ by O(h^2) at edges.
+    Mixed entries compose first differences on distinct axes; diagonal
+    entries use the three-point stencil.
     """
     nd = grid.ndim
-    first = [np.gradient(values, grid.spacing[a], axis=a, edge_order=2)
-             for a in range(nd)]
-    rows = []
+    hess = grad_field(grid, grad_field(grid, values))    # (..., b, a) = d_b d_a
     for a in range(nd):
-        row = []
-        for b in range(nd):
-            if a == b:
-                row.append(second_derivative_axis(values, grid.spacing[a], a))
-            else:
-                row.append(np.gradient(first[a], grid.spacing[b], axis=b, edge_order=2))
-        rows.append(np.stack(row, axis=nd))
-    return np.stack(rows, axis=nd)
+        hess[(slice(None),) * nd + (a, a)] = second_derivative_axis(values, grid.spacing[a], a)
+    return hess
 
 
 def christoffel(g: MetricField) -> TensorField:
@@ -303,28 +297,14 @@ def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> Tensor
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
-    for R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y].  The connection derivative is
-    expanded through first and second metric derivatives so the result stays
-    second-order at the boundary (differencing the Christoffel field again
-    would drop an order there).
+    for R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y]: the ``connection_curvature`` of
+    the matrices Gamma_m = (Gamma^l_ms), moved to the (l, s, m, n) layout.
     """
-    grid = g.grid
     if chris is None:
         chris = christoffel(g)
-    ginv = g.inverse()
-    dg = grad_field(grid, g.values)            # (..., m, i, j)
-    ddg = hessian_field(grid, g.values)        # (..., m, n, i, j)
-    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])     # (..., m, l, r)
-    # d_m Gamma^l_ns from the product rule on (1/2) g^lr (dg terms), laid out (m, n, l, s)
-    braces = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)        # (..., n, r, s)
-    dbraces = ddg + np.swapaxes(ddg, -3, -1) - np.swapaxes(ddg, -3, -2)    # (..., m, n, r, s)
-    dga = 0.5 * (dginv[..., :, None, :, :] @ braces[..., None, :, :, :]
-                 + ginv[..., None, None, :, :] @ dbraces)
-    ga = np.swapaxes(chris.values, -3, -2)     # (..., m, l, r) = Gamma^l_mr
-    # R^l_smn = d_m Gamma^l_ns + Gamma^l_mr Gamma^r_ns - (m <-> n)
-    half = dga + ga[..., :, None, :, :] @ ga[..., None, :, :, :]           # (..., m, n, l, s)
-    riem = np.moveaxis(antisymmetrize(half), (-2, -1), (-4, -3))
-    return TensorField(grid, ("tu", "td", "td", "td"), riem)
+    ga = np.swapaxes(chris.values, -3, -2)     # (..., m, l, s) = Gamma^l_ms
+    riem = np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
+    return TensorField(g.grid, ("tu", "td", "td", "td"), riem)
 
 
 def antisymmetrize(x: np.ndarray) -> np.ndarray:

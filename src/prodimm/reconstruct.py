@@ -45,9 +45,6 @@ class ParallelFrameField:
         s = self.values
         return np.swapaxes(s, -1, -2) @ gauge.gram @ s - gauge.signature
 
-    def orthonormality_defect(self, gauge: FlatBundleGauge) -> float:
-        return float(np.abs(self.gram_defect(gauge)).max())
-
 
 @dataclass(frozen=True)
 class ImmersionField:
@@ -58,14 +55,6 @@ class ImmersionField:
     values: np.ndarray  # (*dims, N)
     base_node: tuple
     on_product_defect: float
-
-    @property
-    def sphere_part(self) -> np.ndarray:
-        return self.values[..., : self.k + 1]
-
-    @property
-    def hyper_part(self) -> np.ndarray:
-        return self.values[..., self.k + 1:]
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,7 @@ def reorthonormalize_frame(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
-                         base_node: tuple | None = None,
+                         base_node: tuple,
                          axis_order: tuple | None = None,
                          gauge: FlatBundleGauge | None = None,
                          reorthonormalize: bool = False) -> ParallelFrameField:
@@ -121,8 +110,7 @@ def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
     edge (masks metric-compatibility drift; off by default on purpose).
     """
     grid = conn.grid
-    nd = grid.ndim
-    base = tuple(base_node) if base_node is not None else (0,) * nd
+    base = tuple(base_node)
     if reorthonormalize and gauge is None:
         raise StructureError("re-orthonormalization needs the gauge Gram matrices")
 
@@ -327,13 +315,15 @@ def reconstruct_immersion(geom: Geometry,
                           assemble_tol: float | None = None) -> ReconstructionResult:
     """Full rebuild pipeline: split, transport, assemble, verify.
 
-    Reads the gauge, psi~ and the big connection from ``geom``, so a geometry
-    the checks already filled is not derived again.
+    The base node defaults to the grid centre, which halves the longest
+    transport path against a corner base.  Reads the gauge, psi~ and the big
+    connection from ``geom``, so a geometry the checks already filled is not
+    derived again.
     """
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     nd = grid.ndim
-    base = tuple(base_node) if base_node is not None else (0,) * nd
+    base = tuple(base_node) if base_node is not None else tuple(d // 2 for d in grid.dims)
     timings: dict = {}
 
     t0 = time.perf_counter()

@@ -27,16 +27,7 @@ def christoffel(g) -> np.ndarray:
 
 def curvature_tensor(g) -> np.ndarray:
     ga = christoffel(g)
-    ginv = np.linalg.inv(g.values)
-    dg = grad_field(g.grid, g.values)
-    ddg = hessian_field(g.grid, g.values)
-    dginv = -np.einsum("...la,...mab,...br->...mlr", ginv, dg, ginv)
-    braces = (np.einsum("...nrs->...nrs", dg) + np.einsum("...srn->...nrs", dg)
-              - np.einsum("...rns->...nrs", dg))
-    dbraces = (np.einsum("...mnrs->...mnrs", ddg) + np.einsum("...msrn->...mnrs", ddg)
-               - np.einsum("...mrns->...mnrs", ddg))
-    dga = 0.5 * (np.einsum("...mlr,...nrs->...mlns", dginv, braces)
-                 + np.einsum("...lr,...mnrs->...mlns", ginv, dbraces))
+    dga = grad_field(g.grid, ga)     # (..., m, l, n, s) = d_m Gamma^l_ns
     return (np.einsum("...mlns->...lsmn", dga) - np.einsum("...nlms->...lsmn", dga)
             + np.einsum("...lmr,...rns->...lsmn", ga, ga)
             - np.einsum("...lnr,...rms->...lsmn", ga, ga))

@@ -10,12 +10,6 @@ compatible data of the latitude circle at cot(theta') = 1.1 cot(theta0)
 crossed with the same geodesic, so no correct checker may reject it.  On F4
 the same scaling breaks Gauss: the verdict line reads
 ``2 flatness F4 sigma*1.1 detected``.
-
-Known red: criterion 1's necessity lines for F1 with finite-difference
-extraction.  The one-sided edge stencils of ``fields.grad_field`` carry a
-different O(h^2) error constant from the central ones; F1's tangent mixes
-the sphere and hyperbolic blocks, so psi_parallel_f and psi_parallel_lambda
-see that jump as an O(h) residual at the edge node.
 """
 
 import numpy as np

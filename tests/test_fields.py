@@ -192,11 +192,24 @@ def test_sum_bundle_derivative_preserves_symmetry(f3):
 
 
 def test_second_derivative_axis_boundary_order():
-    # cubic profile: the one-sided stencil must be exact
+    # cubic profile: the ghost-node stencil must be exact at the edges too
     grid = ChartGrid(dims=(9,), spacing=(0.125,), origin=(0.0,))
     x = grid.coords()[..., 0]
     out = second_derivative_axis(x**3, 0.125, 0)
     assert np.abs(out - 6 * x).max() <= 1e-10
+
+
+def test_composed_differences_second_order_at_edges():
+    # grad of grad must converge like h^2 at the end nodes, not only inside
+    def edge_error(n_nodes):
+        grid = ChartGrid(dims=(n_nodes,), spacing=(1.0 / (n_nodes - 1),), origin=(0.0,))
+        x = grid.coords()[..., 0]
+        f = np.sin(3 * x) * np.exp(x)
+        exact = (-8 * np.sin(3 * x) + 6 * np.cos(3 * x)) * np.exp(x)
+        err = np.abs(grad_field(grid, grad_field(grid, f)[..., 0])[..., 0] - exact)
+        return np.array([err[0], err[-1]])
+
+    assert (edge_error(41) / edge_error(81)).min() >= 3.5
 
 
 def test_hessian_matches_analytic():
