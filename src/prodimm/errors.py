@@ -34,10 +34,6 @@ class MetricError(ProdimmError, ValueError):
         self.node = node
 
 
-class InsufficientDataError(ProdimmError, ValueError):
-    """Too few samples for the requested stencil."""
-
-
 class GridMismatchError(ProdimmError, ValueError):
     """Fields expected on a common grid live on different grids."""
 

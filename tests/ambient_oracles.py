@@ -11,10 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prodimm.errors import ConstraintError, DimensionError, InsufficientDataError
+from prodimm.errors import ConstraintError, DimensionError, ProdimmError
 from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
 
 DEFAULT_TANGENCY_TOL = 1e-8
+
+
+class InsufficientDataError(ProdimmError, ValueError):
+    """Too few samples for the requested stencil."""
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,57 @@
+"""Element-by-element reference writers for the dataset, report and mesh text.
+
+These are the writers that ``prodimm.dataio`` replaced with whole-array
+encoder and format calls: a Python type test on every element before a
+numeric array is inlined, one ``str.replace`` pass per array, and one
+``csv.writer`` row of ``repr(float(v))`` strings per mesh node.  The new
+writers must give the same bytes.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+
+from prodimm.dataio import immersion_csv_header
+from prodimm.lorentz import minkowski_dot
+
+
+def render_with_inline_arrays(doc: dict) -> str:
+    """Indented JSON with numeric arrays kept on single lines."""
+    arrays: list[str] = []
+
+    def stash(obj):
+        if isinstance(obj, dict):
+            return {k: stash(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)) and obj and all(
+                isinstance(v, (int, float)) for v in obj):
+            arrays.append(json.dumps(list(obj)))
+            return f"@@array{len(arrays) - 1}@@"
+        if isinstance(obj, (list, tuple)):
+            return [stash(v) for v in obj]
+        return obj
+
+    text = json.dumps(stash(doc), indent=2)
+    for idx, payload in enumerate(arrays):
+        text = text.replace(f'"@@array{idx}@@"', payload)
+    return text
+
+
+def immersion_csv_text(grid, k: int, values: np.ndarray, repair: bool = False) -> str:
+    """The mesh file ``save_immersion_csv`` writes, one ``csv.writer`` row per node."""
+    pts = np.array(values, dtype=float)
+    if repair:
+        x = pts[..., : k + 1]
+        y = pts[..., k + 1:]
+        x /= np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+        y /= np.sqrt(-minkowski_dot(y, y))[..., None]
+    coords = grid.coords().reshape(-1, grid.ndim)
+    flat = pts.reshape(-1, pts.shape[-1])
+    rows = np.concatenate([coords, flat], axis=1)
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(immersion_csv_header(grid.ndim, k, pts.shape[-1]))
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return handle.getvalue()

@@ -228,3 +228,16 @@ def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, break
     capsys.readouterr()
     assert main(["align", str(mesh), str(mesh), "--report-a", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("tolerances", 5), ("tolerances", {"overrides": [1, 2]}),
+                                        ("meta", [1, 2, 3]), ("meta", 7)],
+                         ids=["tolerances_number", "overrides_list", "meta_list", "meta_number"])
+def test_dataset_malformed_header_exits_2(f1_dataset_path, tmp_path, capsys, key, value):
+    doc = json.loads(f1_dataset_path.read_text())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

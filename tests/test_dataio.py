@@ -1,0 +1,97 @@
+"""The dataset, report and mesh writers give the bytes of the element-by-element oracles."""
+
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prodimm import cli
+from prodimm.dataio import (_render_with_inline_arrays, dataset_to_dict, load_immersion_csv,
+                            report_to_dict, save_dataset, save_immersion_csv, save_report)
+
+import io_oracles
+
+
+def _oracle_json(doc: dict) -> bytes:
+    return (io_oracles.render_with_inline_arrays(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("bundle", ["f1", "f1_fd", "f3", "f3_fd"])
+def test_dataset_bytes_match_oracle(request, tmp_path, bundle):
+    ds = request.getfixturevalue(bundle).dataset()
+    path = tmp_path / "ds.json"
+    save_dataset(ds, str(path))
+    assert path.read_bytes() == _oracle_json(dataset_to_dict(ds))
+
+
+def test_report_bytes_match_oracle(tmp_path, monkeypatch):
+    saved = []
+
+    def recording_save_report(report, path):
+        saved.append((report, path))
+        save_report(report, path)
+
+    monkeypatch.setattr(cli, "save_report", recording_save_report)
+    ds_path, mesh = tmp_path / "f1.json", tmp_path / "f1.csv"
+    assert cli.main(["extract", "--fixture", "F1", "-o", str(ds_path)]) == 0
+    assert cli.main(["check", str(ds_path), "--report", str(tmp_path / "check.json")]) == 0
+    assert cli.main(["reconstruct", str(ds_path), "-o", str(mesh)]) == 0
+    assert cli.main(["roundtrip", "--fixture", "F1", "--distance-tol", "1e-4",
+                     "--report", str(tmp_path / "roundtrip.json")]) == 0
+    assert cli.main(["align", str(mesh), str(mesh), "-o", str(tmp_path / "align.json")]) == 0
+    check, rebuild, roundtrip, align = (report_to_dict(report) for report, _ in saved)
+    assert "timings" in check
+    assert {"reconstruction", "timings"} <= rebuild.keys()
+    assert "alignment" in roundtrip
+    assert align["checks"] == [] and "alignment" in align
+    for report, path in saved:
+        assert Path(path).read_bytes() == _oracle_json(report_to_dict(report)), path
+
+
+def test_inline_rule_matches_oracle():
+    doc = {"flags": [True, False], "ints": [1, 2, 3], "tuple": (3, 4.0),
+           "mixed": [1, 2.5, True, np.float64(0.1)],
+           "numpy": [np.float64(1e-300), np.float64(-0.0)], "scalar": np.float64(2.0),
+           "special": [float("nan"), float("-inf")],
+           "nested": [[1, 2], [3.0], []], "empty": [], "strings": ["a", 1],
+           "holes": [1.0, None], "records": [{"argmax_node": [0, 5], "pass": True}, {}]}
+    text = _render_with_inline_arrays(doc)
+    assert text == io_oracles.render_with_inline_arrays(doc)
+    assert '"mixed": [1, 2.5, true, 0.1]' in text
+    assert '"nested": [\n    [1, 2],\n    [3.0],\n    []\n  ]' in text
+    assert '"strings": [\n    "a",\n    1\n  ]' in text
+
+
+@pytest.mark.parametrize("repair", [False, True])
+def test_mesh_bytes_match_oracle(f3, tmp_path, repair):
+    values = f3.recon.immersion.values
+    path = tmp_path / "mesh.csv"
+    save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=repair)
+    expected = io_oracles.immersion_csv_text(f3.grid, f3.recon.k, values, repair=repair)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_mesh_roundtrip_is_bitwise(f3, tmp_path):
+    values = f3.recon.immersion.values
+    path = tmp_path / "mesh.csv"
+    save_immersion_csv(str(path), f3.grid, f3.recon.k, values)
+    coords, back, k = load_immersion_csv(str(path))
+    assert k == f3.recon.k
+    saved_coords = f3.grid.coords().reshape(-1, f3.grid.ndim)
+    saved_values = values.reshape(-1, values.shape[-1])
+    assert np.array_equal(coords.view(np.int64), saved_coords.view(np.int64))
+    assert np.array_equal(back.view(np.int64), saved_values.view(np.int64))
+
+
+def test_writer_signatures_unchanged():
+    """The benchmark wraps these writers by name and calls them as the CLI does."""
+    def params(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    positional, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    assert params(save_dataset) == [("ds", positional, empty), ("path", positional, empty)]
+    assert params(save_report) == [("report", positional, empty), ("path", positional, empty)]
+    assert params(save_immersion_csv) == [
+        ("path", positional, empty), ("grid", positional, empty), ("k", positional, empty),
+        ("values", positional, empty), ("repair", positional, False)]

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError,
-                            InsufficientDataError)
+from prodimm.errors import ConstraintError, DegeneracyError, DimensionError
 from prodimm.lorentz import (AmbientFrame, eta, gram_schmidt, lorentz_orthonormalize, lower,
                              minkowski_dot, minkowski_gram_schmidt)
 
-from ambient_oracles import (ProductPoint, ambient_connection_relation_residual,
-                             ambient_curvature, ambient_psi, normal_fields)
+from ambient_oracles import (InsufficientDataError, ProductPoint,
+                             ambient_connection_relation_residual, ambient_curvature,
+                             ambient_psi, normal_fields)
 
 finite = st.floats(-10, 10, allow_nan=False)
 vec4 = hnp.arrays(np.float64, 4, elements=finite)
