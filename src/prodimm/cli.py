@@ -49,8 +49,8 @@ def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
                                           "flat_bundle": t3 - t2})
 
 
-def _print_checks(report: Report):
-    for rec in report.checks:
+def _print_checks(report: ResidualReport):
+    for rec in report.records:
         verdict = "PASS" if rec.passed else "FAIL"
         print(f"{verdict} {rec.name:35s} max={rec.max_abs:.6e} "
               f"thr={rec.threshold:.1e} at node {list(rec.argmax_node)}")
@@ -168,9 +168,9 @@ def cmd_reconstruct(args) -> int:
                                    reorthonormalize=args.reorthonormalize,
                                    assemble_tol=np.inf if args.force else None)
     report = Report.from_residuals(
-        ds.grid, ResidualReport(pre.checks), result.report,
+        ds.grid, pre, result.report,
         reconstruction=_reconstruction_block(result), timings=result.timings)
-    _print_checks(Report(grid=ds.grid, checks=result.report.records))
+    _print_checks(result.report)
     dataio.save_immersion_csv(args.out, ds.grid, result.k, result.immersion.values,
                               repair=args.repair_export)
     report_path = args.report or (args.out + ".report.json")
@@ -198,7 +198,7 @@ def cmd_roundtrip(args) -> int:
     k_ok = result.k == imm.k
     aligned_ok = alignment.max_distance <= distance_tol
     report = Report.from_residuals(
-        grid, ResidualReport(checks.checks), result.report,
+        grid, checks, result.report,
         reconstruction=_reconstruction_block(result),
         alignment=_alignment_block(alignment) | {"distance_tol": distance_tol},
         timings=result.timings)
@@ -243,7 +243,7 @@ def cmd_align(args) -> int:
     print(f"eta defect          {alignment.eta_defect:.3e}")
     print(f"commutation defect  {alignment.commutation_defect:.3e}")
     if args.out:
-        save_report(Report(grid=grid, checks=(), alignment=_alignment_block(alignment)),
+        save_report(Report(records=(), grid=grid, alignment=_alignment_block(alignment)),
                     args.out)
     if args.distance_tol is not None and alignment.max_distance > args.distance_tol:
         return 1

@@ -203,34 +203,22 @@ def load_dataset(path: str) -> Dataset:
 
 
 @dataclass(frozen=True)
-class Report:
-    """Check records plus optional reconstruction and alignment blocks."""
+class Report(ResidualReport):
+    """Check records plus the grid and optional reconstruction and alignment blocks."""
 
-    grid: ChartGrid | None
-    checks: tuple
+    grid: ChartGrid | None = None
     reconstruction: dict | None = None
     alignment: dict | None = None
     timings: dict | None = None
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.checks)
-
-    def __getitem__(self, name: str) -> CheckRecord:
-        for r in self.checks:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     @classmethod
     def from_residuals(cls, grid: ChartGrid, *reports: ResidualReport, **blocks) -> "Report":
-        merged = ResidualReport.merge(*reports)
-        return cls(grid=grid, checks=merged.records, **blocks)
+        return cls(records=ResidualReport.merge(*reports).records, grid=grid, **blocks)
 
 
 def report_to_dict(report: Report) -> dict:
     doc = {"schema": REPORT_SCHEMA, "pass": report.passed,
-           "checks": [r.to_dict() for r in report.checks]}
+           "checks": [r.to_dict() for r in report.records]}
     if report.grid is not None:
         doc["grid"] = {key: list(getattr(report.grid, key)) for key in _GRID_KEYS}
     if report.reconstruction is not None:
@@ -254,7 +242,7 @@ def report_from_dict(doc: dict) -> Report:
         grid = None
         if "grid" in doc:
             grid = ChartGrid(*(tuple(_take(doc["grid"], key)) for key in _GRID_KEYS))
-        checks = tuple(
+        records = tuple(
             CheckRecord(name=str(_take(c, "name")), max_abs=float(_take(c, "max")),
                         mean_abs=float(_take(c, "mean")),
                         argmax_node=tuple(_take(c, "argmax_node")),
@@ -264,7 +252,7 @@ def report_from_dict(doc: dict) -> Report:
         raise
     except Exception as exc:  # invariant violations become schema errors on load
         raise SchemaError(f"report violates a load-time invariant: {exc}") from exc
-    return Report(grid=grid, checks=checks, reconstruction=doc.get("reconstruction"),
+    return Report(records=records, grid=grid, reconstruction=doc.get("reconstruction"),
                   alignment=doc.get("alignment"), timings=doc.get("timings"))
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import DimensionError, GridMismatchError, MetricError
 
 SLOT_KINDS = ("tu", "td", "bu", "bd")
-_RUN_EDGES = 1024   # edges per batch of sweep step operators (bounds transient memory)
 
 
 @dataclass(frozen=True)
@@ -215,28 +214,17 @@ def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):
             yield line(pos, axis, i), line(pos, axis, i - 1), axis, -h
 
 
-def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, step_ops,
+def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, ops,
                   axis_order: tuple | None = None, after=None) -> np.ndarray:
     """Carry ``values[base]`` over the grid by linear steps along ``sweep_steps``.
 
-    Each step sets ``values[dst] = op @ values[src]`` in place, passed through
-    ``after(moved, dst)`` when given.  ``step_ops(src, dst, axis, delta)`` returns
-    the operators of a run of about ``_RUN_EDGES`` consecutive edges of one stage
-    at once, on the region its selectors (sliced on ``axis``) pick out.
+    ``ops[axis]`` holds one operator per edge along ``axis``, stored at the
+    edge's lower node (node axes of ``grid`` with ``axis`` one shorter), for
+    the step away from ``base``.  Each step sets ``values[dst] = op @ values[src]``
+    in place, passed through ``after(moved, dst)`` when given.
     """
-    run, lo, hi = None, 0, 0
     for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
-        i, step = src[axis], dst[axis] - src[axis]
-        if run != (axis, step) or not lo <= i < hi:
-            count = max(1, _RUN_EDGES // values[src][..., 0, 0].size)  # steps per run
-            lo, hi = ((i, min(i + count, grid.dims[axis] - 1)) if step > 0
-                      else (max(i - count + 1, 1), i + 1))
-            ops = step_ops(src[:axis] + (slice(lo, hi),) + src[axis + 1:],
-                           src[:axis] + (slice(lo + step, hi + step),) + src[axis + 1:],
-                           axis, delta)
-            lead = (slice(None),) * sum(isinstance(s, slice) for s in src[:axis])
-            run = (axis, step)
-        moved = ops[lead + (i - lo,)] @ values[src]
+        moved = ops[axis][src if delta > 0 else dst] @ values[src]
         values[dst] = moved if after is None else after(moved, dst)
     return values
 

@@ -4,10 +4,12 @@ Pipeline (all deterministic):
 
 1. split the extended structure at the base node into its two eigenspaces
    and complete the canonical initial frame (identity-seed completion);
-2. transport the frame along the lexicographic sweep (axis-0 spine through
-   the base node, then axis-1, then axis-2 lines): batched RK4 flow matrices
-   per run of edges (connection linear along each edge), one matmul per edge;
-   the transposed sweep is a cross-check;
+2. build one table of RK4 flow matrices per axis (connection linear along
+   each edge), every edge crossed in the direction away from the base node;
+   transport the frame along the lexicographic sweep (axis-0 spine through
+   the base node, then axis-1, then axis-2 lines), one matmul per edge.  The
+   transposed sweep and the plaquette path-independence record read the same
+   table, which is dropped before the next steps;
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
    the sign of the timelike coordinate;
 4. verify isometry, normal orthogonality, the second form and the
@@ -19,6 +21,7 @@ repair exists only as an export option in the CLI.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -29,7 +32,9 @@ from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
 from .flatbundle import FlatBundleConnection, FlatBundleGauge, Geometry, eigen_split
 from .lorentz import (eta, gram_schmidt, lower, minkowski_dot, product_defect, product_normals,
                       psi_flip)
-from .structure import CheckRecord, ResidualReport, ToleranceModel, make_record
+from .structure import ResidualReport, ToleranceModel, make_record
+
+_FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
 
 @dataclass(frozen=True)
@@ -76,11 +81,11 @@ class ReconstructionResult:
     timings: dict
 
 
-def edge_flow(om_start, om_end, delta: float) -> np.ndarray:
+def edge_flow(om_start, om_end, delta) -> np.ndarray:
     """RK4 flow matrix of dc/dt = -Omega(t) c across one edge.
 
-    ``delta`` is the signed coordinate step; Omega is interpolated linearly
-    between the endpoint samples.  Broadcasts over leading axes.
+    ``delta`` is the signed coordinate step (it may broadcast like the samples);
+    Omega is interpolated linearly between the endpoint samples.  Broadcasts over leading axes.
     """
     om_start = np.asarray(om_start, dtype=float)
     om_end = np.asarray(om_end, dtype=float)
@@ -99,24 +104,56 @@ def reorthonormalize_frame(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.swapaxes(columns, -1, -2)
 
 
-def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
-                         base_node: tuple,
+def _away_from(base_index: int, count: int):
+    """Per step j -> j + 1 over ``count`` nodes: the end nearer ``base_index``, the far end."""
+    j = np.arange(count - 1)
+    near = j + (j < base_index)
+    return near, 2 * j + 1 - near
+
+
+@dataclass(frozen=True)
+class EdgeFlows:
+    """RK4 flows of the big connection over every edge, oriented away from ``base``.
+
+    ``ops[a]`` has the node axes of ``grid`` with axis ``a`` one shorter: the
+    entry at an edge's lower node is the flow across the edge from its end
+    nearer to ``base`` to its far end, the direction every sweep from
+    ``base`` crosses it.
+    """
+
+    grid: ChartGrid
+    base: tuple
+    ops: tuple
+
+    @classmethod
+    def of(cls, conn: FlatBundleConnection, base: tuple) -> "EdgeFlows":
+        grid, base = conn.grid, tuple(base)
+        ops = []
+        for a in range(grid.ndim):
+            near, far = _away_from(base[a], grid.dims[a])
+            om = np.moveaxis(conn.values[..., a, :, :], a, 0)
+            delta = (grid.spacing[a] * (far - near)).reshape((-1,) + (1,) * (om.ndim - 1))
+            table = np.empty((len(near),) + om.shape[1:])
+            lines = max(1, _FLOW_BATCH * grid.dims[a] // grid.n_nodes)   # per edge_flow call
+            for lo in range(0, len(near), lines):
+                run = slice(lo, lo + lines)
+                table[run] = edge_flow(om[near[run]], om[far[run]], delta[run])
+            ops.append(np.moveaxis(table, 0, a))
+        return cls(grid=grid, base=base, ops=tuple(ops))
+
+
+def sweep_parallel_frame(flows: EdgeFlows, initial_frame: np.ndarray,
                          axis_order: tuple | None = None,
                          gauge: FlatBundleGauge | None = None,
                          reorthonormalize: bool = False) -> ParallelFrameField:
-    """Deterministic sweep: every node receives exactly one transported frame.
+    """Deterministic sweep from ``flows.base``: every node receives exactly one frame.
 
     With ``reorthonormalize`` the frame is re-orthonormalized after every
     edge (masks metric-compatibility drift; off by default on purpose).
     """
-    grid = conn.grid
-    base = tuple(base_node)
+    grid, base = flows.grid, flows.base
     if reorthonormalize and gauge is None:
         raise StructureError("re-orthonormalization needs the gauge Gram matrices")
-
-    def flows(src, dst, axis, delta):
-        om = conn.values[..., axis, :, :]
-        return edge_flow(om[src], om[dst], delta)
 
     def restore(moved, dst):
         return reorthonormalize_frame(moved, gauge.gram[dst])
@@ -124,7 +161,7 @@ def sweep_parallel_frame(conn: FlatBundleConnection, initial_frame: np.ndarray,
     size = initial_frame.shape[-1]
     frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
-    sweep_compose(grid, frames, base, flows, axis_order,
+    sweep_compose(grid, frames, base, flows.ops, axis_order,
                   after=restore if reorthonormalize else None)
     return ParallelFrameField(grid=grid, values=frames, base_node=base)
 
@@ -232,52 +269,28 @@ def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField, geom: 
     return ResidualReport(tuple(records))
 
 
-def path_independence_residual(conn: FlatBundleConnection,
+def path_independence_residual(flows: EdgeFlows,
                                tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Per-plaquette holonomy deviation from the identity, per unit area.
+    """Gap between the two transports across each plaquette, per unit area.
 
-    The clean value scales like h^2; on incompatible data it approaches the
-    curvature norm, which is the detector for broken compatibility equations.
+    Both paths run over table edges from the plaquette's corner nearest the
+    base to its farthest: |far_b near_a - far_a near_b| / (h_a h_b), "near"
+    and "far" naming the sides nearer to and farther from the base.  The value
+    sits at each plaquette's lower corner, the largest over axis pairs, zero
+    elsewhere.  It scales like h^2 on clean data and approaches the curvature
+    norm on incompatible data, the detector for broken compatibility equations.
     """
     tolerances = tolerances or ToleranceModel()
-    grid = conn.grid
-    nd = grid.ndim
+    grid, base, ops = flows.grid, flows.base, flows.ops
     name = "path_independence"
-    threshold = tolerances.threshold(name, grid)
-    if nd == 1:
-        return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
-    worst = 0.0
-    mean_acc, count = 0.0, 0
-    worst_node = (0,) * nd
-    for a in range(nd):
-        for b in range(a + 1, nd):
-            ha, hb = grid.spacing[a], grid.spacing[b]
-            om_a = conn.values[..., a, :, :]
-            om_b = conn.values[..., b, :, :]
-
-            def cut(da, db):
-                sel = [slice(None)] * nd
-                sel[a] = slice(1, None) if da else slice(None, -1)
-                sel[b] = slice(1, None) if db else slice(None, -1)
-                return tuple(sel)
-
-            corner, right, diag, top = cut(0, 0), cut(1, 0), cut(1, 1), cut(0, 1)
-            loop = (edge_flow(om_b[top], om_b[corner], -hb)
-                    @ edge_flow(om_a[diag], om_a[top], -ha)
-                    @ edge_flow(om_b[right], om_b[diag], hb)
-                    @ edge_flow(om_a[corner], om_a[right], ha))
-            dev = np.abs(loop - np.eye(loop.shape[-1])).max(axis=(-1, -2)) / (ha * hb)
-            mean_acc += float(dev.sum())
-            count += dev.size
-            local_max = float(dev.max())
-            if local_max > worst:
-                worst = local_max
-                flat_idx = int(dev.argmax())
-                worst_node = tuple(int(i) for i in np.unravel_index(flat_idx, dev.shape))
-    rec = CheckRecord(name=name, max_abs=worst, mean_abs=mean_acc / max(count, 1),
-                      argmax_node=worst_node, threshold=threshold,
-                      passed=bool(worst <= threshold))
-    return ResidualReport((rec,))
+    gap = np.zeros(grid.dims)
+    for a, b in itertools.combinations(range(grid.ndim), 2):
+        near_a, far_a = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], grid.dims[b]))
+        near_b, far_b = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], grid.dims[a]))
+        dev = np.abs(far_b @ near_a - far_a @ near_b).max(axis=(-1, -2))
+        corner = tuple(slice(-1) if c in (a, b) else slice(None) for c in range(grid.ndim))
+        gap[corner] = np.maximum(gap[corner], dev / (grid.spacing[a] * grid.spacing[b]))
+    return ResidualReport((make_record(name, gap, grid, tolerances.threshold(name, grid)),))
 
 
 def align_congruence(imm_a: ImmersionField, psi_field_a: np.ndarray,
@@ -311,19 +324,23 @@ def reconstruct_immersion(geom: Geometry,
                           initial_rotation: np.ndarray | None = None,
                           seed_frame: int | None = None,
                           reorthonormalize: bool = False,
-                          cross_check: bool = True,
                           assemble_tol: float | None = None) -> ReconstructionResult:
     """Full rebuild pipeline: split, transport, assemble, verify.
 
     The base node defaults to the grid centre, which halves the longest
     transport path against a corner base.  Reads the gauge, psi~ and the big
     connection from ``geom``, so a geometry the checks already filled is not
-    derived again.
+    derived again.  One edge-flow table serves the transport, the transposed
+    cross-check sweep (dimension >= 2) and path independence.
     """
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     nd = grid.ndim
-    base = tuple(base_node) if base_node is not None else tuple(d // 2 for d in grid.dims)
+    base = tuple(d // 2 for d in grid.dims) if base_node is None else tuple(base_node)
+    if len(base) != nd or not all(isinstance(i, (int, np.integer)) and 0 <= i < d
+                                  for i, d in zip(base, grid.dims)):
+        raise StructureError(f"base node {base} is not a node of the "
+                             f"{'x'.join(map(str, grid.dims))} grid")
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -336,9 +353,20 @@ def reconstruct_immersion(geom: Geometry,
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    frame = sweep_parallel_frame(conn, frame0, base_node=base, gauge=gauge,
-                                 reorthonormalize=reorthonormalize)
+    flows = EdgeFlows.of(conn, base)
+    frame = sweep_parallel_frame(flows, frame0, gauge=gauge, reorthonormalize=reorthonormalize)
     timings["transport"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    table_records = list(path_independence_residual(flows, tolerances).records)
+    if nd >= 2:
+        alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))),
+                                   gauge=gauge, reorthonormalize=reorthonormalize)
+        table_records.append(make_record("sweep_cross_check", alt.values - frame.values, grid,
+                                         tolerances.threshold("sweep_cross_check", grid)))
+        del alt
+    del flows   # freed before assembly and verification, whose temporaries peak higher
+    table_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if assemble_tol is None:
@@ -352,16 +380,8 @@ def reconstruct_immersion(geom: Geometry,
              for name, residual in (("frame_orthonormality", frame.gram_defect(gauge)),
                                     ("reconstruction_on_product",
                                      product_defect(imm.values, k)))]
-    report = ResidualReport.merge(report, ResidualReport(tuple(extra)),
-                                  path_independence_residual(conn, tolerances))
-    if cross_check and nd >= 2:
-        alt = sweep_parallel_frame(conn, frame0, base_node=base,
-                                   axis_order=tuple(reversed(range(nd))),
-                                   gauge=gauge, reorthonormalize=reorthonormalize)
-        report = ResidualReport.merge(report, ResidualReport((make_record(
-            "sweep_cross_check", alt.values - frame.values, grid,
-            tolerances.threshold("sweep_cross_check", grid)),)))
-    timings["verify"] = time.perf_counter() - t0
+    report = ResidualReport.merge(report, ResidualReport(tuple(extra + table_records)))
+    timings["verify"] = table_time + time.perf_counter() - t0
 
     return ReconstructionResult(immersion=imm, frame=frame, gauge=gauge, connection=conn,
                                 k=k, report=report, timings=timings)

@@ -22,7 +22,7 @@ from prodimm.extract import extract_all, default_tolerances
 from prodimm.fields import BundleData, SecondFormField, TensorField, shape_operator_field
 from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.lorentz import lorentz_orthonormalize
-from prodimm.reconstruct import (ImmersionField, align_congruence, edge_flow,
+from prodimm.reconstruct import (EdgeFlows, ImmersionField, align_congruence, edge_flow,
                                  immersion_psi_field, path_independence_residual,
                                  reconstruct_immersion)
 from prodimm.structure import (ProductStructureField, check_all, check_codazzi,
@@ -199,7 +199,9 @@ def _trio_and_path(fb, metric, bundle, sigma, psi):
     g_ = check_gauss(geom, tol).records[0].max_abs
     c_ = check_codazzi(geom, tol).records[0].max_abs
     r_ = check_ricci(geom, tol).records[0].max_abs
-    p_ = path_independence_residual(geom.connection, tol).records[0].max_abs
+    centre = tuple(d // 2 for d in fb.grid.dims)
+    flows = EdgeFlows.of(geom.connection, centre)
+    p_ = path_independence_residual(flows, tol).records[0].max_abs
     return np.array([g_, c_, r_]), p_
 
 

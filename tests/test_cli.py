@@ -49,7 +49,7 @@ def test_check_passes_on_fixture(f1_dataset_path, tmp_path):
     report = load_report(str(report_path))
     assert report.passed
     assert {"gauss", "codazzi", "ricci", "bundle_flatness"} <= \
-        {r.name for r in report.checks}
+        {r.name for r in report.records}
     assert set(report.timings) == {"structure", "connection", "flat_bundle"}
     assert all(seconds >= 0.0 for seconds in report.timings.values())
 

@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 from prodimm.dataio import Dataset
-from prodimm.extract import extract_all, fixture
+from prodimm.extract import default_tolerances, extract_all, fixture
 from prodimm.fields import ChartGrid
+from prodimm.flatbundle import Geometry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,3 +71,25 @@ def test_field_probes_accept_the_standalone_call_shapes():
         fn = _program_attr(name)
         assert callable(fn), name
         call(fn, ds)
+
+
+def test_tracer_counts_the_rebuild_layers(monkeypatch):
+    """One 2-D rebuild: transport and cross-check sweeps, one path-independence record."""
+    imm, _ = fixture("F3")
+    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
+    data = extract_all(imm, grid)
+    geom = Geometry.of(data)
+    tracer = _spans_module(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        _program_attr("reconstruct.reconstruct_immersion")(
+            geom, tolerances=default_tolerances(data))
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["reconstruct.reconstruct_immersion"] == 1
+    assert calls["reconstruct.sweep_parallel_frame"] == 2
+    assert calls["reconstruct.path_independence_residual"] == 1
+    sweeps = [sp for sp in tracer.spans if sp.name == "reconstruct.sweep_parallel_frame"]
+    assert all(sp.counts.get("sweep_steps", 0) > 0 for sp in sweeps)
+    assert not tracer.missing, tracer.missing

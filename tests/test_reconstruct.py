@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,7 +8,8 @@ import scipy.linalg
 from prodimm.errors import ReconstructionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField
 from prodimm.flatbundle import FlatBundleConnection, Geometry
-from prodimm.reconstruct import (align_congruence, assemble_immersion, edge_flow,
+from prodimm.extract import extract_all, fixture
+from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
                                  immersion_psi_field, initial_frame_from_split,
                                  path_independence_residual,
                                  random_block_rotation, reconstruct_immersion,
@@ -82,11 +85,12 @@ def test_sweep_three_axes_against_closed_form():
     grid = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
     conn, frames = _flat_test_connection(grid)
     base = (2, 3, 1)
-    out = sweep_parallel_frame(conn, frames[base], base_node=base)
+    flows = EdgeFlows.of(conn, base)
+    out = sweep_parallel_frame(flows, frames[base])
     assert np.array_equal(out.values[base], frames[base])
     err = np.abs(out.values - frames).max()
     assert err <= 5 * grid.h_max**2
-    rec = path_independence_residual(conn).records[0]
+    rec = path_independence_residual(flows).records[0]
     assert rec.max_abs <= 5 * grid.h_max**2
 
 
@@ -111,7 +115,7 @@ def test_sweep_bitwise_equals_per_edge_oracle(f2_fd, f3):
     for conn, frame0, gauge, base, orders in _transport_cases(f2_fd, f3):
         for order in orders:
             for reorth in (False, True) if gauge is not None else (False,):
-                out = sweep_parallel_frame(conn, frame0, base_node=base, axis_order=order,
+                out = sweep_parallel_frame(EdgeFlows.of(conn, base), frame0, axis_order=order,
                                            gauge=gauge, reorthonormalize=reorth)
                 ref = per_edge_parallel_frame(conn, frame0, base, order, gauge, reorth)
                 assert np.array_equal(out.values, ref), (conn.grid.dims, base, order, reorth)
@@ -122,7 +126,7 @@ def test_sweep_matches_dense_ode_oracle():
     for h, n_nodes in ((0.16, 8), (0.08, 15)):
         grid = ChartGrid(dims=(n_nodes,), spacing=(h,), origin=(0.0,))
         conn, frames = _flat_test_connection(grid)
-        out = sweep_parallel_frame(conn, frames[(0,)], base_node=(0,))
+        out = sweep_parallel_frame(EdgeFlows.of(conn, (0,)), frames[(0,)])
         t_nodes = grid.axis_coords(0)
         om = conn.values[:, 0]
 
@@ -152,7 +156,7 @@ def test_frame_records_locate_their_worst_node(f3):
     res = f3.recon
     base = res.immersion.base_node
     s = res.frame.values
-    alt = sweep_parallel_frame(res.connection, s[base], base_node=base, axis_order=(1, 0))
+    alt = sweep_parallel_frame(EdgeFlows.of(res.connection, base), s[base], axis_order=(1, 0))
     nodewise = {
         "reconstruction_on_product": product_defect(res.immersion.values, res.k),
         "sweep_cross_check": np.abs(alt.values - s).max(axis=(-1, -2)),
@@ -279,16 +283,68 @@ def test_reorthonormalize_frame_kernel():
     assert np.abs(fixed.T @ gram @ fixed - gram).max() <= 1e-12
 
 
+def _path_record(conn, base, tolerances):
+    return path_independence_residual(EdgeFlows.of(conn, base), tolerances).records[0]
+
+
 def test_path_independence_detects_incompatibility(f3):
     data = f3.data
-    clean = path_independence_residual(f3.geom.connection, f3.tolerances).records[0].max_abs
+    base = f3.recon.immersion.base_node
+    clean = _path_record(f3.geom.connection, base, f3.tolerances).max_abs
     eps = 1e-2
     sg = data.sigma.values.copy()
     sg[..., 1, 1, 0] += eps
     conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
                         data.psi).connection
-    broken = path_independence_residual(conn_bad, f3.tolerances).records[0].max_abs
+    broken = _path_record(conn_bad, base, f3.tolerances).max_abs
     assert broken - clean >= eps / 10
+
+
+def test_path_independence_locates_a_local_bump(f3):
+    data = f3.data
+    base = f3.recon.immersion.base_node
+    clean = _path_record(f3.geom.connection, base, f3.tolerances)
+    assert clean.passed
+    for node in ((20, 45), (0, 63), base):
+        sg = data.sigma.values.copy()
+        sg[node + (1, 1, 0)] += 1e-2
+        conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
+                            data.psi).connection
+        rec = _path_record(conn_bad, base, f3.tolerances)
+        assert not rec.passed, node
+        # the bumped node is a corner of the plaquette whose lower corner is the argmax
+        assert all(0 <= i - j <= 1 for i, j in zip(node, rec.argmax_node)), (node, rec)
+
+
+def test_edge_flow_table_holds_each_edge_flow_away_from_the_base(f3):
+    """Every entry is edge_flow across its edge in the sweep's direction, bit for bit."""
+    grid3 = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
+    conn3, _ = _flat_test_connection(grid3)
+    last = f3.grid.dims[0] - 1
+    cases = [(f3.geom.connection, base) for base in ((0, 0), (21, 40), (last, 7))]
+    cases.append((conn3, (2, 3, 1)))
+    for conn, base in cases:
+        grid = conn.grid
+        flows = EdgeFlows.of(conn, base)
+        assert flows.base == base
+        for a, table in enumerate(flows.ops):
+            edges = grid.dims[:a] + (grid.dims[a] - 1,) + grid.dims[a + 1:]
+            assert table.shape == edges + conn.values.shape[-2:]
+            om, h = conn.values[..., a, :, :], grid.spacing[a]
+            for lower in np.ndindex(*edges):
+                upper = lower[:a] + (lower[a] + 1,) + lower[a + 1:]
+                src, dst, delta = (lower, upper, h) if lower[a] >= base[a] else (upper, lower, -h)
+                assert np.array_equal(table[lower], edge_flow(om[src], om[dst], delta)), \
+                    (grid.dims, base, a, lower)
+
+
+def test_reconstruct_names_a_base_node_off_the_grid():
+    imm, _ = fixture("F3")
+    grid = ChartGrid(dims=(17, 17), spacing=(1.5 / 16, 1.5 / 16), origin=(0.0, 0.0))
+    geom = Geometry.of(extract_all(imm, grid))
+    for node in ((-1, -1), (17, 3), (3,), (3.5, 4)):
+        with pytest.raises(StructureError, match=re.escape(f"base node {node} ")):
+            reconstruct_immersion(geom, base_node=node)
 
 
 def test_initial_frame_rotation_validation(f2):
