@@ -23,8 +23,7 @@ from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import (Geometry, flatness_residual, metric_compatibility_residual,
                          psi_tilde_parallel_residual)
-from .reconstruct import (ImmersionField, align_congruence, immersion_psi_field,
-                          random_block_rotation, reconstruct_immersion)
+from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
 from .structure import ResidualReport, ToleranceModel, check_all
 
 
@@ -136,14 +135,19 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _reconstruction_block(result) -> dict:
-    psi_base = immersion_psi_field(result.frame, result.gauge)[result.immersion.base_node]
+def _base_frame_map(result, geom: Geometry) -> np.ndarray:
+    """The rebuild's (N, N) frame map bundle -> ambient coordinates at its base node."""
+    base = result.base_node
+    return immersion_psi_field(result.frame[base], geom.gram[base])
+
+
+def _reconstruction_block(result, frame_map: np.ndarray) -> dict:
     return {
         "k": result.k,
-        "ambient_dim": result.gauge.size,
-        "base_node": list(result.immersion.base_node),
-        "on_product_defect": result.immersion.on_product_defect,
-        "psi_base": psi_base.ravel().tolist(),
+        "ambient_dim": frame_map.shape[-1],
+        "base_node": list(result.base_node),
+        "on_product_defect": result.on_product_defect,
+        "psi_base": frame_map.ravel().tolist(),
     }
 
 
@@ -169,14 +173,15 @@ def cmd_reconstruct(args) -> int:
                                    assemble_tol=np.inf if args.force else None)
     report = Report.from_residuals(
         ds.grid, pre, result.report,
-        reconstruction=_reconstruction_block(result), timings=result.timings)
+        reconstruction=_reconstruction_block(result, _base_frame_map(result, geom)),
+        timings=result.timings)
     _print_checks(result.report)
-    dataio.save_immersion_csv(args.out, ds.grid, result.k, result.immersion.values,
+    dataio.save_immersion_csv(args.out, ds.grid, result.k, result.points,
                               repair=args.repair_export)
     report_path = args.report or (args.out + ".report.json")
     save_report(report, report_path)
     print(f"wrote {args.out} and {report_path}; recovered k = {result.k}, "
-          f"on-product defect {result.immersion.on_product_defect:.3e}")
+          f"on-product defect {result.on_product_defect:.3e}")
     return 0 if report.passed else 1
 
 
@@ -188,18 +193,15 @@ def cmd_roundtrip(args) -> int:
     geom = Geometry.of(ds)
     checks = check_dataset(geom, tol)
     result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame)
-    analytic = ImmersionField(grid=grid, k=imm.k, values=data.points,
-                              base_node=result.immersion.base_node, on_product_defect=0.0)
-    alignment = align_congruence(result.immersion,
-                                 immersion_psi_field(result.frame, result.gauge),
-                                 analytic, data.ambient_frame_field())
-    distance_tol = args.distance_tol if args.distance_tol is not None \
-        else max(tol.factor * grid.h_max**2, tol.floor)
+    frame_map = _base_frame_map(result, geom)
+    alignment = align_congruence(result.points, frame_map, result.k,
+                                 data.points, data.ambient_frame(result.base_node), imm.k)
+    distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
     k_ok = result.k == imm.k
     aligned_ok = alignment.max_distance <= distance_tol
     report = Report.from_residuals(
         grid, checks, result.report,
-        reconstruction=_reconstruction_block(result),
+        reconstruction=_reconstruction_block(result, frame_map),
         alignment=_alignment_block(alignment) | {"distance_tol": distance_tol},
         timings=result.timings)
     _print_checks(report)
@@ -219,6 +221,8 @@ def cmd_align(args) -> int:
     if rep_a.grid is None or rep_b.grid is None or rep_a.reconstruction is None \
             or rep_b.reconstruction is None:
         raise SchemaError("align needs reconstruction reports with grid blocks")
+    if rep_a.grid != rep_b.grid:
+        raise SchemaError(f"align inputs must share the grid: {rep_a.grid} vs {rep_b.grid}")
     if values_a.shape != values_b.shape or coords_a.shape != coords_b.shape:
         raise SchemaError("meshes have different sizes")
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
@@ -226,16 +230,13 @@ def cmd_align(args) -> int:
         raise SchemaError("align inputs must share the base node")
     size = int(_take(ra, "ambient_dim"))
     grid = rep_a.grid
-    base = tuple(int(i) for i in ra["base_node"])
-    imm_a = ImmersionField(grid=grid, k=k_a, values=values_a.reshape(grid.dims + (size,)),
-                           base_node=base, on_product_defect=0.0)
-    imm_b = ImmersionField(grid=grid, k=k_b, values=values_b.reshape(grid.dims + (size,)),
-                           base_node=base, on_product_defect=0.0)
-    psi_a = np.zeros(grid.dims + (size, size))
-    psi_a[base] = np.asarray(_take(ra, "psi_base"), dtype=float).reshape(size, size)
-    psi_b = np.zeros(grid.dims + (size, size))
-    psi_b[base] = np.asarray(_take(rb, "psi_base"), dtype=float).reshape(size, size)
-    alignment = align_congruence(imm_a, psi_a, imm_b, psi_b, node=base)
+
+    def frame_map(block):
+        return np.asarray(_take(block, "psi_base"), dtype=float).reshape(size, size)
+
+    shape = grid.dims + (size,)
+    alignment = align_congruence(values_a.reshape(shape), frame_map(ra), k_a,
+                                 values_b.reshape(shape), frame_map(rb), k_b)
     print("isometry:")
     for row in alignment.isometry:
         print("  " + " ".join(f"{v: .6f}" for v in row))

@@ -91,14 +91,10 @@ class ExtractionResult:
     def k(self) -> int:
         return self.immersion.k
 
-    def ambient_frame_field(self) -> np.ndarray:
-        """Columns (tangents, normals, xi1, xi2): the frame map for alignment."""
-        xi1, xi2 = product_normals(self.points, self.k)
-        return np.concatenate([
-            np.moveaxis(self.tangents, -2, -1),
-            np.moveaxis(self.normals, -2, -1),
-            xi1[..., None], xi2[..., None],
-        ], axis=-1)
+    def ambient_frame(self, node: tuple) -> np.ndarray:
+        """(N, N) frame map at ``node``, columns (tangents, normals, xi1, xi2): for alignment."""
+        xi1, xi2 = product_normals(self.points[node], self.k)
+        return np.column_stack([self.tangents[node].T, self.normals[node].T, xi1, xi2])
 
 
 def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,

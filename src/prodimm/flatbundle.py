@@ -13,9 +13,9 @@ constant-structure tests.
 
 ``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
 from it that more than one consumer reads: the Christoffel symbols, the shape
-operators, g(f., .), the gauge, the big connection and psi~.  Each is
-computed on first use and kept; the structure checks, the flat-bundle
-diagnostics and the rebuild all read one instance per dataset.
+operators, g(f., .), G, the big connection and psi~ (the last three as plain
+arrays).  Each is computed on first use and kept; the structure checks, the
+flat-bundle diagnostics and the rebuild all read one instance per dataset.
 """
 
 from __future__ import annotations
@@ -29,50 +29,8 @@ from .errors import ExclusionError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
                      christoffel, connection_curvature, grad_field, same_grid,
                      shape_operator_field)
-from .lorentz import complete_basis, eta
+from .lorentz import complete_basis
 from .structure import ProductStructureField, ResidualReport, ToleranceModel, make_record
-
-
-@dataclass(frozen=True)
-class FlatBundleGauge:
-    """Nodewise Gram matrix of the big bundle in the fixed gauge."""
-
-    grid: ChartGrid
-    n: int
-    p: int
-    gram: np.ndarray  # (*dims, N, N)
-
-    @property
-    def size(self) -> int:
-        return self.n + self.p + 2
-
-    @property
-    def signature(self) -> np.ndarray:
-        return eta(self.size)
-
-    @classmethod
-    def from_metric(cls, g: MetricField, p: int) -> "FlatBundleGauge":
-        grid = g.grid
-        n = grid.ndim
-        size = n + p + 2
-        gram = np.zeros(grid.dims + (size, size))
-        gram[..., :n, :n] = g.values
-        idx = np.arange(n, size)
-        gram[..., idx, idx] = 1.0
-        gram[..., -1, -1] = -1.0
-        return cls(grid=grid, n=n, p=p, gram=gram)
-
-
-@dataclass(frozen=True)
-class FlatBundleConnection:
-    grid: ChartGrid
-    values: np.ndarray  # (*dims, n, N, N)
-
-
-@dataclass(frozen=True)
-class PsiTildeField:
-    grid: ChartGrid
-    values: np.ndarray  # (*dims, N, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,19 +73,29 @@ class Geometry:
         return np.swapaxes(self.psi.f.values, -1, -2) @ self.metric.values
 
     @cached_property
-    def gauge(self) -> FlatBundleGauge:
-        return FlatBundleGauge.from_metric(self.metric, self.p)
+    def gram(self) -> np.ndarray:
+        """(..., N, N) Gram matrix of the big bundle, g (+) I_p (+) diag(1, -1)."""
+        n = self.grid.ndim
+        size = n + self.p + 2
+        gram = np.zeros(self.grid.dims + (size, size))
+        gram[..., :n, :n] = self.metric.values
+        idx = np.arange(n, size)
+        gram[..., idx, idx] = 1.0
+        gram[..., -1, -1] = -1.0
+        return gram
 
     @cached_property
-    def connection(self) -> FlatBundleConnection:
+    def connection(self) -> np.ndarray:
+        """(..., m, N, N) big-bundle connection matrices Omega_m."""
         return build_connection(self)
 
     @cached_property
-    def psi_tilde(self) -> PsiTildeField:
+    def psi_tilde(self) -> np.ndarray:
+        """(..., N, N) extended structure psi~."""
         return build_psi_tilde(self.psi)
 
 
-def build_connection(geom: Geometry) -> FlatBundleConnection:
+def build_connection(geom: Geometry) -> np.ndarray:
     """Assemble the big-bundle connection matrices; exact, no differencing
     beyond the Christoffel symbols already used for the tangent block."""
     grid = geom.grid
@@ -155,7 +123,7 @@ def build_connection(geom: Geometry) -> FlatBundleConnection:
     om[..., n:n + p, i1] = 0.5 * u_t
     om[..., :n, i2] = 0.5 * (ident - f_t)
     om[..., n:n + p, i2] = -0.5 * u_t
-    return FlatBundleConnection(grid=grid, values=om)
+    return om
 
 
 def metric_compatibility_residual(geom: Geometry,
@@ -163,8 +131,8 @@ def metric_compatibility_residual(geom: Geometry,
     """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions."""
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
-    gram = geom.gauge.gram
-    om = geom.connection.values
+    gram = geom.gram
+    om = geom.connection
     resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
              - gram[..., None, :, :] @ om)
     name = "bundle_metric_compatibility"
@@ -181,14 +149,14 @@ def flatness_residual(geom: Geometry,
     threshold = tolerances.threshold(name, grid)
     if grid.ndim == 1:
         return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
-    curv = connection_curvature(grid, geom.connection.values)
+    curv = connection_curvature(grid, geom.connection)
     pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
              for n in range(m + 1, grid.ndim)]
     resid = np.stack(pairs, axis=-1)
     return ResidualReport((make_record(name, resid, grid, threshold),))
 
 
-def build_psi_tilde(psi: ProductStructureField) -> PsiTildeField:
+def build_psi_tilde(psi: ProductStructureField) -> np.ndarray:
     """Extend the structure by +1 on xi1~ and -1 on xi2~."""
     grid = psi.grid
     n, p = psi.n, psi.p
@@ -197,7 +165,7 @@ def build_psi_tilde(psi: ProductStructureField) -> PsiTildeField:
     vals[..., :n + p, :n + p] = psi.block_matrix()
     vals[..., n + p, n + p] = 1.0
     vals[..., n + p + 1, n + p + 1] = -1.0
-    return PsiTildeField(grid=grid, values=vals)
+    return vals
 
 
 def psi_tilde_parallel_residual(geom: Geometry,
@@ -205,9 +173,9 @@ def psi_tilde_parallel_residual(geom: Geometry,
     """Residual of d_m psi~ + [Omega_m, psi~] = 0."""
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
-    pt = geom.psi_tilde.values[..., None, :, :]
-    om = geom.connection.values
-    resid = grad_field(grid, geom.psi_tilde.values) + om @ pt - pt @ om
+    pt = geom.psi_tilde[..., None, :, :]
+    om = geom.connection
+    resid = grad_field(grid, geom.psi_tilde) + om @ pt - pt @ om
     name = "psi_tilde_parallel"
     return ResidualReport((make_record(name, resid, grid,
                                        tolerances.threshold(name, grid)),))

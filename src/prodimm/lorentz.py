@@ -23,7 +23,7 @@ and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,6 @@ class AmbientFrame:
     """Columns form a Lorentz-orthonormal basis: G^T eta G = eta."""
 
     columns: np.ndarray
-    gram_signature: np.ndarray = field(default=None)
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
@@ -149,10 +148,9 @@ class AmbientFrame:
         n = cols.shape[0]
         if cols.shape != (n, n):
             raise DimensionError("frame must be square")
-        object.__setattr__(self, "gram_signature", eta(n))
 
     def gram_defect(self) -> float:
-        e = self.gram_signature
+        e = eta(self.columns.shape[0])
         return float(np.abs(self.columns.T @ e @ self.columns - e).max())
 
 

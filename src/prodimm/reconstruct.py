@@ -11,9 +11,15 @@ Pipeline (all deterministic):
    transposed sweep and the plaquette path-independence record read the same
    table, which is dropped before the next steps;
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
-   the sign of the timelike coordinate;
+   the sign of the timelike coordinate, together with its nodewise distance
+   from the product;
 4. verify isometry, normal orthogonality, the second form and the
    product-structure compatibility by finite differences of the rebuilt map.
+
+Frames, points and the Gram matrices G are plain arrays over the node axes:
+frames (*dims, N, N) with the transported sections as columns, points
+(*dims, N) with the timelike coordinate last.  ``ReconstructionResult`` holds
+the rebuild; G and the connection stay on the caller's ``Geometry``.
 
 The on-product defect of the rebuilt points is reported, never repaired here;
 repair exists only as an export option in the CLI.
@@ -29,37 +35,12 @@ import numpy as np
 
 from .errors import ReconstructionError, StructureError
 from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
-from .flatbundle import FlatBundleConnection, FlatBundleGauge, Geometry, eigen_split
+from .flatbundle import Geometry, eigen_split
 from .lorentz import (eta, gram_schmidt, lower, minkowski_dot, product_defect, product_normals,
                       psi_flip)
 from .structure import ResidualReport, ToleranceModel, make_record
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
-
-
-@dataclass(frozen=True)
-class ParallelFrameField:
-    """Nodewise matrix whose columns are the transported frame sections."""
-
-    grid: ChartGrid
-    values: np.ndarray  # (*dims, N, N)
-    base_node: tuple
-
-    def gram_defect(self, gauge: FlatBundleGauge) -> np.ndarray:
-        """Nodewise S^T G S - signature of the frame columns."""
-        s = self.values
-        return np.swapaxes(s, -1, -2) @ gauge.gram @ s - gauge.signature
-
-
-@dataclass(frozen=True)
-class ImmersionField:
-    """Rebuilt node points in R^(n+p+2), timelike coordinate last."""
-
-    grid: ChartGrid
-    k: int
-    values: np.ndarray  # (*dims, N)
-    base_node: tuple
-    on_product_defect: float
 
 
 @dataclass(frozen=True)
@@ -72,11 +53,11 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    immersion: ImmersionField
-    frame: ParallelFrameField
-    gauge: FlatBundleGauge
-    connection: FlatBundleConnection
+    points: np.ndarray        # (*dims, N) rebuilt points, timelike coordinate last
+    frame: np.ndarray         # (*dims, N, N) transported frame, one section per column
+    base_node: tuple
     k: int
+    on_product_defect: float  # worst node's distance from S^k x H^m
     report: ResidualReport
     timings: dict
 
@@ -126,12 +107,13 @@ class EdgeFlows:
     ops: tuple
 
     @classmethod
-    def of(cls, conn: FlatBundleConnection, base: tuple) -> "EdgeFlows":
-        grid, base = conn.grid, tuple(base)
+    def of(cls, grid: ChartGrid, conn: np.ndarray, base: tuple) -> "EdgeFlows":
+        """Flows of the connection ``conn`` (*dims, n, N, N) on ``grid``."""
+        base = tuple(base)
         ops = []
         for a in range(grid.ndim):
             near, far = _away_from(base[a], grid.dims[a])
-            om = np.moveaxis(conn.values[..., a, :, :], a, 0)
+            om = np.moveaxis(conn[..., a, :, :], a, 0)
             delta = (grid.spacing[a] * (far - near)).reshape((-1,) + (1,) * (om.ndim - 1))
             table = np.empty((len(near),) + om.shape[1:])
             lines = max(1, _FLOW_BATCH * grid.dims[a] // grid.n_nodes)   # per edge_flow call
@@ -144,26 +126,28 @@ class EdgeFlows:
 
 def sweep_parallel_frame(flows: EdgeFlows, initial_frame: np.ndarray,
                          axis_order: tuple | None = None,
-                         gauge: FlatBundleGauge | None = None,
-                         reorthonormalize: bool = False) -> ParallelFrameField:
+                         gram: np.ndarray | None = None,
+                         reorthonormalize: bool = False) -> np.ndarray:
     """Deterministic sweep from ``flows.base``: every node receives exactly one frame.
 
-    With ``reorthonormalize`` the frame is re-orthonormalized after every
-    edge (masks metric-compatibility drift; off by default on purpose).
+    Returns the (*dims, N, N) frames, the transported sections as columns.
+    With ``reorthonormalize`` the frame is re-orthonormalized in the nodewise
+    Gram matrices ``gram`` after every edge (masks metric-compatibility drift;
+    off by default on purpose).
     """
     grid, base = flows.grid, flows.base
-    if reorthonormalize and gauge is None:
-        raise StructureError("re-orthonormalization needs the gauge Gram matrices")
+    if reorthonormalize and gram is None:
+        raise StructureError("re-orthonormalization needs the Gram matrices")
 
     def restore(moved, dst):
-        return reorthonormalize_frame(moved, gauge.gram[dst])
+        return reorthonormalize_frame(moved, gram[dst])
 
     size = initial_frame.shape[-1]
     frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
     sweep_compose(grid, frames, base, flows.ops, axis_order,
                   after=restore if reorthonormalize else None)
-    return ParallelFrameField(grid=grid, values=frames, base_node=base)
+    return frames
 
 
 def random_block_rotation(size: int, seed: int) -> np.ndarray:
@@ -188,44 +172,46 @@ def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
     return np.concatenate([b1, b2], axis=1)
 
 
-def assemble_immersion(frame: ParallelFrameField, k: int,
-                       tol: float = 1e-8) -> ImmersionField:
-    """Read the rebuilt map off the frame: components of xi1~ + xi2~.
+def assemble_immersion(frame: np.ndarray, k: int, tol: float = 1e-8):
+    """Read the rebuilt map off the frames (*dims, N, N): components of xi1~ + xi2~.
 
     The first n+p+1 coordinates are plain frame pairings, the last one flips
-    sign (timelike).  Points are checked against the product constraints and
-    the worst defect is reported; beyond 10x tolerance the rebuild fails.
+    sign (timelike).  Returns the points and their nodewise product defect;
+    beyond 10x tolerance at any node the rebuild fails.
     """
     # Gram column of xi1~ + xi2~ in the fixed gauge: the last two rows, second negated
-    phi = lower(frame.values[..., -2, :] - frame.values[..., -1, :])
+    phi = lower(frame[..., -2, :] - frame[..., -1, :])
 
     defect = product_defect(phi, k)
     worst = float(defect.max())
     if (phi[..., -1] <= 0).any() or not worst <= 10.0 * tol:   # a NaN point fails too
-        node = tuple(int(i) for i in np.unravel_index(int(defect.argmax()), frame.grid.dims))
+        node = tuple(int(i) for i in np.unravel_index(int(defect.argmax()), defect.shape))
         raise ReconstructionError(
             f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)
-    return ImmersionField(grid=frame.grid, k=k, values=phi,
-                          base_node=frame.base_node, on_product_defect=worst)
+    return phi, defect
 
 
-def immersion_psi_field(frame: ParallelFrameField, gauge: FlatBundleGauge) -> np.ndarray:
-    """Nodewise matrix of the frame isomorphism gauge -> ambient coordinates."""
-    return lower(np.swapaxes(frame.values, -1, -2) @ gauge.gram, axis=-2)
+def gram_defect(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """S^T G S - eta of frames S (..., N, N) in the Gram matrices G (..., N, N)."""
+    return np.swapaxes(frame, -1, -2) @ gram @ frame - eta(frame.shape[-1])
 
 
-def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField, geom: Geometry,
+def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Matrix of the frame isomorphism bundle -> ambient coordinates, over any leading axes."""
+    return lower(np.swapaxes(frame, -1, -2) @ gram, axis=-2)
+
+
+def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: Geometry,
                           tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Check every conclusion of the rebuild by finite differences of the map."""
     tolerances = tolerances or ToleranceModel()
-    grid = imm.grid
-    n, p, k = grid.ndim, geom.p, imm.k
+    grid = geom.grid
+    n, p = grid.ndim, geom.p
     psi = geom.psi
-    phi = imm.values
-    dphi = grad_field(grid, phi)                       # (..., m, N)
+    dphi = grad_field(grid, points)                    # (..., m, N)
 
     # normal columns of the frame isomorphism (exact, no differencing)
-    psi_map = immersion_psi_field(frame, geom.gauge)
+    psi_map = immersion_psi_field(frame, geom.gram)
     normals = np.swapaxes(psi_map[..., :, n:n + p], -1, -2)      # (..., b, N)
 
     induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
@@ -233,9 +219,9 @@ def verify_reconstruction(imm: ImmersionField, frame: ParallelFrameField, geom: 
 
     res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
 
-    xi1, xi2 = product_normals(phi, k)
+    xi1, xi2 = product_normals(points, k)
     psi_dphi = psi_flip(dphi, k)
-    d2phi = hessian_field(grid, phi)                   # (..., m, n, N)
+    d2phi = hessian_field(grid, points)                # (..., m, n, N)
     plus = minkowski_dot((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
     minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
     w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
@@ -293,27 +279,26 @@ def path_independence_residual(flows: EdgeFlows,
     return ResidualReport((make_record(name, gap, grid, tolerances.threshold(name, grid)),))
 
 
-def align_congruence(imm_a: ImmersionField, psi_field_a: np.ndarray,
-                     imm_b: ImmersionField, psi_field_b: np.ndarray,
-                     node: tuple | None = None) -> AlignmentResult:
+def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
+                     points_b: np.ndarray, frame_b: np.ndarray, k_b: int) -> AlignmentResult:
     """Constant ambient isometry carrying rebuild A onto rebuild B.
 
-    The isometry is the change-of-frame matrix at one node (default: B's base
-    node); it must be Lorentz-orthogonal and commute with the product
-    structure, and the returned residual is the worst node distance between
-    the transformed A points and the B points.
+    ``frame_a`` and ``frame_b`` are the (N, N) frame maps (bundle -> ambient
+    coordinates) of the two rebuilds at one node they share.  The isometry is
+    their change of frame there; it must be Lorentz-orthogonal and commute
+    with the product structure, and the returned residual is the worst node
+    distance between the transformed A points and the B points.
     """
-    if imm_a.k != imm_b.k:
-        raise StructureError(f"recovered factor splits differ: {imm_a.k} vs {imm_b.k}")
-    node = tuple(node) if node is not None else imm_b.base_node
-    t = psi_field_b[node] @ np.linalg.inv(psi_field_a[node])
+    if k_a != k_b:
+        raise StructureError(f"recovered factor splits differ: {k_a} vs {k_b}")
+    t = frame_b @ np.linalg.inv(frame_a)
 
     signature = eta(t.shape[0])
     eta_defect = float(np.abs(t.T @ signature @ t - signature).max())
-    psi_bar = psi_flip(np.eye(t.shape[0]), imm_a.k)
+    psi_bar = psi_flip(np.eye(t.shape[0]), k_a)
     comm_defect = float(np.abs(t @ psi_bar - psi_bar @ t).max())
-    moved = np.einsum("ij,...j->...i", t, imm_a.values)
-    dist = np.linalg.norm(moved - imm_b.values, axis=-1)
+    moved = np.einsum("ij,...j->...i", t, points_a)
+    dist = np.linalg.norm(moved - points_b, axis=-1)
     return AlignmentResult(isometry=t, max_distance=float(dist.max()),
                            eta_defect=eta_defect, commutation_defect=comm_defect)
 
@@ -328,7 +313,7 @@ def reconstruct_immersion(geom: Geometry,
     """Full rebuild pipeline: split, transport, assemble, verify.
 
     The base node defaults to the grid centre, which halves the longest
-    transport path against a corner base.  Reads the gauge, psi~ and the big
+    transport path against a corner base.  Reads G, psi~ and the big
     connection from ``geom``, so a geometry the checks already filled is not
     derived again.  One edge-flow table serves the transport, the transposed
     cross-check sweep (dimension >= 2) and path independence.
@@ -344,8 +329,8 @@ def reconstruct_immersion(geom: Geometry,
     timings: dict = {}
 
     t0 = time.perf_counter()
-    gauge = geom.gauge
-    k, b1, b2 = eigen_split(geom.psi_tilde.values[base], gauge.gram[base], nd, geom.p)
+    gram = geom.gram
+    k, b1, b2 = eigen_split(geom.psi_tilde[base], gram[base], nd, geom.p)
     if initial_rotation is None and seed_frame is not None:
         initial_rotation = random_block_rotation(k + 1, seed_frame)
     frame0 = initial_frame_from_split(b1, b2, rotation=initial_rotation)
@@ -353,16 +338,16 @@ def reconstruct_immersion(geom: Geometry,
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    flows = EdgeFlows.of(conn, base)
-    frame = sweep_parallel_frame(flows, frame0, gauge=gauge, reorthonormalize=reorthonormalize)
+    flows = EdgeFlows.of(grid, conn, base)
+    frame = sweep_parallel_frame(flows, frame0, gram=gram, reorthonormalize=reorthonormalize)
     timings["transport"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     table_records = list(path_independence_residual(flows, tolerances).records)
     if nd >= 2:
         alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))),
-                                   gauge=gauge, reorthonormalize=reorthonormalize)
-        table_records.append(make_record("sweep_cross_check", alt.values - frame.values, grid,
+                                   gram=gram, reorthonormalize=reorthonormalize)
+        table_records.append(make_record("sweep_cross_check", alt - frame, grid,
                                          tolerances.threshold("sweep_cross_check", grid)))
         del alt
     del flows   # freed before assembly and verification, whose temporaries peak higher
@@ -370,18 +355,18 @@ def reconstruct_immersion(geom: Geometry,
 
     t0 = time.perf_counter()
     if assemble_tol is None:
-        assemble_tol = max(tolerances.factor * grid.h_max**2, tolerances.floor)
-    imm = assemble_immersion(frame, k, tol=assemble_tol)
+        assemble_tol = tolerances.h2_budget(grid)
+    points, on_product = assemble_immersion(frame, k, tol=assemble_tol)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = verify_reconstruction(imm, frame, geom, tolerances)
+    report = verify_reconstruction(points, frame, k, geom, tolerances)
     extra = [make_record(name, residual, grid, tolerances.threshold(name, grid))
-             for name, residual in (("frame_orthonormality", frame.gram_defect(gauge)),
-                                    ("reconstruction_on_product",
-                                     product_defect(imm.values, k)))]
+             for name, residual in (("frame_orthonormality", gram_defect(frame, gram)),
+                                    ("reconstruction_on_product", on_product))]
     report = ResidualReport.merge(report, ResidualReport(tuple(extra + table_records)))
     timings["verify"] = table_time + time.perf_counter() - t0
 
-    return ReconstructionResult(immersion=imm, frame=frame, gauge=gauge, connection=conn,
-                                k=k, report=report, timings=timings)
+    return ReconstructionResult(points=points, frame=frame, base_node=base, k=k,
+                                on_product_defect=float(on_product.max()), report=report,
+                                timings=timings)

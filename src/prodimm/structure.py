@@ -56,6 +56,10 @@ class ToleranceModel:
             return float(self.overrides[name])
         if name in ALGEBRAIC_CHECKS and self.algebraic is not None:
             return self.algebraic
+        return self.h2_budget(grid)
+
+    def h2_budget(self, grid: ChartGrid) -> float:
+        """max(factor * h_max^2, floor): the budget of a differencing residual on ``grid``."""
         return max(self.factor * grid.h_max**2, self.floor)
 
     def to_dict(self) -> dict:

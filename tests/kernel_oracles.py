@@ -200,12 +200,11 @@ def immersion_psi_field(s, gram) -> np.ndarray:
     return out
 
 
-def verify_reconstruction(imm, frame, gauge, g, sigma, psi, tolerances) -> ResidualReport:
-    grid = imm.grid
-    n, p, k = gauge.n, gauge.p, imm.k
-    phi = imm.values
+def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> ResidualReport:
+    grid = g.grid
+    n, p = grid.ndim, sigma.values.shape[-1]
     dphi = grad_field(grid, phi)
-    psi_map = immersion_psi_field(frame.values, gauge.gram)
+    psi_map = immersion_psi_field(frame, gram)
     normals = np.einsum("...ib->...bi", psi_map[..., :, n:n + p])
     induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
     res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])

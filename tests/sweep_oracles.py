@@ -62,16 +62,16 @@ def per_edge_normal_frame(imm, grid, use_analytic=True):
     return normals
 
 
-def per_edge_parallel_frame(conn, initial_frame, base, axis_order=None, gauge=None,
+def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None, gram=None,
                             reorthonormalize=False):
-    """RK4 edge flow applied to the frame edge by edge."""
+    """RK4 edge flow of the connection ``conn`` applied to the frame edge by edge."""
     size = initial_frame.shape[-1]
-    frames = np.zeros(conn.grid.dims + (size, size))
+    frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
-    for src, dst, axis, delta in sweep_steps(conn.grid, base, axis_order):
-        om = conn.values[..., axis, :, :]
+    for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
+        om = conn[..., axis, :, :]
         moved = edge_flow(om[src], om[dst], delta) @ frames[src]
         if reorthonormalize:
-            moved = reorthonormalize_frame(moved, gauge.gram[dst])
+            moved = reorthonormalize_frame(moved, gram[dst])
         frames[dst] = moved
     return frames

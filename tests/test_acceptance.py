@@ -22,9 +22,8 @@ from prodimm.extract import extract_all, default_tolerances
 from prodimm.fields import BundleData, SecondFormField, TensorField, shape_operator_field
 from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.lorentz import lorentz_orthonormalize
-from prodimm.reconstruct import (EdgeFlows, ImmersionField, align_congruence, edge_flow,
-                                 immersion_psi_field, path_independence_residual,
-                                 reconstruct_immersion)
+from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersion_psi_field,
+                                 path_independence_residual, reconstruct_immersion)
 from prodimm.structure import (ProductStructureField, check_all, check_codazzi,
                                check_gauss, check_ricci)
 
@@ -133,17 +132,16 @@ def test_criterion_4_roundtrip(f1, f2, f3):
         name = fb.immersion.name
         budget = ROUNDTRIP_BUDGETS[name]
         res = fb.recon
-        analytic = ImmersionField(grid=fb.grid, k=fb.immersion.k, values=fb.data.points,
-                                  base_node=res.immersion.base_node,
-                                  on_product_defect=0.0)
-        out = align_congruence(res.immersion, immersion_psi_field(res.frame, res.gauge),
-                               analytic, fb.data.ambient_frame_field())
+        base = res.base_node
+        frame_map = immersion_psi_field(res.frame[base], fb.geom.gram[base])
+        out = align_congruence(res.points, frame_map, res.k,
+                               fb.data.points, fb.data.ambient_frame(base), fb.immersion.k)
         ok = (out.max_distance <= budget
-              and res.immersion.on_product_defect <= budget
+              and res.on_product_defect <= budget
               and res.k == fb.immersion.k)
         all_ok &= _verdict(
             f"4 roundtrip {name}", ok,
-            f"dist={out.max_distance:.2e} on_product={res.immersion.on_product_defect:.2e} "
+            f"dist={out.max_distance:.2e} on_product={res.on_product_defect:.2e} "
             f"budget={budget:.0e} k={res.k}/{fb.immersion.k}")
     assert all_ok
 
@@ -177,10 +175,11 @@ def test_criterion_6_uniqueness_up_to_isometry(f2):
     rot[0, 1], rot[1, 0] = -np.sin(angle), np.sin(angle)
     res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances,
                                     initial_rotation=rot)
-    out = align_congruence(res_rot.immersion,
-                           immersion_psi_field(res_rot.frame, res_rot.gauge),
-                           res.immersion, immersion_psi_field(res.frame, res.gauge))
-    size = res.gauge.size
+    base, gram = res.base_node, f2.geom.gram
+    out = align_congruence(res_rot.points, immersion_psi_field(res_rot.frame[base], gram[base]),
+                           res_rot.k, res.points, immersion_psi_field(res.frame[base], gram[base]),
+                           res.k)
+    size = gram.shape[-1]
     expected = np.eye(size)
     expected[: k + 1, : k + 1] = rot
     rot_err = np.abs(out.isometry - expected).max()
@@ -200,7 +199,7 @@ def _trio_and_path(fb, metric, bundle, sigma, psi):
     c_ = check_codazzi(geom, tol).records[0].max_abs
     r_ = check_ricci(geom, tol).records[0].max_abs
     centre = tuple(d // 2 for d in fb.grid.dims)
-    flows = EdgeFlows.of(geom.connection, centre)
+    flows = EdgeFlows.of(geom.grid, geom.connection, centre)
     p_ = path_independence_residual(flows, tol).records[0].max_abs
     return np.array([g_, c_, r_]), p_
 

@@ -230,6 +230,20 @@ def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, break
     assert "error:" in capsys.readouterr().err
 
 
+def test_align_refuses_reports_on_different_grids(tmp_path, capsys):
+    meshes = []
+    for spacing in ("5e-3", "4e-3"):
+        ds, mesh = tmp_path / f"{spacing}.json", tmp_path / f"{spacing}.csv"
+        assert main(["extract", "--fixture", "F1", "--grid", "200", "--spacing", spacing,
+                     "-o", str(ds)]) == 0
+        assert main(["reconstruct", str(ds), "-o", str(mesh)]) == 0
+        meshes.append(str(mesh))
+    capsys.readouterr()
+    assert main(["align", *meshes]) == 2
+    err = capsys.readouterr().err
+    assert "spacing=(0.005,)" in err and "spacing=(0.004,)" in err
+
+
 @pytest.mark.parametrize("key, value", [("tolerances", 5), ("tolerances", {"overrides": [1, 2]}),
                                         ("meta", [1, 2, 3]), ("meta", 7)],
                          ids=["tolerances_number", "overrides_list", "meta_list", "meta_number"])

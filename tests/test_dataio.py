@@ -65,7 +65,7 @@ def test_inline_rule_matches_oracle():
 
 @pytest.mark.parametrize("repair", [False, True])
 def test_mesh_bytes_match_oracle(f3, tmp_path, repair):
-    values = f3.recon.immersion.values
+    values = f3.recon.points
     path = tmp_path / "mesh.csv"
     save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=repair)
     expected = io_oracles.immersion_csv_text(f3.grid, f3.recon.k, values, repair=repair)
@@ -73,7 +73,7 @@ def test_mesh_bytes_match_oracle(f3, tmp_path, repair):
 
 
 def test_mesh_roundtrip_is_bitwise(f3, tmp_path):
-    values = f3.recon.immersion.values
+    values = f3.recon.points
     path = tmp_path / "mesh.csv"
     save_immersion_csv(str(path), f3.grid, f3.recon.k, values)
     coords, back, k = load_immersion_csv(str(path))

@@ -3,10 +3,10 @@ import pytest
 
 from prodimm.errors import ExclusionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField
-from prodimm.flatbundle import (FlatBundleConnection, FlatBundleGauge, Geometry, PsiTildeField,
-                                build_connection, build_psi_tilde, eigen_split,
+from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eigen_split,
                                 flatness_residual, metric_compatibility_residual,
                                 psi_tilde_parallel_residual)
+from prodimm.lorentz import eta
 from prodimm.structure import ToleranceModel
 
 from conftest import with_derived
@@ -28,7 +28,7 @@ def test_connection_matches_hand_assembly(trivial):
         [-(1 + f) / 2, -u / 2, 0.0, 0.0],
         [(1 - f) / 2, -u / 2, 0.0, 0.0],
     ])
-    assert np.allclose(conn.values[3, 0], expected, atol=1e-15)
+    assert np.allclose(conn[3, 0], expected, atol=1e-15)
 
 
 def test_connection_xi1_row_formula(f2):
@@ -37,14 +37,14 @@ def test_connection_xi1_row_formula(f2):
     gv = data.metric.values
     gf = np.einsum("...kj,...km->...mj", gv, data.psi.f.values)
     i1 = 1 + 2  # n + p
-    assert np.allclose(conn.values[..., 0, i1, 0], -0.5 * (gv + gf)[..., 0, 0],
+    assert np.allclose(conn[..., 0, i1, 0], -0.5 * (gv + gf)[..., 0, 0],
                        atol=1e-15)
 
 
 def test_connection_rebuild_is_bit_identical(f3):
     a = build_connection(Geometry.of(f3.data))
     b = build_connection(Geometry.of(f3.data))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_metric_compatibility_trivial_exact(trivial):
@@ -60,11 +60,11 @@ def test_metric_compatibility_fixtures(f1, f2, f3):
 
 def test_metric_compatibility_detects_dropped_term(f1):
     n, p = 1, 1
-    values = f1.geom.connection.values.copy()
+    values = f1.geom.connection.copy()
     values[..., n + p, n:n + p] = 0.0   # drop the bundle coupling into xi1~
     values[..., n + p + 1, n:n + p] = 0.0
     rec = metric_compatibility_residual(
-        with_derived(f1.geom, connection=FlatBundleConnection(f1.grid, values)),
+        with_derived(f1.geom, connection=values),
         f1.tolerances).records[0]
     assert not rec.passed
     assert rec.max_abs >= 0.4  # the dropped coupling has size |u| ~ 0.96
@@ -89,14 +89,13 @@ def test_flatness_surface_and_detection(f3):
 
 
 def test_psi_tilde_blocks(f2):
-    pt = build_psi_tilde(f2.data.psi)
-    vals = pt.values
+    vals = build_psi_tilde(f2.data.psi)
     size = vals.shape[-1]
     ident = np.eye(size)
     assert np.abs(np.einsum("...ab,...bc->...ac", vals, vals) - ident).max() <= 1e-10
     assert np.array_equal(vals[..., :, size - 1][..., -1], -np.ones(f2.grid.dims))
-    gauge = FlatBundleGauge.from_metric(f2.data.metric, f2.data.bundle.rank)
-    lowered = np.einsum("...ab,...bc->...ac", gauge.gram, vals)
+    gram = Geometry.of(f2.data).gram
+    lowered = np.einsum("...ab,...bc->...ac", gram, vals)
     assert np.abs(lowered - np.swapaxes(lowered, -1, -2)).max() <= 1e-10
 
 
@@ -109,9 +108,9 @@ def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
 
 
 def test_psi_tilde_parallel_detects_lambda_shift(f2):
-    vals = f2.geom.psi_tilde.values.copy()
+    vals = f2.geom.psi_tilde.copy()
     vals[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
-    rec = psi_tilde_parallel_residual(with_derived(f2.geom, psi_tilde=PsiTildeField(f2.grid, vals)),
+    rec = psi_tilde_parallel_residual(with_derived(f2.geom, psi_tilde=vals),
                                       f2.tolerances).records[0]
     assert not rec.passed
 
@@ -120,16 +119,16 @@ def test_eigen_split_fixtures(f1, f2):
     for fb, want_k in ((f1, 1), (f2, 2)):
         data = fb.data
         base = (0,) * fb.grid.ndim
-        gauge = FlatBundleGauge.from_metric(data.metric, data.bundle.rank)
+        gram = Geometry.of(data).gram
         pt = build_psi_tilde(data.psi)
-        k, b1, b2 = eigen_split(pt.values[base], gauge.gram[base],
+        k, b1, b2 = eigen_split(pt[base], gram[base],
                                 fb.grid.ndim, data.bundle.rank)
         assert k == want_k
         assert b1.shape[1] == k + 1
-        size = gauge.size
+        size = gram.shape[-1]
         frame = np.concatenate([b1, b2], axis=1)
-        gram = frame.T @ gauge.gram[base] @ frame
-        assert np.abs(gram - gauge.signature).max() <= 1e-12
+        frame_gram = frame.T @ gram[base] @ frame
+        assert np.abs(frame_gram - eta(size)).max() <= 1e-12
         # xi1~ closes the first block, timelike xi2~ closes the frame
         assert np.argmax(np.abs(b1[:, -1])) == size - 2
         assert np.argmax(np.abs(b2[:, -1])) == size - 1
@@ -156,6 +155,6 @@ def test_eigen_split_rejects_bad_spectrum():
 def test_eigen_multiplicity_sweep_constant(f2, f3):
     for fb in (f2, f3):
         pt = build_psi_tilde(fb.data.psi)
-        trace = np.trace(pt.values, axis1=-2, axis2=-1)
+        trace = np.trace(pt, axis1=-2, axis2=-1)
         ks = np.rint((trace + fb.grid.ndim + fb.data.bundle.rank) / 2.0).astype(int)
         assert np.all(ks == fb.immersion.k)

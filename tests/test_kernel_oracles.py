@@ -2,8 +2,9 @@
 
 Every kernel is compared on F3 and on random data with none of the symmetries
 of real data (non-symmetric f and lambda, independent u and U, a non-skew big
-connection, a non-symmetric psi~ and gauge), on a 2-dim chart with p = 3 and a
-3-dim chart with p = 2, so a transposed operand or a swapped index cannot hide.
+connection, a non-symmetric psi~ and Gram matrix), on a 2-dim chart with p = 3
+and a 3-dim chart with p = 2, so a transposed operand or a swapped index cannot
+hide.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import kernel_oracles as oracle
 from conftest import with_derived
 from prodimm import fields, flatbundle, structure
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
-from prodimm.flatbundle import FlatBundleConnection, FlatBundleGauge, Geometry, PsiTildeField
-from prodimm.reconstruct import (ImmersionField, ParallelFrameField, assemble_immersion,
-                                 immersion_psi_field, verify_reconstruction)
+from prodimm.flatbundle import Geometry
+from prodimm.lorentz import eta
+from prodimm.reconstruct import (assemble_immersion, gram_defect, immersion_psi_field,
+                                 verify_reconstruction)
 from prodimm.structure import ProductStructureField, ToleranceModel, make_record
 
 REL = 1e-13
@@ -57,15 +59,15 @@ def random_geometry(seed: int, dims: tuple, p: int) -> Geometry:
 
 
 def with_random_bundle(geom: Geometry, seed: int) -> Geometry:
-    """A copy whose gauge, big connection and psi~ are random, non-symmetric matrices."""
+    """A copy whose Gram matrix, big connection and psi~ are random, non-symmetric matrices."""
     rng = np.random.default_rng(seed)
     grid, n, p = geom.grid, geom.grid.ndim, geom.p
     size = n + p + 2
     return with_derived(
         geom,
-        gauge=FlatBundleGauge(grid, n, p, rng.normal(size=grid.dims + (size, size))),
-        connection=FlatBundleConnection(grid, rng.normal(size=grid.dims + (n, size, size))),
-        psi_tilde=PsiTildeField(grid, rng.normal(size=grid.dims + (size, size))))
+        gram=rng.normal(size=grid.dims + (size, size)),
+        connection=rng.normal(size=grid.dims + (n, size, size)),
+        psi_tilde=rng.normal(size=grid.dims + (size, size)))
 
 
 CASES = ("f3", "random2", "random3")
@@ -86,7 +88,7 @@ def test_field_kernels_match_oracles(geom):
     assert_close(fields.curvature_tensor(g).values, oracle.curvature_tensor(g), "riemann")
     assert_close(fields.shape_operator_field(sigma, g), oracle.shape_operator_field(sigma, g),
                  "shape operators")
-    big = with_random_bundle(geom, 5).connection.values
+    big = with_random_bundle(geom, 5).connection
     assert_close(fields.connection_curvature(geom.grid, big),
                  oracle.connection_curvature(geom.grid, big), "connection curvature")
     chris = fields.christoffel(g)
@@ -114,18 +116,18 @@ def test_structure_checks_match_oracles(geom):
 def test_flat_bundle_kernels_match_oracles(geom):
     tol = ToleranceModel()
     grid = geom.grid
-    assert_close(flatbundle.build_connection(geom).values,
+    assert_close(flatbundle.build_connection(geom),
                  oracle.build_connection(geom.metric, geom.bundle, geom.sigma, geom.psi),
                  "big connection")
     for case in (geom, with_random_bundle(geom, 6)):
-        om, gram = case.connection.values, case.gauge.gram
+        om, gram = case.connection, case.gram
         want = make_record("bundle_metric_compatibility",
                            oracle.metric_compatibility(grid, om, gram), grid,
                            tol.threshold("bundle_metric_compatibility", grid))
         assert_reports_close(flatbundle.metric_compatibility_residual(case, tol),
                              structure.ResidualReport((want,)))
         want = make_record("psi_tilde_parallel",
-                           oracle.psi_tilde_parallel(grid, om, case.psi_tilde.values), grid,
+                           oracle.psi_tilde_parallel(grid, om, case.psi_tilde), grid,
                            tol.threshold("psi_tilde_parallel", grid))
         assert_reports_close(flatbundle.psi_tilde_parallel_residual(case, tol),
                              structure.ResidualReport((want,)))
@@ -135,27 +137,25 @@ def _random_rebuild(geom: Geometry, seed: int):
     rng = np.random.default_rng(seed)
     grid = geom.grid
     size = grid.ndim + geom.p + 2
-    frame = ParallelFrameField(grid, rng.normal(size=grid.dims + (size, size)),
-                               (0,) * grid.ndim)
-    imm = ImmersionField(grid, k=1, values=rng.normal(size=grid.dims + (size,)),
-                         base_node=frame.base_node, on_product_defect=0.0)
-    return imm, frame
+    frame = rng.normal(size=grid.dims + (size, size))
+    points = rng.normal(size=grid.dims + (size,))
+    return points, frame
 
 
 def test_rebuild_kernels_match_oracles(geom, f3):
     tol = ToleranceModel()
     if geom.grid == f3.grid:
-        imm, frame, case = f3.recon.immersion, f3.recon.frame, f3.geom
-        assert_close(assemble_immersion(frame, imm.k).values, oracle.frame_points(frame.values),
+        points, frame, k, case = f3.recon.points, f3.recon.frame, f3.recon.k, f3.geom
+        assert_close(assemble_immersion(frame, k)[0], oracle.frame_points(frame),
                      "rebuilt points")
     else:
-        imm, frame = _random_rebuild(geom, 7)
-        case = with_random_bundle(geom, 8)
-    gauge = case.gauge
-    assert_close(frame.gram_defect(gauge),
-                 oracle.gram_defect(frame.values, gauge.gram, gauge.signature), "gram defect")
-    assert_close(immersion_psi_field(frame, gauge),
-                 oracle.immersion_psi_field(frame.values, gauge.gram), "frame isomorphism")
-    assert_reports_close(verify_reconstruction(imm, frame, case, tol),
-                         oracle.verify_reconstruction(imm, frame, gauge, case.metric,
+        points, frame = _random_rebuild(geom, 7)
+        k, case = 1, with_random_bundle(geom, 8)
+    gram = case.gram
+    assert_close(gram_defect(frame, gram),
+                 oracle.gram_defect(frame, gram, eta(gram.shape[-1])), "gram defect")
+    assert_close(immersion_psi_field(frame, gram),
+                 oracle.immersion_psi_field(frame, gram), "frame isomorphism")
+    assert_reports_close(verify_reconstruction(points, frame, k, case, tol),
+                         oracle.verify_reconstruction(points, frame, k, gram, case.metric,
                                                       case.sigma, case.psi, tol))

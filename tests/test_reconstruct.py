@@ -7,15 +7,14 @@ import scipy.linalg
 
 from prodimm.errors import ReconstructionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField
-from prodimm.flatbundle import FlatBundleConnection, Geometry
+from prodimm.flatbundle import Geometry
 from prodimm.extract import extract_all, fixture
 from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
-                                 immersion_psi_field, initial_frame_from_split,
+                                 gram_defect, immersion_psi_field, initial_frame_from_split,
                                  path_independence_residual,
                                  random_block_rotation, reconstruct_immersion,
-                                 reorthonormalize_frame, sweep_parallel_frame,
-                                 ImmersionField)
-from prodimm.lorentz import product_defect
+                                 reorthonormalize_frame, sweep_parallel_frame)
+from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
 import kernel_oracles as oracle
@@ -39,12 +38,11 @@ def test_edge_flow_matches_matrix_exponential():
 
 
 def test_edge_transport_orthonormality_drift(f1):
-    conn, gauge = f1.geom.connection, f1.geom.gauge
+    conn, gram = f1.geom.connection, f1.geom.gram
     h = f1.grid.spacing[0]
-    eta = gauge.signature
-    frame = np.eye(gauge.size)
-    moved = edge_flow(conn.values[0, 0], conn.values[1, 0], h) @ frame
-    drift = np.abs(moved.T @ gauge.gram[1] @ moved - eta).max()
+    frame = np.eye(gram.shape[-1])
+    moved = edge_flow(conn[0, 0], conn[1, 0], h) @ frame
+    drift = np.abs(moved.T @ gram[1] @ moved - eta(gram.shape[-1])).max()
     assert drift <= 10 * h**4
 
 
@@ -78,47 +76,47 @@ def _flat_test_connection(grid, seed=3):
         conj = e1 @ k2 @ np.linalg.inv(e1)
         for mu in range(grid.ndim):
             omega[idx + (mu,)] = -(da[mu][idx] * k1 + db[mu][idx] * conj)
-    return FlatBundleConnection(grid=grid, values=omega), frames
+    return omega, frames
 
 
 def test_sweep_three_axes_against_closed_form():
     grid = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
     conn, frames = _flat_test_connection(grid)
     base = (2, 3, 1)
-    flows = EdgeFlows.of(conn, base)
+    flows = EdgeFlows.of(grid, conn, base)
     out = sweep_parallel_frame(flows, frames[base])
-    assert np.array_equal(out.values[base], frames[base])
-    err = np.abs(out.values - frames).max()
+    assert np.array_equal(out[base], frames[base])
+    err = np.abs(out - frames).max()
     assert err <= 5 * grid.h_max**2
     rec = path_independence_residual(flows).records[0]
     assert rec.max_abs <= 5 * grid.h_max**2
 
 
 def _transport_cases(f2_fd, f3):
-    """(connection, initial frame, gauge, base, axis orders) to compare with the oracle.
+    """(grid, connection, initial frame, Gram matrices, base, axis orders) for the oracle.
 
     F2 on the FD route, F3 from a corner and an interior base, and the 3-D
-    manufactured connection (no gauge: it is not Lorentz-orthogonal).
+    manufactured connection (no Gram matrices: it is not Lorentz-orthogonal).
     """
     for fb, bases in ((f2_fd, [(0,)]), (f3, [(0, 0), (21, 40)])):
-        conn, gauge = fb.geom.connection, fb.geom.gauge
-        frame0 = fb.recon.frame.values[fb.recon.immersion.base_node]
+        conn, gram = fb.geom.connection, fb.geom.gram
+        frame0 = fb.recon.frame[fb.recon.base_node]
         orders = [None] if fb.grid.ndim == 1 else [(0, 1), (1, 0)]
         for base in bases:
-            yield conn, frame0, gauge, base, orders
+            yield fb.grid, conn, frame0, gram, base, orders
     grid = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
     conn, frames = _flat_test_connection(grid)
-    yield conn, frames[2, 3, 1], None, (2, 3, 1), [None, (2, 0, 1)]
+    yield grid, conn, frames[2, 3, 1], None, (2, 3, 1), [None, (2, 0, 1)]
 
 
 def test_sweep_bitwise_equals_per_edge_oracle(f2_fd, f3):
-    for conn, frame0, gauge, base, orders in _transport_cases(f2_fd, f3):
+    for grid, conn, frame0, gram, base, orders in _transport_cases(f2_fd, f3):
         for order in orders:
-            for reorth in (False, True) if gauge is not None else (False,):
-                out = sweep_parallel_frame(EdgeFlows.of(conn, base), frame0, axis_order=order,
-                                           gauge=gauge, reorthonormalize=reorth)
-                ref = per_edge_parallel_frame(conn, frame0, base, order, gauge, reorth)
-                assert np.array_equal(out.values, ref), (conn.grid.dims, base, order, reorth)
+            for reorth in (False, True) if gram is not None else (False,):
+                out = sweep_parallel_frame(EdgeFlows.of(grid, conn, base), frame0,
+                                           axis_order=order, gram=gram, reorthonormalize=reorth)
+                ref = per_edge_parallel_frame(grid, conn, frame0, base, order, gram, reorth)
+                assert np.array_equal(out, ref), (grid.dims, base, order, reorth)
 
 
 def test_sweep_matches_dense_ode_oracle():
@@ -126,9 +124,9 @@ def test_sweep_matches_dense_ode_oracle():
     for h, n_nodes in ((0.16, 8), (0.08, 15)):
         grid = ChartGrid(dims=(n_nodes,), spacing=(h,), origin=(0.0,))
         conn, frames = _flat_test_connection(grid)
-        out = sweep_parallel_frame(EdgeFlows.of(conn, (0,)), frames[(0,)])
+        out = sweep_parallel_frame(EdgeFlows.of(grid, conn, (0,)), frames[(0,)])
         t_nodes = grid.axis_coords(0)
-        om = conn.values[:, 0]
+        om = conn[:, 0]
 
         def rhs(t, y):
             i = min(int(t / h), n_nodes - 2)
@@ -139,8 +137,8 @@ def test_sweep_matches_dense_ode_oracle():
         sol = scipy.integrate.solve_ivp(rhs, (0.0, t_nodes[-1]), frames[(0,)].ravel(),
                                         t_eval=t_nodes, rtol=1e-12, atol=1e-14,
                                         max_step=h)
-        dense = sol.y.T.reshape(out.values.shape)
-        errs.append(np.abs(out.values - dense).max())
+        dense = sol.y.T.reshape(out.shape)
+        errs.append(np.abs(out - dense).max())
     assert errs[0] <= 1e-7            # measured 1.7e-8; frozen with margin
     assert 12.0 <= errs[0] / errs[1] <= 20.0   # 4th-order one-step scheme
 
@@ -154,12 +152,13 @@ def test_transposed_sweep_agrees(f3):
 
 def test_frame_records_locate_their_worst_node(f3):
     res = f3.recon
-    base = res.immersion.base_node
-    s = res.frame.values
-    alt = sweep_parallel_frame(EdgeFlows.of(res.connection, base), s[base], axis_order=(1, 0))
+    base = res.base_node
+    s = res.frame
+    alt = sweep_parallel_frame(EdgeFlows.of(f3.grid, f3.geom.connection, base), s[base],
+                               axis_order=(1, 0))
     nodewise = {
-        "reconstruction_on_product": product_defect(res.immersion.values, res.k),
-        "sweep_cross_check": np.abs(alt.values - s).max(axis=(-1, -2)),
+        "reconstruction_on_product": product_defect(res.points, res.k),
+        "sweep_cross_check": np.abs(alt - s).max(axis=(-1, -2)),
     }
     for name, field in nodewise.items():
         rec = res.report[name]
@@ -169,42 +168,38 @@ def test_frame_records_locate_their_worst_node(f3):
     # The kernel sums S^T G S in another order than the einsum oracle, and the
     # defect is a difference of O(1) terms: the record's maximum and its node's
     # oracle value agree with the oracle's maximum up to round-off of those terms.
-    gram = np.abs(oracle.gram_defect(s, res.gauge.gram, res.gauge.signature)).max(axis=(-1, -2))
+    gram = np.abs(oracle.gram_defect(s, f3.geom.gram, eta(s.shape[-1]))).max(axis=(-1, -2))
     rec = res.report["frame_orthonormality"]
     assert rec.argmax_node != base
     assert abs(rec.max_abs - gram.max()) <= 1e-13
     assert gram.max() - gram[rec.argmax_node] <= 1e-13
     assert rec.mean_abs < rec.max_abs
-    assert res.report["reconstruction_on_product"].max_abs == res.immersion.on_product_defect
+    assert res.report["reconstruction_on_product"].max_abs == res.on_product_defect
 
 
 def test_assemble_base_point_pattern(f2):
     res = f2.recon
-    base = res.immersion.base_node
-    size = res.gauge.size
+    base = res.base_node
+    size = res.points.shape[-1]
     expected = np.zeros(size)
     expected[res.k] = 1.0
     expected[-1] = 1.0
-    assert np.abs(res.immersion.values[base] - expected).max() <= 1e-12
-    x = res.immersion.values[..., : res.k + 1]
+    assert np.abs(res.points[base] - expected).max() <= 1e-12
+    x = res.points[..., : res.k + 1]
     assert np.abs(np.einsum("...i,...i->...", x, x) - 1.0).max() <= 1e-8
 
 
 def test_assemble_rejects_off_product(f2):
     res = f2.recon
-    frame = res.frame
-    broken = type(frame)(grid=frame.grid, values=1.01 * frame.values,
-                         base_node=frame.base_node)
+    broken = 1.01 * res.frame
     with pytest.raises(ReconstructionError):
         assemble_immersion(broken, res.k, tol=1e-8)
 
 
 def test_assemble_names_a_nan_node(f1):
     res = f1.recon
-    values = res.frame.values.copy()
-    values[57] = np.nan
-    broken = type(res.frame)(grid=res.frame.grid, values=values,
-                             base_node=res.frame.base_node)
+    broken = res.frame.copy()
+    broken[57] = np.nan
     for tol in (1e-8, np.inf):
         with pytest.raises(ReconstructionError, match="nan") as err:
             assemble_immersion(broken, res.k, tol=tol)
@@ -218,11 +213,16 @@ def test_verify_reconstruction_residuals(f1, f2, f3):
             assert rec.max_abs <= thr, (rec.name, rec.max_abs, thr)
 
 
+def _frame_map(res, gram, node=None):
+    node = res.base_node if node is None else node
+    return immersion_psi_field(res.frame[node], gram[node])
+
+
 def test_align_same_run_identity(f2):
     res = f2.recon
-    psi_field = immersion_psi_field(res.frame, res.gauge)
-    out = align_congruence(res.immersion, psi_field, res.immersion, psi_field)
-    assert np.abs(out.isometry - np.eye(res.gauge.size)).max() <= 1e-12
+    frame_map = _frame_map(res, f2.geom.gram)
+    out = align_congruence(res.points, frame_map, res.k, res.points, frame_map, res.k)
+    assert np.abs(out.isometry - np.eye(frame_map.shape[-1])).max() <= 1e-12
     assert out.max_distance <= 1e-12
 
 
@@ -231,11 +231,10 @@ def test_align_recovers_block_rotation(f2):
     k = res.k
     rot = random_block_rotation(k + 1, seed=11)
     res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, initial_rotation=rot)
-    out = align_congruence(res_rot.immersion,
-                           immersion_psi_field(res_rot.frame, res_rot.gauge),
-                           res.immersion,
-                           immersion_psi_field(res.frame, res.gauge))
-    size = res.gauge.size
+    gram = f2.geom.gram
+    out = align_congruence(res_rot.points, _frame_map(res_rot, gram), res_rot.k,
+                           res.points, _frame_map(res, gram), res.k)
+    size = gram.shape[-1]
     expected = np.eye(size)
     expected[: k + 1, : k + 1] = rot
     assert np.abs(out.isometry - expected).max() <= 1e-6
@@ -248,12 +247,9 @@ def test_align_recovers_block_rotation(f2):
 
 def test_align_requires_matching_k(f2):
     res = f2.recon
-    psi_field = immersion_psi_field(res.frame, res.gauge)
-    other = ImmersionField(grid=res.immersion.grid, k=res.k - 1,
-                           values=res.immersion.values,
-                           base_node=res.immersion.base_node, on_product_defect=0.0)
+    frame_map = _frame_map(res, f2.geom.gram)
     with pytest.raises(StructureError):
-        align_congruence(res.immersion, psi_field, other, psi_field)
+        align_congruence(res.points, frame_map, res.k, res.points, frame_map, res.k - 1)
 
 
 def test_base_point_covariance(f2):
@@ -261,18 +257,17 @@ def test_base_point_covariance(f2):
     edge = (0,)
     res_edge = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, base_node=edge)
     assert res_edge.k == res0.k
-    out = align_congruence(res_edge.immersion,
-                           immersion_psi_field(res_edge.frame, res_edge.gauge),
-                           res0.immersion,
-                           immersion_psi_field(res0.frame, res0.gauge),
-                           node=edge)
+    gram = f2.geom.gram
+    out = align_congruence(res_edge.points, _frame_map(res_edge, gram, edge), res_edge.k,
+                           res0.points, _frame_map(res0, gram, edge), res0.k)
     assert out.max_distance <= 10 * f2.grid.h_max**2
 
 
 def test_reorthonormalize_restores_frames(f1):
     res = reconstruct_immersion(f1.geom, tolerances=f1.tolerances, reorthonormalize=True)
-    assert np.abs(res.frame.gram_defect(res.gauge)).max() <= \
-        np.abs(f1.recon.frame.gram_defect(res.gauge)).max() + 1e-14
+    gram = f1.geom.gram
+    assert np.abs(gram_defect(res.frame, gram)).max() <= \
+        np.abs(gram_defect(f1.recon.frame, gram)).max() + 1e-14
 
 
 def test_reorthonormalize_frame_kernel():
@@ -283,34 +278,34 @@ def test_reorthonormalize_frame_kernel():
     assert np.abs(fixed.T @ gram @ fixed - gram).max() <= 1e-12
 
 
-def _path_record(conn, base, tolerances):
-    return path_independence_residual(EdgeFlows.of(conn, base), tolerances).records[0]
+def _path_record(grid, conn, base, tolerances):
+    return path_independence_residual(EdgeFlows.of(grid, conn, base), tolerances).records[0]
 
 
 def test_path_independence_detects_incompatibility(f3):
     data = f3.data
-    base = f3.recon.immersion.base_node
-    clean = _path_record(f3.geom.connection, base, f3.tolerances).max_abs
+    base = f3.recon.base_node
+    clean = _path_record(f3.grid, f3.geom.connection, base, f3.tolerances).max_abs
     eps = 1e-2
     sg = data.sigma.values.copy()
     sg[..., 1, 1, 0] += eps
     conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
                         data.psi).connection
-    broken = _path_record(conn_bad, base, f3.tolerances).max_abs
+    broken = _path_record(f3.grid, conn_bad, base, f3.tolerances).max_abs
     assert broken - clean >= eps / 10
 
 
 def test_path_independence_locates_a_local_bump(f3):
     data = f3.data
-    base = f3.recon.immersion.base_node
-    clean = _path_record(f3.geom.connection, base, f3.tolerances)
+    base = f3.recon.base_node
+    clean = _path_record(f3.grid, f3.geom.connection, base, f3.tolerances)
     assert clean.passed
     for node in ((20, 45), (0, 63), base):
         sg = data.sigma.values.copy()
         sg[node + (1, 1, 0)] += 1e-2
         conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
                             data.psi).connection
-        rec = _path_record(conn_bad, base, f3.tolerances)
+        rec = _path_record(f3.grid, conn_bad, base, f3.tolerances)
         assert not rec.passed, node
         # the bumped node is a corner of the plaquette whose lower corner is the argmax
         assert all(0 <= i - j <= 1 for i, j in zip(node, rec.argmax_node)), (node, rec)
@@ -321,16 +316,15 @@ def test_edge_flow_table_holds_each_edge_flow_away_from_the_base(f3):
     grid3 = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
     conn3, _ = _flat_test_connection(grid3)
     last = f3.grid.dims[0] - 1
-    cases = [(f3.geom.connection, base) for base in ((0, 0), (21, 40), (last, 7))]
-    cases.append((conn3, (2, 3, 1)))
-    for conn, base in cases:
-        grid = conn.grid
-        flows = EdgeFlows.of(conn, base)
+    cases = [(f3.grid, f3.geom.connection, base) for base in ((0, 0), (21, 40), (last, 7))]
+    cases.append((grid3, conn3, (2, 3, 1)))
+    for grid, conn, base in cases:
+        flows = EdgeFlows.of(grid, conn, base)
         assert flows.base == base
         for a, table in enumerate(flows.ops):
             edges = grid.dims[:a] + (grid.dims[a] - 1,) + grid.dims[a + 1:]
-            assert table.shape == edges + conn.values.shape[-2:]
-            om, h = conn.values[..., a, :, :], grid.spacing[a]
+            assert table.shape == edges + conn.shape[-2:]
+            om, h = conn[..., a, :, :], grid.spacing[a]
             for lower in np.ndindex(*edges):
                 upper = lower[:a] + (lower[a] + 1,) + lower[a + 1:]
                 src, dst, delta = (lower, upper, h) if lower[a] >= base[a] else (upper, lower, -h)
