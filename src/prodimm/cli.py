@@ -246,8 +246,8 @@ def cmd_align(args) -> int:
     if args.out:
         save_report(Report(records=(), grid=grid, alignment=_alignment_block(alignment)),
                     args.out)
-    if args.distance_tol is not None and alignment.max_distance > args.distance_tol:
-        return 1
+    if args.distance_tol is not None and not alignment.max_distance <= args.distance_tol:
+        return 1   # a NaN distance fails too
     return 0
 
 

@@ -20,6 +20,9 @@ Dataset fields and their per-node slot layouts:
     psi.u              (p, n)      u^a_j
     psi.U              (n, p)      U^i_b
     psi.lambda         (p, p)      lambda^a_b
+
+In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
+[[f, U], [u, lambda]], filled block by block on load.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ import numpy as np
 
 from .errors import SchemaError
 from .extract import ExtractionResult
-from .fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
+from .fields import BundleData, ChartGrid, MetricField, SecondFormField, check_values
 from .lorentz import minkowski_dot
-from .structure import CheckRecord, ProductStructureField, ResidualReport, ToleranceModel
+from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
 
 DATASET_SCHEMA = "prodimm-dataset/1"
 REPORT_SCHEMA = "prodimm-report/1"
 _GRID_KEYS = ("dims", "spacing", "origin")   # ChartGrid fields, in order
+_PSI_FIELDS = ("psi.f", "psi.u", "psi.U", "psi.lambda")   # the blocks of psi_blocks, in order
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class Dataset:
     metric: MetricField
     bundle: BundleData
     sigma: SecondFormField
-    psi: ProductStructureField
+    psi: np.ndarray           # (*dims, n+p, n+p) structure matrix [[f, U], [u, lambda]]
     tolerances: ToleranceModel
     meta: dict
 
@@ -123,12 +127,10 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "meta": ds.meta,
         "fields": {
             "metric": ds.metric.values.ravel().tolist(),
-            "bundle_connection": ds.bundle.omega.values.ravel().tolist(),
+            "bundle_connection": ds.bundle.omega.ravel().tolist(),
             "sigma": ds.sigma.values.ravel().tolist(),
-            "psi.f": ds.psi.f.values.ravel().tolist(),
-            "psi.u": ds.psi.u.values.ravel().tolist(),
-            "psi.U": ds.psi.big_u.values.ravel().tolist(),
-            "psi.lambda": ds.psi.lam.values.ravel().tolist(),
+            **{name: block.ravel().tolist()
+               for name, block in zip(_PSI_FIELDS, psi_blocks(ds.psi, ds.grid.ndim))},
         },
     }
 
@@ -167,18 +169,12 @@ def dataset_from_dict(doc: dict) -> Dataset:
         fields = _take(doc, "fields")
         dims = grid.dims
         metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n)))
-        omega = TensorField(grid, ("td", "bu", "bd"),
-                            _field_array(fields, "bundle_connection", dims + (n, p, p)))
-        bundle = BundleData(rank=p, omega=omega)
+        bundle = BundleData(grid, _field_array(fields, "bundle_connection", dims + (n, p, p)))
         sigma = SecondFormField(grid, _field_array(fields, "sigma", dims + (n, n, p)))
-        psi = ProductStructureField(
-            f=TensorField(grid, ("tu", "td"), _field_array(fields, "psi.f", dims + (n, n))),
-            u=TensorField(grid, ("bu", "td"), _field_array(fields, "psi.u", dims + (p, n))),
-            big_u=TensorField(grid, ("tu", "bd"),
-                              _field_array(fields, "psi.U", dims + (n, p))),
-            lam=TensorField(grid, ("bu", "bd"),
-                            _field_array(fields, "psi.lambda", dims + (p, p))),
-        )
+        psi = np.empty(dims + (n + p, n + p))
+        for name, block in zip(_PSI_FIELDS, psi_blocks(psi, n)):
+            block[...] = _field_array(fields, name, block.shape)
+        psi = check_values(grid, psi, (n + p, n + p))
         tolerances = ToleranceModel.from_dict(doc.get("tolerances", {}))
         meta = dict(doc.get("meta", {}))
     except SchemaError:
@@ -238,6 +234,8 @@ def save_report(report: Report, path: str):
 def report_from_dict(doc: dict) -> Report:
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
+    if not isinstance(doc.get("reconstruction", {}), dict):
+        raise SchemaError("report block 'reconstruction' must be an object")
     try:
         grid = None
         if "grid" in doc:
@@ -308,7 +306,7 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
 
 
 def load_immersion_csv(path: str):
-    """Returns (coords, values) as flat (rows, n) and (rows, N) arrays."""
+    """Returns (coords, values, k): flat (rows, n) and (rows, N) arrays and the sphere rank."""
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)

@@ -1,9 +1,10 @@
 """Induced data of an analytic immersion into S^k x H^m, plus the fixtures.
 
 Everything an immersion induces on its chart is computed here: the metric,
-a deterministic orthonormal normal frame, the second form, the four blocks
-of the product structure, and the normal connection.  The same data feed the
-checker (necessity direction) and the reconstructor (roundtrip oracle).
+a deterministic orthonormal normal frame, the second form, the product
+structure as one matrix [[f, U], [u, lambda]], and the normal connection.
+The same data feed the checker (necessity direction) and the reconstructor
+(roundtrip oracle).
 
 Points and tangents are sampled once per extraction; every ``induced_*``
 function takes them as arrays.
@@ -38,11 +39,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DegeneracyError, DimensionError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, check_values,
                      grad_field, hessian_field, sweep_compose, sweep_steps)
 from .lorentz import (complete_basis, gram_schmidt, minkowski_dot, product_defect,
                       product_normals, psi_flip)
-from .structure import ProductStructureField, ToleranceModel
+from .structure import ToleranceModel, psi_blocks
 
 _SEED_TOL = 1e-10
 
@@ -84,7 +85,7 @@ class ExtractionResult:
     metric: MetricField
     bundle: BundleData
     sigma: SecondFormField
-    psi: ProductStructureField
+    psi: np.ndarray           # (*dims, n+p, n+p) structure matrix [[f, U], [u, lambda]]
     analytic_derivatives: bool
 
     @property
@@ -209,33 +210,29 @@ def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.
                       normals: np.ndarray):
     """Split the ambient product structure along tangents and normals.
 
-    Returns the structure blocks together with the normal connection in the
-    swept gauge (skew-symmetrized; exact skewness is restored explicitly).
+    Returns the structure matrix [[f, U], [u, lambda]] together with the normal
+    connection in the swept gauge (skew-symmetrized; exact skewness is restored
+    explicitly).
     """
     grid = metric.grid
-    ginv = metric.inverse()
-    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
-    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
-    b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
-    f_vals = np.einsum("...ij,...mj->...im", ginv, b_t)
-    u_vals = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
-    b_n = minkowski_dot(psi_n[..., :, None, :], tangents[..., None, :, :])    # (b, j)
-    big_u_vals = np.einsum("...ij,...bj->...ib", ginv, b_n)
-    lam_vals = minkowski_dot(normals[..., :, None, :], psi_n[..., None, :, :])  # (a, b)
-
     d_normals = grad_field(grid, normals)             # (..., m, b, N)
     om = minkowski_dot(d_normals[..., :, None, :, :], normals[..., None, :, None, :])
     # om[..., m, a, b] = <d_m nu_b, nu_a>; enforce exact skewness
     om = 0.5 * (om - np.swapaxes(om, -1, -2))
 
-    psi = ProductStructureField(
-        f=TensorField(grid, ("tu", "td"), f_vals),
-        u=TensorField(grid, ("bu", "td"), u_vals),
-        big_u=TensorField(grid, ("tu", "bd"), big_u_vals),
-        lam=TensorField(grid, ("bu", "bd"), 0.5 * (lam_vals + np.swapaxes(lam_vals, -1, -2))),
-    )
-    bundle = BundleData(rank=imm.p, omega=TensorField(grid, ("td", "bu", "bd"), om))
-    return psi, bundle
+    ginv = metric.inverse()
+    psi = np.empty(grid.dims + (grid.ndim + imm.p,) * 2)
+    f, u, big_u, lam = psi_blocks(psi, grid.ndim)
+    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
+    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
+    b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
+    f[...] = np.einsum("...ij,...mj->...im", ginv, b_t)
+    u[...] = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
+    b_n = minkowski_dot(psi_n[..., :, None, :], tangents[..., None, :, :])    # (b, j)
+    big_u[...] = np.einsum("...ij,...bj->...ib", ginv, b_n)
+    lam_vals = minkowski_dot(normals[..., :, None, :], psi_n[..., None, :, :])  # (a, b)
+    lam[...] = 0.5 * (lam_vals + np.swapaxes(lam_vals, -1, -2))
+    return check_values(grid, psi, psi.shape[grid.ndim:]), BundleData(grid, om)
 
 
 def extract_all(imm: AnalyticImmersion, grid: ChartGrid,

@@ -1,17 +1,26 @@
 """Discrete chart data model and finite-difference tensor calculus.
 
-Index layout conventions (fixed for the whole package):
+Every grid quantity is a plain float array stored node-major, (*dims, *slots)
+in C order; flattening such an array is the serialized layout.  The layouts
+the kernels take and return:
 
-* grid values are stored node-major, i.e. arrays of shape (*dims, *slots)
-  in C order; flattening such an array is the serialized layout;
-* slot kinds: "tu" tangent-up, "td" tangent-down, "bu" bundle-up,
-  "bd" bundle-down;
-* metric g[..., i, j] = g_ij, Christoffel chris[..., l, m, n] = Gamma^l_mn,
-  curvature riem[..., l, s, m, n] = components of R(d_m, d_n) d_s along d_l;
-* bundle connection omega[..., m, a, b] = coefficient of e_a in D^E_{d_m} e_b,
-  fiber metric fixed to the identity (orthonormal gauge), so omega[m] is
-  skew-symmetric;
-* second form sigma[..., i, j, a], symmetric in (i, j).
+* metric ``g[..., i, j]`` = g_ij, (n, n) per node;
+* Christoffel symbols ``chris[..., l, m, n]`` = Gamma^l_mn, (n, n, n);
+* Riemann tensor ``riem[..., l, s, m, n]``, the components of
+  R(d_m, d_n) d_s along d_l, (n, n, n, n);
+* bundle connection ``omega[..., m, a, b]``, the coefficient of e_a in
+  D^E_{d_m} e_b, (n, p, p); the fiber metric is fixed to the identity
+  (orthonormal gauge), so omega[m] is skew-symmetric;
+* a connection's curvature ``F[..., m, n, a, b]``, (n, n, N, N) for
+  (n, N, N) connection matrices;
+* second form ``sigma[..., i, j, a]``, (n, n, p), symmetric in (i, j);
+* shape operators ``A[..., a, i, j]`` = (A_{e_a})^i_j, (p, n, n);
+* a derivative puts one direction axis after the node axes:
+  (*dims, *slots) -> (*dims, n, *slots).
+
+``MetricField``, ``SecondFormField`` and ``BundleData`` are the validated
+inputs: a grid plus one array each, its shape and finiteness checked by
+``check_values``.
 
 All derivatives are second-order central differences.  Each axis end gets
 one ghost node by quartic extrapolation, so the boundary nodes use the same
@@ -34,9 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GridMismatchError, MetricError
-
-SLOT_KINDS = ("tu", "td", "bu", "bd")
+from .errors import DimensionError, MetricError
 
 
 @dataclass(frozen=True)
@@ -85,60 +92,31 @@ class ChartGrid:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _check_values(grid: ChartGrid, values: np.ndarray):
-    if values.shape[: grid.ndim] != grid.dims:
-        raise DimensionError(
-            f"values of shape {values.shape} do not start with grid dims {grid.dims}")
+def check_values(grid: ChartGrid, values, slot_shape: tuple) -> np.ndarray:
+    """``values`` as a float array of shape ``grid.dims + slot_shape`` with finite entries.
+
+    A non-finite entry is reported with its node.
+    """
+    values = np.asarray(values, dtype=float)
+    expected = grid.dims + tuple(slot_shape)
+    if values.shape != expected:
+        raise DimensionError(f"values of shape {values.shape}, expected {expected}")
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0][: grid.ndim]
         raise DimensionError(f"non-finite value at node {tuple(int(i) for i in bad)}")
+    return values
 
 
 @dataclass(frozen=True)
-class TensorField:
-    """Node-major numeric field with typed index slots."""
+class MetricField:
+    """Metric g (*dims, n, n), symmetric positive definite at every node."""
 
     grid: ChartGrid
-    index_spec: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        spec = tuple(self.index_spec)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index_spec", spec)
-        if any(s not in SLOT_KINDS for s in spec):
-            raise DimensionError(f"unknown slot kind in {spec}")
-        _check_values(self.grid, values)
-        slots = values.shape[self.grid.ndim:]
-        if len(slots) != len(spec):
-            raise DimensionError(f"{len(spec)} slots declared, {len(slots)} present")
-        bundle_dims = set()
-        for kind, dim in zip(spec, slots):
-            if kind in ("tu", "td") and dim != self.grid.ndim:
-                raise DimensionError(f"tangent slot of size {dim} on a {self.grid.ndim}-dim chart")
-            if kind in ("bu", "bd"):
-                bundle_dims.add(dim)
-        if len(bundle_dims) > 1:
-            raise DimensionError(f"inconsistent bundle slot sizes {sorted(bundle_dims)}")
-
-    @property
-    def slot_shape(self) -> tuple:
-        return self.values.shape[self.grid.ndim:]
-
-
-def same_grid(*fields):
-    grids = {f.grid for f in fields}
-    if len(grids) > 1:
-        raise GridMismatchError("fields live on different grids")
-
-
-class MetricField(TensorField):
-    """Two tangent-down slots; symmetric positive definite at every node."""
-
-    def __init__(self, grid: ChartGrid, values):
-        super().__init__(grid=grid, index_spec=("td", "td"), values=values)
-        g = self.values
+        g = check_values(self.grid, self.values, (self.grid.ndim,) * 2)
+        object.__setattr__(self, "values", g)
         sym = np.abs(g - np.swapaxes(g, -1, -2)).max()
         if sym > 1e-12:
             raise MetricError(f"metric asymmetric by {sym:.3e}")
@@ -153,35 +131,37 @@ class MetricField(TensorField):
 
 @dataclass(frozen=True)
 class BundleData:
-    """Rank-p metric bundle over the chart, orthonormal gauge."""
+    """Rank-p metric bundle in the orthonormal gauge: connection omega (*dims, n, p, p)."""
 
-    rank: int
-    omega: TensorField  # slots (td direction, bu, bd)
+    grid: ChartGrid
+    omega: np.ndarray
 
     def __post_init__(self):
-        if self.rank < 1:
+        rank = np.shape(self.omega)[-1] if np.ndim(self.omega) else 0
+        if rank < 1:
             raise DimensionError("bundle rank must be >= 1")
-        om = self.omega
-        if om.index_spec != ("td", "bu", "bd"):
-            raise DimensionError("connection coefficients need slots (td, bu, bd)")
-        if om.slot_shape[1:] != (self.rank, self.rank):
-            raise DimensionError("connection coefficient size does not match the rank")
-        skew = np.abs(om.values + np.swapaxes(om.values, -1, -2)).max()
+        om = check_values(self.grid, self.omega, (self.grid.ndim, rank, rank))
+        object.__setattr__(self, "omega", om)
+        skew = np.abs(om + np.swapaxes(om, -1, -2)).max()
         if skew > 1e-12:
             raise DimensionError(f"connection not skew in the orthonormal gauge by {skew:.3e}")
 
-    @classmethod
-    def flat(cls, grid: ChartGrid, rank: int) -> "BundleData":
-        vals = np.zeros(grid.dims + (grid.ndim, rank, rank))
-        return cls(rank=rank, omega=TensorField(grid, ("td", "bu", "bd"), vals))
+    @property
+    def rank(self) -> int:
+        return self.omega.shape[-1]
 
 
-class SecondFormField(TensorField):
-    """Bundle-valued symmetric bilinear form, slots (td, td, bu)."""
+@dataclass(frozen=True)
+class SecondFormField:
+    """Bundle-valued second form sigma (*dims, n, n, p), symmetric in its tangent slots."""
 
-    def __init__(self, grid: ChartGrid, values):
-        super().__init__(grid=grid, index_spec=("td", "td", "bu"), values=values)
-        s = self.values
+    grid: ChartGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.ndim
+        s = check_values(self.grid, self.values, (n, n) + np.shape(self.values)[-1:])
+        object.__setattr__(self, "values", s)
         sym = np.abs(s - np.swapaxes(s, -3, -2)).max()
         if sym > 1e-12:
             raise DimensionError(f"second form asymmetric by {sym:.3e}")
@@ -268,8 +248,8 @@ def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     return hess
 
 
-def christoffel(g: MetricField) -> TensorField:
-    """Levi-Civita connection coefficients Gamma^l_mn from the metric."""
+def christoffel(g: MetricField) -> np.ndarray:
+    """Levi-Civita connection coefficients chris[..., l, m, n] = Gamma^l_mn from the metric."""
     grid = g.grid
     dg = grad_field(grid, g.values)  # (..., m, i, j) = d_m g_ij
     ginv = g.inverse()
@@ -278,10 +258,10 @@ def christoffel(g: MetricField) -> TensorField:
     braces = dg_r + np.swapaxes(dg_r, -1, -2) - dg
     n = grid.ndim
     gamma = 0.5 * (ginv @ braces.reshape(grid.dims + (n, n * n)))
-    return TensorField(grid, ("tu", "td", "td"), gamma.reshape(grid.dims + (n, n, n)))
+    return gamma.reshape(grid.dims + (n, n, n))
 
 
-def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> TensorField:
+def curvature_tensor(g: MetricField, chris: np.ndarray | None = None) -> np.ndarray:
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
@@ -290,9 +270,8 @@ def curvature_tensor(g: MetricField, chris: TensorField | None = None) -> Tensor
     """
     if chris is None:
         chris = christoffel(g)
-    ga = np.swapaxes(chris.values, -3, -2)     # (..., m, l, s) = Gamma^l_ms
-    riem = np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
-    return TensorField(g.grid, ("tu", "td", "td", "td"), riem)
+    ga = np.swapaxes(chris, -3, -2)     # (..., m, l, s) = Gamma^l_ms
+    return np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
 
 
 def antisymmetrize(x: np.ndarray) -> np.ndarray:
@@ -305,46 +284,55 @@ def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
     return antisymmetrize(grad_field(grid, om) + om[..., :, None, :, :] @ om[..., None, :, :, :])
 
 
-def bundle_curvature(bundle: BundleData) -> TensorField:
-    """Curvature of the bundle connection, slots (td, td, bu, bd): values[..., m, n, a, b]."""
-    grid = bundle.omega.grid
-    return TensorField(grid, ("td", "td", "bu", "bd"),
-                       connection_curvature(grid, bundle.omega.values))
+def bundle_curvature(bundle: BundleData) -> np.ndarray:
+    """Curvature F[..., m, n, a, b] of the bundle connection."""
+    return connection_curvature(bundle.grid, bundle.omega)
 
 
 def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
     """All shape operators at once: out[..., a, i, j] = (A_{e_a})^i_j."""
-    same_grid(sigma, g)
     return g.inverse()[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
 
 
-def sum_bundle_covariant_derivative(field: TensorField, chris: TensorField,
-                                    bundle: BundleData | None = None) -> TensorField:
-    """Covariant derivative on TM + E for a mixed tensor field.
+def endomorphism_derivative(grid: ChartGrid, x: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """d_m x + [conn_m, x]: (*dims, n, N, N) for an endomorphism field x (*dims, N, N).
 
-    Tangent slots are corrected with the Christoffel symbols, bundle slots
-    with the connection coefficients; the direction slot is prepended:
-    (*dims, *slots) -> (*dims, ndim, *slots).
+    The covariant derivative of x under the connection whose matrices
+    conn (*dims, n, N, N) act on sections as d_m v + conn_m v.
     """
-    grid = field.grid
-    same_grid(field, chris)
+    x_m = x[..., None, :, :]
+    out = grad_field(grid, x)
+    out += conn @ x_m
+    out -= x_m @ conn
+    return out
+
+
+def sum_bundle_covariant_derivative(grid: ChartGrid, values: np.ndarray, slots: tuple,
+                                    chris: np.ndarray,
+                                    omega: np.ndarray | None = None) -> np.ndarray:
+    """Covariant derivative on TM + E of a mixed tensor field (*dims, *slots).
+
+    ``slots`` names the kind of each slot: "tu" tangent-up, "td" tangent-down,
+    "bu" bundle-up, "bd" bundle-down.  Tangent slots are corrected with the
+    Christoffel symbols ``chris``, bundle slots with the connection
+    coefficients ``omega``; the direction slot is prepended:
+    (*dims, *slots) -> (*dims, n, *slots).
+    """
     nd = grid.ndim
-    vals = field.values
-    out = grad_field(grid, vals)
-    ga = np.swapaxes(chris.values, -3, -2)   # (..., m, l, s) = Gamma^l_ms
-    om = bundle.omega.values if bundle is not None else None
-    for j, kind in enumerate(field.index_spec):
+    out = grad_field(grid, values)
+    ga = np.swapaxes(chris, -3, -2)   # (..., m, l, s) = Gamma^l_ms
+    for j, kind in enumerate(slots):
         # the correction acting on slot j along d_m, as a matrix (..., m, new, old)
         if kind == "tu":
             mat = ga
         elif kind == "td":
             mat = -np.swapaxes(ga, -1, -2)
         elif kind == "bu":
-            mat = om
+            mat = omega
         else:  # bd
-            mat = -np.swapaxes(om, -1, -2)
-        moved = np.moveaxis(vals, nd + j, nd)            # slot j first: (*dims, old, rest)
+            mat = -np.swapaxes(omega, -1, -2)
+        moved = np.moveaxis(values, nd + j, nd)            # slot j first: (*dims, old, rest)
         rest = moved.shape[nd + 1:]
         corr = mat @ moved.reshape(grid.dims + (1, moved.shape[nd], -1))
         out = out + np.moveaxis(corr.reshape(grid.dims + (nd, -1) + rest), nd + 1, nd + 1 + j)
-    return TensorField(grid, ("td",) + field.index_spec, out)
+    return out

@@ -13,9 +13,11 @@ constant-structure tests.
 
 ``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
 from it that more than one consumer reads: the Christoffel symbols, the shape
-operators, g(f., .), G, the big connection and psi~ (the last three as plain
-arrays).  Each is computed on first use and kept; the structure checks, the
-flat-bundle diagnostics and the rebuild all read one instance per dataset.
+operators, g(f., .), G, the big connection and psi~, all plain arrays.  The
+structure psi is one (*dims, n+p, n+p) matrix [[f, U], [u, lambda]], and psi~
+pads it with +1 on xi1~ and -1 on xi2~.  Each derived quantity is computed on
+first use and kept; the structure checks, the flat-bundle diagnostics and the
+rebuild all read one instance per dataset.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExclusionError, StructureError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, TensorField,
-                     christoffel, connection_curvature, grad_field, same_grid,
+from .errors import ExclusionError, GridMismatchError, StructureError
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
+                     connection_curvature, endomorphism_derivative, grad_field,
                      shape_operator_field)
 from .lorentz import complete_basis
-from .structure import ProductStructureField, ResidualReport, ToleranceModel, make_record
+from .structure import ResidualReport, ToleranceModel, psi_blocks, records
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +42,12 @@ class Geometry:
     metric: MetricField
     bundle: BundleData
     sigma: SecondFormField
-    psi: ProductStructureField
+    psi: np.ndarray           # (*dims, n+p, n+p) structure matrix [[f, U], [u, lambda]]
 
     def __post_init__(self):
-        same_grid(self.metric, self.bundle.omega, self.sigma, self.psi.f)
+        grids = {self.metric.grid, self.bundle.grid, self.sigma.grid}
+        if len(grids) > 1 or np.shape(self.psi)[:self.grid.ndim] != self.grid.dims:
+            raise GridMismatchError("fields live on different grids")
 
     @classmethod
     def of(cls, data) -> "Geometry":
@@ -59,7 +63,8 @@ class Geometry:
         return self.bundle.rank
 
     @cached_property
-    def chris(self) -> TensorField:
+    def chris(self) -> np.ndarray:
+        """(..., l, m, n) = Gamma^l_mn."""
         return christoffel(self.metric)
 
     @cached_property
@@ -70,7 +75,7 @@ class Geometry:
     @cached_property
     def f_lowered(self) -> np.ndarray:
         """(..., i, j) = g(f d_i, d_j)."""
-        return np.swapaxes(self.psi.f.values, -1, -2) @ self.metric.values
+        return np.swapaxes(psi_blocks(self.psi, self.grid.ndim)[0], -1, -2) @ self.metric.values
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -102,20 +107,20 @@ def build_connection(geom: Geometry) -> np.ndarray:
     n, p = grid.ndim, geom.p
     size = n + p + 2
     i1, i2 = n + p, n + p + 1
-    f, u = geom.psi.f.values, geom.psi.u.values
+    f, u, _, _ = psi_blocks(geom.psi, n)
     gv, gf = geom.metric.values, geom.f_lowered
     f_t, u_t = np.swapaxes(f, -1, -2), np.swapaxes(u, -1, -2)
     ident = np.eye(n)
 
     om = np.zeros(grid.dims + (n, size, size))
     # tangent columns
-    om[..., :n, :n] = np.swapaxes(geom.chris.values, -3, -2)
+    om[..., :n, :n] = np.swapaxes(geom.chris, -3, -2)
     om[..., n:n + p, :n] = np.swapaxes(geom.sigma.values, -1, -2)
     om[..., i1, :n] = -0.5 * (gv + gf)
     om[..., i2, :n] = 0.5 * (gv - gf)
     # bundle columns
     om[..., :n, n:n + p] = -np.swapaxes(geom.shape_ops, -3, -1)
-    om[..., n:n + p, n:n + p] = geom.bundle.omega.values
+    om[..., n:n + p, n:n + p] = geom.bundle.omega
     om[..., i1, n:n + p] = -0.5 * u_t
     om[..., i2, n:n + p] = -0.5 * u_t
     # the two trivial-factor columns
@@ -135,9 +140,7 @@ def metric_compatibility_residual(geom: Geometry,
     om = geom.connection
     resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
              - gram[..., None, :, :] @ om)
-    name = "bundle_metric_compatibility"
-    return ResidualReport((make_record(name, resid, grid,
-                                       tolerances.threshold(name, grid)),))
+    return records(grid, tolerances, ("bundle_metric_compatibility", resid))
 
 
 def flatness_residual(geom: Geometry,
@@ -145,26 +148,21 @@ def flatness_residual(geom: Geometry,
     """Curvature of the big-bundle connection; vacuous pass on 1-dim charts."""
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
-    name = "bundle_flatness"
-    threshold = tolerances.threshold(name, grid)
     if grid.ndim == 1:
-        return ResidualReport((make_record(name, np.zeros(grid.dims), grid, threshold),))
+        return records(grid, tolerances, ("bundle_flatness", np.zeros(grid.dims)))
     curv = connection_curvature(grid, geom.connection)
     pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
              for n in range(m + 1, grid.ndim)]
-    resid = np.stack(pairs, axis=-1)
-    return ResidualReport((make_record(name, resid, grid, threshold),))
+    return records(grid, tolerances, ("bundle_flatness", np.stack(pairs, axis=-1)))
 
 
-def build_psi_tilde(psi: ProductStructureField) -> np.ndarray:
-    """Extend the structure by +1 on xi1~ and -1 on xi2~."""
-    grid = psi.grid
-    n, p = psi.n, psi.p
-    size = n + p + 2
-    vals = np.zeros(grid.dims + (size, size))
-    vals[..., :n + p, :n + p] = psi.block_matrix()
-    vals[..., n + p, n + p] = 1.0
-    vals[..., n + p + 1, n + p + 1] = -1.0
+def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
+    """Pad the structure matrix (..., n+p, n+p) with +1 on xi1~ and -1 on xi2~."""
+    size = psi.shape[-1] + 2
+    vals = np.zeros(psi.shape[:-2] + (size, size))
+    vals[..., :-2, :-2] = psi
+    vals[..., -2, -2] = 1.0
+    vals[..., -1, -1] = -1.0
     return vals
 
 
@@ -172,13 +170,8 @@ def psi_tilde_parallel_residual(geom: Geometry,
                                 tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Residual of d_m psi~ + [Omega_m, psi~] = 0."""
     tolerances = tolerances or ToleranceModel()
-    grid = geom.grid
-    pt = geom.psi_tilde[..., None, :, :]
-    om = geom.connection
-    resid = grad_field(grid, geom.psi_tilde) + om @ pt - pt @ om
-    name = "psi_tilde_parallel"
-    return ResidualReport((make_record(name, resid, grid,
-                                       tolerances.threshold(name, grid)),))
+    resid = endomorphism_derivative(geom.grid, geom.psi_tilde, geom.connection)
+    return records(geom.grid, tolerances, ("psi_tilde_parallel", resid))
 
 
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int,

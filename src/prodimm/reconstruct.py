@@ -18,8 +18,11 @@ Pipeline (all deterministic):
 
 Frames, points and the Gram matrices G are plain arrays over the node axes:
 frames (*dims, N, N) with the transported sections as columns, points
-(*dims, N) with the timelike coordinate last.  ``ReconstructionResult`` holds
-the rebuild; G and the connection stay on the caller's ``Geometry``.
+(*dims, N) with the timelike coordinate last.  The structure is one
+(*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split reads psi~, its
+padding to N = n+p+2, at the base node, and the compatibility records pair
+each block with the rebuilt tangents and normals.  ``ReconstructionResult``
+holds the rebuild; G and the connection stay on the caller's ``Geometry``.
 
 The on-product defect of the rebuilt points is reported, never repaired here;
 repair exists only as an export option in the CLI.
@@ -38,7 +41,7 @@ from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
 from .flatbundle import Geometry, eigen_split
 from .lorentz import (eta, gram_schmidt, lower, minkowski_dot, product_defect, product_normals,
                       psi_flip)
-from .structure import ResidualReport, ToleranceModel, make_record
+from .structure import ResidualReport, ToleranceModel, psi_blocks, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
@@ -207,7 +210,6 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     n, p = grid.ndim, geom.p
-    psi = geom.psi
     dphi = grad_field(grid, points)                    # (..., m, N)
 
     # normal columns of the frame isomorphism (exact, no differencing)
@@ -233,26 +235,16 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
     h_model = geom.sigma.values @ normals[..., None, :, :]
     res_second = h_fd - h_model
 
-    def transposed(blk):
-        return np.swapaxes(blk.values, -1, -2)
+    f_t, u_t, big_u_t, lam_t = (np.swapaxes(blk, -1, -2) for blk in psi_blocks(geom.psi, n))
+    res_psi_t = psi_dphi - f_t @ dphi - u_t @ normals
+    res_psi_n = psi_flip(normals, k) - big_u_t @ dphi - lam_t @ normals
 
-    res_psi_t = psi_dphi - transposed(psi.f) @ dphi - transposed(psi.u) @ normals
-    res_psi_n = (psi_flip(normals, k) - transposed(psi.big_u) @ dphi
-                 - transposed(psi.lam) @ normals)
-
-    records = [
-        make_record("reconstruction_isometry", res_isometry, grid,
-                    tolerances.threshold("reconstruction_isometry", grid)),
-        make_record("reconstruction_normal_orthogonality", res_orth, grid,
-                    tolerances.threshold("reconstruction_normal_orthogonality", grid)),
-        make_record("reconstruction_second_form", res_second, grid,
-                    tolerances.threshold("reconstruction_second_form", grid)),
-        make_record("reconstruction_psi_compat_tangent", res_psi_t, grid,
-                    tolerances.threshold("reconstruction_psi_compat_tangent", grid)),
-        make_record("reconstruction_psi_compat_normal", res_psi_n, grid,
-                    tolerances.threshold("reconstruction_psi_compat_normal", grid)),
-    ]
-    return ResidualReport(tuple(records))
+    return records(grid, tolerances,
+                   ("reconstruction_isometry", res_isometry),
+                   ("reconstruction_normal_orthogonality", res_orth),
+                   ("reconstruction_second_form", res_second),
+                   ("reconstruction_psi_compat_tangent", res_psi_t),
+                   ("reconstruction_psi_compat_normal", res_psi_n))
 
 
 def path_independence_residual(flows: EdgeFlows,
@@ -268,7 +260,6 @@ def path_independence_residual(flows: EdgeFlows,
     """
     tolerances = tolerances or ToleranceModel()
     grid, base, ops = flows.grid, flows.base, flows.ops
-    name = "path_independence"
     gap = np.zeros(grid.dims)
     for a, b in itertools.combinations(range(grid.ndim), 2):
         near_a, far_a = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], grid.dims[b]))
@@ -276,7 +267,7 @@ def path_independence_residual(flows: EdgeFlows,
         dev = np.abs(far_b @ near_a - far_a @ near_b).max(axis=(-1, -2))
         corner = tuple(slice(-1) if c in (a, b) else slice(None) for c in range(grid.ndim))
         gap[corner] = np.maximum(gap[corner], dev / (grid.spacing[a] * grid.spacing[b]))
-    return ResidualReport((make_record(name, gap, grid, tolerances.threshold(name, grid)),))
+    return records(grid, tolerances, ("path_independence", gap))
 
 
 def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
@@ -343,12 +334,12 @@ def reconstruct_immersion(geom: Geometry,
     timings["transport"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    table_records = list(path_independence_residual(flows, tolerances).records)
+    table_report = path_independence_residual(flows, tolerances)
     if nd >= 2:
         alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))),
                                    gram=gram, reorthonormalize=reorthonormalize)
-        table_records.append(make_record("sweep_cross_check", alt - frame, grid,
-                                         tolerances.threshold("sweep_cross_check", grid)))
+        table_report = ResidualReport.merge(
+            table_report, records(grid, tolerances, ("sweep_cross_check", alt - frame)))
         del alt
     del flows   # freed before assembly and verification, whose temporaries peak higher
     table_time = time.perf_counter() - t0
@@ -360,11 +351,11 @@ def reconstruct_immersion(geom: Geometry,
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = verify_reconstruction(points, frame, k, geom, tolerances)
-    extra = [make_record(name, residual, grid, tolerances.threshold(name, grid))
-             for name, residual in (("frame_orthonormality", gram_defect(frame, gram)),
-                                    ("reconstruction_on_product", on_product))]
-    report = ResidualReport.merge(report, ResidualReport(tuple(extra + table_records)))
+    report = ResidualReport.merge(
+        verify_reconstruction(points, frame, k, geom, tolerances),
+        records(grid, tolerances, ("frame_orthonormality", gram_defect(frame, gram)),
+                ("reconstruction_on_product", on_product)),
+        table_report)
     timings["verify"] = table_time + time.perf_counter() - t0
 
     return ReconstructionResult(points=points, frame=frame, base_node=base, k=k,

@@ -1,12 +1,17 @@
-"""Product-structure field and the compatibility-equation checkers.
+"""The product structure and the compatibility-equation checkers.
+
+The structure psi on TM + E is one node-major (*dims, n+p, n+p) matrix
+[[f, U], [u, lambda]] in the basis (d_1..d_n, e_1..e_p): f (n, n) the tangent
+endomorphism, u (p, n) tangent -> bundle, U (n, p) bundle -> tangent and
+lambda (p, p) the bundle endomorphism, each a slice (``psi_blocks``).
 
 The checked identities, in the index conventions of :mod:`prodimm.fields`
 (A[..., a, i, j] denotes the shape operator of the a-th bundle frame vector):
 
 * algebra: f and lambda symmetric, u/U metric-adjoint, and the two block
   rows of "the structure squares to the identity";
-* parallelism: the four covariant-derivative identities tying the blocks
-  of the structure to the second form and the shape operators;
+* parallelism: the four blocks of D psi = d psi + [Gamma (+) omega, psi]
+  tied to the second form and the shape operators;
 * Gauss / Codazzi / Ricci: curvature of the metric, antisymmetrized
   derivative of the second form, and bundle curvature against the
   shape-operator commutator, each with its product-structure source term.
@@ -25,9 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError
-from .fields import (ChartGrid, TensorField, antisymmetrize, bundle_curvature,
-                     curvature_tensor, same_grid, sum_bundle_covariant_derivative)
+from .fields import (ChartGrid, antisymmetrize, bundle_curvature, curvature_tensor,
+                     endomorphism_derivative, sum_bundle_covariant_derivative)
 
 if TYPE_CHECKING:
     from .flatbundle import Geometry
@@ -127,59 +131,22 @@ def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
                        passed=bool(max_abs <= threshold))
 
 
-@dataclass(frozen=True)
-class ProductStructureField:
-    """The four blocks of the sum-bundle structure as node-wise matrices."""
-
-    f: TensorField      # (tu, td): tangent endomorphism
-    u: TensorField      # (bu, td): tangent -> bundle
-    big_u: TensorField  # (tu, bd): bundle -> tangent
-    lam: TensorField    # (bu, bd): bundle endomorphism
-
-    def __post_init__(self):
-        same_grid(self.f, self.u, self.big_u, self.lam)
-        for blk, spec in ((self.f, ("tu", "td")), (self.u, ("bu", "td")),
-                          (self.big_u, ("tu", "bd")), (self.lam, ("bu", "bd"))):
-            if blk.index_spec != spec:
-                raise DimensionError(f"block with slots {blk.index_spec}, expected {spec}")
-
-    @property
-    def grid(self) -> ChartGrid:
-        return self.f.grid
-
-    @property
-    def n(self) -> int:
-        return self.grid.ndim
-
-    @property
-    def p(self) -> int:
-        return self.lam.values.shape[-1]
-
-    def block_matrix(self) -> np.ndarray:
-        """Full (n+p) x (n+p) structure matrix at every node."""
-        top = np.concatenate([self.f.values, self.big_u.values], axis=-1)
-        bot = np.concatenate([self.u.values, self.lam.values], axis=-1)
-        return np.concatenate([top, bot], axis=-2)
-
-
-def identity_structure_nodes(psi: ProductStructureField, tol: float = 1e-8) -> int:
-    """Count nodes where the structure is within tol of plus or minus identity."""
-    n, p = psi.n, psi.p
-    count = 0
-    for sign in (1.0, -1.0):
-        dev = np.maximum.reduce([
-            np.abs(psi.f.values - sign * np.eye(n)).reshape(psi.grid.dims + (-1,)).max(-1),
-            np.abs(psi.lam.values - sign * np.eye(p)).reshape(psi.grid.dims + (-1,)).max(-1),
-            np.abs(psi.u.values).reshape(psi.grid.dims + (-1,)).max(-1),
-            np.abs(psi.big_u.values).reshape(psi.grid.dims + (-1,)).max(-1),
-        ])
-        count += int((dev <= tol).sum())
-    return count
-
-
-def _records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
+def records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
+    """One record per (name, residual) pair, each against its threshold on ``grid``."""
     return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
                                 for name, resid in named))
+
+
+def psi_blocks(psi: np.ndarray, n: int) -> tuple:
+    """Views (f, u, U, lambda) of a (..., n+p, n+p) matrix laid out [[f, U], [u, lambda]]."""
+    return psi[..., :n, :n], psi[..., n:, :n], psi[..., :n, n:], psi[..., n:, n:]
+
+
+def identity_structure_nodes(psi: np.ndarray, tol: float = 1e-8) -> int:
+    """Count nodes where the structure matrix is within tol of plus or minus identity."""
+    ident = np.eye(psi.shape[-1])
+    return sum(int((np.abs(psi - sign * ident).max(axis=(-2, -1)) <= tol).sum())
+               for sign in (1.0, -1.0))
 
 
 def check_psi_algebra(geom: Geometry,
@@ -187,42 +154,47 @@ def check_psi_algebra(geom: Geometry,
     """Symmetry, adjointness and involution residuals (exact linear algebra)."""
     tolerances = tolerances or ToleranceModel()
     psi = geom.psi
-    n = psi.n
+    n = geom.grid.ndim
+    _, u, big_u, lam = psi_blocks(psi, n)
     gf = geom.f_lowered                                  # g(f d_i, d_j)
-    lam = psi.lam.values
-    block = psi.block_matrix()
-    square = block @ block - np.eye(block.shape[-1])
+    square = psi @ psi - np.eye(psi.shape[-1])
 
     n_id = identity_structure_nodes(psi)
     if n_id:
         warnings.warn(f"structure within 1e-8 of plus/minus identity at {n_id} node(s); "
                       "such data is outside the reconstructible class", StructureWarning)
 
-    return _records(
+    return records(
         geom.grid, tolerances,
         ("psi_f_symmetric", gf - np.swapaxes(gf, -1, -2)),
         ("psi_lambda_symmetric", lam - np.swapaxes(lam, -1, -2)),
-        ("psi_u_U_adjoint",
-         psi.u.values - np.swapaxes(geom.metric.values @ psi.big_u.values, -1, -2)),
+        ("psi_u_U_adjoint", u - np.swapaxes(geom.metric.values @ big_u, -1, -2)),
         ("psi_involution_tangent", square[..., :n, :]),
         ("psi_involution_bundle", square[..., n:, :]))
 
 
 def check_psi_parallel(geom: Geometry,
                        tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Residuals of the four parallel-structure identities."""
+    """Residuals of the four parallel-structure identities.
+
+    D_m psi = d_m psi + [C_m, psi] with C_m = Gamma_m (+) omega_m is formed
+    once; each identity reads its block of it.
+    """
     tolerances = tolerances or ToleranceModel()
-    psi, chris, bundle = geom.psi, geom.chris, geom.bundle
+    grid = geom.grid
+    n = grid.ndim
+    size = n + geom.p
+    conn = np.zeros(grid.dims + (n, size, size))
+    conn[..., :n, :n] = np.swapaxes(geom.chris, -3, -2)    # (..., m, l, s) = Gamma^l_ms
+    conn[..., n:, n:] = geom.bundle.omega
+    d_f, d_u, d_big_u, d_lam = psi_blocks(endomorphism_derivative(grid, geom.psi, conn), n)
+    del conn
     # (..., m, i, a) = A[a, i, m] and (..., m, a, j) = sigma[m, j, a]
     shape_t = np.swapaxes(geom.shape_ops, -3, -1)
     sigma_t = np.swapaxes(geom.sigma.values, -1, -2)
-    f, u, big_u, lam = (blk.values[..., None, :, :]
-                        for blk in (psi.f, psi.u, psi.big_u, psi.lam))
-
-    d_f, d_u, d_big_u, d_lam = (sum_bundle_covariant_derivative(blk, chris, bundle).values
-                                for blk in (psi.f, psi.u, psi.big_u, psi.lam))
-    return _records(
-        geom.grid, tolerances,
+    f, u, big_u, lam = (blk[..., None, :, :] for blk in psi_blocks(geom.psi, n))
+    return records(
+        grid, tolerances,
         ("psi_parallel_f", d_f - shape_t @ u - big_u @ sigma_t),
         ("psi_parallel_u", d_u - lam @ sigma_t + sigma_t @ f),
         ("psi_parallel_U", d_big_u - shape_t @ lam + f @ shape_t),
@@ -234,10 +206,10 @@ def check_gauss(geom: Geometry,
     """Curvature against shape-operator terms plus the structure source."""
     tolerances = tolerances or ToleranceModel()
     n = geom.grid.ndim
-    riem = curvature_tensor(geom.metric, geom.chris).values   # (..., i, r, m, n)
+    riem = curvature_tensor(geom.metric, geom.chris)     # (..., i, r, m, n)
     shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., m, i, a) = A[a, i, m]
     sigma_t = np.swapaxes(geom.sigma.values, -1, -2)     # (..., n, a, r) = sigma[n, r, a]
-    f_t = np.swapaxes(geom.psi.f.values, -1, -2)         # (..., m, i) = f[i, m]
+    f_t = np.swapaxes(psi_blocks(geom.psi, n)[0], -1, -2)   # (..., m, i) = f[i, m]
     gv, gf = geom.metric.values, geom.f_lowered          # (..., n, r)
     # R[i, r, m, n] = A_(sigma(d_n, d_r)) d_m + (1/2)(g(d_n, d_r) f d_m + g(f d_n, d_r) d_m)
     #                 - (m <-> n), laid out (m, n, i, r)
@@ -245,30 +217,30 @@ def check_gauss(geom: Geometry,
             + 0.5 * (f_t[..., :, None, :, None] * gv[..., None, :, None, :]
                      + np.eye(n)[:, None, :, None] * gf[..., None, :, None, :]))
     rhs = np.moveaxis(antisymmetrize(half), (-2, -1), (-4, -3))
-    return _records(geom.grid, tolerances, ("gauss", riem - rhs))
+    return records(geom.grid, tolerances, ("gauss", riem - rhs))
 
 
 def check_codazzi(geom: Geometry,
                   tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Antisymmetrized derivative of the second form against the u source."""
     tolerances = tolerances or ToleranceModel()
-    d_sigma = sum_bundle_covariant_derivative(geom.sigma, geom.chris,
-                                              geom.bundle).values   # (..., m, n, r, a)
-    u_t = np.swapaxes(geom.psi.u.values, -1, -2)        # (..., m, a) = u[a, m]
+    d_sigma = sum_bundle_covariant_derivative(geom.grid, geom.sigma.values, ("td", "td", "bu"),
+                                              geom.chris, geom.bundle.omega)   # (..., m, n, r, a)
+    u_t = np.swapaxes(psi_blocks(geom.psi, geom.grid.ndim)[1], -1, -2)   # (..., m, a) = u[a, m]
     # 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) - (m <-> n)
     half = 2.0 * d_sigma - geom.metric.values[..., None, :, :, None] * u_t[..., :, None, None, :]
-    return _records(geom.grid, tolerances, ("codazzi", antisymmetrize(half)))
+    return records(geom.grid, tolerances, ("codazzi", antisymmetrize(half)))
 
 
 def check_ricci(geom: Geometry,
                 tolerances: ToleranceModel | None = None) -> ResidualReport:
     """Bundle curvature against the shape-operator commutator."""
     tolerances = tolerances or ToleranceModel()
-    curv = bundle_curvature(geom.bundle).values          # (..., m, n, a, b)
+    curv = bundle_curvature(geom.bundle)                 # (..., m, n, a, b)
     sigma_m = np.moveaxis(geom.sigma.values, -3, -1)     # (..., m, a, k) = sigma[k, m, a]
     shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., n, k, b) = A[b, k, n]
     half = sigma_m[..., :, None, :, :] @ shape_t[..., None, :, :, :]
-    return _records(geom.grid, tolerances, ("ricci", curv - antisymmetrize(half)))
+    return records(geom.grid, tolerances, ("ricci", curv - antisymmetrize(half)))
 
 
 def check_all(geom: Geometry,

@@ -5,7 +5,7 @@ import pytest
 
 from prodimm.dataio import Dataset
 from prodimm.extract import AnalyticImmersion, default_tolerances, extract_all, fixture
-from prodimm.fields import ChartGrid
+from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
 
@@ -74,6 +74,24 @@ def with_derived(geom: Geometry, **derived) -> Geometry:
     out = Geometry.of(geom)
     vars(out).update(derived)   # a cached property reads the instance dict first
     return out
+
+
+def random_geometry(seed: int, dims: tuple, p: int) -> Geometry:
+    """Seeded data of the right slot kinds, with no symmetry the kinds do not impose."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    grid = ChartGrid(dims=dims, spacing=tuple(0.1 + 0.05 * a for a in range(n)),
+                     origin=(0.0,) * n)
+    a = rng.normal(size=dims + (n, n))
+    metric = MetricField(grid, a @ np.swapaxes(a, -1, -2) + 2.0 * np.eye(n))
+    s = rng.normal(size=dims + (n, n, p))
+    sigma = SecondFormField(grid, s + np.swapaxes(s, -3, -2))
+    om = rng.normal(size=dims + (n, p, p))
+    bundle = BundleData(grid, om - np.swapaxes(om, -1, -2))
+    f, u, big_u, lam = (rng.normal(size=dims + shape)
+                        for shape in ((n, n), (p, n), (n, p), (p, p)))
+    psi = np.block([[f, big_u], [u, lam]])
+    return Geometry(metric, bundle, sigma, psi)
 
 
 def refine(grid: ChartGrid) -> ChartGrid:

@@ -44,12 +44,19 @@ def shape_operator_field(sigma, g) -> np.ndarray:
     return np.einsum("...ik,...kja->...aij", np.linalg.inv(g.values), sigma.values)
 
 
-def covariant_derivative(field, ga, om) -> np.ndarray:
+def blocks(psi, n) -> tuple:
+    """(f, u, U, lambda) of a structure matrix [[f, U], [u, lambda]], sliced here."""
+    return psi[..., :n, :n], psi[..., n:, :n], psi[..., :n, n:], psi[..., n:, n:]
+
+
+PSI_SLOTS = (("tu", "td"), ("bu", "td"), ("tu", "bd"), ("bu", "bd"))   # of f, u, U, lambda
+
+
+def covariant_derivative(grid, vals, slots, ga, om) -> np.ndarray:
     """Sum-bundle covariant derivative; ``ga`` the Christoffel array, ``om`` the bundle's."""
-    vals = field.values
-    out = grad_field(field.grid, vals)
-    letters = "abcdefg"[:len(field.index_spec)]
-    for j, kind in enumerate(field.index_spec):
+    out = grad_field(grid, vals)
+    letters = "abcdefg"[:len(slots)]
+    for j, kind in enumerate(slots):
         s = letters[j]
         mod = letters[:j] + "z" + letters[j + 1:]
         if kind == "tu":
@@ -71,8 +78,9 @@ def _report(grid, tolerances, *named):
 
 def check_psi_algebra(g, psi, tolerances) -> ResidualReport:
     grid = g.grid
-    n, p = psi.n, psi.p
-    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
+    n = grid.ndim
+    p = psi.shape[-1] - n
+    f, u, big_u, lam = blocks(psi, n)
     gv = g.values
     gf = np.einsum("...kj,...ki->...ij", gv, f)
     flat = grid.dims + (-1,)
@@ -96,12 +104,12 @@ def check_psi_algebra(g, psi, tolerances) -> ResidualReport:
 
 def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> ResidualReport:
     ga = christoffel(g)
-    om = bundle.omega.values
+    om = bundle.omega
     shape_ops = shape_operator_field(sigma, g)
-    f, u, big_u, lam = psi.f.values, psi.u.values, psi.big_u.values, psi.lam.values
+    f, u, big_u, lam = blocks(psi, g.grid.ndim)
     sg = sigma.values
-    d_f, d_u, d_big_u, d_lam = (covariant_derivative(blk, ga, om)
-                                for blk in (psi.f, psi.u, psi.big_u, psi.lam))
+    d_f, d_u, d_big_u, d_lam = (covariant_derivative(g.grid, blk, slots, ga, om)
+                                for blk, slots in zip((f, u, big_u, lam), PSI_SLOTS))
     return _report(
         g.grid, tolerances,
         ("psi_parallel_f", d_f - np.einsum("...aj,...aim->...mij", u, shape_ops)
@@ -117,7 +125,7 @@ def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> ResidualReport:
 def check_gauss(g, sigma, psi, tolerances) -> ResidualReport:
     n = g.grid.ndim
     shape_ops = shape_operator_field(sigma, g)
-    f, gv = psi.f.values, g.values
+    f, gv = blocks(psi, n)[0], g.values
     gf = np.einsum("...kr,...kn->...nr", gv, f)
     ident = np.eye(n)
     rhs = (np.einsum("...nra,...aim->...irmn", sigma.values, shape_ops)
@@ -130,8 +138,9 @@ def check_gauss(g, sigma, psi, tolerances) -> ResidualReport:
 
 
 def check_codazzi(g, bundle, sigma, psi, tolerances) -> ResidualReport:
-    d_sigma = covariant_derivative(sigma, christoffel(g), bundle.omega.values)
-    u, gv = psi.u.values, g.values
+    d_sigma = covariant_derivative(g.grid, sigma.values, ("td", "td", "bu"), christoffel(g),
+                                   bundle.omega)
+    u, gv = blocks(psi, g.grid.ndim)[1], g.values
     resid = (2.0 * (d_sigma - np.einsum("...mnra->...nmra", d_sigma))
              - np.einsum("...nr,...am->...mnra", gv, u)
              + np.einsum("...mr,...an->...mnra", gv, u))
@@ -139,7 +148,7 @@ def check_codazzi(g, bundle, sigma, psi, tolerances) -> ResidualReport:
 
 
 def check_ricci(g, bundle, sigma, tolerances) -> ResidualReport:
-    curv = connection_curvature(g.grid, bundle.omega.values)
+    curv = connection_curvature(g.grid, bundle.omega)
     shape_ops = shape_operator_field(sigma, g)
     rhs = (np.einsum("...kma,...bkn->...mnab", sigma.values, shape_ops)
            - np.einsum("...kna,...bkm->...mnab", sigma.values, shape_ops))
@@ -152,7 +161,8 @@ def build_connection(g, bundle, sigma, psi) -> np.ndarray:
     i1, i2 = n + p, n + p + 1
     chris = christoffel(g)
     shape_ops = shape_operator_field(sigma, g)
-    f, u, gv = psi.f.values, psi.u.values, g.values
+    f, u, _, _ = blocks(psi, n)
+    gv = g.values
     gf = np.einsum("...kj,...km->...mj", gv, f)
     ident = np.eye(n)
     om = np.zeros(g.grid.dims + (n, size, size))
@@ -161,7 +171,7 @@ def build_connection(g, bundle, sigma, psi) -> np.ndarray:
     om[..., i1, :n] = -0.5 * (gv + gf)
     om[..., i2, :n] = 0.5 * (gv - gf)
     om[..., :n, n:n + p] = -np.einsum("...bkm->...mkb", shape_ops)
-    om[..., n:n + p, n:n + p] = bundle.omega.values
+    om[..., n:n + p, n:n + p] = bundle.omega
     om[..., i1, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
     om[..., i2, n:n + p] = -0.5 * np.einsum("...bm->...mb", u)
     om[..., :n, i1] = 0.5 * (ident + np.einsum("...km->...mk", f))
@@ -219,11 +229,12 @@ def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> Res
                       dphi * np.concatenate([np.ones(phi.shape[-1] - 1), [-1.0]]))
     h_fd = w - np.einsum("...mns,...sN->...mnN", w_tan, dphi)
     h_model = np.einsum("...mna,...aN->...mnN", sigma.values, normals)
-    res_psi_t = (psi_dphi - np.einsum("...km,...kN->...mN", psi.f.values, dphi)
-                 - np.einsum("...am,...aN->...mN", psi.u.values, normals))
+    f, u, big_u, lam = blocks(psi, n)
+    res_psi_t = (psi_dphi - np.einsum("...km,...kN->...mN", f, dphi)
+                 - np.einsum("...am,...aN->...mN", u, normals))
     res_psi_n = (psi_flip(normals, k)
-                 - np.einsum("...kb,...kN->...bN", psi.big_u.values, dphi)
-                 - np.einsum("...ab,...aN->...bN", psi.lam.values, normals))
+                 - np.einsum("...kb,...kN->...bN", big_u, dphi)
+                 - np.einsum("...ab,...aN->...bN", lam, normals))
     return _report(grid, tolerances,
                    ("reconstruction_isometry", induced - g.values),
                    ("reconstruction_normal_orthogonality", res_orth),

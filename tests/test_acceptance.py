@@ -19,13 +19,12 @@ import scipy.linalg
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import Dataset, save_dataset
 from prodimm.extract import extract_all, default_tolerances
-from prodimm.fields import BundleData, SecondFormField, TensorField, shape_operator_field
+from prodimm.fields import BundleData, SecondFormField, shape_operator_field
 from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.lorentz import lorentz_orthonormalize
 from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersion_psi_field,
                                  path_independence_residual, reconstruct_immersion)
-from prodimm.structure import (ProductStructureField, check_all, check_codazzi,
-                               check_gauss, check_ricci)
+from prodimm.structure import check_all, check_codazzi, check_gauss, check_ricci, psi_blocks
 
 from conftest import FixtureBundle, refine
 
@@ -55,14 +54,15 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
                 all_ok &= _verdict(f"1 necessity {name} h={grid.h_max:.4g} "
                                    f"{'fd' if data is fd else 'exact'}",
                                    ok, f"worst={worst:.2e} thr={thr:.1e}")
+            (fd_f, fd_u, _, fd_lam), (ex_f, ex_u, _, ex_lam) = (
+                psi_blocks(data.psi, grid.ndim) for data in (fd, exact))
             errors.append({
                 "metric": np.abs(fd.metric.values - exact.metric.values).max(),
                 "sigma": np.abs(fd.sigma.values - exact.sigma.values).max(),
-                "f": np.abs(fd.psi.f.values - exact.psi.f.values).max(),
-                "u": np.abs(fd.psi.u.values - exact.psi.u.values).max(),
-                "lambda": np.abs(fd.psi.lam.values - exact.psi.lam.values).max(),
-                "omega": np.abs(fd.bundle.omega.values
-                                - exact.bundle.omega.values).max(),
+                "f": np.abs(fd_f - ex_f).max(),
+                "u": np.abs(fd_u - ex_u).max(),
+                "lambda": np.abs(fd_lam - ex_lam).max(),
+                "omega": np.abs(fd.bundle.omega - exact.bundle.omega).max(),
             })
         measurable = [k for k, v in errors[0].items() if v >= 1e-7]
         for key in measurable:
@@ -216,19 +216,16 @@ def test_criterion_7_negative_detection(f3):
     cases = {"sigma->gauss": (0, data.metric, data.bundle,
                               SecondFormField(f3.grid, sg), data.psi)}
 
-    uv = data.psi.u.values.copy()
-    uv[..., 0, 0] += eps
-    psi_u = ProductStructureField(f=data.psi.f,
-                                  u=TensorField(f3.grid, ("bu", "td"), uv),
-                                  big_u=data.psi.big_u, lam=data.psi.lam)
+    psi_u = data.psi.copy()
+    psi_blocks(psi_u, 2)[1][..., 0, 0] += eps     # the u block
     cases["u->codazzi"] = (1, data.metric, data.bundle, data.sigma, psi_u)
 
-    om = data.bundle.omega.values.copy()
+    om = data.bundle.omega.copy()
     t2 = f3.grid.coords()[..., 1]
     width = f3.grid.spacing[1] * (f3.grid.dims[1] - 1)
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     om[..., 0, :, :] += (eps * np.sin(2 * np.pi * t2 / width))[..., None, None] * j
-    bundle_om = BundleData(rank=2, omega=TensorField(f3.grid, ("td", "bu", "bd"), om))
+    bundle_om = BundleData(f3.grid, om)
     cases["omega->ricci"] = (2, data.metric, bundle_om, data.sigma, data.psi)
 
     all_ok = True

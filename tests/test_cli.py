@@ -26,7 +26,7 @@ def test_dataset_roundtrip_bit_identical(tmp_path, f2):
     back = load_dataset(str(path))
     assert np.array_equal(back.metric.values, ds.metric.values)
     assert np.array_equal(back.sigma.values, ds.sigma.values)
-    assert np.array_equal(back.psi.u.values, ds.psi.u.values)
+    assert np.array_equal(back.psi, ds.psi)
     assert back.grid == ds.grid and back.tolerances == ds.tolerances
     path2 = tmp_path / "again.json"
     save_dataset(back, str(path2))
@@ -210,7 +210,8 @@ def test_repair_export_renormalizes(f1_dataset_path, tmp_path):
     assert np.abs((x**2).sum(axis=1) - 1.0).max() <= 1e-14
 
 
-@pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims"])
+@pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims",
+                                      "reconstruction_number"])
 def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, breakage):
     mesh = tmp_path / "a.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
@@ -221,8 +222,10 @@ def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, break
         del doc["reconstruction"]["base_node"]
     elif breakage == "grid_spacing":
         del doc["grid"]["spacing"]
-    else:
+    elif breakage == "grid_dims":
         doc["grid"]["dims"] = [2]
+    else:
+        doc["reconstruction"] = 5
     bad = tmp_path / "bad.report.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -255,3 +258,29 @@ def test_dataset_malformed_header_exits_2(f1_dataset_path, tmp_path, capsys, key
     capsys.readouterr()
     assert main(["check", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_align_fails_on_a_nan_distance(f1_dataset_path, tmp_path):
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    lines = mesh.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])   # one coordinate of one node
+    nan_mesh = tmp_path / "nan.csv"
+    nan_mesh.write_text("\n".join(lines) + "\n")
+    (tmp_path / "nan.csv.report.json").write_text((tmp_path / "a.csv.report.json").read_text())
+    assert main(["align", str(mesh), str(nan_mesh), "--distance-tol", "1e-6"]) == 1
+
+
+FIELD_NAMES = ("metric", "bundle_connection", "sigma", "psi.f", "psi.u", "psi.U", "psi.lambda")
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_check_names_the_node_of_a_nan(f1_dataset_path, tmp_path, capsys, name):
+    doc = json.loads(f1_dataset_path.read_text())
+    assert len(doc["fields"][name]) == 200   # one entry per node on F1 (n = p = 1)
+    doc["fields"][name][57] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    assert "(57,)" in capsys.readouterr().err

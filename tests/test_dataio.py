@@ -1,16 +1,20 @@
 """The dataset, report and mesh writers give the bytes of the element-by-element oracles."""
 
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prodimm import cli
-from prodimm.dataio import (_render_with_inline_arrays, dataset_to_dict, load_immersion_csv,
-                            report_to_dict, save_dataset, save_immersion_csv, save_report)
+from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
+                            load_dataset, load_immersion_csv, report_to_dict, save_dataset,
+                            save_immersion_csv, save_report)
+from prodimm.structure import ToleranceModel
 
 import io_oracles
+from conftest import random_geometry
 
 
 def _oracle_json(doc: dict) -> bytes:
@@ -23,6 +27,23 @@ def test_dataset_bytes_match_oracle(request, tmp_path, bundle):
     path = tmp_path / "ds.json"
     save_dataset(ds, str(path))
     assert path.read_bytes() == _oracle_json(dataset_to_dict(ds))
+
+
+def test_dataset_psi_blocks_keep_their_names(tmp_path):
+    """On a 2-dim chart with p = 3, u (3, 2) and U (2, 3) are independent and differ in shape."""
+    geom = random_geometry(11, (7, 8), p=3)
+    ds = Dataset(grid=geom.grid, p=3, metric=geom.metric, bundle=geom.bundle, sigma=geom.sigma,
+                 psi=geom.psi, tolerances=ToleranceModel(), meta={})
+    path = tmp_path / "ds.json"
+    save_dataset(ds, str(path))
+    psi = geom.psi
+    blocks = {"psi.f": psi[..., :2, :2], "psi.u": psi[..., 2:, :2],
+              "psi.U": psi[..., :2, 2:], "psi.lambda": psi[..., 2:, 2:]}
+    fields = json.loads(path.read_text())["fields"]
+    back = load_dataset(str(path)).psi
+    for name, block in blocks.items():
+        assert fields[name] == block.ravel().tolist(), name
+    assert back.view(np.int64).tolist() == psi.view(np.int64).tolist()
 
 
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all,
 from prodimm.fields import ChartGrid
 from prodimm.lorentz import minkowski_dot
 from prodimm.flatbundle import Geometry
-from prodimm.structure import check_all
+from prodimm.structure import check_all, psi_blocks
 
 from conftest import FixtureBundle, refine
 from sweep_oracles import per_edge_normal_frame
@@ -127,35 +127,35 @@ def test_second_form_oracles(f1, f2, f3):
 def test_structure_oracles_f1(f1):
     a = f1.immersion.params["a"]
     b = f1.immersion.params["b"]
-    data = f1.data
-    assert data.psi.f.values == pytest.approx(a * a - b * b, abs=1e-12)
-    assert data.psi.lam.values == pytest.approx(b * b - a * a, abs=1e-12)
-    assert np.abs(data.psi.u.values) == pytest.approx(2 * a * b, abs=1e-12)
-    invol = data.psi.f.values[..., 0, 0] ** 2 + \
-        data.psi.big_u.values[..., 0, 0] * data.psi.u.values[..., 0, 0]
+    f, u, big_u, lam = psi_blocks(f1.data.psi, 1)
+    assert f == pytest.approx(a * a - b * b, abs=1e-12)
+    assert lam == pytest.approx(b * b - a * a, abs=1e-12)
+    assert np.abs(u) == pytest.approx(2 * a * b, abs=1e-12)
+    invol = f[..., 0, 0] ** 2 + \
+        big_u[..., 0, 0] * u[..., 0, 0]
     assert invol == pytest.approx(1.0, abs=1e-10)
 
 
 def test_structure_oracles_f2_equator():
     fb = FixtureBundle("F2", theta0=np.pi / 2)
     data = fb.data
-    assert data.psi.f.values == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(data.psi.u.values).max() <= 1e-12
+    f, u, _, lam = psi_blocks(data.psi, 1)
+    assert f == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(u).max() <= 1e-12
     assert np.abs(data.sigma.values).max() <= 1e-12
-    lam = data.psi.lam.values
     assert np.abs(lam - np.diag([1.0, -1.0])).max() <= 1e-12
 
 
 def test_structure_oracles_f3(f3):
-    f_block = f3.data.psi.f.values
+    f_block, u, _, _ = psi_blocks(f3.data.psi, 2)
     assert np.abs(f_block - np.diag([1.0, -1.0])).max() <= 1e-12
-    assert np.abs(f3.data.psi.u.values).max() <= 1e-12
-    assert np.abs(f3.data.bundle.omega.values).max() <= 1e-12
+    assert np.abs(u).max() <= 1e-12
+    assert np.abs(f3.data.bundle.omega).max() <= 1e-12
 
 
 def test_normal_connection_trivial_on_fixtures(f1, f2):
-    assert np.abs(f1.data.bundle.omega.values).max() <= 1e-12
-    assert np.abs(f2.data.bundle.omega.values).max() <= 1e-12
+    assert np.abs(f1.data.bundle.omega).max() <= 1e-12
+    assert np.abs(f2.data.bundle.omega).max() <= 1e-12
 
 
 def _necessity(imm, grid, use_analytic=True):
@@ -199,7 +199,7 @@ def test_induced_pieces_standalone(f2):
     assert np.array_equal(metric.values, f2.data.metric.values)
     assert np.array_equal(normals, f2.data.normals)
     assert np.array_equal(sigma.values, f2.data.sigma.values)
-    assert np.array_equal(psi.f.values, f2.data.psi.f.values)
+    assert np.array_equal(psi, f2.data.psi)
     assert bundle.rank == 2
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import DimensionError, MetricError
 from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
-                            TensorField, bundle_curvature, christoffel, curvature_tensor,
+                            bundle_curvature, check_values, christoffel, curvature_tensor,
                             grad_field, hessian_field, second_derivative_axis,
                             shape_operator_field,
                             sum_bundle_covariant_derivative)
@@ -42,14 +42,14 @@ def test_grid_invariants():
     assert grid.coords().shape == (5, 6, 2)
 
 
-def test_tensor_field_validation():
+def test_check_values_validation():
     grid = ChartGrid(dims=(5,), spacing=(0.1,), origin=(0.0,))
     with pytest.raises(DimensionError, match="node"):
-        TensorField(grid, ("td",), np.full((5, 1), np.nan))
+        check_values(grid, np.full((5, 1), np.nan), (1,))
     with pytest.raises(DimensionError):
-        TensorField(grid, ("td",), np.zeros((5, 2)))  # tangent slot must be 1
+        check_values(grid, np.zeros((5, 2)), (1,))  # tangent slot must be 1
     with pytest.raises(DimensionError):
-        TensorField(grid, ("td", "td"), np.zeros((5, 1)))
+        check_values(grid, np.zeros((5, 1)), (1, 1))
 
 
 def test_metric_field_validation():
@@ -65,7 +65,7 @@ def test_metric_field_validation():
 def test_christoffel_flat():
     grid = ChartGrid(dims=(8, 8), spacing=(0.1, 0.1), origin=(0.0, 0.0))
     g = MetricField(grid, np.tile(np.eye(2), grid.dims + (1, 1)))
-    assert np.abs(christoffel(g).values).max() == 0.0
+    assert np.abs(christoffel(g)).max() == 0.0
 
 
 def test_christoffel_sphere_oracle_and_convergence():
@@ -73,7 +73,7 @@ def test_christoffel_sphere_oracle_and_convergence():
     for factor in (1, 2):
         grid, g, theta = sphere_chart(n_theta=40 * factor + 1,
                                       h_theta=0.015 / factor)
-        gamma = christoffel(g).values
+        gamma = christoffel(g)
         exact_tpp = -np.sin(theta) * np.cos(theta)   # Gamma^theta_{phi phi}
         exact_ptp = 1.0 / np.tan(theta)              # Gamma^phi_{theta phi}
         err = max(np.abs(gamma[..., 0, 1, 1] - exact_tpp).max(),
@@ -87,7 +87,7 @@ def test_christoffel_sphere_oracle_and_convergence():
 
 def test_christoffel_hyperbolic_oracle():
     grid, g, rho = hyperbolic_chart()
-    gamma = christoffel(g).values
+    gamma = christoffel(g)
     exact = -np.sinh(rho) * np.cosh(rho)
     assert np.abs(gamma[..., 0, 1, 1] - exact).max() <= 10 * grid.h_max**2
 
@@ -101,11 +101,11 @@ def _sectional(gv, riem):
 
 def test_sectional_curvature_sphere_and_hyperbolic():
     grid, g, _ = sphere_chart()
-    riem = curvature_tensor(g).values
+    riem = curvature_tensor(g)
     k = _sectional(g.values, riem)
     assert np.abs(k - 1.0).max() <= 20 * grid.h_max**2
     grid, g, _ = hyperbolic_chart()
-    riem = curvature_tensor(g).values
+    riem = curvature_tensor(g)
     k = _sectional(g.values, riem)
     assert np.abs(k + 1.0).max() <= 20 * grid.h_max**2
 
@@ -113,9 +113,9 @@ def test_sectional_curvature_sphere_and_hyperbolic():
 def test_curvature_flat_and_bianchi():
     grid = ChartGrid(dims=(8, 8), spacing=(0.05, 0.05), origin=(0.0, 0.0))
     g = MetricField(grid, np.tile(np.eye(2), grid.dims + (1, 1)))
-    assert np.abs(curvature_tensor(g).values).max() <= 1e-10
+    assert np.abs(curvature_tensor(g)).max() <= 1e-10
     grid, g, _ = sphere_chart()
-    riem = curvature_tensor(g).values
+    riem = curvature_tensor(g)
     cyc = (riem + np.einsum("...lsmn->...lmns", riem)
            + np.einsum("...lsmn->...lnsm", riem))
     assert np.abs(cyc).max() <= 20 * grid.h_max**2
@@ -123,14 +123,14 @@ def test_curvature_flat_and_bianchi():
 
 def test_bundle_curvature_zero_and_constant():
     grid = ChartGrid(dims=(6, 6), spacing=(0.1, 0.1), origin=(0.0, 0.0))
-    flat = BundleData.flat(grid, rank=2)
-    assert np.abs(bundle_curvature(flat).values).max() == 0.0
+    flat = BundleData(grid, np.zeros(grid.dims + (2, 2, 2)))
+    assert np.abs(bundle_curvature(flat)).max() == 0.0
     om = np.zeros(grid.dims + (2, 2, 2))
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     om[..., 0, :, :] = 0.3 * j
     om[..., 1, :, :] = 0.7 * j   # commuting constant coefficients
-    bundle = BundleData(rank=2, omega=TensorField(grid, ("td", "bu", "bd"), om))
-    assert np.abs(bundle_curvature(bundle).values).max() <= 1e-14
+    bundle = BundleData(grid, om)
+    assert np.abs(bundle_curvature(bundle)).max() <= 1e-14
 
 
 def test_bundle_curvature_linear_oracle():
@@ -139,8 +139,8 @@ def test_bundle_curvature_linear_oracle():
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     om = np.zeros(grid.dims + (2, 2, 2))
     om[..., 0, :, :] = c * grid.coords()[..., 1, None, None] * j
-    bundle = BundleData(rank=2, omega=TensorField(grid, ("td", "bu", "bd"), om))
-    f01 = bundle_curvature(bundle).values[..., 0, 1, :, :]
+    bundle = BundleData(grid, om)
+    f01 = bundle_curvature(bundle)[..., 0, 1, :, :]
     assert np.abs(f01 - (-c) * j).max() <= 1e-12
 
 
@@ -174,20 +174,22 @@ def test_sum_bundle_derivative_constant_and_linear():
     grid = ChartGrid(dims=(9,), spacing=(0.1,), origin=(0.0,))
     g = MetricField(grid, np.ones((9, 1, 1)))
     chris = christoffel(g)
-    bundle = BundleData.flat(grid, rank=1)
+    omega = np.zeros((9, 1, 1, 1))
+    slots = ("td", "td", "bu")
     const = SecondFormField(grid, np.full((9, 1, 1, 1), 0.7))
-    out = sum_bundle_covariant_derivative(const, chris, bundle)
-    assert np.abs(out.values).max() == 0.0
+    out = sum_bundle_covariant_derivative(grid, const.values, slots, chris, omega)
+    assert np.abs(out).max() == 0.0
     slope = 1.3
     lin = SecondFormField(grid, slope * grid.coords()[..., 0][:, None, None, None])
-    out = sum_bundle_covariant_derivative(lin, chris, bundle)
-    assert np.abs(out.values - slope).max() <= 1e-12
+    out = sum_bundle_covariant_derivative(grid, lin.values, slots, chris, omega)
+    assert np.abs(out - slope).max() <= 1e-12
 
 
 def test_sum_bundle_derivative_preserves_symmetry(f3):
     data = f3.data
     chris = christoffel(data.metric)
-    out = sum_bundle_covariant_derivative(data.sigma, chris, data.bundle).values
+    out = sum_bundle_covariant_derivative(data.grid, data.sigma.values, ("td", "td", "bu"),
+                                          chris, data.bundle.omega)
     assert np.abs(out - np.swapaxes(out, -3, -2)).max() <= 1e-12
 
 

@@ -35,7 +35,7 @@ def test_connection_xi1_row_formula(f2):
     data = f2.data
     conn = build_connection(f2.geom)
     gv = data.metric.values
-    gf = np.einsum("...kj,...km->...mj", gv, data.psi.f.values)
+    gf = np.einsum("...kj,...km->...mj", gv, data.psi[..., :1, :1])   # the f block, n = 1
     i1 = 1 + 2  # n + p
     assert np.allclose(conn[..., 0, i1, 0], -0.5 * (gv + gf)[..., 0, 0],
                        atol=1e-15)

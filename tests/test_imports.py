@@ -1,16 +1,20 @@
-"""Every name a ``src/prodimm`` module imports is used in that module.
+"""Every name a ``src/prodimm`` module imports is used, and every name it defines is read.
 
 A stand-in for a linter's unused-import rule, built on ``ast`` alone.  A name
 counts as used when the module reads it, names it in a quoted annotation, or
-lists it in ``__all__``.
+lists it in ``__all__``.  A module-level function or class counts as read when
+its name appears in ``src/``, ``tests/`` or ``perfbench/`` outside its own
+definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prodimm"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prodimm"
 
 
 def _quoted_names(tree) -> set:
@@ -60,3 +64,39 @@ def test_unused_import_is_found():
     source = ("import os\nfrom numpy import eye, zeros as z\n"
               "__all__ = ['eye']\ndef f(a: 'z') -> None:\n    '''os'''\n")
     assert unused_imports(source) == ["os (line 1)"]
+
+
+def unread_definitions(defining: dict, readers: dict) -> list:
+    """Module-level functions and classes of ``defining`` (path -> text) named nowhere else.
+
+    Every line of ``defining`` and ``readers`` counts, except a definition's own lines.
+    """
+    unread = []
+    for path, text in defining.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            own = text.splitlines()
+            elsewhere = own[:start - 1] + own[node.end_lineno:]
+            for other, other_text in (defining | readers).items():
+                lines = elsewhere if other == path else other_text.splitlines()
+                if any(word.search(line) for line in lines):
+                    break
+            else:
+                unread.append(f"{Path(path).name}:{node.name}")
+    return sorted(unread)
+
+
+def test_every_src_definition_is_read():
+    src = {str(path): path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path): path.read_text() for folder in ("tests", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))}
+    assert unread_definitions(src, readers) == []
+
+
+def test_unread_definition_is_found():
+    defining = {"a.py": "@property\ndef used():\n    return 1\n\n\n"
+                        "class Dead:\n    'Dead'\n"}
+    assert unread_definitions(defining, {"b.py": "from a import used\n"}) == ["a.py:Dead"]

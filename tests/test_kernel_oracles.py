@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 import kernel_oracles as oracle
-from conftest import with_derived
+from conftest import random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
-from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta
 from prodimm.reconstruct import (assemble_immersion, gram_defect, immersion_psi_field,
                                  verify_reconstruction)
-from prodimm.structure import ProductStructureField, ToleranceModel, make_record
+from prodimm.structure import ToleranceModel, make_record
 
 REL = 1e-13
 
@@ -35,27 +34,6 @@ def assert_reports_close(new, ref):
     for a, b in zip(new.records, ref.records):
         for x, y in ((a.max_abs, b.max_abs), (a.mean_abs, b.mean_abs)):
             assert abs(x - y) <= REL * max(abs(y), 1.0), (a.name, x, y)
-
-
-def random_geometry(seed: int, dims: tuple, p: int) -> Geometry:
-    """Seeded data of the right slot kinds, with no symmetry the kinds do not impose."""
-    rng = np.random.default_rng(seed)
-    n = len(dims)
-    grid = ChartGrid(dims=dims, spacing=tuple(0.1 + 0.05 * a for a in range(n)),
-                     origin=(0.0,) * n)
-    a = rng.normal(size=dims + (n, n))
-    metric = MetricField(grid, a @ np.swapaxes(a, -1, -2) + 2.0 * np.eye(n))
-    s = rng.normal(size=dims + (n, n, p))
-    sigma = SecondFormField(grid, s + np.swapaxes(s, -3, -2))
-    om = rng.normal(size=dims + (n, p, p))
-    bundle = BundleData(rank=p, omega=TensorField(grid, ("td", "bu", "bd"),
-                                                  om - np.swapaxes(om, -1, -2)))
-    psi = ProductStructureField(
-        f=TensorField(grid, ("tu", "td"), rng.normal(size=dims + (n, n))),
-        u=TensorField(grid, ("bu", "td"), rng.normal(size=dims + (p, n))),
-        big_u=TensorField(grid, ("tu", "bd"), rng.normal(size=dims + (n, p))),
-        lam=TensorField(grid, ("bu", "bd"), rng.normal(size=dims + (p, p))))
-    return Geometry(metric, bundle, sigma, psi)
 
 
 def with_random_bundle(geom: Geometry, seed: int) -> Geometry:
@@ -84,18 +62,20 @@ def geom(request, f3):
 
 def test_field_kernels_match_oracles(geom):
     g, sigma, bundle = geom.metric, geom.sigma, geom.bundle
-    assert_close(fields.christoffel(g).values, oracle.christoffel(g), "christoffel")
-    assert_close(fields.curvature_tensor(g).values, oracle.curvature_tensor(g), "riemann")
+    assert_close(fields.christoffel(g), oracle.christoffel(g), "christoffel")
+    assert_close(fields.curvature_tensor(g), oracle.curvature_tensor(g), "riemann")
     assert_close(fields.shape_operator_field(sigma, g), oracle.shape_operator_field(sigma, g),
                  "shape operators")
     big = with_random_bundle(geom, 5).connection
     assert_close(fields.connection_curvature(geom.grid, big),
                  oracle.connection_curvature(geom.grid, big), "connection curvature")
     chris = fields.christoffel(g)
-    for blk in (geom.psi.f, geom.psi.u, geom.psi.big_u, geom.psi.lam, sigma):
-        assert_close(fields.sum_bundle_covariant_derivative(blk, chris, bundle).values,
-                     oracle.covariant_derivative(blk, chris.values, bundle.omega.values),
-                     f"covariant derivative {blk.index_spec}")
+    cases = list(zip(oracle.blocks(geom.psi, geom.grid.ndim), oracle.PSI_SLOTS))
+    for values, slots in cases + [(sigma.values, ("td", "td", "bu"))]:
+        assert_close(fields.sum_bundle_covariant_derivative(geom.grid, values, slots, chris,
+                                                            bundle.omega),
+                     oracle.covariant_derivative(geom.grid, values, slots, chris, bundle.omega),
+                     f"covariant derivative {slots}")
 
 
 def test_structure_checks_match_oracles(geom):

@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from prodimm.errors import GridMismatchError
-from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, TensorField
+from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry
-from prodimm.structure import (ProductStructureField, StructureWarning, ToleranceModel,
-                               check_all, check_codazzi, check_gauss, check_psi_algebra,
-                               check_psi_parallel, check_ricci, identity_structure_nodes)
+from prodimm.structure import (StructureWarning, ToleranceModel, check_all, check_codazzi,
+                               check_gauss, check_psi_algebra, check_psi_parallel,
+                               check_ricci, identity_structure_nodes, psi_blocks)
 
 
 def constant_structure(grid, f_val=-0.28, u_val=0.96):
     """Flat 1-dim chart with a constant compatible structure (f^2 + u^2 = 1)."""
     dims = grid.dims
     g = MetricField(grid, np.ones(dims + (1, 1)))
-    bundle = BundleData.flat(grid, rank=1)
+    bundle = BundleData(grid, np.zeros(dims + (1, 1, 1)))
     sigma = SecondFormField(grid, np.zeros(dims + (1, 1, 1)))
-    psi = ProductStructureField(
-        f=TensorField(grid, ("tu", "td"), np.full(dims + (1, 1), f_val)),
-        u=TensorField(grid, ("bu", "td"), np.full(dims + (1, 1), u_val)),
-        big_u=TensorField(grid, ("tu", "bd"), np.full(dims + (1, 1), u_val)),
-        lam=TensorField(grid, ("bu", "bd"), np.full(dims + (1, 1), -f_val)),
-    )
+    psi = np.tile([[f_val, u_val], [u_val, -f_val]], dims + (1, 1))
     return g, bundle, sigma, psi
 
 
@@ -42,13 +37,7 @@ def test_constant_structure_passes_everything(flat_line):
 
 def test_identity_structure_warns(flat_line):
     g, bundle, sigma, _ = constant_structure(flat_line)
-    dims = flat_line.dims
-    psi = ProductStructureField(
-        f=TensorField(flat_line, ("tu", "td"), np.ones(dims + (1, 1))),
-        u=TensorField(flat_line, ("bu", "td"), np.zeros(dims + (1, 1))),
-        big_u=TensorField(flat_line, ("tu", "bd"), np.zeros(dims + (1, 1))),
-        lam=TensorField(flat_line, ("bu", "bd"), np.ones(dims + (1, 1))),
-    )
+    psi = np.tile(np.eye(2), flat_line.dims + (1, 1))
     assert identity_structure_nodes(psi) == flat_line.n_nodes
     with pytest.warns(StructureWarning):
         report = check_psi_algebra(Geometry(g, bundle, sigma, psi))
@@ -62,10 +51,8 @@ def test_psi_algebra_on_fixture_is_exact(f2):
 
 
 def test_psi_algebra_detects_scaled_f(f2):
-    psi = f2.data.psi
-    scaled = ProductStructureField(
-        f=TensorField(f2.grid, ("tu", "td"), 1.01 * psi.f.values),
-        u=psi.u, big_u=psi.big_u, lam=psi.lam)
+    scaled = f2.data.psi.copy()
+    psi_blocks(scaled, 1)[0][...] *= 1.01
     report = check_psi_algebra(replace(f2.geom, psi=scaled))
     rec = report["psi_involution_tangent"]
     assert not rec.passed
@@ -88,11 +75,8 @@ def test_psi_parallel_totally_geodesic_fixture(f1):
 def test_psi_parallel_detects_varying_u(f2):
     eps = 1e-3
     t = f2.grid.coords()[..., 0]
-    uv = f2.data.psi.u.values.copy()
-    uv[..., 0, 0] += eps * np.sin(2.0 * t)
-    psi = ProductStructureField(f=f2.data.psi.f,
-                                u=TensorField(f2.grid, ("bu", "td"), uv),
-                                big_u=f2.data.psi.big_u, lam=f2.data.psi.lam)
+    psi = f2.data.psi.copy()
+    psi_blocks(psi, 1)[1][..., 0, 0] += eps * np.sin(2.0 * t)
     report = check_psi_parallel(replace(f2.geom, psi=psi), f2.tolerances)
     rec = report["psi_parallel_u"]
     assert not rec.passed
@@ -125,11 +109,8 @@ def test_codazzi_passes_and_detects_u_shift(f3):
     base = check_codazzi(f3.geom, tol).records[0]
     assert base.passed
     eps = 1e-2
-    uv = f3.data.psi.u.values.copy()
-    uv[..., 0, 0] += eps
-    psi = ProductStructureField(f=f3.data.psi.f,
-                                u=TensorField(f3.grid, ("bu", "td"), uv),
-                                big_u=f3.data.psi.big_u, lam=f3.data.psi.lam)
+    psi = f3.data.psi.copy()
+    psi_blocks(psi, 2)[1][..., 0, 0] += eps
     rec = check_codazzi(replace(f3.geom, psi=psi), tol).records[0]
     assert not rec.passed
     assert rec.max_abs == pytest.approx(eps, rel=1e-6)
@@ -141,12 +122,12 @@ def test_ricci_trivial_and_detects_omega(f2, f3):
     rec = check_ricci(f3.geom, f3.tolerances).records[0]
     assert rec.passed
     eps = 1e-2
-    om = f3.data.bundle.omega.values.copy()
+    om = f3.data.bundle.omega.copy()
     t2 = f3.grid.coords()[..., 1]
     width = f3.grid.spacing[1] * (f3.grid.dims[1] - 1)
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     om[..., 0, :, :] += (eps * np.sin(2 * np.pi * t2 / width))[..., None, None] * j
-    bundle = BundleData(rank=2, omega=TensorField(f3.grid, ("td", "bu", "bd"), om))
+    bundle = BundleData(f3.grid, om)
     rec = check_ricci(replace(f3.geom, bundle=bundle), f3.tolerances).records[0]
     assert not rec.passed
     assert rec.max_abs >= eps
@@ -158,18 +139,13 @@ def _regauge(data, angle):
     c, s = np.cos(angle), np.sin(angle)
     q = np.array([[c, -s], [s, c]])
     sigma = SecondFormField(grid, np.einsum("ab,...ijb->...ija", q, data.sigma.values))
-    om = np.einsum("ab,...mbc,...dc->...mad", q, data.bundle.omega.values,
-                   np.broadcast_to(q, data.bundle.omega.values.shape[:-3] + (2, 2)))
-    bundle = BundleData(rank=2, omega=TensorField(grid, ("td", "bu", "bd"), om))
-    psi = data.psi
-    new_psi = ProductStructureField(
-        f=psi.f,
-        u=TensorField(grid, ("bu", "td"), np.einsum("ab,...bj->...aj", q, psi.u.values)),
-        big_u=TensorField(grid, ("tu", "bd"),
-                          np.einsum("...ib,ab->...ia", psi.big_u.values, q)),
-        lam=TensorField(grid, ("bu", "bd"),
-                        np.einsum("ab,...bc,dc->...ad", q, psi.lam.values, q)),
-    )
+    om = np.einsum("ab,...mbc,...dc->...mad", q, data.bundle.omega,
+                   np.broadcast_to(q, data.bundle.omega.shape[:-3] + (2, 2)))
+    bundle = BundleData(grid, om)
+    f, u, big_u, lam = psi_blocks(data.psi, 2)
+    new_psi = np.block([[f, np.einsum("...ib,ab->...ia", big_u, q)],
+                        [np.einsum("ab,...bj->...aj", q, u),
+                         np.einsum("ab,...bc,dc->...ad", q, lam, q)]])
     return bundle, sigma, new_psi
 
 
