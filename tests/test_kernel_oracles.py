@@ -69,13 +69,22 @@ def test_field_kernels_match_oracles(geom):
     big = with_random_bundle(geom, 5).connection
     assert_close(fields.connection_curvature(geom.grid, big),
                  oracle.connection_curvature(geom.grid, big), "connection curvature")
+    # the covariant derivative of each psi block under Gamma (+) omega is that
+    # block of the endomorphism derivative; that of sigma is read off the
+    # Codazzi block 2 F[..., n:n+p, :n] of the big connection's curvature
+    n, p = geom.grid.ndim, geom.p
     chris = fields.christoffel(g)
-    cases = list(zip(oracle.blocks(geom.psi, geom.grid.ndim), oracle.PSI_SLOTS))
-    for values, slots in cases + [(sigma.values, ("td", "td", "bu"))]:
-        assert_close(fields.sum_bundle_covariant_derivative(geom.grid, values, slots, chris,
-                                                            bundle.omega),
+    conn = np.zeros(geom.grid.dims + (n, n + p, n + p))
+    conn[..., :n, :n] = np.swapaxes(chris, -3, -2)
+    conn[..., n:, n:] = bundle.omega
+    d_psi = oracle.blocks(fields.endomorphism_derivative(geom.grid, geom.psi, conn), n)
+    for d_block, values, slots in zip(d_psi, oracle.blocks(geom.psi, n), oracle.PSI_SLOTS):
+        assert_close(d_block,
                      oracle.covariant_derivative(geom.grid, values, slots, chris, bundle.omega),
                      f"covariant derivative {slots}")
+    codazzi = 2.0 * np.swapaxes(structure.big_curvature(geom)[..., n:n + p, :n], -1, -2)
+    assert_close(codazzi, oracle.codazzi_residual(g, bundle, sigma, geom.psi),
+                 "covariant derivative ('td', 'td', 'bu') in the Codazzi block")
 
 
 def test_structure_checks_match_oracles(geom):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prodimm.cli import check_dataset
 from prodimm.errors import GridMismatchError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry
@@ -86,6 +87,15 @@ def test_psi_parallel_detects_varying_u(f2):
 def test_gauss_vacuous_on_curves(f1):
     rec = check_gauss(f1.geom).records[0]
     assert rec.max_abs == 0.0
+
+
+def test_curvature_blocks_are_exactly_zero_on_curves(f2):
+    # n = 1: F = d_1 Omega_1 - d_1 Omega_1 + [Omega_1, Omega_1] vanishes identically
+    names = ("gauss", "codazzi", "ricci", "bundle_flatness")
+    report = check_dataset(Geometry.of(f2.data), f2.tolerances)
+    standalone = check_all(Geometry.of(f2.data), f2.tolerances)
+    for rec in [report[name] for name in names] + [standalone[name] for name in names[:3]]:
+        assert (rec.max_abs, rec.mean_abs) == (0.0, 0.0), rec.name
 
 
 def test_gauss_passes_on_surface(f3):
