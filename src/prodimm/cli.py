@@ -21,43 +21,34 @@ from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_rep
 from .errors import DimensionError, ProdimmError, SchemaError
 from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
-from .flatbundle import (Geometry, flatness_residual, metric_compatibility_residual,
-                         psi_tilde_parallel_residual)
+from .flatbundle import Geometry, metric_compatibility_residual
 from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
-from .structure import (ResidualReport, ToleranceModel, big_curvature, check_codazzi,
-                        check_gauss, check_psi_algebra, check_psi_parallel, check_ricci,
-                        psi_tilde_derivative)
+from .structure import ResidualReport, ToleranceModel, check_all
 
 
 def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Every structure check plus the flat-bundle diagnostics, with their timings.
 
     The differential records are blocks of the big connection's curvature F
-    and of D psi~ (:mod:`prodimm.structure`), each formed once, F dropped
-    first.  Timings in seconds: ``structure`` the five algebra records,
-    ``connection`` Omega with the Christoffel symbols and shape operators,
-    ``flat_bundle`` metric compatibility, F, psi~, D psi~ and the nine records
-    read from them.  The checks fill ``geom``, so a rebuild derives nothing twice.
+    and of D psi~, each formed once by :func:`prodimm.structure.check_all`.
+    Timings in seconds: ``connection`` Omega with the Christoffel symbols and
+    shape operators it is built from, ``flat_bundle`` the metric compatibility
+    of Omega, ``structure`` ``check_all``: the algebra records, F, psi~, D psi~
+    and the nine records read from F and D psi~.  The checks fill ``geom``, so
+    a rebuild derives nothing twice.
     """
     t0 = time.perf_counter()
-    algebra = check_psi_algebra(geom, tolerances)
-    t1 = time.perf_counter()
     geom.connection   # built here, so the connection key times it alone
-    t2 = time.perf_counter()
+    t1 = time.perf_counter()
     compatibility = metric_compatibility_residual(geom, tolerances)
-    curv = big_curvature(geom)
-    gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
-        check_gauss, check_codazzi, check_ricci, flatness_residual))
-    del curv
-    d_psi_tilde = psi_tilde_derivative(geom)
-    parallel = check_psi_parallel(geom, tolerances, d_psi_tilde)
-    tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_tilde)
-    del d_psi_tilde
+    t2 = time.perf_counter()
+    checks = check_all(geom, tolerances)
     t3 = time.perf_counter()
-    return Report.from_residuals(geom.grid, algebra, parallel, gauss, codazzi, ricci,
-                                 compatibility, flatness, tilde,
-                                 timings={"structure": t1 - t0, "connection": t2 - t1,
-                                          "flat_bundle": t3 - t2})
+    split = checks.names().index("bundle_flatness")   # compatibility goes before F's record
+    return Report.from_residuals(geom.grid, ResidualReport(checks.records[:split]),
+                                 compatibility, ResidualReport(checks.records[split:]),
+                                 timings={"structure": t3 - t2, "connection": t1 - t0,
+                                          "flat_bundle": t2 - t1})
 
 
 def _print_checks(report: ResidualReport):

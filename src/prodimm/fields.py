@@ -30,10 +30,11 @@ edge: a difference of a difference is still second order there.
 Matmul layout: every batched small-matrix product is written as ``@`` on the
 last two axes, with the node axes (and a direction axis, where there is one)
 leading and broadcast.  Operands are brought to (..., rows, inner) and
-(..., inner, cols) by ``swapaxes``/``moveaxis`` views first.  A pairing of
-two direction axes m, n (``connection_curvature``) is formed one pair at a
-time into its (..., m, n, rows, cols) slot of the result.  ``einsum`` is left
-for permutations and contractions that are not a matrix product.
+(..., inner, cols) by ``swapaxes``/``moveaxis`` views first; a pairing of two
+direction axes m, n is formed as ``x[..., :, None, :, :] @ y[..., None, :, :, :]``,
+which yields (..., m, n, rows, cols), and ``antisymmetrize`` subtracts its
+m <-> n swap.  ``einsum`` is left for permutations and contractions that
+are not a matrix product.
 """
 
 from __future__ import annotations
@@ -208,38 +209,29 @@ def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, ops,
     return values
 
 
-def _ghosts(v: np.ndarray) -> tuple:
-    """The quartic-extrapolated ghost nodes before v[0] and after v[-1] along axis 0."""
+def _ghost_padded(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` with axis ``axis`` first and one quartic-extrapolated ghost node per end."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     lo = 5.0 * v[0] - 10.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]
     hi = 5.0 * v[-1] - 10.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]
-    return lo, hi
+    return np.concatenate([lo[None], v, hi[None]])
 
 
 def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     """Partial derivatives along every axis; new direction slot prepended.
 
-    Input (*dims, *slots) -> output (*dims, ndim, *slots), each axis differenced
-    straight into its slot; only the two end differences read a ghost node.
+    Input (*dims, *slots) -> output (*dims, ndim, *slots).
     """
-    values = np.asarray(values, dtype=float)
-    nd = grid.ndim
-    out = np.empty(grid.dims + (nd,) + values.shape[nd:])
-    for a in range(nd):
-        v = np.moveaxis(values, a, 0)
-        d = np.moveaxis(out[(slice(None),) * nd + (a,)], a, 0)   # a view into out
-        lo, hi = _ghosts(v)
-        np.subtract(v[2:], v[:-2], out=d[1:-1])
-        np.subtract(v[1:2], lo, out=d[:1])
-        np.subtract(hi, v[-2:-1], out=d[-1:])
-        d /= 2.0 * grid.spacing[a]
-    return out
+    parts = []
+    for a in range(grid.ndim):
+        v = _ghost_padded(values, a)
+        parts.append(np.moveaxis((v[2:] - v[:-2]) / (2.0 * grid.spacing[a]), 0, a))
+    return np.stack(parts, axis=grid.ndim)
 
 
 def second_derivative_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Pure second derivative along one axis: the central three-point stencil."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    lo, hi = _ghosts(v)
-    v = np.concatenate([lo[None], v, hi[None]])
+    v = _ghost_padded(values, axis)
     return np.moveaxis((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h), 0, axis)
 
 
@@ -280,26 +272,14 @@ def curvature_tensor(g: MetricField) -> np.ndarray:
     return np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
 
 
-def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
-    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :].
+def antisymmetrize(x: np.ndarray) -> np.ndarray:
+    """x[..., m, n, :, :] - x[..., n, m, :, :] over the direction axes -4 and -3."""
+    return x - np.swapaxes(x, -4, -3)
 
-    Built in place one direction pair at a time, so no second array of F's
-    size is held: h = d_m om_n + om_m om_n, then F[m, n] = h[m, n] - h[n, m]
-    and F[n, m] = -F[m, n].
-    """
-    curv = grad_field(grid, om)
-    nd = grid.ndim
-    pair = (slice(None),) * nd
-    for m, n in np.ndindex(nd, nd):
-        curv[pair + (m, n)] += om[pair + (m,)] @ om[pair + (n,)]
-    for m in range(nd):
-        diagonal = curv[pair + (m, m)]
-        diagonal -= diagonal
-        for n in range(m + 1, nd):
-            diff = curv[pair + (m, n)] - curv[pair + (n, m)]
-            curv[pair + (m, n)] = diff
-            np.negative(diff, out=curv[pair + (n, m)])
-    return curv
+
+def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
+    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :]."""
+    return antisymmetrize(grad_field(grid, om) + om[..., :, None, :, :] @ om[..., None, :, :, :])
 
 
 def bundle_curvature(bundle: BundleData) -> np.ndarray:

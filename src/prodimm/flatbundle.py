@@ -21,8 +21,8 @@ rebuild all read one instance per dataset.
 
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
-a check would stay resident through it.  A check forms each once, reads its
-records and drops it, F before psi~ and D psi~ are formed.
+a check would stay resident through it.  ``structure.check_all`` forms each
+once, reads its records and drops it, F before psi~ and D psi~ are formed.
 """
 
 from __future__ import annotations
@@ -143,9 +143,8 @@ def metric_compatibility_residual(geom: Geometry,
     grid = geom.grid
     gram = geom.gram
     om = geom.connection
-    resid = grad_field(grid, gram)
-    resid -= np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
-    resid -= gram[..., None, :, :] @ om
+    resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
+             - gram[..., None, :, :] @ om)
     return records(grid, tolerances, ("bundle_metric_compatibility", resid))
 
 

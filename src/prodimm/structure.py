@@ -22,8 +22,9 @@ basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
   ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
   each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
 
-Each differential check takes F or D psi~ as an optional last argument, so a
-caller running several forms each array once; without it a check forms its own.
+Each differential check takes F or D psi~ as an optional last argument:
+``check_all`` forms each array once and hands it to every check that reads
+it, while a check called alone forms its own.
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
 Every checker reads the data and its derived geometry from one
@@ -230,11 +231,20 @@ def check_ricci(geom: Geometry, tolerances: ToleranceModel | None = None,
 
 def check_all(geom: Geometry,
               tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Every structure-module check, merged into one report; F and D psi~ formed once each."""
+    """Every compatibility check but metric compatibility, merged into one report.
+
+    Records: the algebra, ``psi_parallel_*``, ``gauss``, ``codazzi``,
+    ``ricci``, ``bundle_flatness``, ``psi_tilde_parallel``.  F is formed once,
+    read and dropped before psi~ and D psi~ exist; neither array is kept.
+    """
+    from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
     tolerances = tolerances or ToleranceModel()
+    algebra = check_psi_algebra(geom, tolerances)
     curv = big_curvature(geom)
-    curvature_reps = [check(geom, tolerances, curv)
-                      for check in (check_gauss, check_codazzi, check_ricci)]
+    gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
+        check_gauss, check_codazzi, check_ricci, flatness_residual))
     del curv
-    return ResidualReport.merge(check_psi_algebra(geom, tolerances),
-                                check_psi_parallel(geom, tolerances), *curvature_reps)
+    d_psi_tilde = psi_tilde_derivative(geom)
+    parallel = check_psi_parallel(geom, tolerances, d_psi_tilde)
+    tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_tilde)
+    return ResidualReport.merge(algebra, parallel, gauss, codazzi, ricci, flatness, tilde)

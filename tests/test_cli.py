@@ -49,8 +49,11 @@ def test_check_passes_on_fixture(f1_dataset_path, tmp_path):
     assert main(["check", str(f1_dataset_path), "--report", str(report_path)]) == 0
     report = load_report(str(report_path))
     assert report.passed
-    assert {"gauss", "codazzi", "ricci", "bundle_flatness"} <= \
-        {r.name for r in report.records}
+    assert [r.name for r in report.records] == [
+        "psi_f_symmetric", "psi_lambda_symmetric", "psi_u_U_adjoint", "psi_involution_tangent",
+        "psi_involution_bundle", "psi_parallel_f", "psi_parallel_u", "psi_parallel_U",
+        "psi_parallel_lambda", "gauss", "codazzi", "ricci", "bundle_metric_compatibility",
+        "bundle_flatness", "psi_tilde_parallel"]
     assert set(report.timings) == {"structure", "connection", "flat_bundle"}
     assert all(seconds >= 0.0 for seconds in report.timings.values())
 
