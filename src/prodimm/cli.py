@@ -87,8 +87,7 @@ def _fixture_from_args(args):
         raise SchemaError(str(exc)) from exc
 
 
-def _tolerances_from_args(args, base: ToleranceModel | None = None) -> ToleranceModel:
-    base = base or ToleranceModel()
+def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
     overrides = dict(base.overrides)
     for item in args.tol or []:
         if "=" not in item:
@@ -173,9 +172,7 @@ def cmd_reconstruct(args) -> int:
     if not pre.passed and not args.force:
         print("input data fails its compatibility checks; use --force to proceed")
         return 1
-    result = reconstruct_immersion(geom, tolerances=tol,
-                                   seed_frame=args.seed_frame,
-                                   reorthonormalize=args.reorthonormalize,
+    result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame,
                                    assemble_tol=np.inf if args.force else None)
     report = Report.from_residuals(
         ds.grid, pre, result.report,
@@ -285,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reconstruct even if the checks fail")
     p.add_argument("--seed-frame", type=int, default=None,
                    help="seeded random rotation of the initial sphere-block frame")
-    p.add_argument("--reorthonormalize", action="store_true",
-                   help="re-orthonormalize the frame after every edge")
     p.add_argument("--repair-export", action="store_true",
                    help="renormalize exported points onto the product (export only)")
     p.set_defaults(func=cmd_reconstruct)

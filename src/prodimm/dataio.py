@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .extract import ExtractionResult
+from .extract import ExtractionResult, default_tolerances
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, check_values
 from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
@@ -62,18 +62,14 @@ class Dataset:
     meta: dict
 
     @classmethod
-    def from_extraction(cls, data: ExtractionResult,
-                        tolerances: ToleranceModel | None = None,
-                        meta: dict | None = None) -> "Dataset":
-        from .extract import default_tolerances
-        tol = tolerances if tolerances is not None else default_tolerances(data)
+    def from_extraction(cls, data: ExtractionResult) -> "Dataset":
+        """The extraction's fields with its route's default tolerances and the fixture's meta."""
         info = {"fixture": data.immersion.name, "k": data.immersion.k,
                 "params": dict(data.immersion.params or {}),
                 "analytic_derivatives": data.analytic_derivatives}
-        info.update(meta or {})
         return cls(grid=data.grid, p=data.immersion.p, metric=data.metric,
                    bundle=data.bundle, sigma=data.sigma, psi=data.psi,
-                   tolerances=tol, meta=info)
+                   tolerances=default_tolerances(data), meta=info)
 
 
 def _atomic_write(path: str, write):

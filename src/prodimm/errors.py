@@ -55,4 +55,4 @@ class ReconstructionError(ProdimmError, RuntimeError):
 
 
 class SchemaError(ProdimmError, ValueError):
-    """Dataset or report file does not match the expected schema."""
+    """Input that cannot be used: a dataset or report off its schema, or a bad argument value."""

@@ -166,11 +166,10 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
         raise DegeneracyError(
             f"canonical completion found only {len(seed)} of {imm.p} normals at the base")
 
-    carried = np.zeros(grid.dims + (imm.ambient_dim, imm.p))
-    carried[base] = np.stack(seed, axis=-1)
     # from the corner base each step projects onto the normal space at its far node
-    sweep_compose(grid, carried, base,
-                  tuple(proj[(slice(None),) * a + (slice(1, None),)] for a in range(grid.ndim)))
+    carried = sweep_compose(grid, np.stack(seed, axis=-1), base,
+                            tuple(proj[(slice(None),) * a + (slice(1, None),)]
+                                  for a in range(grid.ndim)))
 
     normals, n2 = gram_schmidt(np.swapaxes(carried, -1, -2))
     bad = ~(n2 > _SEED_TOL).all(axis=-1)

@@ -194,18 +194,20 @@ def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):
             yield line(pos, axis, i), line(pos, axis, i - 1), axis, -h
 
 
-def sweep_compose(grid: ChartGrid, values: np.ndarray, base: tuple, ops,
-                  axis_order: tuple | None = None, after=None) -> np.ndarray:
-    """Carry ``values[base]`` over the grid by linear steps along ``sweep_steps``.
+def sweep_compose(grid: ChartGrid, base_value: np.ndarray, base: tuple, ops,
+                  axis_order: tuple | None = None) -> np.ndarray:
+    """Carry ``base_value`` from node ``base`` over the grid by linear steps along ``sweep_steps``.
 
-    ``ops[axis]`` holds one operator per edge along ``axis``, stored at the
-    edge's lower node (node axes of ``grid`` with ``axis`` one shorter), for
-    the step away from ``base``.  Each step sets ``values[dst] = op @ values[src]``
-    in place, passed through ``after(moved, dst)`` when given.
+    Returns the swept (*dims, *base_value.shape) array.  ``ops[axis]`` holds
+    one operator per edge along ``axis``, stored at the edge's lower node
+    (node axes of ``grid`` with ``axis`` one shorter), for the step away from
+    ``base``.  Every step is ``values[dst] = op @ values[src]``, with no hook
+    between steps: the sweep is one composition of linear operators.
     """
+    values = np.zeros(grid.dims + base_value.shape)
+    values[base] = base_value
     for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
-        moved = ops[axis][src if delta > 0 else dst] @ values[src]
-        values[dst] = moved if after is None else after(moved, dst)
+        values[dst] = ops[axis][src if delta > 0 else dst] @ values[src]
     return values
 
 

@@ -136,22 +136,25 @@ def build_connection(geom: Geometry) -> np.ndarray:
     return om
 
 
-def metric_compatibility_residual(geom: Geometry,
-                                  tolerances: ToleranceModel | None = None) -> ResidualReport:
-    """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions."""
-    tolerances = tolerances or ToleranceModel()
+def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
+    """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions.
+
+    Only the g block of G varies, so d_m G is d_m g padded with exact zeros.
+    """
     grid = geom.grid
+    n = grid.ndim
     gram = geom.gram
     om = geom.connection
-    resid = (grad_field(grid, gram) - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
+    d_gram = np.zeros(om.shape)
+    d_gram[..., :n, :n] = grad_field(grid, geom.metric.values)
+    resid = (d_gram - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
              - gram[..., None, :, :] @ om)
     return records(grid, tolerances, ("bundle_metric_compatibility", resid))
 
 
-def flatness_residual(geom: Geometry, tolerances: ToleranceModel | None = None,
+def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
                       curv: np.ndarray | None = None) -> ResidualReport:
     """F over the direction pairs m < n; vacuous pass on 1-dim charts."""
-    tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     if grid.ndim == 1:
         return records(grid, tolerances, ("bundle_flatness", np.zeros(grid.dims)))
@@ -171,12 +174,12 @@ def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
     return vals
 
 
-def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel | None = None,
+def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,
                                 d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
     """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0."""
     if d_psi_tilde is None:
         d_psi_tilde = psi_tilde_derivative(geom)
-    return records(geom.grid, tolerances or ToleranceModel(), ("psi_tilde_parallel", d_psi_tilde))
+    return records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_tilde))
 
 
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int,

@@ -24,7 +24,10 @@ padding to N = n+p+2, at the base node, and the compatibility records pair
 each block with the rebuilt tangents and normals.  ``ReconstructionResult``
 holds the rebuild; G and the connection stay on the caller's ``Geometry``.
 
-The on-product defect of the rebuilt points is reported, never repaired here;
+The connection preserves G, so the transported frame is never corrected:
+every sweep is one composition of the edge flows, and the drift of the
+discrete transport is reported as ``frame_orthonormality``.  Likewise the
+on-product defect of the rebuilt points is reported, never repaired here;
 repair exists only as an export option in the CLI.
 """
 
@@ -39,8 +42,7 @@ import numpy as np
 from .errors import ReconstructionError, StructureError
 from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
 from .flatbundle import Geometry, eigen_split
-from .lorentz import (eta, gram_schmidt, lower, minkowski_dot, product_defect, product_normals,
-                      psi_flip)
+from .lorentz import eta, lower, minkowski_dot, product_defect, product_normals, psi_flip
 from .structure import ResidualReport, ToleranceModel, psi_blocks, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
@@ -80,12 +82,6 @@ def edge_flow(om_start, om_end, delta) -> np.ndarray:
     k3 = -delta * (mid @ (ident + 0.5 * k2))
     k4 = -delta * (om_end @ (ident + k3))
     return ident + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
-def reorthonormalize_frame(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt the frame columns in the local metric, timelike last."""
-    columns, _ = gram_schmidt(np.swapaxes(frames, -1, -2), gram)
-    return np.swapaxes(columns, -1, -2)
 
 
 def _away_from(base_index: int, count: int):
@@ -128,29 +124,14 @@ class EdgeFlows:
 
 
 def sweep_parallel_frame(flows: EdgeFlows, initial_frame: np.ndarray,
-                         axis_order: tuple | None = None,
-                         gram: np.ndarray | None = None,
-                         reorthonormalize: bool = False) -> np.ndarray:
+                         axis_order: tuple | None = None) -> np.ndarray:
     """Deterministic sweep from ``flows.base``: every node receives exactly one frame.
 
-    Returns the (*dims, N, N) frames, the transported sections as columns.
-    With ``reorthonormalize`` the frame is re-orthonormalized in the nodewise
-    Gram matrices ``gram`` after every edge (masks metric-compatibility drift;
-    off by default on purpose).
+    Returns the (*dims, N, N) frames, the transported sections as columns,
+    each the product of the edge flows along its sweep path times the
+    initial frame.
     """
-    grid, base = flows.grid, flows.base
-    if reorthonormalize and gram is None:
-        raise StructureError("re-orthonormalization needs the Gram matrices")
-
-    def restore(moved, dst):
-        return reorthonormalize_frame(moved, gram[dst])
-
-    size = initial_frame.shape[-1]
-    frames = np.zeros(grid.dims + (size, size))
-    frames[base] = initial_frame
-    sweep_compose(grid, frames, base, flows.ops, axis_order,
-                  after=restore if reorthonormalize else None)
-    return frames
+    return sweep_compose(flows.grid, initial_frame, flows.base, flows.ops, axis_order)
 
 
 def random_block_rotation(size: int, seed: int) -> np.ndarray:
@@ -205,9 +186,8 @@ def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: Geometry,
-                          tolerances: ToleranceModel | None = None) -> ResidualReport:
+                          tolerances: ToleranceModel) -> ResidualReport:
     """Check every conclusion of the rebuild by finite differences of the map."""
-    tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     n, p = grid.ndim, geom.p
     dphi = grad_field(grid, points)                    # (..., m, N)
@@ -247,8 +227,7 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
                    ("reconstruction_psi_compat_normal", res_psi_n))
 
 
-def path_independence_residual(flows: EdgeFlows,
-                               tolerances: ToleranceModel | None = None) -> ResidualReport:
+def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> ResidualReport:
     """Gap between the two transports across each plaquette, per unit area.
 
     Both paths run over table edges from the plaquette's corner nearest the
@@ -258,7 +237,6 @@ def path_independence_residual(flows: EdgeFlows,
     elsewhere.  It scales like h^2 on clean data and approaches the curvature
     norm on incompatible data, the detector for broken compatibility equations.
     """
-    tolerances = tolerances or ToleranceModel()
     grid, base, ops = flows.grid, flows.base, flows.ops
     gap = np.zeros(grid.dims)
     for a, b in itertools.combinations(range(grid.ndim), 2):
@@ -295,11 +273,10 @@ def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
 
 
 def reconstruct_immersion(geom: Geometry,
-                          tolerances: ToleranceModel | None = None,
+                          tolerances: ToleranceModel,
                           base_node: tuple | None = None,
                           initial_rotation: np.ndarray | None = None,
                           seed_frame: int | None = None,
-                          reorthonormalize: bool = False,
                           assemble_tol: float | None = None) -> ReconstructionResult:
     """Full rebuild pipeline: split, transport, assemble, verify.
 
@@ -309,7 +286,6 @@ def reconstruct_immersion(geom: Geometry,
     derived again.  One edge-flow table serves the transport, the transposed
     cross-check sweep (dimension >= 2) and path independence.
     """
-    tolerances = tolerances or ToleranceModel()
     grid = geom.grid
     nd = grid.ndim
     base = tuple(d // 2 for d in grid.dims) if base_node is None else tuple(base_node)
@@ -330,14 +306,13 @@ def reconstruct_immersion(geom: Geometry,
 
     t0 = time.perf_counter()
     flows = EdgeFlows.of(grid, conn, base)
-    frame = sweep_parallel_frame(flows, frame0, gram=gram, reorthonormalize=reorthonormalize)
+    frame = sweep_parallel_frame(flows, frame0)
     timings["transport"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     table_report = path_independence_residual(flows, tolerances)
     if nd >= 2:
-        alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))),
-                                   gram=gram, reorthonormalize=reorthonormalize)
+        alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))))
         table_report = ResidualReport.merge(
             table_report, records(grid, tolerances, ("sweep_cross_check", alt - frame)))
         del alt

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import SchemaError
 from .fields import ChartGrid, connection_curvature, endomorphism_derivative
 
 if TYPE_CHECKING:
@@ -56,12 +57,25 @@ class StructureWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ToleranceModel:
-    """Pass thresholds: differencing checks scale with h^2, algebra does not."""
+    """Pass thresholds: differencing checks scale with h^2, algebra does not.
+
+    Every value is a non-negative number; ``inf`` switches a check off, and
+    ``algebraic=None`` puts the algebra checks on the h^2 budget too.  A NaN
+    or negative value raises ``SchemaError`` naming its field.
+    """
 
     factor: float = 10.0
     floor: float = 1e-8
     algebraic: float = 1e-10
     overrides: dict = dataclass_field(default_factory=dict)
+
+    def __post_init__(self):
+        named = {"factor": self.factor, "floor": self.floor, "algebraic": self.algebraic,
+                 **{f"override {k}": v for k, v in self.overrides.items()}}
+        for field_name, value in named.items():
+            if value is not None and not value >= 0:   # NaN fails too
+                raise SchemaError(f"tolerance {field_name} must be a non-negative number "
+                                  f"or inf, got {value}")
 
     def threshold(self, name: str, grid: ChartGrid) -> float:
         if name in self.overrides:
@@ -157,10 +171,8 @@ def identity_structure_nodes(psi: np.ndarray, tol: float = 1e-8) -> int:
                for sign in (1.0, -1.0))
 
 
-def check_psi_algebra(geom: Geometry,
-                      tolerances: ToleranceModel | None = None) -> ResidualReport:
+def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     """Symmetry, adjointness and involution residuals (exact linear algebra)."""
-    tolerances = tolerances or ToleranceModel()
     psi = geom.psi
     n = geom.grid.ndim
     _, u, big_u, lam = psi_blocks(psi, n)
@@ -191,46 +203,45 @@ def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
     return endomorphism_derivative(geom.grid, geom.psi_tilde, geom.connection)
 
 
-def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel | None = None,
+def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
                        d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
     """The four blocks of D psi, the top-left (n+p)^2 block of D psi~."""
     if d_psi_tilde is None:
         d_psi_tilde = psi_tilde_derivative(geom)
     n = geom.grid.ndim
     d_f, d_u, d_big_u, d_lam = psi_blocks(d_psi_tilde[..., :n + geom.p, :n + geom.p], n)
-    return records(geom.grid, tolerances or ToleranceModel(),
+    return records(geom.grid, tolerances,
                    ("psi_parallel_f", d_f), ("psi_parallel_u", d_u),
                    ("psi_parallel_U", d_big_u), ("psi_parallel_lambda", d_lam))
 
 
-def check_gauss(geom: Geometry, tolerances: ToleranceModel | None = None,
+def check_gauss(geom: Geometry, tolerances: ToleranceModel,
                 curv: np.ndarray | None = None) -> ResidualReport:
     """The tangent block F[..., :n, :n]."""
     curv = big_curvature(geom) if curv is None else curv
     n = geom.grid.ndim
-    return records(geom.grid, tolerances or ToleranceModel(), ("gauss", curv[..., :n, :n]))
+    return records(geom.grid, tolerances, ("gauss", curv[..., :n, :n]))
 
 
-def check_codazzi(geom: Geometry, tolerances: ToleranceModel | None = None,
+def check_codazzi(geom: Geometry, tolerances: ToleranceModel,
                   curv: np.ndarray | None = None) -> ResidualReport:
     """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (m, n, r, a)."""
     curv = big_curvature(geom) if curv is None else curv
     n = geom.grid.ndim
     block = np.swapaxes(curv[..., n:n + geom.p, :n], -1, -2)
-    return records(geom.grid, tolerances or ToleranceModel(), ("codazzi", 2.0 * block))
+    return records(geom.grid, tolerances, ("codazzi", 2.0 * block))
 
 
-def check_ricci(geom: Geometry, tolerances: ToleranceModel | None = None,
+def check_ricci(geom: Geometry, tolerances: ToleranceModel,
                 curv: np.ndarray | None = None) -> ResidualReport:
     """The bundle block F[..., n:n+p, n:n+p]."""
     curv = big_curvature(geom) if curv is None else curv
     n = geom.grid.ndim
-    return records(geom.grid, tolerances or ToleranceModel(),
+    return records(geom.grid, tolerances,
                    ("ricci", curv[..., n:n + geom.p, n:n + geom.p]))
 
 
-def check_all(geom: Geometry,
-              tolerances: ToleranceModel | None = None) -> ResidualReport:
+def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     """Every compatibility check but metric compatibility, merged into one report.
 
     Records: the algebra, ``psi_parallel_*``, ``gauss``, ``codazzi``,
@@ -238,7 +249,6 @@ def check_all(geom: Geometry,
     read and dropped before psi~ and D psi~ exist; neither array is kept.
     """
     from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
-    tolerances = tolerances or ToleranceModel()
     algebra = check_psi_algebra(geom, tolerances)
     curv = big_curvature(geom)
     gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (

@@ -187,8 +187,11 @@ def build_connection(g, bundle, sigma, psi) -> np.ndarray:
     return om
 
 
-def metric_compatibility(grid, om, gram) -> np.ndarray:
-    return (grad_field(grid, gram) - np.einsum("...mca,...cb->...mab", om, gram)
+def metric_compatibility(grid, om, gram, g) -> np.ndarray:
+    """d_m G - Omega_m^T G - G Omega_m, d_m G being d_m g padded with zeros (G = g + constants)."""
+    pad = gram.shape[-1] - grid.ndim
+    d_gram = np.pad(grad_field(grid, g.values), [(0, 0)] * (grid.ndim + 1) + [(0, pad)] * 2)
+    return (d_gram - np.einsum("...mca,...cb->...mab", om, gram)
             - np.einsum("...ac,...mcb->...mab", gram, om))
 
 

@@ -11,7 +11,7 @@ from prodimm.errors import DegeneracyError
 from prodimm.extract import _SEED_TOL, immersion_points, immersion_tangents
 from prodimm.fields import sweep_steps
 from prodimm.lorentz import gram_schmidt, minkowski_dot, product_normals
-from prodimm.reconstruct import edge_flow, reorthonormalize_frame
+from prodimm.reconstruct import edge_flow
 
 
 def _project_out(v, basis, norms):
@@ -62,16 +62,12 @@ def per_edge_normal_frame(imm, grid, use_analytic=True):
     return normals
 
 
-def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None, gram=None,
-                            reorthonormalize=False):
+def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None):
     """RK4 edge flow of the connection ``conn`` applied to the frame edge by edge."""
     size = initial_frame.shape[-1]
     frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
     for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
         om = conn[..., axis, :, :]
-        moved = edge_flow(om[src], om[dst], delta) @ frames[src]
-        if reorthonormalize:
-            moved = reorthonormalize_frame(moved, gram[dst])
-        frames[dst] = moved
+        frames[dst] = edge_flow(om[src], om[dst], delta) @ frames[src]
     return frames

@@ -212,6 +212,36 @@ def test_tolerance_override_flag(f1_dataset_path):
                  "psi_tilde_parallel=1e-30"]) == 1
 
 
+@pytest.mark.parametrize("flags, field", [(["--tol-factor", "nan"], "factor"),
+                                          (["--tol", "gauss=nan"], "override gauss"),
+                                          (["--tol", "gauss=-1"], "override gauss")],
+                         ids=["factor_nan", "override_nan", "override_negative"])
+def test_unusable_tolerance_flags_exit_2(f1_dataset_path, capsys, flags, field):
+    capsys.readouterr()
+    assert main(["check", str(f1_dataset_path), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: tolerance {field} ")
+
+
+@pytest.mark.parametrize("factor, code", [(float("nan"), 2), (float("inf"), 0)],
+                         ids=["nan_exits_2", "inf_switches_checks_off"])
+def test_dataset_tolerance_factor(f1_dataset_path, tmp_path, capsys, factor, code):
+    doc = json.loads(f1_dataset_path.read_text())
+    doc["tolerances"]["factor"] = factor
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps(doc))   # written as NaN or Infinity, which json.load reads back
+    capsys.readouterr()
+    assert main(["check", str(path)]) == code
+    assert capsys.readouterr().err == ("error: tolerance factor must be a non-negative number "
+                                       "or inf, got nan\n" if code else "")
+
+
+def test_reconstruct_has_no_reorthonormalize_option(f1_dataset_path, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", str(f1_dataset_path), "-o", str(tmp_path / "m.csv"),
+              "--reorthonormalize"])
+    assert exc.value.code == 2
+
+
 def test_dataset_schema_errors(f2):
     doc = dataset_to_dict(f2.dataset())
     doc["fields"]["sigma"] = doc["fields"]["sigma"][:-1]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prodimm.errors import ExclusionError, StructureError
-from prodimm.fields import ChartGrid, SecondFormField
+from prodimm.fields import ChartGrid, SecondFormField, grad_field
 from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eigen_split,
                                 flatness_residual, metric_compatibility_residual,
                                 psi_tilde_parallel_residual)
@@ -48,7 +48,7 @@ def test_connection_rebuild_is_bit_identical(f3):
 
 
 def test_metric_compatibility_trivial_exact(trivial):
-    rec = metric_compatibility_residual(trivial).records[0]
+    rec = metric_compatibility_residual(trivial, ToleranceModel()).records[0]
     assert rec.max_abs <= 1e-12
 
 
@@ -56,6 +56,16 @@ def test_metric_compatibility_fixtures(f1, f2, f3):
     for fb in (f1, f2, f3):
         rec = metric_compatibility_residual(fb.geom, fb.tolerances).records[0]
         assert rec.max_abs <= 10 * fb.grid.h_max**2
+
+
+def test_gram_derivative_is_the_metric_derivative_padded_with_zeros(f1_fd, f2, f3_fd):
+    # metric compatibility differences g alone: the rest of G differences to +0.0 exactly
+    for fb in (f1_fd, f2, f3_fd):
+        n = fb.grid.ndim
+        full = grad_field(fb.grid, fb.geom.gram)
+        assert np.array_equal(full[..., :n, :n], grad_field(fb.grid, fb.geom.metric.values))
+        full[..., :n, :n] = 0.0
+        assert not full.any() and not np.signbit(full).any()
 
 
 def test_metric_compatibility_detects_dropped_term(f1):
@@ -100,7 +110,7 @@ def test_psi_tilde_blocks(f2):
 
 
 def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
-    rec = psi_tilde_parallel_residual(trivial).records[0]
+    rec = psi_tilde_parallel_residual(trivial, ToleranceModel()).records[0]
     assert rec.max_abs <= 1e-12
     for fb in (f1, f2, f3):
         rec = psi_tilde_parallel_residual(fb.geom, fb.tolerances).records[0]

@@ -111,7 +111,7 @@ def test_flat_bundle_kernels_match_oracles(geom):
     for case in (geom, with_random_bundle(geom, 6)):
         om, gram = case.connection, case.gram
         want = make_record("bundle_metric_compatibility",
-                           oracle.metric_compatibility(grid, om, gram), grid,
+                           oracle.metric_compatibility(grid, om, gram, case.metric), grid,
                            tol.threshold("bundle_metric_compatibility", grid))
         assert_reports_close(flatbundle.metric_compatibility_residual(case, tol),
                              structure.ResidualReport((want,)))

@@ -10,10 +10,10 @@ from prodimm.fields import ChartGrid, SecondFormField
 from prodimm.flatbundle import Geometry
 from prodimm.extract import extract_all, fixture
 from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
-                                 gram_defect, immersion_psi_field, initial_frame_from_split,
+                                 immersion_psi_field, initial_frame_from_split,
                                  path_independence_residual,
                                  random_block_rotation, reconstruct_immersion,
-                                 reorthonormalize_frame, sweep_parallel_frame)
+                                 sweep_parallel_frame)
 from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
@@ -88,35 +88,33 @@ def test_sweep_three_axes_against_closed_form():
     assert np.array_equal(out[base], frames[base])
     err = np.abs(out - frames).max()
     assert err <= 5 * grid.h_max**2
-    rec = path_independence_residual(flows).records[0]
+    rec = path_independence_residual(flows, ToleranceModel()).records[0]
     assert rec.max_abs <= 5 * grid.h_max**2
 
 
 def _transport_cases(f2_fd, f3):
-    """(grid, connection, initial frame, Gram matrices, base, axis orders) for the oracle.
+    """(grid, connection, initial frame, base, axis orders) for the oracle.
 
     F2 on the FD route, F3 from a corner and an interior base, and the 3-D
-    manufactured connection (no Gram matrices: it is not Lorentz-orthogonal).
+    manufactured connection.
     """
     for fb, bases in ((f2_fd, [(0,)]), (f3, [(0, 0), (21, 40)])):
-        conn, gram = fb.geom.connection, fb.geom.gram
+        conn = fb.geom.connection
         frame0 = fb.recon.frame[fb.recon.base_node]
         orders = [None] if fb.grid.ndim == 1 else [(0, 1), (1, 0)]
         for base in bases:
-            yield fb.grid, conn, frame0, gram, base, orders
+            yield fb.grid, conn, frame0, base, orders
     grid = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
     conn, frames = _flat_test_connection(grid)
-    yield grid, conn, frames[2, 3, 1], None, (2, 3, 1), [None, (2, 0, 1)]
+    yield grid, conn, frames[2, 3, 1], (2, 3, 1), [None, (2, 0, 1)]
 
 
 def test_sweep_bitwise_equals_per_edge_oracle(f2_fd, f3):
-    for grid, conn, frame0, gram, base, orders in _transport_cases(f2_fd, f3):
+    for grid, conn, frame0, base, orders in _transport_cases(f2_fd, f3):
         for order in orders:
-            for reorth in (False, True) if gram is not None else (False,):
-                out = sweep_parallel_frame(EdgeFlows.of(grid, conn, base), frame0,
-                                           axis_order=order, gram=gram, reorthonormalize=reorth)
-                ref = per_edge_parallel_frame(grid, conn, frame0, base, order, gram, reorth)
-                assert np.array_equal(out, ref), (grid.dims, base, order, reorth)
+            out = sweep_parallel_frame(EdgeFlows.of(grid, conn, base), frame0, axis_order=order)
+            ref = per_edge_parallel_frame(grid, conn, frame0, base, order)
+            assert np.array_equal(out, ref), (grid.dims, base, order)
 
 
 def test_sweep_matches_dense_ode_oracle():
@@ -263,21 +261,6 @@ def test_base_point_covariance(f2):
     assert out.max_distance <= 10 * f2.grid.h_max**2
 
 
-def test_reorthonormalize_restores_frames(f1):
-    res = reconstruct_immersion(f1.geom, tolerances=f1.tolerances, reorthonormalize=True)
-    gram = f1.geom.gram
-    assert np.abs(gram_defect(res.frame, gram)).max() <= \
-        np.abs(gram_defect(f1.recon.frame, gram)).max() + 1e-14
-
-
-def test_reorthonormalize_frame_kernel():
-    rng = np.random.default_rng(5)
-    gram = np.diag([1.0, 1.0, 1.0, -1.0])
-    frame = np.eye(4) + 0.05 * rng.normal(size=(4, 4))
-    fixed = reorthonormalize_frame(frame, gram)
-    assert np.abs(fixed.T @ gram @ fixed - gram).max() <= 1e-12
-
-
 def _path_record(grid, conn, base, tolerances):
     return path_independence_residual(EdgeFlows.of(grid, conn, base), tolerances).records[0]
 
@@ -338,7 +321,7 @@ def test_reconstruct_names_a_base_node_off_the_grid():
     geom = Geometry.of(extract_all(imm, grid))
     for node in ((-1, -1), (17, 3), (3,), (3.5, 4)):
         with pytest.raises(StructureError, match=re.escape(f"base node {node} ")):
-            reconstruct_immersion(geom, base_node=node)
+            reconstruct_immersion(geom, ToleranceModel(), base_node=node)
 
 
 def test_initial_frame_rotation_validation(f2):

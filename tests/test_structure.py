@@ -41,12 +41,12 @@ def test_identity_structure_warns(flat_line):
     psi = np.tile(np.eye(2), flat_line.dims + (1, 1))
     assert identity_structure_nodes(psi) == flat_line.n_nodes
     with pytest.warns(StructureWarning):
-        report = check_psi_algebra(Geometry(g, bundle, sigma, psi))
+        report = check_psi_algebra(Geometry(g, bundle, sigma, psi), ToleranceModel())
     assert report["psi_involution_tangent"].passed  # diagnostic only, not a failure
 
 
 def test_psi_algebra_on_fixture_is_exact(f2):
-    report = check_psi_algebra(f2.geom)
+    report = check_psi_algebra(f2.geom, ToleranceModel())
     for rec in report.records:
         assert rec.max_abs <= 1e-10, rec.name
 
@@ -54,7 +54,7 @@ def test_psi_algebra_on_fixture_is_exact(f2):
 def test_psi_algebra_detects_scaled_f(f2):
     scaled = f2.data.psi.copy()
     psi_blocks(scaled, 1)[0][...] *= 1.01
-    report = check_psi_algebra(replace(f2.geom, psi=scaled))
+    report = check_psi_algebra(replace(f2.geom, psi=scaled), ToleranceModel())
     rec = report["psi_involution_tangent"]
     assert not rec.passed
     assert rec.max_abs == pytest.approx(0.0201, rel=1e-6)
@@ -62,7 +62,7 @@ def test_psi_algebra_detects_scaled_f(f2):
 
 def test_psi_algebra_grid_mismatch(f1, f2):
     with pytest.raises(GridMismatchError):
-        check_psi_algebra(replace(f2.geom, psi=f1.data.psi))
+        check_psi_algebra(replace(f2.geom, psi=f1.data.psi), ToleranceModel())
 
 
 def test_psi_parallel_totally_geodesic_fixture(f1):
@@ -85,7 +85,7 @@ def test_psi_parallel_detects_varying_u(f2):
 
 
 def test_gauss_vacuous_on_curves(f1):
-    rec = check_gauss(f1.geom).records[0]
+    rec = check_gauss(f1.geom, ToleranceModel()).records[0]
     assert rec.max_abs == 0.0
 
 
@@ -127,7 +127,7 @@ def test_codazzi_passes_and_detects_u_shift(f3):
 
 
 def test_ricci_trivial_and_detects_omega(f2, f3):
-    rec = check_ricci(f2.geom).records[0]
+    rec = check_ricci(f2.geom, ToleranceModel()).records[0]
     assert rec.max_abs <= 1e-12  # one chart direction: both sides vanish
     rec = check_ricci(f3.geom, f3.tolerances).records[0]
     assert rec.passed
