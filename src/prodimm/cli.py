@@ -146,14 +146,15 @@ def _base_frame_map(result, geom: Geometry) -> np.ndarray:
     return immersion_psi_field(result.frame[base], geom.gram[base])
 
 
-def _reconstruction_block(result, frame_map: np.ndarray) -> dict:
-    return {
-        "k": result.k,
-        "ambient_dim": frame_map.shape[-1],
-        "base_node": list(result.base_node),
-        "on_product_defect": result.on_product_defect,
-        "psi_base": frame_map.ravel().tolist(),
-    }
+def _rebuild_report(grid: ChartGrid, checks: Report, result, frame_map: np.ndarray,
+                    **blocks) -> Report:
+    """The check and rebuild records, the reconstruction block and the timings of both."""
+    reconstruction = {"k": result.k, "ambient_dim": frame_map.shape[-1],
+                      "base_node": list(result.base_node),
+                      "on_product_defect": result.on_product_defect,
+                      "psi_base": frame_map.ravel().tolist()}
+    return Report.from_residuals(grid, checks, result.report, reconstruction=reconstruction,
+                                 timings=checks.timings | result.timings, **blocks)
 
 
 def _alignment_block(alignment) -> dict:
@@ -174,10 +175,7 @@ def cmd_reconstruct(args) -> int:
         return 1
     result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame,
                                    assemble_tol=np.inf if args.force else None)
-    report = Report.from_residuals(
-        ds.grid, pre, result.report,
-        reconstruction=_reconstruction_block(result, _base_frame_map(result, geom)),
-        timings=result.timings)
+    report = _rebuild_report(ds.grid, pre, result, _base_frame_map(result, geom))
     _print_checks(result.report)
     dataio.save_immersion_csv(args.out, ds.grid, result.k, result.points,
                               repair=args.repair_export)
@@ -202,11 +200,8 @@ def cmd_roundtrip(args) -> int:
     distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
     k_ok = result.k == imm.k
     aligned_ok = alignment.max_distance <= distance_tol
-    report = Report.from_residuals(
-        grid, checks, result.report,
-        reconstruction=_reconstruction_block(result, frame_map),
-        alignment=_alignment_block(alignment) | {"distance_tol": distance_tol},
-        timings=result.timings)
+    alignment_block = _alignment_block(alignment) | {"distance_tol": distance_tol}
+    report = _rebuild_report(grid, checks, result, frame_map, alignment=alignment_block)
     _print_checks(report)
     verdict = "PASS" if (k_ok and aligned_ok) else "FAIL"
     print(f"{verdict} roundtrip_alignment                max={alignment.max_distance:.6e} "
@@ -310,15 +305,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (ProdimmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProdimmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        rejected = isinstance(exc, ProdimmError) and not isinstance(exc, SchemaError)
+        return 1 if rejected else 2
 
 
 if __name__ == "__main__":

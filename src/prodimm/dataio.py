@@ -181,13 +181,17 @@ def dataset_from_dict(doc: dict) -> Dataset:
                    tolerances=tolerances, meta=meta)
 
 
-def load_dataset(path: str) -> Dataset:
+def _read_json(path: str, what: str):
+    """The JSON document at ``path``; an unreadable or unparsable file raises ``SchemaError``."""
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot parse dataset {path!r}: {exc}") from exc
-    return dataset_from_dict(doc)
+        raise SchemaError(f"cannot parse {what} {path!r}: {exc}") from exc
+
+
+def load_dataset(path: str) -> Dataset:
+    return dataset_from_dict(_read_json(path, "dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +255,7 @@ def report_from_dict(doc: dict) -> Report:
 
 
 def load_report(path: str) -> Report:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot parse report {path!r}: {exc}") from exc
-    return report_from_dict(doc)
+    return report_from_dict(_read_json(path, "report"))
 
 
 # ---------------------------------------------------------------------------

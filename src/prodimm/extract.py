@@ -19,6 +19,10 @@ QR uniqueness the same frame as re-orthonormalizing after every step, up to
 rounding).  A per-node canonical completion would flip sign where a candidate
 degenerates mid-chart; inheritance stays smooth.
 
+Errors name the first offending node in C order, except a degenerate normal
+frame: it names the first in Fortran order, the sweep's own order on 1-dim and
+2-dim charts.
+
 Shipped fixtures:
 
 * F1 -- unit-speed geodesic curve winding through S^1 x H^1, slopes (a, b)
@@ -39,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DegeneracyError, DimensionError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, check_values,
-                     grad_field, hessian_field, sweep_compose, sweep_steps)
-from .lorentz import (complete_basis, gram_schmidt, minkowski_dot, product_defect,
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
+                     check_values, grad_field, hessian_field, sweep_compose)
+from .lorentz import (complete_basis, gram_schmidt, lower, minkowski_dot, product_defect,
                       product_normals, psi_flip)
 from .structure import ToleranceModel, psi_blocks
 
@@ -116,7 +120,7 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,
     scale = np.maximum(1.0, np.einsum("...i,...i->...", y, y))
     bad = ~(defect <= tol * scale) | (y[..., -1] <= 0)
     if bad.any():
-        node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), grid.dims))
+        node = argmax_node(bad)
         raise ConstraintError(f"immersion leaves the product by {defect[node]:.3e} "
                               f"at node {node}")
     return pts
@@ -144,19 +148,19 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
 
     Output shape (*dims, p, N); every vector is tangent to the product and
     orthogonal to the immersed chart directions.  DegeneracyError names the
-    first node, in sweep order, where the projections leave a carried normal
-    with squared norm at most ``_SEED_TOL`` after Gram-Schmidt.
+    first node in Fortran order (the sweep's order on 1-dim and 2-dim charts; on
+    3-dim ones the sweep may reach another node of that plane step first) where
+    the projections leave a carried normal with squared norm <= ``_SEED_TOL``.
     """
     xi1, xi2 = product_normals(points, imm.k)
     tang, n2 = gram_schmidt(tangents, basis=(xi1, xi2))
     bad = ~(n2 > _SEED_TOL).all(axis=-1)
     if bad.any():
-        node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), grid.dims))
+        node = argmax_node(bad)
         raise DegeneracyError(f"tangent vectors rank-deficient at node {node}", index=node)
     # projector onto each node's normal space: v - sum_w w <w, v> / <w, w>
     cols = np.stack([xi1, xi2, *np.moveaxis(tang, -2, 0)], axis=-1)   # (..., N, n+2)
-    eta_cols = cols.copy()
-    eta_cols[..., -1, :] *= -1.0
+    eta_cols = lower(cols, axis=-2)
     eta_cols[..., 1] *= -1.0                          # <xi2, xi2> = -1
     proj = np.eye(imm.ambient_dim) - cols @ np.swapaxes(eta_cols, -1, -2)
 
@@ -174,18 +178,9 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     normals, n2 = gram_schmidt(np.swapaxes(carried, -1, -2))
     bad = ~(n2 > _SEED_TOL).all(axis=-1)
     if bad.any():
-        node = _first_swept(grid, base, bad)
+        node = argmax_node(bad.T)[::-1]
         raise DegeneracyError(f"normal frame degenerates at node {node}", index=node)
     return normals
-
-
-def _first_swept(grid: ChartGrid, base: tuple, mask: np.ndarray) -> tuple:
-    """First node in sweep order where ``mask`` holds (never the base node)."""
-    nodes = np.moveaxis(np.indices(grid.dims), 0, -1)
-    for _src, dst, _axis, _delta in sweep_steps(grid, base):
-        hit = nodes[dst][mask[dst]]
-        if hit.size:
-            return tuple(int(i) for i in hit[0])
 
 
 def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
@@ -287,69 +282,63 @@ def _fixture_f1(a: float = 0.6):
     return imm, grid
 
 
-def _fixture_f2(theta0: float = np.pi / 3):
+def _latitude_circle(theta0: float):
+    """theta0 as a float and ``jet(s, order)``: the point (order 0), velocity (1) or
+    acceleration (2), (..., 3), at arclength s of the latitude circle at colatitude theta0."""
     theta0 = float(theta0)
     s0, c0 = np.sin(theta0), np.cos(theta0)
     if s0 <= 0:
         raise DimensionError("colatitude must sit strictly inside (0, pi)")
 
-    def point(coords):
-        tau = coords[..., 0] / s0
+    def jet(s, order):
+        tau = s / s0
         zero = np.zeros_like(tau)
-        return np.stack([s0 * np.cos(tau), s0 * np.sin(tau), c0 + zero,
-                         zero, 1.0 + zero], axis=-1)
+        if order == 0:
+            return np.stack([s0 * np.cos(tau), s0 * np.sin(tau), c0 + zero], axis=-1)
+        if order == 1:
+            return np.stack([-np.sin(tau), np.cos(tau), zero], axis=-1)
+        return np.stack([-np.cos(tau) / s0, -np.sin(tau) / s0, zero], axis=-1)
+    return theta0, jet
 
-    def derivative(coords):
-        tau = coords[..., 0] / s0
-        zero = np.zeros_like(tau)
-        return np.stack([-np.sin(tau), np.cos(tau), zero, zero, zero],
-                        axis=-1)[..., None, :]
 
-    def second_derivative(coords):
-        tau = coords[..., 0] / s0
-        zero = np.zeros_like(tau)
-        dd = np.stack([-np.cos(tau) / s0, -np.sin(tau) / s0, zero, zero, zero], axis=-1)
-        return dd[..., None, None, :]
+def _fixture_f2(theta0: float = np.pi / 3):
+    theta0, circle = _latitude_circle(theta0)
 
-    imm = AnalyticImmersion(name="F2", k=2, m=1, n=1, p=2, point=point,
-                            derivative=derivative, second_derivative=second_derivative,
+    def jet(coords, order):   # the circle at the fixed point (0, 1) of H^1
+        x = circle(coords[..., 0], order)
+        y = np.zeros(x.shape[:-1] + (2,))
+        y[..., 1] = 1.0 if order == 0 else 0.0
+        return np.concatenate([x, y], axis=-1)
+
+    imm = AnalyticImmersion(name="F2", k=2, m=1, n=1, p=2, point=lambda c: jet(c, 0),
+                            derivative=lambda c: jet(c, 1)[..., None, :],
+                            second_derivative=lambda c: jet(c, 2)[..., None, None, :],
                             params={"theta0": theta0})
     grid = ChartGrid(dims=(201,), spacing=(1e-2,), origin=(0.0,))
     return imm, grid
 
 
 def _fixture_f3(theta0: float = np.pi / 4):
-    theta0 = float(theta0)
-    s0, c0 = np.sin(theta0), np.cos(theta0)
-    if s0 <= 0:
-        raise DimensionError("colatitude must sit strictly inside (0, pi)")
+    theta0, circle = _latitude_circle(theta0)
 
     def point(coords):
-        tau = coords[..., 0] / s0
         t2 = coords[..., 1]
-        zero = np.zeros_like(tau)
-        return np.stack([s0 * np.cos(tau), s0 * np.sin(tau), c0 + zero,
-                         np.sinh(t2), zero, np.cosh(t2)], axis=-1)
+        geodesic = np.stack([np.sinh(t2), np.zeros_like(t2), np.cosh(t2)], axis=-1)
+        return np.concatenate([circle(coords[..., 0], 0), geodesic], axis=-1)
 
     def derivative(coords):
-        tau = coords[..., 0] / s0
         t2 = coords[..., 1]
-        zero = np.zeros_like(tau)
-        d1 = np.stack([-np.sin(tau), np.cos(tau), zero, zero, zero, zero], axis=-1)
-        d2 = np.stack([zero, zero, zero, np.cosh(t2), zero, np.sinh(t2)], axis=-1)
-        return np.stack([d1, d2], axis=-2)
+        d = np.zeros(coords.shape[:-1] + (2, 6))
+        d[..., 0, :3] = circle(coords[..., 0], 1)
+        d[..., 1, 3], d[..., 1, 5] = np.cosh(t2), np.sinh(t2)
+        return d
 
     def second_derivative(coords):
-        tau = coords[..., 0] / s0
         t2 = coords[..., 1]
-        zero = np.zeros_like(tau)
-        d11 = np.stack([-np.cos(tau) / s0, -np.sin(tau) / s0, zero, zero, zero, zero],
-                       axis=-1)
-        d12 = np.zeros_like(d11)
-        d22 = np.stack([zero, zero, zero, np.sinh(t2), zero, np.cosh(t2)], axis=-1)
-        row1 = np.stack([d11, d12], axis=-2)
-        row2 = np.stack([d12, d22], axis=-2)
-        return np.stack([row1, row2], axis=-3)
+        dd = np.zeros(coords.shape[:-1] + (2, 2, 6))
+        dd[..., 0, 0, :3] = circle(coords[..., 0], 2)
+        dd[..., 1, 1, 3], dd[..., 1, 1, 5] = np.sinh(t2), np.cosh(t2)
+        return dd
 
     imm = AnalyticImmersion(name="F3", k=2, m=2, n=2, p=2, point=point,
                             derivative=derivative, second_derivative=second_derivative,

@@ -20,7 +20,7 @@ the kernels take and return:
 
 ``MetricField``, ``SecondFormField`` and ``BundleData`` are the validated
 inputs: a grid plus one array each, its shape and finiteness checked by
-``check_values``.
+``check_values``; each rejection names its node by ``argmax_node``.
 
 All derivatives are second-order central differences.  Each axis end gets
 one ghost node by quartic extrapolation, so the boundary nodes use the same
@@ -92,6 +92,12 @@ class ChartGrid:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def argmax_node(values) -> tuple:
+    """Node of the first maximum (C order) of a per-node array: the first True of a mask."""
+    values = np.asarray(values)
+    return tuple(int(i) for i in np.unravel_index(int(values.argmax()), values.shape))
+
+
 def check_values(grid: ChartGrid, values, slot_shape: tuple) -> np.ndarray:
     """``values`` as a float array of shape ``grid.dims + slot_shape`` with finite entries.
 
@@ -102,8 +108,8 @@ def check_values(grid: ChartGrid, values, slot_shape: tuple) -> np.ndarray:
     if values.shape != expected:
         raise DimensionError(f"values of shape {values.shape}, expected {expected}")
     if not np.isfinite(values).all():
-        bad = np.argwhere(~np.isfinite(values))[0][: grid.ndim]
-        raise DimensionError(f"non-finite value at node {tuple(int(i) for i in bad)}")
+        bad = ~np.isfinite(values).all(axis=tuple(range(grid.ndim, values.ndim)))
+        raise DimensionError(f"non-finite value at node {argmax_node(bad)}")
     return values
 
 
@@ -117,12 +123,13 @@ class MetricField:
     def __post_init__(self):
         g = check_values(self.grid, self.values, (self.grid.ndim,) * 2)
         object.__setattr__(self, "values", g)
-        sym = np.abs(g - np.swapaxes(g, -1, -2)).max()
-        if sym > 1e-12:
-            raise MetricError(f"metric asymmetric by {sym:.3e}")
+        sym = np.abs(g - np.swapaxes(g, -1, -2))
+        if sym.max() > 1e-12:
+            node = argmax_node(sym.max(axis=(-2, -1)))
+            raise MetricError(f"metric asymmetric by {sym.max():.3e} at node {node}", node=node)
         eigs = np.linalg.eigvalsh(g)
         if eigs.min() <= 0:
-            node = tuple(int(i) for i in np.argwhere(eigs.min(axis=-1) <= 0)[0])
+            node = argmax_node(eigs.min(axis=-1) <= 0)
             raise MetricError(f"metric not positive definite at node {node}", node=node)
 
     def inverse(self) -> np.ndarray:
@@ -142,9 +149,11 @@ class BundleData:
             raise DimensionError("bundle rank must be >= 1")
         om = check_values(self.grid, self.omega, (self.grid.ndim, rank, rank))
         object.__setattr__(self, "omega", om)
-        skew = np.abs(om + np.swapaxes(om, -1, -2)).max()
-        if skew > 1e-12:
-            raise DimensionError(f"connection not skew in the orthonormal gauge by {skew:.3e}")
+        skew = np.abs(om + np.swapaxes(om, -1, -2))
+        if skew.max() > 1e-12:
+            node = argmax_node(skew.max(axis=(-3, -2, -1)))
+            raise DimensionError(f"connection not skew in the orthonormal gauge by "
+                                 f"{skew.max():.3e} at node {node}")
 
     @property
     def rank(self) -> int:
@@ -162,9 +171,10 @@ class SecondFormField:
         n = self.grid.ndim
         s = check_values(self.grid, self.values, (n, n) + np.shape(self.values)[-1:])
         object.__setattr__(self, "values", s)
-        sym = np.abs(s - np.swapaxes(s, -3, -2)).max()
-        if sym > 1e-12:
-            raise DimensionError(f"second form asymmetric by {sym:.3e}")
+        sym = np.abs(s - np.swapaxes(s, -3, -2))
+        if sym.max() > 1e-12:
+            node = argmax_node(sym.max(axis=(-3, -2, -1)))
+            raise DimensionError(f"second form asymmetric by {sym.max():.3e} at node {node}")
 
 
 def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):

@@ -12,12 +12,13 @@ convention silently breaks the rebuild, so both are asserted by the trivial
 constant-structure tests.
 
 ``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
-from it that more than one consumer reads: the Christoffel symbols, the shape
-operators, g(f., .), G, the big connection and psi~, all plain arrays.  The
-structure psi is one (*dims, n+p, n+p) matrix [[f, U], [u, lambda]], and psi~
-pads it with +1 on xi1~ and -1 on xi2~.  Each derived quantity is computed on
-first use and kept; the structure checks, the flat-bundle diagnostics and the
-rebuild all read one instance per dataset.
+from it that more than one consumer reads: g(f., .), G, the big connection and
+psi~, all plain arrays (``build_connection`` alone reads the Christoffel symbols
+and shape operators).  The structure psi is one (*dims, n+p, n+p) matrix
+[[f, U], [u, lambda]]; ``extend_diagonal`` pads it to psi~ = psi (+) diag(1, -1)
+as it pads g to G.  Each derived quantity is computed on first use and kept;
+the structure checks, the flat-bundle diagnostics and the rebuild all read one
+instance per dataset.
 
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
@@ -68,16 +69,6 @@ class Geometry:
         return self.bundle.rank
 
     @cached_property
-    def chris(self) -> np.ndarray:
-        """(..., l, m, n) = Gamma^l_mn."""
-        return christoffel(self.metric)
-
-    @cached_property
-    def shape_ops(self) -> np.ndarray:
-        """(..., a, i, j) = (A_{e_a})^i_j."""
-        return shape_operator_field(self.sigma, self.metric)
-
-    @cached_property
     def f_lowered(self) -> np.ndarray:
         """(..., i, j) = g(f d_i, d_j)."""
         return np.swapaxes(psi_blocks(self.psi, self.grid.ndim)[0], -1, -2) @ self.metric.values
@@ -85,14 +76,7 @@ class Geometry:
     @cached_property
     def gram(self) -> np.ndarray:
         """(..., N, N) Gram matrix of the big bundle, g (+) I_p (+) diag(1, -1)."""
-        n = self.grid.ndim
-        size = n + self.p + 2
-        gram = np.zeros(self.grid.dims + (size, size))
-        gram[..., :n, :n] = self.metric.values
-        idx = np.arange(n, size)
-        gram[..., idx, idx] = 1.0
-        gram[..., -1, -1] = -1.0
-        return gram
+        return extend_diagonal(self.metric.values, (1.0,) * (self.p + 1) + (-1.0,))
 
     @cached_property
     def connection(self) -> np.ndarray:
@@ -119,12 +103,12 @@ def build_connection(geom: Geometry) -> np.ndarray:
 
     om = np.zeros(grid.dims + (n, size, size))
     # tangent columns
-    om[..., :n, :n] = np.swapaxes(geom.chris, -3, -2)
+    om[..., :n, :n] = np.swapaxes(christoffel(geom.metric), -3, -2)
     om[..., n:n + p, :n] = np.swapaxes(geom.sigma.values, -1, -2)
     om[..., i1, :n] = -0.5 * (gv + gf)
     om[..., i2, :n] = 0.5 * (gv - gf)
     # bundle columns
-    om[..., :n, n:n + p] = -np.swapaxes(geom.shape_ops, -3, -1)
+    om[..., :n, n:n + p] = -np.swapaxes(shape_operator_field(geom.sigma, geom.metric), -3, -1)
     om[..., n:n + p, n:n + p] = geom.bundle.omega
     om[..., i1, n:n + p] = -0.5 * u_t
     om[..., i2, n:n + p] = -0.5 * u_t
@@ -164,14 +148,20 @@ def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
     return records(grid, tolerances, ("bundle_flatness", np.stack(pairs, axis=-1)))
 
 
+def extend_diagonal(block: np.ndarray, tail: tuple) -> np.ndarray:
+    """block (+) diag(tail) of a (..., r, r) block: zero off the two diagonal blocks."""
+    r = block.shape[-1]
+    size = r + len(tail)
+    out = np.zeros(block.shape[:-2] + (size, size))
+    out[..., :r, :r] = block
+    idx = np.arange(r, size)
+    out[..., idx, idx] = tail
+    return out
+
+
 def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
     """Pad the structure matrix (..., n+p, n+p) with +1 on xi1~ and -1 on xi2~."""
-    size = psi.shape[-1] + 2
-    vals = np.zeros(psi.shape[:-2] + (size, size))
-    vals[..., :-2, :-2] = psi
-    vals[..., -2, -2] = 1.0
-    vals[..., -1, -1] = -1.0
-    return vals
+    return extend_diagonal(psi, (1.0, -1.0))
 
 
 def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,

@@ -16,14 +16,13 @@ node axes: the pairing ``minkowski_dot``, its Gram matrix ``eta`` and the
 index lowering ``lower`` (eta applied along one axis);
 ``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
 xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
+``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
 ``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
 ``complete_basis``, canonical completion at one node.  ``minkowski_gram_schmidt``
 and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +88,11 @@ def product_defect(points, k: int) -> np.ndarray:
     return np.maximum(r_sphere, np.abs(minkowski_dot(y, y) + 1.0))
 
 
+def gram_defect(frame, gram) -> np.ndarray:
+    """S^T G S - eta of frames S (..., N, N) in the Gram matrices G (..., N, N)."""
+    return np.swapaxes(frame, -1, -2) @ gram @ frame - eta(frame.shape[-1])
+
+
 def _pair(a, b, gram):
     if gram is None:
         return minkowski_dot(a, b)
@@ -136,24 +140,6 @@ def complete_basis(candidates, count: int, gram=None, basis=(), tol: float = 1e-
     return found
 
 
-@dataclass(frozen=True)
-class AmbientFrame:
-    """Columns form a Lorentz-orthonormal basis: G^T eta G = eta."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        object.__setattr__(self, "columns", cols)
-        n = cols.shape[0]
-        if cols.shape != (n, n):
-            raise DimensionError("frame must be square")
-
-    def gram_defect(self) -> float:
-        e = eta(self.columns.shape[0])
-        return float(np.abs(self.columns.T @ e @ self.columns - e).max())
-
-
 def minkowski_gram_schmidt(vectors, tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize rows w.r.t. the Minkowski form, preserving order.
 
@@ -172,7 +158,7 @@ def minkowski_gram_schmidt(vectors, tol: float = 1e-10) -> np.ndarray:
     return rows
 
 
-def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> AmbientFrame:
+def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> np.ndarray:
     """Build a full Lorentz-orthonormal frame from any n independent vectors.
 
     No partial span of the vectors needs to be spacelike.  The timelike axis
@@ -180,7 +166,7 @@ def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> AmbientFrame:
     the rows, oriented so that its timelike coordinate is positive.  Its
     complement t^perp is positive definite, so the first n-1 vectors,
     projected onto it, are orthonormalized there in the order given; t comes
-    last.  The result satisfies G^T eta G = eta to 1e-12.
+    last.  Returns the frame S (n, n), basis as columns: S^T eta S = eta to 1e-12.
 
     Raises ``DegeneracyError`` when t lies in the span of the first n-1
     vectors (the projections are then dependent): the timelike direction
@@ -209,4 +195,4 @@ def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> AmbientFrame:
         raise DegeneracyError(
             f"vector {idx} is dependent on the timelike axis and the vectors before "
             "it; the timelike direction must be supplied last", index=idx) from err
-    return AmbientFrame(columns=np.vstack([rows[1:], rows[0]]).T)
+    return np.vstack([rows[1:], rows[0]]).T

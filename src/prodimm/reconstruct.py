@@ -40,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, StructureError
-from .fields import ChartGrid, grad_field, hessian_field, sweep_compose
+from .fields import ChartGrid, argmax_node, grad_field, hessian_field, sweep_compose
 from .flatbundle import Geometry, eigen_split
-from .lorentz import eta, lower, minkowski_dot, product_defect, product_normals, psi_flip
+from .lorentz import (eta, gram_defect, lower, minkowski_dot, product_defect, product_normals,
+                      psi_flip)
 from .structure import ResidualReport, ToleranceModel, psi_blocks, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
@@ -169,15 +170,10 @@ def assemble_immersion(frame: np.ndarray, k: int, tol: float = 1e-8):
     defect = product_defect(phi, k)
     worst = float(defect.max())
     if (phi[..., -1] <= 0).any() or not worst <= 10.0 * tol:   # a NaN point fails too
-        node = tuple(int(i) for i in np.unravel_index(int(defect.argmax()), defect.shape))
+        node = argmax_node(defect)
         raise ReconstructionError(
             f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)
     return phi, defect
-
-
-def gram_defect(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """S^T G S - eta of frames S (..., N, N) in the Gram matrices G (..., N, N)."""
-    return np.swapaxes(frame, -1, -2) @ gram @ frame - eta(frame.shape[-1])
 
 
 def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -262,8 +258,7 @@ def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
         raise StructureError(f"recovered factor splits differ: {k_a} vs {k_b}")
     t = frame_b @ np.linalg.inv(frame_a)
 
-    signature = eta(t.shape[0])
-    eta_defect = float(np.abs(t.T @ signature @ t - signature).max())
+    eta_defect = float(np.abs(gram_defect(t, eta(t.shape[0]))).max())
     psi_bar = psi_flip(np.eye(t.shape[0]), k_a)
     comm_defect = float(np.abs(t @ psi_bar - psi_bar @ t).max())
     moved = np.einsum("ij,...j->...i", t, points_a)

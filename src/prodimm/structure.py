@@ -40,15 +40,23 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SchemaError
-from .fields import ChartGrid, connection_curvature, endomorphism_derivative
+from .fields import ChartGrid, argmax_node, connection_curvature, endomorphism_derivative
 
 if TYPE_CHECKING:
     from .flatbundle import Geometry
 
-ALGEBRAIC_CHECKS = frozenset({
-    "psi_f_symmetric", "psi_lambda_symmetric", "psi_u_U_adjoint",
-    "psi_involution_tangent", "psi_involution_bundle",
-})
+# Every record name in report order: the 15 records of ``check``, the algebra
+# first, then the 9 of a rebuild (``sweep_cross_check`` on charts of dimension >= 2).
+RECORD_NAMES = (
+    "psi_f_symmetric", "psi_lambda_symmetric", "psi_u_U_adjoint", "psi_involution_tangent",
+    "psi_involution_bundle", "psi_parallel_f", "psi_parallel_u", "psi_parallel_U",
+    "psi_parallel_lambda", "gauss", "codazzi", "ricci", "bundle_metric_compatibility",
+    "bundle_flatness", "psi_tilde_parallel", "reconstruction_isometry",
+    "reconstruction_normal_orthogonality", "reconstruction_second_form",
+    "reconstruction_psi_compat_tangent", "reconstruction_psi_compat_normal",
+    "frame_orthonormality", "reconstruction_on_product", "path_independence",
+    "sweep_cross_check")
+ALGEBRAIC_CHECKS = frozenset(RECORD_NAMES[:5])
 
 
 class StructureWarning(UserWarning):
@@ -61,7 +69,8 @@ class ToleranceModel:
 
     Every value is a non-negative number; ``inf`` switches a check off, and
     ``algebraic=None`` puts the algebra checks on the h^2 budget too.  A NaN
-    or negative value raises ``SchemaError`` naming its field.
+    or negative value raises ``SchemaError`` naming its field, and so does an
+    override whose key is not in ``RECORD_NAMES``.
     """
 
     factor: float = 10.0
@@ -70,6 +79,9 @@ class ToleranceModel:
     overrides: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        for name in self.overrides:
+            if name not in RECORD_NAMES:
+                raise SchemaError(f"tolerance override {name!r} names no check record")
         named = {"factor": self.factor, "floor": self.floor, "algebraic": self.algebraic,
                  **{f"override {k}": v for k, v in self.overrides.items()}}
         for field_name, value in named.items():
@@ -145,11 +157,10 @@ def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
     """Reduce a (*dims, *free) residual array to a report record."""
     magnitude = np.abs(residual)
     nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)))
-    argmax = tuple(int(i) for i in np.unravel_index(int(nodewise.argmax()), grid.dims))
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
                        mean_abs=float(magnitude.mean()),
-                       argmax_node=argmax, threshold=float(threshold),
+                       argmax_node=argmax_node(nodewise), threshold=float(threshold),
                        passed=bool(max_abs <= threshold))
 
 

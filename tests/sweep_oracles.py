@@ -3,6 +3,7 @@
 These are the step-by-step loops that the batched sweeps in
 ``extract.induced_normal_frame`` and ``reconstruct.sweep_parallel_frame``
 replace.  Transport must match them bitwise, the normal frame to rounding.
+``first_swept`` walks the sweep for the node the normal frame's error names.
 """
 
 import numpy as np
@@ -60,6 +61,15 @@ def per_edge_normal_frame(imm, grid, use_analytic=True):
             carried.append(v / np.sqrt(n2)[..., None])
         normals[dst] = np.stack(carried, axis=-2)
     return normals
+
+
+def first_swept(grid, base, mask):
+    """First node in sweep order where ``mask`` holds (never the base node)."""
+    nodes = np.moveaxis(np.indices(grid.dims), 0, -1)
+    for _src, dst, _axis, _delta in sweep_steps(grid, base):
+        hit = nodes[dst][mask[dst]]
+        if hit.size:
+            return tuple(int(i) for i in hit[0])
 
 
 def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None):

@@ -11,6 +11,7 @@ from prodimm import fields, flatbundle
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
+from prodimm.structure import RECORD_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_check_caches_neither_curvature_nor_structure_derivative(f3):
     geom = flatbundle.Geometry.of(f3.data)
     check_dataset(geom, f3.tolerances)
     cached = set(vars(geom)) - {f.name for f in dataclasses.fields(geom)}
-    assert cached == {"chris", "shape_ops", "f_lowered", "gram", "connection", "psi_tilde"}
+    assert cached == {"f_lowered", "gram", "connection", "psi_tilde"}
 
 
 def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
@@ -116,7 +117,8 @@ def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
     assert coords.shape == (200, 1) and values.shape == (200, 4)
     report = load_report(str(mesh) + ".report.json")
     assert report.reconstruction["k"] == 1
-    assert set(report.timings) == {"setup", "transport", "assemble", "verify"}
+    assert set(report.timings) == {"structure", "connection", "flat_bundle",
+                                   "setup", "transport", "assemble", "verify"}
     assert report.reconstruction["on_product_defect"] < 1e-6
     x = values[:, :2]
     assert np.abs((x**2).sum(axis=1) - 1.0).max() < 1e-6
@@ -210,6 +212,26 @@ def test_report_determinism(f1_dataset_path, tmp_path):
 def test_tolerance_override_flag(f1_dataset_path):
     assert main(["check", str(f1_dataset_path), "--tol",
                  "psi_tilde_parallel=1e-30"]) == 1
+
+
+@pytest.mark.parametrize("form", ["flag", "dataset"])
+def test_misspelt_tolerance_override_exits_2(f1_dataset_path, tmp_path, capsys, form):
+    path, flags = f1_dataset_path, ["--tol", "psi_tilde_paralel=1e-30"]
+    if form == "dataset":
+        doc = json.loads(f1_dataset_path.read_text())
+        doc["tolerances"]["overrides"] = {"psi_tilde_paralel": 1e-30}
+        path, flags = tmp_path / "misspelt.json", []
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path), *flags]) == 2
+    assert capsys.readouterr().err == ("error: tolerance override 'psi_tilde_paralel' "
+                                       "names no check record\n")
+
+
+def test_record_names_are_the_records_of_a_2d_roundtrip(tmp_path):
+    path = tmp_path / "rt.json"
+    assert main(["roundtrip", "--fixture", "F3", "--grid", "17x17", "--report", str(path)]) == 0
+    assert tuple(load_report(str(path)).names()) == RECORD_NAMES
 
 
 @pytest.mark.parametrize("flags, field", [(["--tol-factor", "nan"], "factor"),

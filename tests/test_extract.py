@@ -5,13 +5,13 @@ from prodimm.errors import ConstraintError, DegeneracyError, DimensionError, Met
 from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all, fixture,
                              immersion_points, immersion_tangents, induced_metric,
                              induced_normal_frame, induced_second_form, induced_structure)
-from prodimm.fields import ChartGrid
+from prodimm.fields import ChartGrid, argmax_node
 from prodimm.lorentz import minkowski_dot
 from prodimm.flatbundle import Geometry
 from prodimm.structure import check_all, psi_blocks
 
 from conftest import FixtureBundle, refine
-from sweep_oracles import per_edge_normal_frame
+from sweep_oracles import first_swept, per_edge_normal_frame
 
 
 def test_unknown_fixture():
@@ -225,3 +225,16 @@ def test_normal_frame_degeneracy_names_the_node():
     with pytest.raises(DegeneracyError, match=r"node \(3,\)") as err:
         induced_normal_frame(kinked, grid, points, tangents)
     assert err.value.index == (3,)
+
+
+@pytest.mark.parametrize("dims", [(9,), (6, 7), (5, 9)], ids=["9", "6x7", "5x9"])
+def test_fortran_order_argmax_is_the_first_swept_node(dims):
+    # the node induced_normal_frame names, against a walk of the sweep from the corner
+    grid = ChartGrid(dims=dims, spacing=(0.1,) * len(dims), origin=(0.0,) * len(dims))
+    base = (0,) * grid.ndim
+    rng = np.random.default_rng(len(dims))
+    for _ in range(200):
+        mask = rng.random(dims) < rng.uniform(0.01, 0.5)
+        mask[base] = False
+        if mask.any():
+            assert argmax_node(mask.T)[::-1] == first_swept(grid, base, mask)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,22 @@ def test_check_values_validation():
         check_values(grid, np.zeros((5, 2)), (1,))  # tangent slot must be 1
     with pytest.raises(DimensionError):
         check_values(grid, np.zeros((5, 1)), (1, 1))
+
+
+@pytest.mark.parametrize("field, error, slots, entry", [
+    (MetricField, MetricError, (2, 2), (0, 1)),
+    (BundleData, DimensionError, (2, 3, 3), (1, 0, 2)),
+    (SecondFormField, DimensionError, (2, 2, 3), (1, 0, 2)),
+], ids=["metric_asymmetric", "connection_not_skew", "second_form_asymmetric"])
+def test_validators_name_the_node_of_the_worst_defect(field, error, slots, entry):
+    grid = ChartGrid(dims=(5, 6), spacing=(0.1, 0.1), origin=(0.0, 0.0))
+    values = np.zeros(grid.dims + slots)
+    if field is MetricField:
+        values[...] = np.eye(2)
+    values[(0, 0) + entry] += 1e-9     # a smaller defect first in C order
+    values[(3, 2) + entry] += 1e-6
+    with pytest.raises(error, match=re.escape("at node (3, 2)")):
+        field(grid, values)
 
 
 def test_metric_field_validation():

@@ -4,7 +4,8 @@ A stand-in for a linter's unused-import rule, built on ``ast`` alone.  A name
 counts as used when the module reads it, names it in a quoted annotation, or
 lists it in ``__all__``.  A module-level function or class counts as read when
 its name appears in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-definition.
+definition.  A node is located in one place: ``np.unravel_index`` and
+``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``.
 """
 
 import ast
@@ -100,3 +101,31 @@ def test_unread_definition_is_found():
     defining = {"a.py": "@property\ndef used():\n    return 1\n\n\n"
                         "class Dead:\n    'Dead'\n"}
     assert unread_definitions(defining, {"b.py": "from a import used\n"}) == ["a.py:Dead"]
+
+
+LOCATORS = ("unravel_index", "argwhere")
+
+
+def locator_sites(source: str, home: str | None = None) -> list:
+    """Lines that name ``unravel_index`` or ``argwhere`` outside the function ``home``."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == home for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if (getattr(n, "attr", None) in LOCATORS or getattr(n, "id", None) in LOCATORS)
+                  and id(n) not in inside)
+
+
+def test_nodes_are_located_only_by_argmax_node():
+    sites = {path.name: locator_sites(path.read_text(),
+                                      "argmax_node" if path.name == "fields.py" else None)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    assert locator_sites((SRC / "fields.py").read_text()) != []   # the one site is seen
+
+
+def test_locator_site_is_found():
+    source = ("import numpy as np\nfrom numpy import argwhere\n"
+              "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
+              "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
+    assert locator_sites(source, "argmax_node") == [6, 6]

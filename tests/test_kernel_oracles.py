@@ -14,9 +14,8 @@ import kernel_oracles as oracle
 from conftest import random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
 from prodimm.flatbundle import Geometry
-from prodimm.lorentz import eta
-from prodimm.reconstruct import (assemble_immersion, gram_defect, immersion_psi_field,
-                                 verify_reconstruction)
+from prodimm.lorentz import eta, gram_defect
+from prodimm.reconstruct import assemble_immersion, immersion_psi_field, verify_reconstruction
 from prodimm.structure import ToleranceModel, make_record
 
 REL = 1e-13
