@@ -19,6 +19,28 @@ QR uniqueness the same frame as re-orthonormalizing after every step, up to
 rounding).  A per-node canonical completion would flip sign where a candidate
 degenerates mid-chart; inheritance stays smooth.
 
+The sweep runs in boosted frames.  A point y of H^m has |y| ~ cosh(distance),
+so the projectors in ambient coordinates have entries of order |y|^2, and
+the scanned sweep, which reassociates their products, would lose about
+eps |y|^4 per product.  So every node's columns are moved by L(y), the boost
+taking y to the apex (``lorentz.apex_boost``), where they have entries of
+order 1; an edge's step operator is the boosted projector at its far node
+times the relative boost L(far) L(near)^-1.  The carried normals go back
+through L^-1 before the Gram-Schmidt, and the base seed is the canonical
+completion above.  Measured on F1 with helix-a 0.6 (b = 0.8), h = 5e-3, as
+the largest record over its threshold (the unboosted edge-by-edge sweep in
+brackets):
+
+* analytic route: ``check`` passes at 1000 nodes (0.002 [0.89]) and at 1400
+  nodes (0.07 [759]), and ``roundtrip`` at 1400 (0.085).  At 1800 nodes it
+  fails at 1.55 [4.1e5]: eps cosh^2(7.2) ~ 1e-10 is the algebraic threshold
+  itself, the floor of ambient input that no gauge lowers;
+* ``--fd`` route: ``check`` passes at 1800 nodes (0.03 [97]) and 2000 nodes
+  (0.28 [5.3e3]); the rebuild fails at 2000 (``reconstruction_second_form``
+  2.5), since the transported frame is not boosted;
+* at 3199 nodes (cosh(bt) ~ 2e5) extraction completes [matmul overflow],
+  and the checks fail.
+
 Errors name the first offending node in C order, except a degenerate normal
 frame: it names the first in Fortran order, the sweep's own order on 1-dim and
 2-dim charts.
@@ -45,8 +67,8 @@ import numpy as np
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
                      check_values, grad_field, hessian_field, sweep_compose)
-from .lorentz import (complete_basis, gram_schmidt, lower, minkowski_dot, product_defect,
-                      product_normals, psi_flip)
+from .lorentz import (apex_boost, complete_basis, eta, gram_schmidt, minkowski_dot,
+                      product_defect, product_normals, psi_flip)
 from .structure import ToleranceModel, psi_blocks
 
 _SEED_TOL = 1e-10
@@ -118,11 +140,13 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,
     y = pts[..., imm.k + 1:]
     defect = product_defect(pts, imm.k)
     scale = np.maximum(1.0, np.einsum("...i,...i->...", y, y))
-    bad = ~(defect <= tol * scale) | (y[..., -1] <= 0)
+    off = ~(defect <= tol * scale)
+    bad = off | (y[..., -1] <= 0)
     if bad.any():
         node = argmax_node(bad)
-        raise ConstraintError(f"immersion leaves the product by {defect[node]:.3e} "
-                              f"at node {node}")
+        reason = (f"leaves the product by {defect[node]:.3e}" if off[node]
+                  else "reaches the lower sheet of the hyperboloid")
+        raise ConstraintError(f"immersion {reason} at node {node}")
     return pts
 
 
@@ -142,6 +166,16 @@ def induced_metric(grid: ChartGrid, tangents: np.ndarray) -> MetricField:
     return MetricField(grid, 0.5 * (gv + np.swapaxes(gv, -1, -2)))
 
 
+def _normal_projector(cols: np.ndarray) -> np.ndarray:
+    """I - sum_w w <w, .> / <w, w> over the columns (xi1, xi2, tangents) of cols (..., N, n+2)."""
+    size, count = cols.shape[-2:]
+    norms = np.ones(count)
+    norms[1] = -1.0                                   # <xi2, xi2> = -1
+    # the paired rows <w, .> as a C-ordered array: matmul is slower on a transposed view
+    pairing = np.swapaxes(cols, -1, -2) * np.multiply.outer(norms, eta(size).diagonal())
+    return np.eye(size) - cols @ pairing
+
+
 def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
                          tangents: np.ndarray) -> np.ndarray:
     """Orthonormal normal frame, canonical at the base node, swept smoothly.
@@ -158,22 +192,43 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     if bad.any():
         node = argmax_node(bad)
         raise DegeneracyError(f"tangent vectors rank-deficient at node {node}", index=node)
-    # projector onto each node's normal space: v - sum_w w <w, v> / <w, w>
     cols = np.stack([xi1, xi2, *np.moveaxis(tang, -2, 0)], axis=-1)   # (..., N, n+2)
-    eta_cols = lower(cols, axis=-2)
-    eta_cols[..., 1] *= -1.0                          # <xi2, xi2> = -1
-    proj = np.eye(imm.ambient_dim) - cols @ np.swapaxes(eta_cols, -1, -2)
+    del xi1, xi2, tang
 
     base = (0,) * grid.ndim
-    seed = complete_basis(proj[base].T, imm.p, tol=_SEED_TOL)
+    seed = complete_basis(_normal_projector(cols[base]).T, imm.p, tol=_SEED_TOL)
     if len(seed) != imm.p:
         raise DegeneracyError(
             f"canonical completion found only {len(seed)} of {imm.p} normals at the base")
 
-    # from the corner base each step projects onto the normal space at its far node
-    carried = sweep_compose(grid, np.stack(seed, axis=-1), base,
-                            tuple(proj[(slice(None),) * a + (slice(1, None),)]
+    # Sweep in boosted frames: L(y) takes each node's point to the apex, so the
+    # projectors of the boosted columns have entries of order 1, not |y|^2.
+    hyp = (Ellipsis, slice(imm.k + 1, None), slice(None))      # hyperbolic rows
+    boost = apex_boost(points[..., imm.k + 1:])
+    signs = eta(imm.m + 1).diagonal()
+    unboost = boost * np.multiply.outer(signs, signs)          # L^-1 = eta L eta
+    np.matmul(boost, cols[hyp], out=cols[hyp])
+    ops = _normal_projector(cols)
+    del cols
+    # From the corner base each node is reached by one edge, along the last axis
+    # on which it leaves the base: its step operator is its boosted projector
+    # times the relative boost L(node) L(pred)^-1, applied to the hyperbolic
+    # columns only.
+    for axis in range(grid.ndim):
+        rest = (0,) * (grid.ndim - axis - 1)
+        node = (slice(None),) * axis + (slice(1, None),) + rest
+        pred = (slice(None),) * axis + (slice(None, -1),) + rest
+        block = ops[node][..., imm.k + 1:]
+        np.matmul(block, boost[node] @ unboost[pred], out=block)
+    seed = np.stack(seed, axis=-1)
+    seed[imm.k + 1:] = boost[base] @ seed[imm.k + 1:]
+    del boost
+    carried = sweep_compose(grid, seed, base,
+                            tuple(ops[(slice(None),) * a + (slice(1, None),)]
                                   for a in range(grid.ndim)))
+    del ops
+    np.matmul(unboost, carried[hyp], out=carried[hyp])
+    del unboost
 
     normals, n2 = gram_schmidt(np.swapaxes(carried, -1, -2))
     bad = ~(n2 > _SEED_TOL).all(axis=-1)

@@ -22,6 +22,15 @@ the kernels take and return:
 inputs: a grid plus one array each, its shape and finiteness checked by
 ``check_values``; each rejection names its node by ``argmax_node``.
 
+Sweeps carry a value from a base node over the grid by linear steps, one
+operator per edge.  ``sweep_steps`` splits the sweep into runs: per axis, in
+the sweep's axis order, one run per direction away from the base, each
+starting from the base slab (the part of the grid already swept), so a run
+holds whole lines.  A run is a prefix product V_j = O_j ... O_0 V_slab, and
+``sweep_compose`` forms it with ``prefix_apply``, a work-efficient scan
+batched over the slab: about 3 log2 L numpy calls per run of L edges instead
+of one per edge.
+
 All derivatives are second-order central differences.  Each axis end gets
 one ghost node by quartic extrapolation, so the boundary nodes use the same
 stencils as the interior and the truncation error stays smooth up to the
@@ -178,30 +187,55 @@ class SecondFormField:
 
 
 def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):
-    """Deterministic edge sweep covering the grid from a base node.
+    """Runs of the deterministic sweep that covers the grid from a base node.
 
-    Yields (src, dst, axis, delta) where src/dst are region selectors (full
-    slices on already-swept axes, so consumers batch whole lines) and delta is
-    the signed coordinate step.  Axis order is lexicographic by default.
+    Axes are swept in ``axis_order`` (lexicographic by default); each axis
+    gives one run per direction that has nodes, away from the base, so a
+    1-dim chart has at most two runs.  Yields (src, dst, edges, axis): ``src``
+    selects the run's base slab (the base index on ``axis`` and on the axes
+    still to sweep, full slices on the axes already swept), ``dst`` the run's
+    nodes and ``edges`` its edges, both in sweep order along ``axis`` and
+    otherwise like ``src``.  An edge is indexed by its lower node.
     """
     nd = grid.ndim
     order = tuple(axis_order) if axis_order is not None else tuple(range(nd))
     if sorted(order) != list(range(nd)):
         raise DimensionError(f"axis order {order} is not a permutation of the axes")
 
-    def line(pos, axis, index):
-        sel = [base[a] for a in range(nd)]
-        for done in order[:pos]:
-            sel[done] = slice(None)
-        sel[axis] = index
-        return tuple(sel)
+    slab = list(base)
+    for axis in order:
+        b, d = base[axis], grid.dims[axis]
+        runs = [(slice(b + 1, d), slice(b, d - 1))] if b < d - 1 else []
+        if b > 0:
+            runs.append((slice(b - 1, None, -1),) * 2)
+        for nodes, edges in runs:
+            yield (tuple(slab), tuple(slab[:axis] + [nodes] + slab[axis + 1:]),
+                   tuple(slab[:axis] + [edges] + slab[axis + 1:]), axis)
+        slab[axis] = slice(None)
 
-    for pos, axis in enumerate(order):
-        h = grid.spacing[axis]
-        for i in range(base[axis], grid.dims[axis] - 1):
-            yield line(pos, axis, i), line(pos, axis, i + 1), axis, h
-        for i in range(base[axis], 0, -1):
-            yield line(pos, axis, i), line(pos, axis, i - 1), axis, -h
+
+def prefix_apply(ops: np.ndarray, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[j] = ops[j] @ ... @ ops[0] @ value`` along axis 0 of ``ops`` and ``out``.
+
+    ``ops`` (L, *batch, r, r), ``value`` (*batch, r, c), ``out`` (L, *batch, r, c);
+    returns ``out`` and leaves ``ops`` as it is.  The work-efficient scan
+    (Blelloch, "Prefix Sums and Their Applications", 1990): the up-sweep
+    pairs neighbours into the products of 2, 4, 8, ... consecutive operators,
+    then the down-sweep fills ``out`` from the longest blocks down, each block
+    applied to the entry just before it (``value`` for a block at the start).
+    About L operator products and L applications in 3 log2 L matmul calls,
+    each batched over the trailing axes as well.
+    """
+    levels = [ops]   # levels[k][q] = ops[(q+1) 2^k - 1] @ ... @ ops[q 2^k]
+    while len(levels[-1]) >= 2:
+        block = levels[-1][:len(levels[-1]) // 2 * 2]
+        levels.append(block[1::2] @ block[0::2])
+    for k in range(len(levels) - 1, -1, -1):
+        blocks, width = levels.pop(), 2 ** k
+        np.matmul(blocks[0], value, out=out[width - 1])
+        np.matmul(blocks[2::2], out[2 * width - 1::2 * width][:len(blocks[2::2])],
+                  out=out[3 * width - 1::2 * width])
+    return out
 
 
 def sweep_compose(grid: ChartGrid, base_value: np.ndarray, base: tuple, ops,
@@ -211,13 +245,19 @@ def sweep_compose(grid: ChartGrid, base_value: np.ndarray, base: tuple, ops,
     Returns the swept (*dims, *base_value.shape) array.  ``ops[axis]`` holds
     one operator per edge along ``axis``, stored at the edge's lower node
     (node axes of ``grid`` with ``axis`` one shorter), for the step away from
-    ``base``.  Every step is ``values[dst] = op @ values[src]``, with no hook
-    between steps: the sweep is one composition of linear operators.
+    ``base``; only the edges of the sweep's runs are read, and ``ops`` is
+    not written.  A run's values are its prefix products O_j ... O_0 applied
+    to the slab's values, formed by ``prefix_apply`` batched over the slab:
+    the sweep is one composition of linear operators, with no hook between
+    steps.  The products are reassociated, so the result matches
+    edge-by-edge application up to rounding, not bitwise.
     """
-    values = np.zeros(grid.dims + base_value.shape)
+    values = np.empty(grid.dims + base_value.shape)
     values[base] = base_value
-    for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
-        values[dst] = ops[axis][src if delta > 0 else dst] @ values[src]
+    for src, dst, edges, axis in sweep_steps(grid, base, axis_order):
+        lead = sum(isinstance(s, slice) for s in src[:axis])   # the run axis in values[dst]
+        prefix_apply(np.moveaxis(ops[axis][edges], lead, 0), values[src],
+                     np.moveaxis(values[dst], lead, 0))
     return values
 
 

@@ -17,6 +17,7 @@ index lowering ``lower`` (eta applied along one axis);
 ``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
 xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
 ``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
+``apex_boost``, the boost taking a point of H^m to the apex;
 ``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
 ``complete_basis``, canonical completion at one node.  ``minkowski_gram_schmidt``
 and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
@@ -86,6 +87,22 @@ def product_defect(points, k: int) -> np.ndarray:
     x, y = points[..., : k + 1], points[..., k + 1:]
     r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
     return np.maximum(r_sphere, np.abs(minkowski_dot(y, y) + 1.0))
+
+
+def apex_boost(y) -> np.ndarray:
+    """Lorentz boost L(y) (..., m+1, m+1) taking points y of H^m to the apex (0, ..., 0, 1).
+
+    L = [[I + y_s y_s^T / (1 + y_t), -y_s], [-y_s^T, y_t]] for y = (y_s, y_t),
+    written as eta + v v^T / (1 + y_t) with v = eta y - (0, ..., 0, 1).  L is
+    symmetric, so its inverse is eta L eta.  On ambient vectors of S^k x H^m
+    it acts on the hyperbolic block and is the identity on the sphere block.
+    """
+    y = np.asarray(y, dtype=float)
+    v = lower(y)
+    v[..., -1] -= 1.0
+    boost = np.einsum("...i,...j->...ij", v, v / (1.0 + y[..., -1:]))
+    boost += eta(y.shape[-1])
+    return boost
 
 
 def gram_defect(frame, gram) -> np.ndarray:

@@ -7,9 +7,11 @@ Pipeline (all deterministic):
 2. build one table of RK4 flow matrices per axis (connection linear along
    each edge), every edge crossed in the direction away from the base node;
    transport the frame along the lexicographic sweep (axis-0 spine through
-   the base node, then axis-1, then axis-2 lines), one matmul per edge.  The
-   transposed sweep and the plaquette path-independence record read the same
-   table, which is dropped before the next steps;
+   the base node, then axis-1, then axis-2 lines), each run of edges away
+   from the base one scanned prefix product of its flows
+   (``fields.sweep_compose``).  The transposed sweep and the plaquette
+   path-independence record read the same table, which is dropped before
+   the next steps;
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
    the sign of the timelike coordinate, together with its nodewise distance
    from the product;
@@ -161,15 +163,21 @@ def assemble_immersion(frame: np.ndarray, k: int, tol: float = 1e-8):
     """Read the rebuilt map off the frames (*dims, N, N): components of xi1~ + xi2~.
 
     The first n+p+1 coordinates are plain frame pairings, the last one flips
-    sign (timelike).  Returns the points and their nodewise product defect;
-    beyond 10x tolerance at any node the rebuild fails.
+    sign (timelike).  Returns the points and their nodewise product defect.
+    The rebuild fails on a point of the lower sheet, naming the first such
+    node, or on a defect beyond 10x tolerance, naming the worst node.
     """
     # Gram column of xi1~ + xi2~ in the fixed gauge: the last two rows, second negated
     phi = lower(frame[..., -2, :] - frame[..., -1, :])
 
+    lower_sheet = phi[..., -1] <= 0
+    if lower_sheet.any():
+        node = argmax_node(lower_sheet)
+        raise ReconstructionError(
+            f"rebuilt point on the lower sheet of the hyperboloid at node {node}", node=node)
     defect = product_defect(phi, k)
     worst = float(defect.max())
-    if (phi[..., -1] <= 0).any() or not worst <= 10.0 * tol:   # a NaN point fails too
+    if not worst <= 10.0 * tol:   # a NaN point fails too
         node = argmax_node(defect)
         raise ReconstructionError(
             f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)

@@ -1,18 +1,46 @@
 """Per-edge reference sweeps: one small numpy call chain per grid edge.
 
-These are the step-by-step loops that the batched sweeps in
-``extract.induced_normal_frame`` and ``reconstruct.sweep_parallel_frame``
-replace.  Transport must match them bitwise, the normal frame to rounding.
-``first_swept`` walks the sweep for the node the normal frame's error names.
+``per_edge_steps`` walks the sweep that ``fields.sweep_steps`` splits into
+runs, one edge at a time.  The loops below are the step-by-step versions of
+the scanned sweeps in ``extract.induced_normal_frame`` and
+``reconstruct.sweep_parallel_frame``; the scan reassociates the products, so
+both match them to rounding.  ``first_swept`` walks the sweep for the node
+the normal frame's error names.
 """
 
 import numpy as np
 
-from prodimm.errors import DegeneracyError
+from prodimm.errors import DegeneracyError, DimensionError
 from prodimm.extract import _SEED_TOL, immersion_points, immersion_tangents
-from prodimm.fields import sweep_steps
 from prodimm.lorentz import gram_schmidt, minkowski_dot, product_normals
 from prodimm.reconstruct import edge_flow
+
+
+def per_edge_steps(grid, base, axis_order=None):
+    """The sweep edge by edge: (src, dst, axis, delta) per edge, in sweep order.
+
+    src/dst are region selectors (full slices on already-swept axes, so
+    consumers batch whole lines) and delta is the signed coordinate step.
+    Axis order is lexicographic by default.
+    """
+    nd = grid.ndim
+    order = tuple(axis_order) if axis_order is not None else tuple(range(nd))
+    if sorted(order) != list(range(nd)):
+        raise DimensionError(f"axis order {order} is not a permutation of the axes")
+
+    def line(pos, axis, index):
+        sel = [base[a] for a in range(nd)]
+        for done in order[:pos]:
+            sel[done] = slice(None)
+        sel[axis] = index
+        return tuple(sel)
+
+    for pos, axis in enumerate(order):
+        h = grid.spacing[axis]
+        for i in range(base[axis], grid.dims[axis] - 1):
+            yield line(pos, axis, i), line(pos, axis, i + 1), axis, h
+        for i in range(base[axis], 0, -1):
+            yield line(pos, axis, i), line(pos, axis, i - 1), axis, -h
 
 
 def _project_out(v, basis, norms):
@@ -47,7 +75,7 @@ def per_edge_normal_frame(imm, grid, use_analytic=True):
 
     normals = np.zeros(grid.dims + (imm.p, size))
     normals[base] = np.stack(seed)
-    for src, dst, axis, _delta in sweep_steps(grid, base):
+    for src, dst, axis, _delta in per_edge_steps(grid, base):
         carried = []
         dst_basis = [b[dst] for b in basis]
         dst_norms = [n[dst] for n in norms]
@@ -66,7 +94,7 @@ def per_edge_normal_frame(imm, grid, use_analytic=True):
 def first_swept(grid, base, mask):
     """First node in sweep order where ``mask`` holds (never the base node)."""
     nodes = np.moveaxis(np.indices(grid.dims), 0, -1)
-    for _src, dst, _axis, _delta in sweep_steps(grid, base):
+    for _src, dst, _axis, _delta in per_edge_steps(grid, base):
         hit = nodes[dst][mask[dst]]
         if hit.size:
             return tuple(int(i) for i in hit[0])
@@ -77,7 +105,7 @@ def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None):
     size = initial_frame.shape[-1]
     frames = np.zeros(grid.dims + (size, size))
     frames[base] = initial_frame
-    for src, dst, axis, delta in sweep_steps(grid, base, axis_order):
+    for src, dst, axis, delta in per_edge_steps(grid, base, axis_order):
         om = conn[..., axis, :, :]
         frames[dst] = edge_flow(om[src], om[dst], delta) @ frames[src]
     return frames

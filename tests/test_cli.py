@@ -359,3 +359,27 @@ def test_check_names_the_node_of_a_nan(f1_dataset_path, tmp_path, capsys, name):
     capsys.readouterr()
     assert main(["check", str(bad)]) == 2
     assert "(57,)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, nodes, fd", [
+    ("check", 1000, False), ("roundtrip", 1400, False), ("check", 1800, True),
+    ("extract", 3199, False)])
+def test_f1_chart_length_ladder(tmp_path, capsys, command, nodes, fd):
+    """The reach of each route on long hyperbolic charts, F1 with b = 0.8.
+
+    The timelike coordinate cosh(bt) of the points reaches 135 at 1400 nodes
+    and 2e5 at 3199 nodes; the ``extract`` docstring lists the measured floors.
+    """
+    fx = ["--fixture", "F1", "--helix-a", "0.6", "--grid", str(nodes), "--spacing", "5e-3"]
+    fx += ["--fd"] if fd else []
+    dataset, report = tmp_path / "ds.json", tmp_path / "report.json"
+    if command == "roundtrip":
+        assert main(["roundtrip", *fx, "--report", str(report)]) == 0
+    else:
+        assert main(["extract", *fx, "-o", str(dataset)]) == 0
+        if command == "extract":
+            return
+        assert main(["check", str(dataset), "--report", str(report)]) == 0
+    capsys.readouterr()
+    worst = max(rec.max_abs / rec.threshold for rec in load_report(str(report)).records)
+    assert worst < 0.3

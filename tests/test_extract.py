@@ -39,6 +39,18 @@ def test_off_product_evaluator_rejected():
         immersion_points(bad, grid)
 
 
+def test_lower_sheet_point_named_as_such():
+    imm, grid = fixture("F1")
+
+    def point(coords):
+        out = imm.point(coords)
+        out[123, 2:] *= -1.0
+        return out
+    flipped = AnalyticImmersion(name="F1", k=1, m=1, n=1, p=1, point=point)
+    with pytest.raises(ConstraintError, match=r"lower sheet of the hyperboloid at node \(123,\)"):
+        immersion_points(flipped, grid)
+
+
 def test_points_far_out_on_the_hyperboloid_accepted():
     """<y, y> rounds off like |y|^2; F1 reaches |y|^2 ~ 7e10 at t = 16."""
     imm, grid = fixture("F1", grid=ChartGrid((3199,), (5e-3,), (0.0,)))
@@ -207,6 +219,37 @@ def test_normal_frame_matches_per_edge_oracle(f1, f2, f3, f1_fd, f2_fd, f3_fd):
     for fb in (f1, f2, f3, f1_fd, f2_fd, f3_fd):
         ref = per_edge_normal_frame(fb.immersion, fb.grid, fb.data.analytic_derivatives)
         assert np.abs(fb.data.normals - ref).max() <= 1e-13, fb.immersion.name
+
+
+def _s1_h3(n):
+    """A chart of S^1 x H^3 whose normals (p = 4 - n >= 2) turn through the hyperbolic block."""
+    def y(r, u, v):
+        return [np.sinh(r), np.cosh(r) * np.sinh(u), np.cosh(r) * np.cosh(u) * np.sinh(v),
+                np.cosh(r) * np.cosh(u) * np.cosh(v)]
+
+    def point(c):
+        t = c[..., 0]
+        s, w = (c[..., 1], c[..., 1]) if n == 2 else (0.4 * np.sin(t), t)
+        return np.stack([np.cos(0.6 * t), np.sin(0.6 * t), *y(0.5 * t + 0.2 * s, s, 0.3 * t * w)],
+                        axis=-1)
+    grid = (ChartGrid((40,), (0.05,), (0.0,)) if n == 1
+            else ChartGrid((9, 11), (0.1, 0.12), (0.0, 0.2)))
+    return AnalyticImmersion(name=f"S1xH3-{n}", k=1, m=3, n=n, p=4 - n, point=point), grid
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_boosted_normal_frame_matches_per_edge_oracle(n):
+    """The relative boosts of the step operators turn the normals within their space.
+
+    With p >= 2 and normals that move through the hyperbolic block, a wrong or
+    missing relative boost rotates the frame by O(1) over the chart (0.01 to 0.3
+    here); the fixtures F1-F3 do not see it (p = 1, y fixed, or a constant
+    hyperbolic normal).
+    """
+    imm, grid = _s1_h3(n)
+    points = immersion_points(imm, grid)
+    normals = induced_normal_frame(imm, grid, points, immersion_tangents(imm, grid, points))
+    assert np.abs(normals - per_edge_normal_frame(imm, grid)).max() <= 1e-12   # measured 3e-15
 
 
 def test_normal_frame_degeneracy_names_the_node():

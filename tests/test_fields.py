@@ -10,8 +10,9 @@ from prodimm.errors import DimensionError, MetricError
 from kernel_oracles import covariant_derivative
 from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
                             bundle_curvature, check_values, christoffel, curvature_tensor,
-                            grad_field, hessian_field, second_derivative_axis,
-                            shape_operator_field)
+                            grad_field, hessian_field, prefix_apply, second_derivative_axis,
+                            shape_operator_field, sweep_compose, sweep_steps)
+from sweep_oracles import per_edge_steps
 
 
 def sphere_chart(n_theta=81, n_phi=41, h_theta=0.0075, h_phi=0.02, theta0=0.6):
@@ -249,3 +250,64 @@ def test_grad_field_shape():
     grid = ChartGrid(dims=(6, 7), spacing=(0.1, 0.1), origin=(0.0, 0.0))
     vals = np.zeros(grid.dims + (3,))
     assert grad_field(grid, vals).shape == (6, 7, 2, 3)
+
+
+def _unipotent(rng, shape, size=4):
+    """Upper unitriangular integer matrices: their products stay exact in float64."""
+    mats = np.triu(rng.integers(-1, 2, size=shape + (size, size)), 1) + np.eye(size)
+    return mats.astype(float)
+
+
+@pytest.mark.parametrize("cols", [4, 2], ids=["square", "columns"])
+def test_prefix_apply_bitwise_equals_the_sequential_product(cols):
+    rng = np.random.default_rng(11)
+    for length in range(1, 131):
+        ops = _unipotent(rng, (length, 3))        # a run batched over a slab of 3 lines
+        value = rng.integers(-2, 3, size=(3, 4, cols)).astype(float)
+        ref = np.empty((length, 3, 4, cols))
+        ref[0] = ops[0] @ value
+        for j in range(1, length):
+            ref[j] = ops[j] @ ref[j - 1]
+        kept = ops.copy()
+        out = np.full(ref.shape, np.nan)
+        assert prefix_apply(ops, value, out) is out
+        assert np.array_equal(out, ref), length
+        assert np.array_equal(ops, kept)
+
+
+@pytest.mark.parametrize("cols", [4, 2], ids=["square", "columns"])
+def test_sweep_compose_bitwise_equals_the_per_edge_sweep(cols):
+    """Every run length 0-130 in both directions, alone and batched over a slab."""
+    rng = np.random.default_rng(cols)
+    for dims in ((131,), (5, 131)):
+        grid = ChartGrid(dims=dims, spacing=(0.1,) * len(dims), origin=(0.0,) * len(dims))
+        ops = [_unipotent(rng, dims[:a] + (dims[a] - 1,) + dims[a + 1:])
+               for a in range(len(dims))]
+        value = rng.integers(-2, 3, size=(4, cols)).astype(float)
+        for b in range(dims[-1]):
+            base = (2,) * (len(dims) - 1) + (b,)
+            ref = np.zeros(dims + value.shape)
+            ref[base] = value
+            for src, dst, axis, delta in per_edge_steps(grid, base):
+                ref[dst] = ops[axis][src if delta > 0 else dst] @ ref[src]
+            out = sweep_compose(grid, value, base, ops)
+            assert np.array_equal(out, ref), (dims, base)
+
+
+@pytest.mark.parametrize("dims, base, order, runs", [
+    ((9,), (4,), None, 2), ((9,), (0,), None, 1), ((9,), (8,), None, 1),
+    ((7, 6), (3, 2), (0, 1), 4), ((7, 6), (3, 2), (1, 0), 4), ((7, 6), (0, 0), None, 2),
+    ((9, 8, 7), (2, 3, 1), None, 6), ((9, 8, 7), (2, 3, 1), (2, 0, 1), 6)])
+def test_sweep_steps_yields_one_run_per_axis_direction(dims, base, order, runs):
+    grid = ChartGrid(dims=dims, spacing=(0.1,) * len(dims), origin=(0.0,) * len(dims))
+    steps = list(sweep_steps(grid, base, order))
+    assert len(steps) == runs
+    reached = np.zeros(dims, dtype=int)
+    reached[base] += 1
+    for src, dst, edges, axis in steps:
+        assert reached[src].all()                 # the slab is swept before its run
+        reached[dst] += 1
+        step = dst[axis].step or 1                # edges sit at the lower node of each step
+        lower = np.arange(dims[axis])[dst[axis]] - (step > 0)
+        assert np.array_equal(np.arange(dims[axis] - 1)[edges[axis]], lower)
+    assert (reached == 1).all()

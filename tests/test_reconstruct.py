@@ -109,12 +109,17 @@ def _transport_cases(f2_fd, f3):
     yield grid, conn, frames[2, 3, 1], (2, 3, 1), [None, (2, 0, 1)]
 
 
-def test_sweep_bitwise_equals_per_edge_oracle(f2_fd, f3):
+def test_sweep_matches_per_edge_oracle_to_rounding(f2_fd, f3):
+    # The scan reassociates the edge products.  Largest |scan - per-edge| over
+    # these cases: 5.3e-15, on F3 64x64 from the corner base (entries <= 2.35);
+    # F2 on the FD route at 10001 nodes, not run here, gave 3.5e-14 from node 0
+    # and 1.8e-14 from the centre (entries <= 1).
     for grid, conn, frame0, base, orders in _transport_cases(f2_fd, f3):
         for order in orders:
             out = sweep_parallel_frame(EdgeFlows.of(grid, conn, base), frame0, axis_order=order)
             ref = per_edge_parallel_frame(grid, conn, frame0, base, order)
-            assert np.array_equal(out, ref), (grid.dims, base, order)
+            assert np.array_equal(out[base], ref[base])
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max(), (grid.dims, base, order)
 
 
 def test_sweep_matches_dense_ode_oracle():
@@ -192,6 +197,14 @@ def test_assemble_rejects_off_product(f2):
     broken = 1.01 * res.frame
     with pytest.raises(ReconstructionError):
         assemble_immersion(broken, res.k, tol=1e-8)
+
+
+def test_assemble_names_the_first_lower_sheet_node(f1):
+    broken = f1.recon.frame.copy()
+    broken[123] *= -1.0          # the point is then on the product, lower sheet
+    with pytest.raises(ReconstructionError, match=r"lower sheet .* node \(123,\)") as err:
+        assemble_immersion(broken, f1.recon.k)
+    assert err.value.node == (123,)
 
 
 def test_assemble_names_a_nan_node(f1):
