@@ -1,17 +1,14 @@
 """Dataset, report and mesh serialization.
 
-Both structured formats are versioned JSON documents with every numeric
-field flattened node-major row-major (C order), timelike coordinate last.
-Headers are indented for diffing while arrays stay on one line each; floats
-serialize via ``repr`` so load(save(x)) is bit-identical.  Files are written
-atomically (temp file + rename).
+Both structured formats are versioned JSON documents.  Headers are indented
+for diffing; floats serialize via ``repr`` and numeric lists stay on one line
+each.  Files are written atomically (temp file + rename).
 
-No Python code runs once per element on the write path: each numeric array is
-told apart by the set of its element types and written by one JSON encoder
-call, and a mesh table is written by one ``%`` format per block of rows.
-What remains is ``float.__repr__`` on every value, inside those C calls.
-
-Dataset fields and their per-node slot layouts:
+A ``prodimm-dataset/2`` document holds the header ``schema``, ``n``, ``p``,
+``grid``, ``tolerances`` and ``meta``, and ``fields``: one entry per field,
+each one base64 string (RFC 4648 alphabet, padded, no line breaks) of the
+field's little-endian float64 (``<f8``) bytes in C order, node-major with the
+slots last:
 
     metric             (n, n)      g_ij
     bundle_connection  (n, p, p)   omega[m, a, b]
@@ -21,14 +18,28 @@ Dataset fields and their per-node slot layouts:
     psi.U              (n, p)      U^i_b
     psi.lambda         (p, p)      lambda^a_b
 
+A field holds 8 bytes per node and slot.  The arrays are not numeric JSON
+because writing each float as text (``float.__repr__``) and parsing it back
+cost more than the geometry they carry; the bytes round-trip bitwise, and each
+field is encoded or decoded by one C call.  ``prodimm-dataset/1``
+documents, which hold each field as a flat JSON list of numbers in the same
+order, are still read; they are never written.
+
 In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
 [[f, U], [u, lambda]], filled block by block on load.
+
+No Python code runs once per element on the write path: each numeric report
+array is told apart by the set of its element types and written by one JSON
+encoder call, and a mesh table is written by one ``%`` format per block of
+rows.  A mesh table is read back by one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
-import csv
+import binascii
+import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -42,7 +53,8 @@ from .fields import BundleData, ChartGrid, MetricField, SecondFormField, check_v
 from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
 
-DATASET_SCHEMA = "prodimm-dataset/1"
+DATASET_SCHEMA = "prodimm-dataset/2"
+LEGACY_DATASET_SCHEMA = "prodimm-dataset/1"   # read, never written
 REPORT_SCHEMA = "prodimm-report/1"
 _GRID_KEYS = ("dims", "spacing", "origin")   # ChartGrid fields, in order
 _PSI_FIELDS = ("psi.f", "psi.u", "psi.U", "psi.lambda")   # the blocks of psi_blocks, in order
@@ -89,21 +101,31 @@ def _atomic_write(path: str, write):
 _ARRAY_SLOT = re.compile(r'"@@array(\d+)@@"')
 
 
+class _Base64(str):
+    """Base64 text, which JSON writes without escapes: it is spliced in unscanned."""
+
+
 def _render_with_inline_arrays(doc: dict) -> str:
     """Indented JSON with numeric arrays kept on single lines.
 
     A non-empty list or tuple is inlined when every element is an ``int`` or
-    a ``float``, subclasses included (``bool``, numpy ``float64``).
+    a ``float``, subclasses included (``bool``, numpy ``float64``).  A
+    ``_Base64`` string is written as it is, between quotes.
     """
     arrays: list[str] = []
+
+    def slot(text: str) -> str:
+        arrays.append(text)
+        return f"@@array{len(arrays) - 1}@@"
 
     def stash(obj):
         if isinstance(obj, dict):
             return {k: stash(v) for k, v in obj.items()}
+        if isinstance(obj, _Base64):
+            return slot(f'"{obj}"')
         if isinstance(obj, (list, tuple)) and obj and all(
                 issubclass(t, (int, float)) for t in set(map(type, obj))):
-            arrays.append(json.dumps(obj))
-            return f"@@array{len(arrays) - 1}@@"
+            return slot(json.dumps(obj))
         if isinstance(obj, (list, tuple)):
             return [stash(v) for v in obj]
         return obj
@@ -111,6 +133,12 @@ def _render_with_inline_arrays(doc: dict) -> str:
     pieces = _ARRAY_SLOT.split(json.dumps(stash(doc), indent=2))
     pieces[1::2] = [arrays[int(idx)] for idx in pieces[1::2]]
     return "".join(pieces)
+
+
+def _encode(values: np.ndarray) -> str:
+    """Base64 of the array's ``<f8`` bytes in C order."""
+    return _Base64(binascii.b2a_base64(values.astype("<f8", copy=False).tobytes(),
+                                       newline=False).decode("ascii"))
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
@@ -122,10 +150,10 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "tolerances": ds.tolerances.to_dict(),
         "meta": ds.meta,
         "fields": {
-            "metric": ds.metric.values.ravel().tolist(),
-            "bundle_connection": ds.bundle.omega.ravel().tolist(),
-            "sigma": ds.sigma.values.ravel().tolist(),
-            **{name: block.ravel().tolist()
+            "metric": _encode(ds.metric.values),
+            "bundle_connection": _encode(ds.bundle.omega),
+            "sigma": _encode(ds.sigma.values),
+            **{name: _encode(block)
                for name, block in zip(_PSI_FIELDS, psi_blocks(ds.psi, ds.grid.ndim))},
         },
     }
@@ -142,19 +170,39 @@ def _take(doc: dict, key: str):
     return doc[key]
 
 
-def _field_array(fields: dict, name: str, shape: tuple) -> np.ndarray:
+def _field_array(fields: dict, name: str, shape: tuple, legacy: bool) -> np.ndarray:
+    """Field ``name`` as a fresh writable float array of ``shape``.
+
+    ``legacy`` (a ``/1`` document) reads a flat list of numbers; otherwise the
+    field must be base64 of exactly 8 bytes per entry.
+    """
     raw = _take(fields, name)
-    expected = int(np.prod(shape))
-    if not isinstance(raw, list) or len(raw) != expected:
-        raise SchemaError(f"field {name!r} must be a flat list of {expected} numbers, "
-                          f"got length {len(raw) if isinstance(raw, list) else 'n/a'}")
-    return np.asarray(raw, dtype=float).reshape(shape)
+    count = math.prod(shape)
+    if legacy:
+        if not isinstance(raw, list) or len(raw) != count:
+            raise SchemaError(f"field {name!r} must be a flat list of {count} numbers, "
+                              f"got length {len(raw) if isinstance(raw, list) else 'n/a'}")
+        return np.asarray(raw, dtype=float).reshape(shape)
+    if not isinstance(raw, str):
+        raise SchemaError(f"field {name!r} must be a base64 string of {8 * count} bytes, "
+                          f"got {type(raw).__name__}")
+    try:
+        data = binascii.a2b_base64(raw, strict_mode=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise SchemaError(f"field {name!r} is not base64: {exc}") from exc
+    if len(data) != 8 * count:
+        raise SchemaError(f"field {name!r} holds {len(data)} bytes, expected {8 * count} "
+                          f"(float64 of shape {shape})")
+    # astype copies out of the read-only bytes, in native byte order
+    return np.frombuffer(data, dtype="<f8").astype(float).reshape(shape)
 
 
 def dataset_from_dict(doc: dict) -> Dataset:
-    if not isinstance(doc, dict) or doc.get("schema") != DATASET_SCHEMA:
-        raise SchemaError(f"expected schema {DATASET_SCHEMA!r}, got "
-                          f"{doc.get('schema') if isinstance(doc, dict) else type(doc)}")
+    schema = doc.get("schema") if isinstance(doc, dict) else type(doc)
+    if schema not in (DATASET_SCHEMA, LEGACY_DATASET_SCHEMA):
+        raise SchemaError(f"expected schema {DATASET_SCHEMA!r} or {LEGACY_DATASET_SCHEMA!r}, "
+                          f"got {schema}")
+    legacy = schema == LEGACY_DATASET_SCHEMA
     gspec = _take(doc, "grid")
     try:
         grid = ChartGrid(*(tuple(_take(gspec, key)) for key in _GRID_KEYS))
@@ -164,12 +212,13 @@ def dataset_from_dict(doc: dict) -> Dataset:
             raise SchemaError("header n does not match the grid dimension")
         fields = _take(doc, "fields")
         dims = grid.dims
-        metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n)))
-        bundle = BundleData(grid, _field_array(fields, "bundle_connection", dims + (n, p, p)))
-        sigma = SecondFormField(grid, _field_array(fields, "sigma", dims + (n, n, p)))
+        metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n), legacy))
+        bundle = BundleData(grid, _field_array(fields, "bundle_connection", dims + (n, p, p),
+                                               legacy))
+        sigma = SecondFormField(grid, _field_array(fields, "sigma", dims + (n, n, p), legacy))
         psi = np.empty(dims + (n + p, n + p))
         for name, block in zip(_PSI_FIELDS, psi_blocks(psi, n)):
-            block[...] = _field_array(fields, name, block.shape)
+            block[...] = _field_array(fields, name, block.shape, legacy)
         psi = check_values(grid, psi, (n + p, n + p))
         tolerances = ToleranceModel.from_dict(doc.get("tolerances", {}))
         meta = dict(doc.get("meta", {}))
@@ -303,14 +352,16 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
 def load_immersion_csv(path: str):
     """Returns (coords, values, k): flat (rows, n) and (rows, N) arrays and the sphere rank."""
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            data = np.array([[float(v) for v in row] for row in reader])
-    except (OSError, StopIteration, ValueError) as exc:
+        with open(path) as handle:
+            header, _, body = handle.read().partition("\n")
+        if not body or body.isspace():
+            raise ValueError("no rows")
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot parse mesh {path!r}: {exc}") from exc
+    header = header.split(",")
     n = sum(1 for c in header if c.startswith("t"))
     k = sum(1 for c in header if c.startswith("x")) - 1
-    if data.ndim != 2 or data.shape[1] != len(header) or n < 1 or k < 0:
+    if data.shape[1] != len(header) or n < 1 or k < 0:
         raise SchemaError(f"mesh {path!r} has an inconsistent header")
     return data[:, :n], data[:, n:], k

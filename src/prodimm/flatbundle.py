@@ -124,15 +124,20 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
     """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions.
 
     Only the g block of G varies, so d_m G is d_m g padded with exact zeros.
+    The products stay whole (N, N) matmuls, subtracted in place in the order
+    (d_m G - Omega^T G) - G Omega: a matmul of these small matrices costs one
+    call per node and direction whatever its size, and restricting the
+    products to the g columns and rows of G adds strided block updates that
+    cost more than the smaller products save.
     """
     grid = geom.grid
     n = grid.ndim
-    gram = geom.gram
+    gram = geom.gram[..., None, :, :]
     om = geom.connection
-    d_gram = np.zeros(om.shape)
-    d_gram[..., :n, :n] = grad_field(grid, geom.metric.values)
-    resid = (d_gram - np.swapaxes(om, -1, -2) @ gram[..., None, :, :]
-             - gram[..., None, :, :] @ om)
+    resid = np.zeros(om.shape)
+    resid[..., :n, :n] = grad_field(grid, geom.metric.values)
+    resid -= np.swapaxes(om, -1, -2) @ gram
+    resid -= gram @ om
     return records(grid, tolerances, ("bundle_metric_compatibility", resid))
 
 

@@ -11,7 +11,10 @@ from prodimm import fields, flatbundle
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
+from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
+
+from io_oracles import dataset_v1_dict, edit_field, field_values
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def test_check_table_follows_redirected_stdout(f1_dataset_path):
 
 def test_check_flags_negated_u(f1_dataset_path, tmp_path):
     doc = json.loads(f1_dataset_path.read_text())
-    doc["fields"]["psi.u"] = [-v for v in doc["fields"]["psi.u"]]
+    edit_field(doc, "psi.u", lambda u: -u)
     bad = tmp_path / "bad_u.json"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad), "--report", str(tmp_path / "r.json")]) == 1
@@ -126,10 +129,13 @@ def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
 
 def test_reconstruct_refuses_then_forces(f1_dataset_path, tmp_path):
     doc = json.loads(f1_dataset_path.read_text())
-    sg = np.asarray(doc["fields"]["sigma"]).reshape(200, 1, 1, 1)
     t = np.arange(200) * 5e-3
-    sg[..., 0, 0, 0] += 5e-2 * np.sin(3 * t)
-    doc["fields"]["sigma"] = sg.ravel().tolist()
+
+    def bump(values):
+        sg = values.reshape(200, 1, 1, 1)
+        sg[..., 0, 0, 0] += 5e-2 * np.sin(3 * t)
+        return sg.ravel()
+    edit_field(doc, "sigma", bump)
     bad = tmp_path / "bad_sigma.json"
     bad.write_text(json.dumps(doc))
     mesh = tmp_path / "forced.csv"
@@ -266,12 +272,11 @@ def test_reconstruct_has_no_reorthonormalize_option(f1_dataset_path, tmp_path):
 
 def test_dataset_schema_errors(f2):
     doc = dataset_to_dict(f2.dataset())
-    doc["fields"]["sigma"] = doc["fields"]["sigma"][:-1]
-    with pytest.raises(Exception):
+    edit_field(doc, "sigma", lambda sigma: sigma[:-1])
+    with pytest.raises(SchemaError, match="'sigma'"):
         dataset_from_dict(doc)
     good = dataset_to_dict(f2.dataset())
     good["schema"] = "nope"
-    from prodimm.errors import SchemaError
     with pytest.raises(SchemaError):
         dataset_from_dict(good)
 
@@ -335,6 +340,20 @@ def test_dataset_malformed_header_exits_2(f1_dataset_path, tmp_path, capsys, key
     assert "error:" in capsys.readouterr().err
 
 
+def test_align_ragged_mesh_exits_2(f1_dataset_path, tmp_path, capsys):
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    lines = mesh.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1])   # one node row loses a coordinate
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("\n".join(lines) + "\n")
+    (tmp_path / "ragged.csv.report.json").write_text(
+        (tmp_path / "a.csv.report.json").read_text())
+    capsys.readouterr()
+    assert main(["align", str(mesh), str(ragged)]) == 2
+    assert "cannot parse mesh" in capsys.readouterr().err
+
+
 def test_align_fails_on_a_nan_distance(f1_dataset_path, tmp_path):
     mesh = tmp_path / "a.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
@@ -352,8 +371,12 @@ FIELD_NAMES = ("metric", "bundle_connection", "sigma", "psi.f", "psi.u", "psi.U"
 @pytest.mark.parametrize("name", FIELD_NAMES)
 def test_check_names_the_node_of_a_nan(f1_dataset_path, tmp_path, capsys, name):
     doc = json.loads(f1_dataset_path.read_text())
-    assert len(doc["fields"][name]) == 200   # one entry per node on F1 (n = p = 1)
-    doc["fields"][name][57] = float("nan")
+    assert field_values(doc, name).shape == (200,)   # one entry per node on F1 (n = p = 1)
+
+    def poison(values):
+        values[57] = float("nan")
+        return values
+    edit_field(doc, name, poison)
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -383,3 +406,37 @@ def test_f1_chart_length_ladder(tmp_path, capsys, command, nodes, fd):
     capsys.readouterr()
     worst = max(rec.max_abs / rec.threshold for rec in load_report(str(report)).records)
     assert worst < 0.3
+
+
+def _replace_char(text: str) -> str:
+    return text[:10] + "*" + text[11:]
+
+
+@pytest.mark.parametrize("name, breakage", [
+    ("metric", lambda doc, name: doc["fields"].update({name: field_values(doc, name).tolist()})),
+    ("psi.U", lambda doc, name: doc["fields"].update({name: _replace_char(doc["fields"][name])})),
+    ("sigma", lambda doc, name: edit_field(doc, name, lambda values: values[:-1])),
+], ids=["not_a_string", "not_base64", "one_float_short"])
+def test_malformed_field_exits_2_naming_it(f1_dataset_path, tmp_path, capsys, name, breakage):
+    doc = json.loads(f1_dataset_path.read_text())
+    breakage(doc, name)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"field {name!r}" in err
+
+
+def test_check_reads_a_v1_dataset(f1_dataset_path, tmp_path):
+    """A dataset in the list layout of ``prodimm-dataset/1`` checks as its ``/2`` file does."""
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(dataset_v1_dict(load_dataset(str(f1_dataset_path)))))
+    reports = []
+    for path in (f1_dataset_path, v1):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert main(["check", str(path), "--report", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["timings"]
+        reports.append(doc)
+    assert reports[0] == reports[1]

@@ -11,6 +11,8 @@ from prodimm import cli
 from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
                             load_dataset, load_immersion_csv, report_to_dict, save_dataset,
                             save_immersion_csv, save_report)
+from prodimm.errors import SchemaError
+from prodimm.fields import BundleData, MetricField, SecondFormField
 from prodimm.structure import ToleranceModel
 
 import io_oracles
@@ -39,11 +41,60 @@ def test_dataset_psi_blocks_keep_their_names(tmp_path):
     psi = geom.psi
     blocks = {"psi.f": psi[..., :2, :2], "psi.u": psi[..., 2:, :2],
               "psi.U": psi[..., :2, 2:], "psi.lambda": psi[..., 2:, 2:]}
-    fields = json.loads(path.read_text())["fields"]
+    doc = json.loads(path.read_text())
     back = load_dataset(str(path)).psi
     for name, block in blocks.items():
-        assert fields[name] == block.ravel().tolist(), name
+        assert np.array_equal(io_oracles.field_values(doc, name).view(np.int64),
+                              block.ravel().view(np.int64)), name
     assert back.view(np.int64).tolist() == psi.view(np.int64).tolist()
+
+
+def _assert_same_bits(back: Dataset, ds: Dataset):
+    """Every loaded field is writable and bitwise equal to the saved one."""
+    def arrays(d: Dataset) -> tuple:
+        return d.metric.values, d.bundle.omega, d.sigma.values, d.psi
+
+    for name, got, want in zip(("metric", "bundle", "sigma", "psi"), arrays(back), arrays(ds)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        assert got.flags.writeable, name
+
+
+def _special_dataset() -> Dataset:
+    """A valid dataset whose fields hold -0.0, a subnormal and +-1e300."""
+    geom = random_geometry(5, (6, 5), p=2)
+    tiny = np.nextafter(0.0, 1.0) * 3            # subnormal
+    g = geom.metric.values.copy()
+    g[..., 0, 1] = g[..., 1, 0] = -0.0
+    g[1, 2, 0, 1] = g[1, 2, 1, 0] = tiny
+    omega = geom.bundle.omega.copy()
+    omega[..., 0, 0, 1], omega[..., 0, 1, 0] = 1e300, -1e300
+    sigma = geom.sigma.values.copy()
+    sigma[0, 0, 0, 1, 1] = sigma[0, 0, 1, 0, 1] = -1e300
+    psi = geom.psi.copy()
+    psi[..., 0, 0] = -0.0
+    psi[2, 1, 3, 2] = -tiny
+    psi[3, 0, 1, 3] = 1e300
+    return Dataset(grid=geom.grid, p=2, metric=MetricField(geom.grid, g),
+                   bundle=BundleData(geom.grid, omega),
+                   sigma=SecondFormField(geom.grid, sigma), psi=psi,
+                   tolerances=ToleranceModel(), meta={"case": "special values"})
+
+
+def test_dataset_roundtrip_keeps_special_values_bitwise(tmp_path):
+    ds = _special_dataset()
+    path = tmp_path / "special.json"
+    save_dataset(ds, str(path))
+    assert json.loads(path.read_text())["schema"] == "prodimm-dataset/2"
+    _assert_same_bits(load_dataset(str(path)), ds)
+
+
+def test_v1_document_loads_to_the_same_arrays(tmp_path):
+    ds = _special_dataset()
+    path = tmp_path / "v1.json"
+    path.write_text(io_oracles.render_with_inline_arrays(io_oracles.dataset_v1_dict(ds)))
+    back = load_dataset(str(path))
+    _assert_same_bits(back, ds)
+    assert back.grid == ds.grid and back.meta == ds.meta
 
 
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):
@@ -103,6 +154,15 @@ def test_mesh_roundtrip_is_bitwise(f3, tmp_path):
     saved_values = values.reshape(-1, values.shape[-1])
     assert np.array_equal(coords.view(np.int64), saved_coords.view(np.int64))
     assert np.array_equal(back.view(np.int64), saved_values.view(np.int64))
+
+
+@pytest.mark.parametrize("body", ["", "1.0,2.0\n1.0\n", "1.0,abc\n"],
+                         ids=["empty", "ragged", "non_numeric"])
+def test_mesh_table_errors(tmp_path, body):
+    path = tmp_path / "mesh.csv"
+    path.write_text("t1,x1\n" + body)
+    with pytest.raises(SchemaError, match="cannot parse mesh"):
+        load_immersion_csv(str(path))
 
 
 def test_writer_signatures_unchanged():
