@@ -269,7 +269,7 @@ def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.
     # om[..., m, a, b] = <d_m nu_b, nu_a>; enforce exact skewness
     om = 0.5 * (om - np.swapaxes(om, -1, -2))
 
-    ginv = metric.inverse()
+    ginv = metric.inverse
     psi = np.empty(grid.dims + (grid.ndim + imm.p,) * 2)
     f, u, big_u, lam = psi_blocks(psi, grid.ndim)
     psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)

@@ -11,8 +11,11 @@ the kernels take and return:
 * bundle connection ``omega[..., m, a, b]``, the coefficient of e_a in
   D^E_{d_m} e_b, (n, p, p); the fiber metric is fixed to the identity
   (orthonormal gauge), so omega[m] is skew-symmetric;
-* a connection's curvature ``F[..., m, n, a, b]``, (n, n, N, N) for
-  (n, N, N) connection matrices;
+* a connection's curvature ``F[..., q, a, b]``, (n(n-1)/2, N, N) for
+  (n, N, N) connection matrices, one entry per direction pair q = (m, n),
+  m < n, in the row-major order of ``np.triu_indices(n, 1)``: F is a 2-form,
+  so F[n, m] = -F[m, n] and the diagonal is zero (``expand_pairs`` writes
+  all n^2);
 * second form ``sigma[..., i, j, a]``, (n, n, p), symmetric in (i, j);
 * shape operators ``A[..., a, i, j]`` = (A_{e_a})^i_j, (p, n, n);
 * a derivative puts one direction axis after the node axes:
@@ -34,21 +37,24 @@ of one per edge.
 All derivatives are second-order central differences.  Each axis end gets
 one ghost node by quartic extrapolation, so the boundary nodes use the same
 stencils as the interior and the truncation error stays smooth up to the
-edge: a difference of a difference is still second order there.
+edge: a difference of a difference is still second order there.  The ghost
+nodes are formed for the two edge slabs only and the differences are
+written in place into the output, with no padded copy of the field.
 
 Matmul layout: every batched small-matrix product is written as ``@`` on the
 last two axes, with the node axes (and a direction axis, where there is one)
 leading and broadcast.  Operands are brought to (..., rows, inner) and
-(..., inner, cols) by ``swapaxes``/``moveaxis`` views first; a pairing of two
-direction axes m, n is formed as ``x[..., :, None, :, :] @ y[..., None, :, :, :]``,
-which yields (..., m, n, rows, cols), and ``antisymmetrize`` subtracts its
-m <-> n swap.  ``einsum`` is left for permutations and contractions that
-are not a matrix product.
+(..., inner, cols) by ``swapaxes``/``moveaxis`` views first.  A curvature
+pairs two direction axes: ``connection_curvature`` loops over the pairs
+m < n and multiplies the two (..., N, N) slices om_m, om_n each way, into
+preallocated buffers.  ``einsum`` is left for permutations and
+contractions that are not a matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,8 +147,12 @@ class MetricField:
             node = argmax_node(eigs.min(axis=-1) <= 0)
             raise MetricError(f"metric not positive definite at node {node}", node=node)
 
+    @cached_property
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.values)
+        """g^-1 (*dims, n, n), inverted once per field and read-only."""
+        ginv = np.linalg.inv(self.values)
+        ginv.flags.writeable = False
+        return ginv
 
 
 @dataclass(frozen=True)
@@ -261,12 +271,25 @@ def sweep_compose(grid: ChartGrid, base_value: np.ndarray, base: tuple, ops,
     return values
 
 
-def _ghost_padded(values: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` with axis ``axis`` first and one quartic-extrapolated ghost node per end."""
+def _neighbours(v: np.ndarray) -> tuple:
+    """(nodes, left, right) along axis 0: the interior, then each end and its ghost node.
+
+    The ghost nodes are quartic extrapolations.  Every piece is a slice, never
+    an index, so the ends of a 1-dim scalar field are arrays a ufunc can write.
+    """
+    lo = 5.0 * v[0:1] - 10.0 * v[1:2] + 10.0 * v[2:3] - 5.0 * v[3:4] + v[4:5]
+    hi = 5.0 * v[-1:] - 10.0 * v[-2:-1] + 10.0 * v[-3:-2] - 5.0 * v[-4:-3] + v[-5:-4]
+    return ((slice(1, -1), v[:-2], v[2:]), (slice(0, 1), lo, v[1:2]),
+            (slice(-1, None), v[-2:-1], hi))
+
+
+def diff_axis(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """Central difference (v[i+1] - v[i-1]) / (2h) along ``axis``, written into ``out``."""
     v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    lo = 5.0 * v[0] - 10.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]
-    hi = 5.0 * v[-1] - 10.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]
-    return np.concatenate([lo[None], v, hi[None]])
+    o = np.moveaxis(out, axis, 0)
+    for nodes, left, right in _neighbours(v):
+        np.divide(right - left, 2.0 * h, out=o[nodes])
+    return out
 
 
 def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
@@ -274,17 +297,22 @@ def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
 
     Input (*dims, *slots) -> output (*dims, ndim, *slots).
     """
-    parts = []
-    for a in range(grid.ndim):
-        v = _ghost_padded(values, a)
-        parts.append(np.moveaxis((v[2:] - v[:-2]) / (2.0 * grid.spacing[a]), 0, a))
-    return np.stack(parts, axis=grid.ndim)
+    nd = grid.ndim
+    out = np.empty(grid.dims + (nd,) + np.shape(values)[nd:])
+    for a in range(nd):
+        diff_axis(values, grid.spacing[a], a, out[(slice(None),) * nd + (a,)])
+    return out
 
 
 def second_derivative_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Pure second derivative along one axis: the central three-point stencil."""
-    v = _ghost_padded(values, axis)
-    return np.moveaxis((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h), 0, axis)
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.empty(v.shape)
+    for nodes, left, right in _neighbours(v):
+        np.subtract(right, 2.0 * v[nodes], out=out[nodes])
+        out[nodes] += left
+    out /= h * h
+    return np.moveaxis(out, 0, axis)
 
 
 def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
@@ -304,7 +332,7 @@ def christoffel(g: MetricField) -> np.ndarray:
     """Levi-Civita connection coefficients chris[..., l, m, n] = Gamma^l_mn from the metric."""
     grid = g.grid
     dg = grad_field(grid, g.values)  # (..., m, i, j) = d_m g_ij
-    ginv = g.inverse()
+    ginv = g.inverse
     # Gamma^l_mn = 1/2 g^lr (d_m g_rn + d_n g_rm - d_r g_mn), as g^-1 @ (r, mn)
     dg_r = np.swapaxes(dg, -3, -2)                    # (..., r, m, n) = d_m g_rn
     braces = dg_r + np.swapaxes(dg_r, -1, -2) - dg
@@ -313,35 +341,59 @@ def christoffel(g: MetricField) -> np.ndarray:
     return gamma.reshape(grid.dims + (n, n, n))
 
 
+def expand_pairs(grid: ChartGrid, pairs: np.ndarray) -> np.ndarray:
+    """(*dims, n(n-1)/2, *slots) over the pairs m < n -> (*dims, n, n, *slots).
+
+    The full layout is antisymmetric: F[n, m] = -F[m, n], and F[m, m] = 0.
+    """
+    n, node = grid.ndim, (slice(None),) * grid.ndim
+    m, k = np.triu_indices(n, 1)
+    full = np.zeros(grid.dims + (n, n) + pairs.shape[n + 1:])
+    full[node + (m, k)], full[node + (k, m)] = pairs, -pairs
+    return full
+
+
 def curvature_tensor(g: MetricField) -> np.ndarray:
     """Riemann tensor R^l_smn of the Levi-Civita connection.
 
     riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
     for R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y]: the ``connection_curvature`` of
-    the matrices Gamma_m = (Gamma^l_ms), moved to the (l, s, m, n) layout.
+    the matrices Gamma_m = (Gamma^l_ms), expanded to all pairs and moved to
+    the (l, s, m, n) layout.
     """
     ga = np.swapaxes(christoffel(g), -3, -2)     # (..., m, l, s) = Gamma^l_ms
-    return np.moveaxis(connection_curvature(g.grid, ga), (-2, -1), (-4, -3))
-
-
-def antisymmetrize(x: np.ndarray) -> np.ndarray:
-    """x[..., m, n, :, :] - x[..., n, m, :, :] over the direction axes -4 and -3."""
-    return x - np.swapaxes(x, -4, -3)
+    full = expand_pairs(g.grid, connection_curvature(g.grid, ga))
+    return np.moveaxis(full, (-2, -1), (-4, -3))
 
 
 def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
-    """F[..., m, n, :, :] = d_m om_n - d_n om_m + [om_m, om_n] of om[..., m, :, :]."""
-    return antisymmetrize(grad_field(grid, om) + om[..., :, None, :, :] @ om[..., None, :, :, :])
+    """F over the direction pairs: (*dims, n(n-1)/2, N, N) of om[..., m, :, :].
+
+    F[..., q, :, :] = (d_m om_n + om_m om_n) - (d_n om_m + om_n om_m) for the
+    q-th pair (m, n) of ``np.triu_indices(n, 1)``: only om_n is differenced
+    along m and om_m along n.
+    """
+    pairs = list(zip(*np.triu_indices(grid.ndim, 1)))
+    out = np.empty(grid.dims + (len(pairs),) + om.shape[-2:])
+    swap, prod = np.empty((2,) + grid.dims + om.shape[-2:])
+    for q, (m, n) in enumerate(pairs):
+        om_m, om_n = om[..., m, :, :], om[..., n, :, :]
+        f = diff_axis(om_n, grid.spacing[m], m, out[..., q, :, :])
+        f += np.matmul(om_m, om_n, out=prod)
+        diff_axis(om_m, grid.spacing[n], n, swap)
+        swap += np.matmul(om_n, om_m, out=prod)
+        f -= swap
+    return out
 
 
 def bundle_curvature(bundle: BundleData) -> np.ndarray:
-    """Curvature F[..., m, n, a, b] of the bundle connection."""
-    return connection_curvature(bundle.grid, bundle.omega)
+    """Curvature F[..., m, n, a, b] of the bundle connection, all n^2 direction pairs."""
+    return expand_pairs(bundle.grid, connection_curvature(bundle.grid, bundle.omega))
 
 
 def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
     """All shape operators at once: out[..., a, i, j] = (A_{e_a})^i_j."""
-    return g.inverse()[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
+    return g.inverse[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
 
 
 def endomorphism_derivative(grid: ChartGrid, x: np.ndarray, conn: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
 a check would stay resident through it.  ``structure.check_all`` forms each
 once, reads its records and drops it, F before psi~ and D psi~ are formed.
+F is held over the direction pairs m < n only (one pair on a 2-dim chart),
+and is not formed at all on a 1-dim chart, where it is zero.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import ExclusionError, GridMismatchError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
                      grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import (ResidualReport, ToleranceModel, big_curvature, psi_blocks,
+from .structure import (ResidualReport, ToleranceModel, curvature_report, psi_blocks,
                         psi_tilde_derivative, records)
 
 
@@ -144,13 +146,7 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
 def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
                       curv: np.ndarray | None = None) -> ResidualReport:
     """F over the direction pairs m < n; vacuous pass on 1-dim charts."""
-    grid = geom.grid
-    if grid.ndim == 1:
-        return records(grid, tolerances, ("bundle_flatness", np.zeros(grid.dims)))
-    curv = big_curvature(geom) if curv is None else curv
-    pairs = [curv[..., m, n, :, :] for m in range(grid.ndim)
-             for n in range(m + 1, grid.ndim)]
-    return records(grid, tolerances, ("bundle_flatness", np.stack(pairs, axis=-1)))
+    return curvature_report(geom, tolerances, "bundle_flatness", curv, all_pairs=False)
 
 
 def extend_diagonal(block: np.ndarray, tail: tuple) -> np.ndarray:

@@ -214,7 +214,7 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
          - 0.5 * minus[..., None] * xi2[..., None, None, :])
     # tangential part: g^rs <w_mn, d_r phi>, the pairing as a product with eta d_r phi
     dphi_low = np.swapaxes(lower(dphi), -1, -2)        # (..., N, r)
-    w_tan = w @ dphi_low[..., None, :, :] @ geom.metric.inverse()[..., None, :, :]   # (..., m, n, s)
+    w_tan = w @ dphi_low[..., None, :, :] @ geom.metric.inverse[..., None, :, :]   # (..., m, n, s)
     h_fd = w - w_tan @ dphi[..., None, :, :]
     h_model = geom.sigma.values @ normals[..., None, :, :]
     res_second = h_fd - h_model

@@ -11,13 +11,16 @@ connection Omega (:mod:`prodimm.flatbundle`) is flat and psi~ is parallel,
 so every differential check is a block of one of two arrays, indexed in the
 basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
 
-* F[..., m, n, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n]
-  (``big_curvature``): ``gauss`` = F[..., :n, :n], laid out (m, n, i, r);
-  ``codazzi`` = 2 F[..., n:n+p, :n] with the last two axes swapped, laid
-  out (m, n, r, a), i.e. 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m)
-  - (m <-> n), the factor 2 keeping that scale; ``ricci`` =
-  F[..., n:n+p, n:n+p], laid out (m, n, a, b); ``bundle_flatness`` = F over
-  the pairs m < n.  On a 1-dim chart F is exactly zero.
+* F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] over
+  the direction pairs q = (m, n), m < n (``big_curvature``): ``gauss`` =
+  F[..., :n, :n], laid out (q, i, r); ``codazzi`` = 2 F[..., n:n+p, :n]
+  with the last two axes swapped, laid out (q, r, a), i.e.
+  2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) - (m <-> n), the factor 2
+  keeping that scale; ``ricci`` = F[..., n:n+p, n:n+p], laid out (q, a, b);
+  ``bundle_flatness`` = all of F.  The means of ``gauss``, ``codazzi`` and
+  ``ricci`` stay those over all n^2 direction pairs (``curvature_report``).
+  On a 1-dim chart F is exactly zero; it is not formed, and its four
+  records are zero.
 * D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~] (``psi_tilde_derivative``):
   ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
   each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
@@ -153,13 +156,13 @@ class ResidualReport:
 
 
 def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
-                threshold: float) -> CheckRecord:
-    """Reduce a (*dims, *free) residual array to a report record."""
+                threshold: float, mean_weight: float = 1.0) -> CheckRecord:
+    """Reduce a (*dims, *free) residual array to a record, its mean scaled by ``mean_weight``."""
     magnitude = np.abs(residual)
     nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)))
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
-                       mean_abs=float(magnitude.mean()),
+                       mean_abs=float(magnitude.mean()) * mean_weight,
                        argmax_node=argmax_node(nodewise), threshold=float(threshold),
                        passed=bool(max_abs <= threshold))
 
@@ -205,8 +208,26 @@ def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualRep
 
 
 def big_curvature(geom: Geometry) -> np.ndarray:
-    """F[..., m, n, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] of Omega."""
+    """F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] on pairs q = (m < n)."""
     return connection_curvature(geom.grid, geom.connection)
+
+
+def curvature_report(geom: Geometry, tolerances: ToleranceModel, name: str,
+                     curv: np.ndarray | None, block=lambda f: f,
+                     all_pairs: bool = True) -> ResidualReport:
+    """The record of ``block(F)``, F formed here if ``curv`` is None; zero on a 1-dim chart.
+
+    With ``all_pairs`` the mean is that over all n^2 direction pairs, as if F
+    were held in full: F[n, m] = -F[m, n] and the zero diagonal weight the
+    mean over the pairs m < n by (n-1)/n.
+    """
+    grid = geom.grid
+    if grid.ndim == 1:
+        return records(grid, tolerances, (name, np.zeros(grid.dims)))
+    curv = big_curvature(geom) if curv is None else curv
+    weight = (grid.ndim - 1) / grid.ndim if all_pairs else 1.0
+    return ResidualReport((make_record(name, block(curv), grid, tolerances.threshold(name, grid),
+                                       weight),))
 
 
 def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
@@ -229,27 +250,23 @@ def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
 def check_gauss(geom: Geometry, tolerances: ToleranceModel,
                 curv: np.ndarray | None = None) -> ResidualReport:
     """The tangent block F[..., :n, :n]."""
-    curv = big_curvature(geom) if curv is None else curv
     n = geom.grid.ndim
-    return records(geom.grid, tolerances, ("gauss", curv[..., :n, :n]))
+    return curvature_report(geom, tolerances, "gauss", curv, lambda f: f[..., :n, :n])
 
 
 def check_codazzi(geom: Geometry, tolerances: ToleranceModel,
                   curv: np.ndarray | None = None) -> ResidualReport:
-    """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (m, n, r, a)."""
-    curv = big_curvature(geom) if curv is None else curv
-    n = geom.grid.ndim
-    block = np.swapaxes(curv[..., n:n + geom.p, :n], -1, -2)
-    return records(geom.grid, tolerances, ("codazzi", 2.0 * block))
+    """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (q, r, a)."""
+    n, p = geom.grid.ndim, geom.p
+    return curvature_report(geom, tolerances, "codazzi", curv,
+                            lambda f: 2.0 * np.swapaxes(f[..., n:n + p, :n], -1, -2))
 
 
 def check_ricci(geom: Geometry, tolerances: ToleranceModel,
                 curv: np.ndarray | None = None) -> ResidualReport:
     """The bundle block F[..., n:n+p, n:n+p]."""
-    curv = big_curvature(geom) if curv is None else curv
-    n = geom.grid.ndim
-    return records(geom.grid, tolerances,
-                   ("ricci", curv[..., n:n + geom.p, n:n + geom.p]))
+    n, p = geom.grid.ndim, geom.p
+    return curvature_report(geom, tolerances, "ricci", curv, lambda f: f[..., n:n + p, n:n + p])
 
 
 def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
@@ -261,7 +278,7 @@ def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     """
     from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
     algebra = check_psi_algebra(geom, tolerances)
-    curv = big_curvature(geom)
+    curv = big_curvature(geom) if geom.grid.ndim > 1 else None
     gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual))
     del curv

@@ -5,10 +5,12 @@ package wrote it before its batched small-matrix products became ``@``; the
 tests compare the two on fixture data and on random data without the
 symmetries of real data, so a transposed operand cannot hide.  The oracles
 call each other, never the kernels they check; ``fields.grad_field`` and
-``fields.hessian_field`` (stencils, no products) are shared.  The structure
-check oracles spell out the Gauss, Codazzi, Ricci and parallel-structure
-equations, which the package reads off blocks of the big connection's
-curvature and of D psi~, so comparing the two tests those block identities.
+``fields.hessian_field`` (stencils, no products) are shared, and are checked
+bitwise against the padded-copy stencils ``grad_padded``, ``second_padded``
+and ``hessian_padded``.  The structure check oracles spell out the Gauss,
+Codazzi, Ricci and parallel-structure equations, which the package reads off
+blocks of the big connection's curvature and of D psi~, so comparing the two
+tests those block identities.
 """
 
 from __future__ import annotations
@@ -18,6 +20,35 @@ import numpy as np
 from prodimm.fields import grad_field, hessian_field
 from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
 from prodimm.structure import ResidualReport, make_record
+
+
+def ghost_padded(values, axis) -> np.ndarray:
+    """``values`` with axis ``axis`` first and one quartic-extrapolated ghost node per end."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    lo = 5.0 * v[0] - 10.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]
+    hi = 5.0 * v[-1] - 10.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]
+    return np.concatenate([lo[None], v, hi[None]])
+
+
+def grad_padded(grid, values) -> np.ndarray:
+    parts = []
+    for a in range(grid.ndim):
+        v = ghost_padded(values, a)
+        parts.append(np.moveaxis((v[2:] - v[:-2]) / (2.0 * grid.spacing[a]), 0, a))
+    return np.stack(parts, axis=grid.ndim)
+
+
+def second_padded(values, h, axis) -> np.ndarray:
+    v = ghost_padded(values, axis)
+    return np.moveaxis((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h), 0, axis)
+
+
+def hessian_padded(grid, values) -> np.ndarray:
+    nd = grid.ndim
+    hess = grad_padded(grid, grad_padded(grid, values))
+    for a in range(nd):
+        hess[(slice(None),) * nd + (a, a)] = second_padded(values, grid.spacing[a], a)
+    return hess
 
 
 def christoffel(g) -> np.ndarray:

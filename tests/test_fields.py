@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import DimensionError, MetricError
-from kernel_oracles import covariant_derivative
+from kernel_oracles import covariant_derivative, grad_padded, hessian_padded, second_padded
 from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
                             bundle_curvature, check_values, christoffel, curvature_tensor,
                             grad_field, hessian_field, prefix_apply, second_derivative_axis,
@@ -218,6 +218,30 @@ def test_second_derivative_axis_boundary_order():
     x = grid.coords()[..., 0]
     out = second_derivative_axis(x**3, 0.125, 0)
     assert np.abs(out - 6 * x).max() <= 1e-10
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("dims, slots", [((9,), ()), ((7, 8), (2, 3)), ((5, 6, 7), ())],
+                         ids=["1d_scalar", "2d_slots", "3d"])
+def test_stencils_match_the_padded_oracle_bitwise(dims, slots):
+    # float, integer and read-only inputs; ends written in place equal the padded copy's
+    rng = np.random.default_rng(len(dims))
+    grid = ChartGrid(dims=dims, spacing=tuple(0.1 + 0.03 * a for a in range(len(dims))),
+                     origin=(0.0,) * len(dims))
+    read_only = rng.normal(size=dims + slots)
+    read_only.flags.writeable = False
+    for values in (rng.normal(size=dims + slots), rng.integers(-9, 10, size=dims + slots),
+                   read_only):
+        assert _same_bits(grad_field(grid, values), grad_padded(grid, values))
+        assert _same_bits(hessian_field(grid, values), hessian_padded(grid, values))
+        for a, h in enumerate(grid.spacing):
+            assert _same_bits(second_derivative_axis(values, h, a),
+                              second_padded(values, h, a))
 
 
 def test_composed_differences_second_order_at_edges():

@@ -93,3 +93,24 @@ def test_tracer_counts_the_rebuild_layers(monkeypatch):
     sweeps = [sp for sp in tracer.spans if sp.name == "reconstruct.sweep_parallel_frame"]
     assert all(sp.counts.get("sweep_steps", 0) > 0 for sp in sweeps)
     assert not tracer.missing, tracer.missing
+
+
+def test_tracer_counts_the_check_layers(monkeypatch):
+    """One 2-D check: every structure and flat-bundle span opens once, none is missing."""
+    imm, _ = fixture("F3")
+    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
+    data = extract_all(imm, grid)
+    tracer = _spans_module(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        _program_attr("cli.check_dataset")(Geometry.of(data), default_tolerances(data))
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in ("cli.check_dataset", "structure.check_all", "structure.check_psi_algebra",
+                 "structure.check_psi_parallel", "structure.check_gauss",
+                 "structure.check_codazzi", "structure.check_ricci",
+                 "flatbundle.build_connection", "flatbundle.metric_compatibility_residual",
+                 "flatbundle.flatness_residual", "flatbundle.psi_tilde_parallel_residual"):
+        assert calls.get(name) == 1, (name, calls.get(name))
+    assert not tracer.missing, tracer.missing
