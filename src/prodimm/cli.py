@@ -23,7 +23,7 @@ from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import Geometry, metric_compatibility_residual
 from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
-from .structure import ResidualReport, ToleranceModel, check_all
+from .structure import ResidualReport, ToleranceModel, check_all, require_tolerance
 
 
 def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
@@ -187,6 +187,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    require_tolerance("--distance-tol", args.distance_tol)
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
     ds = Dataset.from_extraction(data)
@@ -212,6 +213,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_align(args) -> int:
+    require_tolerance("--distance-tol", args.distance_tol)
     coords_a, values_a, k_a = dataio.load_immersion_csv(args.mesh_a)
     coords_b, values_b, k_b = dataio.load_immersion_csv(args.mesh_b)
     rep_a = dataio.load_report(args.report_a or args.mesh_a + ".report.json")

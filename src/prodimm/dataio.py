@@ -21,9 +21,9 @@ slots last:
 A field holds 8 bytes per node and slot.  The arrays are not numeric JSON
 because writing each float as text (``float.__repr__``) and parsing it back
 cost more than the geometry they carry; the bytes round-trip bitwise, and each
-field is encoded or decoded by one C call.  ``prodimm-dataset/1``
-documents, which hold each field as a flat JSON list of numbers in the same
-order, are still read; they are never written.
+field is encoded or decoded by one C call.  It is the one dataset format: a
+document of any other schema, ``prodimm-dataset/1`` (its fields as flat JSON
+lists) included, is rejected with a ``SchemaError`` naming the schema expected.
 
 In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
 [[f, U], [u, lambda]], filled block by block on load.
@@ -54,7 +54,6 @@ from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
 
 DATASET_SCHEMA = "prodimm-dataset/2"
-LEGACY_DATASET_SCHEMA = "prodimm-dataset/1"   # read, never written
 REPORT_SCHEMA = "prodimm-report/1"
 _GRID_KEYS = ("dims", "spacing", "origin")   # ChartGrid fields, in order
 _PSI_FIELDS = ("psi.f", "psi.u", "psi.U", "psi.lambda")   # the blocks of psi_blocks, in order
@@ -170,19 +169,10 @@ def _take(doc: dict, key: str):
     return doc[key]
 
 
-def _field_array(fields: dict, name: str, shape: tuple, legacy: bool) -> np.ndarray:
-    """Field ``name`` as a fresh writable float array of ``shape``.
-
-    ``legacy`` (a ``/1`` document) reads a flat list of numbers; otherwise the
-    field must be base64 of exactly 8 bytes per entry.
-    """
+def _field_array(fields: dict, name: str, shape: tuple) -> np.ndarray:
+    """Field ``name``, base64 of exactly 8 bytes per entry, as a fresh writable float array."""
     raw = _take(fields, name)
     count = math.prod(shape)
-    if legacy:
-        if not isinstance(raw, list) or len(raw) != count:
-            raise SchemaError(f"field {name!r} must be a flat list of {count} numbers, "
-                              f"got length {len(raw) if isinstance(raw, list) else 'n/a'}")
-        return np.asarray(raw, dtype=float).reshape(shape)
     if not isinstance(raw, str):
         raise SchemaError(f"field {name!r} must be a base64 string of {8 * count} bytes, "
                           f"got {type(raw).__name__}")
@@ -199,10 +189,8 @@ def _field_array(fields: dict, name: str, shape: tuple, legacy: bool) -> np.ndar
 
 def dataset_from_dict(doc: dict) -> Dataset:
     schema = doc.get("schema") if isinstance(doc, dict) else type(doc)
-    if schema not in (DATASET_SCHEMA, LEGACY_DATASET_SCHEMA):
-        raise SchemaError(f"expected schema {DATASET_SCHEMA!r} or {LEGACY_DATASET_SCHEMA!r}, "
-                          f"got {schema}")
-    legacy = schema == LEGACY_DATASET_SCHEMA
+    if schema != DATASET_SCHEMA:
+        raise SchemaError(f"expected schema {DATASET_SCHEMA!r}, got {schema}")
     gspec = _take(doc, "grid")
     try:
         grid = ChartGrid(*(tuple(_take(gspec, key)) for key in _GRID_KEYS))
@@ -212,13 +200,12 @@ def dataset_from_dict(doc: dict) -> Dataset:
             raise SchemaError("header n does not match the grid dimension")
         fields = _take(doc, "fields")
         dims = grid.dims
-        metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n), legacy))
-        bundle = BundleData(grid, _field_array(fields, "bundle_connection", dims + (n, p, p),
-                                               legacy))
-        sigma = SecondFormField(grid, _field_array(fields, "sigma", dims + (n, n, p), legacy))
+        metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n)))
+        bundle = BundleData(grid, _field_array(fields, "bundle_connection", dims + (n, p, p)))
+        sigma = SecondFormField(grid, _field_array(fields, "sigma", dims + (n, n, p)))
         psi = np.empty(dims + (n + p, n + p))
         for name, block in zip(_PSI_FIELDS, psi_blocks(psi, n)):
-            block[...] = _field_array(fields, name, block.shape, legacy)
+            block[...] = _field_array(fields, name, block.shape)
         psi = check_values(grid, psi, (n + p, n + p))
         tolerances = ToleranceModel.from_dict(doc.get("tolerances", {}))
         meta = dict(doc.get("meta", {}))

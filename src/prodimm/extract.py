@@ -7,7 +7,10 @@ The same data feed the checker (necessity direction) and the reconstructor
 (roundtrip oracle).
 
 Points and tangents are sampled once per extraction; every ``induced_*``
-function takes them as arrays.
+function takes them as arrays.  Each induced quantity is a pairing of frame
+rows (``lorentz.minkowski_gram``): g = <d_i phi, d_j phi>, sigma =
+<d_i d_j phi, nu_a>, the normal connection <nu_a, d_m nu_b>, and psi, read
+off <e_B, psi e_A> for the stacked rows e = (d_i phi, nu_a).
 
 Normal-frame gauge: at every node the projector onto the normal space removes
 xi1, xi2 and the Gram-Schmidt-orthonormalized tangents.  At the base node the
@@ -31,13 +34,15 @@ completion above.  Measured on F1 with helix-a 0.6 (b = 0.8), h = 5e-3, as
 the largest record over its threshold (the unboosted edge-by-edge sweep in
 brackets):
 
-* analytic route: ``check`` passes at 1000 nodes (0.002 [0.89]) and at 1400
-  nodes (0.07 [759]), and ``roundtrip`` at 1400 (0.085).  At 1800 nodes it
-  fails at 1.55 [4.1e5]: eps cosh^2(7.2) ~ 1e-10 is the algebraic threshold
-  itself, the floor of ambient input that no gauge lowers;
-* ``--fd`` route: ``check`` passes at 1800 nodes (0.03 [97]) and 2000 nodes
-  (0.28 [5.3e3]); the rebuild fails at 2000 (``reconstruction_second_form``
-  2.5), since the transported frame is not boosted;
+* analytic route: ``check`` passes at 1000 nodes (0.0015 [0.89]) and at 1400
+  nodes (0.05 [759]), and ``roundtrip`` at 1400 (0.085).  At 1800 nodes it
+  reads 0.96 [4.1e5] and at 2000 nodes 4.9: eps cosh^2(7.2) ~ 1e-10 is the
+  algebraic threshold itself, the floor of ambient input that no gauge
+  lowers, so there the rounding of each pairing decides the verdict;
+* ``--fd`` route: ``check`` passes at 1000 to 1800 nodes (at most 0.03 [97])
+  and at 2000 nodes (0.28 [5.3e3]); the rebuild records pass at 1800 (0.28)
+  and fail at 2000 (``reconstruction_second_form`` 2.5), since the
+  transported frame is not boosted;
 * at 3199 nodes (cosh(bt) ~ 2e5) extraction completes [matmul overflow],
   and the checks fail.
 
@@ -67,11 +72,12 @@ import numpy as np
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
                      check_values, grad_field, hessian_field, sweep_compose)
-from .lorentz import (apex_boost, complete_basis, eta, gram_schmidt, minkowski_dot,
+from .lorentz import (apex_boost, complete_basis, gram_schmidt, lower, minkowski_gram,
                       product_defect, product_normals, psi_flip)
 from .structure import ToleranceModel, psi_blocks
 
 _SEED_TOL = 1e-10
+_PRODUCT_TOL = 1e-8   # product defect of an evaluated point, relative to max(1, |y|^2)
 
 
 @dataclass(frozen=True)
@@ -124,12 +130,11 @@ class ExtractionResult:
         return np.column_stack([self.tangents[node].T, self.normals[node].T, xi1, xi2])
 
 
-def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,
-                     tol: float = 1e-8) -> np.ndarray:
+def immersion_points(imm: AnalyticImmersion, grid: ChartGrid) -> np.ndarray:
     """Evaluate the immersion on every node and check the product constraints.
 
     The round-off of <y, y> grows like |y|^2, so a node passes when its
-    product defect is at most ``tol * max(1, |y|^2)``; the error names the
+    product defect is at most ``_PRODUCT_TOL * max(1, |y|^2)``; the error names the
     first node in C order that is off the product or on the lower sheet.
     """
     if grid.ndim != imm.n:
@@ -139,8 +144,8 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid,
         raise DimensionError(f"point evaluator returned shape {pts.shape}")
     y = pts[..., imm.k + 1:]
     defect = product_defect(pts, imm.k)
-    scale = np.maximum(1.0, np.einsum("...i,...i->...", y, y))
-    off = ~(defect <= tol * scale)
+    scale = np.maximum(1.0, (y * y).sum(axis=-1))
+    off = ~(defect <= _PRODUCT_TOL * scale)
     bad = off | (y[..., -1] <= 0)
     if bad.any():
         node = argmax_node(bad)
@@ -162,18 +167,16 @@ def immersion_tangents(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarr
 
 def induced_metric(grid: ChartGrid, tangents: np.ndarray) -> MetricField:
     """First fundamental form from pairwise tangent products."""
-    gv = minkowski_dot(tangents[..., :, None, :], tangents[..., None, :, :])
+    gv = minkowski_gram(tangents, tangents)
     return MetricField(grid, 0.5 * (gv + np.swapaxes(gv, -1, -2)))
 
 
 def _normal_projector(cols: np.ndarray) -> np.ndarray:
     """I - sum_w w <w, .> / <w, w> over the columns (xi1, xi2, tangents) of cols (..., N, n+2)."""
-    size, count = cols.shape[-2:]
-    norms = np.ones(count)
-    norms[1] = -1.0                                   # <xi2, xi2> = -1
     # the paired rows <w, .> as a C-ordered array: matmul is slower on a transposed view
-    pairing = np.swapaxes(cols, -1, -2) * np.multiply.outer(norms, eta(size).diagonal())
-    return np.eye(size) - cols @ pairing
+    pairing = lower(np.swapaxes(cols, -1, -2))
+    pairing[..., 1, :] *= -1.0                        # divided by <xi2, xi2> = -1
+    return np.eye(cols.shape[-2]) - cols @ pairing
 
 
 def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
@@ -205,8 +208,7 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     # projectors of the boosted columns have entries of order 1, not |y|^2.
     hyp = (Ellipsis, slice(imm.k + 1, None), slice(None))      # hyperbolic rows
     boost = apex_boost(points[..., imm.k + 1:])
-    signs = eta(imm.m + 1).diagonal()
-    unboost = boost * np.multiply.outer(signs, signs)          # L^-1 = eta L eta
+    unboost = lower(lower(boost), axis=-2)                     # L^-1 = eta L eta
     np.matmul(boost, cols[hyp], out=cols[hyp])
     ops = _normal_projector(cols)
     del cols
@@ -250,7 +252,7 @@ def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndar
         dd = grad_field(grid, tangents)
     else:
         dd = hessian_field(grid, points)
-    sg = minkowski_dot(dd[..., :, :, None, :], normals[..., None, None, :, :])
+    sg = minkowski_gram(dd, normals[..., None, :, :])
     sg = 0.5 * (sg + np.swapaxes(sg, -3, -2))
     return SecondFormField(grid, sg)
 
@@ -261,26 +263,21 @@ def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.
 
     Returns the structure matrix [[f, U], [u, lambda]] together with the normal
     connection in the swept gauge (skew-symmetrized; exact skewness is restored
-    explicitly).
+    explicitly).  The structure is read off one pairing of the stacked rows
+    e = (d_1 phi .. d_n phi, nu_1 .. nu_p): psi[B, A] = <e_B, psi e_A>, the
+    tangent rows raised by g^-1 and lambda symmetrized.
     """
-    grid = metric.grid
+    grid, n = metric.grid, metric.grid.ndim
     d_normals = grad_field(grid, normals)             # (..., m, b, N)
-    om = minkowski_dot(d_normals[..., :, None, :, :], normals[..., None, :, None, :])
-    # om[..., m, a, b] = <d_m nu_b, nu_a>; enforce exact skewness
+    om = minkowski_gram(normals[..., None, :, :], d_normals)
+    # om[..., m, a, b] = <nu_a, d_m nu_b>; enforce exact skewness
     om = 0.5 * (om - np.swapaxes(om, -1, -2))
 
-    ginv = metric.inverse
-    psi = np.empty(grid.dims + (grid.ndim + imm.p,) * 2)
-    f, u, big_u, lam = psi_blocks(psi, grid.ndim)
-    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
-    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
-    b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
-    f[...] = np.einsum("...ij,...mj->...im", ginv, b_t)
-    u[...] = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
-    b_n = minkowski_dot(psi_n[..., :, None, :], tangents[..., None, :, :])    # (b, j)
-    big_u[...] = np.einsum("...ij,...bj->...ib", ginv, b_n)
-    lam_vals = minkowski_dot(normals[..., :, None, :], psi_n[..., None, :, :])  # (a, b)
-    lam[...] = 0.5 * (lam_vals + np.swapaxes(lam_vals, -1, -2))
+    rows = np.concatenate([tangents, normals], axis=-2)
+    psi = minkowski_gram(rows, psi_flip(rows, imm.k))
+    psi[..., :n, :] = metric.inverse @ psi[..., :n, :]
+    lam = psi_blocks(psi, n)[3]
+    lam[...] = 0.5 * (lam + np.swapaxes(lam, -1, -2))
     return check_values(grid, psi, psi.shape[grid.ndim:]), BundleData(grid, om)
 
 

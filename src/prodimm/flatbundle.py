@@ -42,6 +42,8 @@ from .lorentz import complete_basis
 from .structure import (ResidualReport, ToleranceModel, curvature_report, psi_blocks,
                         psi_tilde_derivative, records)
 
+_SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the base
+
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
@@ -173,8 +175,7 @@ def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,
     return records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_tilde))
 
 
-def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int,
-                snap: float = 0.1):
+def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int):
     """Split the big bundle at one node into the two structure eigenspaces.
 
     Returns (k, B1, B2) where B1 has k+1 G-orthonormal columns in the +1
@@ -186,11 +187,11 @@ def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: in
     if pt.shape != (size, size):
         raise StructureError(f"expected a {size}x{size} structure matrix")
     inv_defect = float(np.abs(pt @ pt - np.eye(size)).max())
-    if inv_defect > 2.0 * snap:
+    if inv_defect > 2.0 * _SNAP:
         raise StructureError(f"structure is not an involution (defect {inv_defect:.3e})")
     eigs = np.linalg.eigvals(pt)
-    if np.abs(eigs.imag).max() > snap or np.abs(np.abs(eigs.real) - 1.0).max() > snap:
-        raise StructureError(f"structure spectrum not within {snap} of +-1: {eigs}")
+    if np.abs(eigs.imag).max() > _SNAP or np.abs(np.abs(eigs.real) - 1.0).max() > _SNAP:
+        raise StructureError(f"structure spectrum not within {_SNAP} of +-1: {eigs}")
     k_plus_1 = int((eigs.real > 0).sum())
     k = k_plus_1 - 1
     if not 1 <= k <= n + p - 1:

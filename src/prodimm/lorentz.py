@@ -12,9 +12,10 @@ Conventions used everywhere in this package:
   the product by psi(xi1) = xi1, psi(xi2) = -xi2.
 
 Every ambient formula of the package is written once, here, broadcasting over
-node axes: the pairing ``minkowski_dot``, its Gram matrix ``eta`` and the
-index lowering ``lower`` (eta applied along one axis);
-``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
+node axes.  The Minkowski sign is applied in one place, ``lower`` (eta along
+one axis), and the pairings go through it: ``minkowski_dot`` of vectors and
+``minkowski_gram`` of row stacks, (..., r, N) x (..., s, N) -> (..., r, s).
+``eta`` is the Gram matrix of the form; ``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
 xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
 ``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
 ``apex_boost``, the boost taking a point of H^m to the apex;
@@ -31,7 +32,7 @@ from .errors import DegeneracyError, DimensionError
 
 
 def minkowski_dot(x, y):
-    """Signature (+...+,-) bilinear form; broadcasts over leading axes."""
+    """Signature (+...+,-) bilinear form of vectors (..., N); broadcasts over leading axes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
@@ -40,8 +41,12 @@ def minkowski_dot(x, y):
         )
     if x.shape[-1] < 2:
         raise DimensionError("Lorentzian vectors need at least 2 entries")
-    prod = x * y
-    return prod[..., :-1].sum(axis=-1) - prod[..., -1]
+    return _contract(x, lower(y))
+
+
+def _contract(x, y) -> np.ndarray:
+    """Plain dot products of vectors (..., N) along their last axis."""
+    return np.einsum("...i,...i->...", x, y)
 
 
 def eta(n: int) -> np.ndarray:
@@ -52,14 +57,18 @@ def eta(n: int) -> np.ndarray:
 
 
 def lower(v, axis: int = -1) -> np.ndarray:
-    """eta v along ``axis``: a copy of ``v`` with its timelike entries negated there.
+    """eta v along ``axis``: a C-ordered copy of ``v`` with its timelike entries negated there.
 
-    ``x @ lower(y)`` is ``minkowski_dot(x, y)``; on (..., N, cols) arrays with
-    ``axis=-2`` it lowers every column at once.
+    On (..., N, cols) arrays with ``axis=-2`` it lowers every column at once.
     """
-    out = np.array(v, dtype=float)
+    out = np.array(v, dtype=float, order="C")
     np.moveaxis(out, axis, -1)[..., -1] *= -1.0
     return out
+
+
+def minkowski_gram(a, b) -> np.ndarray:
+    """(..., r, s) pairings <a_i, b_j> of the rows of a (..., r, N) and b (..., s, N)."""
+    return a @ np.swapaxes(lower(b), -1, -2)
 
 
 def psi_flip(v, k: int) -> np.ndarray:
@@ -110,12 +119,6 @@ def gram_defect(frame, gram) -> np.ndarray:
     return np.swapaxes(frame, -1, -2) @ gram @ frame - eta(frame.shape[-1])
 
 
-def _pair(a, b, gram):
-    if gram is None:
-        return minkowski_dot(a, b)
-    return (a[..., None, :] @ gram @ b[..., :, None])[..., 0, 0]
-
-
 def gram_schmidt(rows, gram=None, basis=()):
     """Orthonormalize ``rows`` (..., r, N) in order, after the vectors of ``basis``.
 
@@ -127,17 +130,25 @@ def gram_schmidt(rows, gram=None, basis=()):
     to inf or NaN, so callers test ``~(n2 > tol)``, which is true for NaN.
     """
     rows = np.asarray(rows, dtype=float)
-    done = [(w, _pair(w, w, gram)) for w in basis]
-    out, norms = [], []
+
+    def paired(w):   # the covector <., w>
+        return lower(w) if gram is None else (gram @ w[..., None])[..., 0]
+
+    out, norms, done = [], [], []   # done: each vector w with <., w> / <w, w>
     with np.errstate(divide="ignore", invalid="ignore"):
+        for w in basis:
+            w_low = paired(w)
+            done.append((w, w_low / _contract(w, w_low)[..., None]))
         for a in range(rows.shape[-2]):
             v = rows[..., a, :]
             for _ in range(2):
-                for w, w2 in done:
-                    v = v - (_pair(v, w, gram) / w2)[..., None] * w
-            n2 = _pair(v, v, gram)
-            v = v / np.sqrt(np.abs(n2))[..., None]
-            done.append((v, np.sign(n2)))
+                for w, w_dual in done:
+                    v = v - _contract(v, w_dual)[..., None] * w
+            v_low = paired(v)
+            n2 = _contract(v, v_low)
+            root = np.sqrt(np.abs(n2))[..., None]
+            v = v / root
+            done.append((v, v_low * (np.sign(n2)[..., None] / root)))
             out.append(v)
             norms.append(n2)
     return np.stack(out, axis=-2), np.stack(norms, axis=-1)
@@ -196,8 +207,7 @@ def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> np.ndarray:
         n = vecs.shape[-1] if vecs.ndim else 0
         raise DimensionError(f"need {n} vectors of length {n} for a full frame, "
                              f"got shape {vecs.shape}")
-    n = vecs.shape[0]
-    _, evecs = np.linalg.eigh(vecs @ eta(n) @ vecs.T)
+    _, evecs = np.linalg.eigh(minkowski_gram(vecs, vecs))
     t = evecs[:, 0] @ vecs
     norm2 = minkowski_dot(t, t)
     if norm2 >= -tol * max(float(np.linalg.norm(vecs, 2)), 1.0) ** 2:

@@ -16,14 +16,17 @@ Pipeline (all deterministic):
    the sign of the timelike coordinate, together with its nodewise distance
    from the product;
 4. verify isometry, normal orthogonality, the second form and the
-   product-structure compatibility by finite differences of the rebuilt map.
+   product-structure compatibility by finite differences of the rebuilt map:
+   one pairing of d phi with the rebuilt rows e = (d phi, nu) gives the first
+   two, <psi d phi, d phi> the product terms of the second form, and the
+   residual psi e - psi^T e the compatibility records (tangent, normal rows).
 
 Frames, points and the Gram matrices G are plain arrays over the node axes:
 frames (*dims, N, N) with the transported sections as columns, points
 (*dims, N) with the timelike coordinate last.  The structure is one
 (*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split reads psi~, its
-padding to N = n+p+2, at the base node, and the compatibility records pair
-each block with the rebuilt tangents and normals.  ``ReconstructionResult``
+padding to N = n+p+2, at the base node, and the compatibility records apply
+its transpose to the rebuilt rows.  ``ReconstructionResult``
 holds the rebuild; G and the connection stay on the caller's ``Geometry``.
 
 The connection preserves G, so the transported frame is never corrected:
@@ -44,9 +47,9 @@ import numpy as np
 from .errors import ReconstructionError, StructureError
 from .fields import ChartGrid, argmax_node, grad_field, hessian_field, sweep_compose
 from .flatbundle import Geometry, eigen_split
-from .lorentz import (eta, gram_defect, lower, minkowski_dot, product_defect, product_normals,
+from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
-from .structure import ResidualReport, ToleranceModel, psi_blocks, records
+from .structure import ResidualReport, ToleranceModel, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
@@ -196,39 +199,34 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
     n, p = grid.ndim, geom.p
     dphi = grad_field(grid, points)                    # (..., m, N)
 
-    # normal columns of the frame isomorphism (exact, no differencing)
-    psi_map = immersion_psi_field(frame, geom.gram)
-    normals = np.swapaxes(psi_map[..., :, n:n + p], -1, -2)      # (..., b, N)
-
-    induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
-    res_isometry = induced - geom.metric.values
-
-    res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
+    # the rebuilt rows (d_1 phi .. d_n phi, nu_1 .. nu_p); the normals are
+    # columns of the frame isomorphism (exact, no differencing)
+    rows = np.concatenate(
+        [dphi, np.swapaxes(immersion_psi_field(frame, geom.gram)[..., :, n:n + p], -1, -2)],
+        axis=-2)
+    normals = rows[..., n:, :]
+    pairs = minkowski_gram(dphi, rows)                 # (..., m, n+p): <d_m phi, e_B>
+    induced = pairs[..., :n]
 
     xi1, xi2 = product_normals(points, k)
     psi_dphi = psi_flip(dphi, k)
+    cross = minkowski_gram(psi_dphi, dphi)             # <psi d_m phi, d_n phi>
     d2phi = hessian_field(grid, points)                # (..., m, n, N)
-    plus = minkowski_dot((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
-    minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
-    w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
-         - 0.5 * minus[..., None] * xi2[..., None, None, :])
-    # tangential part: g^rs <w_mn, d_r phi>, the pairing as a product with eta d_r phi
-    dphi_low = np.swapaxes(lower(dphi), -1, -2)        # (..., N, r)
-    w_tan = w @ dphi_low[..., None, :, :] @ geom.metric.inverse[..., None, :, :]   # (..., m, n, s)
-    h_fd = w - w_tan @ dphi[..., None, :, :]
-    h_model = geom.sigma.values @ normals[..., None, :, :]
-    res_second = h_fd - h_model
+    w = (d2phi + 0.5 * (induced + cross)[..., None] * xi1[..., None, None, :]
+         - 0.5 * (induced - cross)[..., None] * xi2[..., None, None, :])
+    # tangential part: g^rs <w_mn, d_r phi>
+    w_tan = minkowski_gram(w, dphi[..., None, :, :]) @ geom.metric.inverse[..., None, :, :]
+    res_second = w - w_tan @ dphi[..., None, :, :] - geom.sigma.values @ normals[..., None, :, :]
 
-    f_t, u_t, big_u_t, lam_t = (np.swapaxes(blk, -1, -2) for blk in psi_blocks(geom.psi, n))
-    res_psi_t = psi_dphi - f_t @ dphi - u_t @ normals
-    res_psi_n = psi_flip(normals, k) - big_u_t @ dphi - lam_t @ normals
+    # psi e_B - sum_A psi[A, B] e_A for every rebuilt row e_B
+    res_psi = psi_flip(rows, k) - np.swapaxes(geom.psi, -1, -2) @ rows
 
     return records(grid, tolerances,
-                   ("reconstruction_isometry", res_isometry),
-                   ("reconstruction_normal_orthogonality", res_orth),
+                   ("reconstruction_isometry", induced - geom.metric.values),
+                   ("reconstruction_normal_orthogonality", pairs[..., n:]),
                    ("reconstruction_second_form", res_second),
-                   ("reconstruction_psi_compat_tangent", res_psi_t),
-                   ("reconstruction_psi_compat_normal", res_psi_n))
+                   ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
+                   ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))
 
 
 def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> ResidualReport:
@@ -269,7 +267,7 @@ def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
     eta_defect = float(np.abs(gram_defect(t, eta(t.shape[0]))).max())
     psi_bar = psi_flip(np.eye(t.shape[0]), k_a)
     comm_defect = float(np.abs(t @ psi_bar - psi_bar @ t).max())
-    moved = np.einsum("ij,...j->...i", t, points_a)
+    moved = points_a @ t.T
     dist = np.linalg.norm(moved - points_b, axis=-1)
     return AlignmentResult(isometry=t, max_distance=float(dist.max()),
                            eta_defect=eta_defect, commutation_defect=comm_defect)

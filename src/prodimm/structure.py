@@ -66,6 +66,12 @@ class StructureWarning(UserWarning):
     """Diagnostic for data touching the excluded identity structure."""
 
 
+def require_tolerance(name: str, value) -> None:
+    """Raise ``SchemaError`` naming ``name`` unless ``value`` is None or a number >= 0 or inf."""
+    if value is not None and not value >= 0:   # NaN fails too
+        raise SchemaError(f"tolerance {name} must be a non-negative number or inf, got {value}")
+
+
 @dataclass(frozen=True)
 class ToleranceModel:
     """Pass thresholds: differencing checks scale with h^2, algebra does not.
@@ -88,9 +94,7 @@ class ToleranceModel:
         named = {"factor": self.factor, "floor": self.floor, "algebraic": self.algebraic,
                  **{f"override {k}": v for k, v in self.overrides.items()}}
         for field_name, value in named.items():
-            if value is not None and not value >= 0:   # NaN fails too
-                raise SchemaError(f"tolerance {field_name} must be a non-negative number "
-                                  f"or inf, got {value}")
+            require_tolerance(field_name, value)
 
     def threshold(self, name: str, grid: ChartGrid) -> float:
         if name in self.overrides:

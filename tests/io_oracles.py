@@ -6,10 +6,8 @@ numeric array is inlined, one ``str.replace`` pass per array, and one
 ``csv.writer`` row of ``repr(float(v))`` strings per mesh node.  The new
 writers must give the same bytes.
 
-``dataset_v1_dict`` writes the ``prodimm-dataset/1`` layout (each field a flat
-list of numbers), which the loader still reads.  ``field_values`` and
-``edit_field`` decode and re-encode one base64 field of a ``/2`` document with
-the ``base64`` module, independently of the loader.
+``field_values`` and ``edit_field`` decode and re-encode one base64 field of a
+``/2`` document with the ``base64`` module, independently of the loader.
 """
 
 import base64
@@ -21,23 +19,8 @@ import numpy as np
 
 from prodimm.dataio import immersion_csv_header
 from prodimm.lorentz import minkowski_dot
-from prodimm.structure import psi_blocks
 
 V2_SCHEMA = "prodimm-dataset/2"
-PSI_FIELDS = ("psi.f", "psi.u", "psi.U", "psi.lambda")
-
-
-def dataset_v1_dict(ds) -> dict:
-    """The ``prodimm-dataset/1`` document of a dataset: every field a flat list, C order."""
-    arrays = {"metric": ds.metric.values, "bundle_connection": ds.bundle.omega,
-              "sigma": ds.sigma.values,
-              **dict(zip(PSI_FIELDS, psi_blocks(ds.psi, ds.grid.ndim)))}
-    return {"schema": "prodimm-dataset/1", "n": ds.grid.ndim, "p": ds.p,
-            "grid": {"dims": list(ds.grid.dims), "spacing": list(ds.grid.spacing),
-                     "origin": list(ds.grid.origin)},
-            "tolerances": ds.tolerances.to_dict(), "meta": ds.meta,
-            "fields": {name: [float(v) for v in np.ravel(values)]
-                       for name, values in arrays.items()}}
 
 
 def field_values(doc: dict, name: str) -> np.ndarray:

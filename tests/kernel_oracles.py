@@ -10,7 +10,9 @@ bitwise against the padded-copy stencils ``grad_padded``, ``second_padded``
 and ``hessian_padded``.  The structure check oracles spell out the Gauss,
 Codazzi, Ricci and parallel-structure equations, which the package reads off
 blocks of the big connection's curvature and of D psi~, so comparing the two
-tests those block identities.
+tests those block identities.  ``induced_structure`` is the extraction's
+per-block structure read: four pairings, one per block of psi, and the
+tangent blocks raised by ``einsum``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from prodimm.fields import grad_field, hessian_field
 from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
-from prodimm.structure import ResidualReport, make_record
+from prodimm.structure import ResidualReport, make_record, psi_blocks
 
 
 def ghost_padded(values, axis) -> np.ndarray:
@@ -281,3 +283,24 @@ def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> Res
                    ("reconstruction_second_form", h_fd - h_model),
                    ("reconstruction_psi_compat_tangent", res_psi_t),
                    ("reconstruction_psi_compat_normal", res_psi_n))
+
+
+def induced_structure(imm, metric, tangents, normals):
+    """The structure matrix [[f, U], [u, lambda]] and the normal connection omega."""
+    grid = metric.grid
+    d_normals = grad_field(grid, normals)             # (..., m, b, N)
+    om = minkowski_dot(d_normals[..., :, None, :, :], normals[..., None, :, None, :])
+    om = 0.5 * (om - np.swapaxes(om, -1, -2))
+    ginv = np.linalg.inv(metric.values)
+    psi = np.empty(grid.dims + (grid.ndim + imm.p,) * 2)
+    f, u, big_u, lam = psi_blocks(psi, grid.ndim)
+    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
+    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
+    b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
+    f[...] = np.einsum("...ij,...mj->...im", ginv, b_t)
+    u[...] = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
+    b_n = minkowski_dot(psi_n[..., :, None, :], tangents[..., None, :, :])    # (b, j)
+    big_u[...] = np.einsum("...ij,...bj->...ib", ginv, b_n)
+    lam_vals = minkowski_dot(normals[..., :, None, :], psi_n[..., None, :, :])  # (a, b)
+    lam[...] = 0.5 * (lam_vals + np.swapaxes(lam_vals, -1, -2))
+    return psi, om

@@ -14,7 +14,7 @@ from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_da
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
 
-from io_oracles import dataset_v1_dict, edit_field, field_values
+from io_oracles import edit_field, field_values
 
 
 @pytest.fixture(scope="module")
@@ -428,15 +428,30 @@ def test_malformed_field_exits_2_naming_it(f1_dataset_path, tmp_path, capsys, na
     assert err.startswith("error: ") and f"field {name!r}" in err
 
 
-def test_check_reads_a_v1_dataset(f1_dataset_path, tmp_path):
-    """A dataset in the list layout of ``prodimm-dataset/1`` checks as its ``/2`` file does."""
+def test_check_rejects_a_v1_dataset(f1_dataset_path, tmp_path, capsys):
+    """``prodimm-dataset/1`` is no longer read: the schema error names the one format."""
+    doc = json.loads(f1_dataset_path.read_text())
+    for name in doc["fields"]:
+        doc["fields"][name] = field_values(doc, name).tolist()   # the /1 list layout
+    doc["schema"] = "prodimm-dataset/1"
     v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(dataset_v1_dict(load_dataset(str(f1_dataset_path)))))
-    reports = []
-    for path in (f1_dataset_path, v1):
-        out = tmp_path / f"{path.stem}.report.json"
-        assert main(["check", str(path), "--report", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        del doc["timings"]
-        reports.append(doc)
-    assert reports[0] == reports[1]
+    v1.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(v1)]) == 2
+    err = capsys.readouterr().err
+    assert "expected schema 'prodimm-dataset/2', got prodimm-dataset/1" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["roundtrip", "align"])
+def test_bad_distance_tol_exits_2(f1_dataset_path, tmp_path, capsys, command, value):
+    """A NaN or negative ``--distance-tol`` is bad input, not a failed alignment."""
+    if command == "align":
+        mesh = tmp_path / "a.csv"
+        assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+        argv = ["align", str(mesh), str(mesh)]
+    else:
+        argv = ["roundtrip", "--fixture", "F1"]
+    capsys.readouterr()
+    assert main(argv + ["--distance-tol", value]) == 2
+    assert "tolerance --distance-tol must be a non-negative number" in capsys.readouterr().err

@@ -88,15 +88,6 @@ def test_dataset_roundtrip_keeps_special_values_bitwise(tmp_path):
     _assert_same_bits(load_dataset(str(path)), ds)
 
 
-def test_v1_document_loads_to_the_same_arrays(tmp_path):
-    ds = _special_dataset()
-    path = tmp_path / "v1.json"
-    path.write_text(io_oracles.render_with_inline_arrays(io_oracles.dataset_v1_dict(ds)))
-    back = load_dataset(str(path))
-    _assert_same_bits(back, ds)
-    assert back.grid == ds.grid and back.meta == ds.meta
-
-
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):
     saved = []
 

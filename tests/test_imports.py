@@ -5,7 +5,11 @@ counts as used when the module reads it, names it in a quoted annotation, or
 lists it in ``__all__``.  A module-level function or class counts as read when
 its name appears in ``src/``, ``tests/`` or ``perfbench/`` outside its own
 definition.  A node is located in one place: ``np.unravel_index`` and
-``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``.
+``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``.  The
+Minkowski pairing is written one way: no ``minkowski_dot`` call in ``src/``
+has an argument indexed by ``None`` (a stack of pairings is ``minkowski_gram``),
+``extract`` does not name ``eta``, and neither ``extract`` nor ``reconstruct``
+names ``einsum``.
 """
 
 import ast
@@ -129,3 +133,41 @@ def test_locator_site_is_found():
               "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
               "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
     assert locator_sites(source, "argmax_node") == [6, 6]
+
+
+# Names a module must not use, beyond the broadcast pairing that no module may write:
+# extraction lowers by ``lorentz.lower`` alone, and neither it nor the rebuild
+# writes a matrix product as ``einsum``.
+BANNED = {"extract.py": ("eta", "einsum"), "reconstruct.py": ("einsum",)}
+
+
+def pairing_sites(source: str, banned=()) -> list:
+    """Lines of ``banned`` names and of ``minkowski_dot`` calls with an argument indexed by None."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        named = {getattr(node, key, None) for key in ("id", "attr", "name")}
+        if named & set(banned):
+            lines.append(node.lineno)
+        if isinstance(node, ast.Call) and {getattr(node.func, key, None)
+                                           for key in ("id", "attr")} & {"minkowski_dot"}:
+            if any(isinstance(sub, ast.Constant) and sub.value is None
+                   for arg in node.args for item in ast.walk(arg)
+                   if isinstance(item, ast.Subscript) for sub in ast.walk(item.slice)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_pairing_idiom():
+    sites = {path.name: pairing_sites(path.read_text(), BANNED.get(path.name, ()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
+def test_pairing_site_is_found():
+    source = ("import numpy as np\nfrom .lorentz import eta, minkowski_dot\n"
+              "def f(x, y):\n    a = minkowski_dot(x[..., :, None, :], y)\n"
+              "    b = minkowski_dot(x, y[0]) + minkowski_dot(x[1:], y)\n"
+              "    c = lorentz.minkowski_dot(x, y[None])\n"
+              "    return np.einsum('ij->ji', eta(2)), a, b, c\n")
+    assert pairing_sites(source, ("eta", "einsum")) == [2, 4, 6, 7, 7]
+    assert pairing_sites(source) == [4, 6]

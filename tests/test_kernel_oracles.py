@@ -13,6 +13,7 @@ import pytest
 import kernel_oracles as oracle
 from conftest import random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
+from prodimm.extract import induced_structure
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect
 from prodimm.reconstruct import assemble_immersion, immersion_psi_field, verify_reconstruction
@@ -150,3 +151,25 @@ def test_rebuild_kernels_match_oracles(geom, f3):
     assert_reports_close(verify_reconstruction(points, frame, k, case, tol),
                          oracle.verify_reconstruction(points, frame, k, gram, case.metric,
                                                       case.sigma, case.psi, tol))
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "f1_fd", "f2_fd", "f3_fd", "random"])
+def test_structure_read_matches_the_per_block_oracle(request, name):
+    """psi and omega read off one pairing of the stacked rows, against one pairing per block.
+
+    The fixtures have g = 1 up to differencing error and a zero normal
+    connection; the random rows and metric (on F3's k and p) have neither.
+    """
+    if name == "random":
+        rng = np.random.default_rng(13)
+        imm = request.getfixturevalue("f3").immersion
+        metric = random_geometry(13, (7, 8), p=2).metric
+        tangents, normals = (rng.normal(size=(7, 8, 2, 6)) for _ in range(2))
+    else:
+        fb = request.getfixturevalue(name)
+        imm, metric, tangents, normals = (fb.immersion, fb.data.metric, fb.data.tangents,
+                                          fb.data.normals)
+    psi, bundle = induced_structure(imm, metric, tangents, normals)
+    want_psi, want_om = oracle.induced_structure(imm, metric, tangents, normals)
+    assert_close(psi, want_psi, f"{name} structure")
+    assert_close(bundle.omega, want_om, f"{name} normal connection")
