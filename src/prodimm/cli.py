@@ -11,6 +11,7 @@ change any reported number.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import dataio
 from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_report
 from .errors import DimensionError, ProdimmError, SchemaError
-from .extract import FIXTURES, extract_all, fixture
+from .extract import FIXTURES, default_tolerances, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import Geometry, metric_compatibility_residual
 from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
@@ -44,9 +45,7 @@ def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
     t2 = time.perf_counter()
     checks = check_all(geom, tolerances)
     t3 = time.perf_counter()
-    split = checks.names().index("bundle_flatness")   # compatibility goes before F's record
-    return Report.from_residuals(geom.grid, ResidualReport(checks.records[:split]),
-                                 compatibility, ResidualReport(checks.records[split:]),
+    return Report.from_residuals(geom.grid, compatibility, checks,
                                  timings={"structure": t3 - t2, "connection": t1 - t0,
                                           "flat_bundle": t2 - t1})
 
@@ -67,15 +66,20 @@ def _parse_tuple(text: str, count: int, cast):
     return tuple(cast(p) for p in parts)
 
 
+# fixture parameter -> the flag that sets it
+FIXTURE_FLAGS = {"a": "--helix-a", "theta0": "--theta0"}
+
+
 def _fixture_from_args(args):
     name = args.fixture.upper()
     if name not in FIXTURES:
         raise SchemaError(f"unknown fixture {args.fixture!r}; available: {sorted(FIXTURES)}")
-    params = {}
-    if name == "F1" and args.helix_a is not None:
-        params["a"] = args.helix_a
-    if name in ("F2", "F3") and args.theta0 is not None:
-        params["theta0"] = args.theta0
+    params = {key: value for key, flag in FIXTURE_FLAGS.items()
+              if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
+    taken = inspect.signature(FIXTURES[name]).parameters   # the factory decides
+    unknown = [FIXTURE_FLAGS[key] for key in params if key not in taken]
+    if unknown:
+        raise SchemaError(f"fixture {name} takes no {' or '.join(unknown)}")
     try:   # a fixture or grid the arguments cannot describe is unloadable input
         imm, grid = fixture(name, **params)
         n = imm.n
@@ -190,9 +194,8 @@ def cmd_roundtrip(args) -> int:
     require_tolerance("--distance-tol", args.distance_tol)
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
-    ds = Dataset.from_extraction(data)
-    tol = _tolerances_from_args(args, ds.tolerances)
-    geom = Geometry.of(ds)
+    tol = _tolerances_from_args(args, default_tolerances(data))
+    geom = Geometry.of(data)
     checks = check_dataset(geom, tol)
     result = reconstruct_immersion(geom, tolerances=tol, seed_frame=args.seed_frame)
     frame_map = _base_frame_map(result, geom)

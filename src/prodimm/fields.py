@@ -6,16 +6,16 @@ the kernels take and return:
 
 * metric ``g[..., i, j]`` = g_ij, (n, n) per node;
 * Christoffel symbols ``chris[..., l, m, n]`` = Gamma^l_mn, (n, n, n);
-* Riemann tensor ``riem[..., l, s, m, n]``, the components of
-  R(d_m, d_n) d_s along d_l, (n, n, n, n);
+* Riemann tensor ``riem[..., q, l, s]``, the components of
+  R(d_m, d_n) d_s along d_l for the direction pair q = (m, n), (n(n-1)/2, n, n),
+  laid out as a connection's curvature F below;
 * bundle connection ``omega[..., m, a, b]``, the coefficient of e_a in
   D^E_{d_m} e_b, (n, p, p); the fiber metric is fixed to the identity
   (orthonormal gauge), so omega[m] is skew-symmetric;
 * a connection's curvature ``F[..., q, a, b]``, (n(n-1)/2, N, N) for
   (n, N, N) connection matrices, one entry per direction pair q = (m, n),
   m < n, in the row-major order of ``np.triu_indices(n, 1)``: F is a 2-form,
-  so F[n, m] = -F[m, n] and the diagonal is zero (``expand_pairs`` writes
-  all n^2);
+  so F[n, m] = -F[m, n] and the diagonal is zero; a 1-dim chart has no pairs;
 * second form ``sigma[..., i, j, a]``, (n, n, p), symmetric in (i, j);
 * shape operators ``A[..., a, i, j]`` = (A_{e_a})^i_j, (p, n, n);
 * a derivative puts one direction axis after the node axes:
@@ -53,6 +53,7 @@ contractions that are not a matrix product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,9 +71,14 @@ class ChartGrid:
     origin: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError as exc:
+            raise DimensionError(f"grid dims must be integers, got {self.dims}") from exc
         spacing = tuple(float(s) for s in self.spacing)
         origin = tuple(float(o) for o in self.origin)
+        if not np.isfinite(spacing + origin).all():
+            raise DimensionError(f"grid spacing {spacing} and origin {origin} must be finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -341,29 +347,14 @@ def christoffel(g: MetricField) -> np.ndarray:
     return gamma.reshape(grid.dims + (n, n, n))
 
 
-def expand_pairs(grid: ChartGrid, pairs: np.ndarray) -> np.ndarray:
-    """(*dims, n(n-1)/2, *slots) over the pairs m < n -> (*dims, n, n, *slots).
-
-    The full layout is antisymmetric: F[n, m] = -F[m, n], and F[m, m] = 0.
-    """
-    n, node = grid.ndim, (slice(None),) * grid.ndim
-    m, k = np.triu_indices(n, 1)
-    full = np.zeros(grid.dims + (n, n) + pairs.shape[n + 1:])
-    full[node + (m, k)], full[node + (k, m)] = pairs, -pairs
-    return full
-
-
 def curvature_tensor(g: MetricField) -> np.ndarray:
-    """Riemann tensor R^l_smn of the Levi-Civita connection.
+    """Riemann tensor R^l_smn of the Levi-Civita connection, over the direction pairs.
 
-    riem[..., l, s, m, n] are the components of R(d_m, d_n) d_s along d_l
-    for R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y]: the ``connection_curvature`` of
-    the matrices Gamma_m = (Gamma^l_ms), expanded to all pairs and moved to
-    the (l, s, m, n) layout.
+    riem[..., q, l, s] are the components of R(d_m, d_n) d_s along d_l for
+    the q-th pair (m, n) and R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y]: the
+    ``connection_curvature`` of the matrices Gamma_m = (Gamma^l_ms).
     """
-    ga = np.swapaxes(christoffel(g), -3, -2)     # (..., m, l, s) = Gamma^l_ms
-    full = expand_pairs(g.grid, connection_curvature(g.grid, ga))
-    return np.moveaxis(full, (-2, -1), (-4, -3))
+    return connection_curvature(g.grid, np.swapaxes(christoffel(g), -3, -2))
 
 
 def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
@@ -375,6 +366,8 @@ def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
     """
     pairs = list(zip(*np.triu_indices(grid.ndim, 1)))
     out = np.empty(grid.dims + (len(pairs),) + om.shape[-2:])
+    if not pairs:
+        return out   # a 1-dim chart: no work buffers
     swap, prod = np.empty((2,) + grid.dims + om.shape[-2:])
     for q, (m, n) in enumerate(pairs):
         om_m, om_n = om[..., m, :, :], om[..., n, :, :]
@@ -387,8 +380,8 @@ def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
 
 
 def bundle_curvature(bundle: BundleData) -> np.ndarray:
-    """Curvature F[..., m, n, a, b] of the bundle connection, all n^2 direction pairs."""
-    return expand_pairs(bundle.grid, connection_curvature(bundle.grid, bundle.omega))
+    """Curvature F[..., q, a, b] of the bundle connection over the direction pairs."""
+    return connection_curvature(bundle.grid, bundle.omega)
 
 
 def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:

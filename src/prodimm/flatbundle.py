@@ -23,9 +23,9 @@ instance per dataset.
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
 a check would stay resident through it.  ``structure.check_all`` forms each
-once, reads its records and drops it, F before psi~ and D psi~ are formed.
-F is held over the direction pairs m < n only (one pair on a 2-dim chart),
-and is not formed at all on a 1-dim chart, where it is zero.
+once, hands it to every check that reads it and drops it, F before psi~ and
+D psi~ are formed.  F is held over the direction pairs m < n only (one pair on
+a 2-dim chart, none on a 1-dim chart).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .errors import ExclusionError, GridMismatchError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
                      grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import (ResidualReport, ToleranceModel, curvature_report, psi_blocks,
-                        psi_tilde_derivative, records)
+from .structure import ResidualReport, ToleranceModel, psi_blocks, records
 
 _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the base
 
@@ -146,9 +145,9 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
 
 
 def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
-                      curv: np.ndarray | None = None) -> ResidualReport:
-    """F over the direction pairs m < n; vacuous pass on 1-dim charts."""
-    return curvature_report(geom, tolerances, "bundle_flatness", curv, all_pairs=False)
+                      curv: np.ndarray) -> ResidualReport:
+    """All of F over the direction pairs m < n; vacuous pass on 1-dim charts."""
+    return records(geom.grid, tolerances, ("bundle_flatness", curv))
 
 
 def extend_diagonal(block: np.ndarray, tail: tuple) -> np.ndarray:
@@ -168,10 +167,8 @@ def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
 
 
 def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,
-                                d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
-    """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0."""
-    if d_psi_tilde is None:
-        d_psi_tilde = psi_tilde_derivative(geom)
+                                d_psi_tilde: np.ndarray) -> ResidualReport:
+    """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0, all of D psi~."""
     return records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_tilde))
 
 

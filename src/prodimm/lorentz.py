@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
+DEGENERACY_TOL = 1e-10   # relative squared norm below which the raising fronts reject a vector
+
 
 def minkowski_dot(x, y):
     """Signature (+...+,-) bilinear form of vectors (..., N); broadcasts over leading axes."""
@@ -168,17 +170,17 @@ def complete_basis(candidates, count: int, gram=None, basis=(), tol: float = 1e-
     return found
 
 
-def minkowski_gram_schmidt(vectors, tol: float = 1e-10) -> np.ndarray:
+def minkowski_gram_schmidt(vectors) -> np.ndarray:
     """Orthonormalize rows w.r.t. the Minkowski form, preserving order.
 
     ``gram_schmidt`` with a check: raises ``DegeneracyError`` (``.index`` the
     row) on the first row whose squared norm after projection is at most
-    ``tol`` times max(|v|, 1)^2.  Returns the orthonormalized vectors as rows.
+    ``DEGENERACY_TOL`` times max(|v|, 1)^2.  Returns the orthonormalized vectors as rows.
     """
     vecs = np.asarray(vectors, dtype=float)
     rows, n2 = gram_schmidt(vecs)
     scale = np.maximum(np.linalg.norm(vecs, axis=-1), 1.0)
-    bad = ~(np.abs(n2) > tol * scale**2)
+    bad = ~(np.abs(n2) > DEGENERACY_TOL * scale**2)
     if bad.any():
         idx = int(bad.argmax())
         raise DegeneracyError(f"vector {idx} is null or dependent after projection",
@@ -186,7 +188,7 @@ def minkowski_gram_schmidt(vectors, tol: float = 1e-10) -> np.ndarray:
     return rows
 
 
-def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> np.ndarray:
+def lorentz_orthonormalize(vectors) -> np.ndarray:
     """Build a full Lorentz-orthonormal frame from any n independent vectors.
 
     No partial span of the vectors needs to be spacelike.  The timelike axis
@@ -210,13 +212,13 @@ def lorentz_orthonormalize(vectors, tol: float = 1e-10) -> np.ndarray:
     _, evecs = np.linalg.eigh(minkowski_gram(vecs, vecs))
     t = evecs[:, 0] @ vecs
     norm2 = minkowski_dot(t, t)
-    if norm2 >= -tol * max(float(np.linalg.norm(vecs, 2)), 1.0) ** 2:
+    if norm2 >= -DEGENERACY_TOL * max(float(np.linalg.norm(vecs, 2)), 1.0) ** 2:
         raise DegeneracyError("the vectors span no timelike direction")
     t = np.copysign(1.0, t[-1]) * t / np.sqrt(-norm2)
     try:
         # t leads the sweep only so that every projection onto t^perp is
         # applied twice, like the ones between the spacelike rows.
-        rows = minkowski_gram_schmidt(np.vstack([t, vecs[:-1]]), tol=tol)
+        rows = minkowski_gram_schmidt(np.vstack([t, vecs[:-1]]))
     except DegeneracyError as err:
         idx = err.index - 1
         raise DegeneracyError(

@@ -19,15 +19,15 @@ basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
   keeping that scale; ``ricci`` = F[..., n:n+p, n:n+p], laid out (q, a, b);
   ``bundle_flatness`` = all of F.  The means of ``gauss``, ``codazzi`` and
   ``ricci`` stay those over all n^2 direction pairs (``curvature_report``).
-  On a 1-dim chart F is exactly zero; it is not formed, and its four
-  records are zero.
+  A 1-dim chart has no direction pairs, so F has none and its four records
+  are zero.
 * D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~] (``psi_tilde_derivative``):
   ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
   each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
 
-Each differential check takes F or D psi~ as an optional last argument:
-``check_all`` forms each array once and hands it to every check that reads
-it, while a check called alone forms its own.
+Each differential check takes F or D psi~ as its last argument: ``check_all``
+forms each array once and hands it to every check that reads it, so one check
+is read as ``check_all(geom, tolerances)[name]``.
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
 Every checker reads the data and its derived geometry from one
@@ -60,6 +60,7 @@ RECORD_NAMES = (
     "frame_orthonormality", "reconstruction_on_product", "path_independence",
     "sweep_cross_check")
 ALGEBRAIC_CHECKS = frozenset(RECORD_NAMES[:5])
+IDENTITY_TOL = 1e-8   # max-abs distance of a structure matrix counted as plus or minus identity
 
 
 class StructureWarning(UserWarning):
@@ -153,20 +154,22 @@ class ResidualReport:
 
     @classmethod
     def merge(cls, *reports) -> "ResidualReport":
-        records = []
-        for rep in reports:
-            records.extend(rep.records)
-        return cls(records=tuple(records))
+        """The records of ``reports`` in ``RECORD_NAMES`` order."""
+        return cls(records=tuple(sorted((r for rep in reports for r in rep.records),
+                                        key=lambda r: RECORD_NAMES.index(r.name))))
 
 
 def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
                 threshold: float, mean_weight: float = 1.0) -> CheckRecord:
-    """Reduce a (*dims, *free) residual array to a record, its mean scaled by ``mean_weight``."""
+    """Reduce a (*dims, *free) residual array to a record, its mean scaled by ``mean_weight``.
+
+    An empty free axis (F on a 1-dim chart) reduces to a zero max and mean.
+    """
     magnitude = np.abs(residual)
-    nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)))
+    nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)), initial=0.0)
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
-                       mean_abs=float(magnitude.mean()) * mean_weight,
+                       mean_abs=float(magnitude.sum() / max(magnitude.size, 1)) * mean_weight,
                        argmax_node=argmax_node(nodewise), threshold=float(threshold),
                        passed=bool(max_abs <= threshold))
 
@@ -182,10 +185,10 @@ def psi_blocks(psi: np.ndarray, n: int) -> tuple:
     return psi[..., :n, :n], psi[..., n:, :n], psi[..., :n, n:], psi[..., n:, n:]
 
 
-def identity_structure_nodes(psi: np.ndarray, tol: float = 1e-8) -> int:
-    """Count nodes where the structure matrix is within tol of plus or minus identity."""
+def identity_structure_nodes(psi: np.ndarray) -> int:
+    """Count nodes where the structure matrix is within ``IDENTITY_TOL`` of +-identity."""
     ident = np.eye(psi.shape[-1])
-    return sum(int((np.abs(psi - sign * ident).max(axis=(-2, -1)) <= tol).sum())
+    return sum(int((np.abs(psi - sign * ident).max(axis=(-2, -1)) <= IDENTITY_TOL).sum())
                for sign in (1.0, -1.0))
 
 
@@ -199,8 +202,8 @@ def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualRep
 
     n_id = identity_structure_nodes(psi)
     if n_id:
-        warnings.warn(f"structure within 1e-8 of plus/minus identity at {n_id} node(s); "
-                      "such data is outside the reconstructible class", StructureWarning)
+        warnings.warn(f"structure within {IDENTITY_TOL:g} of plus/minus identity at {n_id} "
+                      "node(s); such data is outside the reconstructible class", StructureWarning)
 
     return records(
         geom.grid, tolerances,
@@ -216,22 +219,15 @@ def big_curvature(geom: Geometry) -> np.ndarray:
     return connection_curvature(geom.grid, geom.connection)
 
 
-def curvature_report(geom: Geometry, tolerances: ToleranceModel, name: str,
-                     curv: np.ndarray | None, block=lambda f: f,
-                     all_pairs: bool = True) -> ResidualReport:
-    """The record of ``block(F)``, F formed here if ``curv`` is None; zero on a 1-dim chart.
+def curvature_report(grid: ChartGrid, tolerances: ToleranceModel, name: str,
+                     block: np.ndarray) -> ResidualReport:
+    """The record of ``block``, a block of F, its mean that over all n^2 direction pairs.
 
-    With ``all_pairs`` the mean is that over all n^2 direction pairs, as if F
-    were held in full: F[n, m] = -F[m, n] and the zero diagonal weight the
-    mean over the pairs m < n by (n-1)/n.
+    F[n, m] = -F[m, n] and the zero diagonal weight the mean over the pairs
+    m < n by (n-1)/n, as if F were held in full.
     """
-    grid = geom.grid
-    if grid.ndim == 1:
-        return records(grid, tolerances, (name, np.zeros(grid.dims)))
-    curv = big_curvature(geom) if curv is None else curv
-    weight = (grid.ndim - 1) / grid.ndim if all_pairs else 1.0
-    return ResidualReport((make_record(name, block(curv), grid, tolerances.threshold(name, grid),
-                                       weight),))
+    return ResidualReport((make_record(name, block, grid, tolerances.threshold(name, grid),
+                                       (grid.ndim - 1) / grid.ndim),))
 
 
 def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
@@ -240,10 +236,8 @@ def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
 
 
 def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
-                       d_psi_tilde: np.ndarray | None = None) -> ResidualReport:
+                       d_psi_tilde: np.ndarray) -> ResidualReport:
     """The four blocks of D psi, the top-left (n+p)^2 block of D psi~."""
-    if d_psi_tilde is None:
-        d_psi_tilde = psi_tilde_derivative(geom)
     n = geom.grid.ndim
     d_f, d_u, d_big_u, d_lam = psi_blocks(d_psi_tilde[..., :n + geom.p, :n + geom.p], n)
     return records(geom.grid, tolerances,
@@ -251,26 +245,24 @@ def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
                    ("psi_parallel_U", d_big_u), ("psi_parallel_lambda", d_lam))
 
 
-def check_gauss(geom: Geometry, tolerances: ToleranceModel,
-                curv: np.ndarray | None = None) -> ResidualReport:
+def check_gauss(geom: Geometry, tolerances: ToleranceModel, curv: np.ndarray) -> ResidualReport:
     """The tangent block F[..., :n, :n]."""
     n = geom.grid.ndim
-    return curvature_report(geom, tolerances, "gauss", curv, lambda f: f[..., :n, :n])
+    return curvature_report(geom.grid, tolerances, "gauss", curv[..., :n, :n])
 
 
 def check_codazzi(geom: Geometry, tolerances: ToleranceModel,
-                  curv: np.ndarray | None = None) -> ResidualReport:
+                  curv: np.ndarray) -> ResidualReport:
     """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (q, r, a)."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom, tolerances, "codazzi", curv,
-                            lambda f: 2.0 * np.swapaxes(f[..., n:n + p, :n], -1, -2))
+    return curvature_report(geom.grid, tolerances, "codazzi",
+                            2.0 * np.swapaxes(curv[..., n:n + p, :n], -1, -2))
 
 
-def check_ricci(geom: Geometry, tolerances: ToleranceModel,
-                curv: np.ndarray | None = None) -> ResidualReport:
+def check_ricci(geom: Geometry, tolerances: ToleranceModel, curv: np.ndarray) -> ResidualReport:
     """The bundle block F[..., n:n+p, n:n+p]."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom, tolerances, "ricci", curv, lambda f: f[..., n:n + p, n:n + p])
+    return curvature_report(geom.grid, tolerances, "ricci", curv[..., n:n + p, n:n + p])
 
 
 def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
@@ -282,7 +274,7 @@ def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     """
     from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
     algebra = check_psi_algebra(geom, tolerances)
-    curv = big_curvature(geom) if geom.grid.ndim > 1 else None
+    curv = big_curvature(geom)
     gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual))
     del curv

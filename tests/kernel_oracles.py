@@ -12,7 +12,9 @@ Codazzi, Ricci and parallel-structure equations, which the package reads off
 blocks of the big connection's curvature and of D psi~, so comparing the two
 tests those block identities.  ``induced_structure`` is the extraction's
 per-block structure read: four pairings, one per block of psi, and the
-tangent blocks raised by ``einsum``.
+tangent blocks raised by ``einsum``.  The package holds a curvature over the
+direction pairs m < n only; ``expand_pairs`` writes it out over all n^2 pairs
+for the oracles laid out that way.
 """
 
 from __future__ import annotations
@@ -51,6 +53,23 @@ def hessian_padded(grid, values) -> np.ndarray:
     for a in range(nd):
         hess[(slice(None),) * nd + (a, a)] = second_padded(values, grid.spacing[a], a)
     return hess
+
+
+def expand_pairs(grid, pairs) -> np.ndarray:
+    """(*dims, n(n-1)/2, *slots) over the pairs m < n -> (*dims, n, n, *slots).
+
+    The full layout is antisymmetric: F[n, m] = -F[m, n], and F[m, m] = 0.
+    """
+    n, node = grid.ndim, (slice(None),) * grid.ndim
+    m, k = np.triu_indices(n, 1)
+    full = np.zeros(grid.dims + (n, n) + pairs.shape[n + 1:])
+    full[node + (m, k)], full[node + (k, m)] = pairs, -pairs
+    return full
+
+
+def riemann_full(grid, riem) -> np.ndarray:
+    """The package's Riemann tensor (*dims, q, l, s) in the oracle layout (*dims, l, s, m, n)."""
+    return np.moveaxis(expand_pairs(grid, riem), (-2, -1), (-4, -3))
 
 
 def christoffel(g) -> np.ndarray:

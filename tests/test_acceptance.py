@@ -20,11 +20,11 @@ from prodimm.cli import check_dataset, main
 from prodimm.dataio import Dataset, save_dataset
 from prodimm.extract import extract_all, default_tolerances
 from prodimm.fields import BundleData, SecondFormField, shape_operator_field
-from prodimm.flatbundle import Geometry, flatness_residual
+from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect, lorentz_orthonormalize
 from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersion_psi_field,
                                  path_independence_residual, reconstruct_immersion)
-from prodimm.structure import check_all, check_codazzi, check_gauss, check_ricci, psi_blocks
+from prodimm.structure import check_all, psi_blocks
 
 from conftest import FixtureBundle, refine
 
@@ -77,7 +77,7 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
 # -- criterion 2 ------------------------------------------------------------
 
 def test_criterion_2_flatness_clean(f3):
-    rec = flatness_residual(f3.geom, f3.tolerances).records[0]
+    rec = check_all(f3.geom, f3.tolerances)["bundle_flatness"]
     thr = 10 * f3.grid.h_max**2
     ok = rec.passed and rec.max_abs <= thr
     assert _verdict("2 flatness F3 64x64", ok, f"max={rec.max_abs:.2e} thr={thr:.1e}")
@@ -87,8 +87,8 @@ def test_criterion_2_flatness_detects_scaled_sigma(f4, tmp_path):
     data = f4.data
 
     def flatness_and_exit(sigma, label):
-        rec = flatness_residual(Geometry(data.metric, data.bundle, sigma, data.psi),
-                                f4.tolerances).records[0]
+        rec = check_all(Geometry(data.metric, data.bundle, sigma, data.psi),
+                        f4.tolerances)["bundle_flatness"]
         ds = Dataset(grid=f4.grid, p=2, metric=data.metric, bundle=data.bundle,
                      sigma=sigma, psi=data.psi, tolerances=f4.tolerances, meta={})
         path = tmp_path / f"f4_{label}.json"
@@ -195,9 +195,8 @@ def test_criterion_6_uniqueness_up_to_isometry(f2):
 def _trio_and_path(fb, metric, bundle, sigma, psi):
     tol = fb.tolerances
     geom = Geometry(metric, bundle, sigma, psi)
-    g_ = check_gauss(geom, tol).records[0].max_abs
-    c_ = check_codazzi(geom, tol).records[0].max_abs
-    r_ = check_ricci(geom, tol).records[0].max_abs
+    checks = check_all(geom, tol)
+    g_, c_, r_ = (checks[name].max_abs for name in ("gauss", "codazzi", "ricci"))
     centre = tuple(d // 2 for d in fb.grid.dims)
     flows = EdgeFlows.of(geom.grid, geom.connection, centre)
     p_ = path_independence_residual(flows, tol).records[0].max_abs

@@ -104,6 +104,32 @@ def test_fixture_arguments_that_cannot_be_built_exit_2(tmp_path, monkeypatch, ca
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("flag", "nan"), ("spacing", float("nan")),
+                                          ("origin", float("inf")), ("dims", 200.7)])
+def test_grid_rejects_non_finite_spacing_and_non_integer_dims(f1_dataset_path, tmp_path, capsys,
+                                                              field, value):
+    if field == "flag":
+        argv = ["extract", "--fixture", "F1", "--spacing", value, "-o", str(tmp_path / "x.json")]
+    else:
+        doc = json.loads(f1_dataset_path.read_text())
+        doc["grid"][field] = [value]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["check", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("name, flag", [("F2", "--helix-a"), ("F1", "--theta0")])
+def test_fixture_flag_the_fixture_does_not_take_exits_2(tmp_path, capsys, name, flag):
+    out = tmp_path / "x.json"
+    assert main(["extract", "--fixture", name, flag, "0.5", "-o", str(out)]) == 2
+    assert f"fixture {name} takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_caches_neither_curvature_nor_structure_derivative(f3):
     # F and D psi~ are transient: the rebuild keeps the geometry alive
     geom = flatbundle.Geometry.of(f3.data)

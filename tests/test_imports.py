@@ -5,7 +5,11 @@ counts as used when the module reads it, names it in a quoted annotation, or
 lists it in ``__all__``.  A module-level function or class counts as read when
 its name appears in ``src/``, ``tests/`` or ``perfbench/`` outside its own
 definition.  A node is located in one place: ``np.unravel_index`` and
-``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``.  The
+``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``; and the
+direction pairs are laid out in one place: ``np.triu_indices`` appears only
+inside ``fields.connection_curvature``.  No function of ``structure`` or
+``flatbundle`` has a parameter that defaults to None, so no check forms its
+own input: each reads the F or D psi~ it is handed.  The
 Minkowski pairing is written one way: no ``minkowski_dot`` call in ``src/``
 has an argument indexed by ``None`` (a stack of pairings is ``minkowski_gram``),
 ``extract`` does not name ``eta``, and neither ``extract`` nor ``reconstruct``
@@ -108,31 +112,49 @@ def test_unread_definition_is_found():
 
 
 LOCATORS = ("unravel_index", "argwhere")
+PAIR_LAYOUT = ("triu_indices",)
 
 
-def locator_sites(source: str, home: str | None = None) -> list:
-    """Lines that name ``unravel_index`` or ``argwhere`` outside the function ``home``."""
+def named_sites(source: str, names: tuple, home: str | None = None) -> list:
+    """Lines that name one of ``names`` outside the function ``home``."""
     tree = ast.parse(source)
     inside = {id(n) for f in ast.walk(tree)
               if isinstance(f, ast.FunctionDef) and f.name == home for n in ast.walk(f)}
     return sorted(n.lineno for n in ast.walk(tree)
-                  if (getattr(n, "attr", None) in LOCATORS or getattr(n, "id", None) in LOCATORS)
+                  if (getattr(n, "attr", None) in names or getattr(n, "id", None) in names)
                   and id(n) not in inside)
 
 
-def test_nodes_are_located_only_by_argmax_node():
-    sites = {path.name: locator_sites(path.read_text(),
-                                      "argmax_node" if path.name == "fields.py" else None)
+def _sites_outside(names, home: str) -> dict:
+    """``named_sites`` of every src module, ``home`` exempt in ``fields.py``."""
+    sites = {path.name: named_sites(path.read_text(), names,
+                                    home if path.name == "fields.py" else None)
              for path in sorted(SRC.glob("*.py"))}
-    assert {name: lines for name, lines in sites.items() if lines} == {}
-    assert locator_sites((SRC / "fields.py").read_text()) != []   # the one site is seen
+    return {name: lines for name, lines in sites.items() if lines}
+
+
+def test_nodes_are_located_only_by_argmax_node():
+    assert _sites_outside(LOCATORS, "argmax_node") == {}
+    assert named_sites((SRC / "fields.py").read_text(), LOCATORS) != []   # the one site is seen
 
 
 def test_locator_site_is_found():
     source = ("import numpy as np\nfrom numpy import argwhere\n"
               "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
               "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
-    assert locator_sites(source, "argmax_node") == [6, 6]
+    assert named_sites(source, LOCATORS, "argmax_node") == [6, 6]
+
+
+def test_direction_pairs_are_laid_out_only_by_connection_curvature():
+    assert _sites_outside(PAIR_LAYOUT, "connection_curvature") == {}
+    assert named_sites((SRC / "fields.py").read_text(), PAIR_LAYOUT) != []   # the one site
+
+
+def test_pair_layout_site_is_found():
+    source = ("import numpy as np\n"
+              "def connection_curvature(grid):\n    return np.triu_indices(grid.ndim, 1)\n"
+              "def expand_pairs(grid):\n    m, k = np.triu_indices(grid.ndim, 1)\n")
+    assert named_sites(source, PAIR_LAYOUT, "connection_curvature") == [5]
 
 
 # Names a module must not use, beyond the broadcast pairing that no module may write:
@@ -171,3 +193,30 @@ def test_pairing_site_is_found():
               "    return np.einsum('ij->ji', eta(2)), a, b, c\n")
     assert pairing_sites(source, ("eta", "einsum")) == [2, 4, 6, 7, 7]
     assert pairing_sites(source) == [4, 6]
+
+
+def none_defaults(source: str) -> list:
+    """``function(parameter)`` for each parameter that defaults to None: an optional
+    input, which the function or one it calls would have to form itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = (list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                     + list(zip(args.kwonlyargs, args.kw_defaults)))
+            found += [f"{node.name}({a.arg})" for a, d in pairs
+                      if isinstance(d, ast.Constant) and d.value is None]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["structure.py", "flatbundle.py"])
+def test_no_check_forms_its_own_input(name):
+    assert none_defaults((SRC / name).read_text()) == []
+
+
+def test_none_default_is_found():
+    source = ("def f(geom, curv=None, tol=1e-8):\n    return curv, tol\n"
+              "def g(geom, *, d=None, e=1, k):\n    if d is None:\n        d = form(geom)\n"
+              "    return d, e, k\n")
+    assert none_defaults(source) == ["f(curv)", "g(d)"]

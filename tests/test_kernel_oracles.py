@@ -63,7 +63,8 @@ def geom(request, f3):
 def test_field_kernels_match_oracles(geom):
     g, sigma, bundle = geom.metric, geom.sigma, geom.bundle
     assert_close(fields.christoffel(g), oracle.christoffel(g), "christoffel")
-    assert_close(fields.curvature_tensor(g), oracle.curvature_tensor(g), "riemann")
+    assert_close(oracle.riemann_full(geom.grid, fields.curvature_tensor(g)),
+                 oracle.curvature_tensor(g), "riemann")
     assert_close(fields.shape_operator_field(sigma, g), oracle.shape_operator_field(sigma, g),
                  "shape operators")
     big = with_random_bundle(geom, 5).connection
@@ -84,7 +85,7 @@ def test_field_kernels_match_oracles(geom):
         assert_close(d_block,
                      oracle.covariant_derivative(geom.grid, values, slots, chris, bundle.omega),
                      f"covariant derivative {slots}")
-    curv = fields.expand_pairs(geom.grid, structure.big_curvature(geom))
+    curv = oracle.expand_pairs(geom.grid, structure.big_curvature(geom))
     codazzi = 2.0 * np.swapaxes(curv[..., n:n + p, :n], -1, -2)
     assert_close(codazzi, oracle.codazzi_residual(g, bundle, sigma, geom.psi),
                  "covariant derivative ('td', 'td', 'bu') in the Codazzi block")
@@ -93,16 +94,14 @@ def test_field_kernels_match_oracles(geom):
 def test_structure_checks_match_oracles(geom):
     tol = ToleranceModel()
     g, bundle, sigma, psi = geom.metric, geom.bundle, geom.sigma, geom.psi
-    assert_reports_close(structure.check_psi_algebra(geom, tol),
-                         oracle.check_psi_algebra(g, psi, tol))
-    assert_reports_close(structure.check_psi_parallel(geom, tol),
-                         oracle.check_psi_parallel(g, bundle, sigma, psi, tol))
-    assert_reports_close(structure.check_gauss(geom, tol),
-                         oracle.check_gauss(g, sigma, psi, tol))
-    assert_reports_close(structure.check_codazzi(geom, tol),
-                         oracle.check_codazzi(g, bundle, sigma, psi, tol))
-    assert_reports_close(structure.check_ricci(geom, tol),
-                         oracle.check_ricci(g, bundle, sigma, tol))
+    checks = structure.check_all(geom, tol)
+    for want in (oracle.check_psi_algebra(g, psi, tol),
+                 oracle.check_psi_parallel(g, bundle, sigma, psi, tol),
+                 oracle.check_gauss(g, sigma, psi, tol),
+                 oracle.check_codazzi(g, bundle, sigma, psi, tol),
+                 oracle.check_ricci(g, bundle, sigma, tol)):
+        assert_reports_close(structure.ResidualReport(tuple(checks[n] for n in want.names())),
+                             want)
 
 
 def test_flat_bundle_kernels_match_oracles(geom):
@@ -121,7 +120,8 @@ def test_flat_bundle_kernels_match_oracles(geom):
         want = make_record("psi_tilde_parallel",
                            oracle.psi_tilde_parallel(grid, om, case.psi_tilde), grid,
                            tol.threshold("psi_tilde_parallel", grid))
-        assert_reports_close(flatbundle.psi_tilde_parallel_residual(case, tol),
+        assert_reports_close(flatbundle.psi_tilde_parallel_residual(
+                                 case, tol, structure.psi_tilde_derivative(case)),
                              structure.ResidualReport((want,)))
 
 
