@@ -40,6 +40,7 @@ import binascii
 import io
 import json
 import math
+import operator
 import os
 import re
 import tempfile
@@ -169,6 +170,20 @@ def _take(doc: dict, key: str):
     return doc[key]
 
 
+def _header_count(doc: dict, key: str) -> int:
+    """Header ``key`` as an integer >= 1, read by ``operator.index``; a bool is no count."""
+    value = _take(doc, key)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise SchemaError(f"header {key!r} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise SchemaError(f"header {key!r} must be at least 1, got {count}")
+    return count
+
+
 def _field_array(fields: dict, name: str, shape: tuple) -> np.ndarray:
     """Field ``name``, base64 of exactly 8 bytes per entry, as a fresh writable float array."""
     raw = _take(fields, name)
@@ -195,9 +210,9 @@ def dataset_from_dict(doc: dict) -> Dataset:
     try:
         grid = ChartGrid(*(tuple(_take(gspec, key)) for key in _GRID_KEYS))
         n = grid.ndim
-        p = int(_take(doc, "p"))
-        if int(_take(doc, "n")) != n:
-            raise SchemaError("header n does not match the grid dimension")
+        p = _header_count(doc, "p")
+        if _header_count(doc, "n") != n:
+            raise SchemaError("header 'n' does not match the grid dimension")
         fields = _take(doc, "fields")
         dims = grid.dims
         metric = MetricField(grid, _field_array(fields, "metric", dims + (n, n)))

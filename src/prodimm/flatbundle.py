@@ -23,9 +23,12 @@ instance per dataset.
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
 a check would stay resident through it.  ``structure.check_all`` forms each
-once, hands it to every check that reads it and drops it, F before psi~ and
-D psi~ are formed.  F is held over the direction pairs m < n only (one pair on
-a 2-dim chart, none on a 1-dim chart).
+once and drops it as soon as its node-last magnitude exists (|F| laid out
+(q, C, A, *dims), |D psi~| (m, C, A, *dims), see ``structure.magnitude``);
+``flatness_residual`` and ``psi_tilde_parallel_residual`` take that magnitude
+and reduce all of it.  |F| is dropped before psi~ and D psi~ are formed.  F is
+held over the direction pairs m < n only (one pair on a 2-dim chart, none on a
+1-dim chart).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import ExclusionError, GridMismatchError, StructureError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
                      grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import ResidualReport, ToleranceModel, psi_blocks, records
+from .structure import ResidualReport, ToleranceModel, magnitude_records, psi_blocks, records
 
 _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the base
 
@@ -145,9 +148,9 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
 
 
 def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
-                      curv: np.ndarray) -> ResidualReport:
-    """All of F over the direction pairs m < n; vacuous pass on 1-dim charts."""
-    return records(geom.grid, tolerances, ("bundle_flatness", curv))
+                      curv_mag: np.ndarray) -> ResidualReport:
+    """All of |F| (q, C, A, *dims) over the direction pairs m < n; vacuous pass on 1-dim charts."""
+    return magnitude_records(geom.grid, tolerances, ("bundle_flatness", curv_mag))
 
 
 def extend_diagonal(block: np.ndarray, tail: tuple) -> np.ndarray:
@@ -167,9 +170,9 @@ def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
 
 
 def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,
-                                d_psi_tilde: np.ndarray) -> ResidualReport:
-    """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0, all of D psi~."""
-    return records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_tilde))
+                                d_psi_mag: np.ndarray) -> ResidualReport:
+    """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0, all of |D psi~| (m, C, A, *dims)."""
+    return magnitude_records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_mag))
 
 
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int):

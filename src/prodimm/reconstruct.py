@@ -49,7 +49,7 @@ from .fields import ChartGrid, argmax_node, grad_field, hessian_field, sweep_com
 from .flatbundle import Geometry, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
-from .structure import ResidualReport, ToleranceModel, records
+from .structure import ResidualReport, ToleranceModel, magnitude, nodewise_max, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
@@ -244,7 +244,7 @@ def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> 
     for a, b in itertools.combinations(range(grid.ndim), 2):
         near_a, far_a = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], grid.dims[b]))
         near_b, far_b = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], grid.dims[a]))
-        dev = np.abs(far_b @ near_a - far_a @ near_b).max(axis=(-1, -2))
+        dev = nodewise_max(magnitude(far_b @ near_a - far_a @ near_b, grid.ndim), grid.ndim)
         corner = tuple(slice(-1) if c in (a, b) else slice(None) for c in range(grid.ndim))
         gap[corner] = np.maximum(gap[corner], dev / (grid.spacing[a] * grid.spacing[b]))
     return records(grid, tolerances, ("path_independence", gap))

@@ -13,10 +13,11 @@ basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
 
 * F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] over
   the direction pairs q = (m, n), m < n (``big_curvature``): ``gauss`` =
-  F[..., :n, :n], laid out (q, i, r); ``codazzi`` = 2 F[..., n:n+p, :n]
-  with the last two axes swapped, laid out (q, r, a), i.e.
-  2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) - (m <-> n), the factor 2
-  keeping that scale; ``ricci`` = F[..., n:n+p, n:n+p], laid out (q, a, b);
+  F[..., :n, :n], laid out (q, i, r); ``codazzi`` = 2 F[..., n:n+p, :n],
+  laid out (q, a, r), i.e. 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) -
+  (m <-> n), the factor 2 keeping that scale (the factor is exact, and the
+  (q, r, a) layout of the equation is a swap that changes no max or mean);
+  ``ricci`` = F[..., n:n+p, n:n+p], laid out (q, a, b);
   ``bundle_flatness`` = all of F.  The means of ``gauss``, ``codazzi`` and
   ``ricci`` stay those over all n^2 direction pairs (``curvature_report``).
   A 1-dim chart has no direction pairs, so F has none and its four records
@@ -25,12 +26,21 @@ basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
   ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
   each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
 
-Each differential check takes F or D psi~ as its last argument: ``check_all``
-forms each array once and hands it to every check that reads it, so one check
+Each differential check takes |F| or |D psi~| as its last argument, node-last:
+``check_all`` forms F, writes its ``magnitude`` once into a (q, C, A, *dims)
+array and drops F, and hands |F| to the four checks that read it; D psi~ goes
+the same way into (m, C, A, *dims) for the five checks that read it.  Each
+check reduces slices of the magnitude, with no copy of its own, so one check
 is read as ``check_all(geom, tolerances)[name]``.
+
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
-Every checker reads the data and its derived geometry from one
+Every nodewise max-abs goes through one reduction: ``magnitude`` writes
+|residual| once with the node axes last, laid out (*free, *dims), so the
+nodewise max (``nodewise_max``) is an elementwise ``maximum`` of contiguous
+node rows and the mean one sum (``node_record``).  ``make_record`` is the two
+in turn, for a residual in its natural (*dims, *free) layout.  Every checker
+reads the data and its derived geometry from one
 :class:`prodimm.flatbundle.Geometry`.
 """
 
@@ -159,25 +169,57 @@ class ResidualReport:
                                         key=lambda r: RECORD_NAMES.index(r.name))))
 
 
-def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
-                threshold: float, mean_weight: float = 1.0) -> CheckRecord:
-    """Reduce a (*dims, *free) residual array to a record, its mean scaled by ``mean_weight``.
+def magnitude(residual: np.ndarray, nd: int) -> np.ndarray:
+    """|residual| of a (*dims, *free) array, written once into a fresh (*free, *dims) array.
 
-    An empty free axis (F on a 1-dim chart) reduces to a zero max and mean.
+    With the ``nd`` node axes last, a nodewise max over the free axes is an
+    elementwise ``maximum`` of contiguous node rows (``nodewise_max``), and a
+    block of the magnitude is a slice over its leading axes.
     """
-    magnitude = np.abs(residual)
-    nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)), initial=0.0)
+    out = np.empty(residual.shape[nd:] + residual.shape[:nd])
+    return np.abs(np.moveaxis(residual, range(nd), range(-nd, 0)), out=out)
+
+
+def nodewise_max(mag: np.ndarray, nd: int) -> np.ndarray:
+    """The (*dims) max of a node-last magnitude (*free, *dims) over its free axes.
+
+    A NaN propagates to its node; no free axis, or an empty one, leaves the
+    magnitude itself or zeros.
+    """
+    return mag.max(axis=tuple(range(mag.ndim - nd)), initial=0.0)
+
+
+def node_record(name: str, mag: np.ndarray, grid: ChartGrid,
+                threshold: float, mean_weight: float = 1.0) -> CheckRecord:
+    """Reduce a node-last magnitude (*free, *dims) to a record, its mean scaled by ``mean_weight``.
+
+    An empty free axis (F on a 1-dim chart) reduces to a zero max and mean; a
+    NaN fails the record and names its node.
+    """
+    nodewise = nodewise_max(mag, grid.ndim)
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
-                       mean_abs=float(magnitude.sum() / max(magnitude.size, 1)) * mean_weight,
+                       mean_abs=float(mag.sum() / max(mag.size, 1)) * mean_weight,
                        argmax_node=argmax_node(nodewise), threshold=float(threshold),
                        passed=bool(max_abs <= threshold))
+
+
+def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
+                threshold: float, mean_weight: float = 1.0) -> CheckRecord:
+    """Reduce a (*dims, *free) residual array to a record: ``node_record`` of its ``magnitude``."""
+    return node_record(name, magnitude(residual, grid.ndim), grid, threshold, mean_weight)
 
 
 def records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
     """One record per (name, residual) pair, each against its threshold on ``grid``."""
     return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
                                 for name, resid in named))
+
+
+def magnitude_records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
+    """One record per (name, node-last magnitude) pair, each against its threshold on ``grid``."""
+    return ResidualReport(tuple(node_record(name, mag, grid, tolerances.threshold(name, grid))
+                                for name, mag in named))
 
 
 def psi_blocks(psi: np.ndarray, n: int) -> tuple:
@@ -187,8 +229,9 @@ def psi_blocks(psi: np.ndarray, n: int) -> tuple:
 
 def identity_structure_nodes(psi: np.ndarray) -> int:
     """Count nodes where the structure matrix is within ``IDENTITY_TOL`` of +-identity."""
+    nd = psi.ndim - 2
     ident = np.eye(psi.shape[-1])
-    return sum(int((np.abs(psi - sign * ident).max(axis=(-2, -1)) <= IDENTITY_TOL).sum())
+    return sum(int((nodewise_max(magnitude(psi - sign * ident, nd), nd) <= IDENTITY_TOL).sum())
                for sign in (1.0, -1.0))
 
 
@@ -221,12 +264,12 @@ def big_curvature(geom: Geometry) -> np.ndarray:
 
 def curvature_report(grid: ChartGrid, tolerances: ToleranceModel, name: str,
                      block: np.ndarray) -> ResidualReport:
-    """The record of ``block``, a block of F, its mean that over all n^2 direction pairs.
+    """The record of ``block``, a block of |F|, its mean that over all n^2 direction pairs.
 
     F[n, m] = -F[m, n] and the zero diagonal weight the mean over the pairs
     m < n by (n-1)/n, as if F were held in full.
     """
-    return ResidualReport((make_record(name, block, grid, tolerances.threshold(name, grid),
+    return ResidualReport((node_record(name, block, grid, tolerances.threshold(name, grid),
                                        (grid.ndim - 1) / grid.ndim),))
 
 
@@ -236,49 +279,56 @@ def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
 
 
 def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
-                       d_psi_tilde: np.ndarray) -> ResidualReport:
-    """The four blocks of D psi, the top-left (n+p)^2 block of D psi~."""
+                       d_psi_mag: np.ndarray) -> ResidualReport:
+    """The four blocks of |D psi|, the top-left (n+p)^2 block of |D psi~| (m, C, A, *dims)."""
     n = geom.grid.ndim
-    d_f, d_u, d_big_u, d_lam = psi_blocks(d_psi_tilde[..., :n + geom.p, :n + geom.p], n)
-    return records(geom.grid, tolerances,
-                   ("psi_parallel_f", d_f), ("psi_parallel_u", d_u),
-                   ("psi_parallel_U", d_big_u), ("psi_parallel_lambda", d_lam))
+    tan, bun = slice(n), slice(n, n + geom.p)
+    return magnitude_records(geom.grid, tolerances,
+                             ("psi_parallel_f", d_psi_mag[:, tan, tan]),
+                             ("psi_parallel_u", d_psi_mag[:, bun, tan]),
+                             ("psi_parallel_U", d_psi_mag[:, tan, bun]),
+                             ("psi_parallel_lambda", d_psi_mag[:, bun, bun]))
 
 
-def check_gauss(geom: Geometry, tolerances: ToleranceModel, curv: np.ndarray) -> ResidualReport:
-    """The tangent block F[..., :n, :n]."""
+def check_gauss(geom: Geometry, tolerances: ToleranceModel,
+                curv_mag: np.ndarray) -> ResidualReport:
+    """The tangent block |F|[:, :n, :n] of |F| (q, C, A, *dims)."""
     n = geom.grid.ndim
-    return curvature_report(geom.grid, tolerances, "gauss", curv[..., :n, :n])
+    return curvature_report(geom.grid, tolerances, "gauss", curv_mag[:, :n, :n])
 
 
 def check_codazzi(geom: Geometry, tolerances: ToleranceModel,
-                  curv: np.ndarray) -> ResidualReport:
-    """Twice the bundle-row tangent-column block F[..., n:n+p, :n], laid out (q, r, a)."""
+                  curv_mag: np.ndarray) -> ResidualReport:
+    """Twice the bundle-row tangent-column block |F|[:, n:n+p, :n] of |F| (q, C, A, *dims)."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom.grid, tolerances, "codazzi",
-                            2.0 * np.swapaxes(curv[..., n:n + p, :n], -1, -2))
+    return curvature_report(geom.grid, tolerances, "codazzi", 2.0 * curv_mag[:, n:n + p, :n])
 
 
-def check_ricci(geom: Geometry, tolerances: ToleranceModel, curv: np.ndarray) -> ResidualReport:
-    """The bundle block F[..., n:n+p, n:n+p]."""
+def check_ricci(geom: Geometry, tolerances: ToleranceModel,
+                curv_mag: np.ndarray) -> ResidualReport:
+    """The bundle block |F|[:, n:n+p, n:n+p] of |F| (q, C, A, *dims)."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom.grid, tolerances, "ricci", curv[..., n:n + p, n:n + p])
+    return curvature_report(geom.grid, tolerances, "ricci", curv_mag[:, n:n + p, n:n + p])
 
 
 def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     """Every compatibility check but metric compatibility, merged into one report.
 
     Records: the algebra, ``psi_parallel_*``, ``gauss``, ``codazzi``,
-    ``ricci``, ``bundle_flatness``, ``psi_tilde_parallel``.  F is formed once,
-    read and dropped before psi~ and D psi~ exist; neither array is kept.
+    ``ricci``, ``bundle_flatness``, ``psi_tilde_parallel``.  F is formed once
+    and dropped as soon as its node-last ``magnitude`` |F| exists; the four
+    checks that read F each reduce a slice of |F|, which is dropped before
+    psi~ and D psi~ exist.  D psi~ goes the same way, into |D psi~| for the
+    five checks that read it.  None of these arrays is kept.
     """
     from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
+    nd = geom.grid.ndim
     algebra = check_psi_algebra(geom, tolerances)
-    curv = big_curvature(geom)
-    gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv) for check in (
+    curv_mag = magnitude(big_curvature(geom), nd)
+    gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv_mag) for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual))
-    del curv
-    d_psi_tilde = psi_tilde_derivative(geom)
-    parallel = check_psi_parallel(geom, tolerances, d_psi_tilde)
-    tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_tilde)
+    del curv_mag
+    d_psi_mag = magnitude(psi_tilde_derivative(geom), nd)
+    parallel = check_psi_parallel(geom, tolerances, d_psi_mag)
+    tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_mag)
     return ResidualReport.merge(algebra, parallel, gauss, codazzi, ricci, flatness, tilde)

@@ -14,16 +14,18 @@ tests those block identities.  ``induced_structure`` is the extraction's
 per-block structure read: four pairings, one per block of psi, and the
 tangent blocks raised by ``einsum``.  The package holds a curvature over the
 direction pairs m < n only; ``expand_pairs`` writes it out over all n^2 pairs
-for the oracles laid out that way.
+for the oracles laid out that way.  ``record_reference`` is the record
+reduction in the residual's own node-major layout, the reference for the
+package's node-last ``magnitude`` and ``node_record``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from prodimm.fields import grad_field, hessian_field
+from prodimm.fields import argmax_node, grad_field, hessian_field
 from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
-from prodimm.structure import ResidualReport, make_record, psi_blocks
+from prodimm.structure import CheckRecord, ResidualReport, make_record, psi_blocks
 
 
 def ghost_padded(values, axis) -> np.ndarray:
@@ -124,6 +126,17 @@ def covariant_derivative(grid, vals, slots, ga, om) -> np.ndarray:
             corr = -np.einsum(f"...m{s}z,...{letters}->...m{mod}", om, vals)
         out = out + corr
     return out
+
+
+def record_reference(name, residual, grid, threshold, mean_weight=1.0) -> CheckRecord:
+    """A (*dims, *free) residual's record: |residual| in place, its max over the trailing axes."""
+    magnitude = np.abs(residual)
+    nodewise = magnitude.max(axis=tuple(range(grid.ndim, magnitude.ndim)), initial=0.0)
+    max_abs = float(nodewise.max())
+    return CheckRecord(name=name, max_abs=max_abs,
+                       mean_abs=float(magnitude.sum() / max(magnitude.size, 1)) * mean_weight,
+                       argmax_node=argmax_node(nodewise), threshold=float(threshold),
+                       passed=bool(max_abs <= threshold))
 
 
 def _report(grid, tolerances, *named):

@@ -353,6 +353,29 @@ def test_align_refuses_reports_on_different_grids(tmp_path, capsys):
     assert "spacing=(0.005,)" in err and "spacing=(0.004,)" in err
 
 
+@pytest.fixture(scope="module")
+def f3_small_dataset_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "f3.json"
+    assert main(["extract", "--fixture", "F3", "--grid", "9x9", "--spacing", "0.1875,0.1875",
+                 "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("p", 2.7), ("p", 2.0), ("p", -1), ("p", 0), ("p", True),
+                                        ("p", "2"), ("n", 2.9), ("n", "2"), ("n", True),
+                                        ("n", 3)])
+def test_dataset_header_counts_are_integers_or_exit_2(f3_small_dataset_path, tmp_path, capsys,
+                                                      key, value):
+    """``n`` and ``p`` are read as integers >= 1, never truncated or parsed from a string."""
+    doc = json.loads(f3_small_dataset_path.read_text())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    assert f"header {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("tolerances", 5), ("tolerances", {"overrides": [1, 2]}),
                                         ("meta", [1, 2, 3]), ("meta", 7)],
                          ids=["tolerances_number", "overrides_list", "meta_list", "meta_number"])

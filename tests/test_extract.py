@@ -165,6 +165,33 @@ def test_structure_oracles_f3(f3):
     assert np.abs(f3.data.bundle.omega).max() <= 1e-12
 
 
+def test_induced_structure_of_a_twisted_frame(f3):
+    """F3's rows with the tangents sheared by a constant A and the normals turned by a
+    chart-dependent angle theta: g = A A^T, omega_m = d_m theta J, and psi = M^-T psi0 M^T
+    for M = A (+) R(theta) and F3's psi0 = diag(1, -1, 1, -1)."""
+    grid, data = f3.grid, f3.data
+    x, y = np.moveaxis(grid.coords(), -1, 0)
+    shear = np.array([[1.0, 0.4], [-0.3, 0.8]])
+    theta = 0.7 * x + np.sin(2.0 * y)
+    d_theta = np.stack([np.full_like(x, 0.7), 2.0 * np.cos(2.0 * y)], axis=-1)
+    c, s = np.cos(theta), np.sin(theta)
+    turn = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    tangents, normals = shear @ data.tangents, turn @ data.normals
+
+    metric = induced_metric(grid, tangents)
+    psi, bundle = induced_structure(f3.immersion, metric, tangents, normals)
+
+    assert np.abs(metric.values - shear @ shear.T).max() <= 1e-12
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = d_theta[..., None, None] * skew
+    assert np.abs(bundle.omega - omega).max() <= 10 * grid.h_max**2
+    frame = np.zeros(grid.dims + (4, 4))
+    frame[..., :2, :2], frame[..., 2:, 2:] = shear, turn
+    want = np.swapaxes(np.linalg.inv(frame), -1, -2) @ np.diag([1.0, -1.0, 1.0, -1.0]) \
+        @ np.swapaxes(frame, -1, -2)
+    assert np.abs(psi - want).max() <= 1e-12
+
+
 def test_normal_connection_trivial_on_fixtures(f1, f2):
     assert np.abs(f1.data.bundle.omega).max() <= 1e-12
     assert np.abs(f2.data.bundle.omega).max() <= 1e-12

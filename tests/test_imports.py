@@ -13,7 +13,10 @@ own input: each reads the F or D psi~ it is handed.  The
 Minkowski pairing is written one way: no ``minkowski_dot`` call in ``src/``
 has an argument indexed by ``None`` (a stack of pairings is ``minkowski_gram``),
 ``extract`` does not name ``eta``, and neither ``extract`` nor ``reconstruct``
-names ``einsum``.
+names ``einsum``.  A nodewise max-abs is reduced one way: in ``structure``,
+``flatbundle`` and ``reconstruct`` no ``np.abs`` result is reduced along an
+axis (``np.abs(r).max(axis=(-2, -1))`` and the like); each goes through
+``structure.magnitude``, which lays |r| out with the node axes last.
 """
 
 import ast
@@ -220,3 +223,54 @@ def test_none_default_is_found():
               "def g(geom, *, d=None, e=1, k):\n    if d is None:\n        d = form(geom)\n"
               "    return d, e, k\n")
     assert none_defaults(source) == ["f(curv)", "g(d)"]
+
+
+NODEWISE = ("structure.py", "flatbundle.py", "reconstruct.py")
+REDUCERS = {"max", "min", "sum", "mean", "amax", "amin", "reduce"}
+
+
+def abs_axis_reductions(source: str) -> list:
+    """Lines reducing an ``np.abs`` result along an axis, directly or through a name bound
+    to one in the same function: ``np.abs(r).max(axis=-1)``, ``np.max(np.abs(r), -1)``,
+    ``m.sum(axis=0)`` after ``m = np.abs(r)``.  A whole-array reduction is not one."""
+    def abs_call(node):
+        return isinstance(node, ast.Call) and \
+            getattr(node.func, "attr", getattr(node.func, "id", None)) == "abs"
+
+    tree = ast.parse(source)
+    lines = set()
+    for scope in [tree] + [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]:
+        bound = {t.id for node in ast.walk(scope) if isinstance(node, ast.Assign)
+                 and abs_call(node.value) for t in node.targets if isinstance(t, ast.Name)}
+
+        def is_abs(node):
+            return abs_call(node) or isinstance(node, ast.Name) and node.id in bound
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in REDUCERS):
+                continue
+            axis = any(k.arg == "axis" for k in node.keywords)
+            if is_abs(node.func.value) and (axis or node.args):
+                lines.add(node.lineno)
+            elif node.args and is_abs(node.args[0]) and (
+                    axis or len(node.args) > 1 or node.func.attr == "reduce"):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", NODEWISE)
+def test_nodewise_max_abs_goes_through_magnitude(name):
+    assert abs_axis_reductions((SRC / name).read_text()) == []
+
+
+def test_abs_axis_reduction_site_is_found():
+    source = ("import numpy as np\n"
+              "def f(r, n):\n"
+              "    a = np.abs(r).max(axis=(-2, -1))\n"
+              "    m = np.abs(r)\n"
+              "    b = m.max(axis=tuple(range(n, m.ndim)), initial=0.0)\n"
+              "    c = np.max(np.abs(r), -1) + np.abs(r).sum(0)\n"
+              "    d = np.abs(r).max() + m.sum() + np.max(abs(r))\n"
+              "    return np.maximum.reduce(np.abs(r)), a, b, c, d\n"
+              "def g(r):\n"
+              "    return r.max(axis=-1), magnitude(r, 2).max(axis=0)\n")
+    assert abs_axis_reductions(source) == [3, 5, 6, 8]

@@ -14,6 +14,7 @@ import kernel_oracles as oracle
 from conftest import random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
 from prodimm.extract import induced_structure
+from prodimm.fields import ChartGrid
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect
 from prodimm.reconstruct import assemble_immersion, immersion_psi_field, verify_reconstruction
@@ -34,6 +35,49 @@ def assert_reports_close(new, ref):
     for a, b in zip(new.records, ref.records):
         for x, y in ((a.max_abs, b.max_abs), (a.mean_abs, b.mean_abs)):
             assert abs(x - y) <= REL * max(abs(y), 1.0), (a.name, x, y)
+
+
+def assert_same_record(new, ref):
+    """Max, argmax node, threshold and verdict bitwise (NaN equal to NaN), mean to 1e-12."""
+    assert (new.name, new.argmax_node, new.threshold, new.passed) == \
+        (ref.name, ref.argmax_node, ref.threshold, ref.passed)
+    assert np.array_equal(new.max_abs, ref.max_abs, equal_nan=True), (new.name, new, ref)
+    assert new.mean_abs == pytest.approx(ref.mean_abs, rel=1e-12, abs=0.0, nan_ok=True), new.name
+
+
+@pytest.mark.parametrize("dims", [(23,), (7, 9), (5, 6, 7)])
+def test_record_reduction_matches_the_reference(dims):
+    """``make_record`` and ``node_record`` of slices of one node-last magnitude,
+    against the reduction in the residual's own layout."""
+    rng = np.random.default_rng(len(dims))
+    nd = len(dims)
+    grid = ChartGrid(dims=dims, spacing=(0.1,) * nd, origin=(0.0,) * nd)
+    full = rng.normal(size=dims + (3, 6, 6))
+    blocks = {   # name: (the residual, the same block of magnitude(full))
+        "whole": (full, lambda m: m),
+        "block": (full[..., 2:5, :2], lambda m: m[:, 2:5, :2]),
+        "swapped": (2.0 * np.swapaxes(full[..., 1:, 4:, :3], -1, -2),
+                    lambda m: 2.0 * m[1:, 4:, :3]),
+        "empty free axis": (full[..., :0, :, :], lambda m: m[:0]),
+    }
+    mag = structure.magnitude(full, nd)
+    assert mag.shape == full.shape[nd:] + dims and mag.flags.c_contiguous
+    for name, (resid, block) in blocks.items():
+        for weight in (1.0, 0.5):
+            want = oracle.record_reference(name, resid, grid, 2.5, weight)
+            assert_same_record(make_record(name, resid, grid, 2.5, weight), want)
+            assert_same_record(structure.node_record(name, block(mag), grid, 2.5, weight), want)
+    no_free = full[..., 0, 1, 2]   # one value per node, as reconstruction_on_product
+    assert_same_record(make_record("no free axes", no_free, grid, 2.5),
+                       oracle.record_reference("no free axes", no_free, grid, 2.5))
+
+    node = tuple(int(rng.integers(d)) for d in dims)
+    planted = full.copy()
+    planted[node + (2, 3, 1)] = np.nan
+    for resid in (planted, planted[..., 2:, 1:4, :2]):
+        rec = make_record("planted", resid, grid, 2.5)
+        assert_same_record(rec, oracle.record_reference("planted", resid, grid, 2.5))
+        assert not rec.passed and rec.argmax_node == node
 
 
 def with_random_bundle(geom: Geometry, seed: int) -> Geometry:
@@ -121,7 +165,8 @@ def test_flat_bundle_kernels_match_oracles(geom):
                            oracle.psi_tilde_parallel(grid, om, case.psi_tilde), grid,
                            tol.threshold("psi_tilde_parallel", grid))
         assert_reports_close(flatbundle.psi_tilde_parallel_residual(
-                                 case, tol, structure.psi_tilde_derivative(case)),
+                                 case, tol, structure.magnitude(
+                                     structure.psi_tilde_derivative(case), grid.ndim)),
                              structure.ResidualReport((want,)))
 
 

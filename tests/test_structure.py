@@ -11,7 +11,8 @@ from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.structure import (RECORD_NAMES, ResidualReport, StructureWarning, ToleranceModel,
                                big_curvature, check_all, check_codazzi, check_gauss,
                                check_psi_algebra, check_psi_parallel, check_ricci,
-                               identity_structure_nodes, psi_blocks, psi_tilde_derivative)
+                               identity_structure_nodes, magnitude, psi_blocks,
+                               psi_tilde_derivative)
 
 
 def constant_structure(grid, f_val=-0.28, u_val=0.96):
@@ -68,7 +69,8 @@ def test_psi_algebra_grid_mismatch(f1, f2):
 
 
 def test_psi_parallel_totally_geodesic_fixture(f1):
-    report = check_psi_parallel(f1.geom, f1.tolerances, psi_tilde_derivative(f1.geom))
+    report = check_psi_parallel(f1.geom, f1.tolerances,
+                                magnitude(psi_tilde_derivative(f1.geom), 1))
     assert report.passed
     thr = 10 * f1.grid.h_max**2
     for rec in report.records:
@@ -81,7 +83,7 @@ def test_psi_parallel_detects_varying_u(f2):
     psi = f2.data.psi.copy()
     psi_blocks(psi, 1)[1][..., 0, 0] += eps * np.sin(2.0 * t)
     geom = replace(f2.geom, psi=psi)
-    report = check_psi_parallel(geom, f2.tolerances, psi_tilde_derivative(geom))
+    report = check_psi_parallel(geom, f2.tolerances, magnitude(psi_tilde_derivative(geom), 1))
     rec = report["psi_parallel_u"]
     assert not rec.passed
     assert rec.max_abs >= eps / 2
@@ -108,7 +110,7 @@ def test_curvature_blocks_are_exactly_zero_on_curves(f2):
     names = ("gauss", "codazzi", "ricci", "bundle_flatness")
     report = check_dataset(Geometry.of(f2.data), f2.tolerances)
     standalone = check_all(Geometry.of(f2.data), f2.tolerances)
-    alone = [check(f2.geom, f2.tolerances, curv).records[0] for check in (
+    alone = [check(f2.geom, f2.tolerances, magnitude(curv, 1)).records[0] for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual)]
     for rec in [rep[name] for rep in (report, standalone) for name in names] + alone:
         assert (rec.max_abs, rec.mean_abs, rec.argmax_node) == (0.0, 0.0, (0,)), rec.name
