@@ -51,6 +51,7 @@ import numpy as np
 from .errors import SchemaError
 from .extract import ExtractionResult, default_tolerances
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, check_values
+from .flatbundle import Geometry
 from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
 
@@ -60,16 +61,11 @@ _GRID_KEYS = ("dims", "spacing", "origin")   # ChartGrid fields, in order
 _PSI_FIELDS = ("psi.f", "psi.u", "psi.U", "psi.lambda")   # the blocks of psi_blocks, in order
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Everything the checker and the reconstructor consume."""
+@dataclass(frozen=True, eq=False)
+class Dataset(Geometry):
+    """Everything the checker and the reconstructor consume: a ``Geometry`` (its grid
+    and p read off the fields) plus the tolerances and meta the document carries."""
 
-    grid: ChartGrid
-    p: int
-    metric: MetricField
-    bundle: BundleData
-    sigma: SecondFormField
-    psi: np.ndarray           # (*dims, n+p, n+p) structure matrix [[f, U], [u, lambda]]
     tolerances: ToleranceModel
     meta: dict
 
@@ -79,8 +75,7 @@ class Dataset:
         info = {"fixture": data.immersion.name, "k": data.immersion.k,
                 "params": dict(data.immersion.params or {}),
                 "analytic_derivatives": data.analytic_derivatives}
-        return cls(grid=data.grid, p=data.immersion.p, metric=data.metric,
-                   bundle=data.bundle, sigma=data.sigma, psi=data.psi,
+        return cls(metric=data.metric, bundle=data.bundle, sigma=data.sigma, psi=data.psi,
                    tolerances=default_tolerances(data), meta=info)
 
 
@@ -228,7 +223,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise
     except Exception as exc:  # invariant violations become schema errors on load
         raise SchemaError(f"dataset violates a load-time invariant: {exc}") from exc
-    return Dataset(grid=grid, p=p, metric=metric, bundle=bundle, sigma=sigma, psi=psi,
+    return Dataset(metric=metric, bundle=bundle, sigma=sigma, psi=psi,
                    tolerances=tolerances, meta=meta)
 
 
@@ -295,7 +290,7 @@ def report_from_dict(doc: dict) -> Report:
             CheckRecord(name=str(_take(c, "name")), max_abs=float(_take(c, "max")),
                         mean_abs=float(_take(c, "mean")),
                         argmax_node=tuple(_take(c, "argmax_node")),
-                        threshold=float(_take(c, "threshold")), passed=bool(_take(c, "pass")))
+                        threshold=float(_take(c, "threshold")))
             for c in doc.get("checks", []))
     except SchemaError:
         raise

@@ -72,6 +72,7 @@ import numpy as np
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
                      check_values, grad_field, hessian_field, sweep_compose)
+from .flatbundle import Geometry
 from .lorentz import (apex_boost, complete_basis, gram_schmidt, lower, minkowski_gram,
                       product_defect, product_normals, psi_flip)
 from .structure import ToleranceModel, psi_blocks
@@ -88,36 +89,41 @@ class AnalyticImmersion:
     (..., n) to ambient points (..., N); ``derivative`` to (..., n, N);
     ``second_derivative`` to (..., n, n, N).  The derivative evaluators are
     optional; finite differences with the package stencils are the fallback.
+    The normal rank p = k + m - n is read off the dimensions, and must be at least 1.
     """
 
     name: str
     k: int
     m: int
     n: int
-    p: int
     point: Callable
     derivative: Callable | None = None
     second_derivative: Callable | None = None
     params: dict | None = None
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise DimensionError(f"normal rank k + m - n = {self.k} + {self.m} - {self.n} "
+                                 f"= {self.p} is below 1")
+
+    @property
+    def p(self) -> int:
+        return self.k + self.m - self.n
 
     @property
     def ambient_dim(self) -> int:
         return self.k + self.m + 2
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """All induced data of one immersion on one grid."""
+@dataclass(frozen=True, eq=False)
+class ExtractionResult(Geometry):
+    """The induced datum of one immersion on one grid, a ``Geometry``, plus the ambient
+    samples it was read off: points, tangents and the swept normal frame."""
 
-    grid: ChartGrid
     immersion: AnalyticImmersion
     points: np.ndarray        # (*dims, N)
     tangents: np.ndarray      # (*dims, n, N) actual derivative vectors
     normals: np.ndarray       # (*dims, p, N)
-    metric: MetricField
-    bundle: BundleData
-    sigma: SecondFormField
-    psi: np.ndarray           # (*dims, n+p, n+p) structure matrix [[f, U], [u, lambda]]
     analytic_derivatives: bool
 
     @property
@@ -291,9 +297,9 @@ def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
     sigma = induced_second_form(imm, grid, points, tangents, normals, use_analytic)
     psi, bundle = induced_structure(imm, metric, tangents, normals)
     analytic = bool(use_analytic and imm.derivative is not None)
-    return ExtractionResult(grid=grid, immersion=imm, points=points, tangents=tangents,
-                            normals=normals, metric=metric, bundle=bundle, sigma=sigma,
-                            psi=psi, analytic_derivatives=analytic)
+    return ExtractionResult(metric=metric, bundle=bundle, sigma=sigma, psi=psi, immersion=imm,
+                            points=points, tangents=tangents, normals=normals,
+                            analytic_derivatives=analytic)
 
 
 def default_tolerances(data: ExtractionResult) -> ToleranceModel:
@@ -327,7 +333,7 @@ def _fixture_f1(a: float = 0.6):
                        b * b * np.sinh(b * t), b * b * np.cosh(b * t)], axis=-1)
         return dd[..., None, None, :]
 
-    imm = AnalyticImmersion(name="F1", k=1, m=1, n=1, p=1, point=point,
+    imm = AnalyticImmersion(name="F1", k=1, m=1, n=1, point=point,
                             derivative=derivative, second_derivative=second_derivative,
                             params={"a": a, "b": b})
     grid = ChartGrid(dims=(200,), spacing=(5e-3,), origin=(0.0,))
@@ -362,7 +368,7 @@ def _fixture_f2(theta0: float = np.pi / 3):
         y[..., 1] = 1.0 if order == 0 else 0.0
         return np.concatenate([x, y], axis=-1)
 
-    imm = AnalyticImmersion(name="F2", k=2, m=1, n=1, p=2, point=lambda c: jet(c, 0),
+    imm = AnalyticImmersion(name="F2", k=2, m=1, n=1, point=lambda c: jet(c, 0),
                             derivative=lambda c: jet(c, 1)[..., None, :],
                             second_derivative=lambda c: jet(c, 2)[..., None, None, :],
                             params={"theta0": theta0})
@@ -392,7 +398,7 @@ def _fixture_f3(theta0: float = np.pi / 4):
         dd[..., 1, 1, 3], dd[..., 1, 1, 5] = np.sinh(t2), np.cosh(t2)
         return dd
 
-    imm = AnalyticImmersion(name="F3", k=2, m=2, n=2, p=2, point=point,
+    imm = AnalyticImmersion(name="F3", k=2, m=2, n=2, point=point,
                             derivative=derivative, second_derivative=second_derivative,
                             params={"theta0": theta0})
     h = 1.5 / 63.0

@@ -11,14 +11,16 @@ F_mn = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n]; a sign error in either
 convention silently breaks the rebuild, so both are asserted by the trivial
 constant-structure tests.
 
-``Geometry`` holds one dataset (g, E, sigma, psi) and the quantities derived
-from it that more than one consumer reads: g(f., .), G, the big connection and
-psi~, all plain arrays (``build_connection`` alone reads the Christoffel symbols
-and shape operators).  The structure psi is one (*dims, n+p, n+p) matrix
-[[f, U], [u, lambda]]; ``extend_diagonal`` pads it to psi~ = psi (+) diag(1, -1)
-as it pads g to G.  Each derived quantity is computed on first use and kept;
-the structure checks, the flat-bundle diagnostics and the rebuild all read one
-instance per dataset.
+``Geometry`` declares the datum (g, E, sigma, psi) once, psi one (*dims, n+p,
+n+p) matrix [[f, U], [u, lambda]]; ``dataio.Dataset`` and
+``extract.ExtractionResult`` are ``Geometry``s, so its grid check covers their
+grid and p.  It caches what more than one consumer reads: g(f., .), G and the
+big connection, plain arrays computed on first use (``build_connection`` alone
+reads the Christoffel symbols and shape operators), so the structure checks,
+the flat-bundle diagnostics and the rebuild read one instance per dataset.
+psi~ = psi (+) diag(1, -1) is psi held twice, so it is not cached:
+``extend_diagonal`` pads psi as it pads g to G, grid-wide in
+``structure.psi_tilde_derivative`` and at the base node only in the rebuild.
 
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
@@ -49,7 +51,7 @@ _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the 
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """One dataset and its derived geometry, each piece computed once on first use."""
+    """The datum (g, E, sigma, psi) and its shared derived arrays, each formed on first use."""
 
     metric: MetricField
     bundle: BundleData
@@ -60,11 +62,6 @@ class Geometry:
         grids = {self.metric.grid, self.bundle.grid, self.sigma.grid}
         if len(grids) > 1 or np.shape(self.psi)[:self.grid.ndim] != self.grid.dims:
             raise GridMismatchError("fields live on different grids")
-
-    @classmethod
-    def of(cls, data) -> "Geometry":
-        """From anything carrying metric, bundle, sigma and psi: a dataset or an extraction."""
-        return cls(data.metric, data.bundle, data.sigma, data.psi)
 
     @property
     def grid(self) -> ChartGrid:
@@ -88,11 +85,6 @@ class Geometry:
     def connection(self) -> np.ndarray:
         """(..., m, N, N) big-bundle connection matrices Omega_m."""
         return build_connection(self)
-
-    @cached_property
-    def psi_tilde(self) -> np.ndarray:
-        """(..., N, N) extended structure psi~."""
-        return build_psi_tilde(self.psi)
 
 
 def build_connection(geom: Geometry) -> np.ndarray:

@@ -20,14 +20,16 @@ Pipeline (all deterministic):
    one pairing of d phi with the rebuilt rows e = (d phi, nu) gives the first
    two, <psi d phi, d phi> the product terms of the second form, and the
    residual psi e - psi^T e the compatibility records (tangent, normal rows).
+   The normals nu come off the frame's bundle rows, as phi comes off its xi
+   rows: G is the identity on the bundle block.
 
 Frames, points and the Gram matrices G are plain arrays over the node axes:
 frames (*dims, N, N) with the transported sections as columns, points
 (*dims, N) with the timelike coordinate last.  The structure is one
-(*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split reads psi~, its
-padding to N = n+p+2, at the base node, and the compatibility records apply
-its transpose to the rebuilt rows.  ``ReconstructionResult``
-holds the rebuild; G and the connection stay on the caller's ``Geometry``.
+(*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split pads psi to psi~
+(N = n+p+2) at the base node only, and the compatibility records apply its
+transpose to the rebuilt rows.  ``ReconstructionResult`` holds the rebuild; G
+and the connection stay on the caller's ``Geometry``.
 
 The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import ReconstructionError, StructureError
 from .fields import ChartGrid, argmax_node, grad_field, hessian_field, sweep_compose
-from .flatbundle import Geometry, eigen_split
+from .flatbundle import Geometry, build_psi_tilde, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
 from .structure import ResidualReport, ToleranceModel, magnitude, nodewise_max, records
@@ -68,9 +70,13 @@ class ReconstructionResult:
     frame: np.ndarray         # (*dims, N, N) transported frame, one section per column
     base_node: tuple
     k: int
-    on_product_defect: float  # worst node's distance from S^k x H^m
     report: ResidualReport
     timings: dict
+
+    @property
+    def on_product_defect(self) -> float:
+        """The worst node's distance from S^k x H^m, the max of its report record."""
+        return self.report["reconstruction_on_product"].max_abs
 
 
 def edge_flow(om_start, om_end, delta) -> np.ndarray:
@@ -199,11 +205,9 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
     n, p = grid.ndim, geom.p
     dphi = grad_field(grid, points)                    # (..., m, N)
 
-    # the rebuilt rows (d_1 phi .. d_n phi, nu_1 .. nu_p); the normals are
-    # columns of the frame isomorphism (exact, no differencing)
-    rows = np.concatenate(
-        [dphi, np.swapaxes(immersion_psi_field(frame, geom.gram)[..., :, n:n + p], -1, -2)],
-        axis=-2)
+    # the rebuilt rows (d_1 phi .. d_n phi, nu_1 .. nu_p); the normals are the
+    # lowered bundle rows of the frame (exact, no differencing)
+    rows = np.concatenate([dphi, lower(frame[..., n:n + p, :])], axis=-2)
     normals = rows[..., n:, :]
     pairs = minkowski_gram(dphi, rows)                 # (..., m, n+p): <d_m phi, e_B>
     induced = pairs[..., :n]
@@ -282,9 +286,9 @@ def reconstruct_immersion(geom: Geometry,
     """Full rebuild pipeline: split, transport, assemble, verify.
 
     The base node defaults to the grid centre, which halves the longest
-    transport path against a corner base.  Reads G, psi~ and the big
-    connection from ``geom``, so a geometry the checks already filled is not
-    derived again.  One edge-flow table serves the transport, the transposed
+    transport path against a corner base.  Reads G and the big connection
+    from ``geom``, so a geometry the checks already filled is not derived
+    again.  One edge-flow table serves the transport, the transposed
     cross-check sweep (dimension >= 2) and path independence.
     """
     grid = geom.grid
@@ -298,7 +302,7 @@ def reconstruct_immersion(geom: Geometry,
 
     t0 = time.perf_counter()
     gram = geom.gram
-    k, b1, b2 = eigen_split(geom.psi_tilde[base], gram[base], nd, geom.p)
+    k, b1, b2 = eigen_split(build_psi_tilde(geom.psi[base]), gram[base], nd, geom.p)
     if initial_rotation is None and seed_frame is not None:
         initial_rotation = random_block_rotation(k + 1, seed_frame)
     frame0 = initial_frame_from_split(b1, b2, rotation=initial_rotation)
@@ -334,6 +338,5 @@ def reconstruct_immersion(geom: Geometry,
         table_report)
     timings["verify"] = table_time + time.perf_counter() - t0
 
-    return ReconstructionResult(points=points, frame=frame, base_node=base, k=k,
-                                on_product_defect=float(on_product.max()), report=report,
+    return ReconstructionResult(points=points, frame=frame, base_node=base, k=k, report=report,
                                 timings=timings)

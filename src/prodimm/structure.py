@@ -124,8 +124,9 @@ class ToleranceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToleranceModel":
-        return cls(factor=float(d.get("factor", 10.0)),
-                   floor=float(d.get("floor", 1e-8)),
+        """The model of a document: a missing factor or floor is the dataclass default, but
+        a missing or null ``algebraic`` is None (the h^2 budget), not the constructor's 1e-10."""
+        return cls(**{key: float(d[key]) for key in ("factor", "floor") if key in d},
                    algebraic=None if d.get("algebraic") is None else float(d["algebraic"]),
                    overrides={str(k): float(v) for k, v in d.get("overrides", {}).items()})
 
@@ -137,7 +138,11 @@ class CheckRecord:
     mean_abs: float
     argmax_node: tuple
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """``max_abs <= threshold``: a NaN max fails."""
+        return bool(self.max_abs <= self.threshold)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "max": self.max_abs, "mean": self.mean_abs,
@@ -197,11 +202,9 @@ def node_record(name: str, mag: np.ndarray, grid: ChartGrid,
     NaN fails the record and names its node.
     """
     nodewise = nodewise_max(mag, grid.ndim)
-    max_abs = float(nodewise.max())
-    return CheckRecord(name=name, max_abs=max_abs,
+    return CheckRecord(name=name, max_abs=float(nodewise.max()),
                        mean_abs=float(mag.sum() / max(mag.size, 1)) * mean_weight,
-                       argmax_node=argmax_node(nodewise), threshold=float(threshold),
-                       passed=bool(max_abs <= threshold))
+                       argmax_node=argmax_node(nodewise), threshold=float(threshold))
 
 
 def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
@@ -274,8 +277,9 @@ def curvature_report(grid: ChartGrid, tolerances: ToleranceModel, name: str,
 
 
 def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
-    """D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~]."""
-    return endomorphism_derivative(geom.grid, geom.psi_tilde, geom.connection)
+    """D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~], psi~ padded from psi here."""
+    from .flatbundle import build_psi_tilde  # imports this module
+    return endomorphism_derivative(geom.grid, build_psi_tilde(geom.psi), geom.connection)
 
 
 def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,

@@ -38,7 +38,7 @@ def flat_torus_f4(r1: float = 0.6, r2: float = 0.8):
         return np.stack([np.stack([d11, d12], axis=-2), np.stack([d12, d22], axis=-2)],
                         axis=-3)
 
-    imm = AnalyticImmersion(name="F4", k=3, m=1, n=2, p=2, point=point,
+    imm = AnalyticImmersion(name="F4", k=3, m=1, n=2, point=point,
                             derivative=derivative, second_derivative=second_derivative,
                             params={"r1": r1, "r2": r2})
     h = 1.5 / 63.0
@@ -59,7 +59,7 @@ class FixtureBundle:
 
     @cached_property
     def geom(self):
-        return Geometry.of(self.data)
+        return geometry_of(self.data)
 
     @cached_property
     def recon(self):
@@ -69,9 +69,17 @@ class FixtureBundle:
         return Dataset.from_extraction(self.data)
 
 
+def geometry_of(data: Geometry) -> Geometry:
+    """A plain geometry over the same arrays as ``data``, with a cache of its own."""
+    return Geometry(data.metric, data.bundle, data.sigma, data.psi)
+
+
 def with_derived(geom: Geometry, **derived) -> Geometry:
     """A fresh geometry of the same data whose named derived quantities are given."""
-    out = Geometry.of(geom)
+    unknown = [name for name in derived
+               if not isinstance(getattr(Geometry, name, None), cached_property)]
+    assert not unknown, f"Geometry caches no {unknown}"   # an injected value would go unread
+    out = geometry_of(geom)
     vars(out).update(derived)   # a cached property reads the instance dict first
     return out
 

@@ -135,8 +135,7 @@ def record_reference(name, residual, grid, threshold, mean_weight=1.0) -> CheckR
     max_abs = float(nodewise.max())
     return CheckRecord(name=name, max_abs=max_abs,
                        mean_abs=float(magnitude.sum() / max(magnitude.size, 1)) * mean_weight,
-                       argmax_node=argmax_node(nodewise), threshold=float(threshold),
-                       passed=bool(max_abs <= threshold))
+                       argmax_node=argmax_node(nodewise), threshold=float(threshold))
 
 
 def _report(grid, tolerances, *named):

@@ -48,7 +48,7 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
             fd = extract_all(fb.immersion, grid, use_analytic=False)
             exact = extract_all(fb.immersion, grid, use_analytic=True)
             for data in (fd, exact):
-                rep = check_all(Geometry.of(data), default_tolerances(data))
+                rep = check_all(data, default_tolerances(data))
                 worst = max(r.max_abs for r in rep.records)
                 ok = rep.passed and worst <= thr
                 all_ok &= _verdict(f"1 necessity {name} h={grid.h_max:.4g} "
@@ -89,7 +89,7 @@ def test_criterion_2_flatness_detects_scaled_sigma(f4, tmp_path):
     def flatness_and_exit(sigma, label):
         rec = check_all(Geometry(data.metric, data.bundle, sigma, data.psi),
                         f4.tolerances)["bundle_flatness"]
-        ds = Dataset(grid=f4.grid, p=2, metric=data.metric, bundle=data.bundle,
+        ds = Dataset(metric=data.metric, bundle=data.bundle,
                      sigma=sigma, psi=data.psi, tolerances=f4.tolerances, meta={})
         path = tmp_path / f"f4_{label}.json"
         save_dataset(ds, str(path))

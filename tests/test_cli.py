@@ -7,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from prodimm import fields, flatbundle
+from prodimm import cli, fields, flatbundle
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
 
+from conftest import geometry_of
 from io_oracles import edit_field, field_values
 
 
@@ -132,10 +133,10 @@ def test_fixture_flag_the_fixture_does_not_take_exits_2(tmp_path, capsys, name, 
 
 def test_check_caches_neither_curvature_nor_structure_derivative(f3):
     # F and D psi~ are transient: the rebuild keeps the geometry alive
-    geom = flatbundle.Geometry.of(f3.data)
+    geom = geometry_of(f3.data)
     check_dataset(geom, f3.tolerances)
     cached = set(vars(geom)) - {f.name for f in dataclasses.fields(geom)}
-    assert cached == {"f_lowered", "gram", "connection", "psi_tilde"}
+    assert cached == {"f_lowered", "gram", "connection"}
 
 
 def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
@@ -207,6 +208,18 @@ def test_roundtrip_f1_and_f2(tmp_path):
     report = load_report(str(tmp_path / "rt1.json"))
     assert report.alignment["max_distance"] <= 1e-4
     assert main(["roundtrip", "--fixture", "F2", "--distance-tol", "1e-3"]) == 0
+
+
+def test_roundtrip_rejects_a_recovered_split_that_differs(monkeypatch, capsys):
+    rebuild = cli.reconstruct_immersion
+
+    def wrong_split(*args, **kwargs):
+        result = rebuild(*args, **kwargs)
+        return dataclasses.replace(result, k=result.k - 1)
+
+    monkeypatch.setattr(cli, "reconstruct_immersion", wrong_split)
+    assert main(["roundtrip", "--fixture", "F2"]) == 1
+    assert "recovered factor splits differ: 1 vs 2" in capsys.readouterr().err
 
 
 def test_align_same_and_rotated(f1_dataset_path, tmp_path):

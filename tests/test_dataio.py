@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from prodimm import cli
-from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
-                            load_dataset, load_immersion_csv, report_to_dict, save_dataset,
-                            save_immersion_csv, save_report)
-from prodimm.errors import SchemaError
-from prodimm.fields import BundleData, MetricField, SecondFormField
-from prodimm.structure import ToleranceModel
+from prodimm.dataio import (Dataset, Report, _render_with_inline_arrays, dataset_to_dict,
+                            load_dataset, load_immersion_csv, report_from_dict, report_to_dict,
+                            save_dataset, save_immersion_csv, save_report)
+from prodimm.errors import GridMismatchError, SchemaError
+from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
+from prodimm.structure import CheckRecord, ToleranceModel
 
 import io_oracles
 from conftest import random_geometry
@@ -34,7 +34,7 @@ def test_dataset_bytes_match_oracle(request, tmp_path, bundle):
 def test_dataset_psi_blocks_keep_their_names(tmp_path):
     """On a 2-dim chart with p = 3, u (3, 2) and U (2, 3) are independent and differ in shape."""
     geom = random_geometry(11, (7, 8), p=3)
-    ds = Dataset(grid=geom.grid, p=3, metric=geom.metric, bundle=geom.bundle, sigma=geom.sigma,
+    ds = Dataset(metric=geom.metric, bundle=geom.bundle, sigma=geom.sigma,
                  psi=geom.psi, tolerances=ToleranceModel(), meta={})
     path = tmp_path / "ds.json"
     save_dataset(ds, str(path))
@@ -74,7 +74,7 @@ def _special_dataset() -> Dataset:
     psi[..., 0, 0] = -0.0
     psi[2, 1, 3, 2] = -tiny
     psi[3, 0, 1, 3] = 1e300
-    return Dataset(grid=geom.grid, p=2, metric=MetricField(geom.grid, g),
+    return Dataset(metric=MetricField(geom.grid, g),
                    bundle=BundleData(geom.grid, omega),
                    sigma=SecondFormField(geom.grid, sigma), psi=psi,
                    tolerances=ToleranceModel(), meta={"case": "special values"})
@@ -86,6 +86,27 @@ def test_dataset_roundtrip_keeps_special_values_bitwise(tmp_path):
     save_dataset(ds, str(path))
     assert json.loads(path.read_text())["schema"] == "prodimm-dataset/2"
     _assert_same_bits(load_dataset(str(path)), ds)
+
+
+def test_dataset_fields_on_two_grids_are_rejected():
+    """A dataset's grid is its fields' grid: no other grid can be saved with them."""
+    geom = random_geometry(5, (6, 5), p=2)
+    coarse = ChartGrid(dims=(6, 5), spacing=(0.5, 0.5), origin=(0.0, 0.0))
+    with pytest.raises(GridMismatchError):
+        Dataset(metric=MetricField(coarse, geom.metric.values), bundle=geom.bundle,
+                sigma=geom.sigma, psi=geom.psi, tolerances=ToleranceModel(), meta={})
+
+
+def test_record_verdict_is_read_off_max_and_threshold():
+    records = (CheckRecord("gauss", 0.5, 0.1, (2,), 0.5),
+               CheckRecord("codazzi", 0.7, 0.1, (1,), 0.5),
+               CheckRecord("ricci", float("nan"), 0.0, (0,), float("inf")))
+    assert [r.passed for r in records] == [True, False, False]
+    doc = report_to_dict(Report(records=records))
+    assert [c["pass"] for c in doc["checks"]] == [True, False, False]
+    for check in doc["checks"]:
+        check["pass"] = not check["pass"]   # a stale verdict in the document is not read
+    assert [r.passed for r in report_from_dict(doc).records] == [True, False, False]
 
 
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):

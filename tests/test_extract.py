@@ -7,7 +7,6 @@ from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all,
                              induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid, argmax_node
 from prodimm.lorentz import minkowski_dot
-from prodimm.flatbundle import Geometry
 from prodimm.structure import check_all, psi_blocks
 
 from conftest import FixtureBundle, refine
@@ -30,13 +29,20 @@ def test_fixture_points_on_product(f1, f2, f3):
 
 
 def test_off_product_evaluator_rejected():
-    bad = AnalyticImmersion(name="bad", k=1, m=1, n=1, p=1,
+    bad = AnalyticImmersion(name="bad", k=1, m=1, n=1,
                             point=lambda c: np.stack(
                                 [1.1 + 0 * c[..., 0], 0 * c[..., 0],
                                  0 * c[..., 0], 1 + 0 * c[..., 0]], axis=-1))
     grid = ChartGrid(dims=(5,), spacing=(0.1,), origin=(0.0,))
     with pytest.raises(ConstraintError):
         immersion_points(bad, grid)
+
+
+def test_immersion_without_a_normal_direction_is_rejected():
+    """p = k + m - n: a surface in S^1 x H^1 has no normal bundle."""
+    with pytest.raises(DimensionError, match=r"k \+ m - n = 1 \+ 1 - 2 = 0 is below 1"):
+        AnalyticImmersion(name="flat", k=1, m=1, n=2, point=lambda c: c)
+    assert AnalyticImmersion(name="F1", k=1, m=1, n=1, point=lambda c: c).p == 1
 
 
 def test_lower_sheet_point_named_as_such():
@@ -46,7 +52,7 @@ def test_lower_sheet_point_named_as_such():
         out = imm.point(coords)
         out[123, 2:] *= -1.0
         return out
-    flipped = AnalyticImmersion(name="F1", k=1, m=1, n=1, p=1, point=point)
+    flipped = AnalyticImmersion(name="F1", k=1, m=1, n=1, point=point)
     with pytest.raises(ConstraintError, match=r"lower sheet of the hyperboloid at node \(123,\)"):
         immersion_points(flipped, grid)
 
@@ -61,7 +67,7 @@ def test_points_far_out_on_the_hyperboloid_accepted():
             out = imm.point(coords)
             out[-1, block] *= 1.0 + 1e-6
             return out
-        return AnalyticImmersion(name="F1", k=1, m=1, n=1, p=1, point=point)
+        return AnalyticImmersion(name="F1", k=1, m=1, n=1, point=point)
 
     # scaling the spatial entry of y puts it 2e-6 sinh^2 ~ 6e4 off the hyperboloid
     with pytest.raises(ConstraintError, match=r"node \(3198,\)"):
@@ -88,7 +94,7 @@ def test_induced_metric_fd_route_converges(f2_fd, f2):
 
 def test_constant_map_is_rejected():
     const = AnalyticImmersion(
-        name="const", k=1, m=1, n=1, p=1,
+        name="const", k=1, m=1, n=1,
         point=lambda c: np.stack([np.ones_like(c[..., 0]), np.zeros_like(c[..., 0]),
                                   np.zeros_like(c[..., 0]), np.ones_like(c[..., 0])],
                                  axis=-1))
@@ -199,7 +205,7 @@ def test_normal_connection_trivial_on_fixtures(f1, f2):
 
 def _necessity(imm, grid, use_analytic=True):
     data = extract_all(imm, grid, use_analytic)
-    return check_all(Geometry.of(data), default_tolerances(data))
+    return check_all(data, default_tolerances(data))
 
 
 def test_verify_necessity_all_fixtures(f1, f2, f3):
@@ -261,7 +267,7 @@ def _s1_h3(n):
                         axis=-1)
     grid = (ChartGrid((40,), (0.05,), (0.0,)) if n == 1
             else ChartGrid((9, 11), (0.1, 0.12), (0.0, 0.2)))
-    return AnalyticImmersion(name=f"S1xH3-{n}", k=1, m=3, n=n, p=4 - n, point=point), grid
+    return AnalyticImmersion(name=f"S1xH3-{n}", k=1, m=3, n=n, point=point), grid
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -287,7 +293,7 @@ def test_normal_frame_degeneracy_names_the_node():
     grid = ChartGrid(dims=(8,), spacing=(0.1,), origin=(0.0,))
     pole = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
     kinked = AnalyticImmersion(
-        name="kinked", k=2, m=1, n=1, p=2,
+        name="kinked", k=2, m=1, n=1,
         point=lambda c: np.broadcast_to(pole, c.shape[:-1] + (5,)),
         derivative=lambda c: np.where(c[..., None] < 0.25, np.eye(5)[0], np.eye(5)[1]))
     points = immersion_points(kinked, grid)

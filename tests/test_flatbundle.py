@@ -42,8 +42,8 @@ def test_connection_xi1_row_formula(f2):
 
 
 def test_connection_rebuild_is_bit_identical(f3):
-    a = build_connection(Geometry.of(f3.data))
-    b = build_connection(Geometry.of(f3.data))
+    a = build_connection(f3.data)
+    b = build_connection(f3.data)
     assert np.array_equal(a, b)
 
 
@@ -106,7 +106,7 @@ def test_psi_tilde_blocks(f2):
     ident = np.eye(size)
     assert np.abs(np.einsum("...ab,...bc->...ac", vals, vals) - ident).max() <= 1e-10
     assert np.array_equal(vals[..., :, size - 1][..., -1], -np.ones(f2.grid.dims))
-    gram = Geometry.of(f2.data).gram
+    gram = f2.data.gram
     lowered = np.einsum("...ab,...bc->...ac", gram, vals)
     assert np.abs(lowered - np.swapaxes(lowered, -1, -2)).max() <= 1e-10
 
@@ -122,9 +122,9 @@ def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
 
 
 def test_psi_tilde_parallel_detects_lambda_shift(f2):
-    vals = f2.geom.psi_tilde.copy()
-    vals[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
-    geom = with_derived(f2.geom, psi_tilde=vals)
+    psi = f2.data.psi.copy()
+    psi[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
+    geom = Geometry(f2.data.metric, f2.data.bundle, f2.data.sigma, psi)
     rec = psi_tilde_parallel_residual(geom, f2.tolerances,
                                       magnitude(psi_tilde_derivative(geom), 1)).records[0]
     assert not rec.passed
@@ -134,7 +134,7 @@ def test_eigen_split_fixtures(f1, f2):
     for fb, want_k in ((f1, 1), (f2, 2)):
         data = fb.data
         base = (0,) * fb.grid.ndim
-        gram = Geometry.of(data).gram
+        gram = data.gram
         pt = build_psi_tilde(data.psi)
         k, b1, b2 = eigen_split(pt[base], gram[base],
                                 fb.grid.ndim, data.bundle.rank)

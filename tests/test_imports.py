@@ -16,7 +16,10 @@ has an argument indexed by ``None`` (a stack of pairings is ``minkowski_gram``),
 names ``einsum``.  A nodewise max-abs is reduced one way: in ``structure``,
 ``flatbundle`` and ``reconstruct`` no ``np.abs`` result is reduced along an
 axis (``np.abs(r).max(axis=(-2, -1))`` and the like); each goes through
-``structure.magnitude``, which lays |r| out with the node axes last.
+``structure.magnitude``, which lays |r| out with the node axes last.  Every
+value has one home: the datum arrays ``metric``, ``bundle``, ``sigma`` and
+``psi`` are dataclass fields of ``flatbundle.Geometry`` alone, and no dataclass
+stores ``p``, ``passed`` or ``on_product_defect``, each read off its source.
 """
 
 import ast
@@ -274,3 +277,49 @@ def test_abs_axis_reduction_site_is_found():
               "def g(r):\n"
               "    return r.max(axis=-1), magnitude(r, 2).max(axis=0)\n")
     assert abs_axis_reductions(source) == [3, 5, 6, 8]
+
+
+DATUM = ("metric", "bundle", "sigma", "psi")
+READ_OFF = ("p", "passed", "on_product_defect")   # k + m - n, max <= threshold, a record's max
+
+
+def dataclass_fields(source: str) -> dict:
+    """{class name: its annotated class-body names} of every ``@dataclass`` class."""
+    def is_dataclass(deco):
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return {node.name: [item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))}
+
+
+def stored_copies(sources: dict) -> list:
+    """``module:Class.field`` for a datum field outside ``flatbundle.Geometry`` or a stored
+    value of ``READ_OFF``, over ``sources`` (module name -> text)."""
+    found = []
+    for module, source in sources.items():
+        for cls, names in dataclass_fields(source).items():
+            home = (module, cls) == ("flatbundle.py", "Geometry")
+            found += [f"{module}:{cls}.{name}" for name in names
+                      if name in READ_OFF or (name in DATUM and not home)]
+    return sorted(found)
+
+
+def test_every_value_has_one_home():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stored_copies(sources) == []
+    assert dataclass_fields(sources["flatbundle.py"])["Geometry"] == list(DATUM)   # the home
+
+
+def test_stored_copy_is_found():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Data:\n    grid: int\n    p: int\n"
+              "    psi: object\n    def f(self):\n        sigma: int = 0\n"
+              "@dataclasses.dataclass\nclass Rec:\n    passed: bool\n"
+              "class Plain:\n    metric: object\n    on_product_defect: float\n")
+    home = "from dataclasses import dataclass\n@dataclass\nclass Geometry:\n    psi: object\n"
+    assert stored_copies({"a.py": source, "flatbundle.py": home}) == [
+        "a.py:Data.p", "a.py:Data.psi", "a.py:Rec.passed"]
+    assert stored_copies({"a.py": home}) == ["a.py:Geometry.psi"]

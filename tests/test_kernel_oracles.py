@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kernel_oracles as oracle
-from conftest import random_geometry, with_derived
+from conftest import geometry_of, random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
 from prodimm.extract import induced_structure
 from prodimm.fields import ChartGrid
@@ -81,15 +81,15 @@ def test_record_reduction_matches_the_reference(dims):
 
 
 def with_random_bundle(geom: Geometry, seed: int) -> Geometry:
-    """A copy whose Gram matrix, big connection and psi~ are random, non-symmetric matrices."""
+    """A copy whose Gram matrix, big connection and structure psi are random, non-symmetric
+    matrices; psi~ is the padding of that psi."""
     rng = np.random.default_rng(seed)
     grid, n, p = geom.grid, geom.grid.ndim, geom.p
     size = n + p + 2
     return with_derived(
-        geom,
+        Geometry(geom.metric, geom.bundle, geom.sigma, rng.normal(size=geom.psi.shape)),
         gram=rng.normal(size=grid.dims + (size, size)),
-        connection=rng.normal(size=grid.dims + (n, size, size)),
-        psi_tilde=rng.normal(size=grid.dims + (size, size)))
+        connection=rng.normal(size=grid.dims + (n, size, size)))
 
 
 CASES = ("f3", "random2", "random3")
@@ -98,7 +98,7 @@ CASES = ("f3", "random2", "random3")
 @pytest.fixture(params=CASES)
 def geom(request, f3):
     if request.param == "f3":
-        return Geometry.of(f3.data)
+        return geometry_of(f3.data)
     if request.param == "random2":
         return random_geometry(11, (7, 8), p=3)
     return random_geometry(12, (5, 6, 7), p=2)
@@ -161,8 +161,8 @@ def test_flat_bundle_kernels_match_oracles(geom):
                            tol.threshold("bundle_metric_compatibility", grid))
         assert_reports_close(flatbundle.metric_compatibility_residual(case, tol),
                              structure.ResidualReport((want,)))
-        want = make_record("psi_tilde_parallel",
-                           oracle.psi_tilde_parallel(grid, om, case.psi_tilde), grid,
+        want = make_record("psi_tilde_parallel", oracle.psi_tilde_parallel(
+                               grid, om, flatbundle.build_psi_tilde(case.psi)), grid,
                            tol.threshold("psi_tilde_parallel", grid))
         assert_reports_close(flatbundle.psi_tilde_parallel_residual(
                                  case, tol, structure.magnitude(
@@ -193,6 +193,10 @@ def test_rebuild_kernels_match_oracles(geom, f3):
                  oracle.gram_defect(frame, gram, eta(gram.shape[-1])), "gram defect")
     assert_close(immersion_psi_field(frame, gram),
                  oracle.immersion_psi_field(frame, gram), "frame isomorphism")
+    # every G is the identity on its bundle columns, where the rebuild reads the normals
+    n, p = geom.grid.ndim, geom.p
+    gram = gram.copy()
+    gram[..., n:n + p] = np.eye(gram.shape[-1])[:, n:n + p]
     assert_reports_close(verify_reconstruction(points, frame, k, case, tol),
                          oracle.verify_reconstruction(points, frame, k, gram, case.metric,
                                                       case.sigma, case.psi, tol))

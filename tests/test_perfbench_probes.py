@@ -16,7 +16,6 @@ from pathlib import Path
 from prodimm.dataio import Dataset
 from prodimm.extract import default_tolerances, extract_all, fixture
 from prodimm.fields import ChartGrid
-from prodimm.flatbundle import Geometry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,12 +77,11 @@ def test_tracer_counts_the_rebuild_layers(monkeypatch):
     imm, _ = fixture("F3")
     grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
     data = extract_all(imm, grid)
-    geom = Geometry.of(data)
     tracer = _spans_module(monkeypatch).Tracer()
     tracer.install()
     try:
         _program_attr("reconstruct.reconstruct_immersion")(
-            geom, tolerances=default_tolerances(data))
+            data, tolerances=default_tolerances(data))
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
@@ -103,7 +101,7 @@ def test_tracer_counts_the_check_layers(monkeypatch):
     tracer = _spans_module(monkeypatch).Tracer()
     tracer.install()
     try:
-        _program_attr("cli.check_dataset")(Geometry.of(data), default_tolerances(data))
+        _program_attr("cli.check_dataset")(data, default_tolerances(data))
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}

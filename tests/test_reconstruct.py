@@ -331,7 +331,7 @@ def test_edge_flow_table_holds_each_edge_flow_away_from_the_base(f3):
 def test_reconstruct_names_a_base_node_off_the_grid():
     imm, _ = fixture("F3")
     grid = ChartGrid(dims=(17, 17), spacing=(1.5 / 16, 1.5 / 16), origin=(0.0, 0.0))
-    geom = Geometry.of(extract_all(imm, grid))
+    geom = extract_all(imm, grid)
     for node in ((-1, -1), (17, 3), (3,), (3.5, 4)):
         with pytest.raises(StructureError, match=re.escape(f"base node {node} ")):
             reconstruct_immersion(geom, ToleranceModel(), base_node=node)

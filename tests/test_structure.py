@@ -14,6 +14,8 @@ from prodimm.structure import (RECORD_NAMES, ResidualReport, StructureWarning, T
                                identity_structure_nodes, magnitude, psi_blocks,
                                psi_tilde_derivative)
 
+from conftest import geometry_of
+
 
 def constant_structure(grid, f_val=-0.28, u_val=0.96):
     """Flat 1-dim chart with a constant compatible structure (f^2 + u^2 = 1)."""
@@ -108,8 +110,8 @@ def test_curvature_blocks_are_exactly_zero_on_curves(f2):
     assert curv.shape == f2.grid.dims + (0, 5, 5)
     assert peak < f2.grid.n_nodes * 5 * 5 * 8
     names = ("gauss", "codazzi", "ricci", "bundle_flatness")
-    report = check_dataset(Geometry.of(f2.data), f2.tolerances)
-    standalone = check_all(Geometry.of(f2.data), f2.tolerances)
+    report = check_dataset(geometry_of(f2.data), f2.tolerances)
+    standalone = check_all(geometry_of(f2.data), f2.tolerances)
     alone = [check(f2.geom, f2.tolerances, magnitude(curv, 1)).records[0] for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual)]
     for rec in [rep[name] for rep in (report, standalone) for name in names] + alone:
@@ -212,6 +214,11 @@ def test_tolerance_model_roundtrip():
                          overrides={"gauss": 1e-3})
     back = ToleranceModel.from_dict(tol.to_dict())
     assert back == tol
+    # a document without keys takes the dataclass defaults, but no algebraic means h^2
+    assert ToleranceModel.from_dict({}) == ToleranceModel(algebraic=None)
+    for model in (ToleranceModel(), ToleranceModel(algebraic=None),
+                  ToleranceModel(overrides={"ricci": 0.5, "gauss": float("inf")})):
+        assert ToleranceModel.from_dict(model.to_dict()) == model
     grid = ChartGrid(dims=(5,), spacing=(0.1,), origin=(0.0,))
     assert back.threshold("gauss", grid) == 1e-3
     assert back.threshold("codazzi", grid) == pytest.approx(0.05)
