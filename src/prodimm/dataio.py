@@ -48,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ReconstructionError, SchemaError
 from .extract import ExtractionResult, default_tolerances
-from .fields import BundleData, ChartGrid, MetricField, SecondFormField, check_values
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
+                     check_values)
 from .flatbundle import Geometry
 from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
@@ -325,14 +326,23 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
     """Chart coordinates then ambient coordinates, one node per row.
 
     With ``repair`` the sphere and hyperbolic blocks are renormalized onto
-    the product at write time; in-memory values are never touched.
+    the product at write time; in-memory values are never touched.  The first
+    node with a zero sphere block or a hyperbolic block that is not timelike
+    has no repair: it raises ReconstructionError before any file is written.
     """
     pts = np.array(values, dtype=float)
     if repair:
         x = pts[..., : k + 1]
         y = pts[..., k + 1:]
-        x /= np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-        y /= np.sqrt(-minkowski_dot(y, y))[..., None]
+        x2, y2 = np.einsum("...i,...i->...", x, x), -minkowski_dot(y, y)
+        bad = ~((x2 > 0) & (y2 > 0))
+        if bad.any():
+            node = argmax_node(bad)
+            block = "hyperbolic block is not timelike" if x2[node] > 0 else "sphere block is zero"
+            raise ReconstructionError(f"cannot repair the point at node {node}: its {block}",
+                                      node=node)
+        x /= np.sqrt(x2)[..., None]
+        y /= np.sqrt(y2)[..., None]
     coords = grid.coords().reshape(-1, grid.ndim)
     flat = pts.reshape(-1, pts.shape[-1])
     rows = np.concatenate([coords, flat], axis=1)

@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
-                     check_values, grad_field, hessian_field, sweep_compose)
+                     check_values, grad_field, hessian_field, sweep_compose, sweep_steps)
 from .flatbundle import Geometry
 from .lorentz import (apex_boost, complete_basis, gram_schmidt, lower, minkowski_gram,
                       product_defect, product_normals, psi_flip)
@@ -218,14 +218,11 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     np.matmul(boost, cols[hyp], out=cols[hyp])
     ops = _normal_projector(cols)
     del cols
-    # From the corner base each node is reached by one edge, along the last axis
-    # on which it leaves the base: its step operator is its boosted projector
-    # times the relative boost L(node) L(pred)^-1, applied to the hyperbolic
-    # columns only.
-    for axis in range(grid.ndim):
-        rest = (0,) * (grid.ndim - axis - 1)
-        node = (slice(None),) * axis + (slice(1, None),) + rest
-        pred = (slice(None),) * axis + (slice(None, -1),) + rest
+    # From the corner base every run of ``sweep_steps`` runs forward, so each
+    # edge's lower node is the predecessor of its far end: the far node's step
+    # operator is its boosted projector times the relative boost
+    # L(node) L(pred)^-1, applied to the hyperbolic columns only.
+    for _slab, node, pred, _axis in sweep_steps(grid, base):
         block = ops[node][..., imm.k + 1:]
         np.matmul(block, boost[node] @ unboost[pred], out=block)
     seed = np.stack(seed, axis=-1)

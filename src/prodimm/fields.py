@@ -26,13 +26,15 @@ inputs: a grid plus one array each, its shape and finiteness checked by
 ``check_values``; each rejection names its node by ``argmax_node``.
 
 Sweeps carry a value from a base node over the grid by linear steps, one
-operator per edge.  ``sweep_steps`` splits the sweep into runs: per axis, in
-the sweep's axis order, one run per direction away from the base, each
-starting from the base slab (the part of the grid already swept), so a run
-holds whole lines.  A run is a prefix product V_j = O_j ... O_0 V_slab, and
-``sweep_compose`` forms it with ``prefix_apply``, a work-efficient scan
-batched over the slab: about 3 log2 L numpy calls per run of L edges instead
-of one per edge.
+operator per edge, every edge crossed away from the base.  That orientation
+is written once, in ``runs_away_from``: an axis's runs away from a base
+index as slices of near ends, far ends and edges (each named by its lower
+node), with the run's sign.  ``sweep_steps`` splits the sweep into these
+runs: per axis, in the sweep's axis order, each starting from the base slab
+(the part of the grid already swept), so a run holds whole lines.  A run is
+a prefix product V_j = O_j ... O_0 V_slab, and ``sweep_compose`` forms it
+with ``prefix_apply``, a work-efficient scan batched over the slab: about
+3 log2 L numpy calls per run of L edges instead of one per edge.
 
 All derivatives are second-order central differences.  Each axis end gets
 one ghost node by quartic extrapolation, so the boundary nodes use the same
@@ -202,16 +204,28 @@ class SecondFormField:
             raise DimensionError(f"second form asymmetric by {sym.max():.3e} at node {node}")
 
 
+def runs_away_from(base_index: int, count: int) -> list:
+    """The runs of an axis of ``count`` nodes away from ``base_index``, forward run first.
+
+    Each run is (near, far, edges, sign): slices in sweep order of the edges'
+    ends nearer to and farther from the base, and of the edges themselves,
+    each named by its lower node; ``sign`` is the run's direction, +1 or -1.
+    """
+    b, d = base_index, count
+    forward = (slice(b, d - 1), slice(b + 1, d), slice(b, d - 1), 1)
+    backward = (slice(b, 0, -1), slice(b - 1, None, -1), slice(b - 1, None, -1), -1)
+    return [run for run, has_edges in ((forward, b < d - 1), (backward, b > 0)) if has_edges]
+
+
 def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):
     """Runs of the deterministic sweep that covers the grid from a base node.
 
     Axes are swept in ``axis_order`` (lexicographic by default); each axis
-    gives one run per direction that has nodes, away from the base, so a
-    1-dim chart has at most two runs.  Yields (src, dst, edges, axis): ``src``
-    selects the run's base slab (the base index on ``axis`` and on the axes
-    still to sweep, full slices on the axes already swept), ``dst`` the run's
-    nodes and ``edges`` its edges, both in sweep order along ``axis`` and
-    otherwise like ``src``.  An edge is indexed by its lower node.
+    gives its ``runs_away_from`` the base, so a 1-dim chart has at most two
+    runs.  Yields (src, dst, edges, axis): ``src`` selects the run's base slab
+    (the base index on ``axis`` and on the axes still to sweep, full slices on
+    the axes already swept), ``dst`` the run's far ends and ``edges`` its
+    edges, both in sweep order along ``axis`` and otherwise like ``src``.
     """
     nd = grid.ndim
     order = tuple(axis_order) if axis_order is not None else tuple(range(nd))
@@ -220,12 +234,8 @@ def sweep_steps(grid: ChartGrid, base: tuple, axis_order: tuple | None = None):
 
     slab = list(base)
     for axis in order:
-        b, d = base[axis], grid.dims[axis]
-        runs = [(slice(b + 1, d), slice(b, d - 1))] if b < d - 1 else []
-        if b > 0:
-            runs.append((slice(b - 1, None, -1),) * 2)
-        for nodes, edges in runs:
-            yield (tuple(slab), tuple(slab[:axis] + [nodes] + slab[axis + 1:]),
+        for _near, far, edges, _sign in runs_away_from(base[axis], grid.dims[axis]):
+            yield (tuple(slab), tuple(slab[:axis] + [far] + slab[axis + 1:]),
                    tuple(slab[:axis] + [edges] + slab[axis + 1:]), axis)
         slab[axis] = slice(None)
 

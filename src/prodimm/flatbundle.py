@@ -90,32 +90,20 @@ class Geometry:
 def build_connection(geom: Geometry) -> np.ndarray:
     """Assemble the big-bundle connection matrices; exact, no differencing
     beyond the Christoffel symbols already used for the tangent block."""
-    grid = geom.grid
-    n, p = grid.ndim, geom.p
-    size = n + p + 2
-    i1, i2 = n + p, n + p + 1
+    n = geom.grid.ndim
     f, u, _, _ = psi_blocks(geom.psi, n)
     gv, gf = geom.metric.values, geom.f_lowered
-    f_t, u_t = np.swapaxes(f, -1, -2), np.swapaxes(u, -1, -2)
-    ident = np.eye(n)
-
-    om = np.zeros(grid.dims + (n, size, size))
-    # tangent columns
-    om[..., :n, :n] = np.swapaxes(christoffel(geom.metric), -3, -2)
-    om[..., n:n + p, :n] = np.swapaxes(geom.sigma.values, -1, -2)
-    om[..., i1, :n] = -0.5 * (gv + gf)
-    om[..., i2, :n] = 0.5 * (gv - gf)
-    # bundle columns
-    om[..., :n, n:n + p] = -np.swapaxes(shape_operator_field(geom.sigma, geom.metric), -3, -1)
-    om[..., n:n + p, n:n + p] = geom.bundle.omega
-    om[..., i1, n:n + p] = -0.5 * u_t
-    om[..., i2, n:n + p] = -0.5 * u_t
-    # the two trivial-factor columns
-    om[..., :n, i1] = 0.5 * (ident + f_t)
-    om[..., n:n + p, i1] = 0.5 * u_t
-    om[..., :n, i2] = 0.5 * (ident - f_t)
-    om[..., n:n + p, i2] = -0.5 * u_t
-    return om
+    f_t, half_u = np.swapaxes(f, -1, -2), 0.5 * np.swapaxes(u, -1, -2)
+    zero = np.zeros(geom.grid.dims + (n, 1, 1))
+    # column blocks: tangents, bundle, xi1~, xi2~; rows in the same order
+    return np.block([
+        [np.swapaxes(christoffel(geom.metric), -3, -2),
+         -np.swapaxes(shape_operator_field(geom.sigma, geom.metric), -3, -1),
+         0.5 * (np.eye(n) + f_t)[..., None], 0.5 * (np.eye(n) - f_t)[..., None]],
+        [np.swapaxes(geom.sigma.values, -1, -2), geom.bundle.omega,
+         half_u[..., None], -half_u[..., None]],
+        [-0.5 * (gv + gf)[..., None, :], -half_u[..., None, :], zero, zero],
+        [0.5 * (gv - gf)[..., None, :], -half_u[..., None, :], zero, zero]])
 
 
 def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:

@@ -5,7 +5,8 @@ Pipeline (all deterministic):
 1. split the extended structure at the base node into its two eigenspaces
    and complete the canonical initial frame (identity-seed completion);
 2. build one table of RK4 flow matrices per axis (connection linear along
-   each edge), every edge crossed in the direction away from the base node;
+   each edge), every edge crossed in the direction away from the base node,
+   filled run by run from ``fields.runs_away_from``;
    transport the frame along the lexicographic sweep (axis-0 spine through
    the base node, then axis-1, then axis-2 lines), each run of edges away
    from the base one scanned prefix product of its flows
@@ -47,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, StructureError
-from .fields import ChartGrid, argmax_node, grad_field, hessian_field, sweep_compose
+from .fields import (ChartGrid, argmax_node, grad_field, hessian_field, runs_away_from,
+                     sweep_compose)
 from .flatbundle import Geometry, build_psi_tilde, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
@@ -96,13 +98,6 @@ def edge_flow(om_start, om_end, delta) -> np.ndarray:
     return ident + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _away_from(base_index: int, count: int):
-    """Per step j -> j + 1 over ``count`` nodes: the end nearer ``base_index``, the far end."""
-    j = np.arange(count - 1)
-    near = j + (j < base_index)
-    return near, 2 * j + 1 - near
-
-
 @dataclass(frozen=True)
 class EdgeFlows:
     """RK4 flows of the big connection over every edge, oriented away from ``base``.
@@ -110,7 +105,8 @@ class EdgeFlows:
     ``ops[a]`` has the node axes of ``grid`` with axis ``a`` one shorter: the
     entry at an edge's lower node is the flow across the edge from its end
     nearer to ``base`` to its far end, the direction every sweep from
-    ``base`` crosses it.
+    ``base`` crosses it.  Each run of ``fields.runs_away_from`` fills its
+    slice of the table from the views of its near and far ends.
     """
 
     grid: ChartGrid
@@ -123,14 +119,14 @@ class EdgeFlows:
         base = tuple(base)
         ops = []
         for a in range(grid.ndim):
-            near, far = _away_from(base[a], grid.dims[a])
             om = np.moveaxis(conn[..., a, :, :], a, 0)
-            delta = (grid.spacing[a] * (far - near)).reshape((-1,) + (1,) * (om.ndim - 1))
-            table = np.empty((len(near),) + om.shape[1:])
+            table = np.empty((grid.dims[a] - 1,) + om.shape[1:])
             lines = max(1, _FLOW_BATCH * grid.dims[a] // grid.n_nodes)   # per edge_flow call
-            for lo in range(0, len(near), lines):
-                run = slice(lo, lo + lines)
-                table[run] = edge_flow(om[near[run]], om[far[run]], delta[run])
+            for near, far, edges, sign in runs_away_from(base[a], grid.dims[a]):
+                om_near, om_far, run = om[near], om[far], table[edges]
+                for lo in range(0, len(run), lines):
+                    batch = slice(lo, lo + lines)
+                    run[batch] = edge_flow(om_near[batch], om_far[batch], sign * grid.spacing[a])
             ops.append(np.moveaxis(table, 0, a))
         return cls(grid=grid, base=base, ops=tuple(ops))
 
@@ -237,8 +233,10 @@ def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> 
     """Gap between the two transports across each plaquette, per unit area.
 
     Both paths run over table edges from the plaquette's corner nearest the
-    base to its farthest: |far_b near_a - far_a near_b| / (h_a h_b), "near"
-    and "far" naming the sides nearer to and farther from the base.  The value
+    base to its farthest: |b_far a_near - a_far b_near| / (h_a h_b), a_near
+    and a_far the flows of its a-edges on the sides nearer to and farther from
+    the base along b, b_near and b_far likewise.  Each pair of runs of the two
+    axes (``fields.runs_away_from``) is read as views of the table.  The value
     sits at each plaquette's lower corner, the largest over axis pairs, zero
     elsewhere.  It scales like h^2 on clean data and approaches the curvature
     norm on incompatible data, the detector for broken compatibility equations.
@@ -246,11 +244,15 @@ def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> 
     grid, base, ops = flows.grid, flows.base, flows.ops
     gap = np.zeros(grid.dims)
     for a, b in itertools.combinations(range(grid.ndim), 2):
-        near_a, far_a = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], grid.dims[b]))
-        near_b, far_b = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], grid.dims[a]))
-        dev = nodewise_max(magnitude(far_b @ near_a - far_a @ near_b, grid.ndim), grid.ndim)
-        corner = tuple(slice(-1) if c in (a, b) else slice(None) for c in range(grid.ndim))
-        gap[corner] = np.maximum(gap[corner], dev / (grid.spacing[a] * grid.spacing[b]))
+        ops_a, ops_b, gap_ab = (np.moveaxis(x, (a, b), (0, 1)) for x in (ops[a], ops[b], gap))
+        # per run: near ends n, far ends f and edges e along each axis
+        for (na, fa, ea, _), (nb, fb, eb, _) in itertools.product(
+                runs_away_from(base[a], grid.dims[a]), runs_away_from(base[b], grid.dims[b])):
+            a_near, a_far = ops_a[ea, nb], ops_a[ea, fb]
+            b_near, b_far = ops_b[na, eb], ops_b[fa, eb]
+            dev = nodewise_max(magnitude(b_far @ a_near - a_far @ b_near, grid.ndim), grid.ndim)
+            corner = gap_ab[ea, eb]
+            np.maximum(corner, dev / (grid.spacing[a] * grid.spacing[b]), out=corner)
     return records(grid, tolerances, ("path_independence", gap))
 
 

@@ -5,8 +5,14 @@ runs, one edge at a time.  The loops below are the step-by-step versions of
 the scanned sweeps in ``extract.induced_normal_frame`` and
 ``reconstruct.sweep_parallel_frame``; the scan reassociates the products, so
 both match them to rounding.  ``first_swept`` walks the sweep for the node
-the normal frame's error names.
+the normal frame's error names.  ``per_plaquette_path_gap`` is the loop
+version of ``reconstruct.path_independence_residual``: it calls ``edge_flow``
+for each edge of each plaquette, oriented by comparing node indices with the
+base, and shares no index or slice with the package.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -109,3 +115,39 @@ def per_edge_parallel_frame(grid, conn, initial_frame, base, axis_order=None):
         om = conn[..., axis, :, :]
         frames[dst] = edge_flow(om[src], om[dst], delta) @ frames[src]
     return frames
+
+
+def per_plaquette_path_gap(grid, conn, base):
+    """(*dims) gap between the two transports across each plaquette, at its lower corner.
+
+    For each axis pair (a, b) and lower corner c, the two paths cross the
+    plaquette from its corner nearest the base to its farthest, every edge
+    crossed away from the base; the gap is |B_far A_near - A_far B_near| /
+    (h_a h_b), the largest over axis pairs.
+    """
+    @functools.cache
+    def flow(lower, axis):
+        """The flow across the edge at ``lower`` along ``axis``, away from the base."""
+        upper = lower[:axis] + (lower[axis] + 1,) + lower[axis + 1:]
+        om, h = conn[..., axis, :, :], grid.spacing[axis]
+        if lower[axis] >= base[axis]:
+            return edge_flow(om[lower], om[upper], h)
+        return edge_flow(om[upper], om[lower], -h)
+
+    def shifted(node, axis):
+        return node[:axis] + (node[axis] + 1,) + node[axis + 1:]
+
+    gap = np.zeros(grid.dims)
+    for a, b in itertools.combinations(range(grid.ndim), 2):
+        corners = [range(d - 1) if c in (a, b) else range(d) for c, d in enumerate(grid.dims)]
+        for corner in itertools.product(*corners):
+            # the side of the plaquette nearer the base along each axis
+            near_b = corner if corner[b] >= base[b] else shifted(corner, b)
+            far_b = shifted(corner, b) if corner[b] >= base[b] else corner
+            near_a = corner if corner[a] >= base[a] else shifted(corner, a)
+            far_a = shifted(corner, a) if corner[a] >= base[a] else corner
+            a_near, a_far = flow(near_b, a), flow(far_b, a)
+            b_near, b_far = flow(near_a, b), flow(far_a, b)
+            dev = np.abs(b_far @ a_near - a_far @ b_near).max()
+            gap[corner] = max(gap[corner], dev / (grid.spacing[a] * grid.spacing[b]))
+    return gap

@@ -329,6 +329,24 @@ def test_repair_export_renormalizes(f1_dataset_path, tmp_path):
     assert np.abs((x**2).sum(axis=1) - 1.0).max() <= 1e-14
 
 
+def test_repair_export_of_an_unrepairable_point_exits_1(f1_dataset_path, tmp_path,
+                                                        monkeypatch, capsys):
+    rebuild = cli.reconstruct_immersion
+
+    def rebuild_with_a_spacelike_point(*args, **kwargs):
+        result = rebuild(*args, **kwargs)
+        points = result.points.copy()
+        points[57, 2:] = (2.0, 1.0)
+        return dataclasses.replace(result, points=points)
+
+    monkeypatch.setattr(cli, "reconstruct_immersion", rebuild_with_a_spacelike_point)
+    mesh = tmp_path / "repaired.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "--force", "-o", str(mesh),
+                 "--repair-export"]) == 1
+    assert "node (57,): its hyperbolic block is not timelike" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # neither the mesh nor the report
+
+
 @pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims",
                                       "reconstruction_number"])
 def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, breakage):

@@ -11,7 +11,7 @@ from prodimm import cli
 from prodimm.dataio import (Dataset, Report, _render_with_inline_arrays, dataset_to_dict,
                             load_dataset, load_immersion_csv, report_from_dict, report_to_dict,
                             save_dataset, save_immersion_csv, save_report)
-from prodimm.errors import GridMismatchError, SchemaError
+from prodimm.errors import GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.structure import CheckRecord, ToleranceModel
 
@@ -154,6 +154,24 @@ def test_mesh_bytes_match_oracle(f3, tmp_path, repair):
     save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=repair)
     expected = io_oracles.immersion_csv_text(f3.grid, f3.recon.k, values, repair=repair)
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("block, planted", [
+    ("sphere block is zero", {(20, 30): (slice(0, 3), 0.0), (40, 2): (slice(3, 6), 0.0)}),
+    ("hyperbolic block is not timelike", {(20, 30): (slice(3, 6), (2.0, 0.0, 1.0)),
+                                          (40, 2): (slice(0, 3), 0.0),
+                                          (50, 7): (slice(3, 6), (1.0, 0.0, 1.0))})],
+    ids=["sphere_zero", "hyperbolic_spacelike"])
+def test_mesh_repair_names_the_first_unrepairable_node(f3, tmp_path, block, planted):
+    """A point with no repair onto the product raises before the file exists; no nan is written."""
+    values = f3.recon.points.copy()
+    for node, (cols, entry) in planted.items():
+        values[node + (cols,)] = entry
+    path = tmp_path / "mesh.csv"
+    with pytest.raises(ReconstructionError, match=rf"node \(20, 30\): its {block}") as err:
+        save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=True)
+    assert err.value.node == (20, 30)
+    assert not path.exists()
 
 
 def test_mesh_roundtrip_is_bitwise(f3, tmp_path):

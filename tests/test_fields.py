@@ -11,8 +11,9 @@ from kernel_oracles import (covariant_derivative, grad_padded, hessian_padded, r
                             second_padded)
 from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
                             bundle_curvature, check_values, christoffel, curvature_tensor,
-                            grad_field, hessian_field, prefix_apply, second_derivative_axis,
-                            shape_operator_field, sweep_compose, sweep_steps)
+                            grad_field, hessian_field, prefix_apply, runs_away_from,
+                            second_derivative_axis, shape_operator_field, sweep_compose,
+                            sweep_steps)
 from sweep_oracles import per_edge_steps
 
 
@@ -317,6 +318,27 @@ def test_sweep_compose_bitwise_equals_the_per_edge_sweep(cols):
                 ref[dst] = ops[axis][src if delta > 0 else dst] @ ref[src]
             out = sweep_compose(grid, value, base, ops)
             assert np.array_equal(out, ref), (dims, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda count: st.tuples(st.integers(0, count - 1),
+                                                          st.just(count))))
+def test_runs_away_from_cross_every_edge_once_away_from_the_base(base_count):
+    base, count = base_count
+    nodes, edges = np.arange(count), np.arange(count - 1)
+    runs = runs_away_from(base, count)
+    assert [sign for *_, sign in runs] == [1] * (base < count - 1) + [-1] * (base > 0)
+    crossed, reached = [], []
+    for near, far, run_edges, sign in runs:
+        near, far, run_edges = nodes[near], nodes[far], edges[run_edges]
+        assert len(near) == len(far) == len(run_edges) > 0
+        assert np.array_equal(near, far - sign)   # one step in the run's direction
+        assert np.array_equal(run_edges, np.minimum(near, far))   # named by the lower node
+        assert near[0] == base and np.array_equal(near[1:], far[:-1])   # in sweep order
+        crossed += run_edges.tolist()
+        reached += far.tolist()
+    assert sorted(crossed) == edges.tolist()   # every edge once
+    assert sorted(reached) == [i for i in range(count) if i != base]   # every other node once
 
 
 @pytest.mark.parametrize("dims, base, order, runs", [

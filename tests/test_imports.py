@@ -20,6 +20,10 @@ axis (``np.abs(r).max(axis=(-2, -1))`` and the like); each goes through
 value has one home: the datum arrays ``metric``, ``bundle``, ``sigma`` and
 ``psi`` are dataclass fields of ``flatbundle.Geometry`` alone, and no dataclass
 stores ``p``, ``passed`` or ``on_product_defect``, each read off its source.
+An edge table is read by slices alone: in ``fields``, ``reconstruct`` and
+``extract`` no ``np.take`` gathers from one, and ``np.arange`` appears only in
+``ChartGrid.axis_coords``, the node coordinates, so no index array over the
+edges is built; the runs away from the base are ``fields.runs_away_from``.
 """
 
 import ast
@@ -323,3 +327,29 @@ def test_stored_copy_is_found():
     assert stored_copies({"a.py": source, "flatbundle.py": home}) == [
         "a.py:Data.p", "a.py:Data.psi", "a.py:Rec.passed"]
     assert stored_copies({"a.py": home}) == ["a.py:Geometry.psi"]
+
+
+EDGE_INDEXING = ("take", "arange")
+SWEEP_MODULES = ("fields.py", "reconstruct.py", "extract.py")
+
+
+def test_edge_tables_are_read_by_slices():
+    sites = {name: named_sites((SRC / name).read_text(), EDGE_INDEXING, "axis_coords")
+             for name in SWEEP_MODULES}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    assert named_sites((SRC / "fields.py").read_text(), EDGE_INDEXING) != []   # axis_coords
+
+
+def test_edge_index_site_is_found():
+    source = ("import numpy as np\n"
+              "def axis_coords(self, axis):\n"
+              "    return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])\n"
+              "def _away_from(base_index, count):\n"
+              "    j = np.arange(count - 1)\n"
+              "    near = j + (j < base_index)\n"
+              "    return near, 2 * j + 1 - near\n"
+              "def path_independence_residual(ops, base, dims, a, b):\n"
+              "    na, fa = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], dims[b]))\n"
+              "    nb, fb = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], dims[a]))\n"
+              "    return na, fa, nb, fb\n")
+    assert named_sites(source, EDGE_INDEXING, "axis_coords") == [5, 9, 10]

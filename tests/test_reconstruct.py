@@ -18,7 +18,7 @@ from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
 import kernel_oracles as oracle
-from sweep_oracles import per_edge_parallel_frame
+from sweep_oracles import per_edge_parallel_frame, per_plaquette_path_gap
 
 
 def test_edge_flow_zero_connection():
@@ -344,3 +344,20 @@ def test_initial_frame_rotation_validation(f2):
     with pytest.raises(StructureError):
         initial_frame_from_split(np.eye(4)[:, :2], np.eye(4)[:, 2:],
                                  rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_path_independence_matches_the_per_plaquette_oracle(f3):
+    """Max and its node bit for bit, mean to rounding, from corner, interior and edge bases."""
+    grid3 = ChartGrid(dims=(9, 8, 7), spacing=(0.05, 0.06, 0.04), origin=(0.0, 0.0, 0.0))
+    conn3, _ = _flat_test_connection(grid3)
+    last = f3.grid.dims[0] - 1
+    cases = [(f3.grid, f3.geom.connection, base) for base in ((0, 0), (21, 40), (last, 7))]
+    cases.append((grid3, conn3, (2, 3, 1)))
+    for grid, conn, base in cases:
+        rec = path_independence_residual(EdgeFlows.of(grid, conn, base), ToleranceModel())
+        rec = rec["path_independence"]
+        gap = per_plaquette_path_gap(grid, conn, base)
+        assert gap.max() > 0, (grid.dims, base)
+        assert rec.max_abs == gap.max(), (grid.dims, base)
+        assert rec.argmax_node == np.unravel_index(gap.argmax(), grid.dims), (grid.dims, base)
+        assert rec.mean_abs == pytest.approx(gap.mean(), rel=1e-12, abs=0.0), (grid.dims, base)
