@@ -122,30 +122,29 @@ def per_plaquette_path_gap(grid, conn, base):
 
     For each axis pair (a, b) and lower corner c, the two paths cross the
     plaquette from its corner nearest the base to its farthest, every edge
-    crossed away from the base; the gap is |B_far A_near - A_far B_near| /
+    crossed away from the base; the gap is |b_far a_near - a_far b_near| /
     (h_a h_b), the largest over axis pairs.
     """
+    def shifted(node, axis):
+        return node[:axis] + (node[axis] + 1,) + node[axis + 1:]
+
+    def ends(lower, axis):
+        """The (near, far) ends of the edge at ``lower`` along ``axis``, from the base."""
+        upper = shifted(lower, axis)
+        return (lower, upper) if lower[axis] >= base[axis] else (upper, lower)
+
     @functools.cache
     def flow(lower, axis):
         """The flow across the edge at ``lower`` along ``axis``, away from the base."""
-        upper = lower[:axis] + (lower[axis] + 1,) + lower[axis + 1:]
-        om, h = conn[..., axis, :, :], grid.spacing[axis]
-        if lower[axis] >= base[axis]:
-            return edge_flow(om[lower], om[upper], h)
-        return edge_flow(om[upper], om[lower], -h)
-
-    def shifted(node, axis):
-        return node[:axis] + (node[axis] + 1,) + node[axis + 1:]
+        (near, far), h = ends(lower, axis), grid.spacing[axis]
+        om = conn[..., axis, :, :]
+        return edge_flow(om[near], om[far], h if near == lower else -h)
 
     gap = np.zeros(grid.dims)
     for a, b in itertools.combinations(range(grid.ndim), 2):
         corners = [range(d - 1) if c in (a, b) else range(d) for c, d in enumerate(grid.dims)]
         for corner in itertools.product(*corners):
-            # the side of the plaquette nearer the base along each axis
-            near_b = corner if corner[b] >= base[b] else shifted(corner, b)
-            far_b = shifted(corner, b) if corner[b] >= base[b] else corner
-            near_a = corner if corner[a] >= base[a] else shifted(corner, a)
-            far_a = shifted(corner, a) if corner[a] >= base[a] else corner
+            (near_a, far_a), (near_b, far_b) = ends(corner, a), ends(corner, b)
             a_near, a_far = flow(near_b, a), flow(far_b, a)
             b_near, b_far = flow(near_a, b), flow(far_a, b)
             dev = np.abs(b_far @ a_near - a_far @ b_near).max()
