@@ -26,7 +26,8 @@ document of any other schema, ``prodimm-dataset/1`` (its fields as flat JSON
 lists) included, is rejected with a ``SchemaError`` naming the schema expected.
 
 In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
-[[f, U], [u, lambda]], filled block by block on load.
+[[f, U], [u, lambda]], filled block by block on load and checked by ``Geometry``.
+A rejection on load is a ``SchemaError`` with the node of the error it wraps.
 
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
@@ -50,8 +51,7 @@ import numpy as np
 
 from .errors import ReconstructionError, SchemaError
 from .extract import ExtractionResult, default_tolerances
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
-                     check_values)
+from .fields import BundleData, ChartGrid, MetricField, SecondFormField, argmax_node
 from .flatbundle import Geometry
 from .lorentz import minkowski_dot
 from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
@@ -217,15 +217,14 @@ def dataset_from_dict(doc: dict) -> Dataset:
         psi = np.empty(dims + (n + p, n + p))
         for name, block in zip(_PSI_FIELDS, psi_blocks(psi, n)):
             block[...] = _field_array(fields, name, block.shape)
-        psi = check_values(grid, psi, (n + p, n + p))
-        tolerances = ToleranceModel.from_dict(doc.get("tolerances", {}))
-        meta = dict(doc.get("meta", {}))
+        return Dataset(metric=metric, bundle=bundle, sigma=sigma, psi=psi,
+                       tolerances=ToleranceModel.from_dict(doc.get("tolerances", {})),
+                       meta=dict(doc.get("meta", {})))
     except SchemaError:
         raise
     except Exception as exc:  # invariant violations become schema errors on load
-        raise SchemaError(f"dataset violates a load-time invariant: {exc}") from exc
-    return Dataset(metric=metric, bundle=bundle, sigma=sigma, psi=psi,
-                   tolerances=tolerances, meta=meta)
+        raise SchemaError(f"dataset violates a load-time invariant: {exc}",
+                          node=getattr(exc, "node", None)) from exc
 
 
 def _read_json(path: str, what: str):

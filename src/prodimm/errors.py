@@ -1,13 +1,17 @@
 """Exception taxonomy shared by all modules.
 
-Every error that carries a grid location exposes it as ``.node`` (a tuple of
-node indices) so callers can report the offending sample; ``DegeneracyError``
-exposes it as ``.index``, which for a single frame is the offending row.
+Every package error is built as ``ProdimmError(message, node=None)`` and
+exposes ``.node``: the offending grid node as a tuple of node indices, the
+offending row for the single-frame fronts of ``lorentz``, or None if it has none.
 """
 
 
 class ProdimmError(Exception):
     """Base class for all package errors."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class DimensionError(ProdimmError, ValueError):
@@ -21,17 +25,9 @@ class ConstraintError(ProdimmError, ValueError):
 class DegeneracyError(ProdimmError, ValueError):
     """Null or linearly dependent input where an independent set is required."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class MetricError(ProdimmError, ValueError):
     """Metric field is not symmetric positive definite."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class GridMismatchError(ProdimmError, ValueError):
@@ -48,10 +44,6 @@ class ExclusionError(StructureError):
 
 class ReconstructionError(ProdimmError, RuntimeError):
     """Rebuild left the target product beyond tolerance."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class SchemaError(ProdimmError, ValueError):

@@ -64,14 +64,14 @@ Shipped fixtures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConstraintError, DegeneracyError, DimensionError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
-                     check_values, grad_field, hessian_field, sweep_compose, sweep_steps)
+                     grad_field, hessian_field, sweep_compose, sweep_steps)
 from .flatbundle import Geometry
 from .lorentz import (apex_boost, complete_basis, gram_schmidt, lower, minkowski_gram,
                       product_defect, product_normals, psi_flip)
@@ -124,7 +124,10 @@ class ExtractionResult(Geometry):
     points: np.ndarray        # (*dims, N)
     tangents: np.ndarray      # (*dims, n, N) actual derivative vectors
     normals: np.ndarray       # (*dims, p, N)
-    analytic_derivatives: bool
+
+    @property
+    def analytic_derivatives(self) -> bool:   # read off the immersion, never stored
+        return self.immersion.derivative is not None
 
     @property
     def k(self) -> int:
@@ -157,13 +160,12 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid) -> np.ndarray:
         node = argmax_node(bad)
         reason = (f"leaves the product by {defect[node]:.3e}" if off[node]
                   else "reaches the lower sheet of the hyperboloid")
-        raise ConstraintError(f"immersion {reason} at node {node}")
+        raise ConstraintError(f"immersion {reason} at node {node}", node=node)
     return pts
 
 
-def immersion_tangents(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
-                       use_analytic: bool = True) -> np.ndarray:
-    if use_analytic and imm.derivative is not None:
+def immersion_tangents(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray) -> np.ndarray:
+    if imm.derivative is not None:
         tang = np.asarray(imm.derivative(grid.coords()), dtype=float)
         if tang.shape != grid.dims + (imm.n, imm.ambient_dim):
             raise DimensionError(f"derivative evaluator returned shape {tang.shape}")
@@ -200,15 +202,15 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     bad = ~(n2 > _SEED_TOL).all(axis=-1)
     if bad.any():
         node = argmax_node(bad)
-        raise DegeneracyError(f"tangent vectors rank-deficient at node {node}", index=node)
+        raise DegeneracyError(f"tangent vectors rank-deficient at node {node}", node=node)
     cols = np.stack([xi1, xi2, *np.moveaxis(tang, -2, 0)], axis=-1)   # (..., N, n+2)
     del xi1, xi2, tang
 
     base = (0,) * grid.ndim
     seed = complete_basis(_normal_projector(cols[base]).T, imm.p, tol=_SEED_TOL)
     if len(seed) != imm.p:
-        raise DegeneracyError(
-            f"canonical completion found only {len(seed)} of {imm.p} normals at the base")
+        raise DegeneracyError(f"canonical completion found only {len(seed)} of {imm.p} "
+                              f"normals at the base node {base}", node=base)
 
     # Sweep in boosted frames: L(y) takes each node's point to the apex, so the
     # projectors of the boosted columns have entries of order 1, not |y|^2.
@@ -239,19 +241,18 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     bad = ~(n2 > _SEED_TOL).all(axis=-1)
     if bad.any():
         node = argmax_node(bad.T)[::-1]
-        raise DegeneracyError(f"normal frame degenerates at node {node}", index=node)
+        raise DegeneracyError(f"normal frame degenerates at node {node}", node=node)
     return normals
 
 
 def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
-                        tangents: np.ndarray, normals: np.ndarray,
-                        use_analytic: bool = True) -> SecondFormField:
+                        tangents: np.ndarray, normals: np.ndarray) -> SecondFormField:
     """Normal components of the flat second derivatives (symmetrized)."""
-    if use_analytic and imm.second_derivative is not None:
+    if imm.second_derivative is not None:
         dd = np.asarray(imm.second_derivative(grid.coords()), dtype=float)
         if dd.shape != grid.dims + (imm.n, imm.n, imm.ambient_dim):
             raise DimensionError(f"second-derivative evaluator returned shape {dd.shape}")
-    elif use_analytic and imm.derivative is not None:
+    elif imm.derivative is not None:
         dd = grad_field(grid, tangents)
     else:
         dd = hessian_field(grid, points)
@@ -281,22 +282,22 @@ def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.
     psi[..., :n, :] = metric.inverse @ psi[..., :n, :]
     lam = psi_blocks(psi, n)[3]
     lam[...] = 0.5 * (lam + np.swapaxes(lam, -1, -2))
-    return check_values(grid, psi, psi.shape[grid.ndim:]), BundleData(grid, om)
+    return psi, BundleData(grid, om)
 
 
 def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
                 use_analytic: bool = True) -> ExtractionResult:
-    """Run the full extraction pipeline once, sampling points and tangents once."""
+    """All induced data, sampled once; ``use_analytic`` False drops the derivative evaluators."""
+    if not use_analytic:
+        imm = replace(imm, derivative=None, second_derivative=None)
     points = immersion_points(imm, grid)
-    tangents = immersion_tangents(imm, grid, points, use_analytic)
+    tangents = immersion_tangents(imm, grid, points)
     metric = induced_metric(grid, tangents)
     normals = induced_normal_frame(imm, grid, points, tangents)
-    sigma = induced_second_form(imm, grid, points, tangents, normals, use_analytic)
+    sigma = induced_second_form(imm, grid, points, tangents, normals)
     psi, bundle = induced_structure(imm, metric, tangents, normals)
-    analytic = bool(use_analytic and imm.derivative is not None)
     return ExtractionResult(metric=metric, bundle=bundle, sigma=sigma, psi=psi, immersion=imm,
-                            points=points, tangents=tangents, normals=normals,
-                            analytic_derivatives=analytic)
+                            points=points, tangents=tangents, normals=normals)
 
 
 def default_tolerances(data: ExtractionResult) -> ToleranceModel:

@@ -22,8 +22,8 @@ the kernels take and return:
   (*dims, *slots) -> (*dims, n, *slots).
 
 ``MetricField``, ``SecondFormField`` and ``BundleData`` are the validated
-inputs: a grid plus one array each, its shape and finiteness checked by
-``check_values``; each rejection names its node by ``argmax_node``.
+inputs: a grid plus one array each, checked by ``check_values`` and
+``check_symmetry``, whose rejections carry their ``argmax_node`` as ``.node``.
 
 Sweeps carry a value from a base node over the grid by linear steps, one
 operator per edge, every edge crossed away from the base.  That orientation
@@ -131,9 +131,17 @@ def check_values(grid: ChartGrid, values, slot_shape: tuple) -> np.ndarray:
     if values.shape != expected:
         raise DimensionError(f"values of shape {values.shape}, expected {expected}")
     if not np.isfinite(values).all():
-        bad = ~np.isfinite(values).all(axis=tuple(range(grid.ndim, values.ndim)))
-        raise DimensionError(f"non-finite value at node {argmax_node(bad)}")
+        node = argmax_node(~np.isfinite(values).all(axis=tuple(range(grid.ndim, values.ndim))))
+        raise DimensionError(f"non-finite value at node {node}", node=node)
     return values
+
+
+def check_symmetry(grid: ChartGrid, values, axes: tuple, sign: float, error, what: str):
+    """Raise ``error`` at the worst node unless ``values`` is ``sign`` times its ``axes`` swap."""
+    dev = np.abs(values - sign * np.swapaxes(values, *axes))
+    if dev.max() > 1e-12:
+        node = argmax_node(dev.max(axis=tuple(range(grid.ndim, dev.ndim))))
+        raise error(f"{what} by {dev.max():.3e} at node {node}", node=node)
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,7 @@ class MetricField:
     def __post_init__(self):
         g = check_values(self.grid, self.values, (self.grid.ndim,) * 2)
         object.__setattr__(self, "values", g)
-        sym = np.abs(g - np.swapaxes(g, -1, -2))
-        if sym.max() > 1e-12:
-            node = argmax_node(sym.max(axis=(-2, -1)))
-            raise MetricError(f"metric asymmetric by {sym.max():.3e} at node {node}", node=node)
+        check_symmetry(self.grid, g, (-1, -2), 1.0, MetricError, "metric asymmetric")
         eigs = np.linalg.eigvalsh(g)
         if eigs.min() <= 0:
             node = argmax_node(eigs.min(axis=-1) <= 0)
@@ -176,11 +181,8 @@ class BundleData:
             raise DimensionError("bundle rank must be >= 1")
         om = check_values(self.grid, self.omega, (self.grid.ndim, rank, rank))
         object.__setattr__(self, "omega", om)
-        skew = np.abs(om + np.swapaxes(om, -1, -2))
-        if skew.max() > 1e-12:
-            node = argmax_node(skew.max(axis=(-3, -2, -1)))
-            raise DimensionError(f"connection not skew in the orthonormal gauge by "
-                                 f"{skew.max():.3e} at node {node}")
+        check_symmetry(self.grid, om, (-1, -2), -1.0, DimensionError,
+                       "connection not skew in the orthonormal gauge")
 
     @property
     def rank(self) -> int:
@@ -198,10 +200,7 @@ class SecondFormField:
         n = self.grid.ndim
         s = check_values(self.grid, self.values, (n, n) + np.shape(self.values)[-1:])
         object.__setattr__(self, "values", s)
-        sym = np.abs(s - np.swapaxes(s, -3, -2))
-        if sym.max() > 1e-12:
-            node = argmax_node(sym.max(axis=(-3, -2, -1)))
-            raise DimensionError(f"second form asymmetric by {sym.max():.3e} at node {node}")
+        check_symmetry(self.grid, s, (-3, -2), 1.0, DimensionError, "second form asymmetric")
 
 
 def runs_away_from(base_index: int, count: int) -> list:

@@ -12,15 +12,17 @@ convention silently breaks the rebuild, so both are asserted by the trivial
 constant-structure tests.
 
 ``Geometry`` declares the datum (g, E, sigma, psi) once, psi one (*dims, n+p,
-n+p) matrix [[f, U], [u, lambda]]; ``dataio.Dataset`` and
-``extract.ExtractionResult`` are ``Geometry``s, so its grid check covers their
-grid and p.  It caches what more than one consumer reads: g(f., .), G and the
-big connection, plain arrays computed on first use (``build_connection`` alone
-reads the Christoffel symbols and shape operators), so the structure checks,
-the flat-bundle diagnostics and the rebuild read one instance per dataset.
-psi~ = psi (+) diag(1, -1) is psi held twice, so it is not cached:
-``extend_diagonal`` pads psi as it pads g to G, grid-wide in
-``structure.psi_tilde_derivative`` and at the base node only in the rebuild.
+n+p) matrix [[f, U], [u, lambda]], and validates it as a whole: one grid, psi
+finite and (n+p, n+p) at every node (``fields.check_values``), sigma of rank
+p.  ``dataio.Dataset`` and ``extract.ExtractionResult`` are ``Geometry``s, so
+this covers every datum loaded or extracted.  It caches what more than one
+consumer reads: g(f., .), G and the big connection, plain arrays computed on
+first use (``build_connection`` alone reads the Christoffel symbols and shape
+operators), so the structure checks, the flat-bundle diagnostics and the
+rebuild read one instance per dataset.  psi~ = psi (+) diag(1, -1) is psi held
+twice, so it is not cached: ``extend_diagonal`` pads psi as it pads g to G,
+grid-wide in ``structure.psi_tilde_derivative`` and at the base node only in
+the rebuild.
 
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
@@ -40,9 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExclusionError, GridMismatchError, StructureError
-from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, christoffel,
-                     grad_field, shape_operator_field)
+from .errors import DimensionError, ExclusionError, GridMismatchError, StructureError
+from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, check_values,
+                     christoffel, grad_field, shape_operator_field)
 from .lorentz import complete_basis
 from .structure import ResidualReport, ToleranceModel, magnitude_records, psi_blocks, records
 
@@ -51,7 +53,7 @@ _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the 
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """The datum (g, E, sigma, psi) and its shared derived arrays, each formed on first use."""
+    """The datum (g, E, sigma, psi), checked as a whole, and its derived arrays, each lazy."""
 
     metric: MetricField
     bundle: BundleData
@@ -62,6 +64,11 @@ class Geometry:
         grids = {self.metric.grid, self.bundle.grid, self.sigma.grid}
         if len(grids) > 1 or np.shape(self.psi)[:self.grid.ndim] != self.grid.dims:
             raise GridMismatchError("fields live on different grids")
+        size = self.grid.ndim + self.p
+        object.__setattr__(self, "psi", check_values(self.grid, self.psi, (size, size)))
+        if self.sigma.values.shape[-1] != self.p:
+            raise DimensionError(f"second form of rank {self.sigma.values.shape[-1]} "
+                                 f"on a rank-{self.p} bundle")
 
     @property
     def grid(self) -> ChartGrid:

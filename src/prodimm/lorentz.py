@@ -173,7 +173,7 @@ def complete_basis(candidates, count: int, gram=None, basis=(), tol: float = 1e-
 def minkowski_gram_schmidt(vectors) -> np.ndarray:
     """Orthonormalize rows w.r.t. the Minkowski form, preserving order.
 
-    ``gram_schmidt`` with a check: raises ``DegeneracyError`` (``.index`` the
+    ``gram_schmidt`` with a check: raises ``DegeneracyError`` (``.node`` the
     row) on the first row whose squared norm after projection is at most
     ``DEGENERACY_TOL`` times max(|v|, 1)^2.  Returns the orthonormalized vectors as rows.
     """
@@ -183,8 +183,7 @@ def minkowski_gram_schmidt(vectors) -> np.ndarray:
     bad = ~(np.abs(n2) > DEGENERACY_TOL * scale**2)
     if bad.any():
         idx = int(bad.argmax())
-        raise DegeneracyError(f"vector {idx} is null or dependent after projection",
-                              index=idx)
+        raise DegeneracyError(f"vector {idx} is null or dependent after projection", node=idx)
     return rows
 
 
@@ -220,8 +219,8 @@ def lorentz_orthonormalize(vectors) -> np.ndarray:
         # applied twice, like the ones between the spacelike rows.
         rows = minkowski_gram_schmidt(np.vstack([t, vecs[:-1]]))
     except DegeneracyError as err:
-        idx = err.index - 1
+        idx = err.node - 1
         raise DegeneracyError(
             f"vector {idx} is dependent on the timelike axis and the vectors before "
-            "it; the timelike direction must be supplied last", index=idx) from err
+            "it; the timelike direction must be supplied last", node=idx) from err
     return np.vstack([rows[1:], rows[0]]).T

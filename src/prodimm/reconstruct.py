@@ -304,7 +304,10 @@ def reconstruct_immersion(geom: Geometry,
 
     t0 = time.perf_counter()
     gram = geom.gram
-    k, b1, b2 = eigen_split(build_psi_tilde(geom.psi[base]), gram[base], nd, geom.p)
+    try:
+        k, b1, b2 = eigen_split(build_psi_tilde(geom.psi[base]), gram[base], nd, geom.p)
+    except StructureError as err:   # ExclusionError included: the split names no node
+        raise type(err)(f"{err} at base node {base}", node=base) from err
     if initial_rotation is None and seed_frame is not None:
         initial_rotation = random_block_rotation(k + 1, seed_frame)
     frame0 = initial_frame_from_split(b1, b2, rotation=initial_rotation)

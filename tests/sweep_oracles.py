@@ -55,10 +55,10 @@ def _project_out(v, basis, norms):
     return v
 
 
-def per_edge_normal_frame(imm, grid, use_analytic=True):
+def per_edge_normal_frame(imm, grid):
     """Canonical completion at the base, then project and re-orthonormalize per edge."""
     points = immersion_points(imm, grid)
-    tangents = immersion_tangents(imm, grid, points, use_analytic)
+    tangents = immersion_tangents(imm, grid, points)
     xi1, xi2 = product_normals(points, imm.k)
     tang, _ = gram_schmidt(tangents, basis=(xi1, xi2))
     basis = [xi1, xi2, *np.moveaxis(tang, -2, 0)]

@@ -12,7 +12,7 @@ from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
 from prodimm.errors import SchemaError
-from prodimm.structure import RECORD_NAMES
+from prodimm.structure import RECORD_NAMES, StructureWarning
 
 from conftest import geometry_of
 from io_oracles import edit_field, field_values
@@ -345,6 +345,21 @@ def test_repair_export_of_an_unrepairable_point_exits_1(f1_dataset_path, tmp_pat
                  "--repair-export"]) == 1
     assert "node (57,): its hyperbolic block is not timelike" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []   # neither the mesh nor the report
+
+
+def test_forced_rebuild_of_the_excluded_structure_names_the_base_node(f1_dataset_path, tmp_path,
+                                                                     capsys):
+    """psi = I has no -1 eigenspace: the split at the base node rejects it, exit 1."""
+    ds = load_dataset(str(f1_dataset_path))
+    excluded = tmp_path / "identity.json"
+    save_dataset(dataclasses.replace(ds, psi=np.broadcast_to(np.eye(2), ds.psi.shape)),
+                 str(excluded))
+    capsys.readouterr()
+    with pytest.warns(StructureWarning, match="plus/minus identity at 200 node"):
+        code = main(["reconstruct", str(excluded), "--force", "-o", str(tmp_path / "m.csv")])
+    assert code == 1
+    assert "outside the reconstructible class at base node (100,)" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims",

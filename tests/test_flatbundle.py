@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodimm.errors import ExclusionError, StructureError
+from prodimm.errors import DimensionError, ExclusionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField, grad_field
 from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eigen_split,
                                 flatness_residual, metric_compatibility_residual,
@@ -9,7 +9,7 @@ from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eig
 from prodimm.lorentz import eta
 from prodimm.structure import ToleranceModel, big_curvature, magnitude, psi_tilde_derivative
 
-from conftest import with_derived
+from conftest import random_geometry, with_derived
 from test_structure import constant_structure
 
 
@@ -147,6 +147,30 @@ def test_eigen_split_fixtures(f1, f2):
         # xi1~ closes the first block, timelike xi2~ closes the frame
         assert np.argmax(np.abs(b1[:, -1])) == size - 2
         assert np.argmax(np.abs(b2[:, -1])) == size - 1
+
+
+INCONSISTENT = {   # case: (message, node) on a 6x7 chart with n = p = 2
+    "psi_one_slot_short": (r"values of shape \(6, 7, 3, 3\), expected \(6, 7, 4, 4\)", None),
+    "sigma_rank_p_plus_1": ("second form of rank 3 on a rank-2 bundle", None),
+    "psi_nan": (r"non-finite value at node \(4, 2\)", (4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", INCONSISTENT)
+def test_geometry_rejects_an_inconsistent_datum(case):
+    """psi is a finite (n+p, n+p) matrix at every node and sigma takes values in E."""
+    message, node = INCONSISTENT[case]
+    geom = random_geometry(5, (6, 7), 2)
+    sigma, psi = geom.sigma, geom.psi.copy()
+    if case == "psi_one_slot_short":
+        psi = psi[..., :-1, :-1]
+    elif case == "sigma_rank_p_plus_1":
+        sigma = SecondFormField(geom.grid, np.concatenate([sigma.values] * 2, axis=-1)[..., :3])
+    else:
+        psi[4, 2, 1, 3] = np.nan
+    with pytest.raises(DimensionError, match=message) as err:
+        Geometry(geom.metric, geom.bundle, sigma, psi)
+    assert err.value.node == node
 
 
 def test_eigen_split_rejects_identity():

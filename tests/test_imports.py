@@ -19,11 +19,16 @@ axis (``np.abs(r).max(axis=(-2, -1))`` and the like); each goes through
 ``structure.magnitude``, which lays |r| out with the node axes last.  Every
 value has one home: the datum arrays ``metric``, ``bundle``, ``sigma`` and
 ``psi`` are dataclass fields of ``flatbundle.Geometry`` alone, and no dataclass
-stores ``p``, ``passed`` or ``on_product_defect``, each read off its source.
+stores ``p``, ``passed``, ``on_product_defect`` or ``analytic_derivatives``,
+each read off its source.
 An edge table is read by slices alone: in ``fields``, ``reconstruct`` and
 ``extract`` no ``np.take`` gathers from one, and ``np.arange`` appears only in
 ``ChartGrid.axis_coords``, the node coordinates, so no index array over the
 edges is built; the runs away from the base are ``fields.runs_away_from``.
+A rejection is raised one way: only ``ProdimmError`` defines ``__init__``, no
+call passes ``index=``, and in a function that locates a node by
+``argmax_node`` every raise of a package error whose message names a node
+passes it as ``node=``.
 """
 
 import ast
@@ -284,7 +289,8 @@ def test_abs_axis_reduction_site_is_found():
 
 
 DATUM = ("metric", "bundle", "sigma", "psi")
-READ_OFF = ("p", "passed", "on_product_defect")   # k + m - n, max <= threshold, a record's max
+# k + m - n, max <= threshold, a record's max, whether the immersion has a derivative evaluator
+READ_OFF = ("p", "passed", "on_product_defect", "analytic_derivatives")
 
 
 def dataclass_fields(source: str) -> dict:
@@ -322,10 +328,11 @@ def test_stored_copy_is_found():
               "@dataclass(frozen=True)\nclass Data:\n    grid: int\n    p: int\n"
               "    psi: object\n    def f(self):\n        sigma: int = 0\n"
               "@dataclasses.dataclass\nclass Rec:\n    passed: bool\n"
+              "@dataclass(frozen=True)\nclass Extraction:\n    analytic_derivatives: bool\n"
               "class Plain:\n    metric: object\n    on_product_defect: float\n")
     home = "from dataclasses import dataclass\n@dataclass\nclass Geometry:\n    psi: object\n"
     assert stored_copies({"a.py": source, "flatbundle.py": home}) == [
-        "a.py:Data.p", "a.py:Data.psi", "a.py:Rec.passed"]
+        "a.py:Data.p", "a.py:Data.psi", "a.py:Extraction.analytic_derivatives", "a.py:Rec.passed"]
     assert stored_copies({"a.py": home}) == ["a.py:Geometry.psi"]
 
 
@@ -353,3 +360,82 @@ def test_edge_index_site_is_found():
               "    nb, fb = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], dims[a]))\n"
               "    return na, fa, nb, fb\n")
     assert named_sites(source, EDGE_INDEXING, "axis_coords") == [5, 9, 10]
+
+
+def rejection_sites(sources: dict) -> list:
+    """Breaches of the one rejection idiom over ``sources`` (module name -> text).
+
+    ``errors.py:Class.__init__`` for a constructor of a package error other
+    than ``ProdimmError``'s; ``module:line`` for a call that passes ``index=``,
+    and for a raise of a package error whose message names a node but that
+    passes no ``node=``, in a function that locates one by ``argmax_node``.
+    """
+    errors = ast.parse(sources["errors.py"])
+    package_errors = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    found = [f"errors.py:{cls.name}.__init__" for cls in errors.body
+             if isinstance(cls, ast.ClassDef) and cls.name != "ProdimmError"
+             and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in cls.body)]
+
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    def names_a_node(message):
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        return any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                   and re.search(r"\bnode\b", part.value) for part in parts)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        lines = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and any(k.arg == "index" for k in node.keywords)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or not any(
+                    isinstance(n, ast.Call) and called(n) == "argmax_node" for n in ast.walk(func)):
+                continue
+            lines |= {node.lineno for node in ast.walk(func)
+                      if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                      and called(node.exc) in package_errors and node.exc.args
+                      and names_a_node(node.exc.args[0])
+                      and not any(k.arg == "node" for k in node.exc.keywords)}
+        found += [f"{module}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_one_rejection_idiom():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert rejection_sites(sources) == []
+
+
+def test_rejection_site_is_found():
+    errors = ("class ProdimmError(Exception):\n    def __init__(self, message, node=None):\n"
+              "        self.node = node\n"
+              "class DimensionError(ProdimmError):\n    pass\n"
+              "class ConstraintError(ProdimmError):\n    pass\n"
+              "class DegeneracyError(ProdimmError):\n"
+              "    def __init__(self, message, index=None):\n        self.index = index\n")
+    planted = (
+        "def check_values(grid, values, slot_shape):\n"                                   # 1
+        "    if values.shape != grid.dims + slot_shape:\n"
+        "        raise DimensionError(f'values of shape {values.shape}')\n"
+        "    if not np.isfinite(values).all():\n"
+        "        raise DimensionError(f'non-finite value at node {argmax_node(values)}')\n"  # 5
+        "class BundleData:\n"
+        "    def __post_init__(self):\n"
+        "        node = argmax_node(skew.max(axis=(-3, -2, -1)))\n"
+        "        raise DimensionError(f'connection not skew in the orthonormal gauge by '\n"
+        "                             f'{skew.max():.3e} at node {node}')\n"               # 10
+        "class SecondFormField:\n"
+        "    def __post_init__(self):\n"
+        "        node = argmax_node(sym.max(axis=(-3, -2, -1)))\n"
+        "        raise DimensionError(f'second form asymmetric by {sym.max()} at node {node}')\n"
+        "def immersion_points(imm, grid):\n"                                              # 15
+        "    node = argmax_node(bad)\n"
+        "    raise ConstraintError(f'immersion {reason} at node {node}')\n"
+        "def induced_normal_frame(imm, grid):\n"
+        "    node = argmax_node(bad)\n"
+        "    raise DegeneracyError(f'tangent vectors rank-deficient at node {node}', index=node)\n"
+        "def elsewhere(bad):\n"                                                            # 21
+        "    raise DimensionError(f'first bad node {bad}')\n")
+    assert rejection_sites({"errors.py": errors, "fields.py": planted}) == [
+        "errors.py:DegeneracyError.__init__", "fields.py:5", "fields.py:9", "fields.py:14",
+        "fields.py:17", "fields.py:20"]

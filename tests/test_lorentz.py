@@ -179,7 +179,7 @@ def test_lorentz_orthonormalize_mixed_input():
 def test_gram_schmidt_null_vector_error():
     with pytest.raises(DegeneracyError) as err:
         minkowski_gram_schmidt([[1.0, 0.0, 0.0, 1.0]])
-    assert err.value.index == 0
+    assert err.value.node == 0
 
 
 def test_gram_schmidt_dependent_error():
