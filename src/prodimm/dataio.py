@@ -253,6 +253,19 @@ class Report(ResidualReport):
     alignment: dict | None = None
     timings: dict | None = None
 
+    @property
+    def aligned(self) -> bool | None:
+        """The alignment's ``max_distance <= distance_tol`` (NaN fails); None with no tolerance."""
+        align = self.alignment or {}
+        if "distance_tol" not in align:
+            return None
+        return bool(align["max_distance"] <= align["distance_tol"])
+
+    @property
+    def passed(self) -> bool:
+        """Every record passes, and so does the alignment if it has a tolerance."""
+        return super().passed and self.aligned is not False
+
     @classmethod
     def from_residuals(cls, grid: ChartGrid, *reports: ResidualReport, **blocks) -> "Report":
         return cls(records=ResidualReport.merge(*reports).records, grid=grid, **blocks)
@@ -280,8 +293,13 @@ def save_report(report: Report, path: str):
 def report_from_dict(doc: dict) -> Report:
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
-    if not isinstance(doc.get("reconstruction", {}), dict):
-        raise SchemaError("report block 'reconstruction' must be an object")
+    for block in ("reconstruction", "alignment"):
+        if not isinstance(doc.get(block, {}), dict):
+            raise SchemaError(f"report block {block!r} must be an object")
+    align = doc.get("alignment", {"max_distance": 0.0})
+    distances = (align.get("max_distance"), align.get("distance_tol", 0.0))
+    if any(type(v) not in (int, float) for v in distances):   # a bool is no JSON number
+        raise SchemaError(f"alignment max_distance, distance_tol must be numbers: {distances}")
     try:
         grid = None
         if "grid" in doc:

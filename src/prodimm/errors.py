@@ -43,7 +43,7 @@ class ExclusionError(StructureError):
 
 
 class ReconstructionError(ProdimmError, RuntimeError):
-    """Rebuild left the target product beyond tolerance."""
+    """A rebuilt point no record can judge: not finite, on the lower sheet, or unrepairable."""
 
 
 class SchemaError(ProdimmError, ValueError):

@@ -35,8 +35,8 @@ and the connection stay on the caller's ``Geometry``.
 The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
 discrete transport is reported as ``frame_orthonormality``.  Likewise the
-on-product defect of the rebuilt points is reported, never repaired here;
-repair exists only as an export option in the CLI.
+on-product defect of the rebuilt points is judged by its record alone, never
+repaired here; repair exists only as an export option in the CLI.
 """
 
 from __future__ import annotations
@@ -164,29 +164,23 @@ def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
     return np.concatenate([b1, b2], axis=1)
 
 
-def assemble_immersion(frame: np.ndarray, k: int, tol: float = 1e-8):
+def assemble_immersion(frame: np.ndarray, k: int):
     """Read the rebuilt map off the frames (*dims, N, N): components of xi1~ + xi2~.
 
     The first n+p+1 coordinates are plain frame pairings, the last one flips
-    sign (timelike).  Returns the points and their nodewise product defect.
-    The rebuild fails on a point of the lower sheet, naming the first such
-    node, or on a defect beyond 10x tolerance, naming the worst node.
+    sign (timelike).  Returns the points and their nodewise product defect, for
+    ``reconstruction_on_product`` to judge.  A point that is not finite or lies
+    on the lower sheet fails the rebuild, naming the first such node.
     """
     # Gram column of xi1~ + xi2~ in the fixed gauge: the last two rows, second negated
     phi = lower(frame[..., -2, :] - frame[..., -1, :])
 
-    lower_sheet = phi[..., -1] <= 0
-    if lower_sheet.any():
-        node = argmax_node(lower_sheet)
-        raise ReconstructionError(
-            f"rebuilt point on the lower sheet of the hyperboloid at node {node}", node=node)
-    defect = product_defect(phi, k)
-    worst = float(defect.max())
-    if not worst <= 10.0 * tol:   # a NaN point fails too
-        node = argmax_node(defect)
-        raise ReconstructionError(
-            f"rebuilt point leaves the product by {worst:.3e} at node {node}", node=node)
-    return phi, defect
+    for bad, what in ((~np.isfinite(phi).all(axis=-1), "is not finite"),
+                      (phi[..., -1] <= 0, "is on the lower sheet of the hyperboloid")):
+        if bad.any():
+            node = argmax_node(bad)
+            raise ReconstructionError(f"rebuilt point {what} at node {node}", node=node)
+    return phi, product_defect(phi, k)
 
 
 def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -283,8 +277,7 @@ def reconstruct_immersion(geom: Geometry,
                           tolerances: ToleranceModel,
                           base_node: tuple | None = None,
                           initial_rotation: np.ndarray | None = None,
-                          seed_frame: int | None = None,
-                          assemble_tol: float | None = None) -> ReconstructionResult:
+                          seed_frame: int | None = None) -> ReconstructionResult:
     """Full rebuild pipeline: split, transport, assemble, verify.
 
     The base node defaults to the grid centre, which halves the longest
@@ -330,9 +323,7 @@ def reconstruct_immersion(geom: Geometry,
     table_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if assemble_tol is None:
-        assemble_tol = tolerances.h2_budget(grid)
-    points, on_product = assemble_immersion(frame, k, tol=assemble_tol)
+    points, on_product = assemble_immersion(frame, k)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

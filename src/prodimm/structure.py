@@ -6,10 +6,13 @@ endomorphism, u (p, n) tangent -> bundle, U (n, p) bundle -> tangent and
 lambda (p, p) the bundle endomorphism, each a slice (``psi_blocks``).
 
 The algebra checks: f and lambda symmetric, u/U metric-adjoint, and the two
-block rows of psi^2 = 1.  The data then immerse exactly when the big
-connection Omega (:mod:`prodimm.flatbundle`) is flat and psi~ is parallel,
-so every differential check is a block of one of two arrays, indexed in the
-basis (d_1..d_n, e_1..e_p, xi1~, xi2~):
+block rows of psi^2 = 1.  An involution of size N = n+p splits with
+k = (tr psi + N)/2, so it is +-I exactly where |tr psi| > N - 1; once the
+algebra records pass, ``check_psi_algebra`` rejects such a node as outside the
+reconstructible class.  The data then immerse exactly when the big connection
+Omega (:mod:`prodimm.flatbundle`) is flat and psi~ is parallel, so every
+differential check is a block of one of two arrays, indexed in the basis
+(d_1..d_n, e_1..e_p, xi1~, xi2~):
 
 * F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] over
   the direction pairs q = (m, n), m < n (``big_curvature``): ``gauss`` =
@@ -46,13 +49,12 @@ reads the data and its derived geometry from one
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ExclusionError, SchemaError
 from .fields import ChartGrid, argmax_node, connection_curvature, endomorphism_derivative
 
 if TYPE_CHECKING:
@@ -70,11 +72,6 @@ RECORD_NAMES = (
     "frame_orthonormality", "reconstruction_on_product", "path_independence",
     "sweep_cross_check")
 ALGEBRAIC_CHECKS = frozenset(RECORD_NAMES[:5])
-IDENTITY_TOL = 1e-8   # max-abs distance of a structure matrix counted as plus or minus identity
-
-
-class StructureWarning(UserWarning):
-    """Diagnostic for data touching the excluded identity structure."""
 
 
 def require_tolerance(name: str, value) -> None:
@@ -230,34 +227,26 @@ def psi_blocks(psi: np.ndarray, n: int) -> tuple:
     return psi[..., :n, :n], psi[..., n:, :n], psi[..., :n, n:], psi[..., n:, n:]
 
 
-def identity_structure_nodes(psi: np.ndarray) -> int:
-    """Count nodes where the structure matrix is within ``IDENTITY_TOL`` of +-identity."""
-    nd = psi.ndim - 2
-    ident = np.eye(psi.shape[-1])
-    return sum(int((nodewise_max(magnitude(psi - sign * ident, nd), nd) <= IDENTITY_TOL).sum())
-               for sign in (1.0, -1.0))
-
-
 def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
-    """Symmetry, adjointness and involution residuals (exact linear algebra)."""
+    """Symmetry, adjointness and involution residuals; then the +-I exclusion (module doc)."""
     psi = geom.psi
     n = geom.grid.ndim
     _, u, big_u, lam = psi_blocks(psi, n)
     gf = geom.f_lowered                                  # g(f d_i, d_j)
     square = psi @ psi - np.eye(psi.shape[-1])
-
-    n_id = identity_structure_nodes(psi)
-    if n_id:
-        warnings.warn(f"structure within {IDENTITY_TOL:g} of plus/minus identity at {n_id} "
-                      "node(s); such data is outside the reconstructible class", StructureWarning)
-
-    return records(
+    report = records(
         geom.grid, tolerances,
         ("psi_f_symmetric", gf - np.swapaxes(gf, -1, -2)),
         ("psi_lambda_symmetric", lam - np.swapaxes(lam, -1, -2)),
         ("psi_u_U_adjoint", u - np.swapaxes(geom.metric.values @ big_u, -1, -2)),
         ("psi_involution_tangent", square[..., :n, :]),
         ("psi_involution_bundle", square[..., n:, :]))
+    identity = np.abs(np.trace(psi, axis1=-2, axis2=-1)) > psi.shape[-1] - 1
+    if report.passed and identity.any():
+        node = argmax_node(identity)
+        raise ExclusionError(f"structure is plus/minus the identity at node {node}; such data "
+                             "is outside the reconstructible class", node=node)
+    return report
 
 
 def big_curvature(geom: Geometry) -> np.ndarray:

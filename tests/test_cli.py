@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from prodimm import cli, fields, flatbundle
+from prodimm import cli, fields, flatbundle, reconstruct
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
                             load_immersion_csv, load_report, save_dataset)
 from prodimm.errors import SchemaError
-from prodimm.structure import RECORD_NAMES, StructureWarning
+from prodimm.structure import RECORD_NAMES
 
 from conftest import geometry_of
 from io_oracles import edit_field, field_values
@@ -254,6 +254,57 @@ def test_report_determinism(f1_dataset_path, tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.fixture(scope="module")
+def f3_rebuilt_meshes(tmp_path_factory):
+    """Two F3 17x17 rebuilds, the second from a rotated initial frame."""
+    directory = tmp_path_factory.mktemp("f3")
+    ds = directory / "f3.json"
+    assert main(["extract", "--fixture", "F3", "--grid", "17x17", "-o", str(ds)]) == 0
+    meshes = [str(directory / "a.csv"), str(directory / "b.csv")]
+    assert main(["reconstruct", str(ds), "-o", meshes[0]]) == 0
+    assert main(["reconstruct", str(ds), "-o", meshes[1], "--seed-frame", "3"]) == 0
+    return meshes
+
+
+# case: (arguments before the report flag, the report flag, exit code); {ds} is the F1
+# dataset, {a} and {b} the F3 meshes, {out} a mesh path
+VERDICT_CASES = {
+    "check_passes": (["check", "{ds}"], "--report", 0),
+    "check_fails": (["check", "{ds}", "--tol", "psi_tilde_parallel=1e-30"], "--report", 1),
+    "reconstruct_passes": (["reconstruct", "{ds}", "-o", "{out}"], "--report", 0),
+    "roundtrip_passes": (["roundtrip", "--fixture", "F1"], "--report", 0),
+    # every record passes; the aligned distance grows like cosh(bt) past the h^2 budget
+    "roundtrip_alignment_fails": (["roundtrip", "--fixture", "F1", "--helix-a", "0.6", "--fd",
+                                   "--grid", "1400", "--spacing", "5e-3"], "--report", 1),
+    "align_fails": (["align", "{a}", "{b}", "--distance-tol", "1e-20"], "-o", 1),
+    "align_without_tolerance": (["align", "{a}", "{b}"], "-o", 0),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_exit_code_is_the_saved_pass(f1_dataset_path, f3_rebuilt_meshes, tmp_path, capsys, case):
+    """Every command exits on the ``pass`` of the report it writes, the alignment's included."""
+    template, flag, code = VERDICT_CASES[case]
+    path = tmp_path / "report.json"
+    paths = {"ds": f1_dataset_path, "a": f3_rebuilt_meshes[0], "b": f3_rebuilt_meshes[1],
+             "out": tmp_path / "mesh.csv"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in template] + [flag, str(path)]) == code
+    doc = json.loads(path.read_text())
+    assert doc["pass"] == (code == 0) == load_report(str(path)).passed
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS ", "FAIL "))]
+    alignment = [line for line in lines if line.split()[1] == "alignment"]
+    if case in ("roundtrip_alignment_fails", "align_fails"):
+        assert all(check["pass"] for check in doc["checks"])
+        assert doc["alignment"]["distance_tol"] == (1e-20 if case == "align_fails" else 2.5e-4)
+        assert alignment == [f"FAIL {'alignment':35s} max={doc['alignment']['max_distance']:.6e} "
+                             f"thr={doc['alignment']['distance_tol']:.1e}"]
+    if case == "align_without_tolerance":
+        assert "distance_tol" not in doc["alignment"] and lines == []
+    assert len(lines) == len(doc["checks"]) + len(alignment)
+
+
 def test_tolerance_override_flag(f1_dataset_path):
     assert main(["check", str(f1_dataset_path), "--tol",
                  "psi_tilde_parallel=1e-30"]) == 1
@@ -347,19 +398,42 @@ def test_repair_export_of_an_unrepairable_point_exits_1(f1_dataset_path, tmp_pat
     assert list(tmp_path.iterdir()) == []   # neither the mesh nor the report
 
 
-def test_forced_rebuild_of_the_excluded_structure_names_the_base_node(f1_dataset_path, tmp_path,
-                                                                     capsys):
-    """psi = I has no -1 eigenspace: the split at the base node rejects it, exit 1."""
-    ds = load_dataset(str(f1_dataset_path))
+@pytest.fixture(scope="module")
+def f1_fd_dataset_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "f1_fd.json"
+    assert main(["extract", "--fixture", "F1", "--fd", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("psi", [np.eye(2), np.diag([1.0 + 1e-6, 1.0 - 1e-6])],
+                         ids=["identity", "near_identity"])
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_excluded_structure_exits_1_naming_its_first_node(f1_fd_dataset_path, tmp_path, capsys,
+                                                          command, psi):
+    """psi = I passes the algebra records on the h^2 budget of ``--fd`` data, but has no
+    -1 eigenspace: the check rejects it at node (0,), before any rebuild, ``--force`` or not."""
+    ds = load_dataset(str(f1_fd_dataset_path))
     excluded = tmp_path / "identity.json"
-    save_dataset(dataclasses.replace(ds, psi=np.broadcast_to(np.eye(2), ds.psi.shape)),
-                 str(excluded))
+    save_dataset(dataclasses.replace(ds, psi=np.broadcast_to(psi, ds.psi.shape)), str(excluded))
+    mesh, report = tmp_path / "m.csv", tmp_path / "r.json"
+    rebuild = ["--force", "-o", str(mesh)] if command == "reconstruct" else []
     capsys.readouterr()
-    with pytest.warns(StructureWarning, match="plus/minus identity at 200 node"):
-        code = main(["reconstruct", str(excluded), "--force", "-o", str(tmp_path / "m.csv")])
-    assert code == 1
-    assert "outside the reconstructible class at base node (100,)" in capsys.readouterr().err
-    assert not (tmp_path / "m.csv").exists()
+    assert main([command, str(excluded), *rebuild, "--report", str(report)]) == 1
+    assert "plus/minus the identity at node (0,)" in capsys.readouterr().err
+    assert not mesh.exists() and not report.exists()
+
+
+def test_off_product_rebuild_exits_1_with_its_report_and_mesh(f1_dataset_path, tmp_path,
+                                                              monkeypatch):
+    """A rebuilt point off the product fails its record; the rebuild still writes both files."""
+    sweep = reconstruct.sweep_parallel_frame
+    monkeypatch.setattr(reconstruct, "sweep_parallel_frame",
+                        lambda *args, **kwargs: 1.01 * sweep(*args, **kwargs))
+    mesh = tmp_path / "off.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 1
+    report = load_report(str(mesh) + ".report.json")
+    assert not report["reconstruction_on_product"].passed and not report.passed
+    assert load_immersion_csv(str(mesh))[1].shape == (200, 4)
 
 
 @pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims",

@@ -107,6 +107,22 @@ def test_record_verdict_is_read_off_max_and_threshold():
     for check in doc["checks"]:
         check["pass"] = not check["pass"]   # a stale verdict in the document is not read
     assert [r.passed for r in report_from_dict(doc).records] == [True, False, False]
+    # the alignment is one more input: its distance against its tolerance, NaN failing
+    for distance, tol, passed in ((0.5, 0.5, True), (0.7, 0.5, False),
+                                  (float("nan"), float("inf"), False), (float("nan"), None, True)):
+        block = {"max_distance": distance} | ({} if tol is None else {"distance_tol": tol})
+        doc = report_to_dict(Report(records=records[:1], alignment=block))
+        assert doc["pass"] is passed
+        doc["pass"] = not passed
+        assert report_from_dict(doc).passed is passed
+
+
+@pytest.mark.parametrize("block", [5, [0.1], {}, {"max_distance": "0.1"}, {"max_distance": True},
+                                   {"max_distance": 0.1, "distance_tol": None}],
+                         ids=["number", "list", "no_distance", "string", "bool", "null_tol"])
+def test_malformed_alignment_block_is_a_schema_error(block):
+    with pytest.raises(SchemaError, match="alignment"):
+        report_from_dict({"schema": "prodimm-report/1", "checks": [], "alignment": block})
 
 
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):

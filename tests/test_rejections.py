@@ -132,7 +132,7 @@ CASES = {
     "assemble_lower_sheet": (lambda r: _broken_frame(r, lambda f: np.negative(f, out=f)),
                              ReconstructionError, (57,), "lower sheet"),
     "assemble_nan": (lambda r: _broken_frame(r, lambda f: f.fill(np.nan)),
-                     ReconstructionError, (57,), "leaves the product by nan"),
+                     ReconstructionError, (57,), "not finite"),
     "loader_nan_psi": (_nan_psi_document, SchemaError, (57,), "non-finite value"),
     "base_node_not_an_involution": (lambda r: _rebuild_with_psi(r, lambda psi: 1.2 * psi),
                                     StructureError, (100,), "not an involution"),

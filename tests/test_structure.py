@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from prodimm.cli import check_dataset
-from prodimm.errors import GridMismatchError
+from prodimm.errors import ExclusionError, GridMismatchError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry, flatness_residual
-from prodimm.structure import (RECORD_NAMES, ResidualReport, StructureWarning, ToleranceModel,
-                               big_curvature, check_all, check_codazzi, check_gauss,
-                               check_psi_algebra, check_psi_parallel, check_ricci,
-                               identity_structure_nodes, magnitude, psi_blocks,
+from prodimm.structure import (RECORD_NAMES, ResidualReport, ToleranceModel, big_curvature,
+                               check_all, check_codazzi, check_gauss, check_psi_algebra,
+                               check_psi_parallel, check_ricci, magnitude, psi_blocks,
                                psi_tilde_derivative)
 
 from conftest import geometry_of
@@ -41,13 +40,22 @@ def test_constant_structure_passes_everything(flat_line):
         assert report[name].max_abs <= 1e-12
 
 
-def test_identity_structure_warns(flat_line):
-    g, bundle, sigma, _ = constant_structure(flat_line)
-    psi = np.tile(np.eye(2), flat_line.dims + (1, 1))
-    assert identity_structure_nodes(psi) == flat_line.n_nodes
-    with pytest.warns(StructureWarning):
+def test_identity_structure_is_rejected(flat_line):
+    """psi = +-I passes the algebra records, but has no split: the first such node is named.
+
+    A structure that is no involution keeps its failing records, whatever its trace.
+    """
+    g, bundle, sigma, compatible = constant_structure(flat_line)
+    for sign in (1.0, -1.0):
+        psi = compatible.copy()
+        psi[5:] = sign * np.eye(2)
+        with pytest.raises(ExclusionError, match=r"plus/minus the identity at node \(5,\)") as err:
+            check_psi_algebra(Geometry(g, bundle, sigma, psi), ToleranceModel())
+        assert err.value.node == (5,)
+        psi[5:] *= 1.2
         report = check_psi_algebra(Geometry(g, bundle, sigma, psi), ToleranceModel())
-    assert report["psi_involution_tangent"].passed  # diagnostic only, not a failure
+        assert not report["psi_involution_tangent"].passed
+        assert report["psi_involution_tangent"].argmax_node == (5,)
 
 
 def test_psi_algebra_on_fixture_is_exact(f2):
