@@ -3,6 +3,9 @@
 Exit codes are a stable contract: 0 or 1 as the ``pass`` of the command's report;
 1 also when the data is rejected before a report exists, 2 when input cannot be loaded.
 
+Each stage builds its own part of a :class:`prodimm.structure.Report` (checks,
+rebuild, alignment), and a command writes their ``Report.merge``.
+
 Parallelism note: all kernels are vectorized numpy; the only environment
 knob is the BLAS thread count (OMP_NUM_THREADS and friends), which does not
 change any reported number.
@@ -18,13 +21,13 @@ import time
 import numpy as np
 
 from . import dataio
-from .dataio import Dataset, Report, _take, load_dataset, save_dataset, save_report
+from .dataio import Dataset, load_dataset, save_dataset, save_report
 from .errors import DimensionError, ProdimmError, SchemaError
 from .extract import FIXTURES, default_tolerances, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import Geometry, metric_compatibility_residual
-from .reconstruct import align_congruence, immersion_psi_field, reconstruct_immersion
-from .structure import ResidualReport, ToleranceModel, check_all, require_tolerance
+from .reconstruct import align_congruence, reconstruct_immersion
+from .structure import Report, ToleranceModel, check_all, require_tolerance
 
 
 def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
@@ -45,16 +48,15 @@ def check_dataset(geom: Geometry, tolerances: ToleranceModel) -> Report:
     t2 = time.perf_counter()
     checks = check_all(geom, tolerances)
     t3 = time.perf_counter()
-    return Report.from_residuals(geom.grid, compatibility, checks,
-                                 timings={"structure": t3 - t2, "connection": t1 - t0,
-                                          "flat_bundle": t2 - t1})
+    return Report.merge(compatibility, checks, grid=geom.grid, timings={
+        "structure": t3 - t2, "connection": t1 - t0, "flat_bundle": t2 - t1})
 
 
-def _print_checks(report: ResidualReport):
+def _print_checks(report: Report):
     """One verdict line per record, then one named ``alignment`` if the report gives it one."""
     rows = [(r.passed, r.name, r.max_abs, r.threshold, f" at node {list(r.argmax_node)}")
             for r in report.records]
-    if isinstance(report, Report) and report.aligned is not None:
+    if report.aligned is not None:
         rows.append((report.aligned, "alignment", report.alignment["max_distance"],
                      report.alignment["distance_tol"], ""))
     for passed, name, value, threshold, where in rows:
@@ -149,23 +151,6 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _base_frame_map(result, geom: Geometry) -> np.ndarray:
-    """The rebuild's (N, N) frame map bundle -> ambient coordinates at its base node."""
-    base = result.base_node
-    return immersion_psi_field(result.frame[base], geom.gram[base])
-
-
-def _rebuild_report(grid: ChartGrid, checks: Report, result, frame_map: np.ndarray,
-                    **blocks) -> Report:
-    """The check and rebuild records, the reconstruction block and the timings of both."""
-    reconstruction = {"k": result.k, "ambient_dim": frame_map.shape[-1],
-                      "base_node": list(result.base_node),
-                      "on_product_defect": result.on_product_defect,
-                      "psi_base": frame_map.ravel().tolist()}
-    return Report.from_residuals(grid, checks, result.report, reconstruction=reconstruction,
-                                 timings=checks.timings | result.timings, **blocks)
-
-
 def _alignment_block(alignment, distance_tol: float | None) -> dict:
     """The report block of ``alignment``; a ``distance_tol`` of None gives it no verdict."""
     verdict = {} if distance_tol is None else {"distance_tol": distance_tol}
@@ -183,7 +168,7 @@ def cmd_reconstruct(args) -> int:
         print("input data fails its compatibility checks; use --force to proceed")
         return 1
     result = reconstruct_immersion(ds, tolerances=tol, seed_frame=args.seed_frame)
-    report = _rebuild_report(ds.grid, pre, result, _base_frame_map(result, ds))
+    report = Report.merge(pre, result.report)
     _print_checks(result.report)
     dataio.save_immersion_csv(args.out, ds.grid, result.k, result.points,
                               repair=args.repair_export)
@@ -201,12 +186,12 @@ def cmd_roundtrip(args) -> int:
     tol = _tolerances_from_args(args, default_tolerances(data))
     checks = check_dataset(data, tol)
     result = reconstruct_immersion(data, tolerances=tol, seed_frame=args.seed_frame)
-    frame_map = _base_frame_map(result, data)
-    alignment = align_congruence(result.points, frame_map, result.k,
-                                 data.points, data.ambient_frame(result.base_node), imm.k)
+    alignment = align_congruence(result.points, result.report.reconstruction["psi_base"],
+                                 result.k, data.points, data.ambient_frame(result.base_node),
+                                 imm.k)
     distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
-    report = _rebuild_report(grid, checks, result, frame_map,
-                             alignment=_alignment_block(alignment, distance_tol))
+    report = Report.merge(checks, result.report,
+                          alignment=_alignment_block(alignment, distance_tol))
     _print_checks(report)
     if args.report:
         save_report(report, args.report)
@@ -219,33 +204,25 @@ def cmd_align(args) -> int:
     coords_b, values_b, k_b = dataio.load_immersion_csv(args.mesh_b)
     rep_a = dataio.load_report(args.report_a or args.mesh_a + ".report.json")
     rep_b = dataio.load_report(args.report_b or args.mesh_b + ".report.json")
-    if rep_a.grid is None or rep_b.grid is None or rep_a.reconstruction is None \
-            or rep_b.reconstruction is None:
+    if None in (rep_a.grid, rep_b.grid, rep_a.reconstruction, rep_b.reconstruction):
         raise SchemaError("align needs reconstruction reports with grid blocks")
     if rep_a.grid != rep_b.grid:
         raise SchemaError(f"align inputs must share the grid: {rep_a.grid} vs {rep_b.grid}")
     if values_a.shape != values_b.shape or coords_a.shape != coords_b.shape:
         raise SchemaError("meshes have different sizes")
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
-    if tuple(_take(ra, "base_node")) != tuple(_take(rb, "base_node")):
+    if ra["base_node"] != rb["base_node"]:
         raise SchemaError("align inputs must share the base node")
-    size = int(_take(ra, "ambient_dim"))
-    grid = rep_a.grid
-
-    def frame_map(block):
-        return np.asarray(_take(block, "psi_base"), dtype=float).reshape(size, size)
-
-    shape = grid.dims + (size,)
-    alignment = align_congruence(values_a.reshape(shape), frame_map(ra), k_a,
-                                 values_b.reshape(shape), frame_map(rb), k_b)
+    shape = rep_a.grid.dims + (ra["ambient_dim"],)
+    alignment = align_congruence(values_a.reshape(shape), ra["psi_base"], k_a,
+                                 values_b.reshape(shape), rb["psi_base"], k_b)
     print("isometry:")
     for row in alignment.isometry:
         print("  " + " ".join(f"{v: .6f}" for v in row))
     print(f"max node distance   {alignment.max_distance:.6e}")
     print(f"eta defect          {alignment.eta_defect:.3e}")
     print(f"commutation defect  {alignment.commutation_defect:.3e}")
-    report = Report(records=(), grid=grid,
-                    alignment=_alignment_block(alignment, args.distance_tol))
+    report = Report(grid=rep_a.grid, alignment=_alignment_block(alignment, args.distance_tol))
     _print_checks(report)
     if args.out:
         save_report(report, args.out)

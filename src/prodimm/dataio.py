@@ -29,6 +29,11 @@ In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
 [[f, U], [u, lambda]], filled block by block on load and checked by ``Geometry``.
 A rejection on load is a ``SchemaError`` with the node of the error it wraps.
 
+A ``prodimm-report/1`` document is one :class:`prodimm.structure.Report`, read
+here alone: ``reconstruction`` needs integer ``base_node`` and ``ambient_dim``
+N and ``psi_base``, N^2 finite numbers loaded as the (N, N) frame map, and
+``alignment`` numeric distances.  A mesh is rejected at its first non-finite row.
+
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
 encoder call, and a mesh table is written by one ``%`` format per block of
@@ -54,7 +59,7 @@ from .extract import ExtractionResult, default_tolerances
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, argmax_node
 from .flatbundle import Geometry
 from .lorentz import minkowski_dot
-from .structure import CheckRecord, ResidualReport, ToleranceModel, psi_blocks
+from .structure import CheckRecord, Report, ToleranceModel, psi_blocks
 
 DATASET_SCHEMA = "prodimm-dataset/2"
 REPORT_SCHEMA = "prodimm-report/1"
@@ -244,50 +249,35 @@ def load_dataset(path: str) -> Dataset:
 # reports
 
 
-@dataclass(frozen=True)
-class Report(ResidualReport):
-    """Check records plus the grid and optional reconstruction and alignment blocks."""
-
-    grid: ChartGrid | None = None
-    reconstruction: dict | None = None
-    alignment: dict | None = None
-    timings: dict | None = None
-
-    @property
-    def aligned(self) -> bool | None:
-        """The alignment's ``max_distance <= distance_tol`` (NaN fails); None with no tolerance."""
-        align = self.alignment or {}
-        if "distance_tol" not in align:
-            return None
-        return bool(align["max_distance"] <= align["distance_tol"])
-
-    @property
-    def passed(self) -> bool:
-        """Every record passes, and so does the alignment if it has a tolerance."""
-        return super().passed and self.aligned is not False
-
-    @classmethod
-    def from_residuals(cls, grid: ChartGrid, *reports: ResidualReport, **blocks) -> "Report":
-        return cls(records=ResidualReport.merge(*reports).records, grid=grid, **blocks)
-
-
 def report_to_dict(report: Report) -> dict:
+    """The document of ``report``; a block the report does not have is left out."""
+    recon = report.reconstruction
     doc = {"schema": REPORT_SCHEMA, "pass": report.passed,
-           "checks": [r.to_dict() for r in report.records]}
-    if report.grid is not None:
-        doc["grid"] = {key: list(getattr(report.grid, key)) for key in _GRID_KEYS}
-    if report.reconstruction is not None:
-        doc["reconstruction"] = report.reconstruction
-    if report.alignment is not None:
-        doc["alignment"] = report.alignment
-    if report.timings is not None:
-        doc["timings"] = report.timings
-    return doc
+           "checks": [r.to_dict() for r in report.records],
+           "grid": report.grid and {key: list(getattr(report.grid, key)) for key in _GRID_KEYS},
+           "reconstruction": recon and recon | {"base_node": list(recon["base_node"]),
+                                                "psi_base": recon["psi_base"].ravel().tolist()},
+           "alignment": report.alignment, "timings": report.timings}
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 def save_report(report: Report, path: str):
     text = _render_with_inline_arrays(report_to_dict(report)) + "\n"
     _atomic_write(path, lambda handle: handle.write(text))
+
+
+def _reconstruction_block(block: dict) -> dict:
+    """The checked block, ``base_node`` a tuple and ``psi_base`` the (N, N) frame map."""
+    base, size, psi = (_take(block, key) for key in ("base_node", "ambient_dim", "psi_base"))
+    if not isinstance(base, list) or any(type(i) is not int for i in base):  # a bool is no int
+        raise SchemaError(f"reconstruction base_node must be a list of integers, got {base!r}")
+    if type(size) is not int or size < 1:
+        raise SchemaError(f"reconstruction ambient_dim must be an integer >= 1, got {size!r}")
+    if not isinstance(psi, list) or len(psi) != size * size or \
+            any(type(v) not in (int, float) for v in psi) or not np.isfinite(psi).all():
+        raise SchemaError(f"reconstruction psi_base must hold {size * size} finite numbers")
+    return block | {"base_node": tuple(base),
+                    "psi_base": np.array(psi, dtype=float).reshape(size, size)}
 
 
 def report_from_dict(doc: dict) -> Report:
@@ -300,6 +290,7 @@ def report_from_dict(doc: dict) -> Report:
     distances = (align.get("max_distance"), align.get("distance_tol", 0.0))
     if any(type(v) not in (int, float) for v in distances):   # a bool is no JSON number
         raise SchemaError(f"alignment max_distance, distance_tol must be numbers: {distances}")
+    recon = doc.get("reconstruction")
     try:
         grid = None
         if "grid" in doc:
@@ -314,7 +305,8 @@ def report_from_dict(doc: dict) -> Report:
         raise
     except Exception as exc:  # invariant violations become schema errors on load
         raise SchemaError(f"report violates a load-time invariant: {exc}") from exc
-    return Report(records=records, grid=grid, reconstruction=doc.get("reconstruction"),
+    return Report(records=records, grid=grid,
+                  reconstruction=None if recon is None else _reconstruction_block(recon),
                   alignment=doc.get("alignment"), timings=doc.get("timings"))
 
 
@@ -388,4 +380,8 @@ def load_immersion_csv(path: str):
     k = sum(1 for c in header if c.startswith("x")) - 1
     if data.shape[1] != len(header) or n < 1 or k < 0:
         raise SchemaError(f"mesh {path!r} has an inconsistent header")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        row = argmax_node(bad)[0] + 1
+        raise SchemaError(f"mesh {path!r} has a non-finite value in row {row} (line {row + 1})")
     return data[:, :n], data[:, n:], k

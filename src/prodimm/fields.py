@@ -333,13 +333,19 @@ def second_derivative_axis(values: np.ndarray, h: float, axis: int) -> np.ndarra
 def hessian_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
     """All second partials: (*dims, *slots) -> (*dims, ndim, ndim, *slots).
 
-    Mixed entries compose first differences on distinct axes; diagonal
-    entries use the three-point stencil.
+    Mixed entries compose first differences on distinct axes, each axis
+    differenced once; diagonal entries use the three-point stencil, so a
+    1-dim chart forms no first difference at all.
     """
-    nd = grid.ndim
-    hess = grad_field(grid, grad_field(grid, values))    # (..., b, a) = d_b d_a
+    nd, node = grid.ndim, (slice(None),) * grid.ndim
+    hess = np.empty(grid.dims + (nd, nd) + np.shape(values)[nd:])   # (..., b, a) = d_b d_a
     for a in range(nd):
-        hess[(slice(None),) * nd + (a, a)] = second_derivative_axis(values, grid.spacing[a], a)
+        hess[node + (a, a)] = second_derivative_axis(values, grid.spacing[a], a)
+        if nd > 1:   # d_a v once, contiguous, then differenced along every other axis
+            d_a = diff_axis(values, grid.spacing[a], a, np.empty(np.shape(values)))
+            for b in range(nd):
+                if b != a:
+                    diff_axis(d_a, grid.spacing[b], b, hess[node + (b, a)])
     return hess
 
 

@@ -46,7 +46,7 @@ from .errors import DimensionError, ExclusionError, GridMismatchError, Structure
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, check_values,
                      christoffel, grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import ResidualReport, ToleranceModel, magnitude_records, psi_blocks, records
+from .structure import Report, ToleranceModel, magnitude, psi_blocks, records
 
 _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the base
 
@@ -113,7 +113,7 @@ def build_connection(geom: Geometry) -> np.ndarray:
         [0.5 * (gv - gf)[..., None, :], -half_u[..., None, :], zero, zero]])
 
 
-def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
+def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions.
 
     Only the g block of G varies, so d_m G is d_m g padded with exact zeros.
@@ -131,13 +131,13 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
     resid[..., :n, :n] = grad_field(grid, geom.metric.values)
     resid -= np.swapaxes(om, -1, -2) @ gram
     resid -= gram @ om
-    return records(grid, tolerances, ("bundle_metric_compatibility", resid))
+    return records(grid, tolerances, ("bundle_metric_compatibility", magnitude(resid, n)))
 
 
 def flatness_residual(geom: Geometry, tolerances: ToleranceModel,
-                      curv_mag: np.ndarray) -> ResidualReport:
+                      curv_mag: np.ndarray) -> Report:
     """All of |F| (q, C, A, *dims) over the direction pairs m < n; vacuous pass on 1-dim charts."""
-    return magnitude_records(geom.grid, tolerances, ("bundle_flatness", curv_mag))
+    return records(geom.grid, tolerances, ("bundle_flatness", curv_mag))
 
 
 def extend_diagonal(block: np.ndarray, tail: tuple) -> np.ndarray:
@@ -157,9 +157,9 @@ def build_psi_tilde(psi: np.ndarray) -> np.ndarray:
 
 
 def psi_tilde_parallel_residual(geom: Geometry, tolerances: ToleranceModel,
-                                d_psi_mag: np.ndarray) -> ResidualReport:
+                                d_psi_mag: np.ndarray) -> Report:
     """Residual of D psi~ = d_m psi~ + [Omega_m, psi~] = 0, all of |D psi~| (m, C, A, *dims)."""
-    return magnitude_records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_mag))
+    return records(geom.grid, tolerances, ("psi_tilde_parallel", d_psi_mag))
 
 
 def eigen_split(psi_tilde_node: np.ndarray, gram_node: np.ndarray, n: int, p: int):

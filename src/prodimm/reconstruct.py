@@ -29,8 +29,10 @@ frames (*dims, N, N) with the transported sections as columns, points
 (*dims, N) with the timelike coordinate last.  The structure is one
 (*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split pads psi to psi~
 (N = n+p+2) at the base node only, and the compatibility records apply its
-transpose to the rebuilt rows.  ``ReconstructionResult`` holds the rebuild; G
-and the connection stay on the caller's ``Geometry``.
+transpose to the rebuilt rows.  ``ReconstructionResult`` holds the points, the
+frame and the rebuild's report: records, timings and the ``reconstruction``
+block (k, ambient_dim, base_node, on_product_defect and psi_base, the frame
+map at the base).  G and the connection stay on the caller's ``Geometry``.
 
 The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
@@ -53,7 +55,7 @@ from .fields import (ChartGrid, argmax_node, grad_field, hessian_field, runs_awa
 from .flatbundle import Geometry, build_psi_tilde, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
-from .structure import ResidualReport, ToleranceModel, magnitude, nodewise_max, records
+from .structure import Report, ToleranceModel, magnitude, nodewise_max, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
@@ -70,15 +72,20 @@ class AlignmentResult:
 class ReconstructionResult:
     points: np.ndarray        # (*dims, N) rebuilt points, timelike coordinate last
     frame: np.ndarray         # (*dims, N, N) transported frame, one section per column
-    base_node: tuple
-    k: int
-    report: ResidualReport
-    timings: dict
+    report: Report            # records, timings and reconstruction block, read by the properties
+
+    @property
+    def k(self) -> int:
+        return self.report.reconstruction["k"]
+
+    @property
+    def base_node(self) -> tuple:
+        return self.report.reconstruction["base_node"]
 
     @property
     def on_product_defect(self) -> float:
         """The worst node's distance from S^k x H^m, the max of its report record."""
-        return self.report["reconstruction_on_product"].max_abs
+        return self.report.reconstruction["on_product_defect"]
 
 
 def edge_flow(om_start, om_end, delta) -> np.ndarray:
@@ -189,8 +196,8 @@ def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: Geometry,
-                          tolerances: ToleranceModel) -> ResidualReport:
-    """Check every conclusion of the rebuild by finite differences of the map."""
+                          tolerances: ToleranceModel) -> Report:
+    """Check every conclusion of the rebuild by finite differences, one magnitude at a time."""
     grid = geom.grid
     n, p = grid.ndim, geom.p
     dphi = grad_field(grid, points)                    # (..., m, N)
@@ -215,15 +222,15 @@ def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: G
     # psi e_B - sum_A psi[A, B] e_A for every rebuilt row e_B
     res_psi = psi_flip(rows, k) - np.swapaxes(geom.psi, -1, -2) @ rows
 
-    return records(grid, tolerances,
-                   ("reconstruction_isometry", induced - geom.metric.values),
-                   ("reconstruction_normal_orthogonality", pairs[..., n:]),
-                   ("reconstruction_second_form", res_second),
-                   ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
-                   ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))
+    return Report.merge(*(records(grid, tolerances, (name, magnitude(r, n))) for name, r in (
+        ("reconstruction_isometry", induced - geom.metric.values),
+        ("reconstruction_normal_orthogonality", pairs[..., n:]),
+        ("reconstruction_second_form", res_second),
+        ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
+        ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))))
 
 
-def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> ResidualReport:
+def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> Report:
     """Gap between the two transports across each plaquette, per unit area.
 
     Both paths run over table edges from the plaquette's corner nearest the
@@ -232,8 +239,9 @@ def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> 
     the base along b, b_near and b_far likewise.  Each pair of runs of the two
     axes (``fields.runs_away_from``) is read as views of the table.  The value
     sits at each plaquette's lower corner, the largest over axis pairs, zero
-    elsewhere.  It scales like h^2 on clean data and approaches the curvature
-    norm on incompatible data, the detector for broken compatibility equations.
+    elsewhere: a node-last magnitude with no free axes.  It scales like h^2
+    on clean data and approaches the curvature norm on incompatible data, the
+    detector for broken compatibility equations.
     """
     grid, base, ops = flows.grid, flows.base, flows.ops
     gap = np.zeros(grid.dims)
@@ -316,8 +324,8 @@ def reconstruct_immersion(geom: Geometry,
     table_report = path_independence_residual(flows, tolerances)
     if nd >= 2:
         alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))))
-        table_report = ResidualReport.merge(
-            table_report, records(grid, tolerances, ("sweep_cross_check", alt - frame)))
+        table_report = Report.merge(table_report, records(
+            grid, tolerances, ("sweep_cross_check", magnitude(alt - frame, nd))))
         del alt
     del flows   # freed before assembly and verification, whose temporaries peak higher
     table_time = time.perf_counter() - t0
@@ -327,12 +335,17 @@ def reconstruct_immersion(geom: Geometry,
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = ResidualReport.merge(
+    report = Report.merge(
         verify_reconstruction(points, frame, k, geom, tolerances),
-        records(grid, tolerances, ("frame_orthonormality", gram_defect(frame, gram)),
+        records(grid, tolerances,
+                ("frame_orthonormality", magnitude(gram_defect(frame, gram), nd)),
                 ("reconstruction_on_product", on_product)),
         table_report)
     timings["verify"] = table_time + time.perf_counter() - t0
 
-    return ReconstructionResult(points=points, frame=frame, base_node=base, k=k, report=report,
-                                timings=timings)
+    # the sweep leaves frame0 at the base node, so the frame map there is formed from it
+    block = {"k": k, "ambient_dim": frame0.shape[-1], "base_node": tuple(map(int, base)),
+             "on_product_defect": report["reconstruction_on_product"].max_abs,
+             "psi_base": immersion_psi_field(frame0, gram[base])}
+    return ReconstructionResult(points=points, frame=frame, report=Report.merge(
+        report, grid=grid, reconstruction=block, timings=timings))

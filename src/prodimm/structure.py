@@ -22,7 +22,9 @@ differential check is a block of one of two arrays, indexed in the basis
   (q, r, a) layout of the equation is a swap that changes no max or mean);
   ``ricci`` = F[..., n:n+p, n:n+p], laid out (q, a, b);
   ``bundle_flatness`` = all of F.  The means of ``gauss``, ``codazzi`` and
-  ``ricci`` stay those over all n^2 direction pairs (``curvature_report``).
+  ``ricci`` stay those over all n^2 direction pairs: F[n, m] = -F[m, n] and
+  the zero diagonal weight the mean over the pairs m < n by (n-1)/n, the
+  ``mean_weight`` each of the three passes, as if F were held in full.
   A 1-dim chart has no direction pairs, so F has none and its four records
   are zero.
 * D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~] (``psi_tilde_derivative``):
@@ -41,10 +43,12 @@ of dimension <= 3 every index combination is formed explicitly (no sampling).
 Every nodewise max-abs goes through one reduction: ``magnitude`` writes
 |residual| once with the node axes last, laid out (*free, *dims), so the
 nodewise max (``nodewise_max``) is an elementwise ``maximum`` of contiguous
-node rows and the mean one sum (``node_record``).  ``make_record`` is the two
-in turn, for a residual in its natural (*dims, *free) layout.  Every checker
-reads the data and its derived geometry from one
-:class:`prodimm.flatbundle.Geometry`.
+node rows and the mean one sum (``node_record``).  ``records`` is the one
+record builder, over (name, node-last magnitude) pairs: a caller holding a
+(*dims, *free) residual passes its ``magnitude``.  Every check, residual and
+verification returns a ``Report``, and ``Report.merge`` joins the parts that
+the stages build.  Every checker reads the data and its derived geometry from
+one :class:`prodimm.flatbundle.Geometry`.
 """
 
 from __future__ import annotations
@@ -147,13 +151,28 @@ class CheckRecord:
                 "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    records: tuple
+@dataclass(frozen=True, eq=False)
+class Report:
+    """Check records plus the optional grid, reconstruction, alignment and timings blocks."""
+
+    records: tuple = ()
+    grid: ChartGrid | None = None
+    reconstruction: dict | None = None
+    alignment: dict | None = None
+    timings: dict | None = None
+
+    @property
+    def aligned(self) -> bool | None:
+        """The alignment's ``max_distance <= distance_tol`` (NaN fails); None with no tolerance."""
+        align = self.alignment or {}
+        if "distance_tol" not in align:
+            return None
+        return bool(align["max_distance"] <= align["distance_tol"])
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        """Every record passes, and so does the alignment if it has a tolerance."""
+        return all(r.passed for r in self.records) and self.aligned is not False
 
     def __getitem__(self, name: str) -> CheckRecord:
         for r in self.records:
@@ -165,10 +184,18 @@ class ResidualReport:
         return [r.name for r in self.records]
 
     @classmethod
-    def merge(cls, *reports) -> "ResidualReport":
-        """The records of ``reports`` in ``RECORD_NAMES`` order."""
+    def merge(cls, *reports: "Report", **blocks) -> "Report":
+        """The records of ``reports`` in ``RECORD_NAMES`` order and their blocks, a later
+        report's over an earlier's and a keyword's over all; the timings are joined."""
+        carried: dict = {}
+        for rep in reports:
+            carried |= {name: value for name in ("grid", "reconstruction", "alignment")
+                        if (value := getattr(rep, name)) is not None}
+            if rep.timings is not None:
+                carried["timings"] = carried.get("timings", {}) | rep.timings
         return cls(records=tuple(sorted((r for rep in reports for r in rep.records),
-                                        key=lambda r: RECORD_NAMES.index(r.name))))
+                                        key=lambda r: RECORD_NAMES.index(r.name))),
+                   **carried | blocks)
 
 
 def magnitude(residual: np.ndarray, nd: int) -> np.ndarray:
@@ -204,22 +231,11 @@ def node_record(name: str, mag: np.ndarray, grid: ChartGrid,
                        argmax_node=argmax_node(nodewise), threshold=float(threshold))
 
 
-def make_record(name: str, residual: np.ndarray, grid: ChartGrid,
-                threshold: float, mean_weight: float = 1.0) -> CheckRecord:
-    """Reduce a (*dims, *free) residual array to a record: ``node_record`` of its ``magnitude``."""
-    return node_record(name, magnitude(residual, grid.ndim), grid, threshold, mean_weight)
-
-
-def records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
-    """One record per (name, residual) pair, each against its threshold on ``grid``."""
-    return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
-                                for name, resid in named))
-
-
-def magnitude_records(grid: ChartGrid, tolerances: ToleranceModel, *named) -> ResidualReport:
-    """One record per (name, node-last magnitude) pair, each against its threshold on ``grid``."""
-    return ResidualReport(tuple(node_record(name, mag, grid, tolerances.threshold(name, grid))
-                                for name, mag in named))
+def records(grid: ChartGrid, tolerances: ToleranceModel, *named,
+            mean_weight: float = 1.0) -> Report:
+    """One record per (name, node-last magnitude) pair, its mean scaled by ``mean_weight``."""
+    return Report(tuple(node_record(name, mag, grid, tolerances.threshold(name, grid),
+                                    mean_weight) for name, mag in named))
 
 
 def psi_blocks(psi: np.ndarray, n: int) -> tuple:
@@ -227,7 +243,7 @@ def psi_blocks(psi: np.ndarray, n: int) -> tuple:
     return psi[..., :n, :n], psi[..., n:, :n], psi[..., :n, n:], psi[..., n:, n:]
 
 
-def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
+def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Symmetry, adjointness and involution residuals; then the +-I exclusion (module doc)."""
     psi = geom.psi
     n = geom.grid.ndim
@@ -236,11 +252,11 @@ def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> ResidualRep
     square = psi @ psi - np.eye(psi.shape[-1])
     report = records(
         geom.grid, tolerances,
-        ("psi_f_symmetric", gf - np.swapaxes(gf, -1, -2)),
-        ("psi_lambda_symmetric", lam - np.swapaxes(lam, -1, -2)),
-        ("psi_u_U_adjoint", u - np.swapaxes(geom.metric.values @ big_u, -1, -2)),
-        ("psi_involution_tangent", square[..., :n, :]),
-        ("psi_involution_bundle", square[..., n:, :]))
+        ("psi_f_symmetric", magnitude(gf - np.swapaxes(gf, -1, -2), n)),
+        ("psi_lambda_symmetric", magnitude(lam - np.swapaxes(lam, -1, -2), n)),
+        ("psi_u_U_adjoint", magnitude(u - np.swapaxes(geom.metric.values @ big_u, -1, -2), n)),
+        ("psi_involution_tangent", magnitude(square[..., :n, :], n)),
+        ("psi_involution_bundle", magnitude(square[..., n:, :], n)))
     identity = np.abs(np.trace(psi, axis1=-2, axis2=-1)) > psi.shape[-1] - 1
     if report.passed and identity.any():
         node = argmax_node(identity)
@@ -254,17 +270,6 @@ def big_curvature(geom: Geometry) -> np.ndarray:
     return connection_curvature(geom.grid, geom.connection)
 
 
-def curvature_report(grid: ChartGrid, tolerances: ToleranceModel, name: str,
-                     block: np.ndarray) -> ResidualReport:
-    """The record of ``block``, a block of |F|, its mean that over all n^2 direction pairs.
-
-    F[n, m] = -F[m, n] and the zero diagonal weight the mean over the pairs
-    m < n by (n-1)/n, as if F were held in full.
-    """
-    return ResidualReport((node_record(name, block, grid, tolerances.threshold(name, grid),
-                                       (grid.ndim - 1) / grid.ndim),))
-
-
 def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
     """D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~], psi~ padded from psi here."""
     from .flatbundle import build_psi_tilde  # imports this module
@@ -272,39 +277,41 @@ def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
 
 
 def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
-                       d_psi_mag: np.ndarray) -> ResidualReport:
+                       d_psi_mag: np.ndarray) -> Report:
     """The four blocks of |D psi|, the top-left (n+p)^2 block of |D psi~| (m, C, A, *dims)."""
     n = geom.grid.ndim
     tan, bun = slice(n), slice(n, n + geom.p)
-    return magnitude_records(geom.grid, tolerances,
-                             ("psi_parallel_f", d_psi_mag[:, tan, tan]),
-                             ("psi_parallel_u", d_psi_mag[:, bun, tan]),
-                             ("psi_parallel_U", d_psi_mag[:, tan, bun]),
-                             ("psi_parallel_lambda", d_psi_mag[:, bun, bun]))
+    return records(geom.grid, tolerances,
+                   ("psi_parallel_f", d_psi_mag[:, tan, tan]),
+                   ("psi_parallel_u", d_psi_mag[:, bun, tan]),
+                   ("psi_parallel_U", d_psi_mag[:, tan, bun]),
+                   ("psi_parallel_lambda", d_psi_mag[:, bun, bun]))
 
 
 def check_gauss(geom: Geometry, tolerances: ToleranceModel,
-                curv_mag: np.ndarray) -> ResidualReport:
+                curv_mag: np.ndarray) -> Report:
     """The tangent block |F|[:, :n, :n] of |F| (q, C, A, *dims)."""
     n = geom.grid.ndim
-    return curvature_report(geom.grid, tolerances, "gauss", curv_mag[:, :n, :n])
+    return records(geom.grid, tolerances, ("gauss", curv_mag[:, :n, :n]), mean_weight=(n - 1) / n)
 
 
 def check_codazzi(geom: Geometry, tolerances: ToleranceModel,
-                  curv_mag: np.ndarray) -> ResidualReport:
+                  curv_mag: np.ndarray) -> Report:
     """Twice the bundle-row tangent-column block |F|[:, n:n+p, :n] of |F| (q, C, A, *dims)."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom.grid, tolerances, "codazzi", 2.0 * curv_mag[:, n:n + p, :n])
+    return records(geom.grid, tolerances, ("codazzi", 2.0 * curv_mag[:, n:n + p, :n]),
+                   mean_weight=(n - 1) / n)
 
 
 def check_ricci(geom: Geometry, tolerances: ToleranceModel,
-                curv_mag: np.ndarray) -> ResidualReport:
+                curv_mag: np.ndarray) -> Report:
     """The bundle block |F|[:, n:n+p, n:n+p] of |F| (q, C, A, *dims)."""
     n, p = geom.grid.ndim, geom.p
-    return curvature_report(geom.grid, tolerances, "ricci", curv_mag[:, n:n + p, n:n + p])
+    return records(geom.grid, tolerances, ("ricci", curv_mag[:, n:n + p, n:n + p]),
+                   mean_weight=(n - 1) / n)
 
 
-def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
+def check_all(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Every compatibility check but metric compatibility, merged into one report.
 
     Records: the algebra, ``psi_parallel_*``, ``gauss``, ``codazzi``,
@@ -324,4 +331,4 @@ def check_all(geom: Geometry, tolerances: ToleranceModel) -> ResidualReport:
     d_psi_mag = magnitude(psi_tilde_derivative(geom), nd)
     parallel = check_psi_parallel(geom, tolerances, d_psi_mag)
     tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_mag)
-    return ResidualReport.merge(algebra, parallel, gauss, codazzi, ricci, flatness, tilde)
+    return Report.merge(algebra, parallel, gauss, codazzi, ricci, flatness, tilde)

@@ -16,7 +16,8 @@ tangent blocks raised by ``einsum``.  The package holds a curvature over the
 direction pairs m < n only; ``expand_pairs`` writes it out over all n^2 pairs
 for the oracles laid out that way.  ``record_reference`` is the record
 reduction in the residual's own node-major layout, the reference for the
-package's node-last ``magnitude`` and ``node_record``.
+package's node-last ``magnitude`` and ``node_record``; ``make_record`` is the
+package's record of such a residual, ``node_record`` of its ``magnitude``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from prodimm.fields import argmax_node, grad_field, hessian_field
 from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
-from prodimm.structure import CheckRecord, ResidualReport, make_record, psi_blocks
+from prodimm.structure import CheckRecord, Report, magnitude, node_record, psi_blocks
 
 
 def ghost_padded(values, axis) -> np.ndarray:
@@ -138,12 +139,17 @@ def record_reference(name, residual, grid, threshold, mean_weight=1.0) -> CheckR
                        argmax_node=argmax_node(nodewise), threshold=float(threshold))
 
 
+def make_record(name, residual, grid, threshold, mean_weight=1.0) -> CheckRecord:
+    """The package's record of a (*dims, *free) residual: ``node_record`` of its ``magnitude``."""
+    return node_record(name, magnitude(residual, grid.ndim), grid, threshold, mean_weight)
+
+
 def _report(grid, tolerances, *named):
-    return ResidualReport(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
-                                for name, resid in named))
+    return Report(tuple(make_record(name, resid, grid, tolerances.threshold(name, grid))
+                        for name, resid in named))
 
 
-def check_psi_algebra(g, psi, tolerances) -> ResidualReport:
+def check_psi_algebra(g, psi, tolerances) -> Report:
     grid = g.grid
     n = grid.ndim
     p = psi.shape[-1] - n
@@ -169,7 +175,7 @@ def check_psi_algebra(g, psi, tolerances) -> ResidualReport:
                    ("psi_involution_bundle", res_inv_b))
 
 
-def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> ResidualReport:
+def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> Report:
     ga = christoffel(g)
     om = bundle.omega
     shape_ops = shape_operator_field(sigma, g)
@@ -189,7 +195,7 @@ def check_psi_parallel(g, bundle, sigma, psi, tolerances) -> ResidualReport:
          + np.einsum("...ak,...bkm->...mab", u, shape_ops)))
 
 
-def check_gauss(g, sigma, psi, tolerances) -> ResidualReport:
+def check_gauss(g, sigma, psi, tolerances) -> Report:
     n = g.grid.ndim
     shape_ops = shape_operator_field(sigma, g)
     f, gv = blocks(psi, n)[0], g.values
@@ -213,11 +219,11 @@ def codazzi_residual(g, bundle, sigma, psi) -> np.ndarray:
             + np.einsum("...mr,...an->...mnra", gv, u))
 
 
-def check_codazzi(g, bundle, sigma, psi, tolerances) -> ResidualReport:
+def check_codazzi(g, bundle, sigma, psi, tolerances) -> Report:
     return _report(g.grid, tolerances, ("codazzi", codazzi_residual(g, bundle, sigma, psi)))
 
 
-def check_ricci(g, bundle, sigma, tolerances) -> ResidualReport:
+def check_ricci(g, bundle, sigma, tolerances) -> Report:
     curv = connection_curvature(g.grid, bundle.omega)
     shape_ops = shape_operator_field(sigma, g)
     rhs = (np.einsum("...kma,...bkn->...mnab", sigma.values, shape_ops)
@@ -283,7 +289,7 @@ def immersion_psi_field(s, gram) -> np.ndarray:
     return out
 
 
-def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> ResidualReport:
+def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> Report:
     grid = g.grid
     n, p = grid.ndim, sigma.values.shape[-1]
     dphi = grad_field(grid, phi)

@@ -215,7 +215,9 @@ def test_roundtrip_rejects_a_recovered_split_that_differs(monkeypatch, capsys):
 
     def wrong_split(*args, **kwargs):
         result = rebuild(*args, **kwargs)
-        return dataclasses.replace(result, k=result.k - 1)
+        block = result.report.reconstruction | {"k": result.k - 1}
+        return dataclasses.replace(result, report=dataclasses.replace(result.report,
+                                                                      reconstruction=block))
 
     monkeypatch.setattr(cli, "reconstruct_immersion", wrong_split)
     assert main(["roundtrip", "--fixture", "F2"]) == 1
@@ -523,15 +525,29 @@ def test_align_ragged_mesh_exits_2(f1_dataset_path, tmp_path, capsys):
     assert "cannot parse mesh" in capsys.readouterr().err
 
 
-def test_align_fails_on_a_nan_distance(f1_dataset_path, tmp_path):
+@pytest.mark.parametrize("where", ["mesh", "psi_base"])
+def test_align_rejects_a_non_finite_input(f1_dataset_path, tmp_path, capsys, where):
+    """A NaN in the second mesh or in its report's frame map is unloadable input, with or
+    without a distance tolerance: no NaN distance reaches a verdict."""
     mesh = tmp_path / "a.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
     lines = mesh.read_text().splitlines()
-    lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])   # one coordinate of one node
+    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
+    if where == "mesh":
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])   # one coordinate of one node
+        named = "non-finite value in row 1 (line 2)"
+    else:
+        doc["reconstruction"]["psi_base"][0] = float("nan")
+        named = "psi_base"
     nan_mesh = tmp_path / "nan.csv"
     nan_mesh.write_text("\n".join(lines) + "\n")
-    (tmp_path / "nan.csv.report.json").write_text((tmp_path / "a.csv.report.json").read_text())
-    assert main(["align", str(mesh), str(nan_mesh), "--distance-tol", "1e-6"]) == 1
+    (tmp_path / "nan.csv.report.json").write_text(json.dumps(doc))
+    for tol in ([], ["--distance-tol", "1e-6"]):
+        out = tmp_path / "al.json"
+        capsys.readouterr()
+        assert main(["align", str(mesh), str(nan_mesh), "-o", str(out), *tol]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 FIELD_NAMES = ("metric", "bundle_connection", "sigma", "psi.f", "psi.u", "psi.U", "psi.lambda")

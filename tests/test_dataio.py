@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from prodimm import cli
-from prodimm.dataio import (Dataset, Report, _render_with_inline_arrays, dataset_to_dict,
+from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
                             load_dataset, load_immersion_csv, report_from_dict, report_to_dict,
                             save_dataset, save_immersion_csv, save_report)
 from prodimm.errors import GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
-from prodimm.structure import CheckRecord, ToleranceModel
+from prodimm.structure import CheckRecord, Report, ToleranceModel
 
 import io_oracles
 from conftest import random_geometry
@@ -123,6 +123,35 @@ def test_record_verdict_is_read_off_max_and_threshold():
 def test_malformed_alignment_block_is_a_schema_error(block):
     with pytest.raises(SchemaError, match="alignment"):
         report_from_dict({"schema": "prodimm-report/1", "checks": [], "alignment": block})
+
+
+RECONSTRUCTION = {"k": 1, "ambient_dim": 2, "base_node": [3, 0], "on_product_defect": 0.0,
+                  "psi_base": [1.0, 0.0, 0.5, 1]}
+
+
+def test_reconstruction_block_round_trips():
+    doc = {"schema": "prodimm-report/1", "checks": [], "reconstruction": RECONSTRUCTION}
+    block = report_from_dict(doc).reconstruction
+    assert block["base_node"] == (3, 0) and block["k"] == 1
+    assert np.array_equal(block["psi_base"], [[1.0, 0.0], [0.5, 1.0]])
+    assert report_to_dict(Report(reconstruction=block))["reconstruction"] == RECONSTRUCTION
+
+
+@pytest.mark.parametrize("key, value", [
+    ("base_node", None), ("base_node", 3), ("base_node", [3.0, 0]), ("base_node", [True, 0]),
+    ("ambient_dim", None), ("ambient_dim", "2"), ("ambient_dim", 2.0), ("ambient_dim", 0),
+    ("psi_base", None), ("psi_base", "1 0 0 1"), ("psi_base", [1.0, 0.0, 1.0]),
+    ("psi_base", [1.0, 0.0, "0", 1.0]), ("psi_base", [float("nan"), 0.0, 0.0, 1.0]),
+    ("psi_base", [1.0, float("inf"), 0.0, 1.0])],
+    ids=["base_missing", "base_number", "base_float", "base_bool", "dim_missing", "dim_string",
+         "dim_float", "dim_zero", "psi_missing", "psi_string", "psi_short", "psi_string_entry",
+         "psi_nan", "psi_inf"])
+def test_malformed_reconstruction_block_is_a_schema_error(key, value):
+    block = {k: v for k, v in RECONSTRUCTION.items() if k != key}
+    if value is not None:
+        block[key] = value
+    with pytest.raises(SchemaError, match=key):
+        report_from_dict({"schema": "prodimm-report/1", "checks": [], "reconstruction": block})
 
 
 def test_report_bytes_match_oracle(tmp_path, monkeypatch):

@@ -29,6 +29,10 @@ A rejection is raised one way: only ``ProdimmError`` defines ``__init__``, no
 call passes ``index=``, and in a function that locates a node by
 ``argmax_node`` every raise of a package error whose message names a node
 passes it as ``node=``.
+A report is built one way: the one class named ``*Report`` in ``src/`` is
+``structure.Report``, no module defines a second record builder
+(``make_record``, ``magnitude_records``, ``curvature_report``) or
+``from_residuals``, and no module imports a ``_``-prefixed name from a sibling.
 """
 
 import ast
@@ -439,3 +443,51 @@ def test_rejection_site_is_found():
     assert rejection_sites({"errors.py": errors, "fields.py": planted}) == [
         "errors.py:DegeneracyError.__init__", "fields.py:5", "fields.py:9", "fields.py:14",
         "fields.py:17", "fields.py:20"]
+
+
+RETIRED_BUILDERS = ("make_record", "magnitude_records", "curvature_report", "from_residuals")
+
+
+def report_layer_sites(sources: dict) -> list:
+    """The report classes and the breaches of the one report layer over ``sources``.
+
+    ``module:Class`` for every class named ``*Report``; ``module:name`` for a
+    function or method named in ``RETIRED_BUILDERS``; ``module:line:name`` for
+    a ``_``-prefixed name imported from a sibling module (a relative import or
+    one from ``prodimm``).
+    """
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Report") or \
+                    isinstance(node, ast.FunctionDef) and node.name in RETIRED_BUILDERS:
+                found.append(f"{module}:{node.name}")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "prodimm"):
+                found += [f"{module}:{node.lineno}:{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_one_report_layer():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert report_layer_sites(sources) == ["structure.py:Report"]
+
+
+def test_report_layer_site_is_found():
+    structure = ("@dataclass(frozen=True)\nclass ResidualReport:\n    records: tuple\n"
+                 "def make_record(name, residual, grid, threshold):\n    return None\n"
+                 "def magnitude_records(grid, tolerances, *named):\n    return None\n"
+                 "def curvature_report(grid, tolerances, name, block):\n    return None\n")
+    dataio = ("from .structure import ResidualReport\n"
+              "class Report(ResidualReport):\n"
+              "    @classmethod\n    def from_residuals(cls, grid, *reports):\n        return cls()\n"
+              "def _take(doc, key):\n    return doc[key]\n")
+    cli = ("from __future__ import annotations\nfrom . import dataio\n"
+           "from .dataio import Report, _take\nfrom prodimm.fields import _neighbours\n"
+           "from numpy import _private\n")
+    assert report_layer_sites({"structure.py": structure, "dataio.py": dataio, "cli.py": cli}) \
+        == ["cli.py:3:_take", "cli.py:4:_neighbours", "dataio.py:Report",
+            "dataio.py:from_residuals", "structure.py:ResidualReport",
+            "structure.py:curvature_report", "structure.py:magnitude_records",
+            "structure.py:make_record"]

@@ -18,7 +18,7 @@ from prodimm.fields import ChartGrid
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect
 from prodimm.reconstruct import assemble_immersion, immersion_psi_field, verify_reconstruction
-from prodimm.structure import ToleranceModel, make_record
+from prodimm.structure import ToleranceModel
 
 REL = 1e-13
 
@@ -65,17 +65,17 @@ def test_record_reduction_matches_the_reference(dims):
     for name, (resid, block) in blocks.items():
         for weight in (1.0, 0.5):
             want = oracle.record_reference(name, resid, grid, 2.5, weight)
-            assert_same_record(make_record(name, resid, grid, 2.5, weight), want)
+            assert_same_record(oracle.make_record(name, resid, grid, 2.5, weight), want)
             assert_same_record(structure.node_record(name, block(mag), grid, 2.5, weight), want)
     no_free = full[..., 0, 1, 2]   # one value per node, as reconstruction_on_product
-    assert_same_record(make_record("no free axes", no_free, grid, 2.5),
+    assert_same_record(oracle.make_record("no free axes", no_free, grid, 2.5),
                        oracle.record_reference("no free axes", no_free, grid, 2.5))
 
     node = tuple(int(rng.integers(d)) for d in dims)
     planted = full.copy()
     planted[node + (2, 3, 1)] = np.nan
     for resid in (planted, planted[..., 2:, 1:4, :2]):
-        rec = make_record("planted", resid, grid, 2.5)
+        rec = oracle.make_record("planted", resid, grid, 2.5)
         assert_same_record(rec, oracle.record_reference("planted", resid, grid, 2.5))
         assert not rec.passed and rec.argmax_node == node
 
@@ -144,7 +144,7 @@ def test_structure_checks_match_oracles(geom):
                  oracle.check_gauss(g, sigma, psi, tol),
                  oracle.check_codazzi(g, bundle, sigma, psi, tol),
                  oracle.check_ricci(g, bundle, sigma, tol)):
-        assert_reports_close(structure.ResidualReport(tuple(checks[n] for n in want.names())),
+        assert_reports_close(structure.Report(tuple(checks[n] for n in want.names())),
                              want)
 
 
@@ -156,18 +156,18 @@ def test_flat_bundle_kernels_match_oracles(geom):
                  "big connection")
     for case in (geom, with_random_bundle(geom, 6)):
         om, gram = case.connection, case.gram
-        want = make_record("bundle_metric_compatibility",
+        want = oracle.make_record("bundle_metric_compatibility",
                            oracle.metric_compatibility(grid, om, gram, case.metric), grid,
                            tol.threshold("bundle_metric_compatibility", grid))
         assert_reports_close(flatbundle.metric_compatibility_residual(case, tol),
-                             structure.ResidualReport((want,)))
-        want = make_record("psi_tilde_parallel", oracle.psi_tilde_parallel(
+                             structure.Report((want,)))
+        want = oracle.make_record("psi_tilde_parallel", oracle.psi_tilde_parallel(
                                grid, om, flatbundle.build_psi_tilde(case.psi)), grid,
                            tol.threshold("psi_tilde_parallel", grid))
         assert_reports_close(flatbundle.psi_tilde_parallel_residual(
                                  case, tol, structure.magnitude(
                                      structure.psi_tilde_derivative(case), grid.ndim)),
-                             structure.ResidualReport((want,)))
+                             structure.Report((want,)))
 
 
 def _random_rebuild(geom: Geometry, seed: int):

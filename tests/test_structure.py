@@ -8,7 +8,7 @@ from prodimm.cli import check_dataset
 from prodimm.errors import ExclusionError, GridMismatchError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry, flatness_residual
-from prodimm.structure import (RECORD_NAMES, ResidualReport, ToleranceModel, big_curvature,
+from prodimm.structure import (RECORD_NAMES, CheckRecord, Report, ToleranceModel, big_curvature,
                                check_all, check_codazzi, check_gauss, check_psi_algebra,
                                check_psi_parallel, check_ricci, magnitude, psi_blocks,
                                psi_tilde_derivative)
@@ -131,8 +131,24 @@ def test_merge_returns_record_name_order(f3):
     assert [rec.name for rec in records] == list(RECORD_NAMES[:15])
     for parts in ([records[::-1]], [records[1::2], records[::2]],
                   [(rec,) for rec in reversed(records)]):
-        merged = ResidualReport.merge(*(ResidualReport(part) for part in parts))
+        merged = Report.merge(*(Report(part) for part in parts))
         assert merged.records == records
+
+
+def test_merge_carries_each_block_and_joins_the_timings():
+    grid = ChartGrid(dims=(5,), spacing=(0.1,), origin=(0.0,))
+    checks = Report((CheckRecord("gauss", 0.0, 0.0, (0,), 1.0),), grid=grid,
+                    timings={"structure": 1.0, "connection": 2.0})
+    rebuild = Report((CheckRecord("path_independence", 0.0, 0.0, (1,), 1.0),),
+                     reconstruction={"k": 1}, timings={"setup": 3.0, "structure": 4.0})
+    merged = Report.merge(rebuild, checks, alignment={"max_distance": 0.5})
+    assert merged.names() == ["gauss", "path_independence"]
+    assert (merged.grid, merged.reconstruction, merged.alignment) == \
+        (grid, {"k": 1}, {"max_distance": 0.5})
+    assert list(merged.timings.items()) == [("setup", 3.0), ("structure", 1.0),
+                                            ("connection", 2.0)]
+    assert Report.merge(checks, grid=None, timings={}).grid is None
+    assert Report.merge(Report(), Report()).timings is None
 
 
 def test_gauss_passes_on_surface(f3):
