@@ -208,9 +208,19 @@ def cmd_align(args) -> int:
         raise SchemaError("align needs reconstruction reports with grid blocks")
     if rep_a.grid != rep_b.grid:
         raise SchemaError(f"align inputs must share the grid: {rep_a.grid} vs {rep_b.grid}")
-    if values_a.shape != values_b.shape or coords_a.shape != coords_b.shape:
-        raise SchemaError("meshes have different sizes")
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
+    if ra["ambient_dim"] != rb["ambient_dim"]:
+        raise SchemaError(f"align inputs must share reconstruction.ambient_dim: "
+                          f"{ra['ambient_dim']} vs {rb['ambient_dim']}")
+    for name, recon, values in (("a", ra, values_a), ("b", rb, values_b)):
+        if recon["ambient_dim"] != values.shape[1]:
+            raise SchemaError(f"report {name} reconstruction.ambient_dim {recon['ambient_dim']} "
+                              f"does not match the {values.shape[1]} ambient columns of its mesh")
+        if len(values) != rep_a.grid.n_nodes:
+            raise SchemaError(f"mesh {name} has {len(values)} rows, its report's grid "
+                              f"{rep_a.grid.n_nodes} nodes")
+    if coords_a.shape != coords_b.shape:
+        raise SchemaError("meshes have different sizes")
     if ra["base_node"] != rb["base_node"]:
         raise SchemaError("align inputs must share the base node")
     shape = rep_a.grid.dims + (ra["ambient_dim"],)

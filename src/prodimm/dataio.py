@@ -37,7 +37,12 @@ N and ``psi_base``, N^2 finite numbers loaded as the (N, N) frame map, and
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
 encoder call, and a mesh table is written by one ``%`` format per block of
-rows.  A mesh table is read back by one ``np.loadtxt`` call.
+rows.  The chart columns repeat along the grid's axes, so each axis's
+coordinates are formatted once, by ``repr`` as ``%r`` would, and a block's
+chart text is joined from them into its format, one ``str.join`` per line
+along the last axis; only the ambient values go through ``%r``.  The bytes are
+those of one ``%r`` per value.  A mesh table is read back by one
+``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -352,17 +357,37 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
                                       node=node)
         x /= np.sqrt(x2)[..., None]
         y /= np.sqrt(y2)[..., None]
-    coords = grid.coords().reshape(-1, grid.ndim)
     flat = pts.reshape(-1, pts.shape[-1])
-    rows = np.concatenate([coords, flat], axis=1)
-    line = ",".join(["%r"] * rows.shape[1]) + "\r\n"   # excel-dialect CSV: CRLF line ends
+    axis_text = [list(map(repr, grid.axis_coords(a).tolist())) for a in range(grid.ndim)]
+    tail = "," + ",".join(["%r"] * flat.shape[1]) + "\r\n"   # excel-dialect CSV: CRLF line ends
 
     def write(handle):
         handle.write(",".join(immersion_csv_header(grid.ndim, k, pts.shape[-1])) + "\r\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, len(flat), _CSV_BLOCK_ROWS):
+            block = flat[start:start + _CSV_BLOCK_ROWS]
+            rows = _chart_format(axis_text, grid.dims, tail, start, start + len(block))
+            handle.write(rows % tuple(block.ravel().tolist()))
     _atomic_write(path, write)
+
+
+def _chart_format(axis_text: list, dims: tuple, tail: str, start: int, stop: int) -> str:
+    """The ``%`` format of mesh rows ``start:stop`` (C order): each row's chart text, then ``tail``.
+
+    ``axis_text`` holds the text of each axis's coordinates; a float's repr
+    holds no ``%``, so it passes through the format as it is.  The rows of one
+    line along the last axis share the text of the leading axes, so a line is
+    one ``str.join`` of the last axis's text.
+    """
+    *lead_dims, count = dims
+    lines = []
+    for line in range(start // count, (stop - 1) // count + 1):
+        lead, rest = "", line
+        for text, size in zip(axis_text[-2::-1], lead_dims[::-1]):
+            rest, index = divmod(rest, size)
+            lead = text[index] + "," + lead
+        last = axis_text[-1][max(start - line * count, 0):stop - line * count]
+        lines.append(lead + (tail + lead).join(last))
+    return tail.join(lines) + tail
 
 
 def load_immersion_csv(path: str):

@@ -25,6 +25,19 @@ the kernels take and return:
 inputs: a grid plus one array each, checked by ``check_values`` and
 ``check_symmetry``, whose rejections carry their ``argmax_node`` as ``.node``.
 
+g^-1 and the definiteness test of g have one home, ``MetricField``, and are
+written in closed form, since a chart has n <= 3.  The cofactors C_ij of g,
+i <= j, are formed once per field, vectorised over the nodes, and each is
+written to both (i, j) and (j, i).  g is positive definite when its leading
+principal minors are positive (Sylvester's criterion); for n <= 3 these are
+g_00, C_{n-1,n-1} and det g = sum_j g_0j C_0j.  A minor that overflows fails
+the test as well, so g^-1 is never divided by an infinite det g.  The first
+failing node is named.  g^-1 = C / det g is then exactly symmetric.  It is
+LU's 1/g on a 1-dim chart and otherwise LAPACK's inverse to a few ulp times
+the condition number.  It is formed on construction, not on first use, and
+read by ``christoffel``, ``shape_operator_field``, the extraction's tangent
+rows of psi and the rebuild's verification.
+
 Sweeps carry a value from a base node over the grid by linear steps, one
 operator per edge, every edge crossed away from the base.  That orientation
 is written once, in ``runs_away_from``: an axis's runs away from a base
@@ -56,8 +69,7 @@ contractions that are not a matrix product.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,28 +156,50 @@ def check_symmetry(grid: ChartGrid, values, axes: tuple, sign: float, error, wha
         raise error(f"{what} by {dev.max():.3e} at node {node}", node=node)
 
 
+def _minor(g: np.ndarray, rows: tuple, cols: tuple):
+    """Determinant of the block of ``g`` (..., n, n) on at most two ``rows`` and ``cols``."""
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        return g[..., rows[0], cols[0]]
+    (r, s), (c, d) = rows, cols
+    return g[..., r, c] * g[..., s, d] - g[..., r, d] * g[..., s, c]
+
+
 @dataclass(frozen=True)
 class MetricField:
-    """Metric g (*dims, n, n), symmetric positive definite at every node."""
+    """Metric g (*dims, n, n), symmetric positive definite at every node.
+
+    ``inverse`` is g^-1 (*dims, n, n), read-only, formed on construction from
+    the cofactors of g together with the definiteness test (see the module
+    docstring): exactly symmetric, and 1/g on a 1-dim chart.
+    """
 
     grid: ChartGrid
     values: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = check_values(self.grid, self.values, (self.grid.ndim,) * 2)
         object.__setattr__(self, "values", g)
         check_symmetry(self.grid, g, (-1, -2), 1.0, MetricError, "metric asymmetric")
-        eigs = np.linalg.eigvalsh(g)
-        if eigs.min() <= 0:
-            node = argmax_node(eigs.min(axis=-1) <= 0)
-            raise MetricError(f"metric not positive definite at node {node}", node=node)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """g^-1 (*dims, n, n), inverted once per field and read-only."""
-        ginv = np.linalg.inv(self.values)
-        ginv.flags.writeable = False
-        return ginv
+        n = self.grid.ndim
+        cof = np.empty(g.shape)
+        for i in range(n):
+            for j in range(i, n):
+                rows = tuple(r for r in range(n) if r != i)
+                cols = tuple(c for c in range(n) if c != j)
+                cof[..., i, j] = cof[..., j, i] = (-1) ** (i + j) * _minor(g, rows, cols)
+        det = np.einsum("...j,...j->...", g[..., 0, :], cof[..., 0, :])
+        leading = (g[..., 0, 0], cof[..., -1, -1], det)   # of orders 1, n - 1 and n
+        bad = ~np.logical_and.reduce([(minor > 0) & (minor < np.inf) for minor in leading])
+        if bad.any():
+            node = argmax_node(bad)
+            raise MetricError(f"metric not positive definite at node {node}: a leading "
+                              f"principal minor is not positive and finite", node=node)
+        cof /= det[..., None, None]
+        cof.flags.writeable = False
+        object.__setattr__(self, "inverse", cof)
 
 
 @dataclass(frozen=True)

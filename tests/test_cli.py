@@ -475,6 +475,34 @@ def test_align_refuses_reports_on_different_grids(tmp_path, capsys):
     assert "spacing=(0.005,)" in err and "spacing=(0.004,)" in err
 
 
+@pytest.mark.parametrize("case, named", [
+    ("other_report", "align inputs must share reconstruction.ambient_dim: 4 vs 3"),
+    ("own_mesh", "report a reconstruction.ambient_dim 3 does not match the 4 ambient columns"),
+    ("rows", "mesh a has 199 rows, its report's grid 200 nodes"),
+])
+def test_align_names_a_report_that_does_not_fit_its_mesh(f1_dataset_path, tmp_path, capsys,
+                                                         case, named):
+    """A report whose ``ambient_dim`` disagrees with the other report's or with its own mesh's
+    columns, or a mesh short of the grid's nodes, exits 2 with the field named."""
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
+    three = doc | {"reconstruction": doc["reconstruction"] | {
+        "ambient_dim": 3, "psi_base": np.eye(3).ravel().tolist()}}
+    other = tmp_path / "other.report.json"
+    other.write_text(json.dumps(three))
+    argv = ["align", str(mesh), str(mesh), "--report-b", str(other)]
+    if case == "own_mesh":
+        argv += ["--report-a", str(other)]
+    elif case == "rows":
+        short = tmp_path / "short.csv"
+        short.write_text("".join(mesh.read_text().splitlines(keepends=True)[:-1]))
+        argv = ["align", str(short), str(mesh), "--report-a", str(mesh) + ".report.json"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def f3_small_dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "f3.json"

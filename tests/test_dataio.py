@@ -192,12 +192,36 @@ def test_inline_rule_matches_oracle():
     assert '"strings": [\n    "a",\n    1\n  ]' in text
 
 
+# Grids with non-zero origins and unequal dims and spacings, whose lines along the
+# last axis straddle the writer's blocks of rows; "f3" is F3's rebuilt mesh.
+MESH_GRIDS = {
+    "1dim": ChartGrid(dims=(2500,), spacing=(0.0123,), origin=(-1.7,)),
+    "2dim": ChartGrid(dims=(37, 41), spacing=(0.031, 0.0175), origin=(0.45, -2.1)),
+    "3dim": ChartGrid(dims=(7, 13, 17), spacing=(0.3, 0.07, 0.011), origin=(1.1, -0.2, 3.3)),
+}
+
+
+def _product_points(grid: ChartGrid, k: int, m: int) -> np.ndarray:
+    """Random points near S^k x H^m: a non-zero sphere block and a timelike hyperbolic one."""
+    rng = np.random.default_rng(grid.n_nodes)
+    x = rng.normal(size=grid.dims + (k + 1,))
+    y = rng.normal(size=grid.dims + (m + 1,))
+    y[..., -1] = 1.0 + np.sqrt(np.einsum("...i,...i->...", y[..., :-1], y[..., :-1]))
+    return np.concatenate([x, y], axis=-1)
+
+
 @pytest.mark.parametrize("repair", [False, True])
-def test_mesh_bytes_match_oracle(f3, tmp_path, repair):
-    values = f3.recon.points
+@pytest.mark.parametrize("case", ["f3", *MESH_GRIDS])
+def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
+    """The chart text, formatted once per axis, gives the oracle's C-order rows byte for byte."""
+    if case == "f3":
+        grid, k, values = f3.grid, f3.recon.k, f3.recon.points
+    else:
+        grid, k = MESH_GRIDS[case], 2
+        values = _product_points(grid, k, 5 - grid.ndim)
     path = tmp_path / "mesh.csv"
-    save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=repair)
-    expected = io_oracles.immersion_csv_text(f3.grid, f3.recon.k, values, repair=repair)
+    save_immersion_csv(str(path), grid, k, values, repair=repair)
+    expected = io_oracles.immersion_csv_text(grid, k, values, repair=repair)
     assert path.read_bytes() == expected.encode()
 
 

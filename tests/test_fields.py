@@ -83,6 +83,69 @@ def test_metric_field_validation():
     del bad
 
 
+@st.composite
+def symmetric_blocks(draw, definite: bool):
+    """(n, n) symmetric matrices Q diag(l) Q^T, n = 1, 2 or 3, with 0.1 <= |l| <= 10:
+    positive definite, or with at least one negative eigenvalue."""
+    n = draw(st.integers(1, 3))
+    magnitudes = draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+    signs = np.ones(n)
+    if not definite:
+        signs = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+        signs[draw(st.integers(0, n - 1))] = -1.0
+    q, _ = np.linalg.qr(draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1, 1))))
+    g = (q * (signs * magnitudes)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def _metric_grid(n):
+    return ChartGrid(dims=(5, 6, 7)[:n], spacing=(0.1,) * n, origin=(0.0,) * n)
+
+
+@given(g=symmetric_blocks(definite=True))
+@settings(max_examples=150, deadline=None)
+def test_metric_inverse_is_lapacks_to_round_off_and_exactly_symmetric(g):
+    n = len(g)
+    grid = _metric_grid(n)
+    field = MetricField(grid, np.broadcast_to(g, grid.dims + (n, n)))
+    ginv = field.inverse
+    lu = np.linalg.inv(g)
+    assert not ginv.flags.writeable and ginv.shape == grid.dims + (n, n)
+    assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))
+    assert np.abs(ginv - lu).max() <= 32 * np.finfo(float).eps * np.linalg.cond(g) \
+        * np.abs(lu).max()
+    if n == 1:
+        assert np.array_equal(ginv, np.broadcast_to(lu, ginv.shape))   # 1/g, as LU gives it
+
+
+@given(g=st.one_of(symmetric_blocks(definite=True), symmetric_blocks(definite=False)))
+@settings(max_examples=300, deadline=None)
+def test_metric_definiteness_matches_the_eigenvalues(g):
+    """Sylvester's criterion gives eigvalsh's verdict, at the node where the block sits."""
+    n = len(g)
+    grid = _metric_grid(n)
+    values = np.broadcast_to(np.eye(n), grid.dims + (n, n)).copy()
+    node = (3, 4, 2)[:n]
+    values[node] = g
+    if np.linalg.eigvalsh(g).min() > 0:
+        MetricField(grid, values)
+    else:
+        with pytest.raises(MetricError, match="not positive definite") as err:
+            MetricField(grid, values)
+        assert err.value.node == node
+
+
+def test_metric_whose_minors_overflow_is_rejected():
+    """diag(1e200, 1e200) is positive definite, but det g overflows: rejected at its node,
+    never inverted to zeros."""
+    grid = ChartGrid(dims=(5, 6), spacing=(0.1, 0.1), origin=(0.0, 0.0))
+    values = np.broadcast_to(np.eye(2), grid.dims + (2, 2)).copy()
+    values[3, 1] = np.diag([1e200, 1e200])
+    with pytest.raises(MetricError, match="not positive and finite") as err:
+        MetricField(grid, values)
+    assert err.value.node == (3, 1)
+
+
 def test_christoffel_flat():
     grid = ChartGrid(dims=(8, 8), spacing=(0.1, 0.1), origin=(0.0, 0.0))
     g = MetricField(grid, np.tile(np.eye(2), grid.dims + (1, 1)))

@@ -29,6 +29,9 @@ A rejection is raised one way: only ``ProdimmError`` defines ``__init__``, no
 call passes ``index=``, and in a function that locates a node by
 ``argmax_node`` every raise of a package error whose message names a node
 passes it as ``node=``.
+The metric's inverse and its definiteness test have one home,
+``fields.MetricField``: ``eigvalsh`` appears nowhere in ``src/``, and
+``np.linalg.inv`` only in ``reconstruct.align_congruence``.
 A report is built one way: the one class named ``*Report`` in ``src/`` is
 ``structure.Report``, no module defines a second record builder
 (``make_record``, ``magnitude_records``, ``curvature_report``) or
@@ -162,6 +165,39 @@ def test_locator_site_is_found():
               "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
               "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
     assert named_sites(source, LOCATORS, "argmax_node") == [6, 6]
+
+
+# The metric's inverse and its definiteness test have one home, the closed form of
+# ``fields.MetricField``: no LAPACK eigenvalue test, and the one LU inverse in src is
+# the frame map's in ``reconstruct.align_congruence``.
+METRIC_ALGEBRA = {"eigvalsh": None, "inv": ("reconstruct.py", "align_congruence")}
+
+
+def metric_algebra_sites(sources: dict) -> list:
+    """``module:line`` of each name of ``METRIC_ALGEBRA`` outside its home function."""
+    found = []
+    for module, source in sources.items():
+        for name, home in METRIC_ALGEBRA.items():
+            exempt = home[1] if home and home[0] == module else None
+            found += [f"{module}:{line}" for line in named_sites(source, (name,), exempt)]
+    return sorted(found)
+
+
+def test_metric_inverse_and_definiteness_live_in_metric_field():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert metric_algebra_sites(sources) == []
+    assert named_sites(sources["reconstruct.py"], ("inv",)) != []   # the one LU inverse
+
+
+def test_metric_algebra_site_is_found():
+    fields = ("import numpy as np\nclass MetricField:\n    def __post_init__(self):\n"
+              "        eigs = np.linalg.eigvalsh(self.values)\n"
+              "        self.inverse = np.linalg.inv(self.values)\n")
+    reconstruct = ("import numpy as np\nfrom numpy.linalg import inv\n"
+                   "def align_congruence(a, b):\n    return b @ np.linalg.inv(a)\n"
+                   "def verify(g):\n    return inv(g)\n")
+    assert metric_algebra_sites({"fields.py": fields, "reconstruct.py": reconstruct}) == [
+        "fields.py:4", "fields.py:5", "reconstruct.py:6"]
 
 
 def test_direction_pairs_are_laid_out_only_by_connection_curvature():

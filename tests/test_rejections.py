@@ -24,12 +24,14 @@ from prodimm.structure import ToleranceModel
 from io_oracles import edit_field
 
 GRID = ChartGrid(dims=(6, 7), spacing=(0.1, 0.12), origin=(0.0, 0.2))
+GRID3 = ChartGrid(dims=(5, 6, 5), spacing=(0.1, 0.12, 0.1), origin=(0.0, 0.2, -0.3))
 
 
-def _metric(node, block):
-    g = np.broadcast_to(np.eye(2), GRID.dims + (2, 2)).copy()
+def _metric(node, block, grid=GRID):
+    n = grid.ndim
+    g = np.broadcast_to(np.eye(n), grid.dims + (n, n)).copy()
     g[node] = block
-    return MetricField(GRID, g)
+    return MetricField(grid, g)
 
 
 def _planted(shape, index, value=1e-6):
@@ -110,6 +112,11 @@ CASES = {
                           MetricError, (3, 5), "metric asymmetric"),
     "metric_not_positive_definite": (lambda r: _metric((2, 1), np.diag([1.0, -1.0])),
                                      MetricError, (2, 1), "not positive definite"),
+    # leading minors 2 and 3 pass; only det g = -5 fails
+    "metric_3x3_negative_determinant": (
+        lambda r: _metric((2, 3, 1), [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, -1.0]],
+                          GRID3),
+        MetricError, (2, 3, 1), "not positive definite"),
     "bundle_not_skew": (lambda r: BundleData(GRID, _planted((2, 2, 2), (1, 4, 0, 1, 0))),
                         DimensionError, (1, 4), "connection not skew"),
     "second_form_asymmetric": (
