@@ -200,32 +200,19 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_align(args) -> int:
     require_tolerance("--distance-tol", args.distance_tol)
-    coords_a, values_a, k_a = dataio.load_immersion_csv(args.mesh_a)
-    coords_b, values_b, k_b = dataio.load_immersion_csv(args.mesh_b)
-    rep_a = dataio.load_report(args.report_a or args.mesh_a + ".report.json")
-    rep_b = dataio.load_report(args.report_b or args.mesh_b + ".report.json")
-    if None in (rep_a.grid, rep_b.grid, rep_a.reconstruction, rep_b.reconstruction):
-        raise SchemaError("align needs reconstruction reports with grid blocks")
+    (rep_a, points_a), (rep_b, points_b) = (
+        dataio.load_rebuild(mesh, report or mesh + ".report.json")
+        for mesh, report in ((args.mesh_a, args.report_a), (args.mesh_b, args.report_b)))
     if rep_a.grid != rep_b.grid:
         raise SchemaError(f"align inputs must share the grid: {rep_a.grid} vs {rep_b.grid}")
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
     if ra["ambient_dim"] != rb["ambient_dim"]:
         raise SchemaError(f"align inputs must share reconstruction.ambient_dim: "
                           f"{ra['ambient_dim']} vs {rb['ambient_dim']}")
-    for name, recon, values in (("a", ra, values_a), ("b", rb, values_b)):
-        if recon["ambient_dim"] != values.shape[1]:
-            raise SchemaError(f"report {name} reconstruction.ambient_dim {recon['ambient_dim']} "
-                              f"does not match the {values.shape[1]} ambient columns of its mesh")
-        if len(values) != rep_a.grid.n_nodes:
-            raise SchemaError(f"mesh {name} has {len(values)} rows, its report's grid "
-                              f"{rep_a.grid.n_nodes} nodes")
-    if coords_a.shape != coords_b.shape:
-        raise SchemaError("meshes have different sizes")
     if ra["base_node"] != rb["base_node"]:
         raise SchemaError("align inputs must share the base node")
-    shape = rep_a.grid.dims + (ra["ambient_dim"],)
-    alignment = align_congruence(values_a.reshape(shape), ra["psi_base"], k_a,
-                                 values_b.reshape(shape), rb["psi_base"], k_b)
+    alignment = align_congruence(points_a, ra["psi_base"], ra["k"],
+                                 points_b, rb["psi_base"], rb["k"])
     print("isometry:")
     for row in alignment.isometry:
         print("  " + " ".join(f"{v: .6f}" for v in row))
@@ -280,11 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("align", help="congruence between two rebuilt meshes")
+    p = sub.add_parser("align", help="congruence between two rebuilt meshes, each read "
+                                     "with its reconstruction report")
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
-    p.add_argument("--report-a", default=None)
-    p.add_argument("--report-b", default=None)
+    p.add_argument("--report-a", default=None,
+                   help="report of mesh_a (default: <mesh_a>.report.json)")
+    p.add_argument("--report-b", default=None,
+                   help="report of mesh_b (default: <mesh_b>.report.json)")
     p.add_argument("--distance-tol", type=float, default=None)
     p.add_argument("-o", "--out", default=None, help="write an alignment report here")
     p.set_defaults(func=cmd_align)

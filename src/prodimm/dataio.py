@@ -30,19 +30,20 @@ In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
 A rejection on load is a ``SchemaError`` with the node of the error it wraps.
 
 A ``prodimm-report/1`` document is one :class:`prodimm.structure.Report`, read
-here alone: ``reconstruction`` needs integer ``base_node`` and ``ambient_dim``
-N and ``psi_base``, N^2 finite numbers loaded as the (N, N) frame map, and
-``alignment`` numeric distances.  A mesh is rejected at its first non-finite row.
+here alone: ``reconstruction`` needs integers ``base_node``, ``ambient_dim`` N
+and ``k`` with 1 <= k <= N - 3, and ``psi_base``, N^2 finite numbers loaded as
+the (N, N) frame map, and ``alignment`` numeric distances.
+
+A mesh holds the ambient points of a rebuild and nothing its report already
+says: the header ``immersion_csv_header(k, N)``, then one row of N values per
+node of the report's grid, in C order.  It is read only together with that
+report, by :func:`load_rebuild`, which rejects a mesh whose header, row count
+or values do not fit it.
 
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
-encoder call, and a mesh table is written by one ``%`` format per block of
-rows.  The chart columns repeat along the grid's axes, so each axis's
-coordinates are formatted once, by ``repr`` as ``%r`` would, and a block's
-chart text is joined from them into its format, one ``str.join`` per line
-along the last axis; only the ambient values go through ``%r``.  The bytes are
-those of one ``%r`` per value.  A mesh table is read back by one
-``np.loadtxt`` call.
+encoder call, and a mesh table is written by one ``%r`` format per block of
+rows and read back by one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError
+from .errors import DimensionError, ReconstructionError, SchemaError
 from .extract import ExtractionResult, default_tolerances
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, argmax_node
 from .flatbundle import Geometry
@@ -273,7 +274,8 @@ def save_report(report: Report, path: str):
 
 def _reconstruction_block(block: dict) -> dict:
     """The checked block, ``base_node`` a tuple and ``psi_base`` the (N, N) frame map."""
-    base, size, psi = (_take(block, key) for key in ("base_node", "ambient_dim", "psi_base"))
+    base, size, psi, k = (_take(block, key)
+                          for key in ("base_node", "ambient_dim", "psi_base", "k"))
     if not isinstance(base, list) or any(type(i) is not int for i in base):  # a bool is no int
         raise SchemaError(f"reconstruction base_node must be a list of integers, got {base!r}")
     if type(size) is not int or size < 1:
@@ -281,6 +283,9 @@ def _reconstruction_block(block: dict) -> dict:
     if not isinstance(psi, list) or len(psi) != size * size or \
             any(type(v) not in (int, float) for v in psi) or not np.isfinite(psi).all():
         raise SchemaError(f"reconstruction psi_base must hold {size * size} finite numbers")
+    if type(k) is not int or not 1 <= k <= size - 3:
+        raise SchemaError(f"reconstruction k must be an integer in [1, ambient_dim - 3] = "
+                          f"[1, {size - 3}], got {k!r}")
     return block | {"base_node": tuple(base),
                     "psi_base": np.array(psi, dtype=float).reshape(size, size)}
 
@@ -328,16 +333,14 @@ def load_report(path: str) -> Report:
 _CSV_BLOCK_ROWS = 1024
 
 
-def immersion_csv_header(n: int, k: int, size: int) -> list:
-    cols = [f"t{a + 1}" for a in range(n)]
-    cols += [f"x{i + 1}" for i in range(k + 1)]
-    cols += [f"y{j + 1}" for j in range(k + 1, size)]
-    return cols
+def immersion_csv_header(k: int, size: int) -> list:
+    """Mesh columns: the sphere block x1 .. x(k+1), then the hyperbolic one up to y(size)."""
+    return [f"x{i + 1}" for i in range(k + 1)] + [f"y{j + 1}" for j in range(k + 1, size)]
 
 
 def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
                        repair: bool = False):
-    """Chart coordinates then ambient coordinates, one node per row.
+    """The ambient points ``values`` (*grid.dims, N), one node per row in C order.
 
     With ``repair`` the sphere and hyperbolic blocks are renormalized onto
     the product at write time; in-memory values are never touched.  The first
@@ -345,6 +348,9 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
     has no repair: it raises ReconstructionError before any file is written.
     """
     pts = np.array(values, dtype=float)
+    if pts.shape[:-1] != grid.dims:
+        raise DimensionError(f"mesh values of shape {pts.shape} on a "
+                             f"{'x'.join(map(str, grid.dims))} grid")
     if repair:
         x = pts[..., : k + 1]
         y = pts[..., k + 1:]
@@ -358,55 +364,48 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
         x /= np.sqrt(x2)[..., None]
         y /= np.sqrt(y2)[..., None]
     flat = pts.reshape(-1, pts.shape[-1])
-    axis_text = [list(map(repr, grid.axis_coords(a).tolist())) for a in range(grid.ndim)]
-    tail = "," + ",".join(["%r"] * flat.shape[1]) + "\r\n"   # excel-dialect CSV: CRLF line ends
+    row = ",".join(["%r"] * flat.shape[1]) + "\r\n"   # excel-dialect CSV: CRLF line ends
 
     def write(handle):
-        handle.write(",".join(immersion_csv_header(grid.ndim, k, pts.shape[-1])) + "\r\n")
+        handle.write(",".join(immersion_csv_header(k, flat.shape[1])) + "\r\n")
         for start in range(0, len(flat), _CSV_BLOCK_ROWS):
             block = flat[start:start + _CSV_BLOCK_ROWS]
-            rows = _chart_format(axis_text, grid.dims, tail, start, start + len(block))
-            handle.write(rows % tuple(block.ravel().tolist()))
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
     _atomic_write(path, write)
 
 
-def _chart_format(axis_text: list, dims: tuple, tail: str, start: int, stop: int) -> str:
-    """The ``%`` format of mesh rows ``start:stop`` (C order): each row's chart text, then ``tail``.
+def load_rebuild(mesh_path: str, report_path: str):
+    """The rebuild of ``mesh_path`` and its report: (Report, points (*dims, N)).
 
-    ``axis_text`` holds the text of each axis's coordinates; a float's repr
-    holds no ``%``, so it passes through the format as it is.  The rows of one
-    line along the last axis share the text of the leading axes, so a line is
-    one ``str.join`` of the last axis's text.
+    The report needs its ``grid`` and ``reconstruction`` blocks; the mesh must
+    have the header ``immersion_csv_header(k, ambient_dim)`` of that block and
+    one finite row per grid node.  Any mismatch raises ``SchemaError`` naming
+    the mesh.
     """
-    *lead_dims, count = dims
-    lines = []
-    for line in range(start // count, (stop - 1) // count + 1):
-        lead, rest = "", line
-        for text, size in zip(axis_text[-2::-1], lead_dims[::-1]):
-            rest, index = divmod(rest, size)
-            lead = text[index] + "," + lead
-        last = axis_text[-1][max(start - line * count, 0):stop - line * count]
-        lines.append(lead + (tail + lead).join(last))
-    return tail.join(lines) + tail
-
-
-def load_immersion_csv(path: str):
-    """Returns (coords, values, k): flat (rows, n) and (rows, N) arrays and the sphere rank."""
+    report = load_report(report_path)
+    grid, recon = report.grid, report.reconstruction
+    if grid is None or recon is None:
+        raise SchemaError(f"report {report_path!r} of mesh {mesh_path!r} needs its grid "
+                          f"and reconstruction blocks")
+    size = recon["ambient_dim"]
+    header = ",".join(immersion_csv_header(recon["k"], size))
+    with open(mesh_path) as handle:   # an unreadable file is an OSError, exit 2 in the CLI
+        first, _, body = handle.read().partition("\n")
+    if first != header:
+        raise SchemaError(f"mesh {mesh_path!r} has the header {first!r}; its report "
+                          f"(k {recon['k']}, ambient_dim {size}) expects {header!r}")
     try:
-        with open(path) as handle:
-            header, _, body = handle.read().partition("\n")
         if not body or body.isspace():
             raise ValueError("no rows")
         data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot parse mesh {path!r}: {exc}") from exc
-    header = header.split(",")
-    n = sum(1 for c in header if c.startswith("t"))
-    k = sum(1 for c in header if c.startswith("x")) - 1
-    if data.shape[1] != len(header) or n < 1 or k < 0:
-        raise SchemaError(f"mesh {path!r} has an inconsistent header")
+    except ValueError as exc:
+        raise SchemaError(f"cannot parse mesh {mesh_path!r}: {exc}") from exc
+    if data.shape != (grid.n_nodes, size):
+        raise SchemaError(f"mesh {mesh_path!r} has {data.shape[0]} rows of {data.shape[1]} "
+                          f"values, its report's grid {grid.n_nodes} nodes of {size}")
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         row = argmax_node(bad)[0] + 1
-        raise SchemaError(f"mesh {path!r} has a non-finite value in row {row} (line {row + 1})")
-    return data[:, :n], data[:, n:], k
+        raise SchemaError(f"mesh {mesh_path!r} has a non-finite value in row {row} "
+                          f"(line {row + 1})")
+    return report, data.reshape(grid.dims + (size,))

@@ -6,8 +6,10 @@ structure as one matrix [[f, U], [u, lambda]], and the normal connection.
 The same data feed the checker (necessity direction) and the reconstructor
 (roundtrip oracle).
 
-Points and tangents are sampled once per extraction; every ``induced_*``
-function takes them as arrays.  Each induced quantity is a pairing of frame
+Each evaluator is sampled once per extraction, through one helper that checks
+its shape; a missing derivative is the gradient of the points, a missing second
+derivative their Hessian.  Every ``induced_*`` function takes the points and
+tangents as arrays.  Each induced quantity is a pairing of frame
 rows (``lorentz.minkowski_gram``): g = <d_i phi, d_j phi>, sigma =
 <d_i d_j phi, nu_a>, the normal connection <nu_a, d_m nu_b>, and psi, read
 off <e_B, psi e_A> for the stacked rows e = (d_i phi, nu_a).
@@ -148,9 +150,7 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid) -> np.ndarray:
     """
     if grid.ndim != imm.n:
         raise DimensionError(f"{imm.n}-dim immersion on a {grid.ndim}-dim grid")
-    pts = np.asarray(imm.point(grid.coords()), dtype=float)
-    if pts.shape != grid.dims + (imm.ambient_dim,):
-        raise DimensionError(f"point evaluator returned shape {pts.shape}")
+    pts = _sample(imm, grid, "point", ())
     y = pts[..., imm.k + 1:]
     defect = product_defect(pts, imm.k)
     scale = np.maximum(1.0, (y * y).sum(axis=-1))
@@ -164,13 +164,19 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid) -> np.ndarray:
     return pts
 
 
+def _sample(imm: AnalyticImmersion, grid: ChartGrid, what: str, slots: tuple) -> np.ndarray:
+    """The evaluator ``what`` of ``imm`` on every node: an array (*dims, *slots, N)."""
+    values = np.asarray(getattr(imm, what)(grid.coords()), dtype=float)
+    if values.shape != grid.dims + slots + (imm.ambient_dim,):
+        raise DimensionError(f"{what.replace('_', '-')} evaluator returned shape {values.shape}")
+    return values
+
+
 def immersion_tangents(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray) -> np.ndarray:
-    if imm.derivative is not None:
-        tang = np.asarray(imm.derivative(grid.coords()), dtype=float)
-        if tang.shape != grid.dims + (imm.n, imm.ambient_dim):
-            raise DimensionError(f"derivative evaluator returned shape {tang.shape}")
-        return tang
-    return grad_field(grid, points)
+    """The analytic derivatives when the immersion has them, else the gradient of the points."""
+    if imm.derivative is None:
+        return grad_field(grid, points)
+    return _sample(imm, grid, "derivative", (imm.n,))
 
 
 def induced_metric(grid: ChartGrid, tangents: np.ndarray) -> MetricField:
@@ -246,16 +252,13 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
 
 
 def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
-                        tangents: np.ndarray, normals: np.ndarray) -> SecondFormField:
-    """Normal components of the flat second derivatives (symmetrized)."""
-    if imm.second_derivative is not None:
-        dd = np.asarray(imm.second_derivative(grid.coords()), dtype=float)
-        if dd.shape != grid.dims + (imm.n, imm.n, imm.ambient_dim):
-            raise DimensionError(f"second-derivative evaluator returned shape {dd.shape}")
-    elif imm.derivative is not None:
-        dd = grad_field(grid, tangents)
-    else:
+                        normals: np.ndarray) -> SecondFormField:
+    """Normal components of the flat second derivatives (symmetrized): the analytic ones
+    when the immersion has them, else the Hessian of the points."""
+    if imm.second_derivative is None:
         dd = hessian_field(grid, points)
+    else:
+        dd = _sample(imm, grid, "second_derivative", (imm.n, imm.n))
     sg = minkowski_gram(dd, normals[..., None, :, :])
     sg = 0.5 * (sg + np.swapaxes(sg, -3, -2))
     return SecondFormField(grid, sg)
@@ -294,7 +297,7 @@ def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
     tangents = immersion_tangents(imm, grid, points)
     metric = induced_metric(grid, tangents)
     normals = induced_normal_frame(imm, grid, points, tangents)
-    sigma = induced_second_form(imm, grid, points, tangents, normals)
+    sigma = induced_second_form(imm, grid, points, normals)
     psi, bundle = induced_structure(imm, metric, tangents, normals)
     return ExtractionResult(metric=metric, bundle=bundle, sigma=sigma, psi=psi, immersion=imm,
                             points=points, tangents=tangents, normals=normals)
@@ -342,6 +345,8 @@ def _latitude_circle(theta0: float):
     """theta0 as a float and ``jet(s, order)``: the point (order 0), velocity (1) or
     acceleration (2), (..., 3), at arclength s of the latitude circle at colatitude theta0."""
     theta0 = float(theta0)
+    if not np.isfinite(theta0):
+        raise DimensionError(f"colatitude must be finite, got {theta0}")
     s0, c0 = np.sin(theta0), np.cos(theta0)
     if s0 <= 0:
         raise DimensionError("colatitude must sit strictly inside (0, pi)")

@@ -31,8 +31,9 @@ frames (*dims, N, N) with the transported sections as columns, points
 (N = n+p+2) at the base node only, and the compatibility records apply its
 transpose to the rebuilt rows.  ``ReconstructionResult`` holds the points, the
 frame and the rebuild's report: records, timings and the ``reconstruction``
-block (k, ambient_dim, base_node, on_product_defect and psi_base, the frame
-map at the base).  G and the connection stay on the caller's ``Geometry``.
+block (k, ambient_dim, base_node and psi_base, the frame map at the base).  The
+on-product defect is the max of the ``reconstruction_on_product`` record alone.
+G and the connection stay on the caller's ``Geometry``.
 
 The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
@@ -85,7 +86,7 @@ class ReconstructionResult:
     @property
     def on_product_defect(self) -> float:
         """The worst node's distance from S^k x H^m, the max of its report record."""
-        return self.report.reconstruction["on_product_defect"]
+        return self.report["reconstruction_on_product"].max_abs
 
 
 def edge_flow(om_start, om_end, delta) -> np.ndarray:
@@ -345,7 +346,6 @@ def reconstruct_immersion(geom: Geometry,
 
     # the sweep leaves frame0 at the base node, so the frame map there is formed from it
     block = {"k": k, "ambient_dim": frame0.shape[-1], "base_node": tuple(map(int, base)),
-             "on_product_defect": report["reconstruction_on_product"].max_abs,
              "psi_base": immersion_psi_field(frame0, gram[base])}
     return ReconstructionResult(points=points, frame=frame, report=Report.merge(
         report, grid=grid, reconstruction=block, timings=timings))

@@ -57,7 +57,7 @@ def render_with_inline_arrays(doc: dict) -> str:
     return text
 
 
-def immersion_csv_text(grid, k: int, values: np.ndarray, repair: bool = False) -> str:
+def immersion_csv_text(k: int, values: np.ndarray, repair: bool = False) -> str:
     """The mesh file ``save_immersion_csv`` writes, one ``csv.writer`` row per node."""
     pts = np.array(values, dtype=float)
     if repair:
@@ -65,12 +65,9 @@ def immersion_csv_text(grid, k: int, values: np.ndarray, repair: bool = False) -
         y = pts[..., k + 1:]
         x /= np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
         y /= np.sqrt(-minkowski_dot(y, y))[..., None]
-    coords = grid.coords().reshape(-1, grid.ndim)
-    flat = pts.reshape(-1, pts.shape[-1])
-    rows = np.concatenate([coords, flat], axis=1)
     handle = io.StringIO(newline="")
     writer = csv.writer(handle)
-    writer.writerow(immersion_csv_header(grid.ndim, k, pts.shape[-1]))
-    for row in rows:
+    writer.writerow(immersion_csv_header(k, pts.shape[-1]))
+    for row in pts.reshape(-1, pts.shape[-1]):
         writer.writerow([repr(float(v)) for v in row])
     return handle.getvalue()

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from prodimm import cli, fields, flatbundle, reconstruct
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
-                            load_immersion_csv, load_report, save_dataset)
+                            load_rebuild, load_report, save_dataset)
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
 
@@ -131,6 +133,22 @@ def test_fixture_flag_the_fixture_does_not_take_exits_2(tmp_path, capsys, name, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fixture_name", ["F2", "F3"])
+@pytest.mark.parametrize("command", ["extract", "roundtrip"])
+def test_non_finite_colatitude_exits_2(tmp_path, capsys, command, fixture_name, value):
+    """theta0 is tested for finiteness before any sine is taken: no warning, no node."""
+    out = tmp_path / "x.json"
+    argv = [command, "--fixture", fixture_name, f"--theta0={value}"]
+    argv += ["-o", str(out)] if command == "extract" else ["--report", str(out)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: colatitude must be finite, got {float(value)}\n"
+    assert not out.exists()
+
+
 def test_check_caches_neither_curvature_nor_structure_derivative(f3):
     # F and D psi~ are transient: the rebuild keeps the geometry alive
     geom = geometry_of(f3.data)
@@ -142,14 +160,14 @@ def test_check_caches_neither_curvature_nor_structure_derivative(f3):
 def test_reconstruct_writes_mesh_and_report(f1_dataset_path, tmp_path):
     mesh = tmp_path / "f1.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
-    coords, values, k = load_immersion_csv(str(mesh))
-    assert k == 1
-    assert coords.shape == (200, 1) and values.shape == (200, 4)
-    report = load_report(str(mesh) + ".report.json")
+    report, values = load_rebuild(str(mesh), str(mesh) + ".report.json")
+    assert mesh.read_text().startswith("x1,x2,y3,y4\n")
+    assert values.shape == (200, 4)
     assert report.reconstruction["k"] == 1
+    assert set(report.reconstruction) == {"k", "ambient_dim", "base_node", "psi_base"}
     assert set(report.timings) == {"structure", "connection", "flat_bundle",
                                    "setup", "transport", "assemble", "verify"}
-    assert report.reconstruction["on_product_defect"] < 1e-6
+    assert report["reconstruction_on_product"].max_abs < 1e-6
     x = values[:, :2]
     assert np.abs((x**2).sum(axis=1) - 1.0).max() < 1e-6
 
@@ -377,8 +395,8 @@ def test_repair_export_renormalizes(f1_dataset_path, tmp_path):
     mesh = tmp_path / "repaired.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh),
                  "--repair-export"]) == 0
-    _, values, k = load_immersion_csv(str(mesh))
-    x = values[:, : k + 1]
+    report, values = load_rebuild(str(mesh), str(mesh) + ".report.json")
+    x = values[:, : report.reconstruction["k"] + 1]
     assert np.abs((x**2).sum(axis=1) - 1.0).max() <= 1e-14
 
 
@@ -435,7 +453,7 @@ def test_off_product_rebuild_exits_1_with_its_report_and_mesh(f1_dataset_path, t
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 1
     report = load_report(str(mesh) + ".report.json")
     assert not report["reconstruction_on_product"].passed and not report.passed
-    assert load_immersion_csv(str(mesh))[1].shape == (200, 4)
+    assert load_rebuild(str(mesh), str(mesh) + ".report.json")[1].shape == (200, 4)
 
 
 @pytest.mark.parametrize("breakage", ["check_max", "base_node", "grid_spacing", "grid_dims",
@@ -475,32 +493,63 @@ def test_align_refuses_reports_on_different_grids(tmp_path, capsys):
     assert "spacing=(0.005,)" in err and "spacing=(0.004,)" in err
 
 
+@pytest.fixture(scope="module")
+def f2_rebuild_on_f1_grid(tmp_path_factory):
+    """An F2 rebuild (k 2, N 5) on the default F1 grid and base node: its mesh path."""
+    directory = tmp_path_factory.mktemp("f2")
+    ds, mesh = directory / "f2.json", directory / "f2.csv"
+    assert main(["extract", "--fixture", "F2", "--grid", "200", "--spacing", "5e-3",
+                 "-o", str(ds)]) == 0
+    assert main(["reconstruct", str(ds), "-o", str(mesh)]) == 0
+    return mesh
+
+
 @pytest.mark.parametrize("case, named", [
-    ("other_report", "align inputs must share reconstruction.ambient_dim: 4 vs 3"),
-    ("own_mesh", "report a reconstruction.ambient_dim 3 does not match the 4 ambient columns"),
-    ("rows", "mesh a has 199 rows, its report's grid 200 nodes"),
+    ("other_report", "align inputs must share reconstruction.ambient_dim: 4 vs 5"),
+    pytest.param("own_mesh_k", "has the header 'x1,x2,x3,y4,y5'; its report (k 1, "
+                 "ambient_dim 5) expects 'x1,x2,y3,y4,y5'", id="own_mesh_k"),
+    pytest.param("own_mesh_ambient_dim", "has the header 'x1,x2,y3,y4'; its report (k 1, "
+                 "ambient_dim 5) expects 'x1,x2,y3,y4,y5'", id="own_mesh_ambient_dim"),
+    pytest.param("rows_short", "has 199 rows of 4 values, its report's grid 200 nodes of 4",
+                 id="rows_short"),
+    pytest.param("chart_columns", "has the header 't1,x1,x2,y3,y4'; its report (k 1, "
+                 "ambient_dim 4) expects 'x1,x2,y3,y4'", id="chart_columns"),
 ])
-def test_align_names_a_report_that_does_not_fit_its_mesh(f1_dataset_path, tmp_path, capsys,
-                                                         case, named):
-    """A report whose ``ambient_dim`` disagrees with the other report's or with its own mesh's
-    columns, or a mesh short of the grid's nodes, exits 2 with the field named."""
+def test_align_names_a_report_that_does_not_fit_its_mesh(f1_dataset_path, f2_rebuild_on_f1_grid,
+                                                         tmp_path, capsys, case, named):
+    """Two rebuilds of different ambient dimensions, or a mesh whose header or rows do not fit
+    its own report's k, ambient_dim and grid, exit 2; a mesh misfit names the mesh.  A mesh
+    that still carries chart columns (here shifted by 7.0 off its report's grid) is one."""
     mesh = tmp_path / "a.csv"
     assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
-    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
-    three = doc | {"reconstruction": doc["reconstruction"] | {
-        "ambient_dim": 3, "psi_base": np.eye(3).ravel().tolist()}}
-    other = tmp_path / "other.report.json"
-    other.write_text(json.dumps(three))
-    argv = ["align", str(mesh), str(mesh), "--report-b", str(other)]
-    if case == "own_mesh":
-        argv += ["--report-a", str(other)]
-    elif case == "rows":
-        short = tmp_path / "short.csv"
-        short.write_text("".join(mesh.read_text().splitlines(keepends=True)[:-1]))
-        argv = ["align", str(short), str(mesh), "--report-a", str(mesh) + ".report.json"]
+    own, f2 = str(mesh) + ".report.json", f2_rebuild_on_f1_grid
+    bad = tmp_path / "bad.csv"
+    lines = mesh.read_text().splitlines(keepends=True)
+    argv = ["align", str(bad), str(mesh), "--report-a", str(tmp_path / "bad.report.json"),
+            "--distance-tol", "1e-9"]
+    report = json.loads(Path(own).read_text())
+    if case == "other_report":
+        argv = ["align", str(mesh), str(f2)]
+    elif case == "own_mesh_k":
+        bad.write_text(f2.read_text())
+        report = json.loads(Path(str(f2) + ".report.json").read_text())
+        report["reconstruction"]["k"] = 1
+    elif case == "own_mesh_ambient_dim":
+        bad.write_text(mesh.read_text())
+        report["reconstruction"] |= {"ambient_dim": 5, "psi_base": np.eye(5).ravel().tolist()}
+    elif case == "rows_short":
+        bad.write_text("".join(lines[:-1]))
+    else:
+        t = np.arange(200) * 5e-3 + 7.0
+        bad.write_text("t1," + lines[0] + "".join(
+            f"{ti!r},{line}" for ti, line in zip(t.tolist(), lines[1:])))
+    (tmp_path / "bad.report.json").write_text(json.dumps(report))
     capsys.readouterr()
     assert main(argv) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    if case != "other_report":
+        assert f"error: mesh '{bad}' {named}" in err
 
 
 @pytest.fixture(scope="module")

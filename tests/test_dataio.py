@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 
 from prodimm import cli
 from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
-                            load_dataset, load_immersion_csv, report_from_dict, report_to_dict,
+                            load_dataset, load_rebuild, report_from_dict, report_to_dict,
                             save_dataset, save_immersion_csv, save_report)
-from prodimm.errors import GridMismatchError, ReconstructionError, SchemaError
+from prodimm.errors import DimensionError, GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.structure import CheckRecord, Report, ToleranceModel
 
@@ -125,32 +126,41 @@ def test_malformed_alignment_block_is_a_schema_error(block):
         report_from_dict({"schema": "prodimm-report/1", "checks": [], "alignment": block})
 
 
-RECONSTRUCTION = {"k": 1, "ambient_dim": 2, "base_node": [3, 0], "on_product_defect": 0.0,
-                  "psi_base": [1.0, 0.0, 0.5, 1]}
+PSI_BASE = [1.0, 0.0, 0.5, 1, *np.eye(4).ravel().tolist()[4:]]
+RECONSTRUCTION = {"k": 1, "ambient_dim": 4, "base_node": [3, 0], "psi_base": PSI_BASE}
 
 
 def test_reconstruction_block_round_trips():
     doc = {"schema": "prodimm-report/1", "checks": [], "reconstruction": RECONSTRUCTION}
     block = report_from_dict(doc).reconstruction
     assert block["base_node"] == (3, 0) and block["k"] == 1
-    assert np.array_equal(block["psi_base"], [[1.0, 0.0], [0.5, 1.0]])
+    assert np.array_equal(block["psi_base"][:1], [[1.0, 0.0, 0.5, 1.0]])
+    assert block["psi_base"].shape == (4, 4)
     assert report_to_dict(Report(reconstruction=block))["reconstruction"] == RECONSTRUCTION
+    # a report written before the on-product defect lived in its record alone still loads
+    older = doc | {"reconstruction": RECONSTRUCTION | {"on_product_defect": 0.0}}
+    assert report_from_dict(older).reconstruction["k"] == 1
+
+
+def _psi_with(index: int, entry) -> list:
+    return PSI_BASE[:index] + [entry] + PSI_BASE[index + 1:]
 
 
 @pytest.mark.parametrize("key, value", [
     ("base_node", None), ("base_node", 3), ("base_node", [3.0, 0]), ("base_node", [True, 0]),
     ("ambient_dim", None), ("ambient_dim", "2"), ("ambient_dim", 2.0), ("ambient_dim", 0),
-    ("psi_base", None), ("psi_base", "1 0 0 1"), ("psi_base", [1.0, 0.0, 1.0]),
-    ("psi_base", [1.0, 0.0, "0", 1.0]), ("psi_base", [float("nan"), 0.0, 0.0, 1.0]),
-    ("psi_base", [1.0, float("inf"), 0.0, 1.0])],
+    ("psi_base", None), ("psi_base", "1 0 0 1"), ("psi_base", PSI_BASE[:-1]),
+    ("psi_base", _psi_with(2, "0")), ("psi_base", _psi_with(0, float("nan"))),
+    ("psi_base", _psi_with(1, float("inf"))),
+    ("k", None), ("k", True), ("k", 1.0), ("k", 0), ("k", 2)],
     ids=["base_missing", "base_number", "base_float", "base_bool", "dim_missing", "dim_string",
          "dim_float", "dim_zero", "psi_missing", "psi_string", "psi_short", "psi_string_entry",
-         "psi_nan", "psi_inf"])
+         "psi_nan", "psi_inf", "k_missing", "k_bool", "k_float", "k_zero", "k_above_n_minus_3"])
 def test_malformed_reconstruction_block_is_a_schema_error(key, value):
     block = {k: v for k, v in RECONSTRUCTION.items() if k != key}
     if value is not None:
         block[key] = value
-    with pytest.raises(SchemaError, match=key):
+    with pytest.raises(SchemaError, match=rf"\b{key}\b"):
         report_from_dict({"schema": "prodimm-report/1", "checks": [], "reconstruction": block})
 
 
@@ -213,7 +223,7 @@ def _product_points(grid: ChartGrid, k: int, m: int) -> np.ndarray:
 @pytest.mark.parametrize("repair", [False, True])
 @pytest.mark.parametrize("case", ["f3", *MESH_GRIDS])
 def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
-    """The chart text, formatted once per axis, gives the oracle's C-order rows byte for byte."""
+    """One ``%r`` format per block of rows gives the oracle's C-order rows byte for byte."""
     if case == "f3":
         grid, k, values = f3.grid, f3.recon.k, f3.recon.points
     else:
@@ -221,7 +231,7 @@ def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
         values = _product_points(grid, k, 5 - grid.ndim)
     path = tmp_path / "mesh.csv"
     save_immersion_csv(str(path), grid, k, values, repair=repair)
-    expected = io_oracles.immersion_csv_text(grid, k, values, repair=repair)
+    expected = io_oracles.immersion_csv_text(k, values, repair=repair)
     assert path.read_bytes() == expected.encode()
 
 
@@ -243,25 +253,82 @@ def test_mesh_repair_names_the_first_unrepairable_node(f3, tmp_path, block, plan
     assert not path.exists()
 
 
+def _save_rebuild(directory, grid: ChartGrid, k: int, values: np.ndarray) -> tuple:
+    """Mesh and report paths of the rebuild ``values`` with ``k``, as ``reconstruct`` names them."""
+    mesh, report = directory / "mesh.csv", directory / "mesh.csv.report.json"
+    size = values.shape[-1]
+    save_immersion_csv(str(mesh), grid, k, values)
+    save_report(Report(grid=grid, reconstruction={
+        "k": k, "ambient_dim": size, "base_node": tuple(d // 2 for d in grid.dims),
+        "psi_base": np.eye(size)}), str(report))
+    return mesh, report
+
+
+def test_mesh_values_must_have_the_grid_shape(f3, tmp_path):
+    """The grid fixes the row order, so points flattened off it are refused, no file written."""
+    path, flat = tmp_path / "mesh.csv", f3.recon.points.reshape(-1, 6)
+    dims = "x".join(map(str, f3.grid.dims))
+    with pytest.raises(DimensionError, match=rf"shape \({len(flat)}, 6\) on a {dims} grid"):
+        save_immersion_csv(str(path), f3.grid, f3.recon.k, flat)
+    assert not path.exists()
+
+
 def test_mesh_roundtrip_is_bitwise(f3, tmp_path):
-    values = f3.recon.points
-    path = tmp_path / "mesh.csv"
-    save_immersion_csv(str(path), f3.grid, f3.recon.k, values)
-    coords, back, k = load_immersion_csv(str(path))
-    assert k == f3.recon.k
-    saved_coords = f3.grid.coords().reshape(-1, f3.grid.ndim)
-    saved_values = values.reshape(-1, values.shape[-1])
-    assert np.array_equal(coords.view(np.int64), saved_coords.view(np.int64))
-    assert np.array_equal(back.view(np.int64), saved_values.view(np.int64))
+    """Every grid's points come back bitwise, in their node shape, with the report they fit."""
+    cases = {"f3": (f3.grid, f3.recon.k, f3.recon.points)}
+    cases |= {name: (grid, 2, _product_points(grid, 2, 5 - grid.ndim))
+              for name, grid in MESH_GRIDS.items()}
+    for name, (grid, k, values) in cases.items():
+        report, back = load_rebuild(*map(str, _save_rebuild(tmp_path, grid, k, values)))
+        assert report.grid == grid and report.reconstruction["k"] == k, name
+        assert back.shape == values.shape, name
+        assert np.array_equal(back.view(np.int64), values.view(np.int64)), name
 
 
-@pytest.mark.parametrize("body", ["", "1.0,2.0\n1.0\n", "1.0,abc\n"],
+# five points of S^1 x H^1 at the apex: k = 1, N = 4, header x1,x2,y3,y4
+SMALL_GRID = ChartGrid(dims=(5,), spacing=(0.5,), origin=(0.0,))
+APEX = "1.0,0.0,0.0,1.0\n"
+
+
+def _small_rebuild(directory) -> tuple:
+    return _save_rebuild(directory, SMALL_GRID, 1, np.array([[1.0, 0.0, 0.0, 1.0]] * 5))
+
+
+@pytest.mark.parametrize("body", ["", APEX * 4 + "1.0\n", APEX * 4 + "1.0,abc,0.0,1.0\n"],
                          ids=["empty", "ragged", "non_numeric"])
 def test_mesh_table_errors(tmp_path, body):
-    path = tmp_path / "mesh.csv"
-    path.write_text("t1,x1\n" + body)
-    with pytest.raises(SchemaError, match="cannot parse mesh"):
-        load_immersion_csv(str(path))
+    mesh, report = _small_rebuild(tmp_path)
+    mesh.write_text("x1,x2,y3,y4\n" + body)
+    with pytest.raises(SchemaError, match=re.escape(f"cannot parse mesh '{mesh}'")):
+        load_rebuild(str(mesh), str(report))
+
+
+@pytest.mark.parametrize("text, named", [
+    ("t1,x1,x2,y3,y4\n" + "".join(f"{0.5 * i!r},{APEX}" for i in range(5)),
+     "has the header 't1,x1,x2,y3,y4'; its report (k 1, ambient_dim 4) expects 'x1,x2,y3,y4'"),
+    ("x1,x2,x3,y4\n" + APEX * 5, "has the header 'x1,x2,x3,y4'"),
+    ("x1,x2,y3,y4,y5\n" + "1.0,0.0,0.0,0.0,1.0\n" * 5, "has the header 'x1,x2,y3,y4,y5'"),
+    ("x1,x2,y3,y4\n" + APEX * 4, "has 4 rows of 4 values, its report's grid 5 nodes of 4"),
+    ("x1,x2,y3,y4\n" + "1.0,0.0,1.0\n" * 5, "has 5 rows of 3 values"),
+    ("x1,x2,y3,y4\n" + APEX + "1.0,0.0,nan,1.0\n" + APEX * 3,
+     "has a non-finite value in row 2 (line 3)")],
+    ids=["chart_columns", "other_k", "other_ambient_dim", "short", "narrow", "nan"])
+def test_mesh_that_does_not_fit_its_report_is_a_schema_error(tmp_path, text, named):
+    """The report's grid and reconstruction block fix the mesh's header and table shape."""
+    mesh, report = _small_rebuild(tmp_path)
+    mesh.write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(f"mesh '{mesh}' {named}")):
+        load_rebuild(str(mesh), str(report))
+
+
+@pytest.mark.parametrize("block", ["grid", "reconstruction"])
+def test_rebuild_needs_grid_and_reconstruction_blocks(tmp_path, block):
+    mesh, report = _small_rebuild(tmp_path)
+    doc = json.loads(report.read_text())
+    del doc[block]
+    report.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="needs its grid and reconstruction blocks"):
+        load_rebuild(str(mesh), str(report))
 
 
 def test_writer_signatures_unchanged():

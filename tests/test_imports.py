@@ -36,6 +36,10 @@ A report is built one way: the one class named ``*Report`` in ``src/`` is
 ``structure.Report``, no module defines a second record builder
 (``make_record``, ``magnitude_records``, ``curvature_report``) or
 ``from_residuals``, and no module imports a ``_``-prefixed name from a sibling.
+Each fact of a rebuild is stored once: the mesh table is read (``np.loadtxt``)
+and its header laid out (``immersion_csv_header``) in ``dataio`` alone, and no
+dict literal in ``src/`` has an ``on_product_defect`` key, the max of the
+``reconstruction_on_product`` record.
 """
 
 import ast
@@ -527,3 +531,43 @@ def test_report_layer_site_is_found():
             "dataio.py:from_residuals", "structure.py:ResidualReport",
             "structure.py:curvature_report", "structure.py:magnitude_records",
             "structure.py:make_record"]
+
+
+# The mesh format has one home, ``dataio``; the on-product defect is its record's max.
+MESH_FORMAT = ("loadtxt", "immersion_csv_header")
+RECORD_COPIES = ("on_product_defect",)
+
+
+def rebuild_copy_sites(sources: dict) -> list:
+    """``module:line`` of a ``MESH_FORMAT`` name (read or imported) outside ``dataio.py``, and
+    of a dict literal with a ``RECORD_COPIES`` key anywhere, over ``sources`` (module -> text)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            names = {getattr(node, "attr", None), getattr(node, "id", None),
+                     node.name if isinstance(node, ast.alias) else None}
+            keys = node.keys if isinstance(node, ast.Dict) else ()
+            if names & set(MESH_FORMAT) and module != "dataio.py" or any(
+                    isinstance(key, ast.Constant) and key.value in RECORD_COPIES for key in keys):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_each_rebuild_fact_has_one_home():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert rebuild_copy_sites(sources) == []
+    assert named_sites(sources["dataio.py"], MESH_FORMAT) != []   # the one home
+
+
+def test_rebuild_copy_site_is_found():
+    dataio = ("import numpy as np\ndef immersion_csv_header(k, size):\n    return []\n"
+              "def load_rebuild(text):\n    return np.loadtxt(text)\n")
+    cli = ("import numpy as np\nfrom numpy import loadtxt\n"
+           "from .dataio import immersion_csv_header\n"
+           "def cmd_align(path):\n    return np.loadtxt(path), loadtxt(path)\n")
+    reconstruct = ("def reconstruct_immersion(report):\n"
+                   "    block = {'k': 1, **{}, 'on_product_defect': report.max_abs}\n"
+                   "    return block | dict(on_product_defect=0.0), {'on_product': 1}\n")
+    assert rebuild_copy_sites({"dataio.py": dataio + reconstruct, "cli.py": cli,
+                               "reconstruct.py": reconstruct}) == [
+        "cli.py:2", "cli.py:3", "cli.py:5", "cli.py:5", "dataio.py:7", "reconstruct.py:2"]
