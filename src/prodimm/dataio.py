@@ -272,12 +272,19 @@ def save_report(report: Report, path: str):
     _atomic_write(path, lambda handle: handle.write(text))
 
 
-def _reconstruction_block(block: dict) -> dict:
-    """The checked block, ``base_node`` a tuple and ``psi_base`` the (N, N) frame map."""
+def _reconstruction_block(block: dict, grid: ChartGrid | None) -> dict:
+    """The checked block, ``base_node`` a tuple and ``psi_base`` the (N, N) frame map.
+
+    ``base_node`` must be a node of ``grid``, the report's grid, when it has one.
+    """
     base, size, psi, k = (_take(block, key)
                           for key in ("base_node", "ambient_dim", "psi_base", "k"))
     if not isinstance(base, list) or any(type(i) is not int for i in base):  # a bool is no int
         raise SchemaError(f"reconstruction base_node must be a list of integers, got {base!r}")
+    if grid is not None and (len(base) != grid.ndim or
+                             not all(0 <= i < d for i, d in zip(base, grid.dims))):
+        raise SchemaError(f"reconstruction base_node {base!r} is not a node of the "
+                          f"{'x'.join(map(str, grid.dims))} grid")
     if type(size) is not int or size < 1:
         raise SchemaError(f"reconstruction ambient_dim must be an integer >= 1, got {size!r}")
     if not isinstance(psi, list) or len(psi) != size * size or \
@@ -316,7 +323,7 @@ def report_from_dict(doc: dict) -> Report:
     except Exception as exc:  # invariant violations become schema errors on load
         raise SchemaError(f"report violates a load-time invariant: {exc}") from exc
     return Report(records=records, grid=grid,
-                  reconstruction=None if recon is None else _reconstruction_block(recon),
+                  reconstruction=None if recon is None else _reconstruction_block(recon, grid),
                   alignment=doc.get("alignment"), timings=doc.get("timings"))
 
 

@@ -54,16 +54,23 @@ one ghost node by quartic extrapolation, so the boundary nodes use the same
 stencils as the interior and the truncation error stays smooth up to the
 edge: a difference of a difference is still second order there.  The ghost
 nodes are formed for the two edge slabs only and the differences are
-written in place into the output, with no padded copy of the field.
+written in place into the output, with no padded copy of the field.  A first
+difference, and so ``grad_field``, ``connection_curvature`` and
+``endomorphism_derivative``, can be formed for a block of node rows alone
+(``rows``, a slice of the first node axis): each row is the same stencil as in
+the whole array, so a residual can be formed chunk by chunk, never whole
+(``structure.chunked_magnitude``).
 
 Matmul layout: every batched small-matrix product is written as ``@`` on the
 last two axes, with the node axes (and a direction axis, where there is one)
 leading and broadcast.  Operands are brought to (..., rows, inner) and
-(..., inner, cols) by ``swapaxes``/``moveaxis`` views first.  A curvature
+(..., inner, cols) by ``swapaxes``/``moveaxis`` views first.  numpy
+multiplies each matrix of a batch on its own, so a product formed over a
+block of node rows is bitwise that block of the whole product.  A curvature
 pairs two direction axes: ``connection_curvature`` loops over the pairs
-m < n and multiplies the two (..., N, N) slices om_m, om_n each way, into
-preallocated buffers.  ``einsum`` is left for permutations and
-contractions that are not a matrix product.
+m < n and multiplies the two (..., N, N) slices om_m, om_n each way.
+``einsum`` is left for permutations and contractions that are not a matrix
+product.
 """
 
 from __future__ import annotations
@@ -320,36 +327,58 @@ def sweep_compose(grid: ChartGrid, base_value: np.ndarray, base: tuple, ops,
     return values
 
 
-def _neighbours(v: np.ndarray) -> tuple:
-    """(nodes, left, right) along axis 0: the interior, then each end and its ghost node.
+def _neighbours(v: np.ndarray, rows: slice = slice(None)) -> tuple:
+    """(nodes, left, right) along axis 0 for the rows ``rows`` of ``v``: the interior
+    rows among them, then each end of ``v`` among them with its ghost node.
 
-    The ghost nodes are quartic extrapolations.  Every piece is a slice, never
-    an index, so the ends of a 1-dim scalar field are arrays a ufunc can write.
+    ``nodes`` counts from the first of ``rows``.  The ghost nodes are quartic
+    extrapolations.  Every piece is a slice, never an index, so the ends of a
+    1-dim scalar field are arrays a ufunc can write.
     """
-    lo = 5.0 * v[0:1] - 10.0 * v[1:2] + 10.0 * v[2:3] - 5.0 * v[3:4] + v[4:5]
-    hi = 5.0 * v[-1:] - 10.0 * v[-2:-1] + 10.0 * v[-3:-2] - 5.0 * v[-4:-3] + v[-5:-4]
-    return ((slice(1, -1), v[:-2], v[2:]), (slice(0, 1), lo, v[1:2]),
-            (slice(-1, None), v[-2:-1], hi))
+    lo, hi, _ = rows.indices(len(v))
+    inner_lo, inner_hi = max(lo, 1), min(hi, len(v) - 1)
+    pieces = [(slice(inner_lo - lo, inner_hi - lo), v[inner_lo - 1:inner_hi - 1],
+               v[inner_lo + 1:inner_hi + 1])]
+    if lo == 0:
+        ghost = 5.0 * v[0:1] - 10.0 * v[1:2] + 10.0 * v[2:3] - 5.0 * v[3:4] + v[4:5]
+        pieces.append((slice(0, 1), ghost, v[1:2]))
+    if hi == len(v):
+        ghost = 5.0 * v[-1:] - 10.0 * v[-2:-1] + 10.0 * v[-3:-2] - 5.0 * v[-4:-3] + v[-5:-4]
+        pieces.append((slice(hi - lo - 1, hi - lo), v[-2:-1], ghost))
+    return tuple(pieces)
 
 
-def diff_axis(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """Central difference (v[i+1] - v[i-1]) / (2h) along ``axis``, written into ``out``."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+def _row_count(grid: ChartGrid, rows: slice) -> int:
+    """How many node rows of the first axis ``rows`` selects."""
+    return len(range(*rows.indices(grid.dims[0])))
+
+
+def diff_axis(values: np.ndarray, h: float, axis: int, out: np.ndarray,
+              rows: slice = slice(None)) -> np.ndarray:
+    """Central difference (v[i+1] - v[i-1]) / (2h) along ``axis``, written into ``out``.
+
+    Only the node rows ``rows`` of axis 0 are formed; ``out`` holds those rows.
+    """
+    v = np.asarray(values, dtype=float)
+    if axis != 0:   # the stencil stays within each row
+        v, rows = v[rows], slice(None)
+    v = np.moveaxis(v, axis, 0)
     o = np.moveaxis(out, axis, 0)
-    for nodes, left, right in _neighbours(v):
+    for nodes, left, right in _neighbours(v, rows):
         np.divide(right - left, 2.0 * h, out=o[nodes])
     return out
 
 
-def grad_field(grid: ChartGrid, values: np.ndarray) -> np.ndarray:
+def grad_field(grid: ChartGrid, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """Partial derivatives along every axis; new direction slot prepended.
 
-    Input (*dims, *slots) -> output (*dims, ndim, *slots).
+    Input (*dims, *slots) -> output (*dims, ndim, *slots), of the node rows
+    ``rows`` of the first axis alone when given.
     """
     nd = grid.ndim
-    out = np.empty(grid.dims + (nd,) + np.shape(values)[nd:])
+    out = np.empty((_row_count(grid, rows),) + grid.dims[1:] + (nd,) + np.shape(values)[nd:])
     for a in range(nd):
-        diff_axis(values, grid.spacing[a], a, out[(slice(None),) * nd + (a,)])
+        diff_axis(values, grid.spacing[a], a, out[(slice(None),) * nd + (a,)], rows)
     return out
 
 
@@ -406,24 +435,27 @@ def curvature_tensor(g: MetricField) -> np.ndarray:
     return connection_curvature(g.grid, np.swapaxes(christoffel(g), -3, -2))
 
 
-def connection_curvature(grid: ChartGrid, om: np.ndarray) -> np.ndarray:
+def connection_curvature(grid: ChartGrid, om: np.ndarray,
+                         rows: slice = slice(None)) -> np.ndarray:
     """F over the direction pairs: (*dims, n(n-1)/2, N, N) of om[..., m, :, :].
 
     F[..., q, :, :] = (d_m om_n + om_m om_n) - (d_n om_m + om_n om_m) for the
     q-th pair (m, n) of ``np.triu_indices(n, 1)``: only om_n is differenced
-    along m and om_m along n.
+    along m and om_m along n.  Of the node rows ``rows`` of the first axis
+    alone when given.
     """
     pairs = list(zip(*np.triu_indices(grid.ndim, 1)))
-    out = np.empty(grid.dims + (len(pairs),) + om.shape[-2:])
+    block = (_row_count(grid, rows),) + grid.dims[1:]
+    out = np.empty(block + (len(pairs),) + om.shape[-2:])
     if not pairs:
-        return out   # a 1-dim chart: no work buffers
-    swap, prod = np.empty((2,) + grid.dims + om.shape[-2:])
+        return out   # a 1-dim chart: no work buffer
+    swap = np.empty(block + om.shape[-2:])
     for q, (m, n) in enumerate(pairs):
         om_m, om_n = om[..., m, :, :], om[..., n, :, :]
-        f = diff_axis(om_n, grid.spacing[m], m, out[..., q, :, :])
-        f += np.matmul(om_m, om_n, out=prod)
-        diff_axis(om_m, grid.spacing[n], n, swap)
-        swap += np.matmul(om_n, om_m, out=prod)
+        f = diff_axis(om_n, grid.spacing[m], m, out[..., q, :, :], rows)
+        f += om_m[rows] @ om_n[rows]
+        diff_axis(om_m, grid.spacing[n], n, swap, rows)
+        swap += om_n[rows] @ om_m[rows]
         f -= swap
     return out
 
@@ -438,14 +470,16 @@ def shape_operator_field(sigma: SecondFormField, g: MetricField) -> np.ndarray:
     return g.inverse[..., None, :, :] @ np.moveaxis(sigma.values, -1, -3)
 
 
-def endomorphism_derivative(grid: ChartGrid, x: np.ndarray, conn: np.ndarray) -> np.ndarray:
+def endomorphism_derivative(grid: ChartGrid, x: np.ndarray, conn: np.ndarray,
+                            rows: slice = slice(None)) -> np.ndarray:
     """d_m x + [conn_m, x]: (*dims, n, N, N) for an endomorphism field x (*dims, N, N).
 
     The covariant derivative of x under the connection whose matrices
-    conn (*dims, n, N, N) act on sections as d_m v + conn_m v.
+    conn (*dims, n, N, N) act on sections as d_m v + conn_m v.  Of the node
+    rows ``rows`` of the first axis alone when given.
     """
-    x_m = x[..., None, :, :]
-    out = grad_field(grid, x)
+    x_m, conn = x[rows][..., None, :, :], conn[rows]
+    out = grad_field(grid, x, rows)
     out += conn @ x_m
     out -= x_m @ conn
     return out

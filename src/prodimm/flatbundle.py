@@ -21,18 +21,21 @@ first use (``build_connection`` alone reads the Christoffel symbols and shape
 operators), so the structure checks, the flat-bundle diagnostics and the
 rebuild read one instance per dataset.  psi~ = psi (+) diag(1, -1) is psi held
 twice, so it is not cached: ``extend_diagonal`` pads psi as it pads g to G,
-grid-wide in ``structure.psi_tilde_derivative`` and at the base node only in
-the rebuild.
+grid-wide in ``structure.psi_tilde_derivative_magnitude`` and at the base
+node only in the rebuild.
 
 The curvature F of Omega and D psi~ are transient, not cached: the rebuild
 keeps the ``Geometry`` alive, so a cached copy of these two largest arrays of
-a check would stay resident through it.  ``structure.check_all`` forms each
-once and drops it as soon as its node-last magnitude exists (|F| laid out
-(q, C, A, *dims), |D psi~| (m, C, A, *dims), see ``structure.magnitude``);
-``flatness_residual`` and ``psi_tilde_parallel_residual`` take that magnitude
-and reduce all of it.  |F| is dropped before psi~ and D psi~ are formed.  F is
-held over the direction pairs m < n only (one pair on a 2-dim chart, none on a
-1-dim chart).
+a check would stay resident through it.  No full-size temporary outlives its
+use: neither array is ever whole.  ``structure.check_all`` forms each by
+blocks of node rows straight into its node-last magnitude
+(``structure.chunked_magnitude``; |F| laid out (q, C, A, *dims), |D psi~|
+(m, C, A, *dims)), and ``flatness_residual`` and
+``psi_tilde_parallel_residual`` take that magnitude and reduce all of it.
+|F| is dropped before psi~ and |D psi~| are formed.  F is held over the
+direction pairs m < n only (one pair on a 2-dim chart, none on a 1-dim
+chart).  The metric-compatibility residual is formed the same way, by blocks
+of node rows into its magnitude.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import DimensionError, ExclusionError, GridMismatchError, Structure
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, check_values,
                      christoffel, grad_field, shape_operator_field)
 from .lorentz import complete_basis
-from .structure import Report, ToleranceModel, magnitude, psi_blocks, records
+from .structure import Report, ToleranceModel, chunked_magnitude, psi_blocks, records
 
 _SNAP = 0.1   # largest distance of the structure's eigenvalues from +-1 at the base
 
@@ -117,21 +120,28 @@ def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) ->
     """Residual of d_m G = Omega_m^T G + G Omega_m over all nodes/directions.
 
     Only the g block of G varies, so d_m G is d_m g padded with exact zeros.
-    The products stay whole (N, N) matmuls, subtracted in place in the order
-    (d_m G - Omega^T G) - G Omega: a matmul of these small matrices costs one
-    call per node and direction whatever its size, and restricting the
-    products to the g columns and rows of G adds strided block updates that
-    cost more than the smaller products save.
+    No full-size temporary outlives its use: the residual is formed by blocks
+    of node rows, never whole (``structure.chunked_magnitude``).  Within a
+    block the products stay whole (N, N) matmuls, subtracted in place in the
+    order (d_m G - Omega^T G) - G Omega: a matmul of these small matrices
+    costs one call per node and direction whatever its size, and restricting
+    the products to the g columns and rows of G adds strided block updates
+    that cost more than the smaller products save.
     """
     grid = geom.grid
     n = grid.ndim
     gram = geom.gram[..., None, :, :]
     om = geom.connection
-    resid = np.zeros(om.shape)
-    resid[..., :n, :n] = grad_field(grid, geom.metric.values)
-    resid -= np.swapaxes(om, -1, -2) @ gram
-    resid -= gram @ om
-    return records(grid, tolerances, ("bundle_metric_compatibility", magnitude(resid, n)))
+    d_metric = grad_field(grid, geom.metric.values)
+
+    def residual(rows):
+        resid = np.zeros(om[rows].shape)
+        resid[..., :n, :n] = d_metric[rows]
+        resid -= np.swapaxes(om[rows], -1, -2) @ gram[rows]
+        resid -= gram[rows] @ om[rows]
+        return resid
+    return records(grid, tolerances, ("bundle_metric_compatibility",
+                                      chunked_magnitude(grid, om.shape[n:], residual)))
 
 
 def flatness_residual(geom: Geometry, tolerances: ToleranceModel,

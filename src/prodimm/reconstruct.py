@@ -10,9 +10,9 @@ Pipeline (all deterministic):
    transport the frame along the lexicographic sweep (axis-0 spine through
    the base node, then axis-1, then axis-2 lines), each run of edges away
    from the base one scanned prefix product of its flows
-   (``fields.sweep_compose``).  The transposed sweep and the plaquette
-   path-independence record read the same table, which is dropped before
-   the next steps;
+   (``fields.sweep_compose``).  The plaquette path-independence record and
+   the transposed sweep read the same table, which is dropped right after
+   the transposed sweep, before its difference from the frame is formed;
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
    the sign of the timelike coordinate, together with its nodewise distance
    from the product;
@@ -23,6 +23,13 @@ Pipeline (all deterministic):
    residual psi e - psi^T e the compatibility records (tangent, normal rows).
    The normals nu come off the frame's bundle rows, as phi comes off its xi
    rows: G is the identity on the bundle block.
+
+No full-size temporary outlives its use.  Each residual is reduced to its
+record as soon as it exists, and every array is dropped after its last use.
+Four residuals are formed by blocks of node rows straight into their
+magnitudes (``structure.chunked_magnitude``), bitwise as if formed whole: the
+second form, the compatibility rows, the frame's Gram defect and the
+cross-check difference.
 
 Frames, points and the Gram matrices G are plain arrays over the node axes:
 frames (*dims, N, N) with the transported sections as columns, points
@@ -56,7 +63,7 @@ from .fields import (ChartGrid, argmax_node, grad_field, hessian_field, runs_awa
 from .flatbundle import Geometry, build_psi_tilde, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
                       psi_flip)
-from .structure import Report, ToleranceModel, magnitude, nodewise_max, records
+from .structure import Report, ToleranceModel, chunked_magnitude, magnitude, nodewise_max, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
 
@@ -198,37 +205,49 @@ def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: Geometry,
                           tolerances: ToleranceModel) -> Report:
-    """Check every conclusion of the rebuild by finite differences, one magnitude at a time."""
+    """Check every conclusion of the rebuild by finite differences, one magnitude at a time.
+
+    The two residuals formed through products of the rebuilt rows are formed
+    by blocks of node rows, never whole (``chunked_magnitude``), and every
+    array is dropped after its last use.
+    """
     grid = geom.grid
     n, p = grid.ndim, geom.p
     dphi = grad_field(grid, points)                    # (..., m, N)
-
     # the rebuilt rows (d_1 phi .. d_n phi, nu_1 .. nu_p); the normals are the
     # lowered bundle rows of the frame (exact, no differencing)
-    rows = np.concatenate([dphi, lower(frame[..., n:n + p, :])], axis=-2)
-    normals = rows[..., n:, :]
+    normals = lower(frame[..., n:n + p, :])
+    rows = np.concatenate([dphi, normals], axis=-2)
     pairs = minkowski_gram(dphi, rows)                 # (..., m, n+p): <d_m phi, e_B>
     induced = pairs[..., :n]
 
-    xi1, xi2 = product_normals(points, k)
-    psi_dphi = psi_flip(dphi, k)
-    cross = minkowski_gram(psi_dphi, dphi)             # <psi d_m phi, d_n phi>
-    d2phi = hessian_field(grid, points)                # (..., m, n, N)
-    w = (d2phi + 0.5 * (induced + cross)[..., None] * xi1[..., None, None, :]
-         - 0.5 * (induced - cross)[..., None] * xi2[..., None, None, :])
-    # tangential part: g^rs <w_mn, d_r phi>
-    w_tan = minkowski_gram(w, dphi[..., None, :, :]) @ geom.metric.inverse[..., None, :, :]
-    res_second = w - w_tan @ dphi[..., None, :, :] - geom.sigma.values @ normals[..., None, :, :]
-
     # psi e_B - sum_A psi[A, B] e_A for every rebuilt row e_B
-    res_psi = psi_flip(rows, k) - np.swapaxes(geom.psi, -1, -2) @ rows
+    psi_t = np.swapaxes(geom.psi, -1, -2)
+    res_psi = chunked_magnitude(grid, rows.shape[n:],
+                                lambda c: psi_flip(rows[c], k) - psi_t[c] @ rows[c])
+    del rows
+    report = records(grid, tolerances,
+                     ("reconstruction_isometry", magnitude(induced - geom.metric.values, n)),
+                     ("reconstruction_normal_orthogonality", magnitude(pairs[..., n:], n)),
+                     ("reconstruction_psi_compat_tangent", res_psi[:n]),
+                     ("reconstruction_psi_compat_normal", res_psi[n:]))
+    del res_psi
 
-    return Report.merge(*(records(grid, tolerances, (name, magnitude(r, n))) for name, r in (
-        ("reconstruction_isometry", induced - geom.metric.values),
-        ("reconstruction_normal_orthogonality", pairs[..., n:]),
-        ("reconstruction_second_form", res_second),
-        ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
-        ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))))
+    cross = minkowski_gram(psi_flip(dphi, k), dphi)    # <psi d_m phi, d_n phi>
+    plus, minus = 0.5 * (induced + cross)[..., None], 0.5 * (induced - cross)[..., None]
+    del pairs, induced, cross
+    d2phi = hessian_field(grid, points)                # (..., m, n, N)
+    ginv = geom.metric.inverse[..., None, :, :]
+
+    def second_form(c):
+        """w = d2phi + plus xi1 - minus xi2, less its tangential part and sigma(nu)."""
+        xi1, xi2 = product_normals(points[c], k)
+        w = d2phi[c] + plus[c] * xi1[..., None, None, :] - minus[c] * xi2[..., None, None, :]
+        d_c = dphi[c][..., None, :, :]
+        w_tan = minkowski_gram(w, d_c) @ ginv[c]       # g^rs <w_mn, d_r phi>
+        return w - w_tan @ d_c - geom.sigma.values[c] @ normals[c][..., None, :, :]
+    return Report.merge(report, records(grid, tolerances, (
+        "reconstruction_second_form", chunked_magnitude(grid, d2phi.shape[n:], second_form))))
 
 
 def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> Report:
@@ -323,12 +342,14 @@ def reconstruct_immersion(geom: Geometry,
 
     t0 = time.perf_counter()
     table_report = path_independence_residual(flows, tolerances)
-    if nd >= 2:
-        alt = sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))))
-        table_report = Report.merge(table_report, records(
-            grid, tolerances, ("sweep_cross_check", magnitude(alt - frame, nd))))
+    alt = (sweep_parallel_frame(flows, frame0, axis_order=tuple(reversed(range(nd))))
+           if nd >= 2 else None)
+    del flows   # its last use: the difference, assembly and verification run without it
+    if alt is not None:
+        table_report = Report.merge(table_report, records(grid, tolerances, (
+            "sweep_cross_check",
+            chunked_magnitude(grid, frame.shape[nd:], lambda c: alt[c] - frame[c]))))
         del alt
-    del flows   # freed before assembly and verification, whose temporaries peak higher
     table_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -339,7 +360,8 @@ def reconstruct_immersion(geom: Geometry,
     report = Report.merge(
         verify_reconstruction(points, frame, k, geom, tolerances),
         records(grid, tolerances,
-                ("frame_orthonormality", magnitude(gram_defect(frame, gram), nd)),
+                ("frame_orthonormality", chunked_magnitude(
+                    grid, frame.shape[nd:], lambda c: gram_defect(frame[c], gram[c]))),
                 ("reconstruction_on_product", on_product)),
         table_report)
     timings["verify"] = table_time + time.perf_counter() - t0

@@ -27,23 +27,32 @@ differential check is a block of one of two arrays, indexed in the basis
   ``mean_weight`` each of the three passes, as if F were held in full.
   A 1-dim chart has no direction pairs, so F has none and its four records
   are zero.
-* D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~] (``psi_tilde_derivative``):
-  ``psi_parallel_f/u/U/lambda`` = the ``psi_blocks`` of D psi~[..., :n+p, :n+p],
-  each laid out (m, rows, cols); ``psi_tilde_parallel`` = all of it.
+* D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~]
+  (``psi_tilde_derivative_magnitude``): ``psi_parallel_f/u/U/lambda`` = the
+  ``psi_blocks`` of D psi~[..., :n+p, :n+p], each laid out (m, rows, cols);
+  ``psi_tilde_parallel`` = all of it.
 
 Each differential check takes |F| or |D psi~| as its last argument, node-last:
-``check_all`` forms F, writes its ``magnitude`` once into a (q, C, A, *dims)
-array and drops F, and hands |F| to the four checks that read it; D psi~ goes
-the same way into (m, C, A, *dims) for the five checks that read it.  Each
-check reduces slices of the magnitude, with no copy of its own, so one check
-is read as ``check_all(geom, tolerances)[name]``.
+``check_all`` writes |F| once into a (q, C, A, *dims) array
+(``curvature_magnitude``) and hands it to the four checks that read it, and
+|D psi~| into (m, C, A, *dims) (``psi_tilde_derivative_magnitude``) for the
+five checks that read it.  Neither F nor D psi~ is ever whole (see
+``chunked_magnitude`` below).  Each check reduces slices of the magnitude,
+with no copy of its own, so one check is read as
+``check_all(geom, tolerances)[name]``.
 
 Residuals are reported nodewise as max-abs over all free indices; for charts
 of dimension <= 3 every index combination is formed explicitly (no sampling).
 Every nodewise max-abs goes through one reduction: ``magnitude`` writes
 |residual| once with the node axes last, laid out (*free, *dims), so the
 nodewise max (``nodewise_max``) is an elementwise ``maximum`` of contiguous
-node rows and the mean one sum (``node_record``).  ``records`` is the one
+node rows and the mean one sum (``node_record``).  No full-size temporary
+outlives its use: a residual as large as the big connection, or one formed
+through large products, is never held whole.  ``chunked_magnitude`` forms it
+by blocks of node rows of about ``_CHUNK_BYTES``, writes each block's |.|
+into its slice of the magnitude and drops it; each row is formed as in the
+whole array, so the magnitude, and every record, is bitwise that of the
+whole residual.  ``records`` is the one
 record builder, over (name, node-last magnitude) pairs: a caller holding a
 (*dims, *free) residual passes its ``magnitude``.  Every check, residual and
 verification returns a ``Report``, and ``Report.merge`` joins the parts that
@@ -63,6 +72,8 @@ from .fields import ChartGrid, argmax_node, connection_curvature, endomorphism_d
 
 if TYPE_CHECKING:
     from .flatbundle import Geometry
+
+_CHUNK_BYTES = 2**19   # residual bytes formed at once by ``chunked_magnitude``
 
 # Every record name in report order: the 15 records of ``check``, the algebra
 # first, then the 9 of a rebuild (``sweep_cross_check`` on charts of dimension >= 2).
@@ -209,6 +220,25 @@ def magnitude(residual: np.ndarray, nd: int) -> np.ndarray:
     return np.abs(np.moveaxis(residual, range(nd), range(-nd, 0)), out=out)
 
 
+def chunked_magnitude(grid: ChartGrid, free: tuple, residual_rows) -> np.ndarray:
+    """``magnitude`` of a (*dims, *free) residual that is never whole: (*free, *dims).
+
+    ``residual_rows(rows)`` returns the residual on ``rows``, a slice of the
+    first node axis.  Blocks of about ``_CHUNK_BYTES`` are formed one at a time
+    and each is written into its slice of the magnitude.  The kernels form
+    each row as they would in the whole array, so the magnitude is bitwise
+    ``magnitude(residual, grid.ndim)``.
+    """
+    nd = grid.ndim
+    out = np.empty(free + grid.dims)
+    step = max(1, _CHUNK_BYTES // max(out.nbytes // grid.dims[0], 1))
+    for lo in range(0, grid.dims[0], step):
+        rows = slice(lo, lo + step)
+        np.abs(np.moveaxis(residual_rows(rows), range(nd), range(-nd, 0)),
+               out=out[(slice(None),) * len(free) + (rows,)])
+    return out
+
+
 def nodewise_max(mag: np.ndarray, nd: int) -> np.ndarray:
     """The (*dims) max of a node-last magnitude (*free, *dims) over its free axes.
 
@@ -265,15 +295,30 @@ def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> Report:
     return report
 
 
-def big_curvature(geom: Geometry) -> np.ndarray:
-    """F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] on pairs q = (m < n)."""
-    return connection_curvature(geom.grid, geom.connection)
+def big_curvature(geom: Geometry, rows: slice = slice(None)) -> np.ndarray:
+    """F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] on pairs q = (m < n),
+    of the node rows ``rows`` of the first axis alone when given."""
+    return connection_curvature(geom.grid, geom.connection, rows)
 
 
-def psi_tilde_derivative(geom: Geometry) -> np.ndarray:
-    """D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~], psi~ padded from psi here."""
+def curvature_magnitude(geom: Geometry) -> np.ndarray:
+    """|F| laid out (q, C, A, *dims), F formed by blocks of node rows (``chunked_magnitude``)."""
+    nd, size = geom.grid.ndim, geom.connection.shape[-1]
+    return chunked_magnitude(geom.grid, (nd * (nd - 1) // 2, size, size),
+                             lambda rows: big_curvature(geom, rows))
+
+
+def psi_tilde_derivative_magnitude(geom: Geometry) -> np.ndarray:
+    """|D psi~| laid out (m, C, A, *dims), D psi~[..., m, C, A] = d_m psi~ + [Omega_m, psi~].
+
+    psi~ is padded from psi once; D psi~ is formed by blocks of node rows
+    (``chunked_magnitude``).
+    """
     from .flatbundle import build_psi_tilde  # imports this module
-    return endomorphism_derivative(geom.grid, build_psi_tilde(geom.psi), geom.connection)
+    grid, conn = geom.grid, geom.connection
+    psi_tilde = build_psi_tilde(geom.psi)
+    return chunked_magnitude(grid, conn.shape[grid.ndim:],
+                             lambda rows: endomorphism_derivative(grid, psi_tilde, conn, rows))
 
 
 def check_psi_parallel(geom: Geometry, tolerances: ToleranceModel,
@@ -315,20 +360,18 @@ def check_all(geom: Geometry, tolerances: ToleranceModel) -> Report:
     """Every compatibility check but metric compatibility, merged into one report.
 
     Records: the algebra, ``psi_parallel_*``, ``gauss``, ``codazzi``,
-    ``ricci``, ``bundle_flatness``, ``psi_tilde_parallel``.  F is formed once
-    and dropped as soon as its node-last ``magnitude`` |F| exists; the four
-    checks that read F each reduce a slice of |F|, which is dropped before
-    psi~ and D psi~ exist.  D psi~ goes the same way, into |D psi~| for the
-    five checks that read it.  None of these arrays is kept.
+    ``ricci``, ``bundle_flatness``, ``psi_tilde_parallel``.  The four checks
+    that read F each reduce a slice of |F|, which is dropped before psi~ and
+    |D psi~| exist; the five that read D psi~ reduce slices of |D psi~|.
+    Neither F nor D psi~ is ever whole, and none of these arrays is kept.
     """
     from .flatbundle import flatness_residual, psi_tilde_parallel_residual  # imports this module
-    nd = geom.grid.ndim
     algebra = check_psi_algebra(geom, tolerances)
-    curv_mag = magnitude(big_curvature(geom), nd)
+    curv_mag = curvature_magnitude(geom)
     gauss, codazzi, ricci, flatness = (check(geom, tolerances, curv_mag) for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual))
     del curv_mag
-    d_psi_mag = magnitude(psi_tilde_derivative(geom), nd)
+    d_psi_mag = psi_tilde_derivative_magnitude(geom)
     parallel = check_psi_parallel(geom, tolerances, d_psi_mag)
     tilde = psi_tilde_parallel_residual(geom, tolerances, d_psi_mag)
     return Report.merge(algebra, parallel, gauss, codazzi, ricci, flatness, tilde)

@@ -18,15 +18,25 @@ for the oracles laid out that way.  ``record_reference`` is the record
 reduction in the residual's own node-major layout, the reference for the
 package's node-last ``magnitude`` and ``node_record``; ``make_record`` is the
 package's record of such a residual, ``node_record`` of its ``magnitude``.
+
+The ``*_whole`` functions are the package's earlier forms of the residuals it
+now forms by blocks of node rows (``structure.chunked_magnitude``): F, D psi~,
+metric compatibility, the rebuild's verification, its frame's Gram defect and
+the cross-check difference, each held whole with whole temporaries.  They
+call the package's elementary kernels, not einsum, so the tests require the
+package's records to equal theirs bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from prodimm.fields import argmax_node, grad_field, hessian_field
-from prodimm.lorentz import minkowski_dot, product_normals, psi_flip
-from prodimm.structure import CheckRecord, Report, magnitude, node_record, psi_blocks
+from prodimm import lorentz, structure
+from prodimm.fields import argmax_node, diff_axis, grad_field, hessian_field
+from prodimm.flatbundle import build_psi_tilde, flatness_residual, psi_tilde_parallel_residual
+from prodimm.lorentz import lower, minkowski_dot, minkowski_gram, product_normals, psi_flip
+from prodimm.reconstruct import EdgeFlows, sweep_parallel_frame
+from prodimm.structure import CheckRecord, Report, magnitude, node_record, psi_blocks, records
 
 
 def ghost_padded(values, axis) -> np.ndarray:
@@ -341,3 +351,100 @@ def induced_structure(imm, metric, tangents, normals):
     lam_vals = minkowski_dot(normals[..., :, None, :], psi_n[..., None, :, :])  # (a, b)
     lam[...] = 0.5 * (lam_vals + np.swapaxes(lam_vals, -1, -2))
     return psi, om
+
+
+# The whole forms: the package's residuals as it formed them before they were
+# formed by blocks of node rows, each held whole and reduced at the end.  They
+# call the package's elementary kernels, so its records must equal theirs
+# bitwise.
+
+
+def connection_curvature_whole(grid, om) -> np.ndarray:
+    """F over the direction pairs, each product into one whole (*dims, N, N) buffer."""
+    pairs = list(zip(*np.triu_indices(grid.ndim, 1)))
+    out = np.empty(grid.dims + (len(pairs),) + om.shape[-2:])
+    swap, prod = np.empty((2,) + grid.dims + om.shape[-2:])
+    for q, (m, n) in enumerate(pairs):
+        om_m, om_n = om[..., m, :, :], om[..., n, :, :]
+        f = diff_axis(om_n, grid.spacing[m], m, out[..., q, :, :])
+        f += np.matmul(om_m, om_n, out=prod)
+        diff_axis(om_m, grid.spacing[n], n, swap)
+        swap += np.matmul(om_n, om_m, out=prod)
+        f -= swap
+    return out
+
+
+def psi_tilde_derivative_whole(geom) -> np.ndarray:
+    """D psi~ = d_m psi~ + [Omega_m, psi~], whole, its products whole temporaries."""
+    x = build_psi_tilde(geom.psi)
+    x_m = x[..., None, :, :]
+    out = grad_field(geom.grid, x)
+    out += geom.connection @ x_m
+    out -= x_m @ geom.connection
+    return out
+
+
+def check_all_whole(geom, tolerances) -> Report:
+    """``structure.check_all`` with F and D psi~ held whole."""
+    nd = geom.grid.ndim
+    curv_mag = magnitude(connection_curvature_whole(geom.grid, geom.connection), nd)
+    d_psi_mag = magnitude(psi_tilde_derivative_whole(geom), nd)
+    return Report.merge(
+        structure.check_psi_algebra(geom, tolerances),
+        structure.check_psi_parallel(geom, tolerances, d_psi_mag),
+        *(check(geom, tolerances, curv_mag) for check in (
+            structure.check_gauss, structure.check_codazzi, structure.check_ricci,
+            flatness_residual)),
+        psi_tilde_parallel_residual(geom, tolerances, d_psi_mag))
+
+
+def metric_compatibility_whole(geom, tolerances) -> Report:
+    """d_m G - Omega^T G - G Omega, whole, its products whole temporaries."""
+    grid = geom.grid
+    n = grid.ndim
+    gram = geom.gram[..., None, :, :]
+    om = geom.connection
+    resid = np.zeros(om.shape)
+    resid[..., :n, :n] = grad_field(grid, geom.metric.values)
+    resid -= np.swapaxes(om, -1, -2) @ gram
+    resid -= gram @ om
+    return records(grid, tolerances, ("bundle_metric_compatibility", magnitude(resid, n)))
+
+
+def verify_reconstruction_whole(points, frame, k, geom, tolerances) -> Report:
+    """``reconstruct.verify_reconstruction`` with every intermediate a whole local."""
+    grid = geom.grid
+    n, p = grid.ndim, geom.p
+    dphi = grad_field(grid, points)
+    rows = np.concatenate([dphi, lower(frame[..., n:n + p, :])], axis=-2)
+    normals = rows[..., n:, :]
+    pairs = minkowski_gram(dphi, rows)
+    induced = pairs[..., :n]
+    xi1, xi2 = product_normals(points, k)
+    psi_dphi = psi_flip(dphi, k)
+    cross = minkowski_gram(psi_dphi, dphi)
+    d2phi = hessian_field(grid, points)
+    w = (d2phi + 0.5 * (induced + cross)[..., None] * xi1[..., None, None, :]
+         - 0.5 * (induced - cross)[..., None] * xi2[..., None, None, :])
+    w_tan = minkowski_gram(w, dphi[..., None, :, :]) @ geom.metric.inverse[..., None, :, :]
+    res_second = w - w_tan @ dphi[..., None, :, :] - geom.sigma.values @ normals[..., None, :, :]
+    res_psi = psi_flip(rows, k) - np.swapaxes(geom.psi, -1, -2) @ rows
+    return Report.merge(*(records(grid, tolerances, (name, magnitude(r, n))) for name, r in (
+        ("reconstruction_isometry", induced - geom.metric.values),
+        ("reconstruction_normal_orthogonality", pairs[..., n:]),
+        ("reconstruction_second_form", res_second),
+        ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
+        ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))))
+
+
+def rebuild_frame_records_whole(geom, frame, base, tolerances) -> Report:
+    """``frame_orthonormality`` and, on charts of dimension >= 2, ``sweep_cross_check``
+    of a rebuild's frame, each residual whole: the transposed sweep from the frame at
+    ``base`` less the frame, and S^T G S - eta."""
+    grid, nd = geom.grid, geom.grid.ndim
+    named = [("frame_orthonormality", magnitude(lorentz.gram_defect(frame, geom.gram), nd))]
+    if nd >= 2:
+        flows = EdgeFlows.of(grid, geom.connection, base)
+        alt = sweep_parallel_frame(flows, frame[base], axis_order=tuple(reversed(range(nd))))
+        named.append(("sweep_cross_check", magnitude(alt - frame, nd)))
+    return records(grid, tolerances, *named)

@@ -479,6 +479,24 @@ def test_align_malformed_report_exits_2(f1_dataset_path, tmp_path, capsys, break
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base_node", [[5000, 3], [-1], [200]],
+                         ids=["wrong_length", "negative", "out_of_range"])
+def test_align_rejects_a_base_node_off_the_report_grid(f1_dataset_path, tmp_path, capsys,
+                                                       base_node):
+    """A report's base node must be a node of its grid (200 nodes on F1), or the load fails."""
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
+    doc["reconstruction"]["base_node"] = base_node
+    bad = tmp_path / "bad.report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["align", str(mesh), str(mesh), "--report-a", str(bad), "--report-b", str(bad),
+                 "--distance-tol", "1e-9"]) == 2
+    assert f"reconstruction base_node {base_node} is not a node of the 200 grid" in \
+        capsys.readouterr().err
+
+
 def test_align_refuses_reports_on_different_grids(tmp_path, capsys):
     meshes = []
     for spacing in ("5e-3", "4e-3"):

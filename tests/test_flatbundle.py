@@ -7,7 +7,8 @@ from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eig
                                 flatness_residual, metric_compatibility_residual,
                                 psi_tilde_parallel_residual)
 from prodimm.lorentz import eta
-from prodimm.structure import ToleranceModel, big_curvature, magnitude, psi_tilde_derivative
+from prodimm.structure import (ToleranceModel, curvature_magnitude,
+                               psi_tilde_derivative_magnitude)
 
 from conftest import random_geometry, with_derived
 from test_structure import constant_structure
@@ -82,20 +83,20 @@ def test_metric_compatibility_detects_dropped_term(f1):
 
 def test_flatness_vacuous_on_curves(f1):
     rec = flatness_residual(f1.geom, f1.tolerances,
-                            magnitude(big_curvature(f1.geom), 1)).records[0]
+                            curvature_magnitude(f1.geom)).records[0]
     assert rec.passed and rec.max_abs == 0.0
 
 
 def test_flatness_surface_and_detection(f3):
     data = f3.data
     rec = flatness_residual(f3.geom, f3.tolerances,
-                            magnitude(big_curvature(f3.geom), 2)).records[0]
+                            curvature_magnitude(f3.geom)).records[0]
     assert rec.passed
     assert rec.max_abs <= 10 * f3.grid.h_max**2
     sg = data.sigma.values.copy()
     sg[..., 1, 1, 0] += 1e-2   # the Gauss-coupled slot
     bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg), data.psi)
-    rec_bad = flatness_residual(bad, f3.tolerances, magnitude(big_curvature(bad), 2)).records[0]
+    rec_bad = flatness_residual(bad, f3.tolerances, curvature_magnitude(bad)).records[0]
     assert not rec_bad.passed
     assert rec_bad.max_abs >= 5e-3
 
@@ -112,12 +113,12 @@ def test_psi_tilde_blocks(f2):
 
 
 def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
-    rec = psi_tilde_parallel_residual(trivial, ToleranceModel(), magnitude(
-        psi_tilde_derivative(trivial), trivial.grid.ndim)).records[0]
+    rec = psi_tilde_parallel_residual(trivial, ToleranceModel(),
+                                      psi_tilde_derivative_magnitude(trivial)).records[0]
     assert rec.max_abs <= 1e-12
     for fb in (f1, f2, f3):
-        rec = psi_tilde_parallel_residual(fb.geom, fb.tolerances, magnitude(
-            psi_tilde_derivative(fb.geom), fb.grid.ndim)).records[0]
+        rec = psi_tilde_parallel_residual(fb.geom, fb.tolerances,
+                                          psi_tilde_derivative_magnitude(fb.geom)).records[0]
         assert rec.max_abs <= 10 * fb.grid.h_max**2
 
 
@@ -126,7 +127,7 @@ def test_psi_tilde_parallel_detects_lambda_shift(f2):
     psi[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
     geom = Geometry(f2.data.metric, f2.data.bundle, f2.data.sigma, psi)
     rec = psi_tilde_parallel_residual(geom, f2.tolerances,
-                                      magnitude(psi_tilde_derivative(geom), 1)).records[0]
+                                      psi_tilde_derivative_magnitude(geom)).records[0]
     assert not rec.passed
 
 

@@ -13,12 +13,14 @@ import pytest
 import kernel_oracles as oracle
 from conftest import geometry_of, random_geometry, with_derived
 from prodimm import fields, flatbundle, structure
+from prodimm.cli import check_dataset
 from prodimm.extract import induced_structure
-from prodimm.fields import ChartGrid
+from prodimm.fields import ChartGrid, SecondFormField
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect
-from prodimm.reconstruct import assemble_immersion, immersion_psi_field, verify_reconstruction
-from prodimm.structure import ToleranceModel
+from prodimm.reconstruct import (assemble_immersion, immersion_psi_field, reconstruct_immersion,
+                                 verify_reconstruction)
+from prodimm.structure import Report, ToleranceModel
 
 REL = 1e-13
 
@@ -165,8 +167,7 @@ def test_flat_bundle_kernels_match_oracles(geom):
                                grid, om, flatbundle.build_psi_tilde(case.psi)), grid,
                            tol.threshold("psi_tilde_parallel", grid))
         assert_reports_close(flatbundle.psi_tilde_parallel_residual(
-                                 case, tol, structure.magnitude(
-                                     structure.psi_tilde_derivative(case), grid.ndim)),
+                                 case, tol, structure.psi_tilde_derivative_magnitude(case)),
                              structure.Report((want,)))
 
 
@@ -222,3 +223,36 @@ def test_structure_read_matches_the_per_block_oracle(request, name):
     want_psi, want_om = oracle.induced_structure(imm, metric, tangents, normals)
     assert_close(psi, want_psi, f"{name} structure")
     assert_close(bundle.omega, want_om, f"{name} normal connection")
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True], ids=["default_blocks", "one_row_blocks"])
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "f1_fd", "f2_fd", "f3_fd", "f3_sigma"])
+def test_records_equal_the_whole_forms_bitwise(request, monkeypatch, name, one_row_blocks):
+    """Every residual formed by blocks of node rows gives the records of its whole form:
+    max, mean and argmax node bitwise, on every fixture and route, and on F3 with sigma
+    scaled by 1.01, which moves the rebuild records that are not round-off zeros.  With
+    blocks of one node row every row is next to a block edge."""
+    if one_row_blocks:
+        monkeypatch.setattr(structure, "_CHUNK_BYTES", 1)
+    fb = request.getfixturevalue(name.removesuffix("_sigma"))
+    geom, tol = geometry_of(fb.data), fb.tolerances
+    if name == "f3_sigma":
+        geom = Geometry(geom.metric, geom.bundle,
+                        SecondFormField(geom.grid, 1.01 * geom.sigma.values), geom.psi)
+    rebuild = reconstruct_immersion(geom, tol)
+    new = Report.merge(check_dataset(geom, tol), rebuild.report)
+    want = Report.merge(oracle.metric_compatibility_whole(geom, tol),
+                        oracle.check_all_whole(geom, tol),
+                        oracle.verify_reconstruction_whole(rebuild.points, rebuild.frame,
+                                                           rebuild.k, geom, tol),
+                        oracle.rebuild_frame_records_whole(geom, rebuild.frame,
+                                                           rebuild.base_node, tol))
+    assert set(want.names()) <= set(new.names())
+    for ref in want.records:
+        got = new[ref.name]
+        assert (got.max_abs, got.mean_abs, got.argmax_node) == \
+            (ref.max_abs, ref.mean_abs, ref.argmax_node), ref.name
+    if name == "f3_sigma":
+        for rec in ("reconstruction_isometry", "reconstruction_second_form",
+                    "reconstruction_normal_orthogonality", "frame_orthonormality"):
+            assert new[rec].max_abs != fb.recon.report[rec].max_abs, rec

@@ -1,0 +1,56 @@
+"""The working set of the check and the rebuild, bounded in units of the big connection.
+
+Each bound is a traced peak (tracemalloc, as the benchmark's ``*_peak_mb``
+replays measure it) in multiples of Omega's ``nbytes``, the largest array a
+check keeps: a (*dims, n, N, N) array is one unit and a (*dims, N, N) array half
+of one.  A bound is the peak of the current code plus a quarter of a unit of
+headroom, so a new full-size temporary that outlives its use fails here.
+
+On F3 ``--fd`` at 64x64 (Omega 2.25 MiB) the peaks read 3.50 units for a check
+on a cold geometry (4.06 before the residuals were formed by blocks of node
+rows) and 2.55 units for a rebuild on a geometry the check filled (3.47 before).
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from prodimm.cli import check_dataset
+from prodimm.reconstruct import reconstruct_immersion
+
+from conftest import geometry_of
+
+HEADROOM = 0.25   # units of Omega's nbytes above the measured peak
+
+
+def traced_peak_mib(fn, *args) -> float:
+    """Peak traced allocation (MiB) of one call ``fn(*args)``, after a garbage collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def omega_mib(f3_fd):
+    return geometry_of(f3_fd.data).connection.nbytes / 2**20
+
+
+def test_check_on_a_cold_geometry_holds_no_full_size_temporary(f3_fd, omega_mib):
+    """Omega, G and psi~ are kept or formed; F, D psi~ and the compatibility residual are
+    never whole, so the peak is theirs plus the magnitude of D psi~."""
+    peak = traced_peak_mib(check_dataset, geometry_of(f3_fd.data), f3_fd.tolerances)
+    assert peak <= (3.50 + HEADROOM) * omega_mib, peak / omega_mib
+
+
+def test_rebuild_holds_no_full_size_temporary(f3_fd, omega_mib):
+    """The edge-flow table (one unit), the frame and the transposed sweep's frame (half a
+    unit each) and the sweep's prefix products set the peak; verification stays below it."""
+    geom = geometry_of(f3_fd.data)
+    geom.connection, geom.gram   # filled by the check in every command
+    peak = traced_peak_mib(reconstruct_immersion, geom, f3_fd.tolerances)
+    assert peak <= (2.55 + HEADROOM) * omega_mib, peak / omega_mib

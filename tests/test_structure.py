@@ -11,7 +11,7 @@ from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.structure import (RECORD_NAMES, CheckRecord, Report, ToleranceModel, big_curvature,
                                check_all, check_codazzi, check_gauss, check_psi_algebra,
                                check_psi_parallel, check_ricci, magnitude, psi_blocks,
-                               psi_tilde_derivative)
+                               psi_tilde_derivative_magnitude)
 
 from conftest import geometry_of
 
@@ -80,7 +80,7 @@ def test_psi_algebra_grid_mismatch(f1, f2):
 
 def test_psi_parallel_totally_geodesic_fixture(f1):
     report = check_psi_parallel(f1.geom, f1.tolerances,
-                                magnitude(psi_tilde_derivative(f1.geom), 1))
+                                psi_tilde_derivative_magnitude(f1.geom))
     assert report.passed
     thr = 10 * f1.grid.h_max**2
     for rec in report.records:
@@ -93,7 +93,7 @@ def test_psi_parallel_detects_varying_u(f2):
     psi = f2.data.psi.copy()
     psi_blocks(psi, 1)[1][..., 0, 0] += eps * np.sin(2.0 * t)
     geom = replace(f2.geom, psi=psi)
-    report = check_psi_parallel(geom, f2.tolerances, magnitude(psi_tilde_derivative(geom), 1))
+    report = check_psi_parallel(geom, f2.tolerances, psi_tilde_derivative_magnitude(geom))
     rec = report["psi_parallel_u"]
     assert not rec.passed
     assert rec.max_abs >= eps / 2
