@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 or 1 as the ``pass`` of the command's report;
 1 also when the data is rejected before a report exists, 2 when input cannot be loaded.
 
-Each stage builds its own part of a :class:`prodimm.structure.Report` (checks,
-rebuild, alignment), and a command writes their ``Report.merge``.
+Each stage builds its own part of a :class:`prodimm.structure.Report`: the
+checks, the rebuild and the alignment (``reconstruct.align_congruence``).  A
+command merges them (``Report.merge``), prints them, and writes the merged
+report through ``dataio``, the one module that reads and writes the formats.
 
 Parallelism note: all kernels are vectorized numpy; the only environment
 knob is the BLAS thread count (OMP_NUM_THREADS and friends), which does not
@@ -151,14 +153,6 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _alignment_block(alignment, distance_tol: float | None) -> dict:
-    """The report block of ``alignment``; a ``distance_tol`` of None gives it no verdict."""
-    verdict = {} if distance_tol is None else {"distance_tol": distance_tol}
-    return {"max_distance": alignment.max_distance, "eta_defect": alignment.eta_defect,
-            "commutation_defect": alignment.commutation_defect,
-            "isometry": alignment.isometry.ravel().tolist()} | verdict
-
-
 def cmd_reconstruct(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
@@ -186,12 +180,11 @@ def cmd_roundtrip(args) -> int:
     tol = _tolerances_from_args(args, default_tolerances(data))
     checks = check_dataset(data, tol)
     result = reconstruct_immersion(data, tolerances=tol, seed_frame=args.seed_frame)
+    distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
     alignment = align_congruence(result.points, result.report.reconstruction["psi_base"],
                                  result.k, data.points, data.ambient_frame(result.base_node),
-                                 imm.k)
-    distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
-    report = Report.merge(checks, result.report,
-                          alignment=_alignment_block(alignment, distance_tol))
+                                 imm.k, distance_tol)
+    report = Report.merge(checks, result.report, alignment)
     _print_checks(report)
     if args.report:
         save_report(report, args.report)
@@ -211,15 +204,16 @@ def cmd_align(args) -> int:
                           f"{ra['ambient_dim']} vs {rb['ambient_dim']}")
     if ra["base_node"] != rb["base_node"]:
         raise SchemaError("align inputs must share the base node")
-    alignment = align_congruence(points_a, ra["psi_base"], ra["k"],
-                                 points_b, rb["psi_base"], rb["k"])
+    report = Report.merge(align_congruence(points_a, ra["psi_base"], ra["k"], points_b,
+                                           rb["psi_base"], rb["k"], args.distance_tol),
+                          grid=rep_a.grid)
+    block, size = report.alignment, ra["ambient_dim"]
     print("isometry:")
-    for row in alignment.isometry:
+    for row in np.reshape(block["isometry"], (size, size)):
         print("  " + " ".join(f"{v: .6f}" for v in row))
-    print(f"max node distance   {alignment.max_distance:.6e}")
-    print(f"eta defect          {alignment.eta_defect:.3e}")
-    print(f"commutation defect  {alignment.commutation_defect:.3e}")
-    report = Report(grid=rep_a.grid, alignment=_alignment_block(alignment, args.distance_tol))
+    print(f"max node distance   {block['max_distance']:.6e}")
+    print(f"eta defect          {block['eta_defect']:.3e}")
+    print(f"commutation defect  {block['commutation_defect']:.3e}")
     _print_checks(report)
     if args.out:
         save_report(report, args.out)

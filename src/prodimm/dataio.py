@@ -32,7 +32,12 @@ A rejection on load is a ``SchemaError`` with the node of the error it wraps.
 A ``prodimm-report/1`` document is one :class:`prodimm.structure.Report`, read
 here alone: ``reconstruction`` needs integers ``base_node``, ``ambient_dim`` N
 and ``k`` with 1 <= k <= N - 3, and ``psi_base``, N^2 finite numbers loaded as
-the (N, N) frame map, and ``alignment`` numeric distances.
+the (N, N) frame map, and ``alignment`` numeric distances.  The alignment
+block is written as ``reconstruct.align_congruence`` builds it; its
+``max_distance`` is measured in the product's own metric
+(``lorentz.product_distance``).  Every format is written and read here alone:
+the check records, the tolerance model (``tolerances_to_dict``,
+``tolerances_from_dict``) and the blocks; ``structure`` holds no serialization.
 
 A mesh holds the ambient points of a rebuild and nothing its report already
 says: the header ``immersion_csv_header(k, N)``, then one row of N values per
@@ -43,7 +48,9 @@ or values do not fit it.
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
 encoder call, and a mesh table is written by one ``%r`` format per block of
-rows and read back by one ``np.loadtxt`` call.
+rows and read back by one ``np.loadtxt`` call.  A JSON document is written as
+its pieces in order, each base64 field one piece, and never joined into one
+text, so a write holds no joined copy of the document.
 """
 
 from __future__ import annotations
@@ -112,24 +119,25 @@ class _Base64(str):
     """Base64 text, which JSON writes without escapes: it is spliced in unscanned."""
 
 
-def _render_with_inline_arrays(doc: dict) -> str:
-    """Indented JSON with numeric arrays kept on single lines.
+def _render_with_inline_arrays(doc: dict) -> list:
+    """Indented JSON with numeric arrays kept on single lines, and a trailing newline.
 
-    A non-empty list or tuple is inlined when every element is an ``int`` or
-    a ``float``, subclasses included (``bool``, numpy ``float64``).  A
-    ``_Base64`` string is written as it is, between quotes.
+    Returns the text as pieces to write in order, never joined.  A non-empty
+    list or tuple is inlined when every element is an ``int`` or a ``float``,
+    subclasses included (``bool``, numpy ``float64``).  A ``_Base64`` string
+    is its own piece, between two quote pieces: it is not copied.
     """
-    arrays: list[str] = []
+    arrays: list[tuple] = []   # the pieces of each slot
 
-    def slot(text: str) -> str:
-        arrays.append(text)
+    def slot(*pieces: str) -> str:
+        arrays.append(pieces)
         return f"@@array{len(arrays) - 1}@@"
 
     def stash(obj):
         if isinstance(obj, dict):
             return {k: stash(v) for k, v in obj.items()}
         if isinstance(obj, _Base64):
-            return slot(f'"{obj}"')
+            return slot('"', obj, '"')
         if isinstance(obj, (list, tuple)) and obj and all(
                 issubclass(t, (int, float)) for t in set(map(type, obj))):
             return slot(json.dumps(obj))
@@ -137,9 +145,11 @@ def _render_with_inline_arrays(doc: dict) -> str:
             return [stash(v) for v in obj]
         return obj
 
-    pieces = _ARRAY_SLOT.split(json.dumps(stash(doc), indent=2))
-    pieces[1::2] = [arrays[int(idx)] for idx in pieces[1::2]]
-    return "".join(pieces)
+    skeleton = _ARRAY_SLOT.split(json.dumps(stash(doc), indent=2))
+    pieces = [skeleton[0]]
+    for idx, text in zip(skeleton[1::2], skeleton[2::2]):
+        pieces += [*arrays[int(idx)], text]
+    return pieces + ["\n"]
 
 
 def _encode(values: np.ndarray) -> str:
@@ -148,13 +158,26 @@ def _encode(values: np.ndarray) -> str:
                                        newline=False).decode("ascii"))
 
 
+def tolerances_to_dict(tol: ToleranceModel) -> dict:
+    return {"factor": tol.factor, "floor": tol.floor,
+            "algebraic": tol.algebraic, "overrides": dict(tol.overrides)}
+
+
+def tolerances_from_dict(d: dict) -> ToleranceModel:
+    """The model of a document: a missing factor or floor is the dataclass default, but
+    a missing or null ``algebraic`` is None (the h^2 budget), not the constructor's 1e-10."""
+    return ToleranceModel(**{key: float(d[key]) for key in ("factor", "floor") if key in d},
+                          algebraic=None if d.get("algebraic") is None else float(d["algebraic"]),
+                          overrides={str(k): float(v) for k, v in d.get("overrides", {}).items()})
+
+
 def dataset_to_dict(ds: Dataset) -> dict:
     return {
         "schema": DATASET_SCHEMA,
         "n": ds.grid.ndim,
         "p": ds.p,
         "grid": {key: list(getattr(ds.grid, key)) for key in _GRID_KEYS},
-        "tolerances": ds.tolerances.to_dict(),
+        "tolerances": tolerances_to_dict(ds.tolerances),
         "meta": ds.meta,
         "fields": {
             "metric": _encode(ds.metric.values),
@@ -167,8 +190,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def save_dataset(ds: Dataset, path: str):
-    text = _render_with_inline_arrays(dataset_to_dict(ds)) + "\n"
-    _atomic_write(path, lambda handle: handle.write(text))
+    pieces = _render_with_inline_arrays(dataset_to_dict(ds))
+    _atomic_write(path, lambda handle: handle.writelines(pieces))
 
 
 def _take(doc: dict, key: str):
@@ -229,7 +252,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
         for name, block in zip(_PSI_FIELDS, psi_blocks(psi, n)):
             block[...] = _field_array(fields, name, block.shape)
         return Dataset(metric=metric, bundle=bundle, sigma=sigma, psi=psi,
-                       tolerances=ToleranceModel.from_dict(doc.get("tolerances", {})),
+                       tolerances=tolerances_from_dict(doc.get("tolerances", {})),
                        meta=dict(doc.get("meta", {})))
     except SchemaError:
         raise
@@ -259,7 +282,9 @@ def report_to_dict(report: Report) -> dict:
     """The document of ``report``; a block the report does not have is left out."""
     recon = report.reconstruction
     doc = {"schema": REPORT_SCHEMA, "pass": report.passed,
-           "checks": [r.to_dict() for r in report.records],
+           "checks": [{"name": r.name, "max": r.max_abs, "mean": r.mean_abs,
+                       "argmax_node": list(r.argmax_node), "threshold": r.threshold,
+                       "pass": r.passed} for r in report.records],
            "grid": report.grid and {key: list(getattr(report.grid, key)) for key in _GRID_KEYS},
            "reconstruction": recon and recon | {"base_node": list(recon["base_node"]),
                                                 "psi_base": recon["psi_base"].ravel().tolist()},
@@ -268,8 +293,8 @@ def report_to_dict(report: Report) -> dict:
 
 
 def save_report(report: Report, path: str):
-    text = _render_with_inline_arrays(report_to_dict(report)) + "\n"
-    _atomic_write(path, lambda handle: handle.write(text))
+    pieces = _render_with_inline_arrays(report_to_dict(report))
+    _atomic_write(path, lambda handle: handle.writelines(pieces))
 
 
 def _reconstruction_block(block: dict, grid: ChartGrid | None) -> dict:
@@ -303,8 +328,9 @@ def report_from_dict(doc: dict) -> Report:
     for block in ("reconstruction", "alignment"):
         if not isinstance(doc.get(block, {}), dict):
             raise SchemaError(f"report block {block!r} must be an object")
-    align = doc.get("alignment", {"max_distance": 0.0})
-    distances = (align.get("max_distance"), align.get("distance_tol", 0.0))
+    align = doc.get("alignment")
+    distances = () if align is None else (align.get("max_distance"),
+                                          align.get("distance_tol", 0.0))
     if any(type(v) not in (int, float) for v in distances):   # a bool is no JSON number
         raise SchemaError(f"alignment max_distance, distance_tol must be numbers: {distances}")
     recon = doc.get("reconstruction")

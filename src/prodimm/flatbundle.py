@@ -99,21 +99,30 @@ class Geometry:
 
 def build_connection(geom: Geometry) -> np.ndarray:
     """Assemble the big-bundle connection matrices; exact, no differencing
-    beyond the Christoffel symbols already used for the tangent block."""
-    n = geom.grid.ndim
+    beyond the Christoffel symbols already used for the tangent block.
+
+    Omega is allocated once and each block written into its slice.
+    """
+    n, p = geom.grid.ndim, geom.p
     f, u, _, _ = psi_blocks(geom.psi, n)
     gv, gf = geom.metric.values, geom.f_lowered
     f_t, half_u = np.swapaxes(f, -1, -2), 0.5 * np.swapaxes(u, -1, -2)
-    zero = np.zeros(geom.grid.dims + (n, 1, 1))
-    # column blocks: tangents, bundle, xi1~, xi2~; rows in the same order
-    return np.block([
-        [np.swapaxes(christoffel(geom.metric), -3, -2),
-         -np.swapaxes(shape_operator_field(geom.sigma, geom.metric), -3, -1),
-         0.5 * (np.eye(n) + f_t)[..., None], 0.5 * (np.eye(n) - f_t)[..., None]],
-        [np.swapaxes(geom.sigma.values, -1, -2), geom.bundle.omega,
-         half_u[..., None], -half_u[..., None]],
-        [-0.5 * (gv + gf)[..., None, :], -half_u[..., None, :], zero, zero],
-        [0.5 * (gv - gf)[..., None, :], -half_u[..., None, :], zero, zero]])
+    om = np.zeros(geom.grid.dims + (n, n + p + 2, n + p + 2))
+    tan, bun, xi1, xi2 = slice(0, n), slice(n, n + p), n + p, n + p + 1
+    # rows and columns: tangents, bundle, xi1~, xi2~
+    om[..., tan, tan] = np.swapaxes(christoffel(geom.metric), -3, -2)
+    om[..., tan, bun] = -np.swapaxes(shape_operator_field(geom.sigma, geom.metric), -3, -1)
+    om[..., tan, xi1] = 0.5 * (np.eye(n) + f_t)
+    om[..., tan, xi2] = 0.5 * (np.eye(n) - f_t)
+    om[..., bun, tan] = np.swapaxes(geom.sigma.values, -1, -2)
+    om[..., bun, bun] = geom.bundle.omega
+    om[..., bun, xi1] = half_u
+    om[..., bun, xi2] = -half_u
+    om[..., xi1, tan] = -0.5 * (gv + gf)
+    om[..., xi1, bun] = -half_u
+    om[..., xi2, tan] = 0.5 * (gv - gf)
+    om[..., xi2, bun] = -half_u
+    return om
 
 
 def metric_compatibility_residual(geom: Geometry, tolerances: ToleranceModel) -> Report:

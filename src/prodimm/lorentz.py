@@ -19,6 +19,7 @@ one axis), and the pairings go through it: ``minkowski_dot`` of vectors and
 xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
 ``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
 ``apex_boost``, the boost taking a point of H^m to the apex;
+``product_distance``, the length of an offset in the rest frame of its base point;
 ``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
 ``complete_basis``, canonical completion at one node.  ``minkowski_gram_schmidt``
 and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
@@ -114,6 +115,22 @@ def apex_boost(y) -> np.ndarray:
     boost = np.einsum("...i,...j->...ij", v, v / (1.0 + y[..., -1:]))
     boost += eta(y.shape[-1])
     return boost
+
+
+def product_distance(a, b, k: int) -> np.ndarray:
+    """Nodewise length of a - b (points (..., N)) in the rest frame of b.
+
+    The Euclidean length of the offset with its sphere block as it is and its
+    hyperbolic block boosted by ``apex_boost`` of b's.  It is invariant under
+    O(k+1) x O+(1, m), equals the geodesic distance on S^k x H^m up to a
+    relative O(r^2), and is zero only for a zero offset.  The Euclidean
+    length of a - b grows with b's hyperbolic block instead, like cosh of its
+    distance from the apex.
+    """
+    b = np.asarray(b, dtype=float)
+    offset = np.asarray(a, dtype=float) - b
+    offset[..., k + 1:] = (apex_boost(b[..., k + 1:]) @ offset[..., k + 1:, None])[..., 0]
+    return np.linalg.norm(offset, axis=-1)
 
 
 def gram_defect(frame, gram) -> np.ndarray:

@@ -42,6 +42,11 @@ block (k, ambient_dim, base_node and psi_base, the frame map at the base).  The
 on-product defect is the max of the ``reconstruction_on_product`` record alone.
 G and the connection stay on the caller's ``Geometry``.
 
+The alignment stage, ``align_congruence``, builds its own part of the report
+too: the ``alignment`` block, merged by the caller like every other stage's.
+Its distance is the product's own (``lorentz.product_distance``), not the
+ambient Euclidean one, which grows with the hyperbolic coordinates.
+
 The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
 discrete transport is reported as ``frame_orthonormality``.  Likewise the
@@ -61,19 +66,11 @@ from .errors import ReconstructionError, StructureError
 from .fields import (ChartGrid, argmax_node, grad_field, hessian_field, runs_away_from,
                      sweep_compose)
 from .flatbundle import Geometry, build_psi_tilde, eigen_split
-from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_normals,
-                      psi_flip)
+from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_distance,
+                      product_normals, psi_flip)
 from .structure import Report, ToleranceModel, chunked_magnitude, magnitude, nodewise_max, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    isometry: np.ndarray
-    max_distance: float
-    eta_defect: float
-    commutation_defect: float
 
 
 @dataclass(frozen=True)
@@ -279,26 +276,28 @@ def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> 
 
 
 def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
-                     points_b: np.ndarray, frame_b: np.ndarray, k_b: int) -> AlignmentResult:
-    """Constant ambient isometry carrying rebuild A onto rebuild B.
+                     points_b: np.ndarray, frame_b: np.ndarray, k_b: int,
+                     distance_tol: float | None = None) -> Report:
+    """The alignment stage's report: the ambient isometry carrying rebuild A onto rebuild B.
 
     ``frame_a`` and ``frame_b`` are the (N, N) frame maps (bundle -> ambient
     coordinates) of the two rebuilds at one node they share.  The isometry is
     their change of frame there; it must be Lorentz-orthogonal and commute
-    with the product structure, and the returned residual is the worst node
-    distance between the transformed A points and the B points.
+    with the product structure.  The ``alignment`` block holds ``max_distance``,
+    the worst node's ``lorentz.product_distance`` from the moved A point to
+    the B point, the two defects, the ``isometry`` as its N^2 row-major list
+    and, when one is given, ``distance_tol``, which makes it a verdict.
     """
     if k_a != k_b:
         raise StructureError(f"recovered factor splits differ: {k_a} vs {k_b}")
     t = frame_b @ np.linalg.inv(frame_a)
-
-    eta_defect = float(np.abs(gram_defect(t, eta(t.shape[0]))).max())
     psi_bar = psi_flip(np.eye(t.shape[0]), k_a)
-    comm_defect = float(np.abs(t @ psi_bar - psi_bar @ t).max())
-    moved = points_a @ t.T
-    dist = np.linalg.norm(moved - points_b, axis=-1)
-    return AlignmentResult(isometry=t, max_distance=float(dist.max()),
-                           eta_defect=eta_defect, commutation_defect=comm_defect)
+    verdict = {} if distance_tol is None else {"distance_tol": distance_tol}
+    return Report(alignment={
+        "max_distance": float(product_distance(points_a @ t.T, points_b, k_b).max()),
+        "eta_defect": float(np.abs(gram_defect(t, eta(t.shape[0]))).max()),
+        "commutation_defect": float(np.abs(t @ psi_bar - psi_bar @ t).max()),
+        "isometry": t.ravel().tolist()} | verdict)
 
 
 def reconstruct_immersion(geom: Geometry,

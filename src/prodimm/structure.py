@@ -130,18 +130,6 @@ class ToleranceModel:
         """max(factor * h_max^2, floor): the budget of a differencing residual on ``grid``."""
         return max(self.factor * grid.h_max**2, self.floor)
 
-    def to_dict(self) -> dict:
-        return {"factor": self.factor, "floor": self.floor,
-                "algebraic": self.algebraic, "overrides": dict(self.overrides)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToleranceModel":
-        """The model of a document: a missing factor or floor is the dataclass default, but
-        a missing or null ``algebraic`` is None (the h^2 budget), not the constructor's 1e-10."""
-        return cls(**{key: float(d[key]) for key in ("factor", "floor") if key in d},
-                   algebraic=None if d.get("algebraic") is None else float(d["algebraic"]),
-                   overrides={str(k): float(v) for k, v in d.get("overrides", {}).items()})
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -155,11 +143,6 @@ class CheckRecord:
     def passed(self) -> bool:
         """``max_abs <= threshold``: a NaN max fails."""
         return bool(self.max_abs <= self.threshold)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "max": self.max_abs, "mean": self.mean_abs,
-                "argmax_node": list(self.argmax_node), "threshold": self.threshold,
-                "pass": self.passed}
 
 
 @dataclass(frozen=True, eq=False)

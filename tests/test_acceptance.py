@@ -135,13 +135,14 @@ def test_criterion_4_roundtrip(f1, f2, f3):
         base = res.base_node
         frame_map = immersion_psi_field(res.frame[base], fb.geom.gram[base])
         out = align_congruence(res.points, frame_map, res.k,
-                               fb.data.points, fb.data.ambient_frame(base), fb.immersion.k)
-        ok = (out.max_distance <= budget
+                               fb.data.points, fb.data.ambient_frame(base), fb.immersion.k,
+                               budget)
+        ok = (out.aligned
               and res.on_product_defect <= budget
               and res.k == fb.immersion.k)
         all_ok &= _verdict(
             f"4 roundtrip {name}", ok,
-            f"dist={out.max_distance:.2e} on_product={res.on_product_defect:.2e} "
+            f"dist={out.alignment['max_distance']:.2e} on_product={res.on_product_defect:.2e} "
             f"budget={budget:.0e} k={res.k}/{fb.immersion.k}")
     assert all_ok
 
@@ -178,16 +179,16 @@ def test_criterion_6_uniqueness_up_to_isometry(f2):
     base, gram = res.base_node, f2.geom.gram
     out = align_congruence(res_rot.points, immersion_psi_field(res_rot.frame[base], gram[base]),
                            res_rot.k, res.points, immersion_psi_field(res.frame[base], gram[base]),
-                           res.k)
+                           res.k).alignment
     size = gram.shape[-1]
     expected = np.eye(size)
     expected[: k + 1, : k + 1] = rot
-    rot_err = np.abs(out.isometry - expected).max()
-    ok = (rot_err <= 1e-6 and out.eta_defect <= 1e-8
-          and out.commutation_defect <= 1e-8)
+    rot_err = np.abs(np.reshape(out["isometry"], (size, size)) - expected).max()
+    ok = (rot_err <= 1e-6 and out["eta_defect"] <= 1e-8
+          and out["commutation_defect"] <= 1e-8)
     assert _verdict("6 uniqueness rotation recovery", ok,
-                    f"rot_err={rot_err:.2e} eta={out.eta_defect:.2e} "
-                    f"comm={out.commutation_defect:.2e}")
+                    f"rot_err={rot_err:.2e} eta={out['eta_defect']:.2e} "
+                    f"comm={out['commutation_defect']:.2e}")
 
 
 # -- criterion 7 ------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from prodimm import cli, fields, flatbundle, reconstruct
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
-                            load_rebuild, load_report, save_dataset)
+                            load_rebuild, load_report, save_dataset, save_immersion_csv)
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
 
@@ -293,9 +293,13 @@ VERDICT_CASES = {
     "check_fails": (["check", "{ds}", "--tol", "psi_tilde_parallel=1e-30"], "--report", 1),
     "reconstruct_passes": (["reconstruct", "{ds}", "-o", "{out}"], "--report", 0),
     "roundtrip_passes": (["roundtrip", "--fixture", "F1"], "--report", 0),
-    # every record passes; the aligned distance grows like cosh(bt) past the h^2 budget
-    "roundtrip_alignment_fails": (["roundtrip", "--fixture", "F1", "--helix-a", "0.6", "--fd",
-                                   "--grid", "1400", "--spacing", "5e-3"], "--report", 1),
+    # the ambient coordinates grow like cosh(bt), but the distance in the product's
+    # metric stays within the h^2 budget
+    "roundtrip_far_from_the_apex_passes": (["roundtrip", "--fixture", "F1", "--helix-a", "0.6",
+                                            "--fd", "--grid", "1400", "--spacing", "5e-3"],
+                                           "--report", 0),
+    "roundtrip_alignment_fails": (["roundtrip", "--fixture", "F1", "--distance-tol", "1e-20"],
+                                  "--report", 1),
     "align_fails": (["align", "{a}", "{b}", "--distance-tol", "1e-20"], "-o", 1),
     "align_without_tolerance": (["align", "{a}", "{b}"], "-o", 0),
 }
@@ -317,12 +321,33 @@ def test_exit_code_is_the_saved_pass(f1_dataset_path, f3_rebuilt_meshes, tmp_pat
     alignment = [line for line in lines if line.split()[1] == "alignment"]
     if case in ("roundtrip_alignment_fails", "align_fails"):
         assert all(check["pass"] for check in doc["checks"])
-        assert doc["alignment"]["distance_tol"] == (1e-20 if case == "align_fails" else 2.5e-4)
+        assert doc["alignment"]["distance_tol"] == 1e-20
         assert alignment == [f"FAIL {'alignment':35s} max={doc['alignment']['max_distance']:.6e} "
                              f"thr={doc['alignment']['distance_tol']:.1e}"]
     if case == "align_without_tolerance":
         assert "distance_tol" not in doc["alignment"] and lines == []
     assert len(lines) == len(doc["checks"]) + len(alignment)
+
+
+# offsets of 1e-3 in the F3 mesh's coordinates (x1, x2, x3, y4, y5, y6)
+SHIFTS = {"sphere": (1e-3, 0, 0, 0, 0, 0), "spacelike": (0, 0, 0, 1e-3, 0, 0),
+          "timelike": (0, 0, 0, 0, 0, 1e-3), "null": (0, 0, 0, 1e-3, 0, 1e-3)}
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_align_sees_every_shift(f3_rebuilt_meshes, tmp_path, shift):
+    """A rebuild against a copy of itself shifted off the product fails a tight alignment,
+    whatever the kind of the offset: the product distance is zero only for a zero offset
+    (the chord of the hyperbolic block would read the null offset as zero)."""
+    mesh = f3_rebuilt_meshes[0]
+    report, points = load_rebuild(mesh, mesh + ".report.json")
+    shifted = str(tmp_path / "shifted.csv")
+    save_immersion_csv(shifted, report.grid, report.reconstruction["k"],
+                       points + np.array(SHIFTS[shift]))
+    Path(shifted + ".report.json").write_text(Path(mesh + ".report.json").read_text())
+    out = tmp_path / "align.json"
+    assert main(["align", mesh, shifted, "--distance-tol", "1e-8", "-o", str(out)]) == 1
+    assert load_report(str(out)).alignment["max_distance"] > 0.9e-3
 
 
 def test_tolerance_override_flag(f1_dataset_path):

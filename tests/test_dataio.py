@@ -11,7 +11,8 @@ import pytest
 from prodimm import cli
 from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
                             load_dataset, load_rebuild, report_from_dict, report_to_dict,
-                            save_dataset, save_immersion_csv, save_report)
+                            save_dataset, save_immersion_csv, save_report,
+                            tolerances_from_dict, tolerances_to_dict)
 from prodimm.errors import DimensionError, GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.structure import CheckRecord, Report, ToleranceModel
@@ -96,6 +97,18 @@ def test_dataset_fields_on_two_grids_are_rejected():
     with pytest.raises(GridMismatchError):
         Dataset(metric=MetricField(coarse, geom.metric.values), bundle=geom.bundle,
                 sigma=geom.sigma, psi=geom.psi, tolerances=ToleranceModel(), meta={})
+
+
+def test_tolerance_model_roundtrip():
+    tol = ToleranceModel(factor=5.0, floor=1e-9, algebraic=None,
+                         overrides={"gauss": 1e-3})
+    back = tolerances_from_dict(tolerances_to_dict(tol))
+    assert back == tol
+    # a document without keys takes the dataclass defaults, but no algebraic means h^2
+    assert tolerances_from_dict({}) == ToleranceModel(algebraic=None)
+    for model in (ToleranceModel(), ToleranceModel(algebraic=None),
+                  ToleranceModel(overrides={"ricci": 0.5, "gauss": float("inf")})):
+        assert tolerances_from_dict(tolerances_to_dict(model)) == model
 
 
 def test_record_verdict_is_read_off_max_and_threshold():
@@ -195,8 +208,9 @@ def test_inline_rule_matches_oracle():
            "special": [float("nan"), float("-inf")],
            "nested": [[1, 2], [3.0], []], "empty": [], "strings": ["a", 1],
            "holes": [1.0, None], "records": [{"argmax_node": [0, 5], "pass": True}, {}]}
-    text = _render_with_inline_arrays(doc)
-    assert text == io_oracles.render_with_inline_arrays(doc)
+    pieces = _render_with_inline_arrays(doc)
+    text = "".join(pieces)
+    assert pieces[-1] == "\n" and text == io_oracles.render_with_inline_arrays(doc) + "\n"
     assert '"mixed": [1, 2.5, true, 0.1]' in text
     assert '"nested": [\n    [1, 2],\n    [3.0],\n    []\n  ]' in text
     assert '"strings": [\n    "a",\n    1\n  ]' in text

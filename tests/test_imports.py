@@ -40,6 +40,10 @@ Each fact of a rebuild is stored once: the mesh table is read (``np.loadtxt``)
 and its header laid out (``immersion_csv_header``) in ``dataio`` alone, and no
 dict literal in ``src/`` has an ``on_product_defect`` key, the max of the
 ``reconstruction_on_product`` record.
+Each stage builds its own report block and ``dataio`` alone writes the formats:
+no class is named ``AlignmentResult``, a dict literal with a ``max_distance``
+key appears only in ``reconstruct.align_congruence``, which builds the
+alignment block, and ``structure`` defines no ``to_dict`` or ``from_dict``.
 """
 
 import ast
@@ -571,3 +575,57 @@ def test_rebuild_copy_site_is_found():
     assert rebuild_copy_sites({"dataio.py": dataio + reconstruct, "cli.py": cli,
                                "reconstruct.py": reconstruct}) == [
         "cli.py:2", "cli.py:3", "cli.py:5", "cli.py:5", "dataio.py:7", "reconstruct.py:2"]
+
+
+# The alignment block is built by its stage; the formats are written in ``dataio``.
+RETIRED_RESULTS = ("AlignmentResult",)
+BLOCK_HOMES = {"max_distance": ("reconstruct.py", "align_congruence")}
+SERIALIZERS = ("to_dict", "from_dict")
+
+
+def format_home_sites(sources: dict) -> list:
+    """Breaches of the homes of the alignment block and the formats over ``sources``.
+
+    ``module:Class`` for a class named in ``RETIRED_RESULTS``; ``module:line`` for
+    a dict literal with a ``BLOCK_HOMES`` key outside its home function;
+    ``structure.py:name`` for a function or method named in ``SERIALIZERS``.
+    """
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        homes = {key: {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                       and (module, f.name) == home for n in ast.walk(f)}
+                 for key, home in BLOCK_HOMES.items()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in RETIRED_RESULTS or \
+                    module == "structure.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name in SERIALIZERS:
+                found.append(f"{module}:{node.name}")
+            elif isinstance(node, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value in BLOCK_HOMES
+                    and id(node) not in homes[key.value] for key in node.keys):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_each_block_and_format_has_one_home():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert format_home_sites(sources) == []
+    home = next(f for f in ast.walk(ast.parse(sources["reconstruct.py"]))
+                if isinstance(f, ast.FunctionDef) and f.name == "align_congruence")
+    assert any(isinstance(n, ast.Dict) for n in ast.walk(home))   # the one block literal
+
+
+def test_format_home_site_is_found():
+    structure = ("@dataclass(frozen=True)\nclass ToleranceModel:\n"
+                 "    def to_dict(self):\n        return {}\n"
+                 "    @classmethod\n    def from_dict(cls, d):\n        return cls()\n")
+    reconstruct = ("@dataclass(frozen=True)\nclass AlignmentResult:\n    max_distance: float\n"
+                   "def align_congruence(t, d):\n    return {'max_distance': d, 'isometry': t}\n")
+    cli = ("def _alignment_block(alignment):\n"
+           "    return {'max_distance': alignment.max_distance}\n"
+           "def to_dict(report):\n    return {'alignment': {}}\n")
+    assert format_home_sites({"structure.py": structure, "reconstruct.py": reconstruct,
+                              "cli.py": cli}) == [
+        "cli.py:2", "reconstruct.py:AlignmentResult", "structure.py:from_dict",
+        "structure.py:to_dict"]

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError
 from prodimm.lorentz import (eta, gram_defect, gram_schmidt, lorentz_orthonormalize, lower,
-                             minkowski_dot, minkowski_gram_schmidt)
+                             minkowski_dot, minkowski_gram_schmidt, product_distance)
 
 from ambient_oracles import (InsufficientDataError, ProductPoint,
                              ambient_connection_relation_residual, ambient_curvature,
@@ -240,3 +240,49 @@ def test_gram_schmidt_batched_flags_the_dependent_node():
     ok = out[~flagged]
     pairs = ok @ gram[~flagged] @ np.swapaxes(ok, -1, -2)
     assert np.abs(pairs - eta(n)).max() <= 1e-12
+
+
+def _orthogonal(rng, size: int) -> np.ndarray:
+    """A random element of O(size), either determinant."""
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(1, 3),
+       rapidity=st.floats(0.0, 3.0))
+def test_product_distance_is_invariant_under_product_isometries(seed, k, m, rapidity):
+    """O(k+1) x O+(1, m), a rotation or reflection of the sphere block and a boost after a
+    rotation or reflection of the hyperbolic block, moves no product distance."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(5, k + 1))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    ys = rng.normal(size=(5, m))
+    b = np.concatenate([x, ys, np.sqrt(1.0 + (ys**2).sum(-1, keepdims=True))], axis=-1)
+    a = b + 0.1 * rng.normal(size=b.shape)              # any offset from a point of the product
+    direction = rng.normal(size=m)
+    direction /= np.linalg.norm(direction)
+    boost = np.eye(m + 1)
+    boost[:m, :m] += (np.cosh(rapidity) - 1.0) * np.outer(direction, direction)
+    boost[:m, m] = boost[m, :m] = np.sinh(rapidity) * direction
+    boost[m, m] = np.cosh(rapidity)
+    spatial = np.eye(m + 1)
+    spatial[:m, :m] = _orthogonal(rng, m)
+    iso = np.zeros((k + m + 2,) * 2)
+    iso[:k + 1, :k + 1] = _orthogonal(rng, k + 1)
+    iso[k + 1:, k + 1:] = boost @ spatial
+    assert np.abs(gram_defect(iso, eta(k + m + 2))).max() <= 1e-9   # a Lorentz isometry
+    before = product_distance(a, b, k)
+    after = product_distance(a @ iso.T, b @ iso.T, k)
+    assert np.abs(after - before).max() <= 1e-9 + 1e-8 * before.max()
+
+
+@pytest.mark.parametrize("r", [1e-2, 5e-2, 1e-1])
+def test_product_distance_is_the_geodesic_distance_on_h1(r):
+    """Points r apart on the H^1 geodesic (sinh t, cosh t) of S^1 x H^1 are r apart to a
+    relative r^2, out to t = 8 (cosh t ~ 1.5e3) as at the apex."""
+    def on_product(t):
+        return np.stack([np.full_like(t, 0.6), np.full_like(t, 0.8), np.sinh(t), np.cosh(t)], -1)
+
+    t = np.linspace(0.0, 8.0, 33)
+    assert np.abs(product_distance(on_product(t + r), on_product(t), 1) / r - 1.0).max() <= r**2

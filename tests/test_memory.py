@@ -8,15 +8,22 @@ headroom, so a new full-size temporary that outlives its use fails here.
 
 On F3 ``--fd`` at 64x64 (Omega 2.25 MiB) the peaks read 3.50 units for a check
 on a cold geometry (4.06 before the residuals were formed by blocks of node
-rows) and 2.55 units for a rebuild on a geometry the check filled (3.47 before).
+rows), 2.55 units for a rebuild on a geometry the check filled (3.47 before)
+and 1.45 units for the connection build on a cold geometry (1.75 when Omega
+was assembled by ``np.block``).  A dataset write is bounded in multiples of
+the file it writes, the same quarter of headroom above its peak: 1.23 files
+(3.01 when the document was joined into one text before the write).
 """
 
 import gc
+import os
 import tracemalloc
 
 import pytest
 
 from prodimm.cli import check_dataset
+from prodimm.dataio import save_dataset
+from prodimm.flatbundle import build_connection
 from prodimm.reconstruct import reconstruct_immersion
 
 from conftest import geometry_of
@@ -54,3 +61,19 @@ def test_rebuild_holds_no_full_size_temporary(f3_fd, omega_mib):
     geom.connection, geom.gram   # filled by the check in every command
     peak = traced_peak_mib(reconstruct_immersion, geom, f3_fd.tolerances)
     assert peak <= (2.55 + HEADROOM) * omega_mib, peak / omega_mib
+
+
+def test_connection_is_written_into_one_array(f3_fd, omega_mib):
+    """Omega is allocated once and each block written into its slice, so the peak is Omega
+    plus the Christoffel symbols and shape operators it is built from."""
+    peak = traced_peak_mib(build_connection, geometry_of(f3_fd.data))
+    assert peak <= (1.45 + HEADROOM) * omega_mib, peak / omega_mib
+
+
+def test_dataset_write_holds_no_joined_copy(f3_fd, tmp_path):
+    """The base64 fields are the bulk of the file and are written as they are, never
+    copied into a joined text, so the peak is about the file plus one field's encoding."""
+    path = tmp_path / "f3.json"
+    peak = traced_peak_mib(save_dataset, f3_fd.dataset(), str(path))
+    file_mib = os.path.getsize(path) / 2**20
+    assert peak <= (1.23 + HEADROOM) * file_mib, peak / file_mib
