@@ -112,6 +112,12 @@ def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
                           overrides=overrides)
 
 
+def _require_seed(seed) -> None:
+    """Raise ``SchemaError`` unless ``--seed-frame`` is None or a non-negative integer."""
+    if seed is not None and seed < 0:
+        raise SchemaError(f"--seed-frame must be a non-negative integer, got {seed}")
+
+
 def _add_fixture_args(sub):
     sub.add_argument("--fixture", required=True, help="F1, F2 or F3")
     sub.add_argument("--theta0", type=float, default=None,
@@ -154,6 +160,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _require_seed(args.seed_frame)
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
     pre = check_dataset(ds, tol)
@@ -175,6 +182,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     require_tolerance("--distance-tol", args.distance_tol)
+    _require_seed(args.seed_frame)
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
     tol = _tolerances_from_args(args, default_tolerances(data))

@@ -2,7 +2,7 @@
 
 Every package error is built as ``ProdimmError(message, node=None)`` and
 exposes ``.node``: the offending grid node as a tuple of node indices, the
-offending row for the single-frame fronts of ``lorentz``, or None if it has none.
+offending row for ``lorentz.lorentz_orthonormalize``, or None if it has none.
 """
 
 

@@ -412,10 +412,9 @@ def _fixture_f3(theta0: float = np.pi / 4):
 FIXTURES = {"F1": _fixture_f1, "F2": _fixture_f2, "F3": _fixture_f3}
 
 
-def fixture(name: str, grid: ChartGrid | None = None, **params):
-    """Look up a shipped fixture; returns (immersion, grid)."""
+def fixture(name: str, **params):
+    """Look up a shipped fixture; returns (immersion, its default grid)."""
     key = name.upper()
     if key not in FIXTURES:
         raise DimensionError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
-    imm, default_grid = FIXTURES[key](**params)
-    return imm, (grid if grid is not None else default_grid)
+    return FIXTURES[key](**params)

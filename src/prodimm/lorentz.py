@@ -20,9 +20,9 @@ xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
 ``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
 ``apex_boost``, the boost taking a point of H^m to the apex;
 ``product_distance``, the length of an offset in the rest frame of its base point;
-``gram_schmidt``, batched in eta or a nodewise Gram matrix G; and
-``complete_basis``, canonical completion at one node.  ``minkowski_gram_schmidt``
-and ``lorentz_orthonormalize`` are raising single-frame fronts of the kernel.
+``gram_schmidt``, batched in eta or a nodewise Gram matrix G;
+``complete_basis``, canonical completion at one node; and
+``lorentz_orthonormalize``, a full frame from any n independent vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-DEGENERACY_TOL = 1e-10   # relative squared norm below which the raising fronts reject a vector
+DEGENERACY_TOL = 1e-10   # relative squared norm of a row below which lorentz_orthonormalize fails
 
 
 def minkowski_dot(x, y):
@@ -187,23 +187,6 @@ def complete_basis(candidates, count: int, gram=None, basis=(), tol: float = 1e-
     return found
 
 
-def minkowski_gram_schmidt(vectors) -> np.ndarray:
-    """Orthonormalize rows w.r.t. the Minkowski form, preserving order.
-
-    ``gram_schmidt`` with a check: raises ``DegeneracyError`` (``.node`` the
-    row) on the first row whose squared norm after projection is at most
-    ``DEGENERACY_TOL`` times max(|v|, 1)^2.  Returns the orthonormalized vectors as rows.
-    """
-    vecs = np.asarray(vectors, dtype=float)
-    rows, n2 = gram_schmidt(vecs)
-    scale = np.maximum(np.linalg.norm(vecs, axis=-1), 1.0)
-    bad = ~(np.abs(n2) > DEGENERACY_TOL * scale**2)
-    if bad.any():
-        idx = int(bad.argmax())
-        raise DegeneracyError(f"vector {idx} is null or dependent after projection", node=idx)
-    return rows
-
-
 def lorentz_orthonormalize(vectors) -> np.ndarray:
     """Build a full Lorentz-orthonormal frame from any n independent vectors.
 
@@ -214,11 +197,12 @@ def lorentz_orthonormalize(vectors) -> np.ndarray:
     projected onto it, are orthonormalized there in the order given; t comes
     last.  Returns the frame S (n, n), basis as columns: S^T eta S = eta to 1e-12.
 
-    Raises ``DegeneracyError`` when t lies in the span of the first n-1
-    vectors (the projections are then dependent): the timelike direction
-    must be carried by the last vector.  Dependent vectors whose span holds
-    no timelike direction raise it too; a non-square input raises
-    ``DimensionError``.
+    Raises ``DegeneracyError``, ``.node`` the first vector whose projection
+    has a squared norm of at most ``DEGENERACY_TOL`` max(|v|, 1)^2, when t lies
+    in the span of the first n-1 vectors (the projections are then dependent):
+    the timelike direction must be carried by the last vector.  Dependent
+    vectors whose span holds no timelike direction raise it too; a
+    non-square input raises ``DimensionError``.
     """
     vecs = np.asarray(vectors, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
@@ -231,13 +215,14 @@ def lorentz_orthonormalize(vectors) -> np.ndarray:
     if norm2 >= -DEGENERACY_TOL * max(float(np.linalg.norm(vecs, 2)), 1.0) ** 2:
         raise DegeneracyError("the vectors span no timelike direction")
     t = np.copysign(1.0, t[-1]) * t / np.sqrt(-norm2)
-    try:
-        # t leads the sweep only so that every projection onto t^perp is
-        # applied twice, like the ones between the spacelike rows.
-        rows = minkowski_gram_schmidt(np.vstack([t, vecs[:-1]]))
-    except DegeneracyError as err:
-        idx = err.node - 1
+    # t leads the sweep only so that every projection onto t^perp is
+    # applied twice, like the ones between the spacelike rows.
+    sweep = np.vstack([t, vecs[:-1]])
+    rows, n2 = gram_schmidt(sweep)
+    scale = np.maximum(np.linalg.norm(sweep, axis=-1), 1.0)
+    if (bad := ~(np.abs(n2) > DEGENERACY_TOL * scale**2)).any():
+        idx = int(bad.argmax()) - 1
         raise DegeneracyError(
             f"vector {idx} is dependent on the timelike axis and the vectors before "
-            "it; the timelike direction must be supplied last", node=idx) from err
+            "it; the timelike direction must be supplied last", node=idx)
     return np.vstack([rows[1:], rows[0]]).T

@@ -2,8 +2,9 @@
 
 Pipeline (all deterministic):
 
-1. split the extended structure at the base node into its two eigenspaces
-   and complete the canonical initial frame (identity-seed completion);
+1. split the extended structure at the base node, the grid centre, into its
+   two eigenspaces and complete the canonical initial frame (identity-seed
+   completion), its sphere block rotated when a seed is given;
 2. build one table of RK4 flow matrices per axis (connection linear along
    each edge), every edge crossed in the direction away from the base node,
    filled run by run from ``fields.runs_away_from``;
@@ -161,21 +162,6 @@ def random_block_rotation(size: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diagonal(r))
 
 
-def initial_frame_from_split(b1: np.ndarray, b2: np.ndarray,
-                             rotation: np.ndarray | None = None) -> np.ndarray:
-    """Stack the eigenbasis columns; optionally rotate the +1 block."""
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
-        if rotation.shape != (b1.shape[1], b1.shape[1]):
-            raise StructureError(
-                f"rotation of shape {rotation.shape} against a rank-{b1.shape[1]} block")
-        defect = np.abs(rotation.T @ rotation - np.eye(b1.shape[1])).max()
-        if defect > 1e-10:
-            raise StructureError(f"initial-frame rotation is not orthogonal ({defect:.2e})")
-        b1 = b1 @ rotation
-    return np.concatenate([b1, b2], axis=1)
-
-
 def assemble_immersion(frame: np.ndarray, k: int):
     """Read the rebuilt map off the frames (*dims, N, N): components of xi1~ + xi2~.
 
@@ -300,26 +286,21 @@ def align_congruence(points_a: np.ndarray, frame_a: np.ndarray, k_a: int,
         "isometry": t.ravel().tolist()} | verdict)
 
 
-def reconstruct_immersion(geom: Geometry,
-                          tolerances: ToleranceModel,
-                          base_node: tuple | None = None,
-                          initial_rotation: np.ndarray | None = None,
+def reconstruct_immersion(geom: Geometry, tolerances: ToleranceModel,
                           seed_frame: int | None = None) -> ReconstructionResult:
     """Full rebuild pipeline: split, transport, assemble, verify.
 
-    The base node defaults to the grid centre, which halves the longest
-    transport path against a corner base.  Reads G and the big connection
-    from ``geom``, so a geometry the checks already filled is not derived
-    again.  One edge-flow table serves the transport, the transposed
-    cross-check sweep (dimension >= 2) and path independence.
+    The base node is the grid centre, which halves the longest transport
+    path against a corner base.  The rebuild is unique up to an isometry of
+    the product, and its one option, ``seed_frame``, rotates the initial
+    frame's sphere block by ``random_block_rotation(k + 1, seed_frame)``.
+    Reads G and the big connection from ``geom``, so a geometry the checks
+    already filled is not derived again.  One edge-flow table serves the
+    transport, the transposed cross-check sweep and path independence.
     """
     grid = geom.grid
     nd = grid.ndim
-    base = tuple(d // 2 for d in grid.dims) if base_node is None else tuple(base_node)
-    if len(base) != nd or not all(isinstance(i, (int, np.integer)) and 0 <= i < d
-                                  for i, d in zip(base, grid.dims)):
-        raise StructureError(f"base node {base} is not a node of the "
-                             f"{'x'.join(map(str, grid.dims))} grid")
+    base = tuple(d // 2 for d in grid.dims)
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -328,9 +309,9 @@ def reconstruct_immersion(geom: Geometry,
         k, b1, b2 = eigen_split(build_psi_tilde(geom.psi[base]), gram[base], nd, geom.p)
     except StructureError as err:   # ExclusionError included: the split names no node
         raise type(err)(f"{err} at base node {base}", node=base) from err
-    if initial_rotation is None and seed_frame is not None:
-        initial_rotation = random_block_rotation(k + 1, seed_frame)
-    frame0 = initial_frame_from_split(b1, b2, rotation=initial_rotation)
+    if seed_frame is not None:
+        b1 = b1 @ random_block_rotation(k + 1, seed_frame)
+    frame0 = np.concatenate([b1, b2], axis=1)
     conn = geom.connection
     timings["setup"] = time.perf_counter() - t0
 

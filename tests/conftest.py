@@ -49,11 +49,9 @@ class FixtureBundle:
     """One fixture extracted once per session, plus its geometry and its rebuild."""
 
     def __init__(self, name, grid=None, use_analytic=True, **params):
-        if name == "F4":
-            self.immersion, f4_grid = flat_torus_f4(**params)
-            self.grid = grid if grid is not None else f4_grid
-        else:
-            self.immersion, self.grid = fixture(name, grid=grid, **params)
+        self.immersion, default_grid = (flat_torus_f4(**params) if name == "F4"
+                                        else fixture(name, **params))
+        self.grid = grid if grid is not None else default_grid
         self.data = extract_all(self.immersion, self.grid, use_analytic=use_analytic)
         self.tolerances = default_tolerances(self.data)
 

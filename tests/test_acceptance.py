@@ -23,7 +23,8 @@ from prodimm.fields import BundleData, SecondFormField, shape_operator_field
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect, lorentz_orthonormalize
 from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersion_psi_field,
-                                 path_independence_residual, reconstruct_immersion)
+                                 path_independence_residual, random_block_rotation,
+                                 reconstruct_immersion)
 from prodimm.structure import check_all, psi_blocks
 
 from conftest import FixtureBundle, refine
@@ -170,12 +171,9 @@ def test_criterion_5_rebuild_verification(f1, f2, f3):
 def test_criterion_6_uniqueness_up_to_isometry(f2):
     res = f2.recon
     k = res.k
-    angle = 0.4
-    rot = np.eye(k + 1)
-    rot[0, 0] = rot[1, 1] = np.cos(angle)
-    rot[0, 1], rot[1, 0] = -np.sin(angle), np.sin(angle)
-    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances,
-                                    initial_rotation=rot)
+    seed = 6
+    rot = random_block_rotation(k + 1, seed)
+    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, seed_frame=seed)
     base, gram = res.base_node, f2.geom.gram
     out = align_congruence(res_rot.points, immersion_psi_field(res_rot.frame[base], gram[base]),
                            res_rot.k, res.points, immersion_psi_field(res.frame[base], gram[base]),

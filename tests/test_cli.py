@@ -385,6 +385,19 @@ def test_unusable_tolerance_flags_exit_2(f1_dataset_path, capsys, flags, field):
     assert capsys.readouterr().err.startswith(f"error: tolerance {field} ")
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+def test_negative_seed_frame_exits_2_before_any_stage(f1_dataset_path, tmp_path, capsys,
+                                                      command):
+    out, report = tmp_path / "m.csv", tmp_path / "r.json"
+    source = ([str(f1_dataset_path), "-o", str(out)] if command == "reconstruct"
+              else ["--fixture", "F1"])
+    capsys.readouterr()
+    assert main([command, *source, "--seed-frame", "-1", "--report", str(report)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --seed-frame must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("factor, code", [(float("nan"), 2), (float("inf"), 0)],
                          ids=["nan_exits_2", "inf_switches_checks_off"])
 def test_dataset_tolerance_factor(f1_dataset_path, tmp_path, capsys, factor, code):

@@ -71,7 +71,8 @@ def test_lower_sheet_point_named_as_such():
 
 def test_points_far_out_on_the_hyperboloid_accepted():
     """<y, y> rounds off like |y|^2; F1 reaches |y|^2 ~ 7e10 at t = 16."""
-    imm, grid = fixture("F1", grid=ChartGrid((3199,), (5e-3,), (0.0,)))
+    imm, _ = fixture("F1")
+    grid = ChartGrid((3199,), (5e-3,), (0.0,))
     assert np.array_equal(immersion_points(imm, grid), imm.point(grid.coords()))
 
     def last_node_scaled(block):

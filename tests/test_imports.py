@@ -44,6 +44,9 @@ Each stage builds its own report block and ``dataio`` alone writes the formats:
 no class is named ``AlignmentResult``, a dict literal with a ``max_distance``
 key appears only in ``reconstruct.align_congruence``, which builds the
 alignment block, and ``structure`` defines no ``to_dict`` or ``from_dict``.
+Every library option is one a command sets: each defaulted parameter of a
+module-level function that ``src/`` calls by name is set by one of those calls,
+by keyword or by position, the console entry point ``cli.main(argv)`` aside.
 """
 
 import ast
@@ -629,3 +632,53 @@ def test_format_home_site_is_found():
                               "cli.py": cli}) == [
         "cli.py:2", "reconstruct.py:AlignmentResult", "structure.py:from_dict",
         "structure.py:to_dict"]
+
+
+# Every library option is one a command sets; the console entry point is exempt.
+ENTRY_POINTS = (("cli.py", "main"),)
+
+
+def unset_defaults(sources: dict) -> list:
+    """``module:function(parameter)`` for each defaulted parameter of a module-level function
+    of ``sources`` (module -> text) that they call by name but no such call sets, by keyword
+    or by position.  A ``*`` or ``**`` splat sets nothing."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in calls \
+                    or (module, fn.name) in ENTRY_POINTS:
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            set_here = set()
+            for call in calls[fn.name]:
+                plain = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                             len(call.args))
+                set_here |= {a.arg for a in positional[:plain]} | {k.arg for k in call.keywords}
+            found += [f"{module}:{fn.name}({a.arg})" for a in defaulted if a.arg not in set_here]
+    return sorted(found)
+
+
+def test_every_library_option_is_set_by_a_caller():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unset_defaults(sources) == []
+
+
+def test_unset_default_is_found():
+    extract = ("def fixture(name, grid=None, **params):\n    return name\n"
+               "def unused(a=1):\n    return a\n")
+    reconstruct = "def rebuild(geom, tol, base=None, *, seed=None, rot=None):\n    return geom\n"
+    cli = ("def main(argv=None):\n    return 0\n"
+           "def cmd(args):\n    fixture('F1', **args)\n    rebuild(args, 1, seed=2)\n"
+           "    rebuild(*args, rot=3)\n    return main()\n")
+    assert unset_defaults({"extract.py": extract, "reconstruct.py": reconstruct,
+                           "cli.py": cli}) == ["extract.py:fixture(grid)",
+                                               "reconstruct.py:rebuild(base)"]

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError
 from prodimm.lorentz import (eta, gram_defect, gram_schmidt, lorentz_orthonormalize, lower,
-                             minkowski_dot, minkowski_gram_schmidt, product_distance)
+                             minkowski_dot, product_distance)
 
 from ambient_oracles import (InsufficientDataError, ProductPoint,
                              ambient_connection_relation_residual, ambient_curvature,
@@ -167,8 +167,9 @@ def test_connection_relation_needs_samples():
 
 
 def test_gram_schmidt_identity_frame():
-    out = minkowski_gram_schmidt(np.eye(4))
+    out, n2 = gram_schmidt(np.eye(4))
     assert np.array_equal(out, np.eye(4))
+    assert n2.tolist() == [1.0, 1.0, 1.0, -1.0]
 
 
 def test_lorentz_orthonormalize_mixed_input():
@@ -176,15 +177,20 @@ def test_lorentz_orthonormalize_mixed_input():
     assert np.abs(gram_defect(frame, eta(4))).max() <= 1e-12
 
 
-def test_gram_schmidt_null_vector_error():
-    with pytest.raises(DegeneracyError) as err:
-        minkowski_gram_schmidt([[1.0, 0.0, 0.0, 1.0]])
-    assert err.value.node == 0
+def test_lorentz_orthonormalize_takes_a_null_vector():
+    frame = lorentz_orthonormalize([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert np.abs(gram_defect(frame, eta(4))).max() <= 1e-12
 
 
-def test_gram_schmidt_dependent_error():
-    with pytest.raises(DegeneracyError):
-        minkowski_gram_schmidt([[1, 0, 0, 0], [1, 1e-14, 0, 0]])
+@pytest.mark.parametrize("vectors", [
+    [[1, 0, 0, 0], [1, 1e-14, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 1], [2, 0, 0, 2], [0, 1, 0, 0], [0, 0, 0, 1]]], ids=["spacelike", "null"])
+def test_lorentz_orthonormalize_names_a_dependent_row(vectors):
+    with pytest.raises(DegeneracyError, match="^vector 1 is dependent on the timelike axis "
+                       "and the vectors before it; the timelike direction must be supplied "
+                       "last$") as err:
+        lorentz_orthonormalize(vectors)
+    assert err.value.node == 1
 
 
 def test_lorentz_orthonormalize_timelike_must_be_last():

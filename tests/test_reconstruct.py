@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,11 +6,9 @@ import scipy.linalg
 from prodimm import reconstruct
 from prodimm.errors import ReconstructionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField, argmax_node
-from prodimm.flatbundle import Geometry
-from prodimm.extract import extract_all, fixture
+from prodimm.flatbundle import Geometry, build_psi_tilde, eigen_split
 from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
-                                 immersion_psi_field, initial_frame_from_split,
-                                 path_independence_residual,
+                                 immersion_psi_field, path_independence_residual,
                                  random_block_rotation, reconstruct_immersion,
                                  sweep_parallel_frame)
 from prodimm.lorentz import eta, product_defect
@@ -247,7 +243,7 @@ def test_align_recovers_block_rotation(f2):
     res = f2.recon
     k = res.k
     rot = random_block_rotation(k + 1, seed=11)
-    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, initial_rotation=rot)
+    res_rot = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, seed_frame=11)
     gram = f2.geom.gram
     out = align_congruence(res_rot.points, _frame_map(res_rot, gram), res_rot.k,
                            res.points, _frame_map(res, gram), res.k).alignment
@@ -268,14 +264,19 @@ def test_align_requires_matching_k(f2):
 
 
 def test_base_point_covariance(f2):
-    res0 = f2.recon
-    edge = (0,)
-    res_edge = reconstruct_immersion(f2.geom, tolerances=f2.tolerances, base_node=edge)
-    assert res_edge.k == res0.k
-    gram = f2.geom.gram
-    out = align_congruence(res_edge.points, _frame_map(res_edge, gram, edge), res_edge.k,
-                           res0.points, _frame_map(res0, gram, edge), res0.k)
-    assert out.alignment["max_distance"] <= 10 * f2.grid.h_max**2
+    """A rebuild swept from either end of the chart is congruent to the centre-based one."""
+    res0, geom = f2.recon, f2.geom
+    gram = geom.gram
+    for edge in ((0,), (f2.grid.dims[0] - 1,)):
+        k, b1, b2 = eigen_split(build_psi_tilde(geom.psi[edge]), gram[edge], f2.grid.ndim,
+                                geom.p)
+        assert k == res0.k
+        frame = sweep_parallel_frame(EdgeFlows.of(f2.grid, geom.connection, edge),
+                                     np.concatenate([b1, b2], axis=1))
+        points, _ = assemble_immersion(frame, k)
+        out = align_congruence(points, immersion_psi_field(frame[edge], gram[edge]), k,
+                               res0.points, _frame_map(res0, gram, edge), res0.k)
+        assert out.alignment["max_distance"] <= 10 * f2.grid.h_max**2, edge
 
 
 def _path_record(grid, conn, base, tolerances):
@@ -330,24 +331,6 @@ def test_edge_flow_table_holds_each_edge_flow_away_from_the_base(f3):
                 src, dst, delta = (lower, upper, h) if lower[a] >= base[a] else (upper, lower, -h)
                 assert np.array_equal(table[lower], edge_flow(om[src], om[dst], delta)), \
                     (grid.dims, base, a, lower)
-
-
-def test_reconstruct_names_a_base_node_off_the_grid():
-    imm, _ = fixture("F3")
-    grid = ChartGrid(dims=(17, 17), spacing=(1.5 / 16, 1.5 / 16), origin=(0.0, 0.0))
-    geom = extract_all(imm, grid)
-    for node in ((-1, -1), (17, 3), (3,), (3.5, 4)):
-        with pytest.raises(StructureError, match=re.escape(f"base node {node} ")):
-            reconstruct_immersion(geom, ToleranceModel(), base_node=node)
-
-
-def test_initial_frame_rotation_validation(f2):
-    with pytest.raises(StructureError):
-        initial_frame_from_split(np.eye(4)[:, :3], np.eye(4)[:, 3:],
-                                 rotation=np.eye(2))
-    with pytest.raises(StructureError):
-        initial_frame_from_split(np.eye(4)[:, :2], np.eye(4)[:, 2:],
-                                 rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_path_independence_matches_the_per_plaquette_oracle(f3):
