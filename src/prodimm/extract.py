@@ -8,11 +8,13 @@ The same data feed the checker (necessity direction) and the reconstructor
 
 Each evaluator is sampled once per extraction, through one helper that checks
 its shape; a missing derivative is the gradient of the points, a missing second
-derivative their Hessian.  Every ``induced_*`` function takes the points and
-tangents as arrays.  Each induced quantity is a pairing of frame
+derivative their Hessian.  Each induced quantity is a pairing of frame
 rows (``lorentz.minkowski_gram``): g = <d_i phi, d_j phi>, sigma =
 <d_i d_j phi, nu_a>, the normal connection <nu_a, d_m nu_b>, and psi, read
-off <e_B, psi e_A> for the stacked rows e = (d_i phi, nu_a).
+off <e_B, psi e_A> for the stacked rows e = (d_i phi, nu_a).  The
+``induced_*`` pairings take these rows as arrays, never the immersion, so the
+same functions verify a rebuild (``reconstruct.verify_reconstruction``): its
+datum is read off its differenced points and its frame's normals.
 
 Normal-frame gauge: at every node the projector onto the normal space removes
 xi1, xi2 and the Gram-Schmidt-orthonormalized tangents.  At the base node the
@@ -42,9 +44,9 @@ brackets):
   algebraic threshold itself, the floor of ambient input that no gauge
   lowers, so there the rounding of each pairing decides the verdict;
 * ``--fd`` route: ``check`` passes at 1000 to 1800 nodes (at most 0.03 [97])
-  and at 2000 nodes (0.28 [5.3e3]); the rebuild records pass at 1800 (0.28)
-  and fail at 2000 (``reconstruction_second_form`` 2.5), since the
-  transported frame is not boosted;
+  and at 2000 nodes (0.28 [5.3e3]); the rebuild records pass at 1800 (0.02)
+  and fail at 2000 (``frame_orthonormality`` 1.27), since the transported
+  frame is not boosted;
 * at 3199 nodes (cosh(bt) ~ 2e5) extraction completes [matmul overflow],
   and the checks fail.
 
@@ -251,21 +253,15 @@ def induced_normal_frame(imm: AnalyticImmersion, grid: ChartGrid, points: np.nda
     return normals
 
 
-def induced_second_form(imm: AnalyticImmersion, grid: ChartGrid, points: np.ndarray,
+def induced_second_form(grid: ChartGrid, second_derivatives: np.ndarray,
                         normals: np.ndarray) -> SecondFormField:
-    """Normal components of the flat second derivatives (symmetrized): the analytic ones
-    when the immersion has them, else the Hessian of the points."""
-    if imm.second_derivative is None:
-        dd = hessian_field(grid, points)
-    else:
-        dd = _sample(imm, grid, "second_derivative", (imm.n, imm.n))
-    sg = minkowski_gram(dd, normals[..., None, :, :])
+    """Normal components of the flat second derivatives (*dims, n, n, N), symmetrized."""
+    sg = minkowski_gram(second_derivatives, normals[..., None, :, :])
     sg = 0.5 * (sg + np.swapaxes(sg, -3, -2))
     return SecondFormField(grid, sg)
 
 
-def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.ndarray,
-                      normals: np.ndarray):
+def induced_structure(k: int, metric: MetricField, tangents: np.ndarray, normals: np.ndarray):
     """Split the ambient product structure along tangents and normals.
 
     Returns the structure matrix [[f, U], [u, lambda]] together with the normal
@@ -275,16 +271,16 @@ def induced_structure(imm: AnalyticImmersion, metric: MetricField, tangents: np.
     tangent rows raised by g^-1 and lambda symmetrized.
     """
     grid, n = metric.grid, metric.grid.ndim
-    d_normals = grad_field(grid, normals)             # (..., m, b, N)
-    om = minkowski_gram(normals[..., None, :, :], d_normals)
-    # om[..., m, a, b] = <nu_a, d_m nu_b>; enforce exact skewness
-    om = 0.5 * (om - np.swapaxes(om, -1, -2))
-
     rows = np.concatenate([tangents, normals], axis=-2)
-    psi = minkowski_gram(rows, psi_flip(rows, imm.k))
+    psi = minkowski_gram(rows, psi_flip(rows, k))
+    del rows
     psi[..., :n, :] = metric.inverse @ psi[..., :n, :]
     lam = psi_blocks(psi, n)[3]
     lam[...] = 0.5 * (lam + np.swapaxes(lam, -1, -2))
+
+    om = minkowski_gram(normals[..., None, :, :], grad_field(grid, normals))
+    # om[..., m, a, b] = <nu_a, d_m nu_b>; enforce exact skewness
+    om = 0.5 * (om - np.swapaxes(om, -1, -2))
     return psi, BundleData(grid, om)
 
 
@@ -297,8 +293,10 @@ def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
     tangents = immersion_tangents(imm, grid, points)
     metric = induced_metric(grid, tangents)
     normals = induced_normal_frame(imm, grid, points, tangents)
-    sigma = induced_second_form(imm, grid, points, normals)
-    psi, bundle = induced_structure(imm, metric, tangents, normals)
+    psi, bundle = induced_structure(imm.k, metric, tangents, normals)
+    second = (hessian_field(grid, points) if imm.second_derivative is None
+              else _sample(imm, grid, "second_derivative", (imm.n, imm.n)))
+    sigma = induced_second_form(grid, second, normals)
     return ExtractionResult(metric=metric, bundle=bundle, sigma=sigma, psi=psi, immersion=imm,
                             points=points, tangents=tangents, normals=normals)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-DEGENERACY_TOL = 1e-10   # relative squared norm of a row below which lorentz_orthonormalize fails
+DEGENERACY_TOL = 1e-10   # squared norm over rho(V eta V^T) below which lorentz_orthonormalize fails
 
 
 def minkowski_dot(x, y):
@@ -195,32 +195,34 @@ def lorentz_orthonormalize(vectors) -> np.ndarray:
     the rows, oriented so that its timelike coordinate is positive.  Its
     complement t^perp is positive definite, so the first n-1 vectors,
     projected onto it, are orthonormalized there in the order given; t comes
-    last.  Returns the frame S (n, n), basis as columns: S^T eta S = eta to 1e-12.
+    last.  Returns the frame S (n, n), basis as columns: S^T eta S = eta to
+    about 1e-16 |S|_2^2, 1e-12 on near-identity frames.
 
+    Both degeneracy tests are relative to the spectral radius rho of V eta V^T,
+    which is 1 for the rows of an exact Lorentz frame however far boosted.
     Raises ``DegeneracyError``, ``.node`` the first vector whose projection
-    has a squared norm of at most ``DEGENERACY_TOL`` max(|v|, 1)^2, when t lies
-    in the span of the first n-1 vectors (the projections are then dependent):
-    the timelike direction must be carried by the last vector.  Dependent
-    vectors whose span holds no timelike direction raise it too; a
-    non-square input raises ``DimensionError``.
+    has a squared norm of at most ``DEGENERACY_TOL`` rho, when t lies in the
+    span of the first n-1 vectors (the projections are then dependent): the
+    timelike direction must be carried by the last vector.  Vectors whose
+    span holds no timelike direction, up to ``DEGENERACY_TOL`` rho, raise it
+    too; a non-square input raises ``DimensionError``.
     """
     vecs = np.asarray(vectors, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
         n = vecs.shape[-1] if vecs.ndim else 0
         raise DimensionError(f"need {n} vectors of length {n} for a full frame, "
                              f"got shape {vecs.shape}")
-    _, evecs = np.linalg.eigh(minkowski_gram(vecs, vecs))
+    evals, evecs = np.linalg.eigh(minkowski_gram(vecs, vecs))
+    tol = DEGENERACY_TOL * np.abs(evals).max()
     t = evecs[:, 0] @ vecs
     norm2 = minkowski_dot(t, t)
-    if norm2 >= -DEGENERACY_TOL * max(float(np.linalg.norm(vecs, 2)), 1.0) ** 2:
+    if norm2 >= -tol:
         raise DegeneracyError("the vectors span no timelike direction")
     t = np.copysign(1.0, t[-1]) * t / np.sqrt(-norm2)
     # t leads the sweep only so that every projection onto t^perp is
     # applied twice, like the ones between the spacelike rows.
-    sweep = np.vstack([t, vecs[:-1]])
-    rows, n2 = gram_schmidt(sweep)
-    scale = np.maximum(np.linalg.norm(sweep, axis=-1), 1.0)
-    if (bad := ~(np.abs(n2) > DEGENERACY_TOL * scale**2)).any():
+    rows, n2 = gram_schmidt(np.vstack([t, vecs[:-1]]))
+    if (bad := ~(np.abs(n2) > tol)).any():
         idx = int(bad.argmax()) - 1
         raise DegeneracyError(
             f"vector {idx} is dependent on the timelike axis and the vectors before "

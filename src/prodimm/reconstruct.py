@@ -17,27 +17,34 @@ Pipeline (all deterministic):
 3. read the rebuilt map off the frame components of xi1~ + xi2~, flipping
    the sign of the timelike coordinate, together with its nodewise distance
    from the product;
-4. verify isometry, normal orthogonality, the second form and the
-   product-structure compatibility by finite differences of the rebuilt map:
-   one pairing of d phi with the rebuilt rows e = (d phi, nu) gives the first
-   two, <psi d phi, d phi> the product terms of the second form, and the
-   residual psi e - psi^T e the compatibility records (tangent, normal rows).
-   The normals nu come off the frame's bundle rows, as phi comes off its xi
-   rows: G is the identity on the bundle block.
+4. verify the rebuild by extracting its datum with the extraction's own
+   pairings (``extract.induced_second_form`` and ``induced_structure``): the
+   tangents d phi and second derivatives are the gradient and Hessian of the
+   points, and the normals nu come off the frame's bundle rows, as phi comes
+   off its xi rows (G is the identity on the bundle block).  One pairing of
+   d phi with the rows (d phi, nu) gives isometry and normal orthogonality;
+   the second form, the tangent and normal columns of psi and the normal
+   connection are recorded as their distance from the dataset's.  The tangent
+   rows of psi are raised by the dataset's validated g, so a rebuilt g that
+   is not positive definite fails ``reconstruction_isometry`` and raises
+   nothing.  What a datum does not see is judged elsewhere: the xi1, xi2
+   components of the second derivatives (up to O(h^2) the Hessian of the
+   on-product defect) by ``reconstruction_on_product``, and the part of psi e
+   outside the span of the rows by ``frame_orthonormality`` and
+   ``reconstruction_on_product``.
 
-No full-size temporary outlives its use.  Each residual is reduced to its
-record as soon as it exists, and every array is dropped after its last use.
-Four residuals are formed by blocks of node rows straight into their
-magnitudes (``structure.chunked_magnitude``), bitwise as if formed whole: the
-second form, the compatibility rows, the frame's Gram defect and the
-cross-check difference.
+No full-size temporary outlives its stage, and the transport's arrays are
+dropped after their last use.  Two residuals are formed by blocks of node rows
+straight into their magnitudes (``structure.chunked_magnitude``), bitwise as
+if formed whole: the frame's Gram defect and the cross-check difference.  The
+verification holds its rows and datum whole, below the transport's peak.
 
 Frames, points and the Gram matrices G are plain arrays over the node axes:
 frames (*dims, N, N) with the transported sections as columns, points
 (*dims, N) with the timelike coordinate last.  The structure is one
 (*dims, n+p, n+p) matrix [[f, U], [u, lambda]]: the split pads psi to psi~
-(N = n+p+2) at the base node only, and the compatibility records apply its
-transpose to the rebuilt rows.  ``ReconstructionResult`` holds the points, the
+(N = n+p+2) at the base node only, and the compatibility records compare it
+with the rebuild's.  ``ReconstructionResult`` holds the points, the
 frame and the rebuild's report: records, timings and the ``reconstruction``
 block (k, ambient_dim, base_node and psi_base, the frame map at the base).  The
 on-product defect is the max of the ``reconstruction_on_product`` record alone.
@@ -64,11 +71,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, StructureError
+from .extract import induced_second_form, induced_structure
 from .fields import (ChartGrid, argmax_node, grad_field, hessian_field, runs_away_from,
                      sweep_compose)
 from .flatbundle import Geometry, build_psi_tilde, eigen_split
 from .lorentz import (eta, gram_defect, lower, minkowski_gram, product_defect, product_distance,
-                      product_normals, psi_flip)
+                      psi_flip)
 from .structure import Report, ToleranceModel, chunked_magnitude, magnitude, nodewise_max, records
 
 _FLOW_BATCH = 1024   # edges per edge_flow call in the table build (bounds its RK4 temporaries)
@@ -188,49 +196,27 @@ def immersion_psi_field(frame: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def verify_reconstruction(points: np.ndarray, frame: np.ndarray, k: int, geom: Geometry,
                           tolerances: ToleranceModel) -> Report:
-    """Check every conclusion of the rebuild by finite differences, one magnitude at a time.
-
-    The two residuals formed through products of the rebuilt rows are formed
-    by blocks of node rows, never whole (``chunked_magnitude``), and every
-    array is dropped after its last use.
-    """
+    """Read the rebuild's datum off its rows with the extraction's pairings, and record
+    how far each datum is from the dataset's (module docstring, step 4)."""
     grid = geom.grid
     n, p = grid.ndim, geom.p
-    dphi = grad_field(grid, points)                    # (..., m, N)
-    # the rebuilt rows (d_1 phi .. d_n phi, nu_1 .. nu_p); the normals are the
-    # lowered bundle rows of the frame (exact, no differencing)
+    tangents = grad_field(grid, points)                # (..., m, N)
     normals = lower(frame[..., n:n + p, :])
-    rows = np.concatenate([dphi, normals], axis=-2)
-    pairs = minkowski_gram(dphi, rows)                 # (..., m, n+p): <d_m phi, e_B>
-    induced = pairs[..., :n]
-
-    # psi e_B - sum_A psi[A, B] e_A for every rebuilt row e_B
-    psi_t = np.swapaxes(geom.psi, -1, -2)
-    res_psi = chunked_magnitude(grid, rows.shape[n:],
-                                lambda c: psi_flip(rows[c], k) - psi_t[c] @ rows[c])
-    del rows
-    report = records(grid, tolerances,
-                     ("reconstruction_isometry", magnitude(induced - geom.metric.values, n)),
-                     ("reconstruction_normal_orthogonality", magnitude(pairs[..., n:], n)),
-                     ("reconstruction_psi_compat_tangent", res_psi[:n]),
-                     ("reconstruction_psi_compat_normal", res_psi[n:]))
-    del res_psi
-
-    cross = minkowski_gram(psi_flip(dphi, k), dphi)    # <psi d_m phi, d_n phi>
-    plus, minus = 0.5 * (induced + cross)[..., None], 0.5 * (induced - cross)[..., None]
-    del pairs, induced, cross
-    d2phi = hessian_field(grid, points)                # (..., m, n, N)
-    ginv = geom.metric.inverse[..., None, :, :]
-
-    def second_form(c):
-        """w = d2phi + plus xi1 - minus xi2, less its tangential part and sigma(nu)."""
-        xi1, xi2 = product_normals(points[c], k)
-        w = d2phi[c] + plus[c] * xi1[..., None, None, :] - minus[c] * xi2[..., None, None, :]
-        d_c = dphi[c][..., None, :, :]
-        w_tan = minkowski_gram(w, d_c) @ ginv[c]       # g^rs <w_mn, d_r phi>
-        return w - w_tan @ d_c - geom.sigma.values[c] @ normals[c][..., None, :, :]
-    return Report.merge(report, records(grid, tolerances, (
-        "reconstruction_second_form", chunked_magnitude(grid, d2phi.shape[n:], second_form))))
+    pairs = minkowski_gram(tangents, np.concatenate([tangents, normals], axis=-2))
+    sigma = induced_second_form(grid, hessian_field(grid, points), normals)
+    report = records(
+        grid, tolerances,
+        ("reconstruction_isometry", magnitude(pairs[..., :n] - geom.metric.values, n)),
+        ("reconstruction_normal_orthogonality", magnitude(pairs[..., n:], n)),
+        ("reconstruction_second_form", magnitude(sigma.values - geom.sigma.values, n)))
+    del pairs, sigma   # before the structure read, which sets the stage's peak
+    psi, bundle = induced_structure(k, geom.metric, tangents, normals)
+    psi -= geom.psi    # the difference from the dataset's structure
+    return Report.merge(report, records(
+        grid, tolerances,
+        ("reconstruction_psi_compat_tangent", magnitude(psi[..., :n], n)),
+        ("reconstruction_psi_compat_normal", magnitude(psi[..., n:], n)),
+        ("reconstruction_normal_connection", magnitude(bundle.omega - geom.bundle.omega, n))))
 
 
 def path_independence_residual(flows: EdgeFlows, tolerances: ToleranceModel) -> Report:

@@ -76,7 +76,7 @@ if TYPE_CHECKING:
 _CHUNK_BYTES = 2**19   # residual bytes formed at once by ``chunked_magnitude``
 
 # Every record name in report order: the 15 records of ``check``, the algebra
-# first, then the 9 of a rebuild (``sweep_cross_check`` on charts of dimension >= 2).
+# first, then the 10 of a rebuild (``sweep_cross_check`` on charts of dimension >= 2).
 RECORD_NAMES = (
     "psi_f_symmetric", "psi_lambda_symmetric", "psi_u_U_adjoint", "psi_involution_tangent",
     "psi_involution_bundle", "psi_parallel_f", "psi_parallel_u", "psi_parallel_U",
@@ -84,8 +84,8 @@ RECORD_NAMES = (
     "bundle_flatness", "psi_tilde_parallel", "reconstruction_isometry",
     "reconstruction_normal_orthogonality", "reconstruction_second_form",
     "reconstruction_psi_compat_tangent", "reconstruction_psi_compat_normal",
-    "frame_orthonormality", "reconstruction_on_product", "path_independence",
-    "sweep_cross_check")
+    "reconstruction_normal_connection", "frame_orthonormality", "reconstruction_on_product",
+    "path_independence", "sweep_cross_check")
 ALGEBRAIC_CHECKS = frozenset(RECORD_NAMES[:5])
 
 

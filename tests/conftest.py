@@ -1,11 +1,13 @@
+import dataclasses
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from prodimm.dataio import Dataset
-from prodimm.extract import AnalyticImmersion, default_tolerances, extract_all, fixture
-from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
+from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all, fixture,
+                             induced_second_form, induced_structure)
+from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
 
@@ -65,6 +67,22 @@ class FixtureBundle:
 
     def dataset(self):
         return Dataset.from_extraction(self.data)
+
+
+def twisted_f3(dims: int) -> Dataset:
+    """F3 ``--fd`` at theta0 0.8 on a dims x dims grid of side 1.5, its normals turned by
+    theta = 0.7 x + sin 2y, so omega = d theta J reaches 2; sigma, psi and omega are
+    re-read off the turned normals by the extraction's own pairings."""
+    imm, _ = fixture("F3", theta0=0.8)
+    h = 1.5 / (dims - 1)
+    grid = ChartGrid(dims=(dims, dims), spacing=(h, h), origin=(0.0, 0.0))
+    data = extract_all(imm, grid, use_analytic=False)
+    x, y = np.moveaxis(grid.coords(), -1, 0)
+    c, s = np.cos(0.7 * x + np.sin(2.0 * y)), np.sin(0.7 * x + np.sin(2.0 * y))
+    normals = np.stack([c, -s, s, c], axis=-1).reshape(grid.dims + (2, 2)) @ data.normals
+    psi, bundle = induced_structure(imm.k, data.metric, data.tangents, normals)
+    sigma = induced_second_form(grid, hessian_field(grid, data.points), normals)
+    return dataclasses.replace(Dataset.from_extraction(data), bundle=bundle, sigma=sigma, psi=psi)
 
 
 def geometry_of(data: Geometry) -> Geometry:

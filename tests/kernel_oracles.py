@@ -12,19 +12,22 @@ Codazzi, Ricci and parallel-structure equations, which the package reads off
 blocks of the big connection's curvature and of D psi~, so comparing the two
 tests those block identities.  ``induced_structure`` is the extraction's
 per-block structure read: four pairings, one per block of psi, and the
-tangent blocks raised by ``einsum``.  The package holds a curvature over the
-direction pairs m < n only; ``expand_pairs`` writes it out over all n^2 pairs
-for the oracles laid out that way.  ``record_reference`` is the record
+tangent blocks raised by ``einsum``; ``verify_reconstruction`` reads a
+rebuild's datum off its rows with it and with one ``minkowski_dot`` pairing
+per other datum, and records each datum's distance from the dataset's.  The
+package holds a curvature over the direction pairs m < n only;
+``expand_pairs`` writes it out over all n^2 pairs for the oracles laid out
+that way.  ``record_reference`` is the record
 reduction in the residual's own node-major layout, the reference for the
 package's node-last ``magnitude`` and ``node_record``; ``make_record`` is the
 package's record of such a residual, ``node_record`` of its ``magnitude``.
 
 The ``*_whole`` functions are the package's earlier forms of the residuals it
 now forms by blocks of node rows (``structure.chunked_magnitude``): F, D psi~,
-metric compatibility, the rebuild's verification, its frame's Gram defect and
-the cross-check difference, each held whole with whole temporaries.  They
-call the package's elementary kernels, not einsum, so the tests require the
-package's records to equal theirs bitwise.
+metric compatibility, a rebuild's frame's Gram defect and the cross-check
+difference, each held whole with whole temporaries.  They call the package's
+elementary kernels, not einsum, so the tests require the package's records
+to equal theirs bitwise.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from prodimm import lorentz, structure
 from prodimm.fields import argmax_node, diff_axis, grad_field, hessian_field
 from prodimm.flatbundle import build_psi_tilde, flatness_residual, psi_tilde_parallel_residual
-from prodimm.lorentz import lower, minkowski_dot, minkowski_gram, product_normals, psi_flip
+from prodimm.lorentz import minkowski_dot, psi_flip
 from prodimm.reconstruct import EdgeFlows, sweep_parallel_frame
 from prodimm.structure import CheckRecord, Report, magnitude, node_record, psi_blocks, records
 
@@ -299,50 +302,38 @@ def immersion_psi_field(s, gram) -> np.ndarray:
     return out
 
 
-def verify_reconstruction(phi, frame, k, gram, g, sigma, psi, tolerances) -> Report:
+def verify_reconstruction(phi, frame, k, gram, g, bundle, sigma, psi, tolerances) -> Report:
+    """The rebuild's datum read off its rows, one pairing per datum, less the dataset's."""
     grid = g.grid
     n, p = grid.ndim, sigma.values.shape[-1]
     dphi = grad_field(grid, phi)
-    psi_map = immersion_psi_field(frame, gram)
-    normals = np.einsum("...ib->...bi", psi_map[..., :, n:n + p])
+    normals = np.einsum("...ib->...bi", immersion_psi_field(frame, gram)[..., :, n:n + p])
     induced = minkowski_dot(dphi[..., :, None, :], dphi[..., None, :, :])
     res_orth = minkowski_dot(dphi[..., :, None, :], normals[..., None, :, :])
-    xi1, xi2 = product_normals(phi, k)
-    psi_dphi = psi_flip(dphi, k)
-    d2phi = hessian_field(grid, phi)
-    plus = minkowski_dot((dphi + psi_dphi)[..., :, None, :], dphi[..., None, :, :])
-    minus = minkowski_dot((dphi - psi_dphi)[..., :, None, :], dphi[..., None, :, :])
-    w = (d2phi + 0.5 * plus[..., None] * xi1[..., None, None, :]
-         - 0.5 * minus[..., None] * xi2[..., None, None, :])
-    w_tan = np.einsum("...rs,...mnN,...rN->...mns", np.linalg.inv(g.values), w,
-                      dphi * np.concatenate([np.ones(phi.shape[-1] - 1), [-1.0]]))
-    h_fd = w - np.einsum("...mns,...sN->...mnN", w_tan, dphi)
-    h_model = np.einsum("...mna,...aN->...mnN", sigma.values, normals)
-    f, u, big_u, lam = blocks(psi, n)
-    res_psi_t = (psi_dphi - np.einsum("...km,...kN->...mN", f, dphi)
-                 - np.einsum("...am,...aN->...mN", u, normals))
-    res_psi_n = (psi_flip(normals, k)
-                 - np.einsum("...kb,...kN->...bN", big_u, dphi)
-                 - np.einsum("...ab,...aN->...bN", lam, normals))
+    sg = minkowski_dot(hessian_field(grid, phi)[..., None, :], normals[..., None, None, :, :])
+    sg = 0.5 * (sg + np.einsum("...mna->...nma", sg))
+    rebuilt_psi, om = induced_structure(k, g, dphi, normals)
+    d_psi = rebuilt_psi - psi
     return _report(grid, tolerances,
                    ("reconstruction_isometry", induced - g.values),
                    ("reconstruction_normal_orthogonality", res_orth),
-                   ("reconstruction_second_form", h_fd - h_model),
-                   ("reconstruction_psi_compat_tangent", res_psi_t),
-                   ("reconstruction_psi_compat_normal", res_psi_n))
+                   ("reconstruction_second_form", sg - sigma.values),
+                   ("reconstruction_psi_compat_tangent", d_psi[..., :n]),
+                   ("reconstruction_psi_compat_normal", d_psi[..., n:]),
+                   ("reconstruction_normal_connection", om - bundle.omega))
 
 
-def induced_structure(imm, metric, tangents, normals):
+def induced_structure(k, metric, tangents, normals):
     """The structure matrix [[f, U], [u, lambda]] and the normal connection omega."""
-    grid = metric.grid
+    grid, p = metric.grid, normals.shape[-2]
     d_normals = grad_field(grid, normals)             # (..., m, b, N)
     om = minkowski_dot(d_normals[..., :, None, :, :], normals[..., None, :, None, :])
     om = 0.5 * (om - np.swapaxes(om, -1, -2))
     ginv = np.linalg.inv(metric.values)
-    psi = np.empty(grid.dims + (grid.ndim + imm.p,) * 2)
+    psi = np.empty(grid.dims + (grid.ndim + p,) * 2)
     f, u, big_u, lam = psi_blocks(psi, grid.ndim)
-    psi_t = psi_flip(tangents, imm.k)                 # (..., mu, N)
-    psi_n = psi_flip(normals, imm.k)                  # (..., b, N)
+    psi_t = psi_flip(tangents, k)                 # (..., mu, N)
+    psi_n = psi_flip(normals, k)                  # (..., b, N)
     b_t = minkowski_dot(psi_t[..., :, None, :], tangents[..., None, :, :])  # (.., mu, j)
     f[...] = np.einsum("...ij,...mj->...im", ginv, b_t)
     u[...] = minkowski_dot(normals[..., :, None, :], psi_t[..., None, :, :])  # (a, mu)
@@ -409,32 +400,6 @@ def metric_compatibility_whole(geom, tolerances) -> Report:
     resid -= np.swapaxes(om, -1, -2) @ gram
     resid -= gram @ om
     return records(grid, tolerances, ("bundle_metric_compatibility", magnitude(resid, n)))
-
-
-def verify_reconstruction_whole(points, frame, k, geom, tolerances) -> Report:
-    """``reconstruct.verify_reconstruction`` with every intermediate a whole local."""
-    grid = geom.grid
-    n, p = grid.ndim, geom.p
-    dphi = grad_field(grid, points)
-    rows = np.concatenate([dphi, lower(frame[..., n:n + p, :])], axis=-2)
-    normals = rows[..., n:, :]
-    pairs = minkowski_gram(dphi, rows)
-    induced = pairs[..., :n]
-    xi1, xi2 = product_normals(points, k)
-    psi_dphi = psi_flip(dphi, k)
-    cross = minkowski_gram(psi_dphi, dphi)
-    d2phi = hessian_field(grid, points)
-    w = (d2phi + 0.5 * (induced + cross)[..., None] * xi1[..., None, None, :]
-         - 0.5 * (induced - cross)[..., None] * xi2[..., None, None, :])
-    w_tan = minkowski_gram(w, dphi[..., None, :, :]) @ geom.metric.inverse[..., None, :, :]
-    res_second = w - w_tan @ dphi[..., None, :, :] - geom.sigma.values @ normals[..., None, :, :]
-    res_psi = psi_flip(rows, k) - np.swapaxes(geom.psi, -1, -2) @ rows
-    return Report.merge(*(records(grid, tolerances, (name, magnitude(r, n))) for name, r in (
-        ("reconstruction_isometry", induced - geom.metric.values),
-        ("reconstruction_normal_orthogonality", pairs[..., n:]),
-        ("reconstruction_second_form", res_second),
-        ("reconstruction_psi_compat_tangent", res_psi[..., :n, :]),
-        ("reconstruction_psi_compat_normal", res_psi[..., n:, :]))))
 
 
 def rebuild_frame_records_whole(geom, frame, base, tolerances) -> Report:

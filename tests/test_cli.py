@@ -16,7 +16,7 @@ from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_da
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
 
-from conftest import geometry_of
+from conftest import geometry_of, twisted_f3
 from io_oracles import edit_field, field_values
 
 
@@ -373,6 +373,24 @@ def test_record_names_are_the_records_of_a_2d_roundtrip(tmp_path):
     path = tmp_path / "rt.json"
     assert main(["roundtrip", "--fixture", "F3", "--grid", "17x17", "--report", str(path)]) == 0
     assert tuple(load_report(str(path)).names()) == RECORD_NAMES
+
+
+def test_normal_connection_override_fails_a_twisted_rebuild(tmp_path, capsys):
+    """``reconstruction_normal_connection`` is a record the tolerances can name.  On F3 the
+    rebuilt normals lie in the two factors, so the record reads exactly 0 and a zero
+    threshold passes; on F3 with its normals turned it reads about 2e-3 and fails."""
+    flag = ["--tol", "reconstruction_normal_connection=0"]
+    capsys.readouterr()
+    assert main(["roundtrip", "--fixture", "F3", "--grid", "17x17", *flag]) == 0
+    assert "PASS reconstruction_normal_connection    max=0.000000e+00 " in capsys.readouterr().out
+    path = tmp_path / "twisted.json"
+    save_dataset(twisted_f3(64), str(path))
+    assert main(["reconstruct", str(path), "-o", str(tmp_path / "mesh.csv")]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", str(path), "-o", str(tmp_path / "mesh.csv"), *flag]) == 1
+    fails = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL ")]
+    assert fails == ["reconstruction_normal_connection"]
 
 
 @pytest.mark.parametrize("flags, field", [(["--tol-factor", "nan"], "factor"),

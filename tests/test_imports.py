@@ -47,6 +47,10 @@ alignment block, and ``structure`` defines no ``to_dict`` or ``from_dict``.
 Every library option is one a command sets: each defaulted parameter of a
 module-level function that ``src/`` calls by name is set by one of those calls,
 by keyword or by position, the console entry point ``cli.main(argv)`` aside.
+Each datum pairing has one home: a ``psi_flip`` call inside the arguments of a
+``minkowski_gram`` call appears only in ``extract.induced_structure``, and
+``reconstruct`` does not name ``product_normals``, since the rebuild reads its
+datum through the extraction's pairings.
 """
 
 import ast
@@ -682,3 +686,56 @@ def test_unset_default_is_found():
     assert unset_defaults({"extract.py": extract, "reconstruct.py": reconstruct,
                            "cli.py": cli}) == ["extract.py:fixture(grid)",
                                                "reconstruct.py:rebuild(base)"]
+
+
+# Each datum pairing has one home: psi is paired with the rows in the extraction alone,
+# and the rebuild reads its datum through it, never from the product's normals.
+PSI_PAIRING_HOME = ("extract.py", "induced_structure")
+REBUILD_UNNAMED = ("product_normals",)
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in {getattr(node.func, key, None)
+                                                   for key in ("id", "attr")}
+
+
+def datum_pairing_sites(sources: dict) -> list:
+    """``module:line`` of a ``psi_flip`` call inside the arguments of a ``minkowski_gram`` call
+    outside ``PSI_PAIRING_HOME``, and of a ``REBUILD_UNNAMED`` name in ``reconstruct.py``,
+    over ``sources`` (module -> text)."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        home = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and (module, f.name) == PSI_PAIRING_HOME for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if _calls(node, "minkowski_gram"):
+                found += [f"{module}:{sub.lineno}"
+                          for arg in node.args + [kw.value for kw in node.keywords]
+                          for sub in ast.walk(arg)
+                          if _calls(sub, "psi_flip") and id(sub) not in home]
+            if module == "reconstruct.py" and {getattr(node, "attr", None), getattr(
+                    node, "id", None), getattr(node, "name", None)} & set(REBUILD_UNNAMED):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_each_datum_pairing_has_one_home():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert datum_pairing_sites(sources) == []
+    assert datum_pairing_sites({"extract.py": sources["extract.py"].replace(
+        "def induced_structure", "def moved")}) != []   # the one home is seen
+
+
+def test_datum_pairing_site_is_found():
+    extract = ("def induced_structure(k, rows):\n"
+               "    return minkowski_gram(rows, psi_flip(rows, k))\n"
+               "def other(k, rows):\n    return lorentz.minkowski_gram(lorentz.psi_flip(rows, k),"
+               " rows)\n")
+    reconstruct = ("from .lorentz import minkowski_gram, product_normals, psi_flip\n"
+                   "def verify(points, rows, k):\n"
+                   "    xi1, xi2 = lorentz.product_normals(points, k)\n"
+                   "    flipped = psi_flip(rows, k)\n"
+                   "    return minkowski_gram(rows, b=[psi_flip(rows, k)]), flipped\n")
+    assert datum_pairing_sites({"extract.py": extract, "reconstruct.py": reconstruct}) == [
+        "extract.py:4", "reconstruct.py:1", "reconstruct.py:3", "reconstruct.py:5"]

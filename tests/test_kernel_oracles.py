@@ -200,7 +200,7 @@ def test_rebuild_kernels_match_oracles(geom, f3):
     gram[..., n:n + p] = np.eye(gram.shape[-1])[:, n:n + p]
     assert_reports_close(verify_reconstruction(points, frame, k, case, tol),
                          oracle.verify_reconstruction(points, frame, k, gram, case.metric,
-                                                      case.sigma, case.psi, tol))
+                                                      case.bundle, case.sigma, case.psi, tol))
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f1_fd", "f2_fd", "f3_fd", "random"])
@@ -219,8 +219,8 @@ def test_structure_read_matches_the_per_block_oracle(request, name):
         fb = request.getfixturevalue(name)
         imm, metric, tangents, normals = (fb.immersion, fb.data.metric, fb.data.tangents,
                                           fb.data.normals)
-    psi, bundle = induced_structure(imm, metric, tangents, normals)
-    want_psi, want_om = oracle.induced_structure(imm, metric, tangents, normals)
+    psi, bundle = induced_structure(imm.k, metric, tangents, normals)
+    want_psi, want_om = oracle.induced_structure(imm.k, metric, tangents, normals)
     assert_close(psi, want_psi, f"{name} structure")
     assert_close(bundle.omega, want_om, f"{name} normal connection")
 
@@ -243,8 +243,6 @@ def test_records_equal_the_whole_forms_bitwise(request, monkeypatch, name, one_r
     new = Report.merge(check_dataset(geom, tol), rebuild.report)
     want = Report.merge(oracle.metric_compatibility_whole(geom, tol),
                         oracle.check_all_whole(geom, tol),
-                        oracle.verify_reconstruction_whole(rebuild.points, rebuild.frame,
-                                                           rebuild.k, geom, tol),
                         oracle.rebuild_frame_records_whole(geom, rebuild.frame,
                                                            rebuild.base_node, tol))
     assert set(want.names()) <= set(new.names())

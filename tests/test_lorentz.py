@@ -213,6 +213,18 @@ def test_lorentz_orthonormalize_takes_every_near_identity_basis():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("rapidity", [8.0, 12.0, 14.0])
+def test_lorentz_orthonormalize_takes_a_far_boosted_frame(rapidity):
+    """The rows of an exact boost are a Lorentz frame: V eta V^T = eta, so nothing is
+    degenerate however large |V|.  The defect stays within round-off of |S|_2^2."""
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    rows = np.eye(4)
+    rows[0, 0] = rows[-1, -1] = c
+    rows[0, -1] = rows[-1, 0] = s
+    frame = lorentz_orthonormalize(rows)
+    assert np.abs(gram_defect(frame, eta(4))).max() <= 1e-16 * np.linalg.norm(frame, 2) ** 2
+
+
 def test_lorentz_orthonormalize_identity_frame():
     frame = lorentz_orthonormalize(np.eye(4))
     assert np.array_equal(frame, np.eye(4))

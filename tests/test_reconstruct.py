@@ -4,6 +4,7 @@ import scipy.integrate
 import scipy.linalg
 
 from prodimm import reconstruct
+from prodimm.cli import check_dataset
 from prodimm.errors import ReconstructionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField, argmax_node
 from prodimm.flatbundle import Geometry, build_psi_tilde, eigen_split
@@ -15,6 +16,7 @@ from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
 import kernel_oracles as oracle
+from conftest import twisted_f3
 from sweep_oracles import per_edge_parallel_frame, per_plaquette_path_gap
 
 
@@ -223,6 +225,43 @@ def test_verify_reconstruction_residuals(f1, f2, f3):
         thr = 10 * fb.grid.h_max**2
         for rec in fb.recon.report.records:
             assert rec.max_abs <= thr, (rec.name, rec.max_abs, thr)
+
+
+def test_twisted_normal_connection_is_rebuilt_to_second_order():
+    """On a twisted F3 check and the rebuild pass, and the rebuilt normal connection
+    converges to omega like h^2 (measured 1.96e-3 at 64^2, 4.77e-4 at 127^2)."""
+    gaps = []
+    for dims in (64, 127):
+        geom = twisted_f3(dims)
+        tol = geom.tolerances
+        assert np.abs(geom.bundle.omega).max() >= 1.9
+        assert check_dataset(geom, tol).passed, dims
+        report = reconstruct_immersion(geom, tol).report
+        assert report.passed, dims
+        gaps.append(report["reconstruction_normal_connection"].max_abs)
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5, gaps
+
+
+def test_normal_connection_record_sees_turned_normals():
+    """A Gaussian turn eps exp(-r^2 / 0.05) of the rebuilt normals, eps = 1e-3 about the
+    chart centre, keeps them orthonormal and normal but adds its gradient, up to 3.8e-3,
+    to their connection: 2.7 times the 127^2 threshold."""
+    geom = twisted_f3(127)
+    tol = geom.tolerances
+    res = reconstruct_immersion(geom, tol)
+    x, y = np.moveaxis(geom.grid.coords(), -1, 0)
+    turn = 1e-3 * np.exp(-((x - 0.75) ** 2 + (y - 0.75) ** 2) / 0.05)
+    c, s = np.cos(turn), np.sin(turn)
+    frame = res.frame.copy()
+    frame[..., 2:4, :] = np.stack([c, -s, s, c], axis=-1).reshape(geom.grid.dims + (2, 2)) \
+        @ res.frame[..., 2:4, :]
+    report = reconstruct.verify_reconstruction(res.points, frame, res.k, geom, tol)
+    clean = res.report["reconstruction_normal_connection"]
+    planted = report["reconstruction_normal_connection"]
+    assert clean.passed and not planted.passed
+    assert planted.max_abs >= 2.5 * planted.threshold
+    assert report["reconstruction_isometry"] == res.report["reconstruction_isometry"]
+    assert report["reconstruction_normal_orthogonality"].max_abs <= 1e-9
 
 
 def _frame_map(res, gram, node=None):
