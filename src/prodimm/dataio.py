@@ -47,10 +47,11 @@ or values do not fit it.
 
 No Python code runs once per element on the write path: each numeric report
 array is told apart by the set of its element types and written by one JSON
-encoder call, and a mesh table is written by one ``%r`` format per block of
-rows and read back by one ``np.loadtxt`` call.  A JSON document is written as
-its pieces in order, each base64 field one piece, and never joined into one
-text, so a write holds no joined copy of the document.
+encoder call, and a mesh table is written by one ``%`` format per block of
+rows, each distinct value of a column formatted once, and read back by one
+``np.loadtxt`` call.  A JSON document is written as its pieces in order, each
+base64 field one piece, and never joined into one text, so a write holds no
+joined copy of the document.
 """
 
 from __future__ import annotations
@@ -99,10 +100,16 @@ class Dataset(Geometry):
 
 
 def _atomic_write(path: str, write):
-    """Run ``write(handle)`` on a temp file next to ``path``, then rename it over."""
+    """Run ``write(handle)`` on a temp file next to ``path``, then rename it over.
+
+    The file gets the mode a plain ``open`` would create it with, 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)   # the mode ``open`` gives, not mkstemp's 0600
         with os.fdopen(fd, "w", newline="") as handle:
             write(handle)
         os.replace(tmp, path)
@@ -361,7 +368,8 @@ def load_report(path: str) -> Report:
 # mesh export
 
 
-# Mesh rows per ``%`` format call.  Formatting a whole 127x127 table in one
+# Mesh rows per ``%`` format call, and rows of the one object array of cells
+# that each block is filled into.  Formatting a whole 127x127 table in one
 # call holds 6 MiB more Python objects at the peak of the write.
 _CSV_BLOCK_ROWS = 1024
 
@@ -371,16 +379,37 @@ def immersion_csv_header(k: int, size: int) -> list:
     return [f"x{i + 1}" for i in range(k + 1)] + [f"y{j + 1}" for j in range(k + 1, size)]
 
 
+def _distinct_texts(bits: np.ndarray):
+    """None if no value repeats in ``bits``, a float64 column viewed as int64; else its
+    distinct bit patterns, sorted, and the ``repr`` of each as an object array.
+
+    One ``np.sort`` gives both the test and the patterns; ``np.unique`` without an
+    inverse hashes instead, which is slower when no value repeats.
+    """
+    ordered = np.sort(bits)
+    fresh = ordered[1:] != ordered[:-1]
+    if fresh.all():
+        return None
+    keys = ordered[np.concatenate(([True], fresh))]
+    return keys, np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+
+
 def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
                        repair: bool = False):
     """The ambient points ``values`` (*grid.dims, N), one node per row in C order.
+
+    Each value is written as its ``repr``.  A column in which some value
+    repeats (a product immersion repeats its columns along grid lines) has
+    the ``repr`` of each distinct bit pattern taken once, so 0.0 and -0.0 keep
+    their own text; a column with no repeat is formatted by ``%r`` as it goes.
+    The bytes are those of one ``repr`` per cell either way.
 
     With ``repair`` the sphere and hyperbolic blocks are renormalized onto
     the product at write time; in-memory values are never touched.  The first
     node with a zero sphere block or a hyperbolic block that is not timelike
     has no repair: it raises ReconstructionError before any file is written.
     """
-    pts = np.array(values, dtype=float)
+    pts = np.array(values, dtype=float) if repair else np.asarray(values, dtype=float)
     if pts.shape[:-1] != grid.dims:
         raise DimensionError(f"mesh values of shape {pts.shape} on a "
                              f"{'x'.join(map(str, grid.dims))} grid")
@@ -397,12 +426,23 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
         x /= np.sqrt(x2)[..., None]
         y /= np.sqrt(y2)[..., None]
     flat = pts.reshape(-1, pts.shape[-1])
-    row = ",".join(["%r"] * flat.shape[1]) + "\r\n"   # excel-dialect CSV: CRLF line ends
+    bits = flat.view(np.int64)
+    tables = [_distinct_texts(column) for column in bits.T]
+    # excel-dialect CSV: CRLF line ends
+    row = ",".join("%r" if table is None else "%s" for table in tables) + "\r\n"
+    cells = np.empty((min(_CSV_BLOCK_ROWS, len(flat)), flat.shape[1]), dtype=object)
 
     def write(handle):
         handle.write(",".join(immersion_csv_header(k, flat.shape[1])) + "\r\n")
         for start in range(0, len(flat), _CSV_BLOCK_ROWS):
-            block = flat[start:start + _CSV_BLOCK_ROWS]
+            rows = slice(start, min(start + _CSV_BLOCK_ROWS, len(flat)))
+            block = cells[:rows.stop - start]
+            for j, table in enumerate(tables):
+                if table is None:
+                    block[:, j] = flat[rows, j]   # as Python floats, for ``%r``
+                else:
+                    keys, texts = table
+                    block[:, j] = texts[keys.searchsorted(bits[rows, j])]
             handle.write(row * len(block) % tuple(block.ravel().tolist()))
     _atomic_write(path, write)
 

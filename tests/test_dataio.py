@@ -2,16 +2,22 @@
 
 import inspect
 import json
+import os
 import re
+import stat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from prodimm import cli
-from prodimm.dataio import (Dataset, _render_with_inline_arrays, dataset_to_dict,
-                            load_dataset, load_rebuild, report_from_dict, report_to_dict,
-                            save_dataset, save_immersion_csv, save_report,
+from prodimm import cli, dataio
+from prodimm.dataio import (_CSV_BLOCK_ROWS, Dataset, _render_with_inline_arrays,
+                            dataset_to_dict, load_dataset, load_rebuild, report_from_dict,
+                            report_to_dict, save_dataset, save_immersion_csv, save_report,
                             tolerances_from_dict, tolerances_to_dict)
 from prodimm.errors import DimensionError, GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
@@ -234,12 +240,50 @@ def _product_points(grid: ChartGrid, k: int, m: int) -> np.ndarray:
     return np.concatenate([x, y], axis=-1)
 
 
+def _repeating_points(grid: ChartGrid) -> np.ndarray:
+    """``_product_points`` with k = 2 and one kind of repeat per column, each a column the
+    writer formats from its distinct values:
+
+    x1  0.0 and -0.0, a run of -0.0 across each block edge after a run of 0.0;
+    x2  subnormals and +-1e300, a run of 1e300 across each block edge;
+    x3  constant along grid axis 0 (a constant column on a 1-dim grid);
+    y1  exactly one repeat, the first node's value at the last node;
+    y2  a constant.
+
+    The last hyperbolic column is set again so that each point stays timelike.
+    """
+    pts = _product_points(grid, 2, 5 - grid.ndim)
+    flat = pts.reshape(-1, pts.shape[-1])   # a view of pts
+    rng = np.random.default_rng(len(flat) + 1)
+    pick = rng.integers(0, 4, size=len(flat))
+    flat[:, 0] = np.choose(pick, [0.0, -0.0, flat[:, 0], flat[:, 0]])
+    flat[:, 1] = np.where(pick == 3, rng.choice([5e-324, -5e-324, 1e-310, -2.5e-320,
+                                                  1e300, -1e300], size=len(flat)), flat[:, 1])
+    for edge in range(_CSV_BLOCK_ROWS, len(flat), _CSV_BLOCK_ROWS):
+        flat[edge - 4:edge - 1, 0] = 0.0
+        flat[edge - 1:edge + 3, 0] = -0.0
+        flat[edge - 2:edge + 2, 1] = 1e300
+    pts[..., 2] = pts[:1, ..., 2]
+    flat[-1, 3] = flat[0, 3]
+    flat[:, 4] = 0.75
+    flat[:, -1] = 1.0 + np.sqrt(np.einsum("ri,ri->r", flat[:, 3:-1], flat[:, 3:-1]))
+    return pts
+
+
 @pytest.mark.parametrize("repair", [False, True])
-@pytest.mark.parametrize("case", ["f3", *MESH_GRIDS])
+@pytest.mark.parametrize("case", ["f3", *MESH_GRIDS, *(f"{name}-repeats" for name in MESH_GRIDS)])
 def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
-    """One ``%r`` format per block of rows gives the oracle's C-order rows byte for byte."""
+    """One ``%`` format per block of rows, each distinct value of a column formatted once,
+    gives the oracle's C-order rows, one ``repr`` per cell, byte for byte."""
     if case == "f3":
         grid, k, values = f3.grid, f3.recon.k, f3.recon.points
+    elif case.endswith("-repeats"):
+        grid, k = MESH_GRIDS[case.removesuffix("-repeats")], 2
+        values = _repeating_points(grid)
+        bits = values.reshape(-1, values.shape[-1]).view(np.int64)
+        distinct = [len(np.unique(column)) for column in bits.T]
+        assert distinct[3] == grid.n_nodes - 1 and distinct[4] == 1, distinct
+        assert {0, np.float64(-0.0).view(np.int64)} <= set(bits[:, 0].tolist())
     else:
         grid, k = MESH_GRIDS[case], 2
         values = _product_points(grid, k, 5 - grid.ndim)
@@ -247,6 +291,35 @@ def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
     save_immersion_csv(str(path), grid, k, values, repair=repair)
     expected = io_oracles.immersion_csv_text(k, values, repair=repair)
     assert path.read_bytes() == expected.encode()
+
+
+# Most cells of a drawn mesh table come from this pool, so its columns repeat: both
+# zeros, subnormals, values near overflow and a few ordinary ones.
+CELL_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e300, -1e300,
+             1.0, -1.0, 0.1, 1 / 3, -2.5e-8, 123456.789)
+# Node counts per axis, by chart dimension, that keep a drawn table small.
+DRAWN_AXIS_NODES = {1: 40, 2: 8, 3: 5}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mesh_bytes_match_oracle_on_drawn_tables(tmp_path_factory, data):
+    """Any table, in blocks of a few rows, gives the oracle's bytes: each cell is the
+    ``repr`` of its own bit pattern, whichever columns repeat."""
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    dims = tuple(data.draw(st.lists(st.integers(5, DRAWN_AXIS_NODES[ndim]),
+                                    min_size=ndim, max_size=ndim), label="dims"))
+    size = data.draw(st.integers(4, 7), label="N")
+    k = data.draw(st.integers(1, size - 3), label="k")
+    cells = st.one_of(st.sampled_from(CELL_POOL),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    values = data.draw(hnp.arrays(np.float64, dims + (size,), elements=cells), label="values")
+    grid = ChartGrid(dims=dims, spacing=(0.1,) * ndim, origin=(0.0,) * ndim)
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    with mock.patch.object(dataio, "_CSV_BLOCK_ROWS", data.draw(st.integers(1, 8),
+                                                                label="block rows")):
+        save_immersion_csv(str(path), grid, k, values)
+    assert path.read_bytes() == io_oracles.immersion_csv_text(k, values).encode()
 
 
 @pytest.mark.parametrize("block, planted", [
@@ -343,6 +416,20 @@ def test_rebuild_needs_grid_and_reconstruction_blocks(tmp_path, block):
     report.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="needs its grid and reconstruction blocks"):
         load_rebuild(str(mesh), str(report))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_mode_open_gives(f1, tmp_path, umask):
+    """A dataset, a mesh and its report are 0666 less the umask, as ``open`` would create
+    them; the temp file each is written to is not left at its private 0600."""
+    saved = os.umask(umask)
+    try:
+        save_dataset(f1.dataset(), str(tmp_path / "ds.json"))
+        written = [tmp_path / "ds.json", *_small_rebuild(tmp_path)]
+    finally:
+        os.umask(saved)
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == \
+        {path.name: 0o666 & ~umask for path in written}
 
 
 def test_writer_signatures_unchanged():

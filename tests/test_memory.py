@@ -13,7 +13,10 @@ verification formed ambient residuals, 3.47 before blocks of node rows) and
 1.45 units for the connection build on a cold geometry (1.75 when Omega
 was assembled by ``np.block``).  A dataset write is bounded in multiples of
 the file it writes, the same quarter of headroom above its peak: 1.23 files
-(3.01 when the document was joined into one text before the write).
+(3.01 when the document was joined into one text before the write).  A mesh
+write is bounded in files too, at 127x127 (the ``surface`` workload's shape),
+with a tenth of its peak as headroom: it reads 0.20 files (0.69 when the points
+were copied before the write and each cell formatted from a Python float).
 """
 
 import gc
@@ -23,7 +26,9 @@ import tracemalloc
 import pytest
 
 from prodimm.cli import check_dataset
-from prodimm.dataio import save_dataset
+from prodimm.dataio import save_dataset, save_immersion_csv
+from prodimm.extract import fixture
+from prodimm.fields import ChartGrid
 from prodimm.flatbundle import build_connection
 from prodimm.reconstruct import reconstruct_immersion
 
@@ -78,3 +83,17 @@ def test_dataset_write_holds_no_joined_copy(f3_fd, tmp_path):
     peak = traced_peak_mib(save_dataset, f3_fd.dataset(), str(path))
     file_mib = os.path.getsize(path) / 2**20
     assert peak <= (1.23 + HEADROOM) * file_mib, peak / file_mib
+
+
+def test_mesh_write_fills_one_block_of_cells(tmp_path):
+    """The points are formatted as they are, by blocks of rows of one reusable object array
+    of cells, each repeated value from its column's one text, so the peak is about a block:
+    a whole-table copy of the points or array of cells holds 0.45 files more."""
+    immersion, _ = fixture("F3", theta0=0.8)
+    h = 1.5 / 126
+    grid = ChartGrid(dims=(127, 127), spacing=(h, h), origin=(0.0, 0.0))
+    points = immersion.point(grid.coords())   # its columns repeat along grid lines
+    path = tmp_path / "mesh.csv"
+    peak = traced_peak_mib(save_immersion_csv, str(path), grid, immersion.k, points)
+    file_mib = os.path.getsize(path) / 2**20
+    assert peak <= 0.22 * file_mib, peak / file_mib
