@@ -19,6 +19,7 @@ import argparse
 import inspect
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +67,14 @@ def _print_checks(report: Report):
               f"thr={threshold:.1e}{where}")
 
 
+def _verdict(report: Report, path) -> int:
+    """Print ``report``, write it to ``path`` if one is given; exit 0 if it passed, else 1."""
+    _print_checks(report)
+    if path:
+        save_report(report, path)
+    return 0 if report.passed else 1
+
+
 def _parse_tuple(text: str, count: int, cast):
     parts = [p for p in str(text).replace("x", ",").split(",") if p]
     if len(parts) == 1:
@@ -108,8 +117,7 @@ def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
         name, value = item.split("=", 1)
         overrides[name.strip()] = float(value)
     factor = args.tol_factor if args.tol_factor is not None else base.factor
-    return ToleranceModel(factor=factor, floor=base.floor, algebraic=base.algebraic,
-                          overrides=overrides)
+    return replace(base, factor=factor, overrides=overrides)
 
 
 def _require_seed(seed) -> None:
@@ -152,11 +160,7 @@ def cmd_extract(args) -> int:
 def cmd_check(args) -> int:
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
-    report = check_dataset(ds, tol)
-    _print_checks(report)
-    if args.report:
-        save_report(report, args.report)
-    return 0 if report.passed else 1
+    return _verdict(check_dataset(ds, tol), args.report)
 
 
 def cmd_reconstruct(args) -> int:
@@ -192,11 +196,7 @@ def cmd_roundtrip(args) -> int:
     alignment = align_congruence(result.points, result.report.reconstruction["psi_base"],
                                  result.k, data.points, data.ambient_frame(result.base_node),
                                  imm.k, distance_tol)
-    report = Report.merge(checks, result.report, alignment)
-    _print_checks(report)
-    if args.report:
-        save_report(report, args.report)
-    return 0 if report.passed else 1
+    return _verdict(Report.merge(checks, result.report, alignment), args.report)
 
 
 def cmd_align(args) -> int:
@@ -222,10 +222,7 @@ def cmd_align(args) -> int:
     print(f"max node distance   {block['max_distance']:.6e}")
     print(f"eta defect          {block['eta_defect']:.3e}")
     print(f"commutation defect  {block['commutation_defect']:.3e}")
-    _print_checks(report)
-    if args.out:
-        save_report(report, args.out)
-    return 0 if report.passed else 1
+    return _verdict(report, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

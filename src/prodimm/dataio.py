@@ -322,11 +322,13 @@ def _reconstruction_block(block: dict, grid: ChartGrid | None) -> dict:
     if not isinstance(psi, list) or len(psi) != size * size or \
             any(type(v) not in (int, float) for v in psi) or not np.isfinite(psi).all():
         raise SchemaError(f"reconstruction psi_base must hold {size * size} finite numbers")
+    frame = np.array(psi, dtype=float).reshape(size, size)
+    if (rank := np.linalg.matrix_rank(frame)) < size:   # align inverts it
+        raise SchemaError(f"reconstruction psi_base is singular: rank {rank} of {size}")
     if type(k) is not int or not 1 <= k <= size - 3:
         raise SchemaError(f"reconstruction k must be an integer in [1, ambient_dim - 3] = "
                           f"[1, {size - 3}], got {k!r}")
-    return block | {"base_node": tuple(base),
-                    "psi_base": np.array(psi, dtype=float).reshape(size, size)}
+    return block | {"base_node": tuple(base), "psi_base": frame}
 
 
 def report_from_dict(doc: dict) -> Report:
@@ -361,7 +363,12 @@ def report_from_dict(doc: dict) -> Report:
 
 
 def load_report(path: str) -> Report:
-    return report_from_dict(_read_json(path, "report"))
+    """The report at ``path``; a document the schema rejects raises ``SchemaError`` naming it."""
+    doc = _read_json(path, "report")
+    try:
+        return report_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"report {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,9 @@ Errors name the first offending node in C order, except a degenerate normal
 frame: it names the first in Fortran order, the sweep's own order on 1-dim and
 2-dim charts.
 
-Shipped fixtures:
+Shipped fixtures.  Each writes its closed form once, as ``jet(coords, order)``;
+``_jet_fixture`` makes its orders 0, 1 and 2 the point, derivative and second
+derivative evaluators, so each trig factor is evaluated once per call:
 
 * F1 -- unit-speed geodesic curve winding through S^1 x H^1, slopes (a, b)
   with a^2 + b^2 = 1; zero second form, tangent structure block a^2 - b^2,
@@ -310,33 +312,37 @@ def default_tolerances(data: ExtractionResult) -> ToleranceModel:
 # fixtures
 
 
+def _jet_fixture(name: str, k: int, m: int, n: int, jet: Callable, params: dict,
+                 grid: ChartGrid):
+    """(immersion, grid) whose point, derivative and second derivative are the orders 0,
+    1 and 2 of one closed form ``jet(coords, order)``: an array (..., *(n,) * order, N),
+    or (..., N) at every order on a curve (n = 1)."""
+    def evaluator(order):
+        slots = (Ellipsis,) + (None,) * (order if n == 1 else 0) + (slice(None),)
+        return lambda coords: jet(coords, order)[slots]
+
+    return AnalyticImmersion(name=name, k=k, m=m, n=n, point=evaluator(0),
+                             derivative=evaluator(1), second_derivative=evaluator(2),
+                             params=params), grid
+
+
 def _fixture_f1(a: float = 0.6):
     a = float(a)
     if not 0.0 < a < 1.0:
         raise DimensionError("slope parameter must sit strictly between 0 and 1")
     b = float(np.sqrt(1.0 - a * a))
 
-    def point(coords):
+    def jet(coords, order):
         t = coords[..., 0]
-        return np.stack([np.cos(a * t), np.sin(a * t),
-                         np.sinh(b * t), np.cosh(b * t)], axis=-1)
+        c, s, ch, sh = np.cos(a * t), np.sin(a * t), np.cosh(b * t), np.sinh(b * t)
+        if order == 0:
+            return np.stack([c, s, sh, ch], axis=-1)
+        if order == 1:
+            return np.stack([-a * s, a * c, b * ch, b * sh], axis=-1)
+        return np.stack([-a * a * c, -a * a * s, b * b * sh, b * b * ch], axis=-1)
 
-    def derivative(coords):
-        t = coords[..., 0]
-        return np.stack([-a * np.sin(a * t), a * np.cos(a * t),
-                         b * np.cosh(b * t), b * np.sinh(b * t)], axis=-1)[..., None, :]
-
-    def second_derivative(coords):
-        t = coords[..., 0]
-        dd = np.stack([-a * a * np.cos(a * t), -a * a * np.sin(a * t),
-                       b * b * np.sinh(b * t), b * b * np.cosh(b * t)], axis=-1)
-        return dd[..., None, None, :]
-
-    imm = AnalyticImmersion(name="F1", k=1, m=1, n=1, point=point,
-                            derivative=derivative, second_derivative=second_derivative,
-                            params={"a": a, "b": b})
-    grid = ChartGrid(dims=(200,), spacing=(5e-3,), origin=(0.0,))
-    return imm, grid
+    return _jet_fixture("F1", 1, 1, 1, jet, {"a": a, "b": b},
+                        ChartGrid(dims=(200,), spacing=(5e-3,), origin=(0.0,)))
 
 
 def _latitude_circle(theta0: float):
@@ -369,42 +375,27 @@ def _fixture_f2(theta0: float = np.pi / 3):
         y[..., 1] = 1.0 if order == 0 else 0.0
         return np.concatenate([x, y], axis=-1)
 
-    imm = AnalyticImmersion(name="F2", k=2, m=1, n=1, point=lambda c: jet(c, 0),
-                            derivative=lambda c: jet(c, 1)[..., None, :],
-                            second_derivative=lambda c: jet(c, 2)[..., None, None, :],
-                            params={"theta0": theta0})
-    grid = ChartGrid(dims=(201,), spacing=(1e-2,), origin=(0.0,))
-    return imm, grid
+    return _jet_fixture("F2", 2, 1, 1, jet, {"theta0": theta0},
+                        ChartGrid(dims=(201,), spacing=(1e-2,), origin=(0.0,)))
 
 
 def _fixture_f3(theta0: float = np.pi / 4):
     theta0, circle = _latitude_circle(theta0)
 
-    def point(coords):
+    def jet(coords, order):   # the circle along the first axis, a geodesic of H^2 along the second
         t2 = coords[..., 1]
-        geodesic = np.stack([np.sinh(t2), np.zeros_like(t2), np.cosh(t2)], axis=-1)
-        return np.concatenate([circle(coords[..., 0], 0), geodesic], axis=-1)
+        ch, sh, zero = np.cosh(t2), np.sinh(t2), np.zeros_like(t2)
+        x = circle(coords[..., 0], order)
+        y = np.stack([ch, zero, sh] if order % 2 else [sh, zero, ch], axis=-1)
+        if order == 0:
+            return np.concatenate([x, y], axis=-1)
+        out = np.zeros(coords.shape[:-1] + (2,) * order + (6,))
+        out[(Ellipsis,) + (0,) * order + (slice(None, 3),)] = x
+        out[(Ellipsis,) + (1,) * order + (slice(3, None),)] = y
+        return out
 
-    def derivative(coords):
-        t2 = coords[..., 1]
-        d = np.zeros(coords.shape[:-1] + (2, 6))
-        d[..., 0, :3] = circle(coords[..., 0], 1)
-        d[..., 1, 3], d[..., 1, 5] = np.cosh(t2), np.sinh(t2)
-        return d
-
-    def second_derivative(coords):
-        t2 = coords[..., 1]
-        dd = np.zeros(coords.shape[:-1] + (2, 2, 6))
-        dd[..., 0, 0, :3] = circle(coords[..., 0], 2)
-        dd[..., 1, 1, 3], dd[..., 1, 1, 5] = np.sinh(t2), np.cosh(t2)
-        return dd
-
-    imm = AnalyticImmersion(name="F3", k=2, m=2, n=2, point=point,
-                            derivative=derivative, second_derivative=second_derivative,
-                            params={"theta0": theta0})
-    h = 1.5 / 63.0
-    grid = ChartGrid(dims=(64, 64), spacing=(h, h), origin=(0.0, 0.0))
-    return imm, grid
+    return _jet_fixture("F3", 2, 2, 2, jet, {"theta0": theta0},
+                        ChartGrid(dims=(64, 64), spacing=(1.5 / 63.0,) * 2, origin=(0.0, 0.0)))
 
 
 FIXTURES = {"F1": _fixture_f1, "F2": _fixture_f2, "F3": _fixture_f3}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from prodimm.dataio import Dataset
-from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all, fixture,
-                             induced_second_form, induced_structure)
+from prodimm.extract import (AnalyticImmersion, ExtractionResult, default_tolerances,
+                             extract_all, fixture, induced_second_form, induced_structure)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
@@ -69,7 +69,41 @@ class FixtureBundle:
         return Dataset.from_extraction(self.data)
 
 
-def twisted_f3(dims: int) -> Dataset:
+def reparametrized_f3(theta0: float = 0.8):
+    """F3 composed with Phi(x, y) = (x + 0.15 sin 2y, y + 0.1 sin 1.5x), on F3's grid.
+
+    Its metric Phi* g is not the identity (|g - I| reaches 0.45), so the Christoffel
+    symbols do not vanish; the derivatives come by the chain rule from F3's jet.
+    """
+    f3, grid = fixture("F3", theta0=theta0)
+
+    def chart(coords):   # Phi, its Jacobian J[..., a, i] = d_i Phi_a and Hessian H[..., a, i, j]
+        x, y = coords[..., 0], coords[..., 1]
+        zero = np.zeros_like(x)
+        phi = np.stack([x + 0.15 * np.sin(2.0 * y), y + 0.1 * np.sin(1.5 * x)], axis=-1)
+        jac = np.stack([1.0 + zero, 0.3 * np.cos(2.0 * y),
+                        0.15 * np.cos(1.5 * x), 1.0 + zero], axis=-1)
+        hess = np.stack([zero, zero, zero, -0.6 * np.sin(2.0 * y),
+                         -0.225 * np.sin(1.5 * x), zero, zero, zero], axis=-1)
+        return phi, jac.reshape(x.shape + (2, 2)), hess.reshape(x.shape + (2, 2, 2))
+
+    def derivative(coords):
+        phi, jac, _ = chart(coords)
+        return np.swapaxes(jac, -1, -2) @ f3.derivative(phi)
+
+    def second_derivative(coords):
+        phi, jac, hess = chart(coords)
+        return (np.einsum("...ai,...bj,...abN->...ijN", jac, jac, f3.second_derivative(phi))
+                + np.einsum("...aij,...aN->...ijN", hess, f3.derivative(phi)))
+
+    imm = AnalyticImmersion(name="F3-reparametrized", k=2, m=2, n=2,
+                            point=lambda coords: f3.point(chart(coords)[0]),
+                            derivative=derivative, second_derivative=second_derivative,
+                            params={"theta0": theta0})
+    return imm, grid
+
+
+def twisted_f3_extraction(dims: int) -> ExtractionResult:
     """F3 ``--fd`` at theta0 0.8 on a dims x dims grid of side 1.5, its normals turned by
     theta = 0.7 x + sin 2y, so omega = d theta J reaches 2; sigma, psi and omega are
     re-read off the turned normals by the extraction's own pairings."""
@@ -82,7 +116,12 @@ def twisted_f3(dims: int) -> Dataset:
     normals = np.stack([c, -s, s, c], axis=-1).reshape(grid.dims + (2, 2)) @ data.normals
     psi, bundle = induced_structure(imm.k, data.metric, data.tangents, normals)
     sigma = induced_second_form(grid, hessian_field(grid, data.points), normals)
-    return dataclasses.replace(Dataset.from_extraction(data), bundle=bundle, sigma=sigma, psi=psi)
+    return dataclasses.replace(data, normals=normals, bundle=bundle, sigma=sigma, psi=psi)
+
+
+def twisted_f3(dims: int) -> Dataset:
+    """The dataset of ``twisted_f3_extraction(dims)``."""
+    return Dataset.from_extraction(twisted_f3_extraction(dims))
 
 
 def geometry_of(data: Geometry) -> Geometry:

@@ -701,6 +701,26 @@ def test_align_rejects_a_non_finite_input(f1_dataset_path, tmp_path, capsys, whe
         assert not out.exists()
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_align_rejects_a_singular_frame_map_naming_its_report(f1_dataset_path, tmp_path,
+                                                              capsys, side):
+    """A report whose psi_base has a repeated row (rank 3 of 4) cannot be aligned, on either
+    side: the load names the report, exits 2 and writes no alignment report."""
+    mesh = tmp_path / "a.csv"
+    assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
+    doc = json.loads((tmp_path / "a.csv.report.json").read_text())
+    psi = doc["reconstruction"]["psi_base"]
+    psi[4:8] = psi[0:4]
+    bad, out = tmp_path / "singular.report.json", tmp_path / "al.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["align", str(mesh), str(mesh), f"--report-{side}", str(bad),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: report {str(bad)!r}: reconstruction "
+                                       f"psi_base is singular: rank 3 of 4\n")
+    assert not out.exists()
+
+
 FIELD_NAMES = ("metric", "bundle_connection", "sigma", "psi.f", "psi.u", "psi.U", "psi.lambda")
 
 

@@ -6,6 +6,7 @@ import scipy.linalg
 from prodimm import reconstruct
 from prodimm.cli import check_dataset
 from prodimm.errors import ReconstructionError, StructureError
+from prodimm.extract import default_tolerances, extract_all
 from prodimm.fields import ChartGrid, SecondFormField, argmax_node
 from prodimm.flatbundle import Geometry, build_psi_tilde, eigen_split
 from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
@@ -16,7 +17,7 @@ from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
 import kernel_oracles as oracle
-from conftest import twisted_f3
+from conftest import refine, reparametrized_f3, twisted_f3, twisted_f3_extraction
 from sweep_oracles import per_edge_parallel_frame, per_plaquette_path_gap
 
 
@@ -267,6 +268,43 @@ def test_normal_connection_record_sees_turned_normals():
 def _frame_map(res, gram, node=None):
     node = res.base_node if node is None else node
     return immersion_psi_field(res.frame[node], gram[node])
+
+
+def _aligned_distances(sources):
+    """Check and rebuild each extraction, and align the rebuild with its points and with the
+    frame of its normals: the max node distances, each checked within the h^2 budget."""
+    distances = []
+    for source in sources:
+        tol = default_tolerances(source)
+        assert check_dataset(source, tol).passed, source.grid
+        result = reconstruct_immersion(source, tol)
+        assert result.report.passed, source.grid
+        report = align_congruence(result.points, result.report.reconstruction["psi_base"],
+                                  result.k, source.points, source.ambient_frame(result.base_node),
+                                  source.k, tol.h2_budget(source.grid))
+        assert report.aligned, (source.grid, report.alignment)
+        distances.append(report.alignment["max_distance"])
+    return distances
+
+
+def test_twisted_rebuild_aligns_with_its_source():
+    """The rebuild of twisted F3 aligns with the source points and with the ambient frame of
+    the turned normals, and the distance falls like h^2 (measured 1.57e-4 at 64^2 and
+    3.86e-5 at 127^2, against budgets 5.67e-3 and 1.42e-3)."""
+    distances = _aligned_distances(twisted_f3_extraction(dims) for dims in (64, 127))
+    assert 3.5 <= distances[0] / distances[1] <= 4.5, distances
+
+
+@pytest.mark.parametrize("use_analytic", [True, False], ids=["analytic", "fd"])
+def test_reparametrized_f3_passes_the_whole_pipeline(use_analytic):
+    """F3 on a chart whose metric is not the identity (|g - I| = 0.45, so Gamma != 0): the
+    checks and the rebuild pass, and the rebuild aligns with the source to O(h^2)
+    (measured 8.7e-5 analytic and 2.7e-4 fd at 64^2, against a 5.67e-3 budget)."""
+    imm, grid = reparametrized_f3()
+    sources = [extract_all(imm, g, use_analytic) for g in (grid, refine(grid))]
+    assert np.abs(sources[0].metric.values - np.eye(2)).max() >= 0.44
+    distances = _aligned_distances(sources)
+    assert 3.5 <= distances[0] / distances[1] <= 4.5, distances
 
 
 def test_align_same_run_identity(f2):
