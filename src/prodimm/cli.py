@@ -75,13 +75,19 @@ def _verdict(report: Report, path) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_tuple(text: str, count: int, cast):
+def _parse_tuple(flag: str, text, default: tuple, cast) -> tuple:
+    """``text`` as ``len(default)`` values of ``cast`` (one stands for all), or ``default``
+    if it is empty; a value that does not parse is a ``SchemaError`` naming ``flag``."""
+    if not text:
+        return default
     parts = [p for p in str(text).replace("x", ",").split(",") if p]
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated values, got {text!r}")
-    return tuple(cast(p) for p in parts)
+    try:
+        values = tuple(map(cast, parts * len(default) if len(parts) == 1 else parts))
+    except ValueError as exc:
+        raise SchemaError(f"{flag} {text!r}: {exc}") from None
+    if len(values) != len(default):
+        raise SchemaError(f"{flag} expects {len(default)} comma-separated values, got {text!r}")
+    return values
 
 
 # fixture parameter -> the flag that sets it
@@ -100,11 +106,9 @@ def _fixture_from_args(args):
         raise SchemaError(f"fixture {name} takes no {' or '.join(unknown)}")
     try:   # a fixture or grid the arguments cannot describe is unloadable input
         imm, grid = fixture(name, **params)
-        n = imm.n
-        dims = _parse_tuple(args.grid, n, int) if args.grid else grid.dims
-        spacing = _parse_tuple(args.spacing, n, float) if args.spacing else grid.spacing
-        origin = _parse_tuple(args.origin, n, float) if args.origin else grid.origin
-        return imm, ChartGrid(dims=dims, spacing=spacing, origin=origin)
+        return imm, ChartGrid(dims=_parse_tuple("--grid", args.grid, grid.dims, int),
+                              spacing=_parse_tuple("--spacing", args.spacing, grid.spacing, float),
+                              origin=_parse_tuple("--origin", args.origin, grid.origin, float))
     except DimensionError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -112,18 +116,13 @@ def _fixture_from_args(args):
 def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
     overrides = dict(base.overrides)
     for item in args.tol or []:
-        if "=" not in item:
-            raise SchemaError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        overrides[name.strip()] = float(value)
+        name, _, value = item.partition("=")
+        try:   # without "=", value is "" and fails too
+            overrides[name.strip()] = float(value)
+        except ValueError:
+            raise SchemaError(f"--tol expects NAME=VALUE, VALUE a number, got {item!r}") from None
     factor = args.tol_factor if args.tol_factor is not None else base.factor
     return replace(base, factor=factor, overrides=overrides)
-
-
-def _require_seed(seed) -> None:
-    """Raise ``SchemaError`` unless ``--seed-frame`` is None or a non-negative integer."""
-    if seed is not None and seed < 0:
-        raise SchemaError(f"--seed-frame must be a non-negative integer, got {seed}")
 
 
 def _add_fixture_args(sub):
@@ -164,7 +163,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _require_seed(args.seed_frame)
     ds = load_dataset(args.dataset)
     tol = _tolerances_from_args(args, ds.tolerances)
     pre = check_dataset(ds, tol)
@@ -185,8 +183,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    require_tolerance("--distance-tol", args.distance_tol)
-    _require_seed(args.seed_frame)
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
     tol = _tolerances_from_args(args, default_tolerances(data))
@@ -200,18 +196,16 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_align(args) -> int:
-    require_tolerance("--distance-tol", args.distance_tol)
-    (rep_a, points_a), (rep_b, points_b) = (
-        dataio.load_rebuild(mesh, report or mesh + ".report.json")
-        for mesh, report in ((args.mesh_a, args.report_a), (args.mesh_b, args.report_b)))
-    if rep_a.grid != rep_b.grid:
-        raise SchemaError(f"align inputs must share the grid: {rep_a.grid} vs {rep_b.grid}")
+    meshes, reports = (args.mesh_a, args.mesh_b), (args.report_a, args.report_b)
+    paths = [report or mesh + ".report.json" for mesh, report in zip(meshes, reports)]
+    (rep_a, points_a), (rep_b, points_b) = map(dataio.load_rebuild, meshes, paths)
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
-    if ra["ambient_dim"] != rb["ambient_dim"]:
-        raise SchemaError(f"align inputs must share reconstruction.ambient_dim: "
-                          f"{ra['ambient_dim']} vs {rb['ambient_dim']}")
-    if ra["base_node"] != rb["base_node"]:
-        raise SchemaError("align inputs must share the base node")
+    for what, a, b in (("the grid", rep_a.grid, rep_b.grid),
+                       ("reconstruction.ambient_dim", ra["ambient_dim"], rb["ambient_dim"]),
+                       ("the base node", ra["base_node"], rb["base_node"])):
+        if a != b:
+            raise SchemaError(f"align inputs must share {what}: {a} vs {b}, "
+                              f"in reports {paths[0]!r} and {paths[1]!r}")
     report = Report.merge(align_congruence(points_a, ra["psi_base"], ra["k"], points_b,
                                            rb["psi_base"], rb["k"], args.distance_tol),
                           grid=rep_a.grid)
@@ -282,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:   # flags that only a late stage reads are checked before any stage runs
+        seed = getattr(args, "seed_frame", None)
+        if seed is not None and seed < 0:
+            raise SchemaError(f"--seed-frame must be a non-negative integer, got {seed}")
+        require_tolerance("--distance-tol", getattr(args, "distance_tol", None))
         return args.func(args)
     except (ProdimmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Dataset, report and mesh serialization.
 
-Both structured formats are versioned JSON documents.  Headers are indented
-for diffing; floats serialize via ``repr`` and numeric lists stay on one line
-each.  Files are written atomically (temp file + rename).
+Both structured formats are versioned JSON documents with one writer and one
+reader each, which share one body: ``_save_json`` writes a file atomically (temp
+file + rename), and a rejection by ``_load`` is a ``SchemaError`` naming the file,
+with the node of the error it wraps.  Headers are indented for diffing; floats
+serialize via ``repr`` and numeric lists stay on one line each.
 
 A ``prodimm-dataset/2`` document holds the header ``schema``, ``n``, ``p``,
 ``grid``, ``tolerances`` and ``meta``, and ``fields``: one entry per field,
@@ -27,7 +29,6 @@ lists) included, is rejected with a ``SchemaError`` naming the schema expected.
 
 In memory the four psi blocks are one (*dims, n+p, n+p) structure matrix
 [[f, U], [u, lambda]], filled block by block on load and checked by ``Geometry``.
-A rejection on load is a ``SchemaError`` with the node of the error it wraps.
 
 A ``prodimm-report/1`` document is one :class:`prodimm.structure.Report`, read
 here alone: ``reconstruction`` needs integers ``base_node``, ``ambient_dim`` N
@@ -57,10 +58,10 @@ joined copy of the document.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import io
 import json
 import math
-import operator
 import os
 import re
 import tempfile
@@ -165,6 +166,50 @@ def _encode(values: np.ndarray) -> str:
                                        newline=False).decode("ascii"))
 
 
+def _save_json(doc: dict, path: str):
+    pieces = _render_with_inline_arrays(doc)
+    _atomic_write(path, lambda handle: handle.writelines(pieces))
+
+
+def _load(path: str, what: str, from_dict):
+    """``from_dict`` of the JSON file ``path``; a failure is a ``SchemaError`` naming it."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:   # ValueError: not JSON, or not UTF-8 text
+        raise SchemaError(f"cannot parse {what} {path!r}: {exc}") from exc
+    try:
+        return from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{what} {path!r}: {exc}", node=exc.node) from exc
+
+
+@contextlib.contextmanager
+def _load_time_invariants():
+    """Re-raise an invariant violation of the values built inside as a ``SchemaError``."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(f"load-time invariant violated: {exc}",
+                          node=getattr(exc, "node", None)) from exc
+
+
+def _take(doc: dict, key: str):
+    if key not in doc:
+        raise SchemaError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _grid_to_dict(grid: ChartGrid) -> dict:
+    return {key: list(getattr(grid, key)) for key in _GRID_KEYS}
+
+
+def _grid_from_dict(spec: dict) -> ChartGrid:
+    return ChartGrid(*(tuple(_take(spec, key)) for key in _GRID_KEYS))
+
+
 def tolerances_to_dict(tol: ToleranceModel) -> dict:
     return {"factor": tol.factor, "floor": tol.floor,
             "algebraic": tol.algebraic, "overrides": dict(tol.overrides)}
@@ -183,7 +228,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "schema": DATASET_SCHEMA,
         "n": ds.grid.ndim,
         "p": ds.p,
-        "grid": {key: list(getattr(ds.grid, key)) for key in _GRID_KEYS},
+        "grid": _grid_to_dict(ds.grid),
         "tolerances": tolerances_to_dict(ds.tolerances),
         "meta": ds.meta,
         "fields": {
@@ -197,25 +242,14 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def save_dataset(ds: Dataset, path: str):
-    pieces = _render_with_inline_arrays(dataset_to_dict(ds))
-    _atomic_write(path, lambda handle: handle.writelines(pieces))
-
-
-def _take(doc: dict, key: str):
-    if key not in doc:
-        raise SchemaError(f"missing key {key!r}")
-    return doc[key]
+    _save_json(dataset_to_dict(ds), path)
 
 
 def _header_count(doc: dict, key: str) -> int:
-    """Header ``key`` as an integer >= 1, read by ``operator.index``; a bool is no count."""
-    value = _take(doc, key)
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise SchemaError(f"header {key!r} must be an integer, got {value!r}") from None
+    """Header ``key`` as an integer >= 1, never truncated or parsed."""
+    count = _take(doc, key)
+    if type(count) is not int:   # a bool is no count
+        raise SchemaError(f"header {key!r} must be an integer, got {count!r}")
     if count < 1:
         raise SchemaError(f"header {key!r} must be at least 1, got {count}")
     return count
@@ -243,9 +277,8 @@ def dataset_from_dict(doc: dict) -> Dataset:
     schema = doc.get("schema") if isinstance(doc, dict) else type(doc)
     if schema != DATASET_SCHEMA:
         raise SchemaError(f"expected schema {DATASET_SCHEMA!r}, got {schema}")
-    gspec = _take(doc, "grid")
-    try:
-        grid = ChartGrid(*(tuple(_take(gspec, key)) for key in _GRID_KEYS))
+    with _load_time_invariants():
+        grid = _grid_from_dict(_take(doc, "grid"))
         n = grid.ndim
         p = _header_count(doc, "p")
         if _header_count(doc, "n") != n:
@@ -261,24 +294,10 @@ def dataset_from_dict(doc: dict) -> Dataset:
         return Dataset(metric=metric, bundle=bundle, sigma=sigma, psi=psi,
                        tolerances=tolerances_from_dict(doc.get("tolerances", {})),
                        meta=dict(doc.get("meta", {})))
-    except SchemaError:
-        raise
-    except Exception as exc:  # invariant violations become schema errors on load
-        raise SchemaError(f"dataset violates a load-time invariant: {exc}",
-                          node=getattr(exc, "node", None)) from exc
-
-
-def _read_json(path: str, what: str):
-    """The JSON document at ``path``; an unreadable or unparsable file raises ``SchemaError``."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot parse {what} {path!r}: {exc}") from exc
 
 
 def load_dataset(path: str) -> Dataset:
-    return dataset_from_dict(_read_json(path, "dataset"))
+    return _load(path, "dataset", dataset_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +311,7 @@ def report_to_dict(report: Report) -> dict:
            "checks": [{"name": r.name, "max": r.max_abs, "mean": r.mean_abs,
                        "argmax_node": list(r.argmax_node), "threshold": r.threshold,
                        "pass": r.passed} for r in report.records],
-           "grid": report.grid and {key: list(getattr(report.grid, key)) for key in _GRID_KEYS},
+           "grid": report.grid and _grid_to_dict(report.grid),
            "reconstruction": recon and recon | {"base_node": list(recon["base_node"]),
                                                 "psi_base": recon["psi_base"].ravel().tolist()},
            "alignment": report.alignment, "timings": report.timings}
@@ -300,15 +319,12 @@ def report_to_dict(report: Report) -> dict:
 
 
 def save_report(report: Report, path: str):
-    pieces = _render_with_inline_arrays(report_to_dict(report))
-    _atomic_write(path, lambda handle: handle.writelines(pieces))
+    _save_json(report_to_dict(report), path)
 
 
 def _reconstruction_block(block: dict, grid: ChartGrid | None) -> dict:
-    """The checked block, ``base_node`` a tuple and ``psi_base`` the (N, N) frame map.
-
-    ``base_node`` must be a node of ``grid``, the report's grid, when it has one.
-    """
+    """The checked block: ``base_node`` a tuple, a node of ``grid`` (the report's grid) when
+    it has one, and ``psi_base`` the (N, N) frame map."""
     base, size, psi, k = (_take(block, key)
                           for key in ("base_node", "ambient_dim", "psi_base", "k"))
     if not isinstance(base, list) or any(type(i) is not int for i in base):  # a bool is no int
@@ -343,32 +359,21 @@ def report_from_dict(doc: dict) -> Report:
     if any(type(v) not in (int, float) for v in distances):   # a bool is no JSON number
         raise SchemaError(f"alignment max_distance, distance_tol must be numbers: {distances}")
     recon = doc.get("reconstruction")
-    try:
-        grid = None
-        if "grid" in doc:
-            grid = ChartGrid(*(tuple(_take(doc["grid"], key)) for key in _GRID_KEYS))
+    with _load_time_invariants():
+        grid = _grid_from_dict(doc["grid"]) if "grid" in doc else None
         records = tuple(
             CheckRecord(name=str(_take(c, "name")), max_abs=float(_take(c, "max")),
                         mean_abs=float(_take(c, "mean")),
                         argmax_node=tuple(_take(c, "argmax_node")),
                         threshold=float(_take(c, "threshold")))
             for c in doc.get("checks", []))
-    except SchemaError:
-        raise
-    except Exception as exc:  # invariant violations become schema errors on load
-        raise SchemaError(f"report violates a load-time invariant: {exc}") from exc
     return Report(records=records, grid=grid,
                   reconstruction=None if recon is None else _reconstruction_block(recon, grid),
-                  alignment=doc.get("alignment"), timings=doc.get("timings"))
+                  alignment=align, timings=doc.get("timings"))
 
 
 def load_report(path: str) -> Report:
-    """The report at ``path``; a document the schema rejects raises ``SchemaError`` naming it."""
-    doc = _read_json(path, "report")
-    try:
-        return report_from_dict(doc)
-    except SchemaError as exc:
-        raise SchemaError(f"report {path!r}: {exc}") from exc
+    return _load(path, "report", report_from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ differential check is a block of one of two arrays, indexed in the basis
 (d_1..d_n, e_1..e_p, xi1~, xi2~):
 
 * F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] over
-  the direction pairs q = (m, n), m < n (``big_curvature``): ``gauss`` =
-  F[..., :n, :n], laid out (q, i, r); ``codazzi`` = 2 F[..., n:n+p, :n],
+  the direction pairs q = (m, n), m < n (``fields.connection_curvature``):
+  ``gauss`` = F[..., :n, :n], laid out (q, i, r); ``codazzi`` = 2 F[..., n:n+p, :n],
   laid out (q, a, r), i.e. 2 D_m sigma(d_n, d_r) - g(d_n, d_r) u(d_m) -
   (m <-> n), the factor 2 keeping that scale (the factor is exact, and the
   (q, r, a) layout of the equation is a swap that changes no max or mean);
@@ -278,17 +278,11 @@ def check_psi_algebra(geom: Geometry, tolerances: ToleranceModel) -> Report:
     return report
 
 
-def big_curvature(geom: Geometry, rows: slice = slice(None)) -> np.ndarray:
-    """F[..., q, C, A] = d_m Omega_n - d_n Omega_m + [Omega_m, Omega_n] on pairs q = (m < n),
-    of the node rows ``rows`` of the first axis alone when given."""
-    return connection_curvature(geom.grid, geom.connection, rows)
-
-
 def curvature_magnitude(geom: Geometry) -> np.ndarray:
     """|F| laid out (q, C, A, *dims), F formed by blocks of node rows (``chunked_magnitude``)."""
     nd, size = geom.grid.ndim, geom.connection.shape[-1]
     return chunked_magnitude(geom.grid, (nd * (nd - 1) // 2, size, size),
-                             lambda rows: big_curvature(geom, rows))
+                             lambda rows: connection_curvature(geom.grid, geom.connection, rows))
 
 
 def psi_tilde_derivative_magnitude(geom: Geometry) -> np.ndarray:

@@ -47,6 +47,59 @@ def flat_torus_f4(r1: float = 0.6, r2: float = 0.8):
     return imm, ChartGrid(dims=(64, 64), spacing=(h, h), origin=(0.0, 0.0))
 
 
+def veronese(dims: int = 65):
+    """The Veronese surface: the minimal immersion of S^2(sqrt 3) into S^4, at the fixed point
+    (0, 1) of H^1; k=4, m=1, n=2, p=3.
+
+    Chart (theta, phi) in [0.5, 1.5] x [0, 1.2] on dims x dims nodes, where
+    g = diag(3, 3 sin^2 theta), so the Christoffel symbols do not vanish, and the normal
+    bundle is curved.  Each sphere coordinate is a quadratic form u_k = X^T A_k X of the point
+    X of S^2(sqrt 3), so du = 2 X^T A dX and d^2u = 2 (dX^T A dX + X^T A d^2X).
+    """
+    c = 1.0 / (2.0 * np.sqrt(3.0))
+    forms = np.zeros((5, 3, 3))
+    forms[0, 1, 2] = forms[0, 2, 1] = c            # yz / sqrt 3
+    forms[1, 0, 2] = forms[1, 2, 0] = c            # xz / sqrt 3
+    forms[2, 0, 1] = forms[2, 1, 0] = c            # xy / sqrt 3
+    forms[3] = np.diag([c, -c, 0.0])               # (x^2 - y^2) / (2 sqrt 3)
+    forms[4] = np.diag([1.0, 1.0, -2.0]) / 6.0     # (x^2 + y^2 - 2 z^2) / 6
+
+    def jet(coords):   # X (..., 3), dX (..., a, 3) and d^2X (..., a, b, 3)
+        theta, phi = coords[..., 0], coords[..., 1]
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        zero = np.zeros_like(theta)
+        x = np.sqrt(3.0) * np.stack([st * cp, st * sp, ct], axis=-1)
+        d_theta = np.sqrt(3.0) * np.stack([ct * cp, ct * sp, -st], axis=-1)
+        d_phi = np.sqrt(3.0) * np.stack([-st * sp, st * cp, zero], axis=-1)
+        d_theta_phi = np.sqrt(3.0) * np.stack([-ct * sp, ct * cp, zero], axis=-1)
+        d_phi_phi = np.sqrt(3.0) * np.stack([-st * cp, -st * sp, zero], axis=-1)
+        return x, np.stack([d_theta, d_phi], axis=-2), np.stack(
+            [np.stack([-x, d_theta_phi], axis=-2), np.stack([d_theta_phi, d_phi_phi], axis=-2)],
+            axis=-3)
+
+    def with_h1_block(sphere, y):   # the H^1 block is the point (0, 1), or its zero derivatives
+        return np.concatenate([sphere, np.broadcast_to(y, sphere.shape[:-1] + (2,))], axis=-1)
+
+    def point(coords):
+        x = jet(coords)[0]
+        return with_h1_block(np.einsum("...i,kij,...j->...k", x, forms, x), (0.0, 1.0))
+
+    def derivative(coords):
+        x, dx, _ = jet(coords)
+        return with_h1_block(2.0 * np.einsum("...i,kij,...aj->...ak", x, forms, dx), 0.0)
+
+    def second_derivative(coords):
+        x, dx, ddx = jet(coords)
+        return with_h1_block(2.0 * (np.einsum("...ai,kij,...bj->...abk", dx, forms, dx)
+                                    + np.einsum("...i,kij,...abj->...abk", x, forms, ddx)), 0.0)
+
+    imm = AnalyticImmersion(name="Veronese", k=4, m=1, n=2, point=point, derivative=derivative,
+                            second_derivative=second_derivative, params={})
+    grid = ChartGrid(dims=(dims, dims), spacing=(1.0 / (dims - 1), 1.2 / (dims - 1)),
+                     origin=(0.5, 0.0))
+    return imm, grid
+
+
 class FixtureBundle:
     """One fixture extracted once per session, plus its geometry and its rebuild."""
 

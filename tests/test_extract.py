@@ -12,7 +12,7 @@ from prodimm.fields import ChartGrid, argmax_node, hessian_field
 from prodimm.lorentz import minkowski_dot
 from prodimm.structure import check_all, psi_blocks
 
-from conftest import FixtureBundle, refine, reparametrized_f3
+from conftest import FixtureBundle, refine, reparametrized_f3, veronese
 from sweep_oracles import first_swept, per_edge_normal_frame
 
 
@@ -35,6 +35,14 @@ def test_jet_orders_are_central_differences_of_the_order_below(name):
                              for step in h * np.eye(imm.n)], axis=1)
             gaps.append(np.abs(diff - above(coords)).max())
         assert gaps[0] <= 2e-3**2 and 3.5 <= gaps[0] / gaps[1] <= 4.5, (above, gaps)
+
+
+def test_veronese_metric_is_that_of_the_sphere_of_radius_sqrt_3():
+    imm, grid = veronese(65)
+    theta = grid.coords()[..., 0]
+    expected = 3.0 * np.stack([np.ones_like(theta), 0 * theta, 0 * theta, np.sin(theta) ** 2],
+                              axis=-1).reshape(grid.dims + (2, 2))
+    assert np.abs(extract_all(imm, grid).metric.values - expected).max() <= 1e-14
 
 
 def test_fixture_points_on_product(f1, f2, f3):

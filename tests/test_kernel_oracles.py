@@ -131,7 +131,7 @@ def test_field_kernels_match_oracles(geom):
         assert_close(d_block,
                      oracle.covariant_derivative(geom.grid, values, slots, chris, bundle.omega),
                      f"covariant derivative {slots}")
-    curv = oracle.expand_pairs(geom.grid, structure.big_curvature(geom))
+    curv = oracle.expand_pairs(geom.grid, fields.connection_curvature(geom.grid, geom.connection))
     codazzi = 2.0 * np.swapaxes(curv[..., n:n + p, :n], -1, -2)
     assert_close(codazzi, oracle.codazzi_residual(g, bundle, sigma, geom.psi),
                  "covariant derivative ('td', 'td', 'bu') in the Codazzi block")

@@ -7,11 +7,13 @@ site is the corner base itself, and the two planted turns of the normal-frame
 cases put the first node in C order apart from the first in Fortran order.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from prodimm import extract
-from prodimm.dataio import dataset_from_dict, dataset_to_dict, save_immersion_csv
+from prodimm.dataio import dataset_to_dict, load_dataset, save_immersion_csv
 from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError, ExclusionError,
                             MetricError, ReconstructionError, SchemaError, StructureError)
 from prodimm.extract import (AnalyticImmersion, fixture, immersion_points,
@@ -89,13 +91,16 @@ def _unrepairable_mesh(request):
 
 
 def _nan_psi_document(request):
+    """The loader reads the file: ``load_dataset`` keeps the node of the error it names."""
     doc = dataset_to_dict(request.getfixturevalue("f1").dataset())
 
     def poison(values):
         values[57] = np.nan
         return values
     edit_field(doc, "psi.lambda", poison)
-    dataset_from_dict(doc)
+    path = request.getfixturevalue("tmp_path") / "nan.json"
+    path.write_text(json.dumps(doc))
+    load_dataset(str(path))
 
 
 def _rebuild_with_psi(request, scale):

@@ -6,9 +6,10 @@ import pytest
 
 from prodimm.cli import check_dataset
 from prodimm.errors import ExclusionError, GridMismatchError
-from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
+from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
+                            connection_curvature)
 from prodimm.flatbundle import Geometry, flatness_residual
-from prodimm.structure import (RECORD_NAMES, CheckRecord, Report, ToleranceModel, big_curvature,
+from prodimm.structure import (RECORD_NAMES, CheckRecord, Report, ToleranceModel,
                                check_all, check_codazzi, check_gauss, check_psi_algebra,
                                check_psi_parallel, check_ricci, magnitude, psi_blocks,
                                psi_tilde_derivative_magnitude)
@@ -111,7 +112,7 @@ def test_curvature_blocks_are_exactly_zero_on_curves(f2):
     f2.geom.connection
     tracemalloc.start()
     try:
-        curv = big_curvature(f2.geom)
+        curv = connection_curvature(f2.grid, f2.geom.connection)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
