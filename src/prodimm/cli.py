@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
 from dataclasses import replace
@@ -24,11 +25,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio
-from .dataio import Dataset, load_dataset, save_dataset, save_report
+from .dataio import load_dataset, save_dataset, save_report
 from .errors import DimensionError, ProdimmError, SchemaError
-from .extract import FIXTURES, default_tolerances, extract_all, fixture
+from .extract import FIXTURES, extract_all, fixture
 from .fields import ChartGrid
 from .flatbundle import Geometry, metric_compatibility_residual
+from .lorentz import onto_product
 from .reconstruct import align_congruence, reconstruct_immersion
 from .structure import Report, ToleranceModel, check_all, require_tolerance
 
@@ -104,13 +106,18 @@ def _fixture_from_args(args):
     unknown = [FIXTURE_FLAGS[key] for key in params if key not in taken]
     if unknown:
         raise SchemaError(f"fixture {name} takes no {' or '.join(unknown)}")
-    try:   # a fixture or grid the arguments cannot describe is unloadable input
+    try:   # a fixture the arguments cannot describe is unloadable input
         imm, grid = fixture(name, **params)
+    except DimensionError as exc:
+        raise SchemaError(str(exc)) from exc
+    try:   # ChartGrid judges the grid; its rejection names the flags that set it
         return imm, ChartGrid(dims=_parse_tuple("--grid", args.grid, grid.dims, int),
                               spacing=_parse_tuple("--spacing", args.spacing, grid.spacing, float),
                               origin=_parse_tuple("--origin", args.origin, grid.origin, float))
     except DimensionError as exc:
-        raise SchemaError(str(exc)) from exc
+        given = " ".join(f"{flag} {text}" for flag, text in (
+            ("--grid", args.grid), ("--spacing", args.spacing), ("--origin", args.origin)) if text)
+        raise SchemaError(f"{given}: {exc}") from exc
 
 
 def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
@@ -148,11 +155,10 @@ def _add_tol_args(sub):
 def cmd_extract(args) -> int:
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
-    ds = Dataset.from_extraction(data)
-    save_dataset(ds, args.out)
+    save_dataset(data, args.out)
     print(f"wrote {args.out}: fixture {imm.name}, n={imm.n}, p={imm.p}, "
           f"grid {'x'.join(map(str, grid.dims))}, "
-          f"max |sigma| = {np.abs(ds.sigma.values).max():.6f}")
+          f"max |sigma| = {np.abs(data.sigma.values).max():.6f}")
     return 0
 
 
@@ -173,8 +179,8 @@ def cmd_reconstruct(args) -> int:
     result = reconstruct_immersion(ds, tolerances=tol, seed_frame=args.seed_frame)
     report = Report.merge(pre, result.report)
     _print_checks(result.report)
-    dataio.save_immersion_csv(args.out, ds.grid, result.k, result.points,
-                              repair=args.repair_export)
+    points = onto_product(result.points, result.k) if args.repair_export else result.points
+    dataio.save_immersion_csv(args.out, ds.grid, result.k, points)
     report_path = args.report or (args.out + ".report.json")
     save_report(report, report_path)
     print(f"wrote {args.out} and {report_path}; recovered k = {result.k}, "
@@ -185,7 +191,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_roundtrip(args) -> int:
     imm, grid = _fixture_from_args(args)
     data = extract_all(imm, grid, use_analytic=not args.fd)
-    tol = _tolerances_from_args(args, default_tolerances(data))
+    tol = _tolerances_from_args(args, data.tolerances)
     checks = check_dataset(data, tol)
     result = reconstruct_immersion(data, tolerances=tol, seed_frame=args.seed_frame)
     distance_tol = args.distance_tol if args.distance_tol is not None else tol.h2_budget(grid)
@@ -219,8 +225,15 @@ def cmd_align(args) -> int:
     return _verdict(report, args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections, its subcommands' too, are one ``SchemaError``."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prodimm",
         description="verify and rebuild isometric immersions into sphere x "
                     "hyperboloid products")
@@ -275,12 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:   # flags that only a late stage reads are checked before any stage runs
+    try:   # flags that only a late stage reads, and the outputs, are checked before any stage
+        args = build_parser().parse_args(argv)
         seed = getattr(args, "seed_frame", None)
         if seed is not None and seed < 0:
             raise SchemaError(f"--seed-frame must be a non-negative integer, got {seed}")
         require_tolerance("--distance-tol", getattr(args, "distance_tol", None))
+        # reconstruct's default report, <out>.report.json, shares the directory of -o
+        for flag, path in (("-o/--out", getattr(args, "out", None)),
+                           ("--report", getattr(args, "report", None))):
+            if path and os.path.isdir(path):
+                raise SchemaError(f"{flag} {path!r} is a directory")
+            if path and not os.path.isdir(directory := os.path.dirname(os.path.abspath(path))):
+                raise SchemaError(f"{flag} {path!r}: no directory {directory!r}")
         return args.func(args)
     except (ProdimmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

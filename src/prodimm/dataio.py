@@ -1,10 +1,13 @@
-"""Dataset, report and mesh serialization.
+"""Dataset, report and mesh serialization: the formats alone, no geometry.
 
-Both structured formats are versioned JSON documents with one writer and one
-reader each, which share one body: ``_save_json`` writes a file atomically (temp
-file + rename), and a rejection by ``_load`` is a ``SchemaError`` naming the file,
-with the node of the error it wraps.  Headers are indented for diffing; floats
-serialize via ``repr`` and numeric lists stay on one line each.
+A dataset is written from any ``Geometry`` with ``tolerances`` and ``meta``: a
+:class:`Dataset`, or an extraction, which reads both off its immersion.
+
+Both structured formats are versioned JSON documents with one writer and one reader
+each, which share one body: ``_save_json`` writes a file atomically (a new temp file +
+rename; an ``OSError`` names the file), and a rejection by ``_load`` is a ``SchemaError``
+naming the file, with the node of the error it wraps.  Headers are indented for diffing;
+floats serialize via ``repr`` and numeric lists stay on one line each.
 
 A ``prodimm-dataset/2`` document holds the header ``schema``, ``n``, ``p``,
 ``grid``, ``tolerances`` and ``meta``, and ``fields``: one entry per field,
@@ -64,16 +67,13 @@ import json
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ReconstructionError, SchemaError
-from .extract import ExtractionResult, default_tolerances
+from .errors import DimensionError, SchemaError
 from .fields import BundleData, ChartGrid, MetricField, SecondFormField, argmax_node
 from .flatbundle import Geometry
-from .lorentz import minkowski_dot
 from .structure import CheckRecord, Report, ToleranceModel, psi_blocks
 
 DATASET_SCHEMA = "prodimm-dataset/2"
@@ -90,34 +90,24 @@ class Dataset(Geometry):
     tolerances: ToleranceModel
     meta: dict
 
-    @classmethod
-    def from_extraction(cls, data: ExtractionResult) -> "Dataset":
-        """The extraction's fields with its route's default tolerances and the fixture's meta."""
-        info = {"fixture": data.immersion.name, "k": data.immersion.k,
-                "params": dict(data.immersion.params or {}),
-                "analytic_derivatives": data.analytic_derivatives}
-        return cls(metric=data.metric, bundle=data.bundle, sigma=data.sigma, psi=data.psi,
-                   tolerances=default_tolerances(data), meta=info)
-
 
 def _atomic_write(path: str, write):
-    """Run ``write(handle)`` on a temp file next to ``path``, then rename it over.
+    """Run ``write(handle)`` on a new file next to ``path``, then rename it over ``path``.
 
-    The file gets the mode a plain ``open`` would create it with, 0666 less the umask.
+    ``open`` makes the file under a random name, so it has the mode ``open`` gives.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)   # the mode ``open`` gives, not mkstemp's 0600
-        with os.fdopen(fd, "w", newline="") as handle:
-            write(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        handle = open(tmp, "x", newline="")
+        try:
+            with handle:
+                write(handle)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 _ARRAY_SLOT = re.compile(r'"@@array(\d+)@@"')
@@ -223,7 +213,7 @@ def tolerances_from_dict(d: dict) -> ToleranceModel:
                           overrides={str(k): float(v) for k, v in d.get("overrides", {}).items()})
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
+def dataset_to_dict(ds: Geometry) -> dict:
     return {
         "schema": DATASET_SCHEMA,
         "n": ds.grid.ndim,
@@ -241,7 +231,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
-def save_dataset(ds: Dataset, path: str):
+def save_dataset(ds: Geometry, path: str):
     _save_json(dataset_to_dict(ds), path)
 
 
@@ -406,8 +396,7 @@ def _distinct_texts(bits: np.ndarray):
     return keys, np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
 
 
-def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
-                       repair: bool = False):
+def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray):
     """The ambient points ``values`` (*grid.dims, N), one node per row in C order.
 
     Each value is written as its ``repr``.  A column in which some value
@@ -415,28 +404,11 @@ def save_immersion_csv(path: str, grid: ChartGrid, k: int, values: np.ndarray,
     the ``repr`` of each distinct bit pattern taken once, so 0.0 and -0.0 keep
     their own text; a column with no repeat is formatted by ``%r`` as it goes.
     The bytes are those of one ``repr`` per cell either way.
-
-    With ``repair`` the sphere and hyperbolic blocks are renormalized onto
-    the product at write time; in-memory values are never touched.  The first
-    node with a zero sphere block or a hyperbolic block that is not timelike
-    has no repair: it raises ReconstructionError before any file is written.
     """
-    pts = np.array(values, dtype=float) if repair else np.asarray(values, dtype=float)
+    pts = np.asarray(values, dtype=float)
     if pts.shape[:-1] != grid.dims:
         raise DimensionError(f"mesh values of shape {pts.shape} on a "
                              f"{'x'.join(map(str, grid.dims))} grid")
-    if repair:
-        x = pts[..., : k + 1]
-        y = pts[..., k + 1:]
-        x2, y2 = np.einsum("...i,...i->...", x, x), -minkowski_dot(y, y)
-        bad = ~((x2 > 0) & (y2 > 0))
-        if bad.any():
-            node = argmax_node(bad)
-            block = "hyperbolic block is not timelike" if x2[node] > 0 else "sphere block is zero"
-            raise ReconstructionError(f"cannot repair the point at node {node}: its {block}",
-                                      node=node)
-        x /= np.sqrt(x2)[..., None]
-        y /= np.sqrt(y2)[..., None]
     flat = pts.reshape(-1, pts.shape[-1])
     bits = flat.view(np.int64)
     tables = [_distinct_texts(column) for column in bits.T]

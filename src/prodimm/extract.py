@@ -139,6 +139,18 @@ class ExtractionResult(Geometry):
     def k(self) -> int:
         return self.immersion.k
 
+    @property
+    def tolerances(self) -> ToleranceModel:
+        """Algebraic checks are exact only when analytic derivatives were used."""
+        return ToleranceModel(algebraic=1e-10 if self.analytic_derivatives else None)
+
+    @property
+    def meta(self) -> dict:
+        """The provenance a dataset document carries: the fixture, k, its params, the route."""
+        return {"fixture": self.immersion.name, "k": self.k,
+                "params": dict(self.immersion.params or {}),
+                "analytic_derivatives": self.analytic_derivatives}
+
     def ambient_frame(self, node: tuple) -> np.ndarray:
         """(N, N) frame map at ``node``, columns (tangents, normals, xi1, xi2): for alignment."""
         xi1, xi2 = product_normals(self.points[node], self.k)
@@ -301,11 +313,6 @@ def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
     sigma = induced_second_form(grid, second, normals)
     return ExtractionResult(metric=metric, bundle=bundle, sigma=sigma, psi=psi, immersion=imm,
                             points=points, tangents=tangents, normals=normals)
-
-
-def default_tolerances(data: ExtractionResult) -> ToleranceModel:
-    """Algebraic checks are exact only when analytic derivatives were used."""
-    return ToleranceModel(algebraic=1e-10 if data.analytic_derivatives else None)
 
 
 # ---------------------------------------------------------------------------

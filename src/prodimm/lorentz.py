@@ -16,7 +16,8 @@ node axes.  The Minkowski sign is applied in one place, ``lower`` (eta along
 one axis), and the pairings go through it: ``minkowski_dot`` of vectors and
 ``minkowski_gram`` of row stacks, (..., r, N) x (..., s, N) -> (..., r, s).
 ``eta`` is the Gram matrix of the form; ``psi_flip``, the product structure; ``product_normals``, xi1 = (x, 0) and
-xi2 = (0, y); ``product_defect``, the distance from S^k x H^m;
+xi2 = (0, y); ``product_norms``, |x|^2 and -<y, y>, read by ``product_defect``, the
+distance from S^k x H^m, and ``onto_product``, the blockwise scaling onto it (the mesh repair);
 ``gram_defect``, S^T G S - eta of frames S in Gram matrices G;
 ``apex_boost``, the boost taking a point of H^m to the apex;
 ``product_distance``, the length of an offset in the rest frame of its base point;
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError
+from .errors import DegeneracyError, DimensionError, ReconstructionError
+from .fields import argmax_node
 
 DEGENERACY_TOL = 1e-10   # squared norm over rho(V eta V^T) below which lorentz_orthonormalize fails
 
@@ -94,11 +96,30 @@ def product_normals(points, k: int):
     return xi1, xi2
 
 
+def product_norms(points, k: int) -> tuple:
+    """|x|^2 and -<y, y> of the two blocks of points (..., N): both 1 on S^k x H^m."""
+    x, y = points[..., : k + 1], points[..., k + 1:]
+    return _contract(x, x), -minkowski_dot(y, y)
+
+
 def product_defect(points, k: int) -> np.ndarray:
     """Nodewise max(| |x|^2 - 1 |, |<y, y> + 1|) of points (..., N) on S^k x H^m."""
-    x, y = points[..., : k + 1], points[..., k + 1:]
-    r_sphere = np.abs(np.einsum("...i,...i->...", x, x) - 1.0)
-    return np.maximum(r_sphere, np.abs(minkowski_dot(y, y) + 1.0))
+    return np.maximum(*(np.abs(norm - 1.0) for norm in product_norms(points, k)))
+
+
+def onto_product(points, k: int) -> np.ndarray:
+    """A copy of points (..., N) scaled blockwise onto S^k x H^m; it raises at the first node
+    (C order) whose sphere block is zero or whose hyperbolic block is not timelike."""
+    points = np.asarray(points, dtype=float)
+    x2, y2 = product_norms(points, k)
+    bad = ~((x2 > 0) & (y2 > 0))
+    if bad.any():
+        node = argmax_node(bad)
+        block = "hyperbolic block is not timelike" if x2[node] > 0 else "sphere block is zero"
+        raise ReconstructionError(f"cannot repair the point at node {node}: its {block}",
+                                  node=node)
+    return np.concatenate([points[..., : k + 1] / np.sqrt(x2)[..., None],
+                           points[..., k + 1:] / np.sqrt(y2)[..., None]], axis=-1)
 
 
 def apex_boost(y) -> np.ndarray:

@@ -59,7 +59,7 @@ The connection preserves G, so the transported frame is never corrected:
 every sweep is one composition of the edge flows, and the drift of the
 discrete transport is reported as ``frame_orthonormality``.  Likewise the
 on-product defect of the rebuilt points is judged by its record alone, never
-repaired here; repair exists only as an export option in the CLI.
+repaired here; the CLI's export repair is ``lorentz.onto_product``.
 """
 
 from __future__ import annotations

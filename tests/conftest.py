@@ -4,9 +4,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from prodimm.dataio import Dataset
-from prodimm.extract import (AnalyticImmersion, ExtractionResult, default_tolerances,
-                             extract_all, fixture, induced_second_form, induced_structure)
+from prodimm.extract import (AnalyticImmersion, ExtractionResult, extract_all, fixture,
+                             induced_second_form, induced_structure)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
@@ -108,7 +107,7 @@ class FixtureBundle:
                                         else fixture(name, **params))
         self.grid = grid if grid is not None else default_grid
         self.data = extract_all(self.immersion, self.grid, use_analytic=use_analytic)
-        self.tolerances = default_tolerances(self.data)
+        self.tolerances = self.data.tolerances
 
     @cached_property
     def geom(self):
@@ -117,9 +116,6 @@ class FixtureBundle:
     @cached_property
     def recon(self):
         return reconstruct_immersion(self.geom, tolerances=self.tolerances)
-
-    def dataset(self):
-        return Dataset.from_extraction(self.data)
 
 
 def reparametrized_f3(theta0: float = 0.8):
@@ -156,7 +152,7 @@ def reparametrized_f3(theta0: float = 0.8):
     return imm, grid
 
 
-def twisted_f3_extraction(dims: int) -> ExtractionResult:
+def twisted_f3(dims: int) -> ExtractionResult:
     """F3 ``--fd`` at theta0 0.8 on a dims x dims grid of side 1.5, its normals turned by
     theta = 0.7 x + sin 2y, so omega = d theta J reaches 2; sigma, psi and omega are
     re-read off the turned normals by the extraction's own pairings."""
@@ -170,11 +166,6 @@ def twisted_f3_extraction(dims: int) -> ExtractionResult:
     psi, bundle = induced_structure(imm.k, data.metric, data.tangents, normals)
     sigma = induced_second_form(grid, hessian_field(grid, data.points), normals)
     return dataclasses.replace(data, normals=normals, bundle=bundle, sigma=sigma, psi=psi)
-
-
-def twisted_f3(dims: int) -> Dataset:
-    """The dataset of ``twisted_f3_extraction(dims)``."""
-    return Dataset.from_extraction(twisted_f3_extraction(dims))
 
 
 def geometry_of(data: Geometry) -> Geometry:

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import Dataset, save_dataset
-from prodimm.extract import extract_all, default_tolerances
+from prodimm.extract import extract_all
 from prodimm.fields import BundleData, SecondFormField, shape_operator_field
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect, lorentz_orthonormalize
@@ -49,7 +49,7 @@ def test_criterion_1_necessity_and_convergence(f1, f2, f3):
             fd = extract_all(fb.immersion, grid, use_analytic=False)
             exact = extract_all(fb.immersion, grid, use_analytic=True)
             for data in (fd, exact):
-                rep = check_all(data, default_tolerances(data))
+                rep = check_all(data, data.tolerances)
                 worst = max(r.max_abs for r in rep.records)
                 ok = rep.passed and worst <= thr
                 all_ok &= _verdict(f"1 necessity {name} h={grid.h_max:.4g} "

@@ -3,7 +3,6 @@ import dataclasses
 import io
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -12,7 +11,7 @@ import pytest
 
 from prodimm import cli, fields, flatbundle, reconstruct
 from prodimm.cli import check_dataset, main
-from prodimm.dataio import (Dataset, dataset_from_dict, dataset_to_dict, load_dataset,
+from prodimm.dataio import (dataset_from_dict, dataset_to_dict, load_dataset,
                             load_rebuild, load_report, save_dataset, save_immersion_csv)
 from prodimm.errors import SchemaError
 from prodimm.structure import RECORD_NAMES
@@ -29,7 +28,7 @@ def f1_dataset_path(tmp_path_factory):
 
 
 def test_dataset_roundtrip_bit_identical(tmp_path, f2):
-    ds = f2.dataset()
+    ds = f2.data
     path = tmp_path / "f2.json"
     save_dataset(ds, str(path))
     back = load_dataset(str(path))
@@ -87,41 +86,6 @@ def test_check_flags_negated_u(f1_dataset_path, tmp_path):
     assert not report["psi_u_U_adjoint"].passed
     assert not report["psi_involution_tangent"].passed
     assert report["codazzi"].passed
-
-
-@pytest.mark.parametrize("argv", [
-    ["extract", "--fixture", "F1", "--grid", "3", "-o", "x.json"],
-    ["roundtrip", "--fixture", "F1", "--helix-a", "1.5"],
-], ids=["extract_grid_too_small", "roundtrip_slope_out_of_range"])
-def test_fixture_arguments_that_cannot_be_built_exit_2(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "x.json").exists()
-
-
-@pytest.mark.parametrize("name, flag", [("F2", "--helix-a"), ("F1", "--theta0")])
-def test_fixture_flag_the_fixture_does_not_take_exits_2(tmp_path, capsys, name, flag):
-    out = tmp_path / "x.json"
-    assert main(["extract", "--fixture", name, flag, "0.5", "-o", str(out)]) == 2
-    assert f"fixture {name} takes no {flag}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("fixture_name", ["F2", "F3"])
-@pytest.mark.parametrize("command", ["extract", "roundtrip"])
-def test_non_finite_colatitude_exits_2(tmp_path, capsys, command, fixture_name, value):
-    """theta0 is tested for finiteness before any sine is taken: no warning, no node."""
-    out = tmp_path / "x.json"
-    argv = [command, "--fixture", fixture_name, f"--theta0={value}"]
-    argv += ["-o", str(out)] if command == "extract" else ["--report", str(out)]
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: colatitude must be finite, got {float(value)}\n"
-    assert not out.exists()
 
 
 def test_check_caches_neither_curvature_nor_structure_derivative(f3):
@@ -354,42 +318,12 @@ def test_normal_connection_override_fails_a_twisted_rebuild(tmp_path, capsys):
     assert fails == ["reconstruction_normal_connection"]
 
 
-@pytest.mark.parametrize("flags, field", [(["--tol-factor", "nan"], "factor"),
-                                          (["--tol", "gauss=nan"], "override gauss"),
-                                          (["--tol", "gauss=-1"], "override gauss")],
-                         ids=["factor_nan", "override_nan", "override_negative"])
-def test_unusable_tolerance_flags_exit_2(f1_dataset_path, capsys, flags, field):
-    capsys.readouterr()
-    assert main(["check", str(f1_dataset_path), *flags]) == 2
-    assert capsys.readouterr().err.startswith(f"error: tolerance {field} ")
-
-
-@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
-def test_negative_seed_frame_exits_2_before_any_stage(f1_dataset_path, tmp_path, capsys,
-                                                      command):
-    out, report = tmp_path / "m.csv", tmp_path / "r.json"
-    source = ([str(f1_dataset_path), "-o", str(out)] if command == "reconstruct"
-              else ["--fixture", "F1"])
-    capsys.readouterr()
-    assert main([command, *source, "--seed-frame", "-1", "--report", str(report)]) == 2
-    assert capsys.readouterr() == (
-        "", "error: --seed-frame must be a non-negative integer, got -1\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_reconstruct_has_no_reorthonormalize_option(f1_dataset_path, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["reconstruct", str(f1_dataset_path), "-o", str(tmp_path / "m.csv"),
-              "--reorthonormalize"])
-    assert exc.value.code == 2
-
-
 def test_dataset_schema_errors(f2):
-    doc = dataset_to_dict(f2.dataset())
+    doc = dataset_to_dict(f2.data)
     edit_field(doc, "sigma", lambda sigma: sigma[:-1])
     with pytest.raises(SchemaError, match="'sigma'"):
         dataset_from_dict(doc)
-    good = dataset_to_dict(f2.dataset())
+    good = dataset_to_dict(f2.data)
     good["schema"] = "nope"
     with pytest.raises(SchemaError):
         dataset_from_dict(good)
@@ -484,21 +418,6 @@ def test_f1_chart_length_ladder(tmp_path, capsys, command, nodes, fd):
     assert worst < 0.3
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
-@pytest.mark.parametrize("command", ["roundtrip", "align"])
-def test_bad_distance_tol_exits_2(f1_dataset_path, tmp_path, capsys, command, value):
-    """A NaN or negative ``--distance-tol`` is bad input, not a failed alignment."""
-    if command == "align":
-        mesh = tmp_path / "a.csv"
-        assert main(["reconstruct", str(f1_dataset_path), "-o", str(mesh)]) == 0
-        argv = ["align", str(mesh), str(mesh)]
-    else:
-        argv = ["roundtrip", "--fixture", "F1"]
-    capsys.readouterr()
-    assert main(argv + ["--distance-tol", value]) == 2
-    assert "tolerance --distance-tol must be a non-negative number" in capsys.readouterr().err
-
-
 def test_an_infinite_dataset_tolerance_factor_switches_checks_off(f1_dataset_path, tmp_path,
                                                                   capsys):
     doc = json.loads(f1_dataset_path.read_text())
@@ -508,6 +427,15 @@ def test_an_infinite_dataset_tolerance_factor_switches_checks_off(f1_dataset_pat
     capsys.readouterr()
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["prodimm", "check"])
+def test_help_exits_0(capsys, argv):
+    """A parser that raises its rejections still prints its help and exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: prodimm", *argv[:-1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +523,9 @@ UNLOADABLE = {
         Unloadable("check {tmp}/no.json --report {tmp}/out.json", "{tmp}/no.json", "No such file"),
         Unloadable("extract --fixture NOPE -o {tmp}/out.json", "'NOPE'", "unknown fixture")]},
     "test_grid_rejects_non_finite_spacing_and_non_integer_dims": {
-        "flag-nan": Unloadable("extract --fixture F1 --spacing nan -o {tmp}/out.json", "nan",
-                               "grid"),
+        "flag-nan": Unloadable("extract --fixture F1 --spacing nan -o {tmp}/out.json",
+                               "--spacing nan", "error: --spacing nan: grid spacing (nan,) and "
+                               "origin (0.0,) must be finite"),
         **{f"{key}-{value}": _check(lambda doc, kv={key: [value]}: doc["grid"].update(kv), "grid")
            for key, value in (("spacing", NAN), ("origin", INF), ("dims", 200.7))}},
     "test_dataset_tolerance_factor": {"nan_exits_2": _check(
@@ -688,14 +617,89 @@ UNLOADABLE = {
         "spacing": Unloadable("extract --fixture F3 --spacing x -o {tmp}/out.json", "--spacing",
                               "expects 2 comma-separated values"),
         "origin": Unloadable("extract --fixture F3 --origin 0,zero -o {tmp}/out.json",
-                             "--origin 0,zero", "could not convert string to float")},
+                             "--origin 0,zero", "could not convert string to float"),
+        "tol_factor": Unloadable("check {ds} --tol-factor abc --report {tmp}/out.json",
+                                 "--tol-factor abc",
+                                 "error: argument --tol-factor: invalid float value: 'abc'")},
+    "test_fixture_arguments_that_cannot_be_built_exit_2": {
+        "extract_grid_too_small": Unloadable(
+            "extract --fixture F1 --grid 3 -o {tmp}/out.json", "--grid 3",
+            "error: --grid 3: every grid axis needs at least 5 nodes for the stencils"),
+        "roundtrip_slope_out_of_range": Unloadable(
+            "roundtrip --fixture F1 --helix-a 1.5 --report {tmp}/out.json", "",
+            "error: slope parameter must sit strictly between 0 and 1")},
+    "test_fixture_flag_the_fixture_does_not_take_exits_2": {
+        f"{name}-{flag}": Unloadable(f"extract --fixture {name} {flag} 0.5 -o {{tmp}}/out.json",
+                                     flag, f"fixture {name} takes no {flag}")
+        for name, flag in (("F2", "--helix-a"), ("F1", "--theta0"))},
+    # theta0 is tested for finiteness before any sine is taken: no warning (pytest makes
+    # every warning an error), no node
+    "test_non_finite_colatitude_exits_2": {
+        f"{command}-{name}-{value}": Unloadable(
+            f"{command} --fixture {name} --theta0={value} {out} {{tmp}}/out.json", "",
+            f"error: colatitude must be finite, got {float(value)}")
+        for command, out in (("extract", "-o"), ("roundtrip", "--report"))
+        for name in ("F2", "F3") for value in ("nan", "inf", "-inf")},
+    "test_unusable_tolerance_flags_exit_2": {
+        case: Unloadable(f"check {{ds}} {flag} --report {{tmp}}/out.json", names,
+                         f"error: tolerance {field} must be a non-negative number or inf, "
+                         f"got {value}")
+        for case, flag, names, field, value in (
+            ("factor_nan", "--tol-factor nan", "", "factor", "nan"),
+            ("override_nan", "--tol gauss=nan", "gauss", "override gauss", "nan"),
+            ("override_negative", "--tol gauss=-1", "gauss", "override gauss", "-1.0"))},
+    # flags that only a late stage reads are rejected before any stage: {tmp} stays empty
+    "test_negative_seed_frame_exits_2_before_any_stage": {
+        command: Unloadable(f"{command} {source} --seed-frame -1 --report {{tmp}}/r.json",
+                            "--seed-frame", "error: --seed-frame must be a non-negative "
+                            "integer, got -1")
+        for command, source in (("reconstruct", "{ds} -o {tmp}/m.csv"),
+                                ("roundtrip", "--fixture F1"))},
+    # a NaN or negative --distance-tol is bad input, not a failed alignment
+    "test_bad_distance_tol_exits_2": {
+        f"{command}-{value}": Unloadable(f"{argv} --distance-tol {value}", "--distance-tol",
+                                         "tolerance --distance-tol must be a non-negative number")
+        for command, argv in (("align", "align {mesh} {mesh} -o {tmp}/out.json"),
+                              ("roundtrip", "roundtrip --fixture F1 --report {tmp}/out.json"))
+        for value in ("nan", "-1")},
+    "test_reconstruct_has_no_reorthonormalize_option": {"": Unloadable(
+        "reconstruct {ds} -o {tmp}/out.json --reorthonormalize", "--reorthonormalize",
+        "error: unrecognized arguments: --reorthonormalize")},
+    "test_argparse_rejections_are_one_error_line": {
+        "missing_out": Unloadable("extract --fixture F1", "-o/--out",
+                                  "error: the following arguments are required: -o/--out"),
+        "no_command": Unloadable("", "command",
+                                 "error: the following arguments are required: command")},
+    # an output whose directory is missing is named before any stage runs (no stdout), and
+    # no earlier output is left: the mesh of the --report row is {tmp}/out.json
+    "test_an_output_in_a_missing_directory_exits_2": {
+        case: Unloadable(argv, f"{flag} {{tmp}}/missing/{name}",
+                         f"error: {flag} '{{tmp}}/missing/{name}': no directory '{{tmp}}/missing'")
+        for case, argv, flag, name in (
+            ("reconstruct_report", "reconstruct {ds} -o {tmp}/out.json "
+             "--report {tmp}/missing/r.json", "--report", "r.json"),
+            # its default report, <out>.report.json, is in the same missing directory
+            ("reconstruct_out", "reconstruct {ds} -o {tmp}/missing/m.csv", "-o/--out", "m.csv"),
+            ("check_report", "check {ds} --report {tmp}/missing/r.json", "--report", "r.json"),
+            ("extract_out", "extract --fixture F1 -o {tmp}/missing/ds.json", "-o/--out",
+             "ds.json"),
+            ("roundtrip_report", "roundtrip --fixture F1 --report {tmp}/missing/r.json",
+             "--report", "r.json"),
+            ("align_out", "align {mesh} {mesh} -o {tmp}/missing/a.json", "-o/--out", "a.json"))},
+    # an output that is a directory is named before any stage runs too
+    "test_an_output_that_is_a_directory_exits_2": {
+        "reconstruct_report": Unloadable("reconstruct {ds} -o {tmp}/out.json --report {tmp}",
+                                         "{tmp}", "error: --report '{tmp}' is a directory"),
+        "extract_out": Unloadable("extract --fixture F1 -o {tmp}", "{tmp}",
+                                  "error: -o/--out '{tmp}' is a directory")},
 }
 
 
 def _rejected(case, tmp_path, capsys, sources):
     """Run each row of ``case``: exit 2 with no stdout and one ``error: `` line that names the
-    rejected input and holds the row's message, and no ``--report`` or ``-o`` file."""
-    paths = {"tmp": str(tmp_path), **sources}
+    rejected input and holds the row's message, and no file written: ``{tmp}`` holds the
+    rows' inputs alone."""
+    paths, inputs = {"tmp": str(tmp_path), **sources}, set()
     for row in case if isinstance(case, list) else [case]:
         for name, (source, edit) in row.files.items():
             text = Path(source.format_map(paths)).read_text()
@@ -706,6 +710,7 @@ def _rejected(case, tmp_path, capsys, sources):
             elif edit:
                 text = "".join(edit(text.splitlines(keepends=True)))
             (tmp_path / name).write_text(text)
+            inputs.add(name)
         capsys.readouterr()
         assert main([arg.format_map(paths) for arg in row.argv.split()]) == 2
         out, err = capsys.readouterr()
@@ -713,7 +718,7 @@ def _rejected(case, tmp_path, capsys, sources):
         message, line = row.message.format_map(paths), err.removesuffix("\n")
         assert [name for name in row.names.format_map(paths).split() if name not in line] == []
         assert line == message if message.startswith("error: ") else message in line, line
-        assert not (tmp_path / "out.json").exists()
+        assert {path.name for path in tmp_path.iterdir()} == inputs
 
 
 def _table_test(cases: dict):

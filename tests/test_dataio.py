@@ -21,6 +21,7 @@ from prodimm.dataio import (_CSV_BLOCK_ROWS, Dataset, _render_with_inline_arrays
                             tolerances_from_dict, tolerances_to_dict)
 from prodimm.errors import DimensionError, GridMismatchError, ReconstructionError, SchemaError
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
+from prodimm.lorentz import onto_product
 from prodimm.structure import CheckRecord, Report, ToleranceModel
 
 import io_oracles
@@ -33,7 +34,7 @@ def _oracle_json(doc: dict) -> bytes:
 
 @pytest.mark.parametrize("bundle", ["f1", "f1_fd", "f3", "f3_fd"])
 def test_dataset_bytes_match_oracle(request, tmp_path, bundle):
-    ds = request.getfixturevalue(bundle).dataset()
+    ds = request.getfixturevalue(bundle).data
     path = tmp_path / "ds.json"
     save_dataset(ds, str(path))
     assert path.read_bytes() == _oracle_json(dataset_to_dict(ds))
@@ -274,7 +275,8 @@ def _repeating_points(grid: ChartGrid) -> np.ndarray:
 @pytest.mark.parametrize("case", ["f3", *MESH_GRIDS, *(f"{name}-repeats" for name in MESH_GRIDS)])
 def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
     """One ``%`` format per block of rows, each distinct value of a column formatted once,
-    gives the oracle's C-order rows, one ``repr`` per cell, byte for byte."""
+    gives the oracle's C-order rows, one ``repr`` per cell, byte for byte; so does the
+    export repair, ``onto_product``, before the write."""
     if case == "f3":
         grid, k, values = f3.grid, f3.recon.k, f3.recon.points
     elif case.endswith("-repeats"):
@@ -288,7 +290,7 @@ def test_mesh_bytes_match_oracle(f3, tmp_path, case, repair):
         grid, k = MESH_GRIDS[case], 2
         values = _product_points(grid, k, 5 - grid.ndim)
     path = tmp_path / "mesh.csv"
-    save_immersion_csv(str(path), grid, k, values, repair=repair)
+    save_immersion_csv(str(path), grid, k, onto_product(values, k) if repair else values)
     expected = io_oracles.immersion_csv_text(k, values, repair=repair)
     assert path.read_bytes() == expected.encode()
 
@@ -328,16 +330,15 @@ def test_mesh_bytes_match_oracle_on_drawn_tables(tmp_path_factory, data):
                                           (40, 2): (slice(0, 3), 0.0),
                                           (50, 7): (slice(3, 6), (1.0, 0.0, 1.0))})],
     ids=["sphere_zero", "hyperbolic_spacelike"])
-def test_mesh_repair_names_the_first_unrepairable_node(f3, tmp_path, block, planted):
-    """A point with no repair onto the product raises before the file exists; no nan is written."""
+def test_mesh_repair_names_the_first_unrepairable_node(f3, block, planted):
+    """A point with no repair onto the product raises, naming the first such node in C order;
+    no nan is returned."""
     values = f3.recon.points.copy()
     for node, (cols, entry) in planted.items():
         values[node + (cols,)] = entry
-    path = tmp_path / "mesh.csv"
     with pytest.raises(ReconstructionError, match=rf"node \(20, 30\): its {block}") as err:
-        save_immersion_csv(str(path), f3.grid, f3.recon.k, values, repair=True)
+        onto_product(values, f3.recon.k)
     assert err.value.node == (20, 30)
-    assert not path.exists()
 
 
 def _save_rebuild(directory, grid: ChartGrid, k: int, values: np.ndarray) -> tuple:
@@ -421,15 +422,26 @@ def test_rebuild_needs_grid_and_reconstruction_blocks(tmp_path, block):
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_written_files_get_the_mode_open_gives(f1, tmp_path, umask):
     """A dataset, a mesh and its report are 0666 less the umask, as ``open`` would create
-    them; the temp file each is written to is not left at its private 0600."""
+    them: the temp file each is written to is made by ``open``."""
     saved = os.umask(umask)
     try:
-        save_dataset(f1.dataset(), str(tmp_path / "ds.json"))
+        save_dataset(f1.data, str(tmp_path / "ds.json"))
         written = [tmp_path / "ds.json", *_small_rebuild(tmp_path)]
     finally:
         os.umask(saved)
     assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == \
         {path.name: 0o666 & ~umask for path in written}
+
+
+def test_a_failed_write_names_its_file_and_leaves_no_temp(f1, tmp_path):
+    """The ``OSError`` names the file asked for, not the temp file next to it, which goes."""
+    missing = tmp_path / "missing" / "ds.json"
+    with pytest.raises(OSError, match=re.escape(f"cannot write {str(missing)!r}: No such file")):
+        save_dataset(f1.data, str(missing))
+    (tmp_path / "ds.json").mkdir()   # the rename onto a directory fails after the write
+    with pytest.raises(OSError, match=re.escape(f"cannot write {str(tmp_path / 'ds.json')!r}")):
+        save_dataset(f1.data, str(tmp_path / "ds.json"))
+    assert [path.name for path in tmp_path.iterdir()] == ["ds.json"]
 
 
 def test_writer_signatures_unchanged():
@@ -442,4 +454,4 @@ def test_writer_signatures_unchanged():
     assert params(save_report) == [("report", positional, empty), ("path", positional, empty)]
     assert params(save_immersion_csv) == [
         ("path", positional, empty), ("grid", positional, empty), ("k", positional, empty),
-        ("values", positional, empty), ("repair", positional, False)]
+        ("values", positional, empty)]

@@ -5,7 +5,7 @@ import pytest
 
 from prodimm.cli import check_dataset
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError, MetricError
-from prodimm.extract import (AnalyticImmersion, default_tolerances, extract_all, fixture,
+from prodimm.extract import (AnalyticImmersion, extract_all, fixture,
                              immersion_points, immersion_tangents, induced_metric,
                              induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid, argmax_node, hessian_field
@@ -242,7 +242,7 @@ def test_normal_connection_trivial_on_fixtures(f1, f2):
 
 def _necessity(imm, grid, use_analytic=True):
     data = extract_all(imm, grid, use_analytic)
-    return check_all(data, default_tolerances(data))
+    return check_all(data, data.tolerances)
 
 
 def test_verify_necessity_all_fixtures(f1, f2, f3):
@@ -372,6 +372,6 @@ def test_second_form_without_its_evaluator_is_the_hessian_of_the_points(name):
         hessian = induced_second_form(g, hessian_field(g, data.points), data.normals)
         assert np.array_equal(data.sigma.values, hessian.values)
         errs.append(np.abs(data.sigma.values - exact.sigma.values).max())
-        assert check_dataset(data, default_tolerances(data)).passed, g.dims
+        assert check_dataset(data, data.tolerances).passed, g.dims
     assert errs[0] <= 10 * grid.h_max**2
     assert 3.9 <= errs[0] / errs[1] <= 4.1, errs

@@ -51,6 +51,9 @@ Each datum pairing has one home: a ``psi_flip`` call inside the arguments of a
 ``minkowski_gram`` call appears only in ``extract.induced_structure``, and
 ``reconstruct`` does not name ``product_normals``, since the rebuild reads its
 datum through the extraction's pairings.
+``dataio`` holds the formats alone: of the package it imports only ``errors``,
+``fields``, ``flatbundle`` and ``structure``, so no geometry (``lorentz``) or
+extraction decision (``extract``) lives in it.
 """
 
 import ast
@@ -739,3 +742,33 @@ def test_datum_pairing_site_is_found():
                    "    return minkowski_gram(rows, b=[psi_flip(rows, k)]), flipped\n")
     assert datum_pairing_sites({"extract.py": extract, "reconstruct.py": reconstruct}) == [
         "extract.py:4", "reconstruct.py:1", "reconstruct.py:3", "reconstruct.py:5"]
+
+
+# ``dataio`` holds the formats alone: the package modules it may import.
+DATAIO_IMPORTS = {"errors", "fields", "flatbundle", "structure"}
+
+
+def package_imports(source: str) -> list:
+    """The ``prodimm`` modules ``source`` imports, relatively or by the package name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "prodimm"):
+            module = (node.module or "").removeprefix("prodimm").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("prodimm.")}
+    return sorted(found)
+
+
+def test_dataio_imports_the_formats_alone():
+    imported = package_imports((SRC / "dataio.py").read_text())
+    assert imported and set(imported) <= DATAIO_IMPORTS, imported
+
+
+def test_package_import_is_found():
+    source = ("import numpy as np\nimport prodimm.lorentz\nfrom .errors import SchemaError\n"
+              "from . import extract\nfrom prodimm.reconstruct import align\n"
+              "from prodimm import cli\nfrom numpy.linalg import inv\n")
+    assert package_imports(source) == ["cli", "errors", "extract", "lorentz", "reconstruct"]

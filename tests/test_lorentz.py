@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError
 from prodimm.lorentz import (eta, gram_defect, gram_schmidt, lorentz_orthonormalize, lower,
-                             minkowski_dot, product_distance)
+                             minkowski_dot, onto_product, product_defect, product_distance,
+                             product_norms)
 
 from ambient_oracles import (InsufficientDataError, ProductPoint,
                              ambient_connection_relation_residual, ambient_curvature,
@@ -304,3 +305,20 @@ def test_product_distance_is_the_geodesic_distance_on_h1(r):
 
     t = np.linspace(0.0, 8.0, 33)
     assert np.abs(product_distance(on_product(t + r), on_product(t), 1) / r - 1.0).max() <= r**2
+
+
+def test_onto_product_scales_each_block_onto_its_factor():
+    """``product_norms`` are |x|^2 and -<y, y>; ``onto_product`` divides each block by the
+    root of its norm, in a copy, and lands on S^2 x H^1."""
+    rng = np.random.default_rng(3)
+    x, ys = rng.normal(size=(6, 3)), rng.normal(size=(6, 1))
+    y = np.concatenate([ys, np.sqrt(ys * ys + 1.0)], axis=-1)   # on H^1
+    points = np.concatenate([2.0 * x, 0.5 * y], axis=-1)
+    before = points.copy()
+    x2, y2 = product_norms(points, 2)
+    assert np.allclose(x2, 4.0 * (x * x).sum(axis=-1), rtol=1e-14)
+    assert np.allclose(y2, 0.25, rtol=1e-14)
+    out = onto_product(points, 2)
+    assert np.array_equal(points, before)
+    assert product_defect(out, 2).max() <= 1e-14
+    assert np.allclose(out[:, :3] * np.sqrt(x2)[:, None], points[:, :3], rtol=1e-15)

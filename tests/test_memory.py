@@ -80,7 +80,7 @@ def test_dataset_write_holds_no_joined_copy(f3_fd, tmp_path):
     """The base64 fields are the bulk of the file and are written as they are, never
     copied into a joined text, so the peak is about the file plus one field's encoding."""
     path = tmp_path / "f3.json"
-    peak = traced_peak_mib(save_dataset, f3_fd.dataset(), str(path))
+    peak = traced_peak_mib(save_dataset, f3_fd.data, str(path))
     file_mib = os.path.getsize(path) / 2**20
     assert peak <= (1.23 + HEADROOM) * file_mib, peak / file_mib
 

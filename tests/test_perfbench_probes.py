@@ -13,8 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from prodimm.dataio import Dataset
-from prodimm.extract import default_tolerances, extract_all, fixture
+from prodimm.extract import extract_all, fixture
 from prodimm.fields import ChartGrid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,7 +64,7 @@ def test_field_probes_accept_the_standalone_call_shapes():
     assert set(_run_py_constant("FIELD_PROBES")) == set(FIELD_CALLS)
     imm, _ = fixture("F3")
     grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
-    ds = Dataset.from_extraction(extract_all(imm, grid, use_analytic=False))
+    ds = extract_all(imm, grid, use_analytic=False)
     for name, call in FIELD_CALLS.items():
         fn = _program_attr(name)
         assert callable(fn), name
@@ -81,7 +80,7 @@ def test_tracer_counts_the_rebuild_layers(monkeypatch):
     tracer.install()
     try:
         _program_attr("reconstruct.reconstruct_immersion")(
-            data, tolerances=default_tolerances(data))
+            data, tolerances=data.tolerances)
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
@@ -101,7 +100,7 @@ def test_tracer_counts_the_check_layers(monkeypatch):
     tracer = _spans_module(monkeypatch).Tracer()
     tracer.install()
     try:
-        _program_attr("cli.check_dataset")(data, default_tolerances(data))
+        _program_attr("cli.check_dataset")(data, data.tolerances)
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}

@@ -6,7 +6,7 @@ import scipy.linalg
 from prodimm import reconstruct
 from prodimm.cli import check_dataset
 from prodimm.errors import ReconstructionError, StructureError
-from prodimm.extract import default_tolerances, extract_all
+from prodimm.extract import extract_all
 from prodimm.fields import ChartGrid, SecondFormField, argmax_node
 from prodimm.flatbundle import Geometry, build_psi_tilde, eigen_split
 from prodimm.reconstruct import (EdgeFlows, align_congruence, assemble_immersion, edge_flow,
@@ -17,7 +17,7 @@ from prodimm.lorentz import eta, product_defect
 from prodimm.structure import ToleranceModel
 
 import kernel_oracles as oracle
-from conftest import refine, reparametrized_f3, twisted_f3, twisted_f3_extraction, veronese
+from conftest import refine, reparametrized_f3, twisted_f3, veronese
 from sweep_oracles import per_edge_parallel_frame, per_plaquette_path_gap
 
 
@@ -286,7 +286,7 @@ def _aligned_distances(sources):
     """Check each extraction, then its ``_rebuilt_distance``."""
     distances = []
     for source in sources:
-        tol = default_tolerances(source)
+        tol = source.tolerances
         assert check_dataset(source, tol).passed, source.grid
         distances.append(_rebuilt_distance(source, tol))
     return distances
@@ -296,7 +296,7 @@ def test_twisted_rebuild_aligns_with_its_source():
     """The rebuild of twisted F3 aligns with the source points and with the ambient frame of
     the turned normals, and the distance falls like h^2 (measured 1.57e-4 at 64^2 and
     3.86e-5 at 127^2, against budgets 5.67e-3 and 1.42e-3)."""
-    distances = _aligned_distances(twisted_f3_extraction(dims) for dims in (64, 127))
+    distances = _aligned_distances(twisted_f3(dims) for dims in (64, 127))
     assert 3.5 <= distances[0] / distances[1] <= 4.5, distances
 
 
@@ -323,7 +323,7 @@ def test_veronese_rebuild_aligns_with_its_source(use_analytic):
     (the worst is path_independence, 0.58 of its threshold) and the rebuild aligns with the
     source to O(h^2) (measured 4.20e-5 and 1.05e-5 analytic, 2.72e-4 and 6.80e-5 fd, at 65^2
     and 129^2, against budgets 3.52e-3 and 8.79e-4)."""
-    distances = [_rebuilt_distance(source, default_tolerances(source))
+    distances = [_rebuilt_distance(source, source.tolerances)
                  for source in _veronese_sources(use_analytic)]
     assert 3.5 <= distances[0] / distances[1] <= 4.5, distances
 
@@ -334,7 +334,7 @@ def test_veronese_passes_check():
     ``bundle_flatness`` read 1.13 and 1.19 of their thresholds (analytic, 65^2 and 129^2) and
     1.49 and 1.53 (fd), from the second difference of g that Gamma is differenced into."""
     sources = _veronese_sources(True) + _veronese_sources(False)
-    assert [check_dataset(s, default_tolerances(s)).passed for s in sources] == [True] * 4
+    assert [check_dataset(s, s.tolerances).passed for s in sources] == [True] * 4
 
 
 def test_align_same_run_identity(f2):

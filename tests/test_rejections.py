@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from prodimm import extract
-from prodimm.dataio import dataset_to_dict, load_dataset, save_immersion_csv
+from prodimm.dataio import dataset_to_dict, load_dataset
 from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError, ExclusionError,
                             MetricError, ReconstructionError, SchemaError, StructureError)
 from prodimm.extract import (AnalyticImmersion, fixture, immersion_points,
                              induced_normal_frame)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry
+from prodimm.lorentz import onto_product
 from prodimm.reconstruct import assemble_immersion, reconstruct_immersion
 from prodimm.structure import ToleranceModel
 
@@ -82,17 +83,16 @@ def _broken_frame(request, edit):
     assemble_immersion(frame, f1.recon.k)
 
 
-def _unrepairable_mesh(request):
+def _unrepairable_point(request):
     f1 = request.getfixturevalue("f1")
     points = f1.recon.points.copy()
     points[57, :2] = 0.0
-    path = request.getfixturevalue("tmp_path") / "mesh.csv"
-    save_immersion_csv(str(path), f1.grid, f1.recon.k, points, repair=True)
+    onto_product(points, f1.recon.k)
 
 
 def _nan_psi_document(request):
     """The loader reads the file: ``load_dataset`` keeps the node of the error it names."""
-    doc = dataset_to_dict(request.getfixturevalue("f1").dataset())
+    doc = dataset_to_dict(request.getfixturevalue("f1").data)
 
     def poison(values):
         values[57] = np.nan
@@ -140,7 +140,7 @@ CASES = {
                                  DegeneracyError, (3, 2), "normal frame degenerates"),
     "normal_frame_base_completion": (_no_completion, DegeneracyError, (0, 0),
                                      "canonical completion"),
-    "mesh_repair": (_unrepairable_mesh, ReconstructionError, (57,), "sphere block is zero"),
+    "mesh_repair": (_unrepairable_point, ReconstructionError, (57,), "sphere block is zero"),
     "assemble_lower_sheet": (lambda r: _broken_frame(r, lambda f: np.negative(f, out=f)),
                              ReconstructionError, (57,), "lower sheet"),
     "assemble_nan": (lambda r: _broken_frame(r, lambda f: f.fill(np.nan)),
