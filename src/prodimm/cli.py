@@ -20,14 +20,15 @@ import inspect
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import dataio
 from .dataio import load_dataset, save_dataset, save_report
-from .errors import DimensionError, ProdimmError, SchemaError
-from .extract import FIXTURES, extract_all, fixture
+from .errors import ProdimmError, SchemaError
+from .extract import FIXTURES, extract_all
 from .fields import ChartGrid
 from .flatbundle import Geometry, metric_compatibility_residual
 from .lorentz import onto_product
@@ -77,18 +78,25 @@ def _verdict(report: Report, path) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_tuple(flag: str, text, default: tuple, cast) -> tuple:
-    """``text`` as ``len(default)`` values of ``cast`` (one stands for all), or ``default``
-    if it is empty; a value that does not parse is a ``SchemaError`` naming ``flag``."""
+@contextmanager
+def _naming(*given):
+    """Inside, the owner of each flag value judges it: a ``ValueError`` it raises becomes one
+    ``SchemaError`` that starts with ``given``'s (flag, value) pairs whose value is set."""
+    try:
+        yield
+    except ValueError as exc:
+        flags = " ".join(f"{flag} {value}" for flag, value in given if value is not None)
+        raise SchemaError(f"{flags}: {exc}") from exc
+
+
+def _parse_tuple(text, default: tuple, cast) -> tuple:
+    """``len(default)`` values of ``cast`` in ``text`` (one stands for all), or ``default``."""
     if not text:
         return default
     parts = [p for p in str(text).replace("x", ",").split(",") if p]
-    try:
-        values = tuple(map(cast, parts * len(default) if len(parts) == 1 else parts))
-    except ValueError as exc:
-        raise SchemaError(f"{flag} {text!r}: {exc}") from None
+    values = tuple(map(cast, parts * len(default) if len(parts) == 1 else parts))
     if len(values) != len(default):
-        raise SchemaError(f"{flag} expects {len(default)} comma-separated values, got {text!r}")
+        raise ValueError(f"expects {len(default)} comma-separated values")
     return values
 
 
@@ -97,43 +105,33 @@ FIXTURE_FLAGS = {"a": "--helix-a", "theta0": "--theta0"}
 
 
 def _fixture_from_args(args):
-    name = args.fixture.upper()
-    if name not in FIXTURES:
-        raise SchemaError(f"unknown fixture {args.fixture!r}; available: {sorted(FIXTURES)}")
     params = {key: value for key, flag in FIXTURE_FLAGS.items()
               if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
-    taken = inspect.signature(FIXTURES[name]).parameters   # the factory decides
+    taken = inspect.signature(FIXTURES[args.fixture]).parameters   # the factory decides
     unknown = [FIXTURE_FLAGS[key] for key in params if key not in taken]
     if unknown:
-        raise SchemaError(f"fixture {name} takes no {' or '.join(unknown)}")
-    try:   # a fixture the arguments cannot describe is unloadable input
-        imm, grid = fixture(name, **params)
-    except DimensionError as exc:
-        raise SchemaError(str(exc)) from exc
-    try:   # ChartGrid judges the grid; its rejection names the flags that set it
-        return imm, ChartGrid(dims=_parse_tuple("--grid", args.grid, grid.dims, int),
-                              spacing=_parse_tuple("--spacing", args.spacing, grid.spacing, float),
-                              origin=_parse_tuple("--origin", args.origin, grid.origin, float))
-    except DimensionError as exc:
-        given = " ".join(f"{flag} {text}" for flag, text in (
-            ("--grid", args.grid), ("--spacing", args.spacing), ("--origin", args.origin)) if text)
-        raise SchemaError(f"{given}: {exc}") from exc
+        raise SchemaError(f"fixture {args.fixture} takes no {' or '.join(unknown)}")
+    with _naming(*((FIXTURE_FLAGS[key], value) for key, value in params.items())):
+        imm, grid = FIXTURES[args.fixture](**params)
+    with _naming(("--grid", args.grid), ("--spacing", args.spacing), ("--origin", args.origin)):
+        return imm, ChartGrid(dims=_parse_tuple(args.grid, grid.dims, int),
+                              spacing=_parse_tuple(args.spacing, grid.spacing, float),
+                              origin=_parse_tuple(args.origin, grid.origin, float))
 
 
 def _tolerances_from_args(args, base: ToleranceModel) -> ToleranceModel:
-    overrides = dict(base.overrides)
+    """``base`` with ``--tol-factor``, then each ``--tol`` in turn: the model judges each."""
+    with _naming(("--tol-factor", args.tol_factor)):
+        tol = base if args.tol_factor is None else replace(base, factor=args.tol_factor)
     for item in args.tol or []:
         name, _, value = item.partition("=")
-        try:   # without "=", value is "" and fails too
-            overrides[name.strip()] = float(value)
-        except ValueError:
-            raise SchemaError(f"--tol expects NAME=VALUE, VALUE a number, got {item!r}") from None
-    factor = args.tol_factor if args.tol_factor is not None else base.factor
-    return replace(base, factor=factor, overrides=overrides)
+        with _naming(("--tol", item)):   # without "=", value is "" and fails too
+            tol = replace(tol, overrides={**tol.overrides, name.strip(): float(value)})
+    return tol
 
 
 def _add_fixture_args(sub):
-    sub.add_argument("--fixture", required=True, help="F1, F2 or F3")
+    sub.add_argument("--fixture", required=True, type=str.upper, choices=sorted(FIXTURES))
     sub.add_argument("--theta0", type=float, default=None,
                      help="colatitude parameter for F2/F3")
     sub.add_argument("--helix-a", type=float, default=None,
@@ -181,9 +179,8 @@ def cmd_reconstruct(args) -> int:
     _print_checks(result.report)
     points = onto_product(result.points, result.k) if args.repair_export else result.points
     dataio.save_immersion_csv(args.out, ds.grid, result.k, points)
-    report_path = args.report or (args.out + ".report.json")
-    save_report(report, report_path)
-    print(f"wrote {args.out} and {report_path}; recovered k = {result.k}, "
+    save_report(report, args.report)
+    print(f"wrote {args.out} and {args.report}; recovered k = {result.k}, "
           f"on-product defect {result.on_product_defect:.3e}")
     return 0 if report.passed else 1
 
@@ -202,16 +199,15 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_align(args) -> int:
-    meshes, reports = (args.mesh_a, args.mesh_b), (args.report_a, args.report_b)
-    paths = [report or mesh + ".report.json" for mesh, report in zip(meshes, reports)]
-    (rep_a, points_a), (rep_b, points_b) = map(dataio.load_rebuild, meshes, paths)
+    rep_a, points_a = dataio.load_rebuild(args.mesh_a, args.report_a)
+    rep_b, points_b = dataio.load_rebuild(args.mesh_b, args.report_b)
     ra, rb = rep_a.reconstruction, rep_b.reconstruction
     for what, a, b in (("the grid", rep_a.grid, rep_b.grid),
                        ("reconstruction.ambient_dim", ra["ambient_dim"], rb["ambient_dim"]),
                        ("the base node", ra["base_node"], rb["base_node"])):
         if a != b:
             raise SchemaError(f"align inputs must share {what}: {a} vs {b}, "
-                              f"in reports {paths[0]!r} and {paths[1]!r}")
+                              f"in reports {args.report_a!r} and {args.report_b!r}")
     report = Report.merge(align_congruence(points_a, ra["psi_base"], ra["k"], points_b,
                                            rb["psi_base"], rb["k"], args.distance_tol),
                           grid=rep_a.grid)
@@ -287,20 +283,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# file argument -> its name in an error line: the inputs, then the outputs in writing order
+FILE_ARGS = {"dataset": "dataset", "mesh_a": "mesh_a", "mesh_b": "mesh_b",
+             "report_a": "--report-a", "report_b": "--report-b",
+             "out": "-o/--out", "report": "--report"}
+
+
+def _resolve_files(args):
+    """Give each rebuild report not given its default, ``<mesh>.report.json``; reject an output
+    that is a directory, is in a missing one, or is an input or an earlier output."""
+    for report, mesh in (("report", "out"), ("report_a", "mesh_a"), ("report_b", "mesh_b")):
+        if getattr(args, report, "") is None and getattr(args, mesh, None):
+            setattr(args, report, getattr(args, mesh) + ".report.json")
+    files = [(dest, name, path) for dest, name in FILE_ARGS.items()
+             if (path := getattr(args, dest, None))]
+    for i, (dest, flag, path) in enumerate(files):
+        if dest not in ("out", "report"):
+            continue
+        if os.path.isdir(path):
+            raise SchemaError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(directory := os.path.dirname(os.path.abspath(path))):
+            raise SchemaError(f"{flag} {path!r}: no directory {directory!r}")
+        for _, name, other in files[:i]:
+            if os.path.realpath(other) == os.path.realpath(path):
+                raise SchemaError(f"{flag} {path!r} would overwrite {name} {other!r}")
+
+
 def main(argv=None) -> int:
-    try:   # flags that only a late stage reads, and the outputs, are checked before any stage
+    try:   # flags that only a late stage reads, and the files, are checked before any stage
         args = build_parser().parse_args(argv)
-        seed = getattr(args, "seed_frame", None)
-        if seed is not None and seed < 0:
-            raise SchemaError(f"--seed-frame must be a non-negative integer, got {seed}")
-        require_tolerance("--distance-tol", getattr(args, "distance_tol", None))
-        # reconstruct's default report, <out>.report.json, shares the directory of -o
-        for flag, path in (("-o/--out", getattr(args, "out", None)),
-                           ("--report", getattr(args, "report", None))):
-            if path and os.path.isdir(path):
-                raise SchemaError(f"{flag} {path!r} is a directory")
-            if path and not os.path.isdir(directory := os.path.dirname(os.path.abspath(path))):
-                raise SchemaError(f"{flag} {path!r}: no directory {directory!r}")
+        seed, distance_tol = getattr(args, "seed_frame", None), getattr(args, "distance_tol", None)
+        with _naming(("--seed-frame", seed)):
+            if seed is not None:
+                np.random.SeedSequence(seed)   # numpy judges the seed of the frame's rotation
+        with _naming(("--distance-tol", distance_tol)):
+            require_tolerance("distance_tol", distance_tol)
+        _resolve_files(args)
         return args.func(args)
     except (ProdimmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

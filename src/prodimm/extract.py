@@ -162,27 +162,33 @@ def immersion_points(imm: AnalyticImmersion, grid: ChartGrid) -> np.ndarray:
 
     The round-off of <y, y> grows like |y|^2, so a node passes when its
     product defect is at most ``_PRODUCT_TOL * max(1, |y|^2)``; the error names the
-    first node in C order that is off the product or on the lower sheet.
+    first node in C order whose point or |y|^2 is not finite (a far chart origin
+    overflows), that is off the product or that is on the lower sheet.
     """
     if grid.ndim != imm.n:
         raise DimensionError(f"{imm.n}-dim immersion on a {grid.ndim}-dim grid")
     pts = _sample(imm, grid, "point", ())
     y = pts[..., imm.k + 1:]
-    defect = product_defect(pts, imm.k)
-    scale = np.maximum(1.0, (y * y).sum(axis=-1))
-    off = ~(defect <= _PRODUCT_TOL * scale)
-    bad = off | (y[..., -1] <= 0)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is rejected below
+        y2 = (y * y).sum(axis=-1)
+        defect = product_defect(pts, imm.k)
+    nonfinite = ~(np.isfinite(pts).all(axis=-1) & np.isfinite(y2))
+    off = ~(defect <= _PRODUCT_TOL * np.maximum(1.0, y2))
+    bad = nonfinite | off | (y[..., -1] <= 0)
     if bad.any():
         node = argmax_node(bad)
-        reason = (f"leaves the product by {defect[node]:.3e}" if off[node]
+        reason = ("point or its |y|^2 is not finite" if nonfinite[node]
+                  else f"leaves the product by {defect[node]:.3e}" if off[node]
                   else "reaches the lower sheet of the hyperboloid")
         raise ConstraintError(f"immersion {reason} at node {node}", node=node)
     return pts
 
 
 def _sample(imm: AnalyticImmersion, grid: ChartGrid, what: str, slots: tuple) -> np.ndarray:
-    """The evaluator ``what`` of ``imm`` on every node: an array (*dims, *slots, N)."""
-    values = np.asarray(getattr(imm, what)(grid.coords()), dtype=float)
+    """The evaluator ``what`` of ``imm`` on every node: an array (*dims, *slots, N); an
+    overflow gives inf or NaN, not a warning, and ``immersion_points`` rejects it first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(getattr(imm, what)(grid.coords()), dtype=float)
     if values.shape != grid.dims + slots + (imm.ambient_dim,):
         raise DimensionError(f"{what.replace('_', '-')} evaluator returned shape {values.shape}")
     return values

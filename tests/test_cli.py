@@ -521,7 +521,8 @@ UNLOADABLE = {
         Unloadable("check {tmp}/empty --report {tmp}/out.json", "{tmp}/empty",
                    "cannot parse dataset", {"empty": ("{ds}", lambda lines: [])}),
         Unloadable("check {tmp}/no.json --report {tmp}/out.json", "{tmp}/no.json", "No such file"),
-        Unloadable("extract --fixture NOPE -o {tmp}/out.json", "'NOPE'", "unknown fixture")]},
+        Unloadable("extract --fixture NOPE -o {tmp}/out.json", "--fixture 'NOPE'",
+                   "argument --fixture: invalid choice: 'NOPE'")]},
     "test_grid_rejects_non_finite_spacing_and_non_integer_dims": {
         "flag-nan": Unloadable("extract --fixture F1 --spacing nan -o {tmp}/out.json",
                                "--spacing nan", "error: --spacing nan: grid spacing (nan,) and "
@@ -533,8 +534,10 @@ UNLOADABLE = {
         "tolerance factor must be a non-negative number or inf, got nan")},
     "test_misspelt_tolerance_override_exits_2": {
         "flag": Unloadable("check {ds} --tol psi_tilde_paralel=1e-30 --report {tmp}/out.json",
-                           "psi_tilde_paralel", "error: tolerance override 'psi_tilde_paralel' "
-                           "names no check record"),
+                           "--tol psi_tilde_paralel=1e-30", "error: --tol psi_tilde_paralel=1e-30: "
+                           "tolerance override 'psi_tilde_paralel' names no check record"),
+        "empty_name": Unloadable("check {ds} --tol =1 --report {tmp}/out.json", "--tol =1",
+                                 "error: --tol =1: tolerance override '' names no check record"),
         "dataset": _check(lambda doc: doc["tolerances"].update(overrides={"psi_tilde_paralel": 1}),
                           "error: dataset '{tmp}/bad.json': tolerance override "
                           "'psi_tilde_paralel' names no check record")},
@@ -611,7 +614,7 @@ UNLOADABLE = {
         _as_v1, "expected schema 'prodimm-dataset/2', got prodimm-dataset/1")},
     "test_unparsable_flag_value_names_its_flag": {
         "tol": Unloadable("check {ds} --tol gauss=abc --report {tmp}/out.json", "--tol gauss=abc",
-                          "a number"),
+                          "error: --tol gauss=abc: could not convert string to float: 'abc'"),
         "grid": Unloadable("extract --fixture F3 --grid 64xab -o {tmp}/out.json", "--grid 64xab",
                            "invalid literal for int()"),
         "spacing": Unloadable("extract --fixture F3 --spacing x -o {tmp}/out.json", "--spacing",
@@ -626,39 +629,46 @@ UNLOADABLE = {
             "extract --fixture F1 --grid 3 -o {tmp}/out.json", "--grid 3",
             "error: --grid 3: every grid axis needs at least 5 nodes for the stencils"),
         "roundtrip_slope_out_of_range": Unloadable(
-            "roundtrip --fixture F1 --helix-a 1.5 --report {tmp}/out.json", "",
-            "error: slope parameter must sit strictly between 0 and 1")},
+            "roundtrip --fixture F1 --helix-a 1.5 --report {tmp}/out.json", "--helix-a 1.5",
+            "error: --helix-a 1.5: slope parameter must sit strictly between 0 and 1")},
     "test_fixture_flag_the_fixture_does_not_take_exits_2": {
         f"{name}-{flag}": Unloadable(f"extract --fixture {name} {flag} 0.5 -o {{tmp}}/out.json",
-                                     flag, f"fixture {name} takes no {flag}")
-        for name, flag in (("F2", "--helix-a"), ("F1", "--theta0"))},
+                                     flag, f"fixture {name.upper()} takes no {flag}")
+        # the fixture name is read in any case
+        for name, flag in (("F2", "--helix-a"), ("F1", "--theta0"), ("f1", "--theta0"))},
     # theta0 is tested for finiteness before any sine is taken: no warning (pytest makes
     # every warning an error), no node
     "test_non_finite_colatitude_exits_2": {
         f"{command}-{name}-{value}": Unloadable(
-            f"{command} --fixture {name} --theta0={value} {out} {{tmp}}/out.json", "",
-            f"error: colatitude must be finite, got {float(value)}")
+            f"{command} --fixture {name} --theta0={value} {out} {{tmp}}/out.json",
+            f"--theta0 {float(value)}",
+            f"error: --theta0 {float(value)}: colatitude must be finite, got {float(value)}")
         for command, out in (("extract", "-o"), ("roundtrip", "--report"))
         for name in ("F2", "F3") for value in ("nan", "inf", "-inf")},
     "test_unusable_tolerance_flags_exit_2": {
-        case: Unloadable(f"check {{ds}} {flag} --report {{tmp}}/out.json", names,
-                         f"error: tolerance {field} must be a non-negative number or inf, "
-                         f"got {value}")
-        for case, flag, names, field, value in (
-            ("factor_nan", "--tol-factor nan", "", "factor", "nan"),
-            ("override_nan", "--tol gauss=nan", "gauss", "override gauss", "nan"),
-            ("override_negative", "--tol gauss=-1", "gauss", "override gauss", "-1.0"))},
+        case: Unloadable(f"check {{ds}} {given}{flag} --report {{tmp}}/out.json", flag,
+                         f"error: {flag}: tolerance {field} must be a non-negative number or "
+                         f"inf, got {value}")
+        for case, given, flag, field, value in (
+            ("factor_nan", "", "--tol-factor nan", "factor", "nan"),
+            ("override_nan", "", "--tol gauss=nan", "override gauss", "nan"),
+            ("override_negative", "", "--tol gauss=-1", "override gauss", "-1.0"),
+            # each --tol is judged in turn: the line names the one that is rejected
+            ("second_override_negative", "--tol gauss=1 ", "--tol ricci=-2", "override ricci",
+             "-2.0"))},
     # flags that only a late stage reads are rejected before any stage: {tmp} stays empty
     "test_negative_seed_frame_exits_2_before_any_stage": {
         command: Unloadable(f"{command} {source} --seed-frame -1 --report {{tmp}}/r.json",
-                            "--seed-frame", "error: --seed-frame must be a non-negative "
-                            "integer, got -1")
+                            "--seed-frame -1", "error: --seed-frame -1: expected non-negative "
+                            "integer")
         for command, source in (("reconstruct", "{ds} -o {tmp}/m.csv"),
                                 ("roundtrip", "--fixture F1"))},
     # a NaN or negative --distance-tol is bad input, not a failed alignment
     "test_bad_distance_tol_exits_2": {
-        f"{command}-{value}": Unloadable(f"{argv} --distance-tol {value}", "--distance-tol",
-                                         "tolerance --distance-tol must be a non-negative number")
+        f"{command}-{value}": Unloadable(
+            f"{argv} --distance-tol {value}", f"--distance-tol {float(value)}",
+            f"error: --distance-tol {float(value)}: tolerance distance_tol must be a non-negative "
+            f"number or inf, got {float(value)}")
         for command, argv in (("align", "align {mesh} {mesh} -o {tmp}/out.json"),
                               ("roundtrip", "roundtrip --fixture F1 --report {tmp}/out.json"))
         for value in ("nan", "-1")},
@@ -692,14 +702,41 @@ UNLOADABLE = {
                                          "{tmp}", "error: --report '{tmp}' is a directory"),
         "extract_out": Unloadable("extract --fixture F1 -o {tmp}", "{tmp}",
                                   "error: -o/--out '{tmp}' is a directory")},
+    # an output that is an input, given or default, or an earlier output is named before any
+    # stage runs; the inputs are copies in {tmp}, left as they were
+    "test_an_output_that_is_another_file_exits_2": {
+        case: Unloadable(argv, f"{flag} {path} {other}",
+                         f"error: {flag} '{path}' would overwrite {other}", files)
+        for case, argv, flag, path, other, files in (
+            ("reconstruct_report_is_out", "reconstruct {ds} -o {tmp}/same.out --report "
+             "{tmp}/same.out", "--report", "{tmp}/same.out", "-o/--out '{tmp}/same.out'", {}),
+            # the paths resolve to one file
+            ("reconstruct_report_is_out_resolved", "reconstruct {ds} -o {tmp}/m.csv --report "
+             "{tmp}/./m.csv", "--report", "{tmp}/./m.csv", "-o/--out '{tmp}/m.csv'", {}),
+            ("check_report_is_dataset", "check {tmp}/ds.json --report {tmp}/ds.json", "--report",
+             "{tmp}/ds.json", "dataset '{tmp}/ds.json'", {"ds.json": ("{ds}", None)}),
+            ("reconstruct_out_is_dataset", "reconstruct {tmp}/ds.json -o {tmp}/ds.json",
+             "-o/--out", "{tmp}/ds.json", "dataset '{tmp}/ds.json'", {"ds.json": ("{ds}", None)}),
+            # reconstruct's default report, <out>.report.json, is an output
+            ("reconstruct_default_report_is_dataset", "reconstruct {tmp}/m.csv.report.json -o "
+             "{tmp}/m.csv", "--report", "{tmp}/m.csv.report.json",
+             "dataset '{tmp}/m.csv.report.json'", {"m.csv.report.json": ("{ds}", None)}),
+            # align's default report, <mesh>.report.json, is an input
+            ("align_out_is_default_report", "align {tmp}/m.csv {tmp}/m.csv -o "
+             "{tmp}/m.csv.report.json", "-o/--out", "{tmp}/m.csv.report.json",
+             "--report-a '{tmp}/m.csv.report.json'",
+             {"m.csv": ("{mesh}", None), "m.csv.report.json": ("{mesh}.report.json", None)}),
+            ("align_out_is_mesh", "align {mesh} {tmp}/m.csv -o {tmp}/m.csv", "-o/--out",
+             "{tmp}/m.csv", "mesh_b '{tmp}/m.csv'",
+             {"m.csv": ("{mesh}", None), "m.csv.report.json": ("{mesh}.report.json", None)}))},
 }
 
 
 def _rejected(case, tmp_path, capsys, sources):
     """Run each row of ``case``: exit 2 with no stdout and one ``error: `` line that names the
     rejected input and holds the row's message, and no file written: ``{tmp}`` holds the
-    rows' inputs alone."""
-    paths, inputs = {"tmp": str(tmp_path), **sources}, set()
+    rows' inputs alone, each as it was written."""
+    paths, inputs = {"tmp": str(tmp_path), **sources}, {}
     for row in case if isinstance(case, list) else [case]:
         for name, (source, edit) in row.files.items():
             text = Path(source.format_map(paths)).read_text()
@@ -710,7 +747,7 @@ def _rejected(case, tmp_path, capsys, sources):
             elif edit:
                 text = "".join(edit(text.splitlines(keepends=True)))
             (tmp_path / name).write_text(text)
-            inputs.add(name)
+            inputs[name] = text
         capsys.readouterr()
         assert main([arg.format_map(paths) for arg in row.argv.split()]) == 2
         out, err = capsys.readouterr()
@@ -718,7 +755,7 @@ def _rejected(case, tmp_path, capsys, sources):
         message, line = row.message.format_map(paths), err.removesuffix("\n")
         assert [name for name in row.names.format_map(paths).split() if name not in line] == []
         assert line == message if message.startswith("error: ") else message in line, line
-        assert {path.name for path in tmp_path.iterdir()} == inputs
+        assert {path.name: path.read_bytes().decode() for path in tmp_path.iterdir()} == inputs
 
 
 def _table_test(cases: dict):

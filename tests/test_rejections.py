@@ -53,6 +53,13 @@ def _f1_point(node, edit):
     return AnalyticImmersion(name="F1", k=1, m=1, n=1, point=point), grid
 
 
+def _far_f1():
+    """F1 on a chart whose |y|^2 overflows from node 110 on: t = 443.5 + 5e-3 i, |y|^2 ~
+    exp(1.6 t) / 2.  The evaluation warns nowhere (pytest makes every warning an error)."""
+    imm, _ = fixture("F1")
+    return immersion_points(imm, ChartGrid(dims=(200,), spacing=(5e-3,), origin=(443.5,)))
+
+
 def _pole_surface(turned, tangent):
     """A surface of S^2 x H^1 at one point, tangents (e_0, e_1) except (e_0, ``tangent``)
     at the ``turned`` nodes; the base normal is e_3."""
@@ -130,6 +137,8 @@ CASES = {
     "immersion_off_the_product": (
         lambda r: immersion_points(*_f1_point(123, lambda p: np.multiply(p, 1.1, out=p))),
         ConstraintError, (123,), "leaves the product"),
+    "immersion_overflows": (lambda r: _far_f1(), ConstraintError, (110,),
+                            "point or its |y|^2 is not finite"),
     "immersion_lower_sheet": (
         lambda r: immersion_points(*_f1_point(123, lambda p: np.negative(p[2:], out=p[2:]))),
         ConstraintError, (123,), "lower sheet"),
