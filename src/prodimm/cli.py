@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -221,8 +222,18 @@ def cmd_align(args) -> int:
     return _verdict(report, args.out)
 
 
+# a token that parses as a list of numbers, such as -1,-2 or -1e-3: a flag's value, never a flag
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_NUMBERS = re.compile(rf"-{_NUMBER}(?:[,x][-+]?{_NUMBER})*$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose rejections, its subcommands' too, are one ``SchemaError``."""
+    """An argument parser whose rejections, its subcommands' too, are one ``SchemaError``, and
+    that reads every token of ``_NEGATIVE_NUMBERS`` as the value of the flag before it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBERS
 
     def error(self, message):
         raise SchemaError(message)

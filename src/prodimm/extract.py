@@ -75,7 +75,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintError, DegeneracyError, DimensionError
+from .errors import ConstraintError, DegeneracyError, DimensionError, MetricError
 from .fields import (BundleData, ChartGrid, MetricField, SecondFormField, argmax_node,
                      grad_field, hessian_field, sweep_compose, sweep_steps)
 from .flatbundle import Geometry
@@ -311,7 +311,17 @@ def extract_all(imm: AnalyticImmersion, grid: ChartGrid,
         imm = replace(imm, derivative=None, second_derivative=None)
     points = immersion_points(imm, grid)
     tangents = immersion_tangents(imm, grid, points)
-    metric = induced_metric(grid, tangents)
+    try:
+        metric = induced_metric(grid, tangents)
+    except MetricError as exc:
+        # each pairing rounds by about eps |y|^2; past the algebra threshold that is the reason
+        y2 = float(np.square(points[exc.node][imm.k + 1:]).sum())
+        rounding = np.finfo(float).eps * y2
+        if not rounding > ToleranceModel.algebraic:
+            raise
+        raise MetricError(f"metric not positive definite at node {exc.node}: precision lost far "
+                          f"from the apex, where |y|^2 = {y2:.3e} and each pairing rounds by "
+                          f"about eps |y|^2 = {rounding:.1e}", node=exc.node) from exc
     normals = induced_normal_frame(imm, grid, points, tangents)
     psi, bundle = induced_structure(imm.k, metric, tangents, normals)
     second = (hessian_field(grid, points) if imm.second_derivative is None
@@ -412,11 +422,3 @@ def _fixture_f3(theta0: float = np.pi / 4):
 
 
 FIXTURES = {"F1": _fixture_f1, "F2": _fixture_f2, "F3": _fixture_f3}
-
-
-def fixture(name: str, **params):
-    """Look up a shipped fixture; returns (immersion, its default grid)."""
-    key = name.upper()
-    if key not in FIXTURES:
-        raise DimensionError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
-    return FIXTURES[key](**params)

@@ -4,7 +4,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from prodimm.extract import (AnalyticImmersion, ExtractionResult, extract_all, fixture,
+from prodimm.extract import (FIXTURES, AnalyticImmersion, ExtractionResult, extract_all,
                              induced_second_form, induced_structure)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
@@ -104,7 +104,7 @@ class FixtureBundle:
 
     def __init__(self, name, grid=None, use_analytic=True, **params):
         self.immersion, default_grid = (flat_torus_f4(**params) if name == "F4"
-                                        else fixture(name, **params))
+                                        else FIXTURES[name](**params))
         self.grid = grid if grid is not None else default_grid
         self.data = extract_all(self.immersion, self.grid, use_analytic=use_analytic)
         self.tolerances = self.data.tolerances
@@ -124,7 +124,7 @@ def reparametrized_f3(theta0: float = 0.8):
     Its metric Phi* g is not the identity (|g - I| reaches 0.45), so the Christoffel
     symbols do not vanish; the derivatives come by the chain rule from F3's jet.
     """
-    f3, grid = fixture("F3", theta0=theta0)
+    f3, grid = FIXTURES["F3"](theta0=theta0)
 
     def chart(coords):   # Phi, its Jacobian J[..., a, i] = d_i Phi_a and Hessian H[..., a, i, j]
         x, y = coords[..., 0], coords[..., 1]
@@ -156,7 +156,7 @@ def twisted_f3(dims: int) -> ExtractionResult:
     """F3 ``--fd`` at theta0 0.8 on a dims x dims grid of side 1.5, its normals turned by
     theta = 0.7 x + sin 2y, so omega = d theta J reaches 2; sigma, psi and omega are
     re-read off the turned normals by the extraction's own pairings."""
-    imm, _ = fixture("F3", theta0=0.8)
+    imm, _ = FIXTURES["F3"](theta0=0.8)
     h = 1.5 / (dims - 1)
     grid = ChartGrid(dims=(dims, dims), spacing=(h, h), origin=(0.0, 0.0))
     data = extract_all(imm, grid, use_analytic=False)

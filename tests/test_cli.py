@@ -241,6 +241,11 @@ VERDICT_CASES = {
                                   "--report", 1),
     "align_fails": (["align", "{a}", "{b}", "--distance-tol", "1e-20"], "-o", 1),
     "align_without_tolerance": (["align", "{a}", "{b}"], "-o", 0),
+    # a negative number is the value of the flag before it, not a flag
+    "roundtrip_negative_origin_passes": (["roundtrip", "--fixture", "F3", "--origin", "-1,-2"],
+                                         "--report", 0),
+    "roundtrip_negative_exponent_origin_passes": (["roundtrip", "--fixture", "F1", "--origin",
+                                                   "-1e-3"], "--report", 0),
 }
 
 
@@ -265,6 +270,9 @@ def test_exit_code_is_the_saved_pass(f1_dataset_path, f3_rebuilt_meshes, tmp_pat
                              f"thr={doc['alignment']['distance_tol']:.1e}"]
     if case == "align_without_tolerance":
         assert "distance_tol" not in doc["alignment"] and lines == []
+    if "--origin" in template:
+        origin = template[template.index("--origin") + 1]
+        assert doc["grid"]["origin"] == [float(v) for v in origin.split(",")]
     assert len(lines) == len(doc["checks"]) + len(alignment)
 
 
@@ -624,6 +632,18 @@ UNLOADABLE = {
         "tol_factor": Unloadable("check {ds} --tol-factor abc --report {tmp}/out.json",
                                  "--tol-factor abc",
                                  "error: argument --tol-factor: invalid float value: 'abc'")},
+    # a token that parses as a list of numbers is its flag's value, judged by the value's owner
+    "test_negative_flag_value_is_judged_by_its_owner": {
+        case: Unloadable(argv + " {tmp}/out.json", given, f"error: {given}: {message}")
+        for case, argv, given, message in (
+            ("tol_factor", "check {ds} --tol-factor -1e-3 --report", "--tol-factor -0.001",
+             "tolerance factor must be a non-negative number or inf, got -0.001"),
+            ("theta0", "extract --fixture F2 --theta0 -1e-1 -o", "--theta0 -0.1",
+             "colatitude must sit strictly inside (0, pi)"),
+            ("origin_count", "extract --fixture F1 --origin -1,-2 -o", "--origin -1,-2",
+             "expects 1 comma-separated values"),
+            ("origin_inf", "extract --fixture F1 --origin -inf -o", "--origin -inf",
+             "grid spacing (0.005,) and origin (-inf,) must be finite"))},
     "test_fixture_arguments_that_cannot_be_built_exit_2": {
         "extract_grid_too_small": Unloadable(
             "extract --fixture F1 --grid 3 -o {tmp}/out.json", "--grid 3",

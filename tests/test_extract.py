@@ -5,7 +5,7 @@ import pytest
 
 from prodimm.cli import check_dataset
 from prodimm.errors import ConstraintError, DegeneracyError, DimensionError, MetricError
-from prodimm.extract import (AnalyticImmersion, extract_all, fixture,
+from prodimm.extract import (FIXTURES, AnalyticImmersion, extract_all,
                              immersion_points, immersion_tangents, induced_metric,
                              induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid, argmax_node, hessian_field
@@ -16,17 +16,12 @@ from conftest import FixtureBundle, refine, reparametrized_f3, veronese
 from sweep_oracles import first_swept, per_edge_normal_frame
 
 
-def test_unknown_fixture():
-    with pytest.raises(DimensionError):
-        fixture("F9")
-
-
 @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F3-reparametrized"])
 def test_jet_orders_are_central_differences_of_the_order_below(name):
     """Each fixture's derivative and second derivative are the central differences of the
     order below to O(h^2), tangential components included: the largest gap stays below
     h^2 and falls fourfold when h halves, at four chart points off the default grid."""
-    imm, _ = reparametrized_f3() if name == "F3-reparametrized" else fixture(name)
+    imm, _ = reparametrized_f3() if name == "F3-reparametrized" else FIXTURES[name]()
     coords = np.random.default_rng(7).uniform(0.1, 1.0, size=(4, imm.n))
     for below, above in ((imm.point, imm.derivative), (imm.derivative, imm.second_derivative)):
         gaps = []
@@ -67,7 +62,7 @@ def test_off_product_evaluator_rejected():
 
 @pytest.mark.parametrize("what", ["point", "derivative", "second_derivative"])
 def test_evaluator_of_the_wrong_shape_is_named(what):
-    imm, grid = fixture("F1")
+    imm, grid = FIXTURES["F1"]()
     short = dataclasses.replace(imm, **{what: lambda c: getattr(imm, what)(c)[1:]})
     with pytest.raises(DimensionError, match=rf"^{what.replace('_', '-')} evaluator returned "
                                              rf"shape \(199,"):
@@ -82,7 +77,7 @@ def test_immersion_without_a_normal_direction_is_rejected():
 
 
 def test_lower_sheet_point_named_as_such():
-    imm, grid = fixture("F1")
+    imm, grid = FIXTURES["F1"]()
 
     def point(coords):
         out = imm.point(coords)
@@ -95,7 +90,7 @@ def test_lower_sheet_point_named_as_such():
 
 def test_points_far_out_on_the_hyperboloid_accepted():
     """<y, y> rounds off like |y|^2; F1 reaches |y|^2 ~ 7e10 at t = 16."""
-    imm, _ = fixture("F1")
+    imm, _ = FIXTURES["F1"]()
     grid = ChartGrid((3199,), (5e-3,), (0.0,))
     assert np.array_equal(immersion_points(imm, grid), imm.point(grid.coords()))
 
@@ -136,7 +131,9 @@ def test_constant_map_is_rejected():
                                   np.zeros_like(c[..., 0]), np.ones_like(c[..., 0])],
                                  axis=-1))
     grid = ChartGrid(dims=(8,), spacing=(0.1,), origin=(0.0,))
-    with pytest.raises(MetricError):
+    # at the apex no precision is lost: the metric itself is named
+    with pytest.raises(MetricError, match=r"^metric not positive definite at node \(0,\): a "
+                                          r"leading principal minor is not positive and finite$"):
         extract_all(const, grid)
 
 
@@ -362,7 +359,7 @@ def test_second_form_without_its_evaluator_is_the_hessian_of_the_points(name):
     6.41e-6 -> 1.60e-6 on F2 (ratio 4.000) and 9.45e-5 -> 2.36e-5 on F3
     (ratio 4.000) from the default to the refined grid; the data pass check.
     """
-    imm, grid = fixture(name)
+    imm, grid = FIXTURES[name]()
     first_only = dataclasses.replace(imm, second_derivative=None)
     errs = []
     for g in (grid, refine(grid)):

@@ -1,69 +1,216 @@
-"""Every name a ``src/prodimm`` module imports is used, and every name it defines is read.
+"""Architecture rules of ``src/prodimm``, read off its syntax trees (``ast``) alone.
 
-A stand-in for a linter's unused-import rule, built on ``ast`` alone.  A name
-counts as used when the module reads it, names it in a quoted annotation, or
-lists it in ``__all__``.  A module-level function or class counts as read when
-its name appears in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-definition.  A node is located in one place: ``np.unravel_index`` and
-``np.argwhere`` appear in ``src/`` only inside ``fields.argmax_node``; and the
-direction pairs are laid out in one place: ``np.triu_indices`` appears only
-inside ``fields.connection_curvature``.  No function of ``structure`` or
-``flatbundle`` has a parameter that defaults to None, so no check forms its
-own input: each reads the F or D psi~ it is handed.  The
-Minkowski pairing is written one way: no ``minkowski_dot`` call in ``src/``
-has an argument indexed by ``None`` (a stack of pairings is ``minkowski_gram``),
-``extract`` does not name ``eta``, and neither ``extract`` nor ``reconstruct``
-names ``einsum``.  A nodewise max-abs is reduced one way: in ``structure``,
-``flatbundle`` and ``reconstruct`` no ``np.abs`` result is reduced along an
-axis (``np.abs(r).max(axis=(-2, -1))`` and the like); each goes through
-``structure.magnitude``, which lays |r| out with the node axes last.  Every
-value has one home: the datum arrays ``metric``, ``bundle``, ``sigma`` and
-``psi`` are dataclass fields of ``flatbundle.Geometry`` alone, and no dataclass
-stores ``p``, ``passed``, ``on_product_defect`` or ``analytic_derivatives``,
-each read off its source.
-An edge table is read by slices alone: in ``fields``, ``reconstruct`` and
-``extract`` no ``np.take`` gathers from one, and ``np.arange`` appears only in
-``ChartGrid.axis_coords``, the node coordinates, so no index array over the
-edges is built; the runs away from the base are ``fields.runs_away_from``.
-A rejection is raised one way: only ``ProdimmError`` defines ``__init__``, no
-call passes ``index=``, and in a function that locates a node by
-``argmax_node`` every raise of a package error whose message names a node
-passes it as ``node=``.
-The metric's inverse and its definiteness test have one home,
-``fields.MetricField``: ``eigvalsh`` appears nowhere in ``src/``, and
-``np.linalg.inv`` only in ``reconstruct.align_congruence``.
-A report is built one way: the one class named ``*Report`` in ``src/`` is
-``structure.Report``, no module defines a second record builder
-(``make_record``, ``magnitude_records``, ``curvature_report``) or
-``from_residuals``, and no module imports a ``_``-prefixed name from a sibling.
-Each fact of a rebuild is stored once: the mesh table is read (``np.loadtxt``)
-and its header laid out (``immersion_csv_header``) in ``dataio`` alone, and no
-dict literal in ``src/`` has an ``on_product_defect`` key, the max of the
-``reconstruction_on_product`` record.
-Each stage builds its own report block and ``dataio`` alone writes the formats:
-no class is named ``AlignmentResult``, a dict literal with a ``max_distance``
-key appears only in ``reconstruct.align_congruence``, which builds the
-alignment block, and ``structure`` defines no ``to_dict`` or ``from_dict``.
-Every library option is one a command sets: each defaulted parameter of a
-module-level function that ``src/`` calls by name is set by one of those calls,
-by keyword or by position, the console entry point ``cli.main(argv)`` aside.
-Each datum pairing has one home: a ``psi_flip`` call inside the arguments of a
-``minkowski_gram`` call appears only in ``extract.induced_structure``, and
-``reconstruct`` does not name ``product_normals``, since the rebuild reads its
-datum through the extraction's pairings.
-``dataio`` holds the formats alone: of the package it imports only ``errors``,
-``fields``, ``flatbundle`` and ``structure``, so no geometry (``lorentz``) or
-extraction decision (``extract``) lives in it.
+The rules "name X appears in ``src`` only inside Y" are the rows of ``HOMES``, each
+with its one-line reason.  One scanner, ``mentions``, reads every row: a mention is a
+``Name``, an ``Attribute``, an import alias or a ``def``/``class`` name, or for a "key"
+row the string key of a dict literal.  Each row is run over ``src`` (nothing outside
+its home, and the home is seen) and over its planted breach in ``BREACHES``; a new rule
+of this kind is one row plus its planted breach.  The rules of another shape keep a
+scanner each, with a planted breach each: unused imports, unread definitions, the
+pairing idiom, None defaults, abs-axis reductions, stored copies, the rejection idiom,
+the report layer, unset defaults, the datum pairing and the ``dataio`` imports.
 """
 
 import ast
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prodimm"
+SOURCES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+class Home(NamedTuple):
+    """``names`` appear in ``src`` only inside ``home``, in the modules of ``scope``.
+
+    ``home`` is () for nowhere, ``(module,)`` or ``(module, function)``; ``scope`` () is
+    every module; ``kind`` "key" reads ``names`` as string keys of dict literals.
+    """
+    why: str
+    names: tuple
+    home: tuple = ()
+    scope: tuple = ()
+    kind: str = "name"
+
+
+HOMES = {
+    "locators": Home("a node is located one way", ("unravel_index", "argwhere"),
+                     ("fields.py", "argmax_node")),
+    "pair_layout": Home("the direction pairs are laid out once", ("triu_indices",),
+                        ("fields.py", "connection_curvature")),
+    "definiteness": Home("the metric's definiteness test is the closed form of "
+                         "fields.MetricField", ("eigvalsh",)),
+    "inverse": Home("the metric's inverse is MetricField's; the one LU inverse is the frame "
+                    "map's", ("inv",), ("reconstruct.py", "align_congruence")),
+    "extract_pairing": Home("extraction lowers by lorentz.lower and writes no einsum",
+                            ("eta", "einsum"), scope=("extract.py",)),
+    "rebuild_einsum": Home("the rebuild writes no matrix product as einsum", ("einsum",),
+                           scope=("reconstruct.py",)),
+    "edge_indexing": Home("an edge table is read by slices; the one index array is the node "
+                          "coordinates", ("take", "arange"), ("fields.py", "axis_coords"),
+                          ("fields.py", "reconstruct.py", "extract.py")),
+    "mesh_format": Home("the mesh table is read and its header laid out in dataio",
+                        ("loadtxt", "immersion_csv_header"), ("dataio.py",)),
+    "on_product_defect": Home("the on-product defect is the max of its record, not a stored "
+                              "entry", ("on_product_defect",), kind="key"),
+    "alignment_block": Home("the alignment block is built by its stage", ("max_distance",),
+                            ("reconstruct.py", "align_congruence"), kind="key"),
+    "retired": Home("a report is built one way: no second record builder or result class",
+                    ("make_record", "magnitude_records", "curvature_report", "from_residuals",
+                     "AlignmentResult")),
+    "serializers": Home("dataio alone writes the formats", ("to_dict", "from_dict"),
+                        scope=("structure.py",)),
+    "product_normals": Home("the rebuild reads its datum through the extraction's pairings",
+                            ("product_normals",), scope=("reconstruct.py",)),
+}
+
+
+def _named(node, kind: str) -> set:
+    """What ``node`` mentions: for ``kind`` "key" the string keys of a dict literal, else an
+    import alias, a ``def`` or ``class`` name, a Name or an Attribute."""
+    if kind == "key":
+        return {key.value for key in node.keys if isinstance(key, ast.Constant)} \
+            if isinstance(node, ast.Dict) else set()
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return {getattr(node, "id", None), getattr(node, "attr", None)}
+
+
+def mentions(row: Home, sources: dict) -> tuple:
+    """``module:line`` of each mention of ``row.names`` in the scope of ``row`` over ``sources``
+    (module -> text): (those outside the row's home, those inside it)."""
+    outside, inside = [], []
+    for module, source in sources.items():
+        if row.scope and module not in row.scope:
+            continue
+        tree = ast.parse(source)
+        homes = [tree] if row.home == (module,) else [
+            f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (module, f.name) == row.home]
+        own = {id(n) for home in homes for n in ast.walk(home)}
+        for node in ast.walk(tree):
+            if _named(node, row.kind) & set(row.names):
+                (inside if id(node) in own else outside).append((module, node.lineno))
+    return tuple([f"{module}:{line}" for module, line in sorted(sites)]
+                 for sites in (outside, inside))
+
+
+@pytest.mark.parametrize("rule", HOMES)
+def test_names_live_only_in_their_home(rule):
+    outside, inside = mentions(HOMES[rule], SOURCES)
+    assert outside == [], HOMES[rule].why
+    assert inside or not HOMES[rule].home   # the home is seen
+
+
+LOCATOR_BREACH = ("import numpy as np\nfrom numpy import argwhere\n"
+                  "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
+                  "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
+PAIR_LAYOUT_BREACH = (
+    "import numpy as np\n"
+    "def connection_curvature(grid):\n    return np.triu_indices(grid.ndim, 1)\n"
+    "def expand_pairs(grid):\n    m, k = np.triu_indices(grid.ndim, 1)\n")
+METRIC_ALGEBRA_BREACH = {
+    "fields.py": ("import numpy as np\nclass MetricField:\n    def __post_init__(self):\n"
+                  "        eigs = np.linalg.eigvalsh(self.values)\n"
+                  "        self.inverse = np.linalg.inv(self.values)\n"),
+    "reconstruct.py": ("import numpy as np\nfrom numpy.linalg import inv\n"
+                       "def align_congruence(a, b):\n    return b @ np.linalg.inv(a)\n"
+                       "def verify(g):\n    return inv(g)\n")}
+PAIRING_BREACH = ("import numpy as np\nfrom .lorentz import eta, minkowski_dot\n"
+                  "def f(x, y):\n    a = minkowski_dot(x[..., :, None, :], y)\n"
+                  "    b = minkowski_dot(x, y[0]) + minkowski_dot(x[1:], y)\n"
+                  "    c = lorentz.minkowski_dot(x, y[None])\n"
+                  "    return np.einsum('ij->ji', eta(2)), a, b, c\n")
+EDGE_INDEX_BREACH = (
+    "import numpy as np\n"
+    "def axis_coords(self, axis):\n"
+    "    return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])\n"
+    "def _away_from(base_index, count):\n"
+    "    j = np.arange(count - 1)\n"
+    "    near = j + (j < base_index)\n"
+    "    return near, 2 * j + 1 - near\n"
+    "def path_independence_residual(ops, base, dims, a, b):\n"
+    "    na, fa = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], dims[b]))\n"
+    "    nb, fb = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], dims[a]))\n"
+    "    return na, fa, nb, fb\n")
+_REBUILD_RECONSTRUCT = ("def reconstruct_immersion(report):\n"
+                        "    block = {'k': 1, **{}, 'on_product_defect': report.max_abs}\n"
+                        "    return block | dict(on_product_defect=0.0), {'on_product': 1}\n")
+REBUILD_COPY_BREACH = {
+    "dataio.py": ("import numpy as np\ndef immersion_csv_header(k, size):\n    return []\n"
+                  "def load_rebuild(text):\n    return np.loadtxt(text)\n" + _REBUILD_RECONSTRUCT),
+    "cli.py": ("import numpy as np\nfrom numpy import loadtxt\n"
+               "from .dataio import immersion_csv_header\n"
+               "def cmd_align(path):\n    return np.loadtxt(path), loadtxt(path)\n"),
+    "reconstruct.py": _REBUILD_RECONSTRUCT}
+FORMAT_HOME_BREACH = {
+    "structure.py": ("@dataclass(frozen=True)\nclass ToleranceModel:\n"
+                     "    def to_dict(self):\n        return {}\n"
+                     "    @classmethod\n    def from_dict(cls, d):\n        return cls()\n"),
+    "reconstruct.py": ("@dataclass(frozen=True)\nclass AlignmentResult:\n    max_distance: float\n"
+                       "def align_congruence(t, d):\n"
+                       "    return {'max_distance': d, 'isometry': t}\n"),
+    "cli.py": ("def _alignment_block(alignment):\n"
+               "    return {'max_distance': alignment.max_distance}\n"
+               "def to_dict(report):\n    return {'alignment': {}}\n")}
+REPORT_LAYER_BREACH = {
+    "structure.py": ("@dataclass(frozen=True)\nclass ResidualReport:\n    records: tuple\n"
+                     "def make_record(name, residual, grid, threshold):\n    return None\n"
+                     "def magnitude_records(grid, tolerances, *named):\n    return None\n"
+                     "def curvature_report(grid, tolerances, name, block):\n    return None\n"),
+    "dataio.py": ("from .structure import ResidualReport\n"
+                  "class Report(ResidualReport):\n"
+                  "    @classmethod\n    def from_residuals(cls, grid, *reports):\n"
+                  "        return cls()\n"
+                  "def _take(doc, key):\n    return doc[key]\n"),
+    "cli.py": ("from __future__ import annotations\nfrom . import dataio\n"
+               "from .dataio import Report, _take\nfrom prodimm.fields import _neighbours\n"
+               "from numpy import _private\n")}
+DATUM_PAIRING_BREACH = {
+    "extract.py": ("def induced_structure(k, rows):\n"
+                   "    return minkowski_gram(rows, psi_flip(rows, k))\n"
+                   "def other(k, rows):\n"
+                   "    return lorentz.minkowski_gram(lorentz.psi_flip(rows, k), rows)\n"),
+    "reconstruct.py": ("from .lorentz import minkowski_gram, product_normals, psi_flip\n"
+                       "def verify(points, rows, k):\n"
+                       "    xi1, xi2 = lorentz.product_normals(points, k)\n"
+                       "    flipped = psi_flip(rows, k)\n"
+                       "    return minkowski_gram(rows, b=[psi_flip(rows, k)]), flipped\n")}
+
+# rule -> (planted sources, the mentions outside the rule's home they hold)
+BREACHES = {
+    "locators": ({"fields.py": LOCATOR_BREACH}, ["fields.py:2", "fields.py:6", "fields.py:6"]),
+    "pair_layout": ({"fields.py": PAIR_LAYOUT_BREACH}, ["fields.py:5"]),
+    "definiteness": (METRIC_ALGEBRA_BREACH, ["fields.py:4"]),
+    "inverse": (METRIC_ALGEBRA_BREACH, ["fields.py:5", "reconstruct.py:2", "reconstruct.py:6"]),
+    "extract_pairing": ({"extract.py": PAIRING_BREACH},
+                        ["extract.py:2", "extract.py:7", "extract.py:7"]),
+    "rebuild_einsum": ({"reconstruct.py": PAIRING_BREACH, "extract.py": PAIRING_BREACH},
+                       ["reconstruct.py:7"]),
+    "edge_indexing": ({"fields.py": EDGE_INDEX_BREACH, "lorentz.py": EDGE_INDEX_BREACH},
+                      ["fields.py:5", "fields.py:9", "fields.py:10"]),
+    "mesh_format": (REBUILD_COPY_BREACH, ["cli.py:2", "cli.py:3", "cli.py:5", "cli.py:5"]),
+    "on_product_defect": (REBUILD_COPY_BREACH, ["dataio.py:7", "reconstruct.py:2"]),
+    "alignment_block": (FORMAT_HOME_BREACH, ["cli.py:2"]),
+    "retired": ({**REPORT_LAYER_BREACH, "reconstruct.py": FORMAT_HOME_BREACH["reconstruct.py"]},
+                ["dataio.py:4", "reconstruct.py:2", "structure.py:4", "structure.py:6",
+                 "structure.py:8"]),
+    "serializers": (FORMAT_HOME_BREACH, ["structure.py:3", "structure.py:6"]),
+    "product_normals": (DATUM_PAIRING_BREACH, ["reconstruct.py:1", "reconstruct.py:3"]),
+}
+
+
+@pytest.mark.parametrize("rule", HOMES)
+def test_planted_breach_is_found(rule):
+    sources, found = BREACHES[rule]
+    outside, inside = mentions(HOMES[rule], sources)
+    assert outside == found
+    assert bool(inside) == bool(HOMES[rule].home)   # each planted source holds its home
 
 
 def _quoted_names(tree) -> set:
@@ -104,9 +251,9 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_src_module_uses_every_import(path):
-    assert unused_imports(path.read_text()) == []
+@pytest.mark.parametrize("name", SOURCES)
+def test_src_module_uses_every_import(name):
+    assert unused_imports(SOURCES[name]) == []
 
 
 def test_unused_import_is_found():
@@ -139,10 +286,9 @@ def unread_definitions(defining: dict, readers: dict) -> list:
 
 
 def test_every_src_definition_is_read():
-    src = {str(path): path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = {str(path): path.read_text() for folder in ("tests", "perfbench")
                for path in sorted((ROOT / folder).glob("*.py"))}
-    assert unread_definitions(src, readers) == []
+    assert unread_definitions(SOURCES, readers) == []
 
 
 def test_unread_definition_is_found():
@@ -151,98 +297,11 @@ def test_unread_definition_is_found():
     assert unread_definitions(defining, {"b.py": "from a import used\n"}) == ["a.py:Dead"]
 
 
-LOCATORS = ("unravel_index", "argwhere")
-PAIR_LAYOUT = ("triu_indices",)
-
-
-def named_sites(source: str, names: tuple, home: str | None = None) -> list:
-    """Lines that name one of ``names`` outside the function ``home``."""
-    tree = ast.parse(source)
-    inside = {id(n) for f in ast.walk(tree)
-              if isinstance(f, ast.FunctionDef) and f.name == home for n in ast.walk(f)}
-    return sorted(n.lineno for n in ast.walk(tree)
-                  if (getattr(n, "attr", None) in names or getattr(n, "id", None) in names)
-                  and id(n) not in inside)
-
-
-def _sites_outside(names, home: str) -> dict:
-    """``named_sites`` of every src module, ``home`` exempt in ``fields.py``."""
-    sites = {path.name: named_sites(path.read_text(), names,
-                                    home if path.name == "fields.py" else None)
-             for path in sorted(SRC.glob("*.py"))}
-    return {name: lines for name, lines in sites.items() if lines}
-
-
-def test_nodes_are_located_only_by_argmax_node():
-    assert _sites_outside(LOCATORS, "argmax_node") == {}
-    assert named_sites((SRC / "fields.py").read_text(), LOCATORS) != []   # the one site is seen
-
-
-def test_locator_site_is_found():
-    source = ("import numpy as np\nfrom numpy import argwhere\n"
-              "def argmax_node(v):\n    return np.unravel_index(0, v.shape)\n"
-              "def other(v):\n    return np.argwhere(v), argwhere(v)\n")
-    assert named_sites(source, LOCATORS, "argmax_node") == [6, 6]
-
-
-# The metric's inverse and its definiteness test have one home, the closed form of
-# ``fields.MetricField``: no LAPACK eigenvalue test, and the one LU inverse in src is
-# the frame map's in ``reconstruct.align_congruence``.
-METRIC_ALGEBRA = {"eigvalsh": None, "inv": ("reconstruct.py", "align_congruence")}
-
-
-def metric_algebra_sites(sources: dict) -> list:
-    """``module:line`` of each name of ``METRIC_ALGEBRA`` outside its home function."""
-    found = []
-    for module, source in sources.items():
-        for name, home in METRIC_ALGEBRA.items():
-            exempt = home[1] if home and home[0] == module else None
-            found += [f"{module}:{line}" for line in named_sites(source, (name,), exempt)]
-    return sorted(found)
-
-
-def test_metric_inverse_and_definiteness_live_in_metric_field():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert metric_algebra_sites(sources) == []
-    assert named_sites(sources["reconstruct.py"], ("inv",)) != []   # the one LU inverse
-
-
-def test_metric_algebra_site_is_found():
-    fields = ("import numpy as np\nclass MetricField:\n    def __post_init__(self):\n"
-              "        eigs = np.linalg.eigvalsh(self.values)\n"
-              "        self.inverse = np.linalg.inv(self.values)\n")
-    reconstruct = ("import numpy as np\nfrom numpy.linalg import inv\n"
-                   "def align_congruence(a, b):\n    return b @ np.linalg.inv(a)\n"
-                   "def verify(g):\n    return inv(g)\n")
-    assert metric_algebra_sites({"fields.py": fields, "reconstruct.py": reconstruct}) == [
-        "fields.py:4", "fields.py:5", "reconstruct.py:6"]
-
-
-def test_direction_pairs_are_laid_out_only_by_connection_curvature():
-    assert _sites_outside(PAIR_LAYOUT, "connection_curvature") == {}
-    assert named_sites((SRC / "fields.py").read_text(), PAIR_LAYOUT) != []   # the one site
-
-
-def test_pair_layout_site_is_found():
-    source = ("import numpy as np\n"
-              "def connection_curvature(grid):\n    return np.triu_indices(grid.ndim, 1)\n"
-              "def expand_pairs(grid):\n    m, k = np.triu_indices(grid.ndim, 1)\n")
-    assert named_sites(source, PAIR_LAYOUT, "connection_curvature") == [5]
-
-
-# Names a module must not use, beyond the broadcast pairing that no module may write:
-# extraction lowers by ``lorentz.lower`` alone, and neither it nor the rebuild
-# writes a matrix product as ``einsum``.
-BANNED = {"extract.py": ("eta", "einsum"), "reconstruct.py": ("einsum",)}
-
-
-def pairing_sites(source: str, banned=()) -> list:
-    """Lines of ``banned`` names and of ``minkowski_dot`` calls with an argument indexed by None."""
+def pairing_sites(source: str) -> list:
+    """Lines of ``minkowski_dot`` calls with an argument indexed by None: a stack of pairings
+    is ``minkowski_gram``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        named = {getattr(node, key, None) for key in ("id", "attr", "name")}
-        if named & set(banned):
-            lines.append(node.lineno)
         if isinstance(node, ast.Call) and {getattr(node.func, key, None)
                                            for key in ("id", "attr")} & {"minkowski_dot"}:
             if any(isinstance(sub, ast.Constant) and sub.value is None
@@ -253,19 +312,12 @@ def pairing_sites(source: str, banned=()) -> list:
 
 
 def test_one_pairing_idiom():
-    sites = {path.name: pairing_sites(path.read_text(), BANNED.get(path.name, ()))
-             for path in sorted(SRC.glob("*.py"))}
+    sites = {name: pairing_sites(source) for name, source in SOURCES.items()}
     assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
 def test_pairing_site_is_found():
-    source = ("import numpy as np\nfrom .lorentz import eta, minkowski_dot\n"
-              "def f(x, y):\n    a = minkowski_dot(x[..., :, None, :], y)\n"
-              "    b = minkowski_dot(x, y[0]) + minkowski_dot(x[1:], y)\n"
-              "    c = lorentz.minkowski_dot(x, y[None])\n"
-              "    return np.einsum('ij->ji', eta(2)), a, b, c\n")
-    assert pairing_sites(source, ("eta", "einsum")) == [2, 4, 6, 7, 7]
-    assert pairing_sites(source) == [4, 6]
+    assert pairing_sites(PAIRING_BREACH) == [4, 6]
 
 
 def none_defaults(source: str) -> list:
@@ -285,7 +337,7 @@ def none_defaults(source: str) -> list:
 
 @pytest.mark.parametrize("name", ["structure.py", "flatbundle.py"])
 def test_no_check_forms_its_own_input(name):
-    assert none_defaults((SRC / name).read_text()) == []
+    assert none_defaults(SOURCES[name]) == []
 
 
 def test_none_default_is_found():
@@ -329,7 +381,7 @@ def abs_axis_reductions(source: str) -> list:
 
 @pytest.mark.parametrize("name", NODEWISE)
 def test_nodewise_max_abs_goes_through_magnitude(name):
-    assert abs_axis_reductions((SRC / name).read_text()) == []
+    assert abs_axis_reductions(SOURCES[name]) == []
 
 
 def test_abs_axis_reduction_site_is_found():
@@ -376,9 +428,8 @@ def stored_copies(sources: dict) -> list:
 
 
 def test_every_value_has_one_home():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert stored_copies(sources) == []
-    assert dataclass_fields(sources["flatbundle.py"])["Geometry"] == list(DATUM)   # the home
+    assert stored_copies(SOURCES) == []
+    assert dataclass_fields(SOURCES["flatbundle.py"])["Geometry"] == list(DATUM)   # the home
 
 
 def test_stored_copy_is_found():
@@ -392,32 +443,6 @@ def test_stored_copy_is_found():
     assert stored_copies({"a.py": source, "flatbundle.py": home}) == [
         "a.py:Data.p", "a.py:Data.psi", "a.py:Extraction.analytic_derivatives", "a.py:Rec.passed"]
     assert stored_copies({"a.py": home}) == ["a.py:Geometry.psi"]
-
-
-EDGE_INDEXING = ("take", "arange")
-SWEEP_MODULES = ("fields.py", "reconstruct.py", "extract.py")
-
-
-def test_edge_tables_are_read_by_slices():
-    sites = {name: named_sites((SRC / name).read_text(), EDGE_INDEXING, "axis_coords")
-             for name in SWEEP_MODULES}
-    assert {name: lines for name, lines in sites.items() if lines} == {}
-    assert named_sites((SRC / "fields.py").read_text(), EDGE_INDEXING) != []   # axis_coords
-
-
-def test_edge_index_site_is_found():
-    source = ("import numpy as np\n"
-              "def axis_coords(self, axis):\n"
-              "    return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])\n"
-              "def _away_from(base_index, count):\n"
-              "    j = np.arange(count - 1)\n"
-              "    near = j + (j < base_index)\n"
-              "    return near, 2 * j + 1 - near\n"
-              "def path_independence_residual(ops, base, dims, a, b):\n"
-              "    na, fa = (np.take(ops[a], i, axis=b) for i in _away_from(base[b], dims[b]))\n"
-              "    nb, fb = (np.take(ops[b], i, axis=a) for i in _away_from(base[a], dims[a]))\n"
-              "    return na, fa, nb, fb\n")
-    assert named_sites(source, EDGE_INDEXING, "axis_coords") == [5, 9, 10]
 
 
 def rejection_sites(sources: dict) -> list:
@@ -460,8 +485,7 @@ def rejection_sites(sources: dict) -> list:
 
 
 def test_one_rejection_idiom():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert rejection_sites(sources) == []
+    assert rejection_sites(SOURCES) == []
 
 
 def test_rejection_site_is_found():
@@ -499,22 +523,17 @@ def test_rejection_site_is_found():
         "fields.py:17", "fields.py:20"]
 
 
-RETIRED_BUILDERS = ("make_record", "magnitude_records", "curvature_report", "from_residuals")
-
-
 def report_layer_sites(sources: dict) -> list:
     """The report classes and the breaches of the one report layer over ``sources``.
 
-    ``module:Class`` for every class named ``*Report``; ``module:name`` for a
-    function or method named in ``RETIRED_BUILDERS``; ``module:line:name`` for
-    a ``_``-prefixed name imported from a sibling module (a relative import or
-    one from ``prodimm``).
+    ``module:Class`` for every class named ``*Report``; ``module:line:name`` for a
+    ``_``-prefixed name imported from a sibling module (a relative import or one from
+    ``prodimm``).
     """
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Report") or \
-                    isinstance(node, ast.FunctionDef) and node.name in RETIRED_BUILDERS:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Report"):
                 found.append(f"{module}:{node.name}")
             elif isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").split(".")[0] == "prodimm"):
@@ -524,121 +543,13 @@ def report_layer_sites(sources: dict) -> list:
 
 
 def test_one_report_layer():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert report_layer_sites(sources) == ["structure.py:Report"]
+    assert report_layer_sites(SOURCES) == ["structure.py:Report"]
 
 
 def test_report_layer_site_is_found():
-    structure = ("@dataclass(frozen=True)\nclass ResidualReport:\n    records: tuple\n"
-                 "def make_record(name, residual, grid, threshold):\n    return None\n"
-                 "def magnitude_records(grid, tolerances, *named):\n    return None\n"
-                 "def curvature_report(grid, tolerances, name, block):\n    return None\n")
-    dataio = ("from .structure import ResidualReport\n"
-              "class Report(ResidualReport):\n"
-              "    @classmethod\n    def from_residuals(cls, grid, *reports):\n        return cls()\n"
-              "def _take(doc, key):\n    return doc[key]\n")
-    cli = ("from __future__ import annotations\nfrom . import dataio\n"
-           "from .dataio import Report, _take\nfrom prodimm.fields import _neighbours\n"
-           "from numpy import _private\n")
-    assert report_layer_sites({"structure.py": structure, "dataio.py": dataio, "cli.py": cli}) \
-        == ["cli.py:3:_take", "cli.py:4:_neighbours", "dataio.py:Report",
-            "dataio.py:from_residuals", "structure.py:ResidualReport",
-            "structure.py:curvature_report", "structure.py:magnitude_records",
-            "structure.py:make_record"]
-
-
-# The mesh format has one home, ``dataio``; the on-product defect is its record's max.
-MESH_FORMAT = ("loadtxt", "immersion_csv_header")
-RECORD_COPIES = ("on_product_defect",)
-
-
-def rebuild_copy_sites(sources: dict) -> list:
-    """``module:line`` of a ``MESH_FORMAT`` name (read or imported) outside ``dataio.py``, and
-    of a dict literal with a ``RECORD_COPIES`` key anywhere, over ``sources`` (module -> text)."""
-    found = []
-    for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            names = {getattr(node, "attr", None), getattr(node, "id", None),
-                     node.name if isinstance(node, ast.alias) else None}
-            keys = node.keys if isinstance(node, ast.Dict) else ()
-            if names & set(MESH_FORMAT) and module != "dataio.py" or any(
-                    isinstance(key, ast.Constant) and key.value in RECORD_COPIES for key in keys):
-                found.append(f"{module}:{node.lineno}")
-    return sorted(found)
-
-
-def test_each_rebuild_fact_has_one_home():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert rebuild_copy_sites(sources) == []
-    assert named_sites(sources["dataio.py"], MESH_FORMAT) != []   # the one home
-
-
-def test_rebuild_copy_site_is_found():
-    dataio = ("import numpy as np\ndef immersion_csv_header(k, size):\n    return []\n"
-              "def load_rebuild(text):\n    return np.loadtxt(text)\n")
-    cli = ("import numpy as np\nfrom numpy import loadtxt\n"
-           "from .dataio import immersion_csv_header\n"
-           "def cmd_align(path):\n    return np.loadtxt(path), loadtxt(path)\n")
-    reconstruct = ("def reconstruct_immersion(report):\n"
-                   "    block = {'k': 1, **{}, 'on_product_defect': report.max_abs}\n"
-                   "    return block | dict(on_product_defect=0.0), {'on_product': 1}\n")
-    assert rebuild_copy_sites({"dataio.py": dataio + reconstruct, "cli.py": cli,
-                               "reconstruct.py": reconstruct}) == [
-        "cli.py:2", "cli.py:3", "cli.py:5", "cli.py:5", "dataio.py:7", "reconstruct.py:2"]
-
-
-# The alignment block is built by its stage; the formats are written in ``dataio``.
-RETIRED_RESULTS = ("AlignmentResult",)
-BLOCK_HOMES = {"max_distance": ("reconstruct.py", "align_congruence")}
-SERIALIZERS = ("to_dict", "from_dict")
-
-
-def format_home_sites(sources: dict) -> list:
-    """Breaches of the homes of the alignment block and the formats over ``sources``.
-
-    ``module:Class`` for a class named in ``RETIRED_RESULTS``; ``module:line`` for
-    a dict literal with a ``BLOCK_HOMES`` key outside its home function;
-    ``structure.py:name`` for a function or method named in ``SERIALIZERS``.
-    """
-    found = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        homes = {key: {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                       and (module, f.name) == home for n in ast.walk(f)}
-                 for key, home in BLOCK_HOMES.items()}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in RETIRED_RESULTS or \
-                    module == "structure.py" and isinstance(node, ast.FunctionDef) \
-                    and node.name in SERIALIZERS:
-                found.append(f"{module}:{node.name}")
-            elif isinstance(node, ast.Dict) and any(
-                    isinstance(key, ast.Constant) and key.value in BLOCK_HOMES
-                    and id(node) not in homes[key.value] for key in node.keys):
-                found.append(f"{module}:{node.lineno}")
-    return sorted(found)
-
-
-def test_each_block_and_format_has_one_home():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert format_home_sites(sources) == []
-    home = next(f for f in ast.walk(ast.parse(sources["reconstruct.py"]))
-                if isinstance(f, ast.FunctionDef) and f.name == "align_congruence")
-    assert any(isinstance(n, ast.Dict) for n in ast.walk(home))   # the one block literal
-
-
-def test_format_home_site_is_found():
-    structure = ("@dataclass(frozen=True)\nclass ToleranceModel:\n"
-                 "    def to_dict(self):\n        return {}\n"
-                 "    @classmethod\n    def from_dict(cls, d):\n        return cls()\n")
-    reconstruct = ("@dataclass(frozen=True)\nclass AlignmentResult:\n    max_distance: float\n"
-                   "def align_congruence(t, d):\n    return {'max_distance': d, 'isometry': t}\n")
-    cli = ("def _alignment_block(alignment):\n"
-           "    return {'max_distance': alignment.max_distance}\n"
-           "def to_dict(report):\n    return {'alignment': {}}\n")
-    assert format_home_sites({"structure.py": structure, "reconstruct.py": reconstruct,
-                              "cli.py": cli}) == [
-        "cli.py:2", "reconstruct.py:AlignmentResult", "structure.py:from_dict",
-        "structure.py:to_dict"]
+    assert report_layer_sites(REPORT_LAYER_BREACH) == [
+        "cli.py:3:_take", "cli.py:4:_neighbours", "dataio.py:Report",
+        "structure.py:ResidualReport"]
 
 
 # Every library option is one a command sets; the console entry point is exempt.
@@ -675,8 +586,7 @@ def unset_defaults(sources: dict) -> list:
 
 
 def test_every_library_option_is_set_by_a_caller():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unset_defaults(sources) == []
+    assert unset_defaults(SOURCES) == []
 
 
 def test_unset_default_is_found():
@@ -691,10 +601,8 @@ def test_unset_default_is_found():
                                                "reconstruct.py:rebuild(base)"]
 
 
-# Each datum pairing has one home: psi is paired with the rows in the extraction alone,
-# and the rebuild reads its datum through it, never from the product's normals.
+# psi is paired with the rows in the extraction alone
 PSI_PAIRING_HOME = ("extract.py", "induced_structure")
-REBUILD_UNNAMED = ("product_normals",)
 
 
 def _calls(node, name: str) -> bool:
@@ -704,8 +612,7 @@ def _calls(node, name: str) -> bool:
 
 def datum_pairing_sites(sources: dict) -> list:
     """``module:line`` of a ``psi_flip`` call inside the arguments of a ``minkowski_gram`` call
-    outside ``PSI_PAIRING_HOME``, and of a ``REBUILD_UNNAMED`` name in ``reconstruct.py``,
-    over ``sources`` (module -> text)."""
+    outside ``PSI_PAIRING_HOME``, over ``sources`` (module -> text)."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -717,31 +624,17 @@ def datum_pairing_sites(sources: dict) -> list:
                           for arg in node.args + [kw.value for kw in node.keywords]
                           for sub in ast.walk(arg)
                           if _calls(sub, "psi_flip") and id(sub) not in home]
-            if module == "reconstruct.py" and {getattr(node, "attr", None), getattr(
-                    node, "id", None), getattr(node, "name", None)} & set(REBUILD_UNNAMED):
-                found.append(f"{module}:{node.lineno}")
     return sorted(found)
 
 
 def test_each_datum_pairing_has_one_home():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert datum_pairing_sites(sources) == []
-    assert datum_pairing_sites({"extract.py": sources["extract.py"].replace(
+    assert datum_pairing_sites(SOURCES) == []
+    assert datum_pairing_sites({"extract.py": SOURCES["extract.py"].replace(
         "def induced_structure", "def moved")}) != []   # the one home is seen
 
 
 def test_datum_pairing_site_is_found():
-    extract = ("def induced_structure(k, rows):\n"
-               "    return minkowski_gram(rows, psi_flip(rows, k))\n"
-               "def other(k, rows):\n    return lorentz.minkowski_gram(lorentz.psi_flip(rows, k),"
-               " rows)\n")
-    reconstruct = ("from .lorentz import minkowski_gram, product_normals, psi_flip\n"
-                   "def verify(points, rows, k):\n"
-                   "    xi1, xi2 = lorentz.product_normals(points, k)\n"
-                   "    flipped = psi_flip(rows, k)\n"
-                   "    return minkowski_gram(rows, b=[psi_flip(rows, k)]), flipped\n")
-    assert datum_pairing_sites({"extract.py": extract, "reconstruct.py": reconstruct}) == [
-        "extract.py:4", "reconstruct.py:1", "reconstruct.py:3", "reconstruct.py:5"]
+    assert datum_pairing_sites(DATUM_PAIRING_BREACH) == ["extract.py:4", "reconstruct.py:5"]
 
 
 # ``dataio`` holds the formats alone: the package modules it may import.
@@ -763,7 +656,7 @@ def package_imports(source: str) -> list:
 
 
 def test_dataio_imports_the_formats_alone():
-    imported = package_imports((SRC / "dataio.py").read_text())
+    imported = package_imports(SOURCES["dataio.py"])
     assert imported and set(imported) <= DATAIO_IMPORTS, imported
 
 

@@ -27,7 +27,7 @@ import pytest
 
 from prodimm.cli import check_dataset
 from prodimm.dataio import save_dataset, save_immersion_csv
-from prodimm.extract import fixture
+from prodimm.extract import FIXTURES
 from prodimm.fields import ChartGrid
 from prodimm.flatbundle import build_connection
 from prodimm.reconstruct import reconstruct_immersion
@@ -89,7 +89,7 @@ def test_mesh_write_fills_one_block_of_cells(tmp_path):
     """The points are formatted as they are, by blocks of rows of one reusable object array
     of cells, each repeated value from its column's one text, so the peak is about a block:
     a whole-table copy of the points or array of cells holds 0.45 files more."""
-    immersion, _ = fixture("F3", theta0=0.8)
+    immersion, _ = FIXTURES["F3"](theta0=0.8)
     h = 1.5 / 126
     grid = ChartGrid(dims=(127, 127), spacing=(h, h), origin=(0.0, 0.0))
     points = immersion.point(grid.coords())   # its columns repeat along grid lines

@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from prodimm.extract import extract_all, fixture
+from prodimm.extract import FIXTURES, extract_all
 from prodimm.fields import ChartGrid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,7 +62,7 @@ def test_every_span_probe_names_a_callable(monkeypatch):
 
 def test_field_probes_accept_the_standalone_call_shapes():
     assert set(_run_py_constant("FIELD_PROBES")) == set(FIELD_CALLS)
-    imm, _ = fixture("F3")
+    imm, _ = FIXTURES["F3"]()
     grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
     ds = extract_all(imm, grid, use_analytic=False)
     for name, call in FIELD_CALLS.items():
@@ -73,7 +73,7 @@ def test_field_probes_accept_the_standalone_call_shapes():
 
 def test_tracer_counts_the_rebuild_layers(monkeypatch):
     """One 2-D rebuild: transport and cross-check sweeps, one path-independence record."""
-    imm, _ = fixture("F3")
+    imm, _ = FIXTURES["F3"]()
     grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
     data = extract_all(imm, grid)
     tracer = _spans_module(monkeypatch).Tracer()
@@ -94,7 +94,7 @@ def test_tracer_counts_the_rebuild_layers(monkeypatch):
 
 def test_tracer_counts_the_check_layers(monkeypatch):
     """One 2-D check: every structure and flat-bundle span opens once, none is missing."""
-    imm, _ = fixture("F3")
+    imm, _ = FIXTURES["F3"]()
     grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
     data = extract_all(imm, grid)
     tracer = _spans_module(monkeypatch).Tracer()

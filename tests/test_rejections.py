@@ -16,7 +16,7 @@ from prodimm import extract
 from prodimm.dataio import dataset_to_dict, load_dataset
 from prodimm.errors import (ConstraintError, DegeneracyError, DimensionError, ExclusionError,
                             MetricError, ReconstructionError, SchemaError, StructureError)
-from prodimm.extract import (AnalyticImmersion, fixture, immersion_points,
+from prodimm.extract import (FIXTURES, AnalyticImmersion, extract_all, immersion_points,
                              induced_normal_frame)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField
 from prodimm.flatbundle import Geometry
@@ -44,7 +44,7 @@ def _planted(shape, index, value=1e-6):
 
 
 def _f1_point(node, edit):
-    imm, grid = fixture("F1")
+    imm, grid = FIXTURES["F1"]()
 
     def point(coords):
         out = imm.point(coords)
@@ -56,7 +56,7 @@ def _f1_point(node, edit):
 def _far_f1():
     """F1 on a chart whose |y|^2 overflows from node 110 on: t = 443.5 + 5e-3 i, |y|^2 ~
     exp(1.6 t) / 2.  The evaluation warns nowhere (pytest makes every warning an error)."""
-    imm, _ = fixture("F1")
+    imm, _ = FIXTURES["F1"]()
     return immersion_points(imm, ChartGrid(dims=(200,), spacing=(5e-3,), origin=(443.5,)))
 
 
@@ -139,6 +139,10 @@ CASES = {
         ConstraintError, (123,), "leaves the product"),
     "immersion_overflows": (lambda r: _far_f1(), ConstraintError, (110,),
                             "point or its |y|^2 is not finite"),
+    # far from the apex the metric's pairings round to noise before anything else fails
+    "metric_precision_lost_far_from_the_apex": (
+        lambda r: extract_all(FIXTURES["F1"]()[0], ChartGrid((200,), (5e-3,), (30.0,))),
+        MetricError, (0,), "precision lost far from the apex, where |y|^2 = 3.508e+20"),
     "immersion_lower_sheet": (
         lambda r: immersion_points(*_f1_point(123, lambda p: np.negative(p[2:], out=p[2:]))),
         ConstraintError, (123,), "lower sheet"),
