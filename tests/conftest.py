@@ -1,14 +1,17 @@
 import dataclasses
 from functools import cached_property
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from prodimm.extract import (FIXTURES, AnalyticImmersion, ExtractionResult, extract_all,
-                             induced_second_form, induced_structure)
+from prodimm.extract import (FIXTURES, AnalyticImmersion, ExtractionResult, _jet_fixture,
+                             extract_all, induced_second_form, induced_structure)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
+from prodimm.structure import RECORD_NAMES, ToleranceModel, psi_blocks
 
 
 def flat_torus_f4(r1: float = 0.6, r2: float = 0.8):
@@ -17,33 +20,18 @@ def flat_torus_f4(r1: float = 0.6, r2: float = 0.8):
     Arclength coordinates on F3's grid; k=3, m=1, n=2, p=2.  Unlike F3, its
     second form is not a free parameter: scaling it breaks Gauss.
     """
-    def angles(coords):
-        return coords[..., 0] / r1, coords[..., 1] / r2, np.zeros(coords.shape[:-1])
+    def jet(coords, order):   # axis a: the circle of radius r in sphere slots 2a, 2a + 1
+        out = np.zeros(coords.shape[:-1] + (2,) * order + (6,))
+        for axis, r in enumerate((r1, r2)):
+            c, s = np.cos(coords[..., axis] / r), np.sin(coords[..., axis] / r)
+            out[(Ellipsis,) + (axis,) * order + (slice(2 * axis, 2 * axis + 2),)] = np.stack(
+                ((r * c, r * s), (-s, c), (-c / r, -s / r))[order], axis=-1)
+        if order == 0:
+            out[..., 5] = 1.0   # the fixed point (0, 1) of H^1
+        return out
 
-    def point(coords):
-        a, b, zero = angles(coords)
-        return np.stack([r1 * np.cos(a), r1 * np.sin(a), r2 * np.cos(b), r2 * np.sin(b),
-                         zero, 1.0 + zero], axis=-1)
-
-    def derivative(coords):
-        a, b, zero = angles(coords)
-        d1 = np.stack([-np.sin(a), np.cos(a), zero, zero, zero, zero], axis=-1)
-        d2 = np.stack([zero, zero, -np.sin(b), np.cos(b), zero, zero], axis=-1)
-        return np.stack([d1, d2], axis=-2)
-
-    def second_derivative(coords):
-        a, b, zero = angles(coords)
-        d11 = np.stack([-np.cos(a) / r1, -np.sin(a) / r1, zero, zero, zero, zero], axis=-1)
-        d22 = np.stack([zero, zero, -np.cos(b) / r2, -np.sin(b) / r2, zero, zero], axis=-1)
-        d12 = np.zeros_like(d11)
-        return np.stack([np.stack([d11, d12], axis=-2), np.stack([d12, d22], axis=-2)],
-                        axis=-3)
-
-    imm = AnalyticImmersion(name="F4", k=3, m=1, n=2, point=point,
-                            derivative=derivative, second_derivative=second_derivative,
-                            params={"r1": r1, "r2": r2})
-    h = 1.5 / 63.0
-    return imm, ChartGrid(dims=(64, 64), spacing=(h, h), origin=(0.0, 0.0))
+    return _jet_fixture("F4", 3, 1, 2, jet, {"r1": r1, "r2": r2},
+                        ChartGrid(dims=(64, 64), spacing=(1.5 / 63.0,) * 2, origin=(0.0, 0.0)))
 
 
 def veronese(dims: int = 65):
@@ -201,10 +189,101 @@ def random_geometry(seed: int, dims: tuple, p: int) -> Geometry:
     return Geometry(metric, bundle, sigma, psi)
 
 
+def constant_structure(grid, f_val=-0.28, u_val=0.96):
+    """Flat 1-dim chart with a constant compatible structure (f^2 + u^2 = 1)."""
+    dims = grid.dims
+    g = MetricField(grid, np.ones(dims + (1, 1)))
+    bundle = BundleData(grid, np.zeros(dims + (1, 1, 1)))
+    sigma = SecondFormField(grid, np.zeros(dims + (1, 1, 1)))
+    psi = np.tile([[f_val, u_val], [u_val, -f_val]], dims + (1, 1))
+    return g, bundle, sigma, psi
+
+
+def edited(geom: Geometry, field: str, slot, change) -> Geometry:
+    """A fresh geometry of copies of ``geom``'s datum, whose ``field`` (metric, omega, sigma,
+    or the block f, u, U or lambda of psi) holds ``change(values, grid)`` at ``slot``."""
+    grid, psi = geom.grid, geom.psi.copy()
+    arrays = dict(zip(("f", "u", "U", "lambda"), psi_blocks(psi, grid.ndim)),
+                  metric=geom.metric.values.copy(), omega=geom.bundle.omega.copy(),
+                  sigma=geom.sigma.values.copy())
+    arrays[field][slot] = change(arrays[field][slot], grid)
+    return Geometry(MetricField(grid, arrays["metric"]), BundleData(grid, arrays["omega"]),
+                    SecondFormField(grid, arrays["sigma"]), psi)
+
+
+class Planted(NamedTuple):
+    """A fault planted in the datum of the session fixture ``fixture``: the ``check`` records
+    it fails, judged by the fixture's own tolerances, and bounds (low, high) on the max_abs
+    of named records.  ``edit`` is (field, slot, change) of :func:`edited`, () for none."""
+    fixture: str
+    edit: tuple
+    fails: set
+    values: dict = {}
+
+    def geometry(self, geom: Geometry) -> Geometry:
+        return edited(geom, *self.edit) if self.edit else geom
+
+
+def _near(value):
+    return value * (1 - 1e-6), value * (1 + 1e-6)
+
+
+def _omega_bump(omega, grid):   # 1e-2 sin(2 pi t2 / W) J, W the chart's width along t2
+    width = grid.spacing[1] * (grid.dims[1] - 1)
+    bump = 1e-2 * np.sin(2 * np.pi * grid.coords()[..., 1] / width)
+    return omega + bump[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+PLANTED = {   # F1 on a curve, F2 a latitude circle, F3 a product surface at theta0 = pi/4
+    "constant": Planted("constant", (), set(), dict.fromkeys(RECORD_NAMES[:15], (0.0, 1e-12))),
+    "f_scaled": Planted("f2", ("f", ..., lambda f, grid: 1.01 * f),
+                        {"psi_involution_tangent", "psi_parallel_u", "psi_parallel_U",
+                         "psi_tilde_parallel"},
+                        {"psi_involution_tangent": _near(0.0201)}),
+    "u_varies": Planted("f2", ("u", (..., 0, 0),
+                               lambda u, grid: u + 1e-3 * np.sin(2.0 * grid.coords()[..., 0])),
+                        {"psi_u_U_adjoint", "psi_involution_bundle", "psi_parallel_u",
+                         "psi_tilde_parallel"},
+                        {"psi_parallel_u": (5e-4, np.inf)}),
+    "lambda_shifted": Planted("f2", ("lambda", (..., 0, 0), lambda lam, grid: lam + 0.05),
+                              {"psi_involution_bundle", "psi_parallel_u", "psi_parallel_U",
+                               "psi_tilde_parallel"}),
+    # on a 1-dim chart the antisymmetrized equations cannot see u: Codazzi passes
+    "u_negated": Planted("f1", ("u", ..., lambda u, grid: -u),
+                         {"psi_u_U_adjoint", "psi_involution_tangent", "psi_involution_bundle",
+                          "psi_tilde_parallel"}),
+    "sigma_slot": Planted("f3", ("sigma", (..., 1, 1, 0), lambda s, grid: s + 1e-2),
+                          {"psi_parallel_u", "psi_parallel_U", "gauss", "bundle_flatness",
+                           "psi_tilde_parallel"},
+                          {"gauss": _near(1e-2 / np.tan(np.pi / 4)),
+                           "bundle_flatness": (5e-3, np.inf)}),
+    "u_shift": Planted("f3", ("u", (..., 0, 0), lambda u, grid: u + 1e-2),
+                       {"psi_u_U_adjoint", "psi_involution_bundle", "psi_parallel_f",
+                        "psi_parallel_lambda", "codazzi", "psi_tilde_parallel"},
+                       {"codazzi": _near(1e-2)}),
+    "omega_bump": Planted("f3", ("omega", np.s_[..., 0, :, :], _omega_bump),
+                          {"psi_parallel_lambda", "ricci", "bundle_flatness",
+                           "psi_tilde_parallel"},
+                          {"ricci": (1e-2, np.inf)}),
+    "f_asymmetric": Planted("f3", ("f", (..., 0, 1), lambda f, grid: f + 1e-3),
+                            {"psi_f_symmetric"}),
+    "lambda_asymmetric": Planted("f3", ("lambda", (..., 0, 1), lambda lam, grid: lam + 1e-3),
+                                 {"psi_lambda_symmetric"}),
+}
+
+
 def refine(grid: ChartGrid) -> ChartGrid:
     dims = tuple(2 * (d - 1) + 1 for d in grid.dims)
     spacing = tuple(s / 2 for s in grid.spacing)
     return ChartGrid(dims=dims, spacing=spacing, origin=grid.origin)
+
+
+@pytest.fixture(scope="session")
+def constant():
+    """constant_structure on 16 nodes, every record held to 1e-12."""
+    grid = ChartGrid(dims=(16,), spacing=(0.05,), origin=(0.0,))
+    return SimpleNamespace(geom=Geometry(*constant_structure(grid)),
+                           tolerances=ToleranceModel(factor=0.0, floor=1e-12, algebraic=None))
 
 
 @pytest.fixture(scope="session")

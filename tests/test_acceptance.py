@@ -13,13 +13,12 @@ the same scaling breaks Gauss: the verdict line reads
 """
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from prodimm.cli import check_dataset, main
 from prodimm.dataio import Dataset, save_dataset
 from prodimm.extract import extract_all
-from prodimm.fields import BundleData, SecondFormField, shape_operator_field
+from prodimm.fields import SecondFormField, shape_operator_field
 from prodimm.flatbundle import Geometry
 from prodimm.lorentz import eta, gram_defect, lorentz_orthonormalize
 from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersion_psi_field,
@@ -27,7 +26,7 @@ from prodimm.reconstruct import (EdgeFlows, align_congruence, edge_flow, immersi
                                  reconstruct_immersion)
 from prodimm.structure import check_all, psi_blocks
 
-from conftest import FixtureBundle, refine
+from conftest import PLANTED, refine
 
 ROUNDTRIP_BUDGETS = {"F1": 1e-4, "F2": 1e-3, "F3": 5e-3}
 
@@ -191,44 +190,25 @@ def test_criterion_6_uniqueness_up_to_isometry(f2):
 
 # -- criterion 7 ------------------------------------------------------------
 
-def _trio_and_path(fb, metric, bundle, sigma, psi):
-    tol = fb.tolerances
-    geom = Geometry(metric, bundle, sigma, psi)
+def _trio_and_path(geom, tol):
     checks = check_all(geom, tol)
     g_, c_, r_ = (checks[name].max_abs for name in ("gauss", "codazzi", "ricci"))
-    centre = tuple(d // 2 for d in fb.grid.dims)
+    centre = tuple(d // 2 for d in geom.grid.dims)
     flows = EdgeFlows.of(geom.grid, geom.connection, centre)
     p_ = path_independence_residual(flows, tol).records[0].max_abs
     return np.array([g_, c_, r_]), p_
 
 
 def test_criterion_7_negative_detection(f3):
-    eps = 1e-2
-    data = f3.data
+    eps = 1e-2   # the size of each planted fault
     thr = 10 * f3.grid.h_max**2
-    clean, path_clean = _trio_and_path(f3, data.metric, data.bundle, data.sigma,
-                                       data.psi)
-
-    sg = data.sigma.values.copy()
-    sg[..., 1, 1, 0] += eps
-    cases = {"sigma->gauss": (0, data.metric, data.bundle,
-                              SecondFormField(f3.grid, sg), data.psi)}
-
-    psi_u = data.psi.copy()
-    psi_blocks(psi_u, 2)[1][..., 0, 0] += eps     # the u block
-    cases["u->codazzi"] = (1, data.metric, data.bundle, data.sigma, psi_u)
-
-    om = data.bundle.omega.copy()
-    t2 = f3.grid.coords()[..., 1]
-    width = f3.grid.spacing[1] * (f3.grid.dims[1] - 1)
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    om[..., 0, :, :] += (eps * np.sin(2 * np.pi * t2 / width))[..., None, None] * j
-    bundle_om = BundleData(f3.grid, om)
-    cases["omega->ricci"] = (2, data.metric, bundle_om, data.sigma, data.psi)
-
+    _, path_clean = _trio_and_path(f3.geom, f3.tolerances)
+    # label: (index of the targeted record in the trio, the row of conftest.PLANTED)
+    cases = {"sigma->gauss": (0, "sigma_slot"), "u->codazzi": (1, "u_shift"),
+             "omega->ricci": (2, "omega_bump")}
     all_ok = True
-    for label, (target, metric, bundle, sigma, psi) in cases.items():
-        trio, path = _trio_and_path(f3, metric, bundle, sigma, psi)
+    for label, (target, row) in cases.items():
+        trio, path = _trio_and_path(PLANTED[row].geometry(f3.geom), f3.tolerances)
         others = [trio[i] for i in range(3) if i != target]
         fired = trio[target] > thr
         quiet = all(v <= thr for v in others)

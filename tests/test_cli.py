@@ -74,20 +74,6 @@ def test_check_table_follows_redirected_stdout(f1_dataset_path):
     assert all(line.split()[0] == "PASS" for line in lines if " thr=" in line)
 
 
-def test_check_flags_negated_u(f1_dataset_path, tmp_path):
-    doc = json.loads(f1_dataset_path.read_text())
-    edit_field(doc, "psi.u", lambda u: -u)
-    bad = tmp_path / "bad_u.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["check", str(bad), "--report", str(tmp_path / "r.json")]) == 1
-    report = load_report(str(tmp_path / "r.json"))
-    # on a 1-dim chart the antisymmetrized equations cannot see u; the sign
-    # flip lands on the pointwise adjointness and involution identities
-    assert not report["psi_u_U_adjoint"].passed
-    assert not report["psi_involution_tangent"].passed
-    assert report["codazzi"].passed
-
-
 def test_check_caches_neither_curvature_nor_structure_derivative(f3):
     # F and D psi~ are transient: the rebuild keeps the geometry alive
     geom = geometry_of(f3.data)

@@ -10,7 +10,7 @@ from prodimm.extract import (FIXTURES, AnalyticImmersion, extract_all,
                              induced_normal_frame, induced_second_form, induced_structure)
 from prodimm.fields import ChartGrid, argmax_node, hessian_field
 from prodimm.lorentz import minkowski_dot
-from prodimm.structure import check_all, psi_blocks
+from prodimm.structure import psi_blocks
 
 from conftest import FixtureBundle, refine, reparametrized_f3, veronese
 from sweep_oracles import first_swept, per_edge_normal_frame
@@ -235,36 +235,6 @@ def test_induced_structure_of_a_twisted_frame(f3):
 def test_normal_connection_trivial_on_fixtures(f1, f2):
     assert np.abs(f1.data.bundle.omega).max() <= 1e-12
     assert np.abs(f2.data.bundle.omega).max() <= 1e-12
-
-
-def _necessity(imm, grid, use_analytic=True):
-    data = extract_all(imm, grid, use_analytic)
-    return check_all(data, data.tolerances)
-
-
-def test_verify_necessity_all_fixtures(f1, f2, f3):
-    for fb in (f1, f2, f3):
-        report = _necessity(fb.immersion, fb.grid)
-        assert report.passed
-
-
-def test_verify_necessity_fd_route(f3_fd):
-    report = _necessity(f3_fd.immersion, f3_fd.grid, use_analytic=False)
-    assert report.passed
-
-
-def test_extraction_error_convergence(f2, f3):
-    for fb in (f2, f3):
-        errs = []
-        for grid in (fb.grid, refine(fb.grid)):
-            fd = extract_all(fb.immersion, grid, use_analytic=False)
-            exact = extract_all(fb.immersion, grid, use_analytic=True)
-            errs.append({
-                "metric": np.abs(fd.metric.values - exact.metric.values).max(),
-                "sigma": np.abs(fd.sigma.values - exact.sigma.values).max(),
-            })
-        for key in errs[0]:
-            assert 3.5 <= errs[0][key] / errs[1][key] <= 4.5, key
 
 
 def test_induced_pieces_standalone(f2):

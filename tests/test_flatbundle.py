@@ -4,24 +4,15 @@ import pytest
 from prodimm.errors import DimensionError, ExclusionError, StructureError
 from prodimm.fields import ChartGrid, SecondFormField, grad_field
 from prodimm.flatbundle import (Geometry, build_connection, build_psi_tilde, eigen_split,
-                                flatness_residual, metric_compatibility_residual,
-                                psi_tilde_parallel_residual)
+                                flatness_residual, metric_compatibility_residual)
 from prodimm.lorentz import eta
-from prodimm.structure import (ToleranceModel, curvature_magnitude,
-                               psi_tilde_derivative_magnitude)
+from prodimm.structure import ToleranceModel, curvature_magnitude
 
 from conftest import random_geometry, with_derived
-from test_structure import constant_structure
 
 
-@pytest.fixture()
-def trivial():
-    grid = ChartGrid(dims=(16,), spacing=(0.05,), origin=(0.0,))
-    return Geometry(*constant_structure(grid))
-
-
-def test_connection_matches_hand_assembly(trivial):
-    conn = trivial.connection
+def test_connection_matches_hand_assembly(constant):
+    conn = constant.geom.connection
     f, u = -0.28, 0.96
     expected = np.array([
         [0.0, 0.0, (1 + f) / 2, (1 - f) / 2],
@@ -46,17 +37,6 @@ def test_connection_rebuild_is_bit_identical(f3):
     a = build_connection(f3.data)
     b = build_connection(f3.data)
     assert np.array_equal(a, b)
-
-
-def test_metric_compatibility_trivial_exact(trivial):
-    rec = metric_compatibility_residual(trivial, ToleranceModel()).records[0]
-    assert rec.max_abs <= 1e-12
-
-
-def test_metric_compatibility_fixtures(f1, f2, f3):
-    for fb in (f1, f2, f3):
-        rec = metric_compatibility_residual(fb.geom, fb.tolerances).records[0]
-        assert rec.max_abs <= 10 * fb.grid.h_max**2
 
 
 @pytest.mark.parametrize("dims", [(8,), (6, 7), (5, 6, 5)], ids=lambda d: f"n{len(d)}")
@@ -96,12 +76,6 @@ def test_metric_compatibility_detects_dropped_term(f1):
     assert rec.max_abs >= 0.4  # the dropped coupling has size |u| ~ 0.96
 
 
-def test_flatness_vacuous_on_curves(f1):
-    rec = flatness_residual(f1.geom, f1.tolerances,
-                            curvature_magnitude(f1.geom)).records[0]
-    assert rec.passed and rec.max_abs == 0.0
-
-
 def test_flatness_surface_and_detection(f3):
     data = f3.data
     rec = flatness_residual(f3.geom, f3.tolerances,
@@ -125,25 +99,6 @@ def test_psi_tilde_blocks(f2):
     gram = f2.data.gram
     lowered = np.einsum("...ab,...bc->...ac", gram, vals)
     assert np.abs(lowered - np.swapaxes(lowered, -1, -2)).max() <= 1e-10
-
-
-def test_psi_tilde_parallel_trivial_and_fixtures(trivial, f1, f2, f3):
-    rec = psi_tilde_parallel_residual(trivial, ToleranceModel(),
-                                      psi_tilde_derivative_magnitude(trivial)).records[0]
-    assert rec.max_abs <= 1e-12
-    for fb in (f1, f2, f3):
-        rec = psi_tilde_parallel_residual(fb.geom, fb.tolerances,
-                                          psi_tilde_derivative_magnitude(fb.geom)).records[0]
-        assert rec.max_abs <= 10 * fb.grid.h_max**2
-
-
-def test_psi_tilde_parallel_detects_lambda_shift(f2):
-    psi = f2.data.psi.copy()
-    psi[..., 1, 1] += 0.05   # the curvature-coupled bundle slot
-    geom = Geometry(f2.data.metric, f2.data.bundle, f2.data.sigma, psi)
-    rec = psi_tilde_parallel_residual(geom, f2.tolerances,
-                                      psi_tilde_derivative_magnitude(geom)).records[0]
-    assert not rec.passed
 
 
 def test_eigen_split_fixtures(f1, f2):

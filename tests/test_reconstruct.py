@@ -28,15 +28,6 @@ def test_edge_flow_zero_connection():
     assert np.array_equal(edge_flow(z, z, 0.1) @ frame, frame)
 
 
-def test_edge_flow_matches_matrix_exponential():
-    rng = np.random.default_rng(7)
-    om = rng.normal(size=(6, 6))
-    om /= np.linalg.norm(om, 2)
-    h = 1e-3
-    flow = edge_flow(om, om, h)
-    assert np.abs(flow - scipy.linalg.expm(-h * om)).max() <= 1e-10
-
-
 def test_edge_transport_orthonormality_drift(f1):
     conn, gram = f1.geom.connection, f1.geom.gram
     h = f1.grid.spacing[0]
@@ -388,19 +379,6 @@ def test_base_point_covariance(f2):
 
 def _path_record(grid, conn, base, tolerances):
     return path_independence_residual(EdgeFlows.of(grid, conn, base), tolerances).records[0]
-
-
-def test_path_independence_detects_incompatibility(f3):
-    data = f3.data
-    base = f3.recon.base_node
-    clean = _path_record(f3.grid, f3.geom.connection, base, f3.tolerances).max_abs
-    eps = 1e-2
-    sg = data.sigma.values.copy()
-    sg[..., 1, 1, 0] += eps
-    conn_bad = Geometry(data.metric, data.bundle, SecondFormField(f3.grid, sg),
-                        data.psi).connection
-    broken = _path_record(f3.grid, conn_bad, base, f3.tolerances).max_abs
-    assert broken - clean >= eps / 10
 
 
 def test_path_independence_locates_a_local_bump(f3):

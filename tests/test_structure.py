@@ -6,72 +6,30 @@ import pytest
 
 from prodimm.cli import check_dataset
 from prodimm.errors import ExclusionError, GridMismatchError
-from prodimm.fields import (BundleData, ChartGrid, MetricField, SecondFormField,
-                            connection_curvature)
+from prodimm.fields import BundleData, ChartGrid, SecondFormField, connection_curvature
 from prodimm.flatbundle import Geometry, flatness_residual
 from prodimm.structure import (RECORD_NAMES, CheckRecord, Report, ToleranceModel,
                                check_all, check_codazzi, check_gauss, check_psi_algebra,
-                               check_psi_parallel, check_ricci, magnitude, psi_blocks,
-                               psi_tilde_derivative_magnitude)
+                               check_ricci, magnitude, psi_blocks)
 
-from conftest import geometry_of
-
-
-def constant_structure(grid, f_val=-0.28, u_val=0.96):
-    """Flat 1-dim chart with a constant compatible structure (f^2 + u^2 = 1)."""
-    dims = grid.dims
-    g = MetricField(grid, np.ones(dims + (1, 1)))
-    bundle = BundleData(grid, np.zeros(dims + (1, 1, 1)))
-    sigma = SecondFormField(grid, np.zeros(dims + (1, 1, 1)))
-    psi = np.tile([[f_val, u_val], [u_val, -f_val]], dims + (1, 1))
-    return g, bundle, sigma, psi
+from conftest import PLANTED, geometry_of
 
 
-@pytest.fixture()
-def flat_line():
-    return ChartGrid(dims=(16,), spacing=(0.05,), origin=(0.0,))
-
-
-def test_constant_structure_passes_everything(flat_line):
-    g, bundle, sigma, psi = constant_structure(flat_line)
-    report = check_all(Geometry(g, bundle, sigma, psi), ToleranceModel())
-    assert report.passed
-    for name in ("psi_parallel_f", "psi_parallel_u", "psi_parallel_U",
-                 "psi_parallel_lambda"):
-        assert report[name].max_abs <= 1e-12
-
-
-def test_identity_structure_is_rejected(flat_line):
+def test_identity_structure_is_rejected(constant):
     """psi = +-I passes the algebra records, but has no split: the first such node is named.
 
     A structure that is no involution keeps its failing records, whatever its trace.
     """
-    g, bundle, sigma, compatible = constant_structure(flat_line)
     for sign in (1.0, -1.0):
-        psi = compatible.copy()
+        psi = constant.geom.psi.copy()
         psi[5:] = sign * np.eye(2)
         with pytest.raises(ExclusionError, match=r"plus/minus the identity at node \(5,\)") as err:
-            check_psi_algebra(Geometry(g, bundle, sigma, psi), ToleranceModel())
+            check_psi_algebra(replace(constant.geom, psi=psi), ToleranceModel())
         assert err.value.node == (5,)
         psi[5:] *= 1.2
-        report = check_psi_algebra(Geometry(g, bundle, sigma, psi), ToleranceModel())
+        report = check_psi_algebra(replace(constant.geom, psi=psi), ToleranceModel())
         assert not report["psi_involution_tangent"].passed
         assert report["psi_involution_tangent"].argmax_node == (5,)
-
-
-def test_psi_algebra_on_fixture_is_exact(f2):
-    report = check_psi_algebra(f2.geom, ToleranceModel())
-    for rec in report.records:
-        assert rec.max_abs <= 1e-10, rec.name
-
-
-def test_psi_algebra_detects_scaled_f(f2):
-    scaled = f2.data.psi.copy()
-    psi_blocks(scaled, 1)[0][...] *= 1.01
-    report = check_psi_algebra(replace(f2.geom, psi=scaled), ToleranceModel())
-    rec = report["psi_involution_tangent"]
-    assert not rec.passed
-    assert rec.max_abs == pytest.approx(0.0201, rel=1e-6)
 
 
 def test_psi_algebra_grid_mismatch(f1, f2):
@@ -79,52 +37,50 @@ def test_psi_algebra_grid_mismatch(f1, f2):
         check_psi_algebra(replace(f2.geom, psi=f1.data.psi), ToleranceModel())
 
 
-def test_psi_parallel_totally_geodesic_fixture(f1):
-    report = check_psi_parallel(f1.geom, f1.tolerances,
-                                psi_tilde_derivative_magnitude(f1.geom))
-    assert report.passed
-    thr = 10 * f1.grid.h_max**2
-    for rec in report.records:
-        assert rec.max_abs <= thr
-
-
-def test_psi_parallel_detects_varying_u(f2):
-    eps = 1e-3
-    t = f2.grid.coords()[..., 0]
-    psi = f2.data.psi.copy()
-    psi_blocks(psi, 1)[1][..., 0, 0] += eps * np.sin(2.0 * t)
-    geom = replace(f2.geom, psi=psi)
-    report = check_psi_parallel(geom, f2.tolerances, psi_tilde_derivative_magnitude(geom))
-    rec = report["psi_parallel_u"]
-    assert not rec.passed
-    assert rec.max_abs >= eps / 2
-
-
-def test_gauss_vacuous_on_curves(f1):
-    rec = check_all(f1.geom, ToleranceModel())["gauss"]
-    assert rec.max_abs == 0.0
-
-
-def test_curvature_blocks_are_exactly_zero_on_curves(f2):
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_curvature_blocks_are_exactly_zero_on_curves(name, request):
     # n = 1: F has no direction pair, so each of its records reduces an empty
     # free axis, to zero and without a RuntimeWarning; no (*dims, N, N) work
     # buffer is allocated for it
-    f2.geom.connection
+    fb = request.getfixturevalue(name)
+    size = fb.geom.gram.shape[-1]
+    fb.geom.connection
     tracemalloc.start()
     try:
-        curv = connection_curvature(f2.grid, f2.geom.connection)
+        curv = connection_curvature(fb.grid, fb.geom.connection)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert curv.shape == f2.grid.dims + (0, 5, 5)
-    assert peak < f2.grid.n_nodes * 5 * 5 * 8
+    assert curv.shape == fb.grid.dims + (0, size, size)
+    assert peak < fb.grid.n_nodes * size * size * 8
     names = ("gauss", "codazzi", "ricci", "bundle_flatness")
-    report = check_dataset(geometry_of(f2.data), f2.tolerances)
-    standalone = check_all(geometry_of(f2.data), f2.tolerances)
-    alone = [check(f2.geom, f2.tolerances, magnitude(curv, 1)).records[0] for check in (
+    report = check_dataset(geometry_of(fb.data), fb.tolerances)
+    standalone = check_all(geometry_of(fb.data), fb.tolerances)
+    alone = [check(fb.geom, fb.tolerances, magnitude(curv, 1)).records[0] for check in (
         check_gauss, check_codazzi, check_ricci, flatness_residual)]
     for rec in [rep[name] for rep in (report, standalone) for name in names] + alone:
         assert (rec.max_abs, rec.mean_abs, rec.argmax_node) == (0.0, 0.0, (0,)), rec.name
+
+
+@pytest.mark.parametrize("row", PLANTED)
+def test_planted_fault_fails_exactly_its_records(row, request):
+    """Each planted violation of the paper's equations fails exactly its ``check`` records,
+    and each named max_abs lies within its bounds."""
+    planted = PLANTED[row]
+    base = request.getfixturevalue(planted.fixture)
+    report = check_dataset(planted.geometry(base.geom), base.tolerances)
+    assert {rec.name for rec in report.records if not rec.passed} == planted.fails
+    for name, (low, high) in planted.values.items():
+        assert low <= report[name].max_abs <= high, (name, report[name].max_abs)
+
+
+def test_planted_faults_fail_every_record_but_metric_compatibility():
+    """Some planted fault fails each of the 15 ``check`` records but
+    bundle_metric_compatibility.  That record is an identity of ``build_connection``
+    (``test_metric_compatibility_is_an_identity_of_the_connection``), so no datum can fail
+    it; ``test_metric_compatibility_detects_dropped_term`` fails it by tampering with Omega."""
+    failed = set().union(*(planted.fails for planted in PLANTED.values()))
+    assert failed == set(RECORD_NAMES[:15]) - {"bundle_metric_compatibility"}
 
 
 def test_merge_returns_record_name_order(f3):
@@ -152,11 +108,6 @@ def test_merge_carries_each_block_and_joins_the_timings():
     assert Report.merge(Report(), Report()).timings is None
 
 
-def test_gauss_passes_on_surface(f3):
-    rec = check_all(f3.geom, f3.tolerances)["gauss"]
-    assert rec.passed
-
-
 def test_gauss_detects_coupled_sigma_slot(f3):
     eps = 1e-2
     sg = f3.data.sigma.values.copy()
@@ -166,35 +117,6 @@ def test_gauss_detects_coupled_sigma_slot(f3):
     assert not rec.passed
     cot = 1.0 / np.tan(f3.immersion.params["theta0"])
     assert rec.max_abs == pytest.approx(eps * cot, rel=1e-6)
-
-
-def test_codazzi_passes_and_detects_u_shift(f3):
-    tol = f3.tolerances
-    base = check_all(f3.geom, tol)["codazzi"]
-    assert base.passed
-    eps = 1e-2
-    psi = f3.data.psi.copy()
-    psi_blocks(psi, 2)[1][..., 0, 0] += eps
-    rec = check_all(replace(f3.geom, psi=psi), tol)["codazzi"]
-    assert not rec.passed
-    assert rec.max_abs == pytest.approx(eps, rel=1e-6)
-
-
-def test_ricci_trivial_and_detects_omega(f2, f3):
-    rec = check_all(f2.geom, ToleranceModel())["ricci"]
-    assert rec.max_abs <= 1e-12  # one chart direction: both sides vanish
-    rec = check_all(f3.geom, f3.tolerances)["ricci"]
-    assert rec.passed
-    eps = 1e-2
-    om = f3.data.bundle.omega.copy()
-    t2 = f3.grid.coords()[..., 1]
-    width = f3.grid.spacing[1] * (f3.grid.dims[1] - 1)
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    om[..., 0, :, :] += (eps * np.sin(2 * np.pi * t2 / width))[..., None, None] * j
-    bundle = BundleData(f3.grid, om)
-    rec = check_all(replace(f3.geom, bundle=bundle), f3.tolerances)["ricci"]
-    assert not rec.passed
-    assert rec.max_abs >= eps
 
 
 def _regauge(data, angle):
