@@ -91,11 +91,13 @@ def _naming(*given):
 
 
 def _parse_tuple(text, default: tuple, cast) -> tuple:
-    """``len(default)`` values of ``cast`` in ``text`` (one stands for all), or ``default``."""
+    """``len(default)`` values of ``cast`` in ``text`` (one stands for all), or ``default``;
+    an empty part (``,17``, ``200,``) is rejected, not dropped."""
     if not text:
         return default
-    parts = [p for p in str(text).replace("x", ",").split(",") if p]
-    values = tuple(map(cast, parts * len(default) if len(parts) == 1 else parts))
+    parts = str(text).replace("x", ",").split(",")
+    values = () if "" in parts else tuple(
+        map(cast, parts * len(default) if len(parts) == 1 else parts))
     if len(values) != len(default):
         raise ValueError(f"expects {len(default)} comma-separated values")
     return values

@@ -6,8 +6,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from prodimm.extract import (FIXTURES, AnalyticImmersion, ExtractionResult, _jet_fixture,
-                             extract_all, induced_second_form, induced_structure)
+from prodimm.extract import (FIXTURES, ExtractionResult, _jet_fixture, extract_all,
+                             induced_second_form, induced_structure)
 from prodimm.fields import BundleData, ChartGrid, MetricField, SecondFormField, hessian_field
 from prodimm.flatbundle import Geometry
 from prodimm.reconstruct import reconstruct_immersion
@@ -51,7 +51,7 @@ def veronese(dims: int = 65):
     forms[3] = np.diag([c, -c, 0.0])               # (x^2 - y^2) / (2 sqrt 3)
     forms[4] = np.diag([1.0, 1.0, -2.0]) / 6.0     # (x^2 + y^2 - 2 z^2) / 6
 
-    def jet(coords):   # X (..., 3), dX (..., a, 3) and d^2X (..., a, b, 3)
+    def sphere_jet(coords):   # X (..., 3), dX (..., a, 3) and d^2X (..., a, b, 3)
         theta, phi = coords[..., 0], coords[..., 1]
         st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
         zero = np.zeros_like(theta)
@@ -64,27 +64,22 @@ def veronese(dims: int = 65):
             [np.stack([-x, d_theta_phi], axis=-2), np.stack([d_theta_phi, d_phi_phi], axis=-2)],
             axis=-3)
 
-    def with_h1_block(sphere, y):   # the H^1 block is the point (0, 1), or its zero derivatives
-        return np.concatenate([sphere, np.broadcast_to(y, sphere.shape[:-1] + (2,))], axis=-1)
+    def jet(coords, order):
+        x, dx, ddx = sphere_jet(coords)
+        if order == 0:
+            u = np.einsum("...i,kij,...j->...k", x, forms, x)
+        elif order == 1:
+            u = 2.0 * np.einsum("...i,kij,...aj->...ak", x, forms, dx)
+        else:
+            u = 2.0 * (np.einsum("...ai,kij,...bj->...abk", dx, forms, dx)
+                       + np.einsum("...i,kij,...abj->...abk", x, forms, ddx))
+        y = np.zeros(u.shape[:-1] + (2,))
+        y[..., 1] = 1.0 if order == 0 else 0.0   # the fixed point (0, 1) of H^1
+        return np.concatenate([u, y], axis=-1)
 
-    def point(coords):
-        x = jet(coords)[0]
-        return with_h1_block(np.einsum("...i,kij,...j->...k", x, forms, x), (0.0, 1.0))
-
-    def derivative(coords):
-        x, dx, _ = jet(coords)
-        return with_h1_block(2.0 * np.einsum("...i,kij,...aj->...ak", x, forms, dx), 0.0)
-
-    def second_derivative(coords):
-        x, dx, ddx = jet(coords)
-        return with_h1_block(2.0 * (np.einsum("...ai,kij,...bj->...abk", dx, forms, dx)
-                                    + np.einsum("...i,kij,...abj->...abk", x, forms, ddx)), 0.0)
-
-    imm = AnalyticImmersion(name="Veronese", k=4, m=1, n=2, point=point, derivative=derivative,
-                            second_derivative=second_derivative, params={})
-    grid = ChartGrid(dims=(dims, dims), spacing=(1.0 / (dims - 1), 1.2 / (dims - 1)),
-                     origin=(0.5, 0.0))
-    return imm, grid
+    return _jet_fixture("Veronese", 4, 1, 2, jet, {},
+                        ChartGrid(dims=(dims, dims), spacing=(1.0 / (dims - 1), 1.2 / (dims - 1)),
+                                  origin=(0.5, 0.0)))
 
 
 class FixtureBundle:
@@ -124,20 +119,16 @@ def reparametrized_f3(theta0: float = 0.8):
                          -0.225 * np.sin(1.5 * x), zero, zero, zero], axis=-1)
         return phi, jac.reshape(x.shape + (2, 2)), hess.reshape(x.shape + (2, 2, 2))
 
-    def derivative(coords):
-        phi, jac, _ = chart(coords)
-        return np.swapaxes(jac, -1, -2) @ f3.derivative(phi)
-
-    def second_derivative(coords):
+    def jet(coords, order):
         phi, jac, hess = chart(coords)
+        if order == 0:
+            return f3.point(phi)
+        if order == 1:
+            return np.swapaxes(jac, -1, -2) @ f3.derivative(phi)
         return (np.einsum("...ai,...bj,...abN->...ijN", jac, jac, f3.second_derivative(phi))
                 + np.einsum("...aij,...aN->...ijN", hess, f3.derivative(phi)))
 
-    imm = AnalyticImmersion(name="F3-reparametrized", k=2, m=2, n=2,
-                            point=lambda coords: f3.point(chart(coords)[0]),
-                            derivative=derivative, second_derivative=second_derivative,
-                            params={"theta0": theta0})
-    return imm, grid
+    return _jet_fixture("F3-reparametrized", 2, 2, 2, jet, {"theta0": theta0}, grid)
 
 
 def twisted_f3(dims: int) -> ExtractionResult:

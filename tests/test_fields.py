@@ -335,12 +335,6 @@ def test_hessian_matches_analytic():
     assert np.abs(hess - exact).max() <= 30 * grid.h_max**2
 
 
-def test_grad_field_shape():
-    grid = ChartGrid(dims=(6, 7), spacing=(0.1, 0.1), origin=(0.0, 0.0))
-    vals = np.zeros(grid.dims + (3,))
-    assert grad_field(grid, vals).shape == (6, 7, 2, 3)
-
-
 def _unipotent(rng, shape, size=4):
     """Upper unitriangular integer matrices: their products stay exact in float64."""
     mats = np.triu(rng.integers(-1, 2, size=shape + (size, size)), 1) + np.eye(size)

@@ -4,19 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prodimm.errors import ConstraintError, DegeneracyError, DimensionError
+from prodimm.errors import DegeneracyError, DimensionError
 from prodimm.lorentz import (eta, gram_defect, gram_schmidt, lorentz_orthonormalize, lower,
                              minkowski_dot, onto_product, product_defect, product_distance,
-                             product_norms)
-
-from ambient_oracles import (InsufficientDataError, ProductPoint,
-                             ambient_connection_relation_residual, ambient_curvature,
-                             ambient_psi, normal_fields)
+                             product_normals, product_norms, psi_flip)
 
 finite = st.floats(-10, 10, allow_nan=False)
 vec4 = hnp.arrays(np.float64, 4, elements=finite)
-
-S1H1 = ProductPoint([1.0, 0.0], [0.0, 1.0])
 
 
 def test_minkowski_dot_examples():
@@ -55,116 +49,24 @@ def test_minkowski_dot_bilinear_symmetric(x, y, z, a):
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
-def test_product_point_constraints():
-    with pytest.raises(ConstraintError):
-        ProductPoint([1.1, 0.0], [0.0, 1.0])
-    with pytest.raises(ConstraintError):
-        ProductPoint([1.0, 0.0], [0.0, -1.0])  # lower sheet
-    with pytest.raises(ConstraintError):
-        ProductPoint([1.0, 0.0], [1.0, 1.0])
-
-
-def test_ambient_psi_blockwise():
-    a, b = 0.3, -0.7
-    out = ambient_psi(S1H1, [0.0, a, b, 0.0])
-    assert np.array_equal(out, [0.0, a, -b, 0.0])
-
-
-def test_ambient_psi_fixes_normals():
-    xi1, xi2 = normal_fields(S1H1)
-    assert np.array_equal(ambient_psi(S1H1, xi1), xi1)
-    assert np.array_equal(ambient_psi(S1H1, xi2), -xi2)
-
-
-@given(v=vec4, w=vec4)
-def test_ambient_psi_involution_and_isometry(v, w):
-    assert np.array_equal(ambient_psi(S1H1, ambient_psi(S1H1, v)), v)
-    assert minkowski_dot(ambient_psi(S1H1, v), ambient_psi(S1H1, w)) == \
-        minkowski_dot(v, w)
-
-
-def test_normal_fields_example():
-    xi1, xi2 = normal_fields(S1H1)
-    assert np.array_equal(xi1, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(xi2, [0.0, 0.0, 0.0, 1.0])
-    assert np.array_equal(xi1 + xi2, S1H1.ambient)
-    assert minkowski_dot(xi1, xi1) == 1.0
-    assert minkowski_dot(xi2, xi2) == -1.0
-    assert minkowski_dot(xi1, xi2) == 0.0
-
-
-def test_ambient_curvature_factor_signs():
-    # sphere 2-plane: R(X,Y)Y = X
-    p = ProductPoint([1.0, 0.0, 0.0], [0.0, 1.0])
-    x = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    y = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(ambient_curvature(p, x, y, y), x, atol=1e-14)
-    # hyperbolic 2-plane: R(X,Y)Y = -X
-    q = ProductPoint([1.0, 0.0], [0.0, 0.0, 1.0])
-    x = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    y = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(ambient_curvature(q, x, y, y), -x, atol=1e-14)
-    # mixed 2-plane is flat
-    x = np.array([0.0, 1.0, 0.0, 0.0])
-    y = np.array([0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(ambient_curvature(S1H1, x, y, y), 0.0, atol=1e-14)
-
-
-def test_ambient_curvature_rejects_non_tangent():
-    xi1, _ = normal_fields(S1H1)
-    t = np.array([0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ConstraintError):
-        ambient_curvature(S1H1, xi1, t, t)
-
-
-def _tangent_at(point, raw):
-    xi1, xi2 = normal_fields(point)
-    v = raw - minkowski_dot(raw, xi1) * xi1 + minkowski_dot(raw, xi2) * xi2
-    return v
-
-
-@given(raw=st.tuples(*[hnp.arrays(np.float64, 5, elements=finite)] * 4))
-@settings(max_examples=50)
-def test_ambient_curvature_antisymmetries(raw):
-    p = ProductPoint([0.6, 0.8, 0.0], [0.0, 1.0])
-    x, y, z, w = (_tangent_at(p, r) for r in raw)
-    rxy = ambient_curvature(p, x, y, z)
-    ryx = ambient_curvature(p, y, x, z)
-    assert np.allclose(rxy, -ryx, atol=1e-12)
-    lhs = minkowski_dot(ambient_curvature(p, x, y, z), w)
-    rhs = -minkowski_dot(ambient_curvature(p, x, y, w), z)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def _great_circle(dt, n):
-    """Equator of S^2 x {point}; the test field rotates in the tangent plane."""
-    t = dt * np.arange(n)
-    zero = np.zeros_like(t)
-    pts = np.stack([np.cos(t), np.sin(t), zero, zero, np.ones_like(t)], axis=-1)
-    tang = np.stack([-np.sin(t), np.cos(t), zero, zero, zero], axis=-1)
-    pole = np.stack([zero, zero, np.ones_like(t), zero, zero], axis=-1)
-    field = np.cos(3 * t)[:, None] * tang + np.sin(3 * t)[:, None] * pole
-    return pts, field
-
-
-def test_connection_relation_great_circle_second_order():
-    res = []
-    for dt in (1e-2, 5e-3):
-        pts, field = _great_circle(dt, 201)
-        res.append(ambient_connection_relation_residual(pts, dt, k=2, tangent_field=field))
-    assert res[0] <= 10.0 * 1e-2**2
-    assert 3.5 <= res[0] / res[1] <= 4.5
-
-
-def test_connection_relation_constant_curve():
-    pts = np.tile(S1H1.ambient, (7, 1))
-    assert ambient_connection_relation_residual(pts, 0.1, k=1) == 0.0
-
-
-def test_connection_relation_needs_samples():
-    pts = np.tile(S1H1.ambient, (2, 1))
-    with pytest.raises(InsufficientDataError):
-        ambient_connection_relation_residual(pts, 0.1, k=1)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(1, 3))
+def test_product_normals_and_psi_flip_at_a_point_of_the_product(seed, k, m):
+    """At a point (x, y) of S^k x H^m, xi1 = (x, 0) and xi2 = (0, y) sum to the point and
+    are orthonormal with <xi2, xi2> = -1.  psi fixes xi1, negates xi2 and keeps the sphere
+    block of any vector; it is an involution and a Minkowski isometry."""
+    rng = np.random.default_rng(seed)
+    x, ys = rng.normal(size=k + 1), rng.normal(size=m)
+    point = np.concatenate([x / np.linalg.norm(x), ys, [np.sqrt(1.0 + ys @ ys)]])
+    xi1, xi2 = product_normals(point, k)
+    assert np.array_equal(xi1 + xi2, point)
+    pairings = [minkowski_dot(a, b) for a, b in ((xi1, xi1), (xi2, xi2), (xi1, xi2))]
+    assert np.allclose(pairings, [1.0, -1.0, 0.0], rtol=0, atol=1e-12 * (1.0 + ys @ ys))
+    v, w = rng.normal(size=(2, k + m + 2))
+    assert np.array_equal(psi_flip(xi1, k), xi1) and np.array_equal(psi_flip(xi2, k), -xi2)
+    assert np.array_equal(psi_flip(v, k)[:k + 1], v[:k + 1])
+    assert np.array_equal(psi_flip(psi_flip(v, k), k), v)
+    assert minkowski_dot(psi_flip(v, k), psi_flip(w, k)) == minkowski_dot(v, w)
 
 
 def test_gram_schmidt_identity_frame():
@@ -240,10 +142,6 @@ def test_lorentz_orthonormalize_near_eta_frames(noise):
     except DegeneracyError:
         return
     assert np.abs(gram_defect(frame, eta(4))).max() <= 1e-12
-
-
-def test_eta():
-    assert np.array_equal(eta(3), np.diag([1.0, 1.0, -1.0]))
 
 
 def test_gram_schmidt_batched_flags_the_dependent_node():

@@ -8,10 +8,13 @@ source without importing it, since importing run.py rewrites BLAS settings.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from prodimm.extract import FIXTURES, extract_all
 from prodimm.fields import ChartGrid
@@ -51,6 +54,15 @@ def _run_py_constant(name: str):
     raise LookupError(name)
 
 
+@pytest.fixture(scope="module")
+def f3_9x9():
+    """F3 on a 9x9 grid, extracted once per route; each call gives a fresh geometry cache."""
+    imm, _ = FIXTURES["F3"]()
+    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
+    routes = {route: extract_all(imm, grid, use_analytic=route) for route in (True, False)}
+    return lambda use_analytic: dataclasses.replace(routes[use_analytic])
+
+
 def test_every_span_probe_names_a_callable(monkeypatch):
     probes = _spans_module(monkeypatch).SPAN_PROBES
     assert probes
@@ -60,22 +72,18 @@ def test_every_span_probe_names_a_callable(monkeypatch):
     assert isinstance(_program_attr("extract.FIXTURES"), dict)   # the evaluation counters
 
 
-def test_field_probes_accept_the_standalone_call_shapes():
+def test_field_probes_accept_the_standalone_call_shapes(f3_9x9):
     assert set(_run_py_constant("FIELD_PROBES")) == set(FIELD_CALLS)
-    imm, _ = FIXTURES["F3"]()
-    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
-    ds = extract_all(imm, grid, use_analytic=False)
+    ds = f3_9x9(use_analytic=False)
     for name, call in FIELD_CALLS.items():
         fn = _program_attr(name)
         assert callable(fn), name
         call(fn, ds)
 
 
-def test_tracer_counts_the_rebuild_layers(monkeypatch):
+def test_tracer_counts_the_rebuild_layers(monkeypatch, f3_9x9):
     """One 2-D rebuild: transport and cross-check sweeps, one path-independence record."""
-    imm, _ = FIXTURES["F3"]()
-    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
-    data = extract_all(imm, grid)
+    data = f3_9x9(use_analytic=True)
     tracer = _spans_module(monkeypatch).Tracer()
     tracer.install()
     try:
@@ -92,11 +100,9 @@ def test_tracer_counts_the_rebuild_layers(monkeypatch):
     assert not tracer.missing, tracer.missing
 
 
-def test_tracer_counts_the_check_layers(monkeypatch):
+def test_tracer_counts_the_check_layers(monkeypatch, f3_9x9):
     """One 2-D check: every structure and flat-bundle span opens once, none is missing."""
-    imm, _ = FIXTURES["F3"]()
-    grid = ChartGrid(dims=(9, 9), spacing=(1.5 / 8, 1.5 / 8), origin=(0.0, 0.0))
-    data = extract_all(imm, grid)
+    data = f3_9x9(use_analytic=True)
     tracer = _spans_module(monkeypatch).Tracer()
     tracer.install()
     try:
